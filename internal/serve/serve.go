@@ -66,6 +66,8 @@ import (
 // retrieval serving path (e.g. a closure over vectordb.IVFPQ.SearchBatch).
 // It runs concurrently with the modeled retrieval latency; its wall time is
 // reported so the substrate can be compared against the analytical model.
+// The query vectors live in storage the runtime reuses for later batches, so
+// they are valid only until the function returns.
 type SearchFunc func(queries [][]float32) ([][]vectordb.Result, error)
 
 // Options configures a Runtime or Server.
@@ -268,6 +270,9 @@ type dataplane struct {
 	// drain bookkeeping). onSearchErr records a real-retrieval failure.
 	onComplete  func(q *request, done float64)
 	onSearchErr func(error)
+
+	// searchBufs recycles runSearch's per-batch query storage.
+	searchBufs sync.Pool
 }
 
 // newDataplane builds the workers and channels for one plan. bound is the
@@ -478,6 +483,17 @@ type searchResult struct {
 	lost     int
 }
 
+// searchBuf is one retrieval batch's query storage, reused across batches:
+// the generator, the flat backing array the query vectors are drawn into,
+// their row views, and the per-query scatter plans (whose Consulted slices
+// the sharded index refills in place).
+type searchBuf struct {
+	rng     *rand.Rand
+	flat    []float32
+	queries [][]float32
+	infos   []vectordb.ShardQuery
+}
+
 // runSearch synthesizes the batch's query vectors and executes them against
 // the real retrieval substrate, concurrently with the modeled pacing.
 func (dp *dataplane) runSearch(batch []*request, done chan<- searchResult) {
@@ -485,16 +501,27 @@ func (dp *dataplane) runSearch(batch []*request, done chan<- searchResult) {
 	if qpr < 1 {
 		qpr = 1
 	}
-	rng := rand.New(rand.NewSource(dp.opts.QuerySeed + int64(batch[0].id)))
-	queries := make([][]float32, 0, len(batch)*qpr)
-	for range batch {
-		for j := 0; j < qpr; j++ {
-			v := make([]float32, dp.opts.QueryDim)
-			for d := range v {
-				v[d] = rng.Float32() * 10
-			}
-			queries = append(queries, v)
-		}
+	n, dim := len(batch)*qpr, dp.opts.QueryDim
+	seed := dp.opts.QuerySeed + int64(batch[0].id)
+	buf, _ := dp.searchBufs.Get().(*searchBuf)
+	if buf == nil {
+		buf = &searchBuf{rng: rand.New(rand.NewSource(seed))}
+	} else {
+		buf.rng.Seed(seed)
+	}
+	defer dp.searchBufs.Put(buf)
+	if cap(buf.flat) < n*dim {
+		buf.flat = make([]float32, n*dim)
+	}
+	if cap(buf.queries) < n {
+		buf.queries = make([][]float32, n)
+	}
+	flat, queries := buf.flat[:n*dim], buf.queries[:n]
+	for i := range flat {
+		flat[i] = buf.rng.Float32() * 10
+	}
+	for i := range queries {
+		queries[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	start := time.Now()
 	var res searchResult
@@ -509,7 +536,10 @@ func (dp *dataplane) runSearch(batch []*request, done chan<- searchResult) {
 			// analytic cost model's DB.Tuned.
 			np = retrieval.BaseNProbe
 		}
-		infos := make([]vectordb.ShardQuery, len(queries))
+		if cap(buf.infos) < n {
+			buf.infos = make([]vectordb.ShardQuery, n)
+		}
+		infos := buf.infos[:n]
 		_, err := sh.SearchBatch(queries, k, np, dp.plan.Sched.ShardFanout, infos)
 		res.err = err
 		for _, info := range infos {

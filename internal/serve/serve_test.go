@@ -2,6 +2,8 @@ package serve
 
 import (
 	"math"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"rago/internal/core"
@@ -184,17 +186,39 @@ func TestRuntimeRealRetrieval(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	const n, querySeed = 300, 41
+	// The query storage is reused between batches, yet every batch must
+	// carry exactly the vectors of its own generator stream: one
+	// math/rand source seeded QuerySeed + the batch's first request ID,
+	// Float32()*10 per coordinate.
+	var mu sync.Mutex
+	offStream := 0
 	rt, err := New(pipe, prof, sched, Options{
 		Speedup: 300,
 		Searcher: func(queries [][]float32) ([][]vectordb.Result, error) {
+			matched := false
+			for id := 0; id < n && !matched; id++ {
+				rng := rand.New(rand.NewSource(querySeed + int64(id)))
+				matched = true
+				for _, q := range queries {
+					for _, x := range q {
+						matched = matched && x == rng.Float32()*10
+					}
+				}
+			}
+			if !matched {
+				mu.Lock()
+				offStream++
+				mu.Unlock()
+			}
 			return ix.SearchBatch(queries, 10, 4)
 		},
-		QueryDim: dim,
+		QueryDim:  dim,
+		QuerySeed: querySeed,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	const n = 300
 	reqs, err := trace.Poisson(n, 100, 9)
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +235,9 @@ func TestRuntimeRealRetrieval(t *testing.T) {
 	}
 	if rep.SearchWall.Max <= 0 {
 		t.Errorf("real search wall time not measured: %+v", rep.SearchWall)
+	}
+	if offStream > 0 {
+		t.Errorf("%d of %d batches carried queries off their seeded stream", offStream, rep.Searches)
 	}
 }
 

@@ -3,6 +3,7 @@ package vectordb
 import (
 	"fmt"
 	"math"
+	"runtime"
 )
 
 // PQ is a product quantizer: the vector space is split into M subspaces and
@@ -10,17 +11,21 @@ import (
 // a vector compresses to M bytes. With dim=768 and M=96 this is the paper's
 // 1-byte-per-8-dimensions compression (§2, §4).
 type PQ struct {
-	dim       int
-	m         int // number of subspaces == code bytes
-	subDim    int
-	codebooks [][][]float32 // [m][256][subDim]
+	dim    int
+	m      int // number of subspaces == code bytes
+	subDim int
+	// codebooks holds every subspace's 256 centroids dimension-major,
+	// [m][subDim][256] contiguous: the layout sqDists streams over.
+	codebooks []float32
 }
 
 // pqCentroids is the codebook size per subspace; one byte addresses it.
 const pqCentroids = 256
 
 // TrainPQ learns a product quantizer from data. m must divide the vector
-// dimensionality. Training runs k-means independently per subspace.
+// dimensionality. Training runs k-means independently per subspace (seeded
+// seed+s), so the subspaces train concurrently and the result does not
+// depend on GOMAXPROCS.
 func TrainPQ(data [][]float32, m int, seed int64) (*PQ, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("vectordb: TrainPQ on empty dataset")
@@ -33,27 +38,30 @@ func TrainPQ(data [][]float32, m int, seed int64) (*PQ, error) {
 		return nil, fmt.Errorf("vectordb: PQ subspaces %d must divide dim %d", m, dim)
 	}
 	sub := dim / m
-	pq := &PQ{dim: dim, m: m, subDim: sub, codebooks: make([][][]float32, m)}
-	slice := make([][]float32, len(data))
-	for s := 0; s < m; s++ {
-		for i, v := range data {
-			slice[i] = v[s*sub : (s+1)*sub]
+	pq := &PQ{dim: dim, m: m, subDim: sub, codebooks: make([]float32, m*pqCentroids*sub)}
+	k := min(pqCentroids, len(data))
+	procs := runtime.GOMAXPROCS(0)
+	inner := max(1, procs/m) // workers inside each k-means once the subspaces are spread
+	parallelFor(m, 1, procs, func(lo, hi int) {
+		for s := lo; s < hi; s++ {
+			cents := kmeans(data, s*sub, sub, k, 10, seed+int64(s), inner)
+			// Fewer than 256 training points: pad the codebook with
+			// repeats so codes are always one byte.
+			book := pq.book(s)
+			for c := 0; c < pqCentroids; c++ {
+				for d, x := range cents[(c%k)*sub:][:sub] {
+					book[d*pqCentroids+c] = x
+				}
+			}
 		}
-		k := pqCentroids
-		if len(data) < k {
-			k = len(data)
-		}
-		cents, err := KMeans(slice, k, 10, seed+int64(s))
-		if err != nil {
-			return nil, err
-		}
-		// Pad codebooks to 256 entries so codes are always one byte.
-		for len(cents) < pqCentroids {
-			cents = append(cents, append([]float32(nil), cents[len(cents)%k]...))
-		}
-		pq.codebooks[s] = cents
-	}
+	})
 	return pq, nil
+}
+
+// book returns subspace s's codebook, dimension-major ([subDim][256]).
+func (p *PQ) book(s int) []float32 {
+	n := pqCentroids * p.subDim
+	return p.codebooks[s*n : (s+1)*n]
 }
 
 // Dim returns the full vector dimensionality.
@@ -68,11 +76,17 @@ func (p *PQ) Encode(v []float32) ([]byte, error) {
 		return nil, fmt.Errorf("vectordb: encode dim %d != %d", len(v), p.dim)
 	}
 	code := make([]byte, p.m)
-	for s := 0; s < p.m; s++ {
-		sub := v[s*p.subDim : (s+1)*p.subDim]
-		code[s] = byte(nearestCentroid(sub, p.codebooks[s]))
-	}
+	var row [pqCentroids]float32
+	p.encodeInto(code, v, &row)
 	return code, nil
+}
+
+// encodeInto writes v's M-byte code into code, using row as working space.
+func (p *PQ) encodeInto(code []byte, v []float32, row *[pqCentroids]float32) {
+	for s := range code {
+		sqDists(row[:], v[s*p.subDim:(s+1)*p.subDim], p.book(s))
+		code[s] = byte(argmin(row[:]))
+	}
 }
 
 // Decode reconstructs the approximate vector for a code.
@@ -82,7 +96,10 @@ func (p *PQ) Decode(code []byte) ([]float32, error) {
 	}
 	out := make([]float32, p.dim)
 	for s, c := range code {
-		copy(out[s*p.subDim:(s+1)*p.subDim], p.codebooks[s][c])
+		book := p.book(s)
+		for d := 0; d < p.subDim; d++ {
+			out[s*p.subDim+d] = book[d*pqCentroids+int(c)]
+		}
 	}
 	return out, nil
 }
@@ -90,25 +107,32 @@ func (p *PQ) Decode(code []byte) ([]float32, error) {
 // DistTable precomputes, for a query, the squared distance from each query
 // subvector to every codebook entry — the asymmetric distance computation
 // (ADC) lookup tables that make PQ scanning a pure table-walk (this is the
-// byte-scan workload the analytical retrieval model times).
+// byte-scan workload the analytical retrieval model times). The returned
+// rows are views over one contiguous m·256 table.
 func (p *PQ) DistTable(q []float32) ([][]float32, error) {
 	if len(q) != p.dim {
 		return nil, fmt.Errorf("vectordb: query dim %d != %d", len(q), p.dim)
 	}
+	lut := make([][pqCentroids]float32, p.m)
+	p.fillLUT(lut, q)
 	table := make([][]float32, p.m)
-	for s := 0; s < p.m; s++ {
-		sub := q[s*p.subDim : (s+1)*p.subDim]
-		row := make([]float32, pqCentroids)
-		for c, cent := range p.codebooks[s] {
-			row[c] = SquaredL2(sub, cent)
-		}
-		table[s] = row
+	for s := range table {
+		table[s] = lut[s][:]
 	}
 	return table, nil
 }
 
+// fillLUT writes q's ADC table into lut (len m): lut[s][c] is the squared
+// distance from q's s-th subvector to codebook entry c, summed sequentially
+// over the subspace's dimensions exactly as SquaredL2 does.
+func (p *PQ) fillLUT(lut [][pqCentroids]float32, q []float32) {
+	for s := range lut {
+		sqDists(lut[s][:], q[s*p.subDim:(s+1)*p.subDim], p.book(s))
+	}
+}
+
 // ADC returns the approximate squared distance of the encoded vector from
-// the query whose DistTable is given.
+// the query whose DistTable is given: one accumulator over s = 0..m-1.
 func (p *PQ) ADC(table [][]float32, code []byte) float32 {
 	var d float32
 	for s, c := range code {

@@ -133,85 +133,76 @@ type ShardQuery struct {
 // ShardPick is one (shard, replica) scan assignment.
 type ShardPick struct{ Shard, Replica int }
 
+// shardState is one shard's place in a query's scatter plan.
+type shardState uint8
+
+const (
+	shardUnseen  shardState = iota // none of its cells probed so far
+	shardScanned                   // consulted, served by a healthy replica
+	shardSkipped                   // over the fanout budget, or every replica down
+)
+
 // Search answers one query over the sharded index: probe the globally
 // nearest nprobe cells, consult at most fanout shards (0 or >= Shards()
 // means all), and merge per-shard partial top-k exactly. The optional info
-// out-parameter receives the scatter plan (pass nil to skip).
+// out-parameter receives the scatter plan (pass nil to skip); its Consulted
+// slice is overwritten in place when it has the capacity.
 func (s *Sharded) Search(q []float32, k, nprobe, fanout int, info *ShardQuery) ([]Result, error) {
-	if len(q) != s.ix.dim {
-		return nil, fmt.Errorf("vectordb: query dim %d != %d", len(q), s.ix.dim)
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("vectordb: k = %d < 1", k)
-	}
-	if nprobe < 1 {
-		return nil, fmt.Errorf("vectordb: nprobe = %d < 1", nprobe)
-	}
-	if nprobe > len(s.ix.centroids) {
-		nprobe = len(s.ix.centroids)
+	sc := scratchPool.Get().(*scratch)
+	out, err := s.searchInto(sc, q, k, nprobe, fanout, info, nil)
+	scratchPool.Put(sc)
+	return out, err
+}
+
+// searchInto appends the query's merged top-k to dst.
+func (s *Sharded) searchInto(sc *scratch, q []float32, k, nprobe, fanout int, info *ShardQuery, dst []Result) ([]Result, error) {
+	if err := s.ix.checkQuery(q, k, nprobe); err != nil {
+		return nil, err
 	}
 	if fanout <= 0 || fanout > s.shards {
 		fanout = s.shards
 	}
-
-	// Global cell ranking — identical to the single-index probe set.
-	cells := s.ix.nearestCells(q, nprobe)
-
-	// Scatter: group probed cells by owning shard, preserving rank order
-	// so a shard's first cell is its best (closest) one.
-	cellsOf := make(map[int][]int, s.shards)
-	order := make([]int, 0, s.shards) // shards by best-cell rank
-	for _, c := range cells {
-		sh := s.ShardOfCell(c)
-		if _, seen := cellsOf[sh]; !seen {
-			order = append(order, sh)
-		}
-		cellsOf[sh] = append(cellsOf[sh], c)
-	}
-	// Fanout budget: keep the fanout shards holding the best-ranked cells.
-	consulted := order
-	excluded := 0
-	if len(order) > fanout {
-		consulted = order[:fanout]
-		excluded = len(order) - fanout
-	}
-
-	table, err := s.ix.pq.DistTable(q)
-	if err != nil {
-		return nil, err
-	}
-	t := newTopK(k)
-	lost := 0
-	fellBack := false
-	var picks []ShardPick
+	sc.shard = grow(sc.shard, s.shards)
+	state := sc.shard
+	clear(state)
+	var plan ShardQuery
 	if info != nil {
-		picks = make([]ShardPick, 0, len(consulted))
+		plan.Consulted = info.Consulted[:0]
 	}
-	for _, sh := range consulted {
-		r, fb, ok := s.pickReplica(sh)
-		if !ok {
-			lost++
-			continue
-		}
-		fellBack = fellBack || fb
-		if info != nil {
-			picks = append(picks, ShardPick{Shard: sh, Replica: r})
-		}
-		// Per-shard scan into the shared accumulator. topK's total order
-		// on (dist, ID) makes the merge exact: the k survivors are the
-		// same set a single sequential scan of these cells keeps.
-		for _, c := range cellsOf[sh] {
-			ids := s.ix.listIDs[c]
-			codes := s.ix.listCodes[c]
-			for i, id := range ids {
-				t.offer(id, s.ix.pq.ADC(table, codes[i]))
+
+	// Scatter and scan in one pass over the global cell ranking — identical
+	// to the single-index probe set. A shard is met at its best (closest)
+	// cell, so the first fanout shards met are the ones holding the
+	// best-ranked cells; later shards are over budget. All consulted shards
+	// scan into the shared accumulator: topK's total order on (dist, ID)
+	// makes the merge exact, the k survivors being the same set a single
+	// sequential scan of these cells keeps.
+	sc.top.reset(k)
+	seen := 0
+	for _, c := range s.ix.probe(sc, q, nprobe) {
+		sh := s.ShardOfCell(c.ID)
+		if state[sh] == shardUnseen {
+			state[sh] = shardSkipped
+			if seen++; seen > fanout {
+				plan.Excluded++
+			} else if r, fb, ok := s.pickReplica(sh); !ok {
+				plan.Lost++
+			} else {
+				state[sh] = shardScanned
+				plan.FellBack = plan.FellBack || fb
+				if info != nil {
+					plan.Consulted = append(plan.Consulted, ShardPick{Shard: sh, Replica: r})
+				}
 			}
 		}
+		if state[sh] == shardScanned {
+			s.ix.scanCell(sc, c.ID)
+		}
 	}
 	if info != nil {
-		*info = ShardQuery{Consulted: picks, Excluded: excluded, Lost: lost, FellBack: fellBack}
+		*info = plan
 	}
-	return t.results(), nil
+	return append(dst, sc.top.sorted()...), nil
 }
 
 // SearchBatch answers a batch of queries with the scatter-gather plan of
@@ -222,12 +213,12 @@ func (s *Sharded) SearchBatch(queries [][]float32, k, nprobe, fanout int, infos 
 	if infos != nil && len(infos) != len(queries) {
 		return nil, fmt.Errorf("vectordb: infos len %d != queries len %d", len(infos), len(queries))
 	}
-	return searchBatch(len(queries), func(i int) ([]Result, error) {
+	return searchBatch(len(queries), min(k, s.Len()), func(sc *scratch, i int, dst []Result) ([]Result, error) {
 		var info *ShardQuery
 		if infos != nil {
 			info = &infos[i]
 		}
-		return s.Search(queries[i], k, nprobe, fanout, info)
+		return s.searchInto(sc, queries[i], k, nprobe, fanout, info, dst)
 	})
 }
 

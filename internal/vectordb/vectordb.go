@@ -8,11 +8,18 @@
 // recall-vs-bytes-scanned trade-off on real data, implements the 1-byte-per-
 // 8-dims PQ compression the paper assumes, and serves as the retrieval
 // engine for runnable examples.
+//
+// Storage is flat: centroids, codebooks and exact vectors are contiguous
+// []float32, and each inverted list is one contiguous code block beside its
+// ID block, so a scan is the table-walk the analytical model prices. Every
+// float summation keeps one fixed order (documented at each kernel), which
+// makes results bit-reproducible across layouts, worker counts and
+// GOMAXPROCS.
 package vectordb
 
 import (
-	"container/heap"
 	"fmt"
+	"sync"
 )
 
 // Result is one nearest-neighbor candidate.
@@ -24,7 +31,8 @@ type Result struct {
 // SquaredL2 returns the squared Euclidean distance between two vectors of
 // equal dimensionality. It is the metric used throughout the package (the
 // paper's retrieval compares L2 or cosine; squared L2 orders identically
-// to L2).
+// to L2). The sum runs sequentially over the dimensions; every internal
+// distance kernel accumulates in this same order.
 func SquaredL2(a, b []float32) float32 {
 	var s float32
 	for i := range a {
@@ -34,58 +42,7 @@ func SquaredL2(a, b []float32) float32 {
 	return s
 }
 
-// resultHeap is a max-heap on (distance, ID) so the worst candidate sits on
-// top and can be evicted in O(log k). Ordering by the full (Dist, ID) key —
-// not distance alone — makes top-k selection a total order: the k kept
-// candidates are independent of offer order, which is what lets the sharded
-// scatter-gather merge return bit-identical results to a single-index scan.
-type resultHeap []Result
-
-func (h resultHeap) Len() int            { return len(h) }
-func (h resultHeap) Less(i, j int) bool  { return less(h[j], h[i]) }
-func (h resultHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *resultHeap) Push(x interface{}) { *h = append(*h, x.(Result)) }
-func (h *resultHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
-}
-
-// topK accumulates the k smallest-distance results seen so far.
-type topK struct {
-	k int
-	h resultHeap
-}
-
-func newTopK(k int) *topK { return &topK{k: k, h: make(resultHeap, 0, k)} }
-
-func (t *topK) offer(id int, dist float32) {
-	if len(t.h) < t.k {
-		heap.Push(&t.h, Result{ID: id, Dist: dist})
-		return
-	}
-	if less(Result{ID: id, Dist: dist}, t.h[0]) {
-		t.h[0] = Result{ID: id, Dist: dist}
-		heap.Fix(&t.h, 0)
-	}
-}
-
-// results returns candidates ordered by ascending distance (ties by ID).
-func (t *topK) results() []Result {
-	out := make([]Result, len(t.h))
-	copy(out, t.h)
-	// Heap order is not sorted; selection sort is fine for small k but
-	// use a simple insertion sort for clarity.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && less(out[j], out[j-1]); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
+// less is the total order on candidates: distance, ties by ID.
 func less(a, b Result) bool {
 	if a.Dist != b.Dist {
 		return a.Dist < b.Dist
@@ -93,11 +50,122 @@ func less(a, b Result) bool {
 	return a.ID < b.ID
 }
 
+// topK accumulates the k smallest results seen so far in a max-heap on
+// (Dist, ID), so the worst candidate sits on top and can be evicted in
+// O(log k). Ordering by the full (Dist, ID) key — not distance alone — makes
+// top-k selection a total order: the k kept candidates are independent of
+// offer order, which is what lets the sharded scatter-gather merge return
+// bit-identical results to a single-index scan. The heap storage is reused
+// across queries (it lives in a pooled scratch).
+type topK struct {
+	k int
+	h []Result
+}
+
+func (t *topK) reset(k int) { t.k, t.h = k, t.h[:0] }
+
+// admits reports whether a candidate would enter the top k: once k are
+// held, anything not below the current k-th best is rejected on this check,
+// before the heap is touched.
+func (t *topK) admits(id int, dist float32) bool {
+	if len(t.h) < t.k {
+		return true
+	}
+	top := t.h[0]
+	return dist < top.Dist || dist == top.Dist && id < top.ID
+}
+
+// insert adds a candidate admits accepted, evicting the worst if k are held.
+func (t *topK) insert(id int, dist float32) {
+	r := Result{ID: id, Dist: dist}
+	if len(t.h) < t.k {
+		t.h = append(t.h, r)
+		t.up(len(t.h) - 1)
+		return
+	}
+	t.h[0] = r
+	down(t.h, 0)
+}
+
+// offer is admits then insert, for callers outside the scan's inner loop.
+func (t *topK) offer(id int, dist float32) {
+	if t.admits(id, dist) {
+		t.insert(id, dist)
+	}
+}
+
+func (t *topK) up(i int) {
+	h := t.h
+	for i > 0 {
+		p := (i - 1) / 2
+		if !less(h[p], h[i]) {
+			break
+		}
+		h[p], h[i] = h[i], h[p]
+		i = p
+	}
+}
+
+// down restores the max-heap property below i.
+func down(h []Result, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && less(h[c], h[c+1]) {
+			c++
+		}
+		if !less(h[i], h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sorted heap-sorts the kept candidates in place into ascending (Dist, ID)
+// order and returns them. The view is valid until the next reset.
+func (t *topK) sorted() []Result {
+	h := t.h
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		down(h[:n], 0)
+	}
+	return h
+}
+
+// scratch is the per-query working set: ADC look-up table, probed-cell
+// selection, candidate heap and the sharded scatter state. One scratch
+// serves one query at a time; Search takes it from scratchPool and
+// SearchBatch holds one per worker, so steady-state searches allocate only
+// the results they return.
+type scratch struct {
+	lut   [][pqCentroids]float32
+	dists []float32 // distance from the query to every coarse centroid
+	cells topK      // nprobe nearest cells as (ID = cell, Dist = centroid distance)
+	top   topK
+	shard []shardState
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow returns buf resliced to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
 // FlatIndex is an exact brute-force kNN index — the search mode Case II
-// uses for small real-time databases (§5.2).
+// uses for small real-time databases (§5.2). Vectors are copied into one
+// contiguous store on Add.
 type FlatIndex struct {
 	dim  int
-	vecs [][]float32
+	n    int
+	vecs []float32 // n*dim
 }
 
 // NewFlat returns an empty exact index over dim-dimensional vectors.
@@ -107,32 +175,44 @@ func NewFlat(dim int) *FlatIndex { return &FlatIndex{dim: dim} }
 func (f *FlatIndex) Dim() int { return f.dim }
 
 // Len returns the number of stored vectors.
-func (f *FlatIndex) Len() int { return len(f.vecs) }
+func (f *FlatIndex) Len() int { return f.n }
 
-// Add appends vectors; IDs are assigned densely in insertion order.
+// Add appends copies of the vectors; IDs are assigned densely in insertion
+// order.
 func (f *FlatIndex) Add(vecs ...[]float32) error {
 	for _, v := range vecs {
 		if len(v) != f.dim {
 			return fmt.Errorf("vectordb: vector dim %d != index dim %d", len(v), f.dim)
 		}
-		f.vecs = append(f.vecs, v)
+		f.vecs = append(f.vecs, v...)
+		f.n++
 	}
 	return nil
 }
 
 // Search returns the k exact nearest neighbors of q.
 func (f *FlatIndex) Search(q []float32, k int) ([]Result, error) {
+	s := scratchPool.Get().(*scratch)
+	out, err := f.searchInto(s, q, k, nil)
+	scratchPool.Put(s)
+	return out, err
+}
+
+// searchInto appends the k exact nearest neighbors of q to dst.
+func (f *FlatIndex) searchInto(s *scratch, q []float32, k int, dst []Result) ([]Result, error) {
 	if len(q) != f.dim {
 		return nil, fmt.Errorf("vectordb: query dim %d != index dim %d", len(q), f.dim)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("vectordb: k = %d < 1", k)
 	}
-	t := newTopK(k)
-	for id, v := range f.vecs {
-		t.offer(id, SquaredL2(q, v))
+	t := &s.top
+	t.reset(k)
+	dim := f.dim
+	for id := 0; id < f.n; id++ {
+		t.offer(id, SquaredL2(q, f.vecs[id*dim:(id+1)*dim]))
 	}
-	return t.results(), nil
+	return append(dst, t.sorted()...), nil
 }
 
 // BytesScanned reports the bytes a full scan touches (float32 storage);
@@ -180,4 +260,14 @@ func checkDataset(data [][]float32, dim int) error {
 		}
 	}
 	return nil
+}
+
+// rowViews returns k row slices over one flat k*dim backing array. Rows are
+// capacity-limited so appending to one cannot overwrite its neighbour.
+func rowViews(flat []float32, k, dim int) [][]float32 {
+	rows := make([][]float32, k)
+	for i := range rows {
+		rows[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return rows
 }
