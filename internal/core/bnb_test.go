@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"rago/internal/engine"
 	"rago/internal/hw"
 	"rago/internal/perf"
 	"rago/internal/ragschema"
@@ -99,20 +100,82 @@ func TestPlanBoundAdmissible(t *testing.T) {
 	}
 }
 
-// TestWorkersOption pins that capping search concurrency changes neither
-// the frontier nor determinism.
+// TestWorkersOption pins that search concurrency changes neither the
+// frontier nor determinism. What the incumbent holds when a plan runs — and
+// so which partials and candidates that plan drops — depends on worker
+// timing; the frontier must not. Every configuration must return exactly
+// the exhaustive NoPrune frontier, at 1, 2 and 8 workers, on Case IV
+// (placement-heavy) and on Case I with the formation and retrieval-knob
+// dimensions on (where the partial cut is off and only the candidate
+// filter prunes within a plan).
 func TestWorkersOption(t *testing.T) {
-	opts := DefaultOptions(hw.DefaultCluster())
-	opts.NormalizeChips = 64
-	opts.Workers = 1
-	serial, err := NewOptimizer(ragschema.CaseI(8e9, 1), opts)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name   string
+		schema ragschema.Schema
+		norm   int
+		dims   bool
+	}{
+		{"caseI", ragschema.CaseI(8e9, 1), 64, false},
+		{"caseI-dims", ragschema.CaseI(8e9, 1), 64, true},
+		{"caseIV", ragschema.CaseIV(8e9), 0, false},
 	}
-	got := serial.Optimize()
-	want := newOpt(t, ragschema.CaseI(8e9, 1), hw.DefaultCluster(), 64).Optimize()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Workers=1 frontier diverged from default")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(workers int, noPrune bool) []SchedulePoint {
+				opts := DefaultOptions(hw.DefaultCluster())
+				opts.NormalizeChips = tc.norm
+				opts.Workers = workers
+				opts.NoPrune = noPrune
+				if !tc.dims {
+					o, err := NewOptimizer(tc.schema, opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return o.Optimize()
+				}
+				opts.Shapes = formationShapes()
+				opts.Policies = []engine.BatchPolicy{engine.PolicyFIFO, engine.PolicyBucketed, engine.PolicySorted}
+				opts.ChunkQuanta = []int{0, 256}
+				opts.NProbes = []int{2, 0, 32}
+				opts.ShardFanouts = []int{2, 0}
+				return shardedOptimizer(t, tc.schema, opts).Optimize()
+			}
+			want := run(0, true)
+			if len(want) == 0 {
+				t.Fatal("exhaustive frontier is empty")
+			}
+			for _, w := range []int{1, 2, 8} {
+				if got := run(w, false); !reflect.DeepEqual(got, want) {
+					t.Errorf("Workers=%d frontier (%d points) diverged from the exhaustive one (%d points)", w, len(got), len(want))
+				}
+			}
+		})
+	}
+}
+
+// TestOptimizeAllocs pins the search's allocation budget: one cold Case IV
+// Optimize (profiler memo empty) keeps only candidates that can still reach
+// the frontier, so it allocates a bounded, small number of objects instead
+// of one heap schedule per evaluated candidate.
+func TestOptimizeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	if testing.Short() {
+		t.Skip("runs two full Case IV searches")
+	}
+	const budget = 300_000
+	n := testing.AllocsPerRun(1, func() {
+		o, err := NewOptimizer(ragschema.CaseIV(8e9), DefaultOptions(hw.DefaultCluster()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(o.Optimize()) == 0 {
+			t.Fatal("empty frontier")
+		}
+	})
+	if n > budget {
+		t.Errorf("Case IV Optimize allocates %.0f objects, budget %d", n, budget)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 
 	"rago/internal/engine"
@@ -27,8 +29,8 @@ type spart struct {
 	// node indexes searchCtx.nodes (the last group's choice; parents
 	// chain backwards through the groups), -1 before any group commits.
 	node int32
-	// retrB, decB, decR carry the scalar schedule fields until
-	// materialization.
+	// retrB, decB, decR carry the scalar schedule fields until the
+	// partial is stamped.
 	retrB int32
 	decB  int32
 	decR  int32
@@ -38,7 +40,7 @@ type spart struct {
 type gnode struct {
 	parent   int32
 	batch    int32
-	replicas []int // memo-owned; copied at materialization
+	replicas []int // memo-owned; copied out by own
 }
 
 // qpsUnbounded stands in for "no throughput constraint yet"; finite so the
@@ -91,6 +93,10 @@ type searchCtx struct {
 	idx    []int32
 
 	probeGroups []GroupSchedule
+	// scratch is the schedule every stamped candidate is evaluated from
+	// (stamp); only candidates that survive the incumbent filter are
+	// copied out of it (own).
+	scratch Schedule
 }
 
 type partialCorner struct{ tpot, qps float64 }
@@ -208,27 +214,30 @@ func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
 	return m, true
 }
 
-// materialize expands a surviving partial into a complete schedule,
-// walking the group-choice chain backwards (replica slices are copied out
-// of the shared memo).
-func (c *searchCtx) materialize(plan Plan, bIter int, p spart) Schedule {
+// stamp expands a surviving partial into the worker's scratch schedule,
+// walking the group-choice chain backwards. The group storage is reused
+// across calls and the replica slices alias the shared memo (evaluation
+// only reads them), so stamping allocates nothing; the schedule is valid
+// until the next stamp, and own copies out the ones worth keeping.
+func (c *searchCtx) stamp(plan Plan, bIter int, p spart) *Schedule {
 	ng := len(plan.Placement.Groups)
-	var groups []GroupSchedule
-	if ng > 0 {
+	groups := c.scratch.Groups
+	if ng > 0 && cap(groups) < ng {
 		groups = make([]GroupSchedule, ng)
-		node := p.node
-		for gi := ng - 1; gi >= 0; gi-- {
-			nd := c.nodes[node]
-			groups[gi] = GroupSchedule{
-				Stages:   plan.Placement.Groups[gi].Stages,
-				Chips:    plan.GroupChips[gi],
-				Batch:    int(nd.batch),
-				Replicas: append([]int(nil), nd.replicas...),
-			}
-			node = nd.parent
-		}
 	}
-	return Schedule{
+	groups = groups[:ng]
+	node := p.node
+	for gi := ng - 1; gi >= 0; gi-- {
+		nd := c.nodes[node]
+		groups[gi] = GroupSchedule{
+			Stages:   plan.Placement.Groups[gi].Stages,
+			Chips:    plan.GroupChips[gi],
+			Batch:    int(nd.batch),
+			Replicas: nd.replicas,
+		}
+		node = nd.parent
+	}
+	c.scratch = Schedule{
 		Groups:           groups,
 		RetrievalServers: plan.Servers,
 		RetrievalBatch:   int(p.retrB),
@@ -237,6 +246,23 @@ func (c *searchCtx) materialize(plan Plan, bIter int, p spart) Schedule {
 		DecodeReplicas:   int(p.decR),
 		IterativeBatch:   bIter,
 	}
+	return &c.scratch
+}
+
+// own copies a stamped schedule out for retention, so the result aliases
+// neither the scratch nor the memo.
+func own(s Schedule) Schedule {
+	if len(s.Groups) == 0 {
+		s.Groups = nil
+		return s
+	}
+	groups := make([]GroupSchedule, len(s.Groups))
+	for i, g := range s.Groups {
+		g.Replicas = append([]int(nil), g.Replicas...)
+		groups[i] = g
+	}
+	s.Groups = groups
+	return s
 }
 
 // planCandidates enumerates batch policies for one plan at a fixed
@@ -245,10 +271,10 @@ func (c *searchCtx) materialize(plan Plan, bIter int, p spart) Schedule {
 // branch-and-bound pass additionally discards partials whose optimistic
 // completion (the plan bound with the partial's own throughput ceiling,
 // relaxed by boundEps for float drift) is strictly dominated by the
-// incumbent frontier — lossless for the final frontier. Survivors are
-// returned as complete schedules; callers re-evaluate them through the
-// scratch evaluator.
-func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *perf.Incremental, bound perf.Metrics) []Schedule {
+// incumbent frontier — lossless for the final frontier. The surviving
+// partials are returned in the worker's reusable buffer (valid until the
+// next call); callers stamp and evaluate them.
+func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *perf.Incremental, bound perf.Metrics) []spart {
 	prefixIdx := o.Pipe.Index(pipeline.KindPrefix)
 	retrIdx := o.Pipe.Index(pipeline.KindRetrieval)
 	decIdx := o.Pipe.Index(pipeline.KindDecode)
@@ -380,13 +406,8 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *pe
 		}
 	}
 	parts = prunePartialsInto(ctx, next, parts[:0])
-
-	out := make([]Schedule, len(parts))
-	for i, p := range parts {
-		out[i] = ctx.materialize(plan, bIter, p)
-	}
 	ctx.parts, ctx.next = parts, next
-	return out
+	return parts
 }
 
 // probeSchedule builds the minimal schedule IterativeCost needs from the
@@ -414,22 +435,19 @@ func (c *searchCtx) probeSchedule(plan Plan, bIter int) Schedule {
 // the plan's admissible bound capped by the partial's own throughput, with
 // a boundEps relaxation absorbing accumulation-order float drift — is
 // strictly dominated by the shared incumbent frontier. inc == nil (the
-// exhaustive reference) disables the pass.
+// exhaustive reference) disables the pass. Every partial's bound shares
+// the plan's TTFT, TPOT and recall, so one incumbent scan yields the two
+// QPS/chip thresholds strict dominance reduces to (QPSThresholds).
 func (c *searchCtx) pruneAgainstIncumbent(parts []spart, inc *perf.Incremental, bound perf.Metrics, normChips float64) []spart {
 	if inc == nil || len(parts) == 0 {
 		return parts
 	}
+	shared := relax(bound, boundEps)
+	gt, ge := inc.QPSThresholds(shared.TTFT, shared.TPOT, shared.Recall)
 	kept := parts[:0]
 	for _, p := range parts {
-		q := math.Min(p.qps, bound.QPS)
-		m := relax(perf.Metrics{
-			TTFT:       bound.TTFT,
-			TPOT:       bound.TPOT,
-			QPS:        q,
-			QPSPerChip: q / normChips,
-			Recall:     bound.Recall,
-		}, boundEps)
-		if !inc.DominatedBy(m) {
+		x := relax(perf.Metrics{QPSPerChip: math.Min(p.qps, bound.QPS) / normChips}, boundEps).QPSPerChip
+		if !(x < gt || x <= ge) {
 			kept = append(kept, p)
 		}
 	}
@@ -631,53 +649,68 @@ func prunePartialsInto(ctx *searchCtx, src []spart, dst []spart) []spart {
 		idx = append(idx, int32(i))
 	}
 	ctx.idx = idx
-	sort.Slice(idx, func(a, b int) bool {
-		x, y := &valid[idx[a]], &valid[idx[b]]
-		if x.ttft != y.ttft {
-			return x.ttft < y.ttft
+	slices.SortFunc(idx, func(a, b int32) int {
+		x, y := &valid[a], &valid[b]
+		if c := cmpFloat(x.ttft, y.ttft); c != 0 {
+			return c
 		}
-		if x.tpot != y.tpot {
-			return x.tpot < y.tpot
+		if c := cmpFloat(x.tpot, y.tpot); c != 0 {
+			return c
 		}
-		if x.qps != y.qps {
-			return x.qps > y.qps
+		if c := cmpFloat(y.qps, x.qps); c != 0 {
+			return c
 		}
-		return idx[a] < idx[b]
+		return cmp.Compare(a, b)
 	})
+	kept := idx[:0] // kept indices overwrite the consumed prefix
 	stairs := ctx.stairs[:0]
 	for _, pi := range idx {
-		p := valid[pi]
-		i := sort.Search(len(stairs), func(k int) bool { return stairs[k].tpot > p.tpot }) - 1
-		if i >= 0 && stairs[i].qps >= p.qps {
+		p := &valid[pi]
+		ins := sort.Search(len(stairs), func(k int) bool { return stairs[k].tpot > p.tpot })
+		if ins > 0 && stairs[ins-1].qps >= p.qps {
 			continue // dominated (or an exact duplicate)
 		}
-		dst = append(dst, p)
+		kept = append(kept, pi)
 		// Replace the corners in [ins, end) — now dominated — with the
 		// new corner, in place.
-		ins := i + 1
 		end := ins
 		for end < len(stairs) && stairs[end].qps <= p.qps {
 			end++
 		}
-		n := len(stairs)
-		if end == ins {
-			stairs = append(stairs, partialCorner{})
-			copy(stairs[ins+1:], stairs[ins:n])
-		} else {
-			copy(stairs[ins+1:], stairs[end:n])
-			stairs = stairs[:n-(end-ins)+1]
-		}
-		stairs[ins] = partialCorner{p.tpot, p.qps}
+		stairs = slices.Replace(stairs, ins, end, partialCorner{p.tpot, p.qps})
 	}
 	ctx.stairs = stairs
-	sort.SliceStable(dst, func(i, j int) bool {
-		a, b := dst[i], dst[j]
-		if a.ttft != b.ttft {
-			return a.ttft < b.ttft
+	// Output order is (ttft asc, qps desc), stable over the sweep order —
+	// which, for survivors tied on both keys, is (tpot asc, index asc).
+	slices.SortFunc(kept, func(a, b int32) int {
+		x, y := &valid[a], &valid[b]
+		if c := cmpFloat(x.ttft, y.ttft); c != 0 {
+			return c
 		}
-		return a.qps > b.qps
+		if c := cmpFloat(y.qps, x.qps); c != 0 {
+			return c
+		}
+		if c := cmpFloat(x.tpot, y.tpot); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
+	for _, k := range kept {
+		dst = append(dst, valid[k])
+	}
 	return dst
+}
+
+// cmpFloat is cmp.Compare for the validated (NaN-free) partial metrics,
+// without the NaN tests that cost the hot sorts measurable time.
+func cmpFloat(x, y float64) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
 }
 
 // partialValid mirrors perf.Metrics.Valid on a partial's accumulated

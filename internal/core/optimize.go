@@ -293,9 +293,18 @@ func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 }
 
 // planFrontier is PlanFrontier on a worker's reusable context, optionally
-// pruning partial extensions against the shared incumbent (inc nil
-// disables; bound is the plan's admissible bound when inc is set).
+// pruning against the shared incumbent (inc nil disables; bound is the
+// plan's admissible bound when inc is set).
+//
+// Every stamped candidate is evaluated from the worker's scratch schedule
+// and dropped, before it is copied out, when an incumbent point strictly
+// dominates its exact metrics. That is lossless: the incumbent holds only
+// real evaluated points, each of which is on the final frontier or strictly
+// dominated by a point that is, so a dropped candidate could never be
+// returned. Exact ties are not strict dominance, so they survive, and the
+// final pass still keeps the first of them in enumeration order.
 func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incremental, bound perf.Metrics) []SchedulePoint {
+	partialInc := inc
 	if ctx.formActive || ctx.retrActive {
 		// Within-plan partial pruning prices the FIFO/unchunked/unshaped/
 		// base-knob proxy. The batch ladder survives it (TTFT strictly
@@ -305,33 +314,33 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 		// knob-tuned completions — so the mid-plan incumbent cut is
 		// disabled and only the admissible plan-level bound (planBound's
 		// formation relaxation and cheapest-knob retrieval envelope)
-		// prunes.
-		inc = nil
+		// prunes. The candidate filter below uses real metrics and stays on.
+		partialInc = nil
 	}
 	var pts []SchedulePoint
 	for _, bIter := range ctx.iterBatches {
-		for _, s := range o.planCandidates(ctx, plan, bIter, inc, bound) {
+		for _, p := range o.planCandidates(ctx, plan, bIter, partialInc, bound) {
+			sc := ctx.stamp(plan, bIter, p)
 			for _, pol := range ctx.policies {
 				for _, q := range ctx.quanta {
 					for _, np := range ctx.nprobes {
 						for _, fo := range ctx.fanouts {
-							sc := s
 							sc.FormPolicy = pol
 							sc.ChunkQuantum = q
 							sc.NProbe = np
 							sc.ShardFanout = fo
-							if m, ok := ctx.evaluate(sc); ok {
-								pts = append(pts, SchedulePoint{Metrics: m, Item: sc})
+							m, ok := ctx.evaluate(*sc)
+							if !ok || (inc != nil && inc.DominatedBy(m)) {
+								continue
 							}
+							pts = append(pts, SchedulePoint{Metrics: m, Item: own(*sc)})
 						}
 					}
 				}
 			}
 		}
 	}
-	front := perf.Frontier(pts)
-	sortSchedules(front)
-	return front
+	return perf.Frontier(pts)
 }
 
 // Optimize runs the full search and returns the global Pareto frontier
@@ -436,7 +445,6 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 		all = append(all, r...)
 	}
 	front := perf.Frontier(all)
-	sortSchedules(front)
 
 	o.stats.PrunedPlans = int(o.prunedPlans.Load())
 	o.stats.Searched = int(o.searchedPlans.Load())

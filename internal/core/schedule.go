@@ -10,11 +10,7 @@
 // prefix tier, §7.1) and the micro-batched burst TTFT model of §7.2.
 package core
 
-import (
-	"sort"
-
-	"rago/internal/engine"
-)
+import "rago/internal/engine"
 
 // GroupSchedule is the resolved policy for one XPU placement group.
 type GroupSchedule = engine.GroupSchedule
@@ -23,14 +19,3 @@ type GroupSchedule = engine.GroupSchedule
 // with how many resources, at which batch sizes. It is engine.Schedule;
 // core aliases it so the optimizer's public surface stays in one package.
 type Schedule = engine.Schedule
-
-// sortSchedules orders schedules deterministically for stable output.
-func sortSchedules(points []SchedulePoint) {
-	sort.SliceStable(points, func(i, j int) bool {
-		a, b := points[i].Metrics, points[j].Metrics
-		if a.TTFT != b.TTFT {
-			return a.TTFT < b.TTFT
-		}
-		return a.QPSPerChip > b.QPSPerChip
-	})
-}

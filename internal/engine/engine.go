@@ -402,24 +402,26 @@ func compileInto(p *Plan, pipe pipeline.Pipeline, sched Schedule, prof *stageper
 	return nil
 }
 
-// groupName and retrievalName return the stable resource names without the
-// per-compile Sprintf the scratch evaluator would otherwise pay millions of
-// times over a search.
+// groupName and retrievalName return the stable resource names as
+// constants, so the scratch evaluator allocates none per candidate.
 func groupName(i int) string {
-	if i < len(smallNames) {
-		return "group" + smallNames[i]
+	if i < len(groupNames) {
+		return groupNames[i]
 	}
 	return fmt.Sprintf("group%d", i)
 }
 
 func retrievalName(i int) string {
-	if i < len(smallNames) {
-		return "retrieval" + smallNames[i]
+	if i < len(retrievalNames) {
+		return retrievalNames[i]
 	}
 	return fmt.Sprintf("retrieval%d", i)
 }
 
-var smallNames = [...]string{"0", "1", "2", "3", "4", "5", "6", "7", "8", "9"}
+var (
+	groupNames     = [...]string{"group0", "group1", "group2", "group3", "group4", "group5", "group6", "group7"}
+	retrievalNames = [...]string{"retrieval0", "retrieval1", "retrieval2", "retrieval3", "retrieval4", "retrieval5", "retrieval6", "retrieval7"}
+)
 
 // criticalPathTTFT is the completion time of the prefix stage on the
 // unloaded latency chain: the longest path over full-batch step latencies
@@ -609,8 +611,15 @@ func (p *Plan) StepLatency(idx, n int) float64 {
 // per-plan search, which prices group choices before full schedules
 // exist.
 func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []int, servers, batch, nprobe, fanout int) (float64, bool) {
-	var spanned []int
-	for _, ridx := range pipe.Indices(pipeline.KindRetrieval) {
+	// Fixed backing arrays keep the common case (a handful of sources)
+	// allocation-free; chain[i] is the longest chain ending at spanned[i].
+	var spannedBuf [8]int
+	var chainBuf [8]float64
+	spanned, chain := spannedBuf[:0], chainBuf[:0]
+	for ridx := range pipe.Stages {
+		if pipe.Stages[ridx].Kind != pipeline.KindRetrieval {
+			continue
+		}
 		before, after := false, false
 		for _, idx := range stages {
 			if pipe.Reaches(idx, ridx) {
@@ -625,7 +634,6 @@ func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []i
 		}
 	}
 	var pause float64
-	chain := make(map[int]float64, len(spanned))
 	for i, ridx := range spanned { // ascending index == topological order
 		rt := prof.Eval(pipe.Stages[ridx].Tuned(nprobe, fanout), servers, batch)
 		if !rt.OK {
@@ -633,12 +641,12 @@ func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []i
 		}
 		wait := rt.Latency / float64(batch)
 		longest := wait
-		for _, q := range spanned[:i] {
-			if pipe.Reaches(q, ridx) && chain[q]+wait > longest {
-				longest = chain[q] + wait
+		for j, q := range spanned[:i] {
+			if pipe.Reaches(q, ridx) && chain[j]+wait > longest {
+				longest = chain[j] + wait
 			}
 		}
-		chain[ridx] = longest
+		chain = append(chain, longest)
 		pause = math.Max(pause, longest)
 	}
 	return pause, true
@@ -647,23 +655,35 @@ func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []i
 // GroupMemFits checks that the models collocated on a group fit together
 // in the group's aggregate HBM: each distinct model is resident once per
 // replica of the widest replication any of its stages uses (per-stage
-// checks inside xpusim only see one model at a time).
+// checks inside xpusim only see one model at a time). The bytes sum in
+// first-appearance stage order, so the answer at the exact HBM boundary is
+// the same on every call (float addition is not associative).
 func GroupMemFits(pipe pipeline.Pipeline, prof *stageperf.Profiler, g GroupSchedule) bool {
-	reps := make(map[string]int, len(g.Stages))
-	bytes := make(map[string]float64, len(g.Stages))
+	type resident struct {
+		name  string
+		bytes float64
+		reps  int
+	}
+	var buf [8]resident
+	models := buf[:0]
 	for i, idx := range g.Stages {
 		m := pipe.Stages[idx].Model
 		if m.Name == "" {
 			continue // retrieval has no model
 		}
-		if r := g.ReplicasFor(i); r > reps[m.Name] {
-			reps[m.Name] = r
+		k := 0
+		for k < len(models) && models[k].name != m.Name {
+			k++
 		}
-		bytes[m.Name] = m.ParamBytes()
+		if k == len(models) {
+			models = append(models, resident{name: m.Name})
+		}
+		models[k].bytes = m.ParamBytes()
+		models[k].reps = max(models[k].reps, g.ReplicasFor(i))
 	}
 	var need float64
-	for name, r := range reps {
-		need += bytes[name] * float64(r)
+	for _, r := range models {
+		need += r.bytes * float64(r.reps)
 	}
 	usable := prof.Sim.Chip.HBMBytes * (1 - prof.Sim.P.HBMReserve) * float64(g.Chips)
 	return need <= usable

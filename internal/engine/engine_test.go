@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -109,6 +110,132 @@ func TestCompileGoldenCaseIV(t *testing.T) {
 	}
 	if want := qps / float64(sched.ChipsUsed()); math.Abs(plan.Metrics.QPSPerChip-want) > 1e-12 {
 		t.Errorf("QPS/chip %v, want %v", plan.Metrics.QPSPerChip, want)
+	}
+}
+
+// TestEvaluateAllocFree pins the scratch evaluator — the schedule search's
+// innermost call — at zero allocations per candidate on the golden Case IV
+// schedule, with metrics identical to a fresh Compile.
+func TestEvaluateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	schema := ragschema.CaseIV(8e9)
+	sched := caseIVSchedule()
+	plan, prof, pipe := mustCompile(t, schema, sched)
+	ev, err := NewEvaluator(pipe, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := ev.Evaluate(sched); !ok || m != plan.Metrics {
+		t.Fatalf("Evaluate = %v, %v; Compile says %v", m, ok, plan.Metrics)
+	}
+	if n := testing.AllocsPerRun(200, func() { ev.Evaluate(sched) }); n != 0 {
+		t.Errorf("Evaluate allocates %.1f times per candidate, want 0", n)
+	}
+}
+
+// TestValidatePlacementInPlace pins the allocation-free placement check
+// against pipeline.Placement.Validate on valid and malformed groupings of
+// the Case IV stages (reordered, duplicated, empty, missing, or including
+// retrieval or decode): the verdicts agree, and a rejected schedule reports
+// Placement.Validate's own error text.
+func TestValidatePlacementInPlace(t *testing.T) {
+	pipe, err := pipeline.Build(ragschema.CaseIV(8e9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := caseIVSchedule()
+	groupings := [][][]int{
+		{{0, 1}, {3, 4}}, {{0}, {1}, {3}, {4}}, {{0, 1, 3, 4}},
+		{{0, 1}, {3}}, {{0, 1}, {4, 3}}, {{0, 1}, {3, 4}, {}}, {{0, 1}, {2, 3, 4}},
+		{{0, 1}, {3, 4, 5}}, {{1, 0}, {3, 4}}, {}, {{0, 0, 1}, {3, 4}},
+	}
+	for _, gs := range groupings {
+		s := base
+		s.Groups = nil
+		pl := pipeline.Placement{}
+		for _, st := range gs {
+			s.Groups = append(s.Groups, GroupSchedule{Stages: st, Chips: 4, Batch: 4})
+			pl.Groups = append(pl.Groups, pipeline.Group{Stages: st})
+		}
+		want := pl.Validate(pipe)
+		got := s.Validate(pipe)
+		if (got == nil) != (want == nil) || (got != nil && got.Error() != want.Error()) {
+			t.Errorf("groups %v: Schedule.Validate = %v, Placement.Validate = %v", gs, got, want)
+		}
+	}
+}
+
+// TestGroupMemFitsDeterministicAtBoundary: a group collocating three
+// distinct models (rewriter, reranker, generator) whose resident bytes sum
+// to exactly the group's usable HBM must give the same answer every call.
+// Summing in map order made the verdict flip at this boundary whenever a
+// different association order rounded the sum up. Two models cannot expose
+// it — a two-term sum is the same in either order — and neither can the
+// zoo's integer byte counts, which sum exactly; the fixture serves the
+// models at fractional precisions and keeps the replica counts under which
+// some summation order differs from the first-appearance one.
+func TestGroupMemFitsDeterministicAtBoundary(t *testing.T) {
+	schema := ragschema.CaseIV(70e9)
+	pipe, err := pipeline.Build(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := stageperf.New(hw.XPUC, hw.EPYCHost, schema)
+	prof.Sim.P.HBMReserve = 0 // usable == HBMBytes exactly on one chip
+	stages := pipe.PreDecodeXPUStages()
+	// Model k (first-appearance order) serves at precision fracs[k]; slot
+	// maps a stage to its model's k.
+	fracs := []float64{0.1, 0.3, 0.7}
+	pipe.Stages = slices.Clone(pipe.Stages)
+	var names []string
+	slot := make([]int, len(stages))
+	for i, idx := range stages {
+		m := &pipe.Stages[idx].Model
+		k := slices.Index(names, m.Name)
+		if k < 0 {
+			k = len(names)
+			names = append(names, m.Name)
+		}
+		if k >= len(fracs) {
+			t.Fatalf("fixture collocates more than %d models", len(fracs))
+		}
+		m.BytesPerParam = fracs[k]
+		slot[i] = k
+	}
+	if len(names) != 3 {
+		t.Fatalf("fixture collocates %d models, want 3", len(names))
+	}
+	sensitive := 0
+	for mask := 0; mask < 1<<(2*len(stages)); mask++ {
+		reps := make([]int, len(stages))
+		terms := make([]float64, len(names))
+		widest := make([]int, len(names))
+		for i, idx := range stages {
+			reps[i] = 1 << ((mask >> (2 * i)) & 3)
+			widest[slot[i]] = max(widest[slot[i]], reps[i])
+			terms[slot[i]] = pipe.Stages[idx].Model.ParamBytes()
+		}
+		for k := range terms {
+			terms[k] *= float64(widest[k])
+		}
+		g := GroupSchedule{Stages: stages, Chips: 1, Batch: 1, Replicas: reps}
+		a, b, c := terms[0], terms[1], terms[2]
+		need := a + b + c
+		if a+c+b == need && b+c+a == need {
+			continue // every order agrees: this boundary cannot flip
+		}
+		sensitive++
+		prof.Sim.Chip.HBMBytes = need
+		for call := 0; call < 100; call++ {
+			if !GroupMemFits(pipe, prof, g) {
+				t.Fatalf("replicas %v: call %d says the group does not fit at its exact boundary", reps, call)
+			}
+		}
+	}
+	if sensitive == 0 {
+		t.Fatal("no replica assignment makes the boundary order-sensitive; the fixture tests nothing")
 	}
 }
 

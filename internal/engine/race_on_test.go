@@ -1,0 +1,7 @@
+//go:build race
+
+package engine
+
+// raceEnabled reports that the race detector is on: its instrumentation
+// allocates, so allocation pins mean nothing under -race.
+const raceEnabled = true

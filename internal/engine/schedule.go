@@ -132,9 +132,7 @@ func (s Schedule) Describe(p pipeline.Pipeline) string {
 
 // Validate checks structural consistency against a pipeline.
 func (s Schedule) Validate(p pipeline.Pipeline) error {
-	pl := pipeline.Placement{Groups: make([]pipeline.Group, len(s.Groups))}
 	for i, g := range s.Groups {
-		pl.Groups[i] = pipeline.Group{Stages: g.Stages}
 		if g.Chips < 1 {
 			return fmt.Errorf("engine: group %d has %d chips", i, g.Chips)
 		}
@@ -151,8 +149,15 @@ func (s Schedule) Validate(p pipeline.Pipeline) error {
 			}
 		}
 	}
-	if err := pl.Validate(p); err != nil {
-		return err
+	if !s.coversPreDecode(p) {
+		// Only the failure path builds the placement, for its error text.
+		pl := pipeline.Placement{Groups: make([]pipeline.Group, len(s.Groups))}
+		for i, g := range s.Groups {
+			pl.Groups[i] = pipeline.Group{Stages: g.Stages}
+		}
+		if err := pl.Validate(p); err != nil {
+			return err
+		}
 	}
 	if s.DecodeChips < 1 || s.DecodeBatch < 1 {
 		return fmt.Errorf("engine: decode tier unconfigured")
@@ -186,4 +191,32 @@ func (s Schedule) Validate(p pipeline.Pipeline) error {
 		return fmt.Errorf("engine: retrieval knobs set for retrieval-free pipeline")
 	}
 	return nil
+}
+
+// coversPreDecode is pipeline.Placement.Validate's check done in place: the
+// groups are non-empty and their stages, concatenated, are exactly the
+// pipeline's pre-decode XPU stages in order.
+func (s Schedule) coversPreDecode(p pipeline.Pipeline) bool {
+	next := 0 // next pipeline stage to match
+	for _, g := range s.Groups {
+		if len(g.Stages) == 0 {
+			return false
+		}
+		for _, idx := range g.Stages {
+			for next < len(p.Stages) && p.Stages[next].Kind != pipeline.KindDecode && !p.Stages[next].Kind.OnXPU() {
+				next++
+			}
+			if next >= len(p.Stages) || p.Stages[next].Kind == pipeline.KindDecode || idx != next {
+				return false
+			}
+			next++
+		}
+	}
+	for next < len(p.Stages) && p.Stages[next].Kind != pipeline.KindDecode {
+		if p.Stages[next].Kind.OnXPU() {
+			return false // an uncovered pre-decode XPU stage
+		}
+		next++
+	}
+	return true
 }

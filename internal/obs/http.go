@@ -203,6 +203,10 @@ func (m *MetricsServer) stream(w http.ResponseWriter, r *http.Request) {
 	// after its request returns can fall in a subscription gap.
 	sub := m.bus.Subscribe(512)
 	defer sub.Close()
+	// Snapshot the seed window before the headers go out, too: a window
+	// the client publishes after seeing them reaches this feed through sub,
+	// and must not also be replayed as the seed.
+	seed, seeded := m.lastWindow.Load().(Event)
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
 
@@ -219,10 +223,8 @@ func (m *MetricsServer) stream(w http.ResponseWriter, r *http.Request) {
 	}
 	// Seed the stream with the last window so a new subscriber sees state
 	// immediately instead of waiting out a window interval.
-	if ev, ok := m.lastWindow.Load().(Event); ok {
-		if !write(ev) {
-			return
-		}
+	if seeded && !write(seed) {
+		return
 	}
 	for {
 		select {

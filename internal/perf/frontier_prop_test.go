@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// frontierRef is the brute-force O(n²) reference for Frontier's contract:
-// drop invalid points, drop strictly dominated points, collapse exact
-// duplicates to their first occurrence, and stable-sort the survivors by
-// (TTFT asc, QPS/chip desc).
-func frontierRef(pts []Point[int]) []Point[int] {
+// frontierBruteForce is the O(n²) reference for Frontier's contract: drop
+// invalid points, drop strictly dominated points, collapse exact duplicates
+// to their first occurrence, and stable-sort the survivors by (TTFT asc,
+// QPS/chip desc).
+func frontierBruteForce(pts []Point[int]) []Point[int] {
 	var valid []Point[int]
 	for _, p := range pts {
 		if p.Metrics.Valid() {
@@ -100,7 +100,7 @@ func TestFrontierMatchesBruteForce(t *testing.T) {
 			pts[i] = Point[int]{Metrics: gridMetrics(rng), Item: i}
 		}
 		got := Frontier(pts)
-		want := frontierRef(pts)
+		want := frontierBruteForce(pts)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: frontier size %d, reference %d", trial, len(got), len(want))
 		}

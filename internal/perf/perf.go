@@ -10,8 +10,10 @@
 package perf
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -87,25 +89,33 @@ type Point[T any] struct {
 // point) so complexity is O(n log n · levels); with the quality axis
 // unmeasured there is a single level and the sweep is the original
 // three-objective staircase, point for point.
+//
+// Both sorts order an int32 index slice with the input index as the last
+// key, which reproduces a stable sort exactly (so the first occurrence of a
+// duplicate is still the one kept) while moving 4-byte indices instead of
+// whole points; payloads are copied once, into the output.
 func Frontier[T any](pts []Point[T]) []Point[T] {
-	valid := make([]Point[T], 0, len(pts))
-	for _, p := range pts {
-		if p.Metrics.Valid() {
-			valid = append(valid, p)
+	idx := make([]int32, 0, len(pts))
+	for i := range pts {
+		if pts[i].Metrics.Valid() {
+			idx = append(idx, int32(i))
 		}
 	}
-	sort.SliceStable(valid, func(i, j int) bool {
-		a, b := valid[i].Metrics, valid[j].Metrics
-		if a.TTFT != b.TTFT {
-			return a.TTFT < b.TTFT
+	slices.SortFunc(idx, func(i, j int32) int {
+		a, b := &pts[i].Metrics, &pts[j].Metrics
+		if c := cmp.Compare(a.TTFT, b.TTFT); c != 0 {
+			return c
 		}
-		if a.TPOT != b.TPOT {
-			return a.TPOT < b.TPOT
+		if c := cmp.Compare(a.TPOT, b.TPOT); c != 0 {
+			return c
 		}
-		if a.QPSPerChip != b.QPSPerChip {
-			return a.QPSPerChip > b.QPSPerChip
+		if c := cmp.Compare(b.QPSPerChip, a.QPSPerChip); c != 0 {
+			return c
 		}
-		return a.Recall > b.Recall
+		if c := cmp.Compare(b.Recall, a.Recall); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
 	})
 
 	// Each recall level holds kept (tpot, qps) corners with tpot strictly
@@ -119,9 +129,9 @@ func Frontier[T any](pts []Point[T]) []Point[T] {
 		stairs []corner
 	}
 	var levels []level
-	var front []Point[T]
-	for _, p := range valid {
-		m := p.Metrics
+	front := idx[:0] // kept indices overwrite the consumed prefix
+	for _, pi := range idx {
+		m := &pts[pi].Metrics
 		dominated := false
 		for li := range levels {
 			if levels[li].recall < m.Recall {
@@ -138,40 +148,47 @@ func Frontier[T any](pts []Point[T]) []Point[T] {
 		if dominated {
 			continue
 		}
-		front = append(front, p)
+		front = append(front, pi)
 		// Insert the new corner into its own recall level (created on
-		// first use) and drop now-redundant successors.
+		// first use) and drop now-redundant successors, in place.
 		li := sort.Search(len(levels), func(k int) bool { return levels[k].recall <= m.Recall })
 		if li == len(levels) || levels[li].recall != m.Recall {
-			levels = append(levels, level{})
-			copy(levels[li+1:], levels[li:])
-			levels[li] = level{recall: m.Recall}
+			levels = slices.Insert(levels, li, level{recall: m.Recall})
 		}
 		stairs := levels[li].stairs
-		i := sort.Search(len(stairs), func(k int) bool { return stairs[k].tpot > m.TPOT }) - 1
-		ins := i + 1
+		ins := sort.Search(len(stairs), func(k int) bool { return stairs[k].tpot > m.TPOT })
 		end := ins
 		for end < len(stairs) && stairs[end].qps <= m.QPSPerChip {
 			end++
 		}
-		levels[li].stairs = append(stairs[:ins], append([]corner{{m.TPOT, m.QPSPerChip}}, stairs[end:]...)...)
+		levels[li].stairs = slices.Replace(stairs, ins, end, corner{m.TPOT, m.QPSPerChip})
 	}
-	sort.SliceStable(front, func(i, j int) bool {
-		a, b := front[i].Metrics, front[j].Metrics
-		if a.TTFT != b.TTFT {
-			return a.TTFT < b.TTFT
+	slices.SortFunc(front, func(i, j int32) int {
+		a, b := &pts[i].Metrics, &pts[j].Metrics
+		if c := cmp.Compare(a.TTFT, b.TTFT); c != 0 {
+			return c
 		}
-		if a.QPSPerChip != b.QPSPerChip {
-			return a.QPSPerChip > b.QPSPerChip
+		if c := cmp.Compare(b.QPSPerChip, a.QPSPerChip); c != 0 {
+			return c
 		}
 		// With the recall axis, points can tie on (TTFT, QPS/chip)
 		// without dominance; order them deterministically.
-		if a.TPOT != b.TPOT {
-			return a.TPOT < b.TPOT
+		if c := cmp.Compare(a.TPOT, b.TPOT); c != 0 {
+			return c
 		}
-		return a.Recall > b.Recall
+		if c := cmp.Compare(b.Recall, a.Recall); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
 	})
-	return front
+	if len(front) == 0 {
+		return nil
+	}
+	out := make([]Point[T], len(front))
+	for k, pi := range front {
+		out[k] = pts[pi]
+	}
+	return out
 }
 
 // Incremental is a Pareto frontier of Metrics maintained point by point —
@@ -179,8 +196,9 @@ func Frontier[T any](pts []Point[T]) []Point[T] {
 // the staircase once over a complete point set, Incremental keeps the same
 // (TTFT asc)-sorted staircase live under interleaved Insert and DominatedBy
 // queries, and is safe for concurrent use: the schedule search's workers
-// share one incumbent, inserting each plan frontier as it completes and
-// probing optimistic plan bounds against it before paying for a search.
+// share one incumbent, inserting each plan frontier as it completes,
+// probing optimistic plan bounds against it before paying for a search, and
+// probing each evaluated candidate before keeping it.
 //
 // Only metrics participate; payloads do not. Pruning a search node whose
 // admissible bound b satisfies DominatedBy(b) is lossless: every completion
@@ -205,6 +223,33 @@ func (inc *Incremental) DominatedBy(m Metrics) bool {
 		}
 	}
 	return false
+}
+
+// QPSThresholds answers DominatedBy for a whole family of queries that share
+// TTFT, TPOT and Recall and differ only in QPS/chip, with one scan: for any
+// non-NaN x, DominatedBy(Metrics{TTFT: ttft, TPOT: tpot, QPSPerChip: x,
+// Recall: recall}) == (x < gt || x <= ge). gt is the best QPS/chip among
+// members weakly better on the three shared objectives, which dominate
+// every x below their own QPS/chip; ge is the best among those also
+// strictly better on one shared objective, which dominate every x up to
+// and including it. Both are -Inf when no member qualifies.
+func (inc *Incremental) QPSThresholds(ttft, tpot, recall float64) (gt, ge float64) {
+	gt, ge = math.Inf(-1), math.Inf(-1)
+	inc.mu.RLock()
+	defer inc.mu.RUnlock()
+	for _, p := range inc.pts {
+		if p.TTFT > ttft {
+			break // sorted by TTFT: the candidates are a prefix
+		}
+		if p.TPOT > tpot || p.Recall < recall {
+			continue
+		}
+		gt = math.Max(gt, p.QPSPerChip)
+		if p.TTFT < ttft || p.TPOT < tpot || p.Recall > recall {
+			ge = math.Max(ge, p.QPSPerChip)
+		}
+	}
+	return gt, ge
 }
 
 // Insert adds m to the incumbent set, evicting members it dominates. It

@@ -84,8 +84,8 @@ func (p Pipeline) Reaches(a, b int) bool {
 // order (Index returns just the first).
 func (p Pipeline) Indices(k Kind) []int {
 	var out []int
-	for i, st := range p.Stages {
-		if st.Kind == k {
+	for i := range p.Stages {
+		if p.Stages[i].Kind == k {
 			out = append(out, i)
 		}
 	}

@@ -227,8 +227,8 @@ func fanOutEdges(n, first, count int) [][]int {
 
 // Index returns the position of the first stage of the given kind, or -1.
 func (p Pipeline) Index(k Kind) int {
-	for i, st := range p.Stages {
-		if st.Kind == k {
+	for i := range p.Stages {
+		if p.Stages[i].Kind == k {
 			return i
 		}
 	}
@@ -239,11 +239,12 @@ func (p Pipeline) Index(k Kind) int {
 // in pipeline order — the stages whose placement RAGO chooses.
 func (p Pipeline) PreDecodeXPUStages() []int {
 	var out []int
-	for i, st := range p.Stages {
-		if st.Kind == KindDecode {
+	for i := range p.Stages {
+		k := p.Stages[i].Kind
+		if k == KindDecode {
 			break
 		}
-		if st.Kind.OnXPU() {
+		if k.OnXPU() {
 			out = append(out, i)
 		}
 	}

@@ -29,6 +29,14 @@ var formationConfigs = []struct {
 // analytical chain must agree within the established 15% band on the
 // same heavy-tailed Case I trace — and the shape-aware policies must
 // actually cut padding waste versus the FIFO baseline they replace.
+//
+// Throughput and padding are checked on a replay overdriven at 1.5x the
+// policy-aware capacity, where formation matters. Latency is checked on a
+// second replay at 0.7x: past saturation the queue grows without bound, so
+// any wall-clock stall of the live runtime lengthens every later request's
+// wait and the mean TTFT error grows with the stall, not with the model.
+// Below saturation the backlog a stall leaves drains, and the mean is
+// compared with the sim's mean (the only TTFT statistic it reports).
 func TestRuntimeBatchPolicyCrossCheck(t *testing.T) {
 	pipe, prof, base := caseISetup(t)
 
@@ -48,31 +56,47 @@ func TestRuntimeBatchPolicyCrossCheck(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			const n = 4000
-			reqs, err := trace.Poisson(n, 1, 42) // rescaled below
-			if err != nil {
-				t.Fatal(err)
-			}
-			reqs = heavyShapes(t, reqs)
-			want := plan.ShapeMetrics(shapesOf(reqs))
-			// Overdrive at 1.5x the policy-aware capacity so the replay
-			// measures formation under saturation, where padding matters.
-			for i := range reqs {
-				reqs[i].Arrival /= 1.5 * want.QPS
+			// replay serves n heavy-tailed requests arriving at load x the
+			// policy-aware capacity, live over about wall seconds and
+			// through the event sim; capacity is the analytic QPS.
+			replay := func(n int, load, wall float64) (rep *Report, res sim.ServeResult, capacity float64) {
+				reqs, err := trace.Poisson(n, 1, 42) // rescaled below
+				if err != nil {
+					t.Fatal(err)
+				}
+				reqs = heavyShapes(t, reqs)
+				capacity = plan.ShapeMetrics(shapesOf(reqs)).QPS
+				for i := range reqs {
+					reqs[i].Arrival /= load * capacity
+				}
+				speedup := (float64(n) / (load * capacity)) / wall
+				rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err = rt.Serve(reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Completed != n {
+					t.Fatalf("completed %d of %d at load %.1f", rep.Completed, n, load)
+				}
+				des, err := sim.NewServeFromPlan(plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err = des.Run(reqs, 0.05)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Completed != n {
+					t.Fatalf("sim completed %d of %d at load %.1f", res.Completed, n, load)
+				}
+				return rep, res, capacity
 			}
 
-			speedup := (float64(n) / want.QPS) / 3.0
-			rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := rt.Serve(reqs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.Completed != n {
-				t.Fatalf("completed %d of %d", rep.Completed, n)
-			}
+			const n = 4000
+			rep, res, capacity := replay(n, 1.5, 2)
 			if rep.BatchPolicy != cfg.policy.String() || rep.ChunkQuantum != cfg.quantum {
 				t.Errorf("report misnames the formation config: %q/%d, want %q/%d",
 					rep.BatchPolicy, rep.ChunkQuantum, cfg.policy.String(), cfg.quantum)
@@ -80,22 +104,11 @@ func TestRuntimeBatchPolicyCrossCheck(t *testing.T) {
 			if cfg.quantum > 0 && rep.MeanChunkDepth <= 1 {
 				t.Errorf("chunked run reports mean chunk depth %.2f, want > 1", rep.MeanChunkDepth)
 			}
-
-			des, err := sim.NewServeFromPlan(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := des.Run(reqs, 0.05)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Completed != n {
-				t.Fatalf("sim completed %d of %d", res.Completed, n)
-			}
-
-			within(t, cfg.name+" runtime QPS vs policy-aware analytic", rep.SustainedQPS, want.QPS, 0.15)
+			within(t, cfg.name+" runtime QPS vs policy-aware analytic", rep.SustainedQPS, capacity, 0.15)
 			within(t, cfg.name+" runtime QPS vs event-sim", rep.SustainedQPS, res.QPS, 0.15)
-			within(t, cfg.name+" runtime mean TTFT vs event-sim", rep.TTFT.Mean, res.MeanTTFT, 0.15)
+
+			sub, subRes, _ := replay(n/2, 0.7, 2)
+			within(t, cfg.name+" runtime mean TTFT vs event-sim at 0.7x load", sub.TTFT.Mean, subRes.MeanTTFT, 0.15)
 			if math.Abs(rep.PadWaste-res.PadWaste) > 0.1 {
 				t.Errorf("%s padding waste disagrees: runtime %.3f vs sim %.3f", cfg.name, rep.PadWaste, res.PadWaste)
 			}
