@@ -56,26 +56,3 @@ func (p *Plan) CachedMetrics(shapes []Shape, credits []int) perf.Metrics {
 	}
 	return p.ShapeMetrics(eff)
 }
-
-// CachedMetricsAtHitRate is the hit-rate-parameterized prefill discount:
-// the plan's prediction when a fraction hitRate of (constant-shape)
-// requests arrive with a prefix credit of creditTokens and the rest pay
-// full prefill. It is the what-if form — sizing a cache or pricing a
-// reuse-skew scenario without a concrete trace.
-func (p *Plan) CachedMetricsAtHitRate(hitRate float64, creditTokens int) perf.Metrics {
-	if hitRate <= 0 || creditTokens <= 0 {
-		return p.Metrics
-	}
-	if hitRate > 1 {
-		hitRate = 1
-	}
-	// A synthetic two-point distribution at per-mille resolution feeds the
-	// same empirical-CDF machinery ShapeMetrics uses.
-	const res = 1000
-	nHit := int(hitRate*res + 0.5)
-	credits := make([]int, res)
-	for i := 0; i < nHit; i++ {
-		credits[i] = creditTokens
-	}
-	return p.CachedMetrics(nil, credits)
-}

@@ -86,38 +86,3 @@ func TestCachedMetricsImproves(t *testing.T) {
 		t.Errorf("full-hit QPS %.2f below half-hit %.2f", full.QPS, cached.QPS)
 	}
 }
-
-func TestCachedMetricsAtHitRate(t *testing.T) {
-	plan, _, _ := mustCompile(t, ragschema.CaseI(8e9, 1), prefixBoundSchedule())
-	base := plan.Metrics
-	credit := plan.Pipe.Schema.RetrievedTokens()
-
-	if got := plan.CachedMetricsAtHitRate(0, credit); got != base {
-		t.Errorf("hit rate 0 drifted from the analytic point")
-	}
-	if got := plan.CachedMetricsAtHitRate(0.5, 0); got != base {
-		t.Errorf("zero credit drifted from the analytic point")
-	}
-	half := plan.CachedMetricsAtHitRate(0.5, credit)
-	fullRate := plan.CachedMetricsAtHitRate(1, credit)
-	over := plan.CachedMetricsAtHitRate(1.7, credit) // clamps to 1
-	if fullRate != over {
-		t.Errorf("hit rate clamp failed: %+v vs %+v", fullRate, over)
-	}
-	if !(fullRate.QPS >= half.QPS && half.QPS >= base.QPS) {
-		t.Errorf("QPS not monotone in hit rate: base %.2f, half %.2f, full %.2f",
-			base.QPS, half.QPS, fullRate.QPS)
-	}
-	if fullRate.QPS <= base.QPS {
-		t.Errorf("full hit rate did not improve QPS: %.2f vs %.2f", fullRate.QPS, base.QPS)
-	}
-	// Consistency with the trace-driven form: a per-mille two-point credit
-	// vector prices identically.
-	credits := make([]int, 1000)
-	for i := 0; i < 500; i++ {
-		credits[i] = credit
-	}
-	if got := plan.CachedMetrics(nil, credits); got != half {
-		t.Errorf("hit-rate form diverged from the credit-vector form: %+v vs %+v", got, half)
-	}
-}

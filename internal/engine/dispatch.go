@@ -1,0 +1,371 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+
+	"rago/internal/cache"
+	"rago/internal/trace"
+)
+
+// The dispatch core. Both executors — the discrete-event simulator
+// (sim.ServeSim) and the live runtime (serve) — make every batching and
+// decode-loop decision through the types in this file: which stage slot a
+// serial resource serves next, which waiting requests form the batch, what
+// the batch costs (prefix-cache credits, shaped or chunked prefill), and
+// where each sequence parks for an iterative round. The types are
+// clock-free and single-goroutine. The simulator drives them from its event
+// heap; the live runtime drives them from one goroutine per resource (and
+// per decode sequence) sleeping on the wall clock. The two executors
+// therefore cannot disagree on a decision, only on when they get to make it.
+
+// Requests is how a Dispatcher reads the requests behind an executor's
+// handles. The executor owns the per-request state; the dispatcher queues
+// only handles.
+type Requests[H any] interface {
+	// Trace returns h's trace entry: its shape and retrieved-chunk tags.
+	Trace(h H) *trace.Request
+	// EnqueuedAt returns the virtual time h entered stage slot's queue.
+	EnqueuedAt(h H, slot int) float64
+}
+
+// queue is one stage slot's FIFO of handles with a consumed-head offset:
+// dispatch advances the offset instead of re-copying the tail, and the
+// storage resets to the front whenever the queue drains. It is the
+// FormView the slot's Former decides over.
+type queue[H any] struct {
+	buf  []H
+	head int
+	slot int
+	reqs Requests[H]
+}
+
+func (q *queue[H]) Len() int                 { return len(q.buf) - q.head }
+func (q *queue[H]) EnqueuedAt(i int) float64 { return q.reqs.EnqueuedAt(q.buf[q.head+i], q.slot) }
+func (q *queue[H]) PromptTokens(i int) int   { return q.reqs.Trace(q.buf[q.head+i]).PromptTokens }
+
+// push appends h, first compacting a mostly consumed queue, so a backlog
+// that never fully drains cannot grow the storage (and pin served handles)
+// without bound.
+func (q *queue[H]) push(h H) {
+	if c := q.head; c >= 64 && 2*c >= len(q.buf) {
+		live := copy(q.buf, q.buf[c:])
+		clear(q.buf[live:])
+		q.buf = q.buf[:live]
+		q.head = 0
+	}
+	q.buf = append(q.buf, h)
+}
+
+// popN consumes the first n entries. The result aliases the queue's
+// storage and is valid until the next push.
+func (q *queue[H]) popN(n int) []H {
+	b := q.buf[q.head : q.head+n : q.head+n]
+	q.head += n
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return b
+}
+
+// popSel consumes the entries at the given head-relative positions
+// (ascending, as formation policies return them), appending them to out
+// and compacting the survivors in place.
+func (q *queue[H]) popSel(sel []int, out []H) []H {
+	for _, p := range sel {
+		out = append(out, q.buf[q.head+p])
+	}
+	ln := q.Len()
+	w := q.head + sel[0]
+	k := 0
+	for p := sel[0]; p < ln; p++ {
+		if k < len(sel) && p == sel[k] {
+			k++
+			continue
+		}
+		q.buf[w] = q.buf[q.head+p]
+		w++
+	}
+	clear(q.buf[w:])
+	q.buf = q.buf[:w]
+	if q.head == len(q.buf) {
+		q.buf = q.buf[:0]
+		q.head = 0
+	}
+	return out
+}
+
+// Dispatcher is the batching state of one serial resource (an XPU
+// placement group or a retrieval tier): a queue and a Former per stage slot
+// the resource serves (Plan.ResourceStages, iterative round slots
+// included), plus the scratch pricing reuses. H is the executor's request
+// handle. Not safe for concurrent use.
+type Dispatcher[H any] struct {
+	plan    *Plan
+	cache   *cache.Cache // nil unless the prefix tier is on
+	flush   float64
+	reqs    Requests[H]
+	slots   []int
+	queues  []queue[H]
+	formers []Former
+
+	batch   []H
+	prompts []int
+	credits []int
+	doneAt  []float64
+}
+
+// NewDispatcher builds resource res's dispatcher. flush is the executor's
+// flush timeout: a partial batch dispatches once its head has waited that
+// long. c is the reuse cache the prefix slot consults at pricing (nil, or
+// a cache with the prefix tier off, consults nothing). reqs resolves the
+// queued handles.
+func NewDispatcher[H any](p *Plan, res int, flush float64, c *cache.Cache, reqs Requests[H]) *Dispatcher[H] {
+	slots := p.ResourceStages(res)
+	d := &Dispatcher[H]{plan: p, flush: flush, reqs: reqs, slots: slots,
+		queues: make([]queue[H], len(slots)), formers: make([]Former, len(slots))}
+	if c.PrefixOn() {
+		d.cache = c
+	}
+	for i, s := range slots {
+		d.queues[i].slot, d.queues[i].reqs = s, reqs
+		f := Former{Policy: PolicyFIFO, Batch: p.StepAt(s).Batch}
+		if s == p.PrefixIdx {
+			f = p.Former()
+		}
+		f.Flush = flush
+		d.formers[i] = f
+	}
+	return d
+}
+
+// Push queues h at stage slot and returns the slot's queue depth. The
+// executor has already recorded when h entered the slot
+// (Requests.EnqueuedAt).
+func (d *Dispatcher[H]) Push(slot int, h H) int {
+	for i, s := range d.slots {
+		if s == slot {
+			d.queues[i].push(h)
+			return d.queues[i].Len()
+		}
+	}
+	panic(fmt.Sprintf("engine: slot %d is not served by this resource", slot))
+}
+
+// Batch is one dispatch decision.
+type Batch[H any] struct {
+	// Slot is the stage slot served.
+	Slot int
+	// Members are the batch's requests in dispatch order. The slice
+	// aliases dispatcher storage and is valid until the next Push or Pick.
+	Members []H
+	// FormV is the exact virtual time the batch became formable: its last
+	// member's enqueue, or the head's flush deadline for a partial batch.
+	FormV float64
+}
+
+// Pick decides what the resource serves at virtual time now and dequeues
+// it. Each slot's Former judges its own queue ripe — it fills a batch, or
+// its head has waited the flush timeout — with the prefix slot under the
+// plan's formation policy and every other slot FIFO. Among the ripe slots
+// the one with the oldest waiting head wins, the earlier slot on ties. ok
+// is false when nothing is ripe.
+func (d *Dispatcher[H]) Pick(now float64) (b Batch[H], ok bool) {
+	best, bestAge, n := -1, math.Inf(-1), 0
+	var sel []int
+	for i := range d.queues {
+		q := &d.queues[i]
+		if q.Len() == 0 {
+			continue
+		}
+		pn, formV, ps := d.formers[i].Form(q, now)
+		if pn == 0 {
+			continue
+		}
+		if age := now - q.EnqueuedAt(0); age > bestAge {
+			best, bestAge = i, age
+			n, sel = pn, ps
+			b = Batch[H]{Slot: d.slots[i], FormV: formV}
+		}
+	}
+	if best < 0 {
+		return b, false
+	}
+	if sel == nil {
+		b.Members = d.queues[best].popN(n)
+	} else {
+		d.batch = d.queues[best].popSel(sel, d.batch[:0])
+		b.Members = d.batch
+	}
+	return b, true
+}
+
+// Deadline is the earliest flush deadline among the waiting queue heads —
+// when a partial batch next ripens without new arrivals — and false when
+// every queue is empty. A wall-clock driver parks until then.
+func (d *Dispatcher[H]) Deadline() (float64, bool) {
+	at, ok := math.Inf(1), false
+	for i := range d.queues {
+		if q := &d.queues[i]; q.Len() > 0 {
+			if t := q.EnqueuedAt(0) + d.flush; t < at {
+				at, ok = t, true
+			}
+		}
+	}
+	return at, ok
+}
+
+// NoLookup marks a BatchCost.Credits entry whose member bypassed the
+// prefix cache.
+const NoLookup = -1
+
+// BatchCost is what one batch costs its resource.
+type BatchCost struct {
+	// Latency is the resource's service time for the batch.
+	Latency float64
+	// DoneAt[i] is when member i finishes, as an offset from the batch's
+	// service start: Latency for every member, except under chunked
+	// prefill, where each member finishes with its own last chunk.
+	DoneAt []float64
+	// Credits[i] is member i's prefix-cache credit in tokens, or NoLookup
+	// when it bypassed the cache; nil when no member was looked up.
+	Credits []int
+	// Tok and Pad are the batch's effective and padded prompt tokens (both
+	// 0 when the constant-shape price applied); Chunks is its chunk count
+	// under chunked prefill (0 otherwise).
+	Tok, Pad, Chunks int
+}
+
+// Price costs a picked batch. Non-prefix slots cost the profiled latency
+// at the formed batch size. A prefix batch first consults the prefix cache
+// for every tagged member, in dispatch order (Access both queries and
+// admits, so one executor's lookup sequence is the cache's history), and
+// discounts each credited member to its uncached suffix (EffectivePrompt).
+// It then runs as quantum-sized chunks under chunked prefill (ChunkPrefill),
+// or at its members' padded maximum (PrefixBatchShape, StepLatencyShaped),
+// which is the constant-shape latency when every member is unshaped and
+// uncredited. The slices alias dispatcher scratch, valid until the next
+// Price.
+func (d *Dispatcher[H]) Price(b Batch[H]) BatchCost {
+	p, n := d.plan, len(b.Members)
+	var c BatchCost
+	switch {
+	case b.Slot != p.PrefixIdx:
+		c.Latency = p.StepLatency(b.Slot, n)
+	case p.Sched.ChunkQuantum > 0:
+		c.Credits = d.lookup(b.Members)
+		d.doneAt, c.Latency, c.Tok, c.Pad = p.ChunkPrefill(d.prompts, d.doneAt)
+		c.Chunks = c.Pad / p.Sched.ChunkQuantum
+		c.DoneAt = d.doneAt
+		return c
+	default:
+		c.Credits = d.lookup(b.Members)
+		sh, tok := p.PrefixBatchShape(d.prompts)
+		c.Latency = p.StepLatencyShaped(b.Slot, n, sh)
+		c.Tok, c.Pad = tok, n*sh.PromptTokens
+	}
+	d.doneAt = d.doneAt[:0]
+	for range b.Members {
+		d.doneAt = append(d.doneAt, c.Latency)
+	}
+	c.DoneAt = d.doneAt
+	return c
+}
+
+// lookup fills d.prompts with the members' effective prompt lengths after
+// their prefix-cache credits and returns the credits (nil when no member
+// was looked up).
+func (d *Dispatcher[H]) lookup(members []H) []int {
+	p := d.plan
+	d.prompts, d.credits = d.prompts[:0], d.credits[:0]
+	looked := false
+	for _, m := range members {
+		r := d.reqs.Trace(m)
+		pt, credit := r.PromptTokens, NoLookup
+		if d.cache != nil && r.Tagged() {
+			base := pt
+			if base <= 0 {
+				base = p.Pipe.Schema.PrefixTokens
+			}
+			credit = d.cache.Access(r.ChunkIDs, base)
+			pt = p.EffectivePrompt(pt, credit)
+			looked = true
+		}
+		d.prompts = append(d.prompts, pt)
+		d.credits = append(d.credits, credit)
+	}
+	if !looked {
+		return nil
+	}
+	return d.credits
+}
+
+// Seq is one sequence's walk through the decode tier: a single generation
+// on single-retrieval plans, the §5.3 decode loop on iterative ones —
+// decode to a trigger position, park (slot held) while an iterative
+// retrieval+prefix round runs, resume at the round's finish, repeat, then
+// decode the remaining tokens.
+type Seq struct {
+	// Stall is the total seconds parked so far; Rounds counts the parks.
+	Stall  float64
+	Rounds int
+
+	loop     bool    // the sequence parks at least once
+	gen      float64 // whole generation time when it never parks
+	step     float64 // per-token decode pace between parks
+	out      int     // generation length in tokens
+	triggers []int   // remaining trigger positions
+	tok      int     // tokens decoded so far
+	parkedAt float64
+}
+
+// Seq builds request r's decode walk. Iterative plans park the sequence at
+// r's recorded trigger positions, or, when the trace carries none, at
+// trace.TriggersFor's positions for its ID, so every executor parks it at
+// the same tokens. A sequence that never parks holds its slot for
+// GenTimeForShape: its own output length at the pace its own prompt sets.
+func (p *Plan) Seq(r trace.Request) Seq {
+	s := Seq{out: p.GenTokens(r.OutputTokens)}
+	if p.Round != nil {
+		s.step = p.Round.DecodeStep
+		s.triggers = r.Triggers
+		if s.triggers == nil {
+			s.triggers = trace.TriggersFor(r.ID, p.Round.RoundsPerSeq, s.out)
+		}
+	}
+	s.loop = len(s.triggers) > 0
+	if !s.loop {
+		s.gen = p.GenTimeForShape(r.PromptTokens, r.OutputTokens)
+	}
+	return s
+}
+
+// Advance decodes the sequence from virtual time t (its slot lease or its
+// last resume) to its next stop and returns when that is: a trigger
+// position, where it parks for a round (park true, counted in Rounds), or
+// its last token (park false). Trigger positions clamp into [tokens decoded,
+// output length]: decode only moves forward, so an out-of-range or
+// out-of-order trigger parks at the nearest legal token.
+func (s *Seq) Advance(t float64) (at float64, park bool) {
+	if !s.loop {
+		return t + s.gen, false
+	}
+	if len(s.triggers) == 0 {
+		return t + float64(s.out-s.tok)*s.step, false
+	}
+	trig := max(min(s.triggers[0], s.out), s.tok)
+	at = t + float64(trig-s.tok)*s.step
+	s.tok, s.triggers = trig, s.triggers[1:]
+	s.parkedAt = at
+	s.Rounds++
+	return at, true
+}
+
+// Resume ends the current park at virtual time t and returns the parked
+// seconds, which accumulate in Stall.
+func (s *Seq) Resume(t float64) float64 {
+	d := t - s.parkedAt
+	s.Stall += d
+	return d
+}

@@ -15,6 +15,10 @@
 //   - serve.Runtime executes Plan.Steps for real with goroutines and
 //     wall-clock pacing.
 //
+// The two trace executors make every dispatch decision through one core
+// (dispatch.go): a Dispatcher per serial resource picks and prices
+// batches, and a Seq per sequence runs the decode loop.
+//
 // A compiled Plan is immutable and safe for concurrent use; partial-batch
 // re-profiling (StepLatency) goes through the memoizing stageperf.Profiler.
 package engine
@@ -432,6 +436,22 @@ var (
 // uses with the shape-weighted prefix latency.
 func (p *Plan) criticalPathTTFT() float64 {
 	return p.criticalPathTTFTWithPrefix(p.Steps[p.PrefixIdx].Latency)
+}
+
+// Executable reports whether the executors can run the plan, with an error
+// naming the schema when they cannot. Every plan Compile produces is
+// executable, iterative decode loops included; this rejects only nil plans
+// and hand-built iterative plans without their round structure, which
+// would otherwise run silently as single-retrieval plans.
+func (p *Plan) Executable() error {
+	if p == nil {
+		return fmt.Errorf("engine: nil plan")
+	}
+	if p.Pipe.Schema.Iterative() && p.Round == nil {
+		return fmt.Errorf("engine: schema %q is iterative but its plan carries no decode-loop round structure; compile it through engine.Compile",
+			p.Pipe.Schema.Name)
+	}
+	return nil
 }
 
 // CompatibleWith reports whether q executes the same stage graph as p —

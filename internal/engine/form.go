@@ -11,9 +11,10 @@ import (
 // members, so batching a 4k-token prompt with seven 512-token prompts
 // wastes most of the prefill FLOPs. This file makes formation an explicit,
 // pluggable dimension: a Former is the policy state machine one stage runs
-// at batch formation, and the SAME Former code decides batches in the live
-// runtime (serve.resource.pick) and the discrete-event simulator
-// (sim.trySchedule), preserving the three-way cross-check discipline.
+// at batch formation. Each Dispatcher (dispatch.go) owns one Former per
+// stage slot, and both executors form every batch through Dispatcher.Pick,
+// so the live runtime and the discrete-event simulator cannot diverge on a
+// formation decision.
 //
 // All policies share the ripeness contract of the historical FIFO rule: a
 // window dispatches when it can fill a batch, or when its oldest member
@@ -78,11 +79,11 @@ type FormView interface {
 	PromptTokens(i int) int
 }
 
-// Former is the batch-formation state machine of one stage. Both
-// executors own one (scratch is not shared) and consult it wherever the
-// historical code applied the FIFO ripeness rule inline. The zero value
-// is not usable — build one with Plan.Former and set Flush to the
-// executor's flush timeout.
+// Former is the batch-formation state machine of one stage. Dispatcher
+// owns one per stage slot (scratch is not shared): the plan's policy at
+// the prefix slot, FIFO everywhere else. The zero value is not usable —
+// build one with Plan.Former and set Flush to the executor's flush
+// timeout.
 type Former struct {
 	// Policy is the formation policy.
 	Policy BatchPolicy
@@ -295,9 +296,8 @@ func (f *Former) formSorted(v FormView, now float64, ln int) (int, float64, []in
 }
 
 // Former builds the prefix stage's batch-formation state machine from the
-// compiled schedule. The caller sets Flush to its flush timeout; each
-// executor owns its own instance (scratch is not shared across
-// goroutines).
+// compiled schedule. The caller sets Flush to its flush timeout and owns
+// the instance (scratch is not shared across goroutines).
 func (p *Plan) Former() Former {
 	return Former{
 		Policy:        p.Sched.FormPolicy,

@@ -103,6 +103,15 @@ func (p *Plan) StepLatencyShaped(idx, n int, sh Shape) float64 {
 	return p.StepLatency(idx, n)
 }
 
+// GenTokens is the generation length of a request asking for outTok
+// tokens: outTok itself, or the schema constant when outTok is 0.
+func (p *Plan) GenTokens(outTok int) int {
+	if outTok > 0 {
+		return outTok
+	}
+	return p.Steps[p.DecodeIdx].Stage.OutTokens
+}
+
 // GenTimeFor returns the decode-slot holding time of one request
 // generating outTokens tokens (excluding iterative stalls, which accrue
 // per round in the executors). 0 means the schema constant and returns the
@@ -127,11 +136,7 @@ func (p *Plan) DecodeStepFor(promptTok, outTok int) float64 {
 		return p.DecodeStep
 	}
 	st := p.Steps[p.DecodeIdx]
-	out := outTok
-	if out <= 0 {
-		out = st.Stage.OutTokens
-	}
-	shaped := stageperf.ShapedDecodeStage(st.Stage, PadTokens(promptTok+out/2))
+	shaped := stageperf.ShapedDecodeStage(st.Stage, PadTokens(promptTok+p.GenTokens(outTok)/2))
 	if pt := p.prof.EvalR(shaped, st.Chips, st.Batch, st.Replicas); pt.OK && pt.StepLatency > 0 {
 		return pt.StepLatency
 	}
@@ -146,11 +151,7 @@ func (p *Plan) GenTimeForShape(promptTok, outTok int) float64 {
 	if promptTok <= 0 {
 		return p.GenTimeFor(outTok)
 	}
-	out := outTok
-	if out <= 0 {
-		out = p.Steps[p.DecodeIdx].Stage.OutTokens
-	}
-	return float64(out) * p.DecodeStepFor(promptTok, outTok)
+	return float64(p.GenTokens(outTok)) * p.DecodeStepFor(promptTok, outTok)
 }
 
 // ShapeMetrics re-weights the plan's analytical prediction over an
@@ -190,15 +191,10 @@ func (p *Plan) ShapeMetricsWithPolicy(shapes []Shape, pol BatchPolicy) perf.Metr
 	if len(shapes) == 0 {
 		return p.Metrics
 	}
-	dec := p.Steps[p.DecodeIdx]
 	var sumGen, sumOut float64
 	for _, s := range shapes {
-		out := s.OutputTokens
-		if out <= 0 {
-			out = dec.Stage.OutTokens
-		}
 		sumGen += p.GenTimeForShape(s.PromptTokens, s.OutputTokens) + p.Iter.StallPerRequest
-		sumOut += float64(out)
+		sumOut += float64(p.GenTokens(s.OutputTokens))
 	}
 	n := float64(len(shapes))
 	meanGen := sumGen / n

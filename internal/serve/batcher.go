@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"time"
 
 	"rago/internal/engine"
@@ -11,80 +10,31 @@ import (
 
 // resource is one serial execution unit of the compiled plan — an XPU
 // placement group or a CPU retrieval tier. It owns a bounded inbox
-// channel, forms continuous batches per member stage, and paces their
-// service on the drift-free virtual ledger. Exactly one goroutine (run)
-// touches its queues and ledger, so the only shared state is the inbox
-// channel and the metrics collector.
+// channel and the engine dispatcher that queues, forms and prices its
+// batches, and it paces their service on the drift-free virtual ledger.
+// Exactly one goroutine (run) touches the dispatcher and ledger, so the
+// only shared state is the inbox channel and the metrics collector.
 type resource struct {
-	dp     *dataplane
-	name   string
-	stages []int // pipeline stage indices served, in pipeline order
-	inbox  chan item
-
-	// queues[i][heads[i]:] is stage i's live FIFO: exec consumes a batch
-	// by advancing the head offset instead of re-copying the tail (one
-	// allocation per served batch, at batch-formation rate), and the
-	// storage resets to the front when the queue drains. Only run's
-	// goroutine touches either.
-	queues    [][]*request // parallel to stages
-	heads     []int        // consumed-prefix offsets, parallel to queues
-	prompts   []int        // scratch for per-batch shape aggregation
-	busyUntil float64      // virtual time the resource frees up
-
-	// former is the prefix stage's batch-formation state machine — the
-	// SAME engine.Former code the discrete-event simulator consults, so
-	// both executors form identical batches from identical windows.
-	// usePolicy short-circuits the historical FIFO fast path when the
-	// plan's policy is the default; chunked turns prefix batches into
-	// quantum-sized chunk runs (ChunkPrefill).
-	former    engine.Former
-	usePolicy bool
-	chunked   bool
-	batchBuf  []*request // scratch for non-contiguous (policy) batches
-	doneAt    []float64  // scratch for chunked per-member completions
+	dp        *dataplane
+	name      string
+	inbox     chan item
+	disp      *engine.Dispatcher[*request]
+	busyUntil float64 // virtual time the resource frees up
 }
-
-func newResource(dp *dataplane, name string, stages []int) *resource {
-	r := &resource{dp: dp, name: name, stages: stages,
-		queues: make([][]*request, len(stages)), heads: make([]int, len(stages))}
-	for _, idx := range stages {
-		if idx == dp.plan.PrefixIdx {
-			r.former = dp.plan.Former()
-			r.former.Flush = dp.opts.FlushTimeout
-			r.usePolicy = dp.plan.Sched.FormPolicy != engine.PolicyFIFO
-			r.chunked = dp.plan.Sched.ChunkQuantum > 0
-		}
-	}
-	return r
-}
-
-// reqWindow adapts a stage queue onto the executor-neutral view the
-// shared formation policy decides over.
-type reqWindow struct {
-	qu  []*request
-	idx int
-}
-
-func (w reqWindow) Len() int                 { return len(w.qu) }
-func (w reqWindow) EnqueuedAt(i int) float64 { return w.qu[i].enqV[w.idx] }
-func (w reqWindow) PromptTokens(i int) int   { return w.qu[i].promptTok }
-
-// queue returns stage slot i's live (unconsumed) FIFO window.
-func (r *resource) queue(i int) []*request { return r.queues[i][r.heads[i]:] }
 
 // run is the worker loop: drain arrivals, pick the most overdue
 // dispatchable batch, execute it, repeat; park when nothing is ready.
 func (r *resource) run() {
 	for {
 		r.drain()
-		si, n, formV, sel := r.pick()
-		if si < 0 {
+		b, ok := r.disp.Pick(r.dp.clock.now())
+		if !ok {
 			if !r.park() {
 				return
 			}
 			continue
 		}
-		r.exec(si, n, formV, sel)
+		r.exec(b)
 	}
 }
 
@@ -101,121 +51,19 @@ func (r *resource) drain() {
 }
 
 func (r *resource) enqueue(it item) {
-	for i, idx := range r.stages {
-		if idx == it.idx {
-			// Compact a mostly-consumed queue before growing it, so a
-			// backlog that never fully drains cannot grow the backing
-			// array (and pin served requests) without bound. Safe here:
-			// no exec batch alias is live outside exec itself.
-			if h := r.heads[i]; h >= 64 && 2*h >= len(r.queues[i]) {
-				live := copy(r.queues[i], r.queues[i][h:])
-				for j := live; j < len(r.queues[i]); j++ {
-					r.queues[i][j] = nil
-				}
-				r.queues[i] = r.queues[i][:live]
-				r.heads[i] = 0
-			}
-			r.queues[i] = append(r.queues[i], it.q)
-			r.dp.coll.enqueued(idx, len(r.queue(i)))
-			return
-		}
-	}
-}
-
-// pick chooses the next batch to serve: among member stages whose queue
-// either fills a batch or whose head has waited past the flush timeout,
-// take the one with the oldest waiting head (the same fairness rule as the
-// discrete-event validator). It returns the stage slot, the batch size,
-// the exact virtual time the batch became dispatchable, and — for
-// non-FIFO formation policies — the selected queue positions (nil means
-// the FIFO prefix). The prefix stage consults the plan's formation
-// policy; every other stage keeps the historical FIFO rule.
-func (r *resource) pick() (si, n int, formV float64, sel []int) {
-	now := r.dp.clock.now()
-	flush := r.dp.opts.FlushTimeout
-	best := -1
-	bestAge := math.Inf(-1)
-	polN, polFormV := 0, 0.0
-	var polSel []int
-	for i, idx := range r.stages {
-		qu := r.queue(i)
-		if len(qu) == 0 {
-			continue
-		}
-		headAge := now - qu[0].enqV[idx]
-		if r.usePolicy && idx == r.dp.plan.PrefixIdx {
-			pn, pf, ps := r.former.Form(reqWindow{qu, idx}, now)
-			if pn == 0 {
-				continue
-			}
-			polN, polFormV, polSel = pn, pf, ps
-			if headAge > bestAge {
-				bestAge, best = headAge, i
-			}
-			continue
-		}
-		b := r.dp.plan.StepAt(idx).Batch
-		if len(qu) < b && headAge < flush {
-			continue
-		}
-		if headAge > bestAge {
-			bestAge, best = headAge, i
-		}
-	}
-	if best < 0 {
-		return -1, 0, 0, nil
-	}
-	idx := r.stages[best]
-	if r.usePolicy && idx == r.dp.plan.PrefixIdx {
-		return best, polN, polFormV, polSel
-	}
-	b := r.dp.plan.StepAt(idx).Batch
-	qu := r.queue(best)
-	n = b
-	if n > len(qu) {
-		n = len(qu)
-	}
-	// Formable time: when the last selected member entered the queue —
-	// or, for a flush-dispatched partial batch, the head's flush
-	// deadline. Both are exact virtual quantities computed upstream, so
-	// the ledger never absorbs wall-clock wakeup jitter.
-	for _, q := range qu[:n] {
-		formV = maxf(formV, q.enqV[idx])
-	}
-	if n < b {
-		formV = maxf(formV, qu[0].enqV[idx]+flush)
-	}
-	return best, n, formV, nil
+	depth := r.disp.Push(it.idx, it.q)
+	r.dp.coll.enqueued(it.idx, depth)
 }
 
 // park blocks until new work arrives, a flush deadline passes, or the
 // dataplane shuts down. Returns false on shutdown.
 func (r *resource) park() bool {
 	var timerC <-chan time.Time
-	var timer *time.Timer
-	deadline, has := math.Inf(1), false
-	for i, idx := range r.stages {
-		qu := r.queue(i)
-		if len(qu) == 0 {
-			continue
-		}
-		if d := qu[0].enqV[idx] + r.dp.opts.FlushTimeout; d < deadline {
-			deadline, has = d, true
-		}
-	}
-	if has {
-		d := time.Until(r.dp.clock.wallAt(deadline))
-		if d < 0 {
-			d = 0
-		}
-		timer = time.NewTimer(d)
+	if deadline, ok := r.disp.Deadline(); ok {
+		timer := time.NewTimer(max(time.Until(r.dp.clock.wallAt(deadline)), 0))
+		defer timer.Stop()
 		timerC = timer.C
 	}
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
 	select {
 	case it := <-r.inbox:
 		r.enqueue(it)
@@ -227,129 +75,61 @@ func (r *resource) park() bool {
 	}
 }
 
-// exec serves one batch: advance the ledger, sleep out the scaled service
-// time (running real retrieval concurrently when configured), then hand
-// every member to its next stage. Prefix batches carrying mixed
-// per-request shapes are costed at their members' padded maximum prompt
-// length, and the padding overhead is recorded; under chunked prefill the
-// batch runs as quantum-sized chunks and each member advances at its own
-// chunk boundary instead of batch end.
-func (r *resource) exec(si, n int, formV float64, sel []int) {
-	idx := r.stages[si]
-	var batch []*request
-	if sel == nil {
-		// The batch aliases the queue's consumed prefix; nothing appends
-		// to this stage's queue until exec returns (run's goroutine is the
-		// only writer), so the alias is stable for the call.
-		batch = r.queue(si)[:n:n]
-		r.heads[si] += n
-		if r.heads[si] == len(r.queues[si]) {
-			r.queues[si] = r.queues[si][:0]
-			r.heads[si] = 0
-		}
-	} else {
-		// A formation policy selected non-contiguous queue positions:
-		// gather them into scratch and compact the survivors in place.
-		r.batchBuf = r.batchBuf[:0]
-		q := r.queues[si]
-		h := r.heads[si]
-		for _, pos := range sel {
-			r.batchBuf = append(r.batchBuf, q[h+pos])
-		}
-		ln := len(q) - h
-		w := h + sel[0]
-		k := 0
-		for pos := sel[0]; pos < ln; pos++ {
-			if k < len(sel) && pos == sel[k] {
-				k++
+// exec serves one picked batch: price it, advance the ledger, sleep out the
+// scaled service time (running real retrieval concurrently when
+// configured), then hand every member to its next stage. Under chunked
+// prefill each member advances at its own chunk boundary instead of batch
+// end. The batch's member slice stays valid throughout: only this
+// goroutine pushes to the dispatcher, and not before exec returns.
+func (r *resource) exec(b engine.Batch[*request]) {
+	idx, n := b.Slot, len(b.Members)
+	c := r.disp.Price(b)
+	bus := r.dp.bus
+	if bus.Active() {
+		for i, credit := range c.Credits {
+			if credit == engine.NoLookup {
 				continue
 			}
-			q[w] = q[h+pos]
-			w++
-		}
-		for j := w; j < len(q); j++ {
-			q[j] = nil
-		}
-		r.queues[si] = q[:w]
-		if r.heads[si] == len(r.queues[si]) {
-			r.queues[si] = r.queues[si][:0]
-			r.heads[si] = 0
-		}
-		batch = r.batchBuf
-	}
-
-	lat := r.dp.plan.StepLatency(idx, n)
-	tok, pad, chunks := 0, 0, 0
-	consult := r.dp.cacheOn && r.dp.taggedAny.Load()
-	chunked := r.chunked && idx == r.dp.plan.PrefixIdx
-	if idx == r.dp.plan.PrefixIdx && (chunked || r.dp.shapedAny.Load() || consult) {
-		r.prompts = r.prompts[:0]
-		for _, q := range batch {
-			pt := q.promptTok
-			if consult && len(q.chunkIDs) > 0 {
-				// Prefix-cache lookup at batch formation: the member
-				// prefills only its uncached suffix. Access both queries
-				// and admits, so the batch's own chunks are resident for
-				// every later batch — the prefix stage lives on exactly
-				// one worker goroutine, so lookups happen in dispatch
-				// order, the same serialization the simulator replays.
-				base := pt
-				if base <= 0 {
-					base = r.dp.plan.Pipe.Schema.PrefixTokens
-				}
-				credit := r.dp.cache.Access(q.chunkIDs, base)
-				pt = r.dp.plan.EffectivePrompt(pt, credit)
-				if r.dp.bus.Active() {
-					kind := obs.KindCacheMiss
-					if credit > 0 {
-						kind = obs.KindCacheHit
-					}
-					r.dp.bus.Publish(obs.Event{Kind: kind, T: formV, Req: q.id,
-						Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: credit})
-				}
+			kind := obs.KindCacheMiss
+			if credit > 0 {
+				kind = obs.KindCacheHit
 			}
-			r.prompts = append(r.prompts, pt)
-		}
-		if chunked {
-			var total float64
-			r.doneAt, total, tok, pad = r.dp.plan.ChunkPrefill(r.prompts, r.doneAt)
-			lat = total
-			chunks = pad / r.dp.plan.Sched.ChunkQuantum
-		} else if sh, sum := r.dp.plan.PrefixBatchShape(r.prompts); sh != (engine.Shape{}) {
-			lat = r.dp.plan.StepLatencyShaped(idx, n, sh)
-			tok, pad = sum, n*sh.PromptTokens
+			bus.Publish(obs.Event{Kind: kind, T: b.FormV, Req: b.Members[i].ID,
+				Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: credit})
 		}
 	}
-	start := maxf(r.busyUntil, formV)
-	done := start + lat
+	start := max(r.busyUntil, b.FormV)
+	done := start + c.Latency
 	r.busyUntil = done
+	full := r.dp.plan.StepAt(idx).Batch
 
-	if chunked {
+	if c.Chunks > 0 {
 		// Chunk pipelining: member i's first token unblocks as soon as its
 		// own chunks are done; the resource stays busy until the last
 		// chunk (busyUntil above).
-		for i, q := range batch {
-			md := start + r.doneAt[i]
+		for i, q := range b.Members {
+			md := start + c.DoneAt[i]
 			r.dp.clock.sleepUntil(md)
-			if r.dp.bus.Active() {
-				r.dp.bus.Publish(obs.Event{Kind: obs.KindStageStart, T: start, Req: q.id,
+			if bus.Active() {
+				bus.Publish(obs.Event{Kind: obs.KindStageStart, T: start, Req: q.ID,
 					Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: n})
-				r.dp.bus.Publish(obs.Event{Kind: obs.KindStageFinish, T: md, Req: q.id,
-					Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: n, Dur: r.doneAt[i]})
+				bus.Publish(obs.Event{Kind: obs.KindStageFinish, T: md, Req: q.ID,
+					Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: n, Dur: c.DoneAt[i]})
 			}
 			r.dp.advance(q, idx, md)
 		}
-		r.dp.coll.batchServed(idx, n, r.dp.plan.StepAt(idx).Batch, tok, pad, chunks)
+		r.dp.coll.batchServed(idx, n, full, c.Tok, c.Pad, c.Chunks)
 		return
 	}
 
 	var search chan searchResult
 	sharded := r.dp.opts.Sharded
+	head := b.Members[0].ID
 	if r.dp.plan.StepAt(idx).Stage.Kind == pipeline.KindRetrieval && r.dp.opts.searchOn() {
 		search = make(chan searchResult, 1)
-		go r.dp.runSearch(batch, search)
-		if sharded != nil && r.dp.bus.Active() {
-			r.dp.bus.Publish(obs.Event{Kind: obs.KindShardScatter, T: start, Req: batch[0].id,
+		go r.dp.runSearch(b.Members, search)
+		if sharded != nil && bus.Active() {
+			bus.Publish(obs.Event{Kind: obs.KindShardScatter, T: start, Req: head,
 				Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: sharded.EffectiveFanout(r.dp.plan.Sched.ShardFanout)})
 		}
 	}
@@ -359,25 +139,25 @@ func (r *resource) exec(si, n int, formV float64, sel []int) {
 		if res.err != nil {
 			r.dp.onSearchErr(res.err)
 		}
-		if sharded != nil && r.dp.bus.Active() {
+		if sharded != nil && bus.Active() {
 			if res.fellBack > 0 || res.lost > 0 {
-				r.dp.bus.Publish(obs.Event{Kind: obs.KindShardFallback, T: done, Req: batch[0].id,
+				bus.Publish(obs.Event{Kind: obs.KindShardFallback, T: done, Req: head,
 					Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: res.fellBack + res.lost})
 			}
-			r.dp.bus.Publish(obs.Event{Kind: obs.KindShardGather, T: done, Req: batch[0].id,
-				Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: sharded.EffectiveFanout(r.dp.plan.Sched.ShardFanout), Dur: lat})
+			bus.Publish(obs.Event{Kind: obs.KindShardGather, T: done, Req: head,
+				Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: sharded.EffectiveFanout(r.dp.plan.Sched.ShardFanout), Dur: c.Latency})
 		}
 	}
-	r.dp.coll.batchServed(idx, n, r.dp.plan.StepAt(idx).Batch, tok, pad, 0)
-	if r.dp.bus.Active() {
-		for _, q := range batch {
-			r.dp.bus.Publish(obs.Event{Kind: obs.KindStageStart, T: start, Req: q.id,
+	r.dp.coll.batchServed(idx, n, full, c.Tok, c.Pad, 0)
+	if bus.Active() {
+		for _, q := range b.Members {
+			bus.Publish(obs.Event{Kind: obs.KindStageStart, T: start, Req: q.ID,
 				Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: n})
-			r.dp.bus.Publish(obs.Event{Kind: obs.KindStageFinish, T: done, Req: q.id,
-				Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: n, Dur: lat})
+			bus.Publish(obs.Event{Kind: obs.KindStageFinish, T: done, Req: q.ID,
+				Slot: idx, Stage: r.dp.slotName[idx], Track: r.name, N: n, Dur: c.Latency})
 		}
 	}
-	for _, q := range batch {
+	for _, q := range b.Members {
 		r.dp.advance(q, idx, done)
 	}
 }

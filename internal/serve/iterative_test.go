@@ -2,7 +2,6 @@ package serve
 
 import (
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -277,37 +276,6 @@ func TestServerSwitchIterativeDrain(t *testing.T) {
 	}
 	if rep.Stall.Mean <= 0 {
 		t.Errorf("iterative replay measured no stall: %+v", rep.Stall)
-	}
-}
-
-// TestExecutable: the capability check names the schema for plans the
-// engine cannot execute, and accepts everything engine.Compile produces —
-// iterative plans included.
-func TestExecutable(t *testing.T) {
-	if err := Executable(nil); err == nil {
-		t.Error("nil plan should be inexecutable")
-	}
-	pipe, prof, sched := caseIIISetup(t)
-	plan, err := engine.Compile(pipe, sched, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Executable(plan); err != nil {
-		t.Errorf("compiled iterative plan should be executable: %v", err)
-	}
-	// A hand-built iterative plan without the round structure is the one
-	// remaining unsupported shape; the error must name the schema.
-	broken := *plan
-	broken.Round = nil
-	err = Executable(&broken)
-	if err == nil {
-		t.Fatal("iterative plan without round structure should be rejected")
-	}
-	if want := pipe.Schema.Name; !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not name schema %q", err, want)
-	}
-	if _, err := NewServer(&broken, Options{}); err == nil {
-		t.Error("NewServer should apply the capability check")
 	}
 }
 

@@ -5,21 +5,26 @@
 //
 // The engine mirrors the structure the plan describes. Every XPU
 // placement group becomes one serial batching worker that time-multiplexes
-// its collocated stages (oldest-waiting-head first, like the discrete-event
-// validator); each retrieval tier becomes its own batching worker that can
-// additionally run real batched IVF-PQ queries against the
+// its collocated stages; each retrieval tier becomes its own batching
+// worker that can additionally run real batched IVF-PQ queries against the
 // internal/vectordb substrate on the serving path; the decode tier is a
 // pool of continuous-batching slots implemented as a bounded channel of
-// slot leases. On iterative plans (§5.3) decode slots run the decode loop
-// live: sequences park at their trigger positions while iterative
-// retrieval+prefix rounds batch — at the schedule's IterativeBatch, as
-// virtual stage slots on the same serial workers the initial pass uses —
-// then resume, accumulating the measured stall the analytical fixed
-// point prices. Requests traverse the pipeline's stage graph: fan-out
-// branches run concurrently across workers and a join stage admits a
-// request only once its last predecessor finishes (an atomic countdown per
-// stage), so multi-source pipelines serve through the same data plane as
-// linear chains. Tiers are connected by bounded channels sized by the
+// slot leases. The runtime is the wall-clock driver of the engine's
+// dispatch core, the same one the discrete-event simulator drives from its
+// event heap: each worker's engine.Dispatcher queues, forms and prices its
+// batches (oldest ripe head first, prefix-cache credits, shaped or chunked
+// prefill), and each decode goroutine walks its engine.Seq. What stays
+// here is what is live: goroutines, channels, atomic join counters, wall
+// sleeping, real search and the metrics collector. On iterative plans
+// (§5.3) decode slots run the decode loop live: sequences park at their
+// trigger positions while iterative retrieval+prefix rounds batch — at
+// the schedule's IterativeBatch, as virtual stage slots on the same serial
+// workers the initial pass uses — then resume, accumulating the measured
+// stall the analytical fixed point prices. Requests traverse the
+// pipeline's stage graph: fan-out branches run concurrently across workers
+// and a join stage admits a request only once its last predecessor
+// finishes (an atomic countdown per stage), so multi-source pipelines
+// serve through the same data plane as linear chains. Tiers are connected by bounded channels sized by the
 // admission bound times the stages a worker serves, so the whole data
 // plane is allocation-bounded: admission control sheds arrivals once
 // MaxInFlight requests are in the system, which in turn guarantees no
@@ -45,7 +50,6 @@ package serve
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -170,10 +174,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// request is one in-flight trace entry traversing the stage graph.
+// request is one in-flight trace entry traversing the stage graph. The
+// embedded trace entry (the replayed trace's own element, read-only)
+// carries its arrival, shape (0 = schema constant) and retrieved-chunk
+// tags (the prefix/KV cache key; untagged requests bypass the cache).
 type request struct {
-	id      int
-	arrival float64 // virtual
+	*trace.Request
 	// pending counts unfinished predecessors per stage; the goroutine
 	// that decrements a stage's count to zero owns the hand-off.
 	pending []atomic.Int32
@@ -186,32 +192,25 @@ type request struct {
 	ttft     float64
 	decStart float64
 
-	// promptTok and outTok are the request's sequence shape (0 = schema
-	// constant): prefix batches are costed at their members' padded
-	// maximum and the decode slot is held for the request's own output
-	// length.
-	promptTok int
-	outTok    int
-
-	// chunkIDs are the retrieved document chunks the prompt is built from
-	// — the prefix/KV cache key. Empty requests bypass the cache.
-	chunkIDs []int
-
-	// Iterative decode-loop state (nil/zero on single-retrieval plans).
-	// triggers are the decode token positions the sequence parks at;
-	// resume carries the virtual time each round finished back to the
-	// parked decode goroutine (buffered: one round in flight at a time);
-	// stall accumulates the total parked seconds.
-	triggers []int
-	resume   chan float64
-	parkedV  float64
-	stall    float64
+	// seq is the decode walk (engine.Seq), owned by the request's decode
+	// goroutine. On iterative plans resume carries the virtual time each
+	// round finished back to that goroutine while it is parked (buffered:
+	// one round in flight at a time).
+	seq    engine.Seq
+	resume chan float64
 }
 
-// item is one unit of inbox work: a request ready at one stage.
+// liveRequests resolves the runtime's requests for its dispatchers.
+type liveRequests struct{}
+
+func (liveRequests) Trace(q *request) *trace.Request         { return q.Request }
+func (liveRequests) EnqueuedAt(q *request, slot int) float64 { return q.enqV[slot] }
+
+// item is one unit of inbox work: a request ready at one stage slot
+// (real or virtual).
 type item struct {
 	q   *request
-	idx int // pipeline stage index
+	idx int
 }
 
 // dataplane is the per-plan concurrent execution fabric: the batching
@@ -243,21 +242,9 @@ type dataplane struct {
 	// drain detection.
 	inflight atomic.Int64
 
-	// shapedAny flips once any admitted request carries an explicit
-	// shape; while false, workers skip per-batch shape aggregation
-	// entirely (the common constant-shape fast path). The store in
-	// newRequest happens before the channel send publishing the request,
-	// so a worker batching a shaped request always observes true.
-	// taggedAny is the same latch for retrieved-chunk tags: with it false
-	// (or no cache configured) prefix workers never consult the cache.
-	shapedAny atomic.Bool
-	taggedAny atomic.Bool
-
-	// cache is the reuse cache (nil = caching off); cacheOn precomputes
-	// whether its prefix tier is enabled, so the batcher's dispatch path
-	// pays one bool load.
-	cache   *cache.Cache
-	cacheOn bool
+	// cache is the reuse cache (nil = caching off). The dispatchers
+	// consult its prefix tier; admit and complete its answer tier.
+	cache *cache.Cache
 
 	// arena slab-allocates the per-request bookkeeping (request structs,
 	// pending counters, enqueue-time vectors): three allocations per
@@ -289,7 +276,6 @@ func newDataplane(plan *engine.Plan, opts Options, ck clock, coll *collector, bo
 		coll:        coll,
 		bus:         opts.Bus,
 		cache:       opts.Cache,
-		cacheOn:     opts.Cache.PrefixOn(),
 		quit:        make(chan struct{}),
 		onComplete:  onComplete,
 		onSearchErr: onSearchErr,
@@ -302,15 +288,11 @@ func newDataplane(plan *engine.Plan, opts Options, ck clock, coll *collector, bo
 		// ResourceStages appends the decode loop's virtual round slots
 		// to their owning resources, so round batches contend with (and
 		// are picked against) the regular stages on the same worker.
-		r := newResource(dp, res.Name, plan.ResourceStages(ri))
-		r.inbox = make(chan item, bound*len(r.stages))
-		dp.resources = append(dp.resources, r)
+		dp.resources = append(dp.resources, &resource{dp: dp, name: res.Name,
+			inbox: make(chan item, bound*len(plan.ResourceStages(ri))),
+			disp:  engine.NewDispatcher[*request](plan, ri, opts.FlushTimeout, opts.Cache, liveRequests{})})
 	}
-	dp.decode = &decodeTier{
-		dp:        dp,
-		outTokens: plan.Steps[plan.DecodeIdx].Stage.OutTokens,
-		round:     plan.Round,
-	}
+	dp.decode = &decodeTier{dp: dp}
 	dp.decode.start(bound)
 	return dp
 }
@@ -327,11 +309,9 @@ type reqArena struct {
 // arenaSlab is how many requests one slab serves.
 const arenaSlab = 256
 
-// newRequest builds the per-request bookkeeping for this dataplane's plan,
-// synthesizing deterministic trigger positions (seeded by the request ID)
-// when an iterative plan's trace entry carries none. Called only from the
-// owner's sequential replay goroutine (see reqArena).
-func (dp *dataplane) newRequest(r trace.Request) *request {
+// newRequest builds the per-request bookkeeping for this dataplane's plan.
+// Called only from the owner's sequential replay goroutine (see reqArena).
+func (dp *dataplane) newRequest(r *trace.Request) *request {
 	nSteps, nSlots := len(dp.plan.Steps), dp.plan.NumSlots()
 	a := &dp.arena
 	if len(a.reqs) == 0 {
@@ -347,27 +327,9 @@ func (dp *dataplane) newRequest(r trace.Request) *request {
 	a.reqs = a.reqs[1:]
 	q.pending, a.pending = a.pending[:nSteps:nSteps], a.pending[nSteps:]
 	q.enqV, a.enqV = a.enqV[:nSlots:nSlots], a.enqV[nSlots:]
-	q.id = r.ID
-	q.arrival = r.Arrival
-	q.promptTok = r.PromptTokens
-	q.outTok = r.OutputTokens
-	q.chunkIDs = r.ChunkIDs
-	if r.Shaped() && !dp.shapedAny.Load() {
-		dp.shapedAny.Store(true)
-	}
-	if r.Tagged() && !dp.taggedAny.Load() {
-		dp.taggedAny.Store(true)
-	}
+	q.Request = r
 	if dp.plan.Round != nil {
 		q.resume = make(chan float64, 1)
-		q.triggers = r.Triggers
-		if q.triggers == nil {
-			out := dp.decode.outTokens
-			if q.outTok > 0 {
-				out = q.outTok
-			}
-			q.triggers = trace.TriggersFor(r.ID, dp.plan.Round.RoundsPerSeq, out)
-		}
 	}
 	return q
 }
@@ -392,12 +354,12 @@ func (dp *dataplane) stop() {
 // answer-cache hit short-circuits the whole pipeline: the request
 // completes at its arrival instant without touching any worker.
 func (dp *dataplane) admit(q *request, at float64) {
-	if dp.cache.AnswerOn() && len(q.chunkIDs) > 0 &&
-		dp.cache.AnswerLookup(q.chunkIDs, q.promptTok, q.outTok) {
+	if dp.cache.AnswerOn() && q.Tagged() &&
+		dp.cache.AnswerLookup(q.ChunkIDs, q.PromptTokens, q.OutputTokens) {
 		if dp.bus.Active() {
-			dp.bus.Publish(obs.Event{Kind: obs.KindCacheAnswerHit, T: at, Req: q.id})
+			dp.bus.Publish(obs.Event{Kind: obs.KindCacheAnswerHit, T: at, Req: q.ID})
 		}
-		dp.coll.complete(0, 0, 0, at, 0, q.promptTok, q.outTok)
+		dp.coll.complete(0, 0, 0, at, 0, q.PromptTokens, q.OutputTokens)
 		dp.inflight.Add(-1)
 		dp.onComplete(q, at)
 		return
@@ -406,18 +368,18 @@ func (dp *dataplane) admit(q *request, at float64) {
 		q.pending[st].Store(int32(len(ps)))
 	}
 	for _, e := range dp.plan.Entries {
-		q.enqV[e] = at
-		dp.submit(q, e)
+		dp.submit(q, e, at)
 	}
 }
 
-// submit routes a request, ready at stage idx (real or virtual), to the
-// owning worker.
-func (dp *dataplane) submit(q *request, idx int) {
+// submit routes a request, ready at stage idx (real or virtual) since
+// virtual time at, to the owning worker.
+func (dp *dataplane) submit(q *request, idx int, at float64) {
 	if dp.bus.Active() {
-		dp.bus.Publish(obs.Event{Kind: obs.KindEnqueue, T: q.enqV[idx], Req: q.id,
+		dp.bus.Publish(obs.Event{Kind: obs.KindEnqueue, T: at, Req: q.ID,
 			Slot: idx, Stage: dp.slotName[idx], Track: dp.slotTrack[idx]})
 	}
+	q.enqV[idx] = at
 	if st := dp.plan.StepAt(idx); st.Resource >= 0 {
 		dp.resources[st.Resource].inbox <- item{q, idx}
 		return
@@ -435,8 +397,7 @@ func (dp *dataplane) advance(q *request, idx int, t float64) {
 	if dp.plan.Round != nil {
 		switch idx {
 		case dp.plan.IterRetrievalSlot():
-			q.enqV[dp.plan.IterPrefixSlot()] = t
-			dp.submit(q, dp.plan.IterPrefixSlot())
+			dp.submit(q, dp.plan.IterPrefixSlot(), t)
 			return
 		case dp.plan.IterPrefixSlot():
 			q.resume <- t
@@ -444,30 +405,25 @@ func (dp *dataplane) advance(q *request, idx int, t float64) {
 		}
 	}
 	if idx == dp.plan.PrefixIdx {
-		q.ttft = t - q.arrival
+		q.ttft = t - q.Arrival
 	}
 	for _, succ := range dp.plan.Succs[idx] {
 		if q.pending[succ].Add(-1) == 0 {
-			q.enqV[succ] = t
-			dp.submit(q, succ)
+			dp.submit(q, succ, t)
 		}
 	}
 }
 
 // complete retires a fully generated request.
 func (dp *dataplane) complete(q *request, done float64) {
-	out := dp.plan.Steps[dp.plan.DecodeIdx].Stage.OutTokens
-	if q.outTok > 0 {
-		out = q.outTok
-	}
 	tpot := 0.0
-	if out > 0 {
+	if out := dp.plan.GenTokens(q.OutputTokens); out > 0 {
 		tpot = (done - q.decStart) / float64(out)
 	}
 	dp.coll.release(dp.plan.DecodeIdx, 1)
-	dp.coll.complete(q.ttft, tpot, done-q.arrival, done, q.stall, q.promptTok, q.outTok)
-	if dp.cache.AnswerOn() && len(q.chunkIDs) > 0 {
-		dp.cache.AnswerStore(q.chunkIDs, q.promptTok, q.outTok)
+	dp.coll.complete(q.ttft, tpot, done-q.Arrival, done, q.seq.Stall, q.PromptTokens, q.OutputTokens)
+	if dp.cache.AnswerOn() && q.Tagged() {
+		dp.cache.AnswerStore(q.ChunkIDs, q.PromptTokens, q.OutputTokens)
 	}
 	dp.inflight.Add(-1)
 	dp.onComplete(q, done)
@@ -502,7 +458,7 @@ func (dp *dataplane) runSearch(batch []*request, done chan<- searchResult) {
 		qpr = 1
 	}
 	n, dim := len(batch)*qpr, dp.opts.QueryDim
-	seed := dp.opts.QuerySeed + int64(batch[0].id)
+	seed := dp.opts.QuerySeed + int64(batch[0].ID)
 	buf, _ := dp.searchBufs.Get().(*searchBuf)
 	if buf == nil {
 		buf = &searchBuf{rng: rand.New(rand.NewSource(seed))}
@@ -569,8 +525,7 @@ type Runtime struct {
 
 // New compiles (pipeline, schedule) through the shared engine and builds
 // a runtime executing the resulting plan. Negative Options are rejected
-// (NewServer's validation), as are plans the engine cannot execute live
-// (Executable).
+// (NewServer's validation).
 func New(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule, opts Options) (*Runtime, error) {
 	plan, err := engine.Compile(pipe, sched, prof)
 	if err != nil {
@@ -581,24 +536,6 @@ func New(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule
 		return nil, err
 	}
 	return &Runtime{plan: plan, srv: srv}, nil
-}
-
-// Executable reports whether the serving engine can execute plans of this
-// compiled plan's shape, with a descriptive error naming the schema when
-// it cannot. Every schema the engine compiles today is servable —
-// iterative decode loops included — so this only rejects structurally
-// incomplete plans (an iterative schema whose plan carries no round
-// structure, which engine.Compile never produces but hand-built plans
-// could).
-func Executable(plan *engine.Plan) error {
-	if plan == nil {
-		return fmt.Errorf("serve: nil plan")
-	}
-	if plan.Pipe.Schema.Iterative() && plan.Round == nil {
-		return fmt.Errorf("serve: schema %q is iterative but its plan carries no decode-loop round structure; compile it through engine.Compile",
-			plan.Pipe.Schema.Name)
-	}
-	return nil
 }
 
 // Plan returns the compiled execution plan the runtime executes.
@@ -646,6 +583,3 @@ func (c clock) sleepUntil(v float64) {
 		time.Sleep(d)
 	}
 }
-
-// maxf is a float64 max without the math import ceremony at call sites.
-func maxf(a, b float64) float64 { return math.Max(a, b) }

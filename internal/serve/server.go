@@ -128,9 +128,10 @@ type Server struct {
 
 // NewServer builds a multi-plan serving engine starting on the given
 // compiled plan (see engine.Compile or core.Assembler.Compile).
-// Inexecutable plans (Executable) and negative Options are rejected.
+// Inexecutable plans (engine.Plan.Executable) and negative Options are
+// rejected.
 func NewServer(initial *engine.Plan, opts Options) (*Server, error) {
-	if err := Executable(initial); err != nil {
+	if err := initial.Executable(); err != nil {
 		return nil, err
 	}
 	if err := opts.validate(); err != nil {
@@ -182,14 +183,15 @@ func (s *Server) Telemetry(window float64) Window {
 }
 
 // Switch hot-swaps admissions onto plan, which must execute the same
-// stage graph as the running plans (a schedule of the same pipeline).
-// The retired plan's in-flight requests finish on its own workers, which
-// shut down once drained; the new plan's workers begin admitting
-// immediately. Safe to call concurrently with Serve. Switching to the
-// plan already current is a no-op.
+// stage graph as the running plans (a schedule of the same pipeline) and
+// pass the same executability check NewServer applies. The retired plan's
+// in-flight requests finish on its own workers, which shut down once
+// drained; the new plan's workers begin admitting immediately. Safe to
+// call concurrently with Serve. Switching to the plan already current is
+// a no-op.
 func (s *Server) Switch(plan *engine.Plan) error {
-	if plan == nil {
-		return fmt.Errorf("serve: nil plan")
+	if err := plan.Executable(); err != nil {
+		return err
 	}
 	if !s.live.Load() {
 		return fmt.Errorf("serve: Switch before Serve has started")
@@ -320,7 +322,7 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 func (s *Server) replay(reqs []trace.Request) {
 	bus := s.opts.Bus
 	for i := range reqs {
-		r := reqs[i]
+		r := &reqs[i]
 		s.clock.sleepUntil(r.Arrival)
 		if s.inflight.Load() >= s.maxInflight {
 			s.coll.reject(r.Arrival)

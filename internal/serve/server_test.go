@@ -274,3 +274,53 @@ func TestServerSwitchRejectsIncompatible(t *testing.T) {
 		t.Error("second Serve on a single-use server should error")
 	}
 }
+
+// TestServerSwitchRejectsInexecutablePlan: Switch applies the same
+// executability check as NewServer. An iterative plan stripped of its
+// round structure executes the same stage graph (CompatibleWith holds),
+// so without the check the server would silently serve it as a
+// single-retrieval plan.
+func TestServerSwitchRejectsInexecutablePlan(t *testing.T) {
+	pipe, prof, sched := caseIIISetup(t)
+	plan, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	broken := *plan
+	broken.Round = nil
+	if !plan.CompatibleWith(&broken) {
+		t.Fatal("stripped plan should still pass CompatibleWith")
+	}
+	if _, err := NewServer(&broken, Options{}); err == nil {
+		t.Error("NewServer should reject a plan without its round structure")
+	}
+	const n = 400
+	reqs, err := trace.Poisson(n, plan.Metrics.QPS, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServer(plan, Options{Speedup: (float64(n) / plan.Metrics.QPS) / 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	var rep *ServerReport
+	go func() {
+		rep, err = s.Serve(reqs)
+		close(done)
+	}()
+	<-s.Started()
+	switch err := s.Switch(&broken); {
+	case err == ErrServeEnded:
+		t.Fatal("replay drained before the switch; lengthen the trace")
+	case err == nil:
+		t.Error("Switch accepted an iterative plan without its round structure")
+	}
+	<-done
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Switches != 0 || rep.Completed != n {
+		t.Errorf("rejected switch changed the run: %d switches, %d of %d completed", rep.Switches, rep.Completed, n)
+	}
+}

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"rago/internal/engine"
 	"rago/internal/obs"
 )
 
@@ -22,11 +21,9 @@ import (
 // resumes at the round's finish time. The parked seconds accumulate as
 // the sequence's stall.
 type decodeTier struct {
-	dp        *dataplane
-	inbox     chan *request
-	slots     chan float64      // free-at virtual times; cap == DecodeBatch
-	outTokens int               // schema-constant generation length
-	round     *engine.IterRound // nil on single-retrieval plans
+	dp    *dataplane
+	inbox chan *request
+	slots chan float64 // free-at virtual times; cap == DecodeBatch
 }
 
 func (d *decodeTier) start(bound int) {
@@ -54,68 +51,46 @@ func (d *decodeTier) run() {
 		case <-d.dp.quit:
 			return
 		}
-		q.decStart = maxf(free, q.enqV[decIdx])
+		q.decStart = max(free, q.enqV[decIdx])
 		if d.dp.bus.Active() {
-			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeLease, T: q.decStart, Req: q.id,
+			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeLease, T: q.decStart, Req: q.ID,
 				Slot: decIdx, Stage: d.dp.slotName[decIdx], Track: "decode"})
 		}
 		go d.generate(q)
 	}
 }
 
-// generate runs one sequence's decode: a single sleep for the request's
-// own generation length on single-retrieval plans (the precompiled
-// constant-shape latency when the request is unshaped), or the §5.3
-// decode loop — decode to each trigger, park for an iterative
+// generate runs one sequence's decode walk (engine.Seq) in wall time: a
+// single sleep for its own generation on single-retrieval plans, or the
+// §5.3 decode loop — decode to each trigger, park for an iterative
 // retrieval+prefix round, resume — on iterative ones. The sequence holds
 // its decode slot throughout, parks included (continuous batching refills
 // slots only on completion), and frees it at its own output length, which
 // is what makes saturation throughput DecodeBatch over the mean stalled
 // generation time, as the shape-weighted analytical model prices it.
 func (d *decodeTier) generate(q *request) {
-	if d.round == nil || len(q.triggers) == 0 {
-		// Shape-dependent pacing: a long prompt grows the live KV context
-		// and slows its own decode steps (GenTimeForShape); unshaped
-		// requests hold the precompiled constant bit for bit.
-		d.finish(q, q.decStart+d.dp.plan.GenTimeForShape(q.promptTok, q.outTok))
-		return
-	}
-	outTokens := d.outTokens
-	if q.outTok > 0 {
-		outTokens = q.outTok
-	}
-	t, tok := q.decStart, 0
-	for ri, trig := range q.triggers {
-		// Clamp recorded positions into [tok, outTokens]: decode only
-		// moves forward, so an out-of-range or out-of-order trigger
-		// parks at the nearest legal token instead of rewinding time.
-		if trig > outTokens {
-			trig = outTokens
+	q.seq = d.dp.plan.Seq(*q.Request)
+	t := q.decStart
+	for {
+		at, park := q.seq.Advance(t)
+		if !park {
+			d.finish(q, at)
+			return
 		}
-		if trig < tok {
-			trig = tok
-		}
-		t += float64(trig-tok) * d.round.DecodeStep
-		tok = trig
-		d.dp.clock.sleepUntil(t)
-		q.parkedV = t
+		d.dp.clock.sleepUntil(at)
 		if d.dp.bus.Active() {
-			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodePark, T: t, Req: q.id,
-				Slot: d.dp.plan.DecodeIdx, Stage: "decode", Track: "decode", N: ri + 1})
+			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodePark, T: at, Req: q.ID,
+				Slot: d.dp.plan.DecodeIdx, Stage: "decode", Track: "decode", N: q.seq.Rounds})
 		}
-		q.enqV[d.dp.plan.IterRetrievalSlot()] = t
-		d.dp.submit(q, d.dp.plan.IterRetrievalSlot())
-		resumed := <-q.resume
-		q.stall += resumed - q.parkedV
+		d.dp.submit(q, d.dp.plan.IterRetrievalSlot(), at)
+		t = <-q.resume
+		stall := q.seq.Resume(t)
 		if d.dp.bus.Active() {
-			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeResume, T: resumed, Req: q.id,
+			d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeResume, T: t, Req: q.ID,
 				Slot: d.dp.plan.DecodeIdx, Stage: "decode", Track: "decode",
-				N: ri + 1, Dur: resumed - q.parkedV})
+				N: q.seq.Rounds, Dur: stall})
 		}
-		t = resumed
 	}
-	t += float64(outTokens-tok) * d.round.DecodeStep
-	d.finish(q, t)
 }
 
 // finish sleeps out the remainder of one sequence's generation, returns
@@ -123,7 +98,7 @@ func (d *decodeTier) generate(q *request) {
 func (d *decodeTier) finish(q *request, done float64) {
 	d.dp.clock.sleepUntil(done)
 	if d.dp.bus.Active() {
-		d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeFinish, T: done, Req: q.id,
+		d.dp.bus.Publish(obs.Event{Kind: obs.KindDecodeFinish, T: done, Req: q.ID,
 			Slot: d.dp.plan.DecodeIdx, Stage: "decode", Track: "decode",
 			Dur: done - q.decStart})
 	}

@@ -21,10 +21,13 @@ import (
 // through the same loop. Iterative plans (§5.3) additionally run the
 // decode loop: sequences park at their trigger positions and an iterative
 // retrieval+prefix round batches through the same tier and prefix-group
-// servers the initial pass uses, mirroring the live serving runtime. It
-// exists to validate the analytical assembly: at saturation its throughput
-// must match the compiled Plan.Metrics QPS, and unloaded its TTFT must
-// match the analytical latency chain.
+// servers the initial pass uses. ServeSim is the event-heap driver of the
+// engine's dispatch core (engine.Dispatcher, engine.Seq), the same core
+// the live runtime drives on the wall clock: every batch it forms and
+// prices, and every park, is a decision the live runtime makes the same
+// way. It exists to validate the analytical assembly: at saturation its
+// throughput must match the compiled Plan.Metrics QPS, and unloaded its
+// TTFT must match the analytical latency chain.
 type ServeSim struct {
 	plan *engine.Plan
 
@@ -94,12 +97,8 @@ func NewServe(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Sch
 // the optimizer's library and the live runtime share — so switching
 // decisions can be replayed without recompiling schedules.
 func NewServeFromPlan(plan *engine.Plan) (*ServeSim, error) {
-	if plan == nil {
-		return nil, fmt.Errorf("sim: nil plan")
-	}
-	if plan.Pipe.Schema.Iterative() && plan.Round == nil {
-		return nil, fmt.Errorf("sim: schema %q is iterative but its plan carries no decode-loop round structure; compile it through engine.Compile",
-			plan.Pipe.Schema.Name)
+	if err := plan.Executable(); err != nil {
+		return nil, err
 	}
 	return &ServeSim{plan: plan}, nil
 }
@@ -177,108 +176,28 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// stageQueue is a per-stage FIFO with a consumed-head offset, so batch
-// dispatch advances an index instead of re-copying the tail of the queue
-// (the old `append([]int(nil), q[n:]...)` was one allocation per dispatched
-// batch). The storage resets to the front whenever the queue drains, which
-// at steady state it does every flush, keeping capacity bounded.
-type stageQueue struct {
-	buf  []int
-	head int
+// simRequests resolves the simulator's request indices for its
+// dispatchers.
+type simRequests struct {
+	reqs   []trace.Request
+	enqAt  []float64 // enqAt[r*nSlots+slot]: when request r entered slot's queue
+	nSlots int
 }
 
-func (q *stageQueue) len() int  { return len(q.buf) - q.head }
-func (q *stageQueue) peek() int { return q.buf[q.head] }
-func (q *stageQueue) push(r int) {
-	q.buf = append(q.buf, r)
+func (s *simRequests) Trace(r int) *trace.Request { return &s.reqs[r] }
+func (s *simRequests) EnqueuedAt(r, slot int) float64 {
+	return s.enqAt[r*s.nSlots+slot]
 }
-
-// popN consumes the queue's first n entries. The returned slice aliases the
-// queue's storage and is valid only until the next push.
-func (q *stageQueue) popN(n int) []int {
-	b := q.buf[q.head : q.head+n]
-	q.head += n
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return b
-}
-
-// popSel consumes the entries at the given head-relative positions
-// (ascending — the order formation policies return selections in),
-// appending them to out and compacting the survivors in place.
-func (q *stageQueue) popSel(sel []int, out []int) []int {
-	for _, p := range sel {
-		out = append(out, q.buf[q.head+p])
-	}
-	ln := q.len()
-	w := q.head + sel[0]
-	k := 0
-	for p := sel[0]; p < ln; p++ {
-		if k < len(sel) && p == sel[k] {
-			k++
-			continue
-		}
-		q.buf[w] = q.buf[q.head+p]
-		w++
-	}
-	q.buf = q.buf[:w]
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
-	return out
-}
-
-// simWindow adapts a stage queue onto the executor-neutral view the
-// shared formation policy (engine.Former) decides over — the same code
-// path the live runtime's batcher consults, so both executors form
-// identical batches from identical windows.
-type simWindow struct {
-	q      *stageQueue
-	states []reqState
-	idx    int
-}
-
-func (w simWindow) Len() int                 { return w.q.len() }
-func (w simWindow) EnqueuedAt(i int) float64 { return w.states[w.q.buf[w.q.head+i]].enqAt[w.idx] }
-func (w simWindow) PromptTokens(i int) int   { return w.states[w.q.buf[w.q.head+i]].promptTok }
 
 type reqState struct {
-	arrival float64
-	ttft    float64
-	done    float64
-	// pending counts unfinished predecessors per stage; a stage becomes
-	// ready when its count reaches zero. enqAt records when the request
-	// entered each stage's queue (for batch-formation aging; virtual
-	// iterative slots included).
-	pending []int
-	enqAt   []float64
-	// promptTok and outTok are the request's sequence shape (0 = schema
-	// constant): prefix batches are costed at their members' padded
-	// maximum and decode slots are held for the request's own output
-	// length, mirroring the live runtime.
-	promptTok, outTok int
-	// Iterative decode-loop state: the remaining trigger positions, the
-	// tokens decoded so far, when the sequence parked, and the
-	// accumulated parked time. rounds counts completed parks (event
-	// numbering); decStart is when the sequence acquired its decode slot.
-	triggers []int
-	tok      int
-	parkedAt float64
-	stall    float64
-	rounds   int
+	ttft     float64
 	decStart float64
-}
-
-// genTokens is the request's generation length (schema constant when
-// unshaped).
-func (st *reqState) genTokens(schemaOut int) int {
-	if st.outTok > 0 {
-		return st.outTok
-	}
-	return schemaOut
+	// pending counts unfinished predecessors per stage; a stage becomes
+	// ready when its count reaches zero.
+	pending []int
+	// seq is the request's decode walk (engine.Plan.Seq), built when it
+	// leases a decode slot.
+	seq engine.Seq
 }
 
 // Run executes the trace. flushTimeout is how long a partially filled
@@ -289,17 +208,19 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 		return ServeResult{}, fmt.Errorf("sim: empty trace")
 	}
 	plan := s.plan
-	nSlots := plan.NumSlots()
 	busy := make([]bool, len(plan.Resources))
-	queues := make([]stageQueue, nSlots) // per-stage request queues
 	states := make([]reqState, len(reqs))
 
-	// Per-resource stage lists with the iterative round's virtual slots
-	// appended to their owning resources — the same layout the live
-	// dataplane builds, so round batches contend with the regular stages.
-	stagesOf := make([][]int, len(plan.Resources))
-	for ri := range plan.Resources {
-		stagesOf[ri] = plan.ResourceStages(ri)
+	// One dispatcher per resource — the same engine core the live runtime
+	// drives — holds the resource's stage queues (the iterative round's
+	// virtual slots included, so round batches contend with the regular
+	// stages), forms its batches and prices them, consulting the prefix
+	// cache in dispatch order.
+	nSlots := plan.NumSlots()
+	sr := &simRequests{reqs: reqs, enqAt: make([]float64, len(reqs)*nSlots), nSlots: nSlots}
+	disp := make([]*engine.Dispatcher[int], len(plan.Resources))
+	for ri := range disp {
+		disp[ri] = engine.NewDispatcher[int](plan, ri, flushTimeout, s.Cache, sr)
 	}
 
 	h := make(eventHeap, 0, 4*len(reqs))
@@ -309,128 +230,52 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 		seq++
 	}
 	decIdx := plan.DecodeIdx
-	outTokens := plan.Steps[decIdx].Stage.OutTokens
 	bus := s.Bus
 	var slotName, slotTrack []string
 	if bus != nil {
 		slotName = plan.SlotNames()
 		slotTrack = plan.TrackNames()
 	}
-	// Per-request pending/enqAt vectors carved out of two flat backing
-	// arrays: two allocations for the whole trace instead of two per
-	// request.
+	// Per-request pending vectors carved out of one flat backing array:
+	// one allocation for the whole trace instead of one per request.
 	nSteps := len(plan.Steps)
 	predCount := make([]int, nSteps)
 	for st, ps := range plan.Preds {
 		predCount[st] = len(ps)
 	}
 	pendingBuf := make([]int, len(reqs)*nSteps)
-	enqAtBuf := make([]float64, len(reqs)*nSlots)
 	for i, r := range reqs {
 		pending := pendingBuf[i*nSteps : (i+1)*nSteps : (i+1)*nSteps]
 		copy(pending, predCount)
-		states[i] = reqState{
-			arrival: r.Arrival, pending: pending,
-			enqAt:     enqAtBuf[i*nSlots : (i+1)*nSlots : (i+1)*nSlots],
-			promptTok: r.PromptTokens, outTok: r.OutputTokens,
-		}
-		if plan.Round != nil {
-			states[i].triggers = r.Triggers
-			if states[i].triggers == nil {
-				states[i].triggers = trace.TriggersFor(r.ID, plan.Round.RoundsPerSeq, states[i].genTokens(outTokens))
-			}
-		}
+		states[i].pending = pending
 		push(r.Arrival, evArrival, i, 0)
 	}
 
-	prefixIdx := plan.PrefixIdx
-	// Shared batch formation: a non-FIFO schedule consults the identical
-	// engine.Former state machine the live batcher runs — same candidate
-	// window, same ripeness rule, same tie-breaks — so both executors form
-	// the same batches. Chunked prefill slices each prefix batch into
-	// quantum-sized chunks with per-member completion times.
-	usePolicy := plan.Sched.FormPolicy != engine.PolicyFIFO
-	chunkQ := plan.Sched.ChunkQuantum
-	former := plan.Former()
-	former.Flush = flushTimeout
-	var batchBuf []int
-	var doneAt []float64
+	answerOn := s.Cache.AnswerOn()
 	decFree := plan.Sched.DecodeBatch
-	var decQueue stageQueue
-	// Scratch for per-batch prompt-shape aggregation, reused across every
-	// dispatched prefix batch.
-	var prompts []int
+	var decWait []int // requests waiting for a decode slot, FIFO
 	// Padding accounting: effective vs padded prefix-batch tokens.
-	// Constant-shape traces skip per-batch shape aggregation entirely.
 	var padTok, padTotal int64
-	anyShaped := false
-	for _, r := range reqs {
-		if r.Shaped() {
-			anyShaped = true
-			break
-		}
-	}
-	// Reuse-cache gating, mirroring the live dataplane's cacheOn/taggedAny
-	// latches: an untagged trace (or nil cache) never touches the cache.
-	cacheOn, answerOn := s.Cache.PrefixOn(), s.Cache.AnswerOn()
-	anyTagged := false
-	for _, r := range reqs {
-		if r.Tagged() {
-			anyTagged = true
-			break
-		}
-	}
-	cacheOn = cacheOn && anyTagged
-	answerOn = answerOn && anyTagged
-	schemaPrompt := plan.Pipe.Schema.PrefixTokens
 
-	// nextTrigger returns request r's next trigger position, clamped
-	// into [tok, the request's own generation length] — decode only moves
-	// forward, so an out-of-range or out-of-order recorded trigger parks
-	// at the nearest legal token instead of rewinding time (matching the
-	// live runtime's clamp).
-	nextTrigger := func(r int) int {
-		st := &states[r]
-		trig := st.triggers[0]
-		if out := st.genTokens(outTokens); trig > out {
-			trig = out
+	// advance schedules request r's next decode stop from time now: a park
+	// at its next trigger position, or its finish.
+	advance := func(r int, now float64) {
+		if at, park := states[r].seq.Advance(now); park {
+			push(at, evDecodePark, r, 0)
+		} else {
+			push(at, evDecodeDone, r, 0)
 		}
-		if trig < st.tok {
-			trig = st.tok
-		}
-		return trig
 	}
 
-	// startSeq admits request r into a decode slot at time now: a single
-	// event for the request's own generation length on single-retrieval
-	// plans (GenTimeFor takes the precompiled constant-shape path when
-	// the request is unshaped), the first decode segment of the §5.3 loop
-	// on iterative ones.
-	startSeq := func(r int, now float64) {
+	// lease admits request r into a decode slot at time now.
+	lease := func(r int, now float64) {
 		states[r].decStart = now
+		states[r].seq = plan.Seq(reqs[r])
 		if bus.Active() {
 			bus.Publish(obs.Event{Kind: obs.KindDecodeLease, T: now, Req: reqs[r].ID,
 				Slot: decIdx, Stage: slotName[decIdx], Track: "decode"})
 		}
-		if plan.Round == nil || len(states[r].triggers) == 0 {
-			// Shape-dependent pacing: a long prompt grows the live KV
-			// context and slows its own decode steps (GenTimeForShape);
-			// unshaped requests hold the precompiled constant bit for bit.
-			push(now+plan.GenTimeForShape(states[r].promptTok, states[r].outTok), evDecodeDone, r, 0)
-			return
-		}
-		states[r].tok = 0
-		push(now+float64(nextTrigger(r))*plan.Round.DecodeStep, evDecodePark, r, 0)
-	}
-
-	// nextSegment resumes request r's decode at time now, after a round.
-	nextSegment := func(r int, now float64) {
-		st := &states[r]
-		if len(st.triggers) > 0 {
-			push(now+float64(nextTrigger(r)-st.tok)*plan.Round.DecodeStep, evDecodePark, r, 0)
-			return
-		}
-		push(now+float64(st.genTokens(outTokens)-st.tok)*plan.Round.DecodeStep, evDecodeDone, r, 0)
+		advance(r, now)
 	}
 
 	// enqueue places request r at stage idx's queue (or a decode slot).
@@ -447,14 +292,14 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 			// concurrently).
 			if decFree > 0 {
 				decFree--
-				startSeq(r, now)
+				lease(r, now)
 			} else {
-				decQueue.push(r)
+				decWait = append(decWait, r)
 			}
 			return
 		}
-		queues[idx].push(r)
-		states[r].enqAt[idx] = now
+		sr.enqAt[r*nSlots+idx] = now
+		disp[plan.StepAt(idx).Resource].Push(idx, r)
 		if flushTimeout > 0 {
 			// Nudge the flush event past the deadline: it must see
 			// headAge >= flushTimeout despite float rounding, or a tail
@@ -473,134 +318,51 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 		if busy[res] {
 			return
 		}
-		// Round-robin over stages of this resource: pick the stage
-		// with the oldest waiting head among dispatchable queues.
-		best := -1
-		bestAge := math.Inf(-1)
-		selN := 0
-		var sel []int
-		for _, idx := range stagesOf[res] {
-			if queues[idx].len() == 0 {
-				continue
-			}
-			head := queues[idx].peek()
-			headAge := now - states[head].enqAt[idx]
-			if usePolicy && idx == prefixIdx {
-				// Policy formation over the whole waiting window — the
-				// same Former.Form call the live batcher makes.
-				pn, _, ps := former.Form(simWindow{&queues[idx], states, idx}, now)
-				if pn == 0 {
-					continue
-				}
-				if headAge > bestAge {
-					bestAge, best = headAge, idx
-				}
-				selN, sel = pn, ps
-				continue
-			}
-			if queues[idx].len() < plan.StepAt(idx).Batch && headAge < flushTimeout {
-				continue
-			}
-			if headAge > bestAge {
-				bestAge, best = headAge, idx
-			}
-		}
-		if best < 0 {
+		b, ok := disp[res].Pick(now)
+		if !ok {
 			return
 		}
-		var n int
-		var batch []int
-		if usePolicy && best == prefixIdx {
-			n = selN
-			batchBuf = queues[best].popSel(sel, batchBuf[:0])
-			batch = batchBuf
-		} else {
-			n = plan.StepAt(best).Batch
-			if n > queues[best].len() {
-				n = queues[best].len()
-			}
-			batch = queues[best].popN(n)
-		}
 		busy[res] = true
-		// Service time: the profiled latency at the formed batch size —
-		// prefix batches additionally costed at their members' padded
-		// maximum prompt length (or their chunked-prefill schedule), with
-		// the padding overhead accounted.
-		lat := plan.StepLatency(best, n)
-		chunked := chunkQ > 0 && best == prefixIdx
-		if best == prefixIdx && (chunked || anyShaped || cacheOn) {
-			prompts = prompts[:0]
-			for _, r := range batch {
-				pt := states[r].promptTok
-				if cacheOn && reqs[r].Tagged() {
-					// Prefix-cache lookup at batch dispatch — the same
-					// serialized Access sequence the live runtime's single
-					// prefix worker performs, so hit rates converge.
-					base := pt
-					if base <= 0 {
-						base = schemaPrompt
-					}
-					credit := s.Cache.Access(reqs[r].ChunkIDs, base)
-					pt = plan.EffectivePrompt(pt, credit)
-					if bus.Active() {
-						kind := obs.KindCacheMiss
-						if credit > 0 {
-							kind = obs.KindCacheHit
-						}
-						bus.Publish(obs.Event{Kind: kind, T: now, Req: reqs[r].ID,
-							Slot: best, Stage: slotName[best], Track: plan.Resources[res].Name, N: credit})
-					}
-				}
-				prompts = append(prompts, pt)
-			}
-			if chunked {
-				// Chunked prefill: members pad to the quantum, not the
-				// batch maximum, and each member's first token unblocks at
-				// its own chunk boundary while the resource stays busy
-				// until the last chunk.
-				var total float64
-				var ctok, cpad int
-				doneAt, total, ctok, cpad = plan.ChunkPrefill(prompts, doneAt)
-				lat = total
-				padTok += int64(ctok)
-				padTotal += int64(cpad)
-			} else if sh, tok := plan.PrefixBatchShape(prompts); sh != (engine.Shape{}) {
-				lat = plan.StepLatencyShaped(best, n, sh)
-				padTok += int64(tok)
-				padTotal += int64(n * sh.PromptTokens)
-			}
-		}
+		c := disp[res].Price(b)
+		padTok += int64(c.Tok)
+		padTotal += int64(c.Pad)
 		if bus.Active() {
+			track := plan.Resources[res].Name
+			for i, credit := range c.Credits {
+				if credit == engine.NoLookup {
+					continue
+				}
+				kind := obs.KindCacheMiss
+				if credit > 0 {
+					kind = obs.KindCacheHit
+				}
+				bus.Publish(obs.Event{Kind: kind, T: now, Req: reqs[b.Members[i]].ID,
+					Slot: b.Slot, Stage: slotName[b.Slot], Track: track, N: credit})
+			}
 			// Mirror the live runtime's scatter-gather bracket on sharded
 			// retrieval batches: one scatter at dispatch, one gather at the
 			// modeled finish, N = the shards consulted. The simulator's
 			// replicas are always healthy, so it never emits a fallback —
 			// matching a live run with no replicas down.
-			if plan.Shards() > 1 && plan.StepAt(best).Stage.Kind == pipeline.KindRetrieval {
-				bus.Publish(obs.Event{Kind: obs.KindShardScatter, T: now, Req: reqs[batch[0]].ID,
-					Slot: best, Stage: slotName[best], Track: plan.Resources[res].Name, N: plan.EffectiveFanout()})
-				bus.Publish(obs.Event{Kind: obs.KindShardGather, T: now + lat, Req: reqs[batch[0]].ID,
-					Slot: best, Stage: slotName[best], Track: plan.Resources[res].Name, N: plan.EffectiveFanout(), Dur: lat})
+			if plan.Shards() > 1 && plan.StepAt(b.Slot).Stage.Kind == pipeline.KindRetrieval {
+				id := reqs[b.Members[0]].ID
+				bus.Publish(obs.Event{Kind: obs.KindShardScatter, T: now, Req: id,
+					Slot: b.Slot, Stage: slotName[b.Slot], Track: track, N: plan.EffectiveFanout()})
+				bus.Publish(obs.Event{Kind: obs.KindShardGather, T: now + c.Latency, Req: id,
+					Slot: b.Slot, Stage: slotName[b.Slot], Track: track, N: plan.EffectiveFanout(), Dur: c.Latency})
 			}
-			for i, r := range batch {
-				fin, dur := now+lat, lat
-				if chunked {
-					fin, dur = now+doneAt[i], doneAt[i]
-				}
+			n := len(b.Members)
+			for i, r := range b.Members {
 				bus.Publish(obs.Event{Kind: obs.KindStageStart, T: now, Req: reqs[r].ID,
-					Slot: best, Stage: slotName[best], Track: plan.Resources[res].Name, N: n})
-				bus.Publish(obs.Event{Kind: obs.KindStageFinish, T: fin, Req: reqs[r].ID,
-					Slot: best, Stage: slotName[best], Track: plan.Resources[res].Name, N: n, Dur: dur})
+					Slot: b.Slot, Stage: slotName[b.Slot], Track: track, N: n})
+				bus.Publish(obs.Event{Kind: obs.KindStageFinish, T: now + c.DoneAt[i], Req: reqs[r].ID,
+					Slot: b.Slot, Stage: slotName[b.Slot], Track: track, N: n, Dur: c.DoneAt[i]})
 			}
 		}
-		for i, r := range batch {
-			if chunked {
-				push(now+doneAt[i], evStageDone, r, best)
-			} else {
-				push(now+lat, evStageDone, r, best)
-			}
+		for i, r := range b.Members {
+			push(now+c.DoneAt[i], evStageDone, r, b.Slot)
 		}
-		push(now+lat, evResourceFree, res, 0)
+		push(now+c.Latency, evResourceFree, res, 0)
 	}
 
 	// ready moves request r into stage idx once its predecessors finish.
@@ -638,11 +400,10 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 			// arrival instant without touching any server (TTFT, latency,
 			// and stall all zero), mirroring the live dataplane's admit.
 			if answerOn && reqs[e.a].Tagged() &&
-				s.Cache.AnswerLookup(reqs[e.a].ChunkIDs, states[e.a].promptTok, states[e.a].outTok) {
+				s.Cache.AnswerLookup(reqs[e.a].ChunkIDs, reqs[e.a].PromptTokens, reqs[e.a].OutputTokens) {
 				if bus.Active() {
 					bus.Publish(obs.Event{Kind: obs.KindCacheAnswerHit, T: now, Req: reqs[e.a].ID})
 				}
-				states[e.a].done = now
 				completed++
 				inflight--
 				doneV = append(doneV, now)
@@ -665,14 +426,9 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 		case evDecodePark:
 			// The sequence reached a trigger position: park it (slot
 			// held) and queue the iterative retrieval half of the round.
-			st := &states[e.a]
-			st.tok = nextTrigger(e.a)
-			st.triggers = st.triggers[1:]
-			st.parkedAt = now
-			st.rounds++
 			if bus.Active() {
 				bus.Publish(obs.Event{Kind: obs.KindDecodePark, T: now, Req: reqs[e.a].ID,
-					Slot: decIdx, Stage: "decode", Track: "decode", N: st.rounds})
+					Slot: decIdx, Stage: "decode", Track: "decode", N: states[e.a].seq.Rounds})
 			}
 			ready(e.a, plan.IterRetrievalSlot(), now)
 		case evStageDone:
@@ -683,18 +439,18 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 					ready(r, plan.IterPrefixSlot(), now)
 					continue
 				case plan.IterPrefixSlot():
-					states[r].stall += now - states[r].parkedAt
+					stall := states[r].seq.Resume(now)
 					if bus.Active() {
 						bus.Publish(obs.Event{Kind: obs.KindDecodeResume, T: now, Req: reqs[r].ID,
 							Slot: decIdx, Stage: "decode", Track: "decode",
-							N: states[r].rounds, Dur: now - states[r].parkedAt})
+							N: states[r].seq.Rounds, Dur: stall})
 					}
-					nextSegment(r, now)
+					advance(r, now)
 					continue
 				}
 			}
-			if idx == prefixIdx {
-				states[r].ttft = now - states[r].arrival
+			if idx == plan.PrefixIdx {
+				states[r].ttft = now - reqs[r].Arrival
 			}
 			for _, succ := range plan.Succs[idx] {
 				states[r].pending[succ]--
@@ -704,7 +460,6 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 			}
 		case evDecodeDone:
 			r := e.a
-			states[r].done = now
 			completed++
 			inflight--
 			if bus.Active() {
@@ -718,16 +473,17 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 			}
 			lastDone = now
 			sumTTFT += states[r].ttft
-			sumLat += now - states[r].arrival
-			sumStall += states[r].stall
+			sumLat += now - reqs[r].Arrival
+			sumStall += states[r].seq.Stall
 			if answerOn && reqs[r].Tagged() {
-				s.Cache.AnswerStore(reqs[r].ChunkIDs, states[r].promptTok, states[r].outTok)
+				s.Cache.AnswerStore(reqs[r].ChunkIDs, reqs[r].PromptTokens, reqs[r].OutputTokens)
 			}
 			decFree++
-			if decQueue.len() > 0 {
-				nxt := decQueue.popN(1)[0]
+			if len(decWait) > 0 {
+				nxt := decWait[0]
+				decWait = decWait[1:]
 				decFree--
-				startSeq(nxt, now)
+				lease(nxt, now)
 			}
 		}
 	}
