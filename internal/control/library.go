@@ -53,7 +53,8 @@ type Entry struct {
 	Recall float64 `json:"recall,omitempty"`
 	// PadEff is the plan's expected effective-to-padded prefill token
 	// ratio on the shape sample the library was last weighted by
-	// (WeightByShapes); 0 until weighted, 1 means zero padding waste.
+	// (Reweight, or WeightByShapes through it); 0 until weighted, 1 means
+	// zero padding waste.
 	PadEff float64 `json:"pad_eff,omitempty"`
 }
 

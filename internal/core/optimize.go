@@ -35,8 +35,8 @@ type Options struct {
 	// Placements overrides the Fig. 13 legal enumeration when non-nil.
 	Placements []pipeline.Placement
 	// Shapes, when non-empty, scores every candidate schedule by the
-	// policy-aware shape-weighted metrics (engine.ShapeMetricsWithPolicy)
-	// over this per-request length sample instead of the schema constants.
+	// policy-aware shape-weighted metrics (engine.Plan.ShapeMetrics) over
+	// this per-request length sample instead of the schema constants.
 	// Heterogeneous traffic is what differentiates formation policies; the
 	// plan bounds relax onto the sample minima to stay admissible against
 	// the shaped pricing.

@@ -125,10 +125,13 @@ type Plan struct {
 	ChunkLatency float64
 
 	prof *stageperf.Profiler
-	// cpScratch, when non-nil, is the critical-path walk's reusable
-	// buffer. Only Evaluator-owned scratch plans set it: a compiled Plan
-	// stays immutable and concurrency-safe, so its walks allocate.
+	// cpScratch and memo, when non-nil, are the critical-path walk's
+	// reusable buffer and ShapeMetrics' sample memo (shapeMemo). Only
+	// Evaluator-owned scratch plans set them: a compiled Plan stays
+	// immutable and concurrency-safe, so its walks allocate and it prices
+	// every sample cold.
 	cpScratch []float64
+	memo      *shapeMemo
 }
 
 // Compile resolves a schedule against a pipeline into the shared
@@ -191,6 +194,7 @@ func NewEvaluator(pipe pipeline.Pipeline, prof *stageperf.Profiler) (*Evaluator,
 	e := &Evaluator{pipe: pipe, prof: prof}
 	e.plan.buildGraph(pipe)
 	e.plan.cpScratch = make([]float64, len(pipe.Stages))
+	e.plan.memo = new(shapeMemo)
 	return e, nil
 }
 
@@ -205,10 +209,11 @@ func (e *Evaluator) Evaluate(sched Schedule) (perf.Metrics, bool) {
 
 // EvaluateShaped compiles sched into the scratch plan and returns its
 // shape-weighted metrics over the given length sample — the policy-aware
-// expected-padding pricing (ShapeMetricsWithPolicy at the schedule's own
-// FormPolicy and ChunkQuantum) the schedule search scores candidates with
-// when formation is a search dimension. An empty sample falls back to the
-// constant-shape metrics, bit-identical to Evaluate.
+// expected-padding pricing (ShapeMetrics at the schedule's own FormPolicy
+// and ChunkQuantum) the schedule search scores candidates with when
+// formation is a search dimension, memoized per sample (shapeMemo) and
+// bit-identical to a cold Compile(...).ShapeMetrics. An empty sample falls
+// back to the constant-shape metrics, bit-identical to Evaluate.
 func (e *Evaluator) EvaluateShaped(sched Schedule, shapes []Shape) (perf.Metrics, bool) {
 	if err := compileInto(&e.plan, e.pipe, sched, e.prof, false); err != nil {
 		return perf.Metrics{}, false

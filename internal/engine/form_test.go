@@ -228,9 +228,9 @@ func TestDecodeStepForPacing(t *testing.T) {
 	}
 }
 
-// TestShapeMetricsWithPolicyOrdering: on a heavy-tailed mix the
-// shape-aware policies must price a faster expected prefix than FIFO
-// pad-to-max, and chunked prefill must beat unchunked FIFO on expected
+// TestShapeMetricsWithPolicyOrdering: on a heavy-tailed mix, plans
+// compiled under the shape-aware policies must price a faster expected
+// prefix than FIFO pad-to-max, and chunked prefill must beat unchunked FIFO on expected
 // TTFT; PadEfficiency must rank bucketed above FIFO.
 func TestShapeMetricsWithPolicyOrdering(t *testing.T) {
 	plan, _, _ := mustCompile(t, ragschema.CaseI(8e9, 1), caseISchedule())
@@ -244,9 +244,16 @@ func TestShapeMetricsWithPolicyOrdering(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		shapes = append(shapes, Shape{PromptTokens: 2000 + i*250, OutputTokens: 256})
 	}
-	fifo := plan.ShapeMetricsWithPolicy(shapes, PolicyFIFO)
-	buck := plan.ShapeMetricsWithPolicy(shapes, PolicyBucketed)
-	sorted := plan.ShapeMetricsWithPolicy(shapes, PolicySorted)
+	withPolicy := func(pol BatchPolicy) *Plan {
+		sched := caseISchedule()
+		sched.FormPolicy = pol
+		p, _, _ := mustCompile(t, ragschema.CaseI(8e9, 1), sched)
+		return p
+	}
+	fifo := plan.ShapeMetrics(shapes)
+	bplan := withPolicy(PolicyBucketed)
+	buck := bplan.ShapeMetrics(shapes)
+	sorted := withPolicy(PolicySorted).ShapeMetrics(shapes)
 	if !(buck.QPS >= fifo.QPS && sorted.QPS >= fifo.QPS) {
 		t.Errorf("policy-aware QPS should not trail FIFO: fifo %.2f bucketed %.2f sorted %.2f",
 			fifo.QPS, buck.QPS, sorted.QPS)
@@ -266,9 +273,6 @@ func TestShapeMetricsWithPolicyOrdering(t *testing.T) {
 	if eff := plan.PadEfficiency(shapes); eff <= 0 || eff >= 1 {
 		t.Errorf("FIFO pad efficiency %.3f implausible for a heavy mix", eff)
 	}
-	bp := caseISchedule()
-	bp.FormPolicy = PolicyBucketed
-	bplan, _, _ := mustCompile(t, ragschema.CaseI(8e9, 1), bp)
 	if fe, be := plan.PadEfficiency(shapes), bplan.PadEfficiency(shapes); !(be > fe) {
 		t.Errorf("bucketed pad efficiency %.3f should exceed FIFO's %.3f", be, fe)
 	}

@@ -135,8 +135,13 @@ func (p *Plan) DecodeStepFor(promptTok, outTok int) float64 {
 	if promptTok <= 0 {
 		return p.DecodeStep
 	}
+	return p.decodePace(PadTokens(promptTok + p.GenTokens(outTok)/2))
+}
+
+// decodePace is the per-token decode pace at a padded live KV context.
+func (p *Plan) decodePace(ctx int) float64 {
 	st := p.Steps[p.DecodeIdx]
-	shaped := stageperf.ShapedDecodeStage(st.Stage, PadTokens(promptTok+p.GenTokens(outTok)/2))
+	shaped := stageperf.ShapedDecodeStage(st.Stage, ctx)
 	if pt := p.prof.EvalR(shaped, st.Chips, st.Batch, st.Replicas); pt.OK && pt.StepLatency > 0 {
 		return pt.StepLatency
 	}
@@ -160,42 +165,34 @@ func (p *Plan) GenTimeForShape(promptTok, outTok int) float64 {
 // constant-shape traces.
 //
 // Prefill: at saturation the prefix worker serves full batches of B
-// members drawn from the trace, each costed at the padded maximum of its
-// members, so the expected batch latency is E[L(pad(max of B draws))] —
-// computed exactly from the empirical CDF (P(max <= v) = F(v)^B) with each
-// distinct padded length priced through the memoizing profiler. That
-// expectation replaces the constant-shape prefix latency in both the TTFT
-// critical path and the prefix group's occupancy. Decode: slots free at
-// each request's own output length, so the tier's throughput bound is
+// members, each costed at the padded maximum of its members, so under the
+// plan's formation policy the expected batch latency is: for FIFO,
+// E[L(pad(max of B draws))] over the whole distribution, computed exactly
+// from the empirical CDF (P(max <= v) = F(v)^B) with each distinct padded
+// length priced through the memoizing profiler; for Bucketed, the same
+// expectation within each pow2 length bucket weighted by bucket mass
+// (batches only ever mix within a bucket); for SortedWindow, consecutive
+// blocks of the sorted distribution (a saturated window dispatches
+// neighbors). That expectation replaces the constant-shape prefix latency
+// in both the TTFT critical path and the prefix group's occupancy.
+// Chunked-prefill plans (ChunkQuantum > 0) price the prefix in chunk terms
+// instead: per-request occupancy is the request's own expected chunk
+// count, and the TTFT contribution is the mean member completion within a
+// full batch, reflecting chunk pipelining. Decode: slots free at each
+// request's own output length, so the tier's throughput bound is
 // DecodeBatch over the mean per-request generation time (iterative stalls
 // included), and TPOT is the mean per-token pace. Stages whose cost is
 // shape-independent keep their compiled occupancies.
 func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
-	return p.ShapeMetricsWithPolicy(shapes, p.Sched.FormPolicy)
-}
-
-// ShapeMetricsWithPolicy is ShapeMetrics priced under an explicit
-// batch-formation policy, so callers (the schedule search, the
-// controller's capacity weighting) can compare policies on one compiled
-// plan. The prefix expectation per policy comes from the empirical length
-// CDF: FIFO prices E[L(pad(max of B draws))] over the whole
-// distribution; Bucketed conditions the same expectation within each
-// pow2 length bucket and weights by bucket mass (batches only ever mix
-// within a bucket); SortedWindow prices consecutive blocks of the sorted
-// length distribution (a saturated sorted window dispatches neighbors).
-// Chunked-prefill plans (ChunkQuantum > 0) price the prefix in chunk
-// terms instead — per-request occupancy is the request's own expected
-// chunk count, and the TTFT contribution is the mean member completion
-// within a full batch, reflecting chunk pipelining.
-func (p *Plan) ShapeMetricsWithPolicy(shapes []Shape, pol BatchPolicy) perf.Metrics {
 	if len(shapes) == 0 {
 		return p.Metrics
 	}
-	var sumGen, sumOut float64
-	for _, s := range shapes {
-		sumGen += p.GenTimeForShape(s.PromptTokens, s.OutputTokens) + p.Iter.StallPerRequest
-		sumOut += float64(p.GenTokens(s.OutputTokens))
+	m := p.memo
+	if m == nil {
+		m = new(shapeMemo) // a compiled plan stays immutable: price cold
 	}
+	m.load(p, shapes)
+	sumGen, sumOut := m.decodeSums(p)
 	n := float64(len(shapes))
 	meanGen := sumGen / n
 
@@ -203,11 +200,7 @@ func (p *Plan) ShapeMetricsWithPolicy(shapes []Shape, pol BatchPolicy) perf.Metr
 	var deltaOcc, ttftPrefix float64
 	if q := p.Sched.ChunkQuantum; q > 0 {
 		var chunks float64
-		for _, s := range shapes {
-			pt := s.PromptTokens
-			if pt <= 0 {
-				pt = p.Pipe.Schema.PrefixTokens
-			}
+		for _, pt := range m.raw {
 			chunks += float64((pt + q - 1) / q)
 		}
 		perReq := chunks / n * p.ChunkLatency
@@ -217,7 +210,7 @@ func (p *Plan) ShapeMetricsWithPolicy(shapes []Shape, pol BatchPolicy) perf.Metr
 	} else {
 		// Expected full-batch prefix latency over the policy's padded-max
 		// distribution.
-		elPrefix := p.expectedPrefixLatencyPolicy(shapes, prefix.Batch, pol)
+		elPrefix := m.prefixLatency(p)
 		deltaOcc = (elPrefix - prefix.Latency) / float64(prefix.Batch)
 		ttftPrefix = elPrefix
 	}
@@ -241,28 +234,91 @@ func (p *Plan) ShapeMetricsWithPolicy(shapes []Shape, pol BatchPolicy) perf.Metr
 	}
 }
 
-// paddedPrompts resolves the sample onto the padding grid (unshaped
-// entries at the schema constant); shaped is false when every entry rode
-// the schema constant.
-func (p *Plan) paddedPrompts(shapes []Shape) (padded []int, shaped bool) {
-	padded = make([]int, len(shapes))
-	for i, s := range shapes {
-		pr := s.PromptTokens
+// shapeMemo is a shape sample normalized once, plus ShapeMetrics' two
+// sample terms keyed on exactly the plan fields they read (a zero key
+// matches no compiled step). An Evaluator's scratch plan keeps one across
+// candidates: the policy, quantum, nprobe and fanout the search stamps onto
+// a partial schedule never move the decode step, so each distinct decode or
+// prefix step is priced once per sample — by the code a cold call runs, so
+// bit-identically. Normalization reads only the fixed schema constants.
+type shapeMemo struct {
+	shapes []Shape // private copy: callers' samples are validated by content
+	raw    []int   // effective prompts (schema constant when unshaped)
+	padded []int   // raw on the padding grid, sorted
+	ctx    []int   // padded live decode context; 0 for unshaped prompts
+	shaped bool
+
+	dec            decodeKey
+	sumGen, sumOut float64
+	pre            [PolicySorted + 1]prefixSlot // one per policy: the search cycles them
+}
+
+type decodeKey struct {
+	step        Step
+	pace, stall float64
+}
+
+type prefixSlot struct {
+	step Step
+	el   float64
+}
+
+// load makes shapes the memo's sample, re-normalizing it and dropping both
+// terms unless it equals the current sample by content.
+func (m *shapeMemo) load(p *Plan, shapes []Shape) {
+	if slices.Equal(m.shapes, shapes) {
+		return
+	}
+	m.shapes = append(m.shapes[:0], shapes...)
+	m.raw, m.padded, m.ctx, m.shaped = m.raw[:0], m.padded[:0], m.ctx[:0], false
+	for _, s := range shapes {
+		pr, ctx := s.PromptTokens, 0
 		if pr > 0 {
-			shaped = true
+			m.shaped = true
+			ctx = PadTokens(pr + p.GenTokens(s.OutputTokens)/2)
 		} else {
 			pr = p.Pipe.Schema.PrefixTokens
 		}
-		padded[i] = PadTokens(pr)
+		m.raw, m.padded, m.ctx = append(m.raw, pr), append(m.padded, PadTokens(pr)), append(m.ctx, ctx)
 	}
-	return padded, shaped
+	sort.Ints(m.padded)
+	m.dec, m.pre = decodeKey{}, [len(m.pre)]prefixSlot{}
 }
 
-// expectedPrefixLatencyPolicy is the expected full-batch prefix latency
-// under a formation policy. With every entry unshaped it degenerates to
-// the precompiled latency for every policy.
-func (p *Plan) expectedPrefixLatencyPolicy(shapes []Shape, batch int, pol BatchPolicy) float64 {
-	padded, shaped := p.paddedPrompts(shapes)
+// decodeSums is the decode-side term: the sample's summed slot holding
+// time (GenTimeForShape plus the iterative stall) and generation length.
+func (m *shapeMemo) decodeSums(p *Plan) (sumGen, sumOut float64) {
+	key := decodeKey{p.Steps[p.DecodeIdx], p.DecodeStep, p.Iter.StallPerRequest}
+	if m.dec == key {
+		return m.sumGen, m.sumOut
+	}
+	for i, s := range m.shapes {
+		gen := p.GenTimeFor(s.OutputTokens)
+		if m.ctx[i] > 0 {
+			gen = float64(p.GenTokens(s.OutputTokens)) * p.decodePace(m.ctx[i])
+		}
+		sumGen += gen + p.Iter.StallPerRequest
+		sumOut += float64(p.GenTokens(s.OutputTokens))
+	}
+	m.dec, m.sumGen, m.sumOut = key, sumGen, sumOut
+	return sumGen, sumOut
+}
+
+// prefixLatency is the non-chunked prefix term: the expected full-batch
+// prefix latency under the plan's formation policy.
+func (m *shapeMemo) prefixLatency(p *Plan) float64 {
+	pol := p.Sched.FormPolicy // out of range only on a cold memo: Validate rejects it
+	slot := &m.pre[min(uint(pol), uint(len(m.pre)-1))]
+	if step := p.Steps[p.PrefixIdx]; slot.step != step {
+		slot.step, slot.el = step, p.expectedPrefixLatency(m.padded, m.shaped, step.Batch, pol)
+	}
+	return slot.el
+}
+
+// expectedPrefixLatency prices a sorted padded sample's expected
+// full-batch prefix latency under a formation policy. With every entry
+// unshaped it degenerates to the precompiled latency for every policy.
+func (p *Plan) expectedPrefixLatency(padded []int, shaped bool, batch int, pol BatchPolicy) float64 {
 	if !shaped {
 		return p.Steps[p.PrefixIdx].Latency
 	}
@@ -270,19 +326,10 @@ func (p *Plan) expectedPrefixLatencyPolicy(shapes []Shape, batch int, pol BatchP
 	case PolicyBucketed:
 		// Batches never mix buckets: condition the padded-max expectation
 		// within each pow2 bucket and weight by bucket mass.
-		sort.Ints(padded)
 		var el float64
 		n := float64(len(padded))
 		for i := 0; i < len(padded); {
-			hi := padded[i]
-			b := PadQuantum
-			for b < hi {
-				b <<= 1
-			}
-			j := i
-			for j < len(padded) && padded[j] <= b {
-				j++
-			}
+			j := bucketEnd(padded, i)
 			el += float64(j-i) / n * p.expectedMaxLatency(padded[i:j], batch)
 			i = j
 		}
@@ -291,20 +338,29 @@ func (p *Plan) expectedPrefixLatencyPolicy(shapes []Shape, batch int, pol BatchP
 		// A saturated sorted window dispatches consecutive sorted runs:
 		// partition the sorted sample into blocks of `batch` and price
 		// each request at its block's padded maximum.
-		sort.Ints(padded)
 		var el float64
 		n := float64(len(padded))
 		for i := 0; i < len(padded); i += batch {
-			j := i + batch
-			if j > len(padded) {
-				j = len(padded)
-			}
+			j := min(i+batch, len(padded))
 			el += float64(j-i) / n * p.StepLatencyShaped(p.PrefixIdx, batch, Shape{PromptTokens: padded[j-1]})
 		}
 		return el
 	}
-	sort.Ints(padded)
 	return p.expectedMaxLatency(padded, batch)
+}
+
+// bucketEnd is the end of the pow2 length bucket that starts at index i of
+// a sorted padded sample.
+func bucketEnd(padded []int, i int) int {
+	b := PadQuantum
+	for b < padded[i] {
+		b <<= 1
+	}
+	j := i
+	for j < len(padded) && padded[j] <= b {
+		j++
+	}
+	return j
 }
 
 // expectedMaxLatency is E[L(max of batch draws)] over a sorted padded
@@ -352,62 +408,43 @@ func expectedMaxPadded(padded []int, batch int) float64 {
 // controller's capacity staircase weights library entries by it, so a
 // policy that wastes less prefill earns proportionally more admitted
 // load. Empty and all-unshaped samples return 1: constant-shape batches
-// pad nothing under any policy.
+// pad nothing under any policy. Chunked-prefill plans pad each raw prompt
+// straight to the chunk quantum, exactly as ChunkPrefill does.
 func (p *Plan) PadEfficiency(shapes []Shape) float64 {
-	padded, shaped := p.paddedPrompts(shapes)
-	if !shaped || len(padded) == 0 {
+	var m shapeMemo
+	m.load(p, shapes)
+	if !m.shaped {
 		return 1
 	}
-	var eff float64
-	for _, s := range shapes {
-		pt := s.PromptTokens
-		if pt <= 0 {
-			pt = p.Pipe.Schema.PrefixTokens
-		}
+	q := p.Sched.ChunkQuantum
+	var eff, padTotal float64
+	for _, pt := range m.raw {
 		eff += float64(pt)
+		if q > 0 {
+			padTotal += float64((pt + q - 1) / q * q)
+		}
 	}
+	padded := m.padded
 	n := float64(len(padded))
 	batch := p.Steps[p.PrefixIdx].Batch
-	var padTotal float64
-	if q := p.Sched.ChunkQuantum; q > 0 {
-		for _, v := range padded {
-			padTotal += float64((v + q - 1) / q * q)
-		}
-	} else {
+	if q <= 0 {
 		switch p.Sched.FormPolicy {
 		case PolicyBucketed:
-			sort.Ints(padded)
 			for i := 0; i < len(padded); {
-				hi := padded[i]
-				b := PadQuantum
-				for b < hi {
-					b <<= 1
-				}
-				j := i
-				for j < len(padded) && padded[j] <= b {
-					j++
-				}
+				j := bucketEnd(padded, i)
 				padTotal += float64(j-i) * expectedMaxPadded(padded[i:j], batch)
 				i = j
 			}
 		case PolicySorted:
-			sort.Ints(padded)
 			for i := 0; i < len(padded); i += batch {
-				j := i + batch
-				if j > len(padded) {
-					j = len(padded)
-				}
+				j := min(i+batch, len(padded))
 				padTotal += float64(j-i) * float64(padded[j-1])
 			}
 		default:
-			sort.Ints(padded)
 			padTotal = n * expectedMaxPadded(padded, batch)
 		}
 	}
-	if padTotal <= 0 {
-		return 1
-	}
-	if eff > padTotal {
+	if padTotal <= 0 || eff > padTotal {
 		return 1
 	}
 	return eff / padTotal

@@ -2,9 +2,15 @@ package engine
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"rago/internal/hw"
+	"rago/internal/perf"
+	"rago/internal/pipeline"
 	"rago/internal/ragschema"
+	"rago/internal/stageperf"
 )
 
 func caseISchedule() Schedule {
@@ -144,5 +150,145 @@ func TestShapeMetrics(t *testing.T) {
 	}
 	if !(sm.TTFT < plan.Metrics.TTFT) {
 		t.Errorf("short-request TTFT %v should undercut constant %v", sm.TTFT, plan.Metrics.TTFT)
+	}
+}
+
+// TestPadEfficiencyMatchesChunkPrefill: under chunked prefill the analytic
+// pad efficiency of a one-batch sample is exactly the token ratio the
+// executors' ChunkPrefill pads that batch to — on and off the 64-token
+// padding grid.
+func TestPadEfficiencyMatchesChunkPrefill(t *testing.T) {
+	prompts := []int{90, 20, 700}
+	shapes := make([]Shape, len(prompts))
+	for i, pt := range prompts {
+		shapes[i] = Shape{PromptTokens: pt, OutputTokens: 128}
+	}
+	for _, q := range []int{32, 100, 256} {
+		sched := caseISchedule()
+		sched.ChunkQuantum = q
+		plan, _, _ := mustCompile(t, ragschema.CaseI(8e9, 1), sched)
+		_, _, tok, pad := plan.ChunkPrefill(prompts, nil)
+		if got, want := plan.PadEfficiency(shapes), float64(tok)/float64(pad); got != want {
+			t.Errorf("q=%d: PadEfficiency %v, ChunkPrefill pads to %d/%d = %v", q, got, tok, pad, want)
+		}
+	}
+}
+
+// TestEvaluateShapedMemo drives one Evaluator per pipeline through an
+// interleaved sequence of schedules that moves every field the memoized
+// terms are keyed on — policy, chunk quantum, nprobe, fanout, prefix
+// batch, decode batch and replicas, and (on the iterative Case III
+// pipeline) the per-request stall — and requires every result to equal a
+// freshly compiled plan's cold ShapeMetrics bit for bit. A sample mutated
+// in place, and an equal-content copy of it, must both price fresh.
+func TestEvaluateShapedMemo(t *testing.T) {
+	shapes := make([]Shape, 96)
+	for i := range shapes {
+		shapes[i] = Shape{PromptTokens: 150 + (i*53)%700, OutputTokens: 64 + (i*29)%400}
+		if i%9 == 0 {
+			shapes[i] = Shape{PromptTokens: 1800 + i*20, OutputTokens: 512}
+		}
+		if i%11 == 0 {
+			shapes[i] = Shape{} // schema constant
+		}
+	}
+	same := func(a, b perf.Metrics) bool {
+		for _, f := range [][2]float64{{a.TTFT, b.TTFT}, {a.TPOT, b.TPOT}, {a.QPS, b.QPS}, {a.QPSPerChip, b.QPSPerChip}, {a.Recall, b.Recall}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				return false
+			}
+		}
+		return true
+	}
+	for _, tc := range []struct {
+		name   string
+		schema ragschema.Schema
+		iters  []int
+	}{
+		{"caseI", ragschema.CaseI(8e9, 1), []int{0}},
+		{"caseIII", ragschema.CaseIII(8e9, 4), []int{8, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pipe, err := pipeline.Build(tc.schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof := stageperf.New(hw.XPUC, hw.EPYCHost, tc.schema)
+			prof.Shards = 8
+			ev, err := NewEvaluator(pipe, prof)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var scheds []Schedule
+			for _, pb := range []int{8, 4} {
+				for _, dec := range [][2]int{{128, 4}, {64, 2}, {128, 2}} {
+					for _, ib := range tc.iters {
+						for _, pol := range []BatchPolicy{PolicyFIFO, PolicyBucketed, PolicySorted} {
+							for _, q := range []int{0, 256} {
+								for _, np := range []int{0, 32} {
+									for _, fo := range []int{0, 2} {
+										s := caseISchedule()
+										s.Groups = []GroupSchedule{{Stages: []int{1}, Chips: 16, Batch: pb}}
+										s.DecodeBatch, s.DecodeReplicas, s.IterativeBatch = dec[0], dec[1], ib
+										s.FormPolicy, s.ChunkQuantum, s.NProbe, s.ShardFanout = pol, q, np, fo
+										scheds = append(scheds, s)
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			feasible := 0
+			check := func(s Schedule, sample []Shape) perf.Metrics {
+				t.Helper()
+				got, ok := ev.EvaluateShaped(s, sample)
+				plan, err := Compile(pipe, s, prof)
+				if (err == nil) != ok {
+					t.Fatalf("%+v: EvaluateShaped ok=%v but Compile err=%v", s, ok, err)
+				}
+				if ok {
+					feasible++
+					if want := plan.ShapeMetrics(sample); !same(got, want) {
+						t.Fatalf("%+v: memoized %+v != cold %+v", s, got, want)
+					}
+				}
+				return got
+			}
+			// Search order first (knobs innermost, as the search stamps
+			// them), then a shuffled revisit that lands on every key from
+			// a different predecessor.
+			order := rand.New(rand.NewSource(1)).Perm(len(scheds))
+			for _, s := range scheds {
+				check(s, shapes)
+			}
+			stalls := map[float64]bool{}
+			for _, i := range order {
+				check(scheds[i], shapes)
+				if ev.plan.Round != nil {
+					stalls[ev.plan.Iter.StallPerRequest] = true
+				}
+			}
+			if feasible < len(scheds) {
+				t.Fatalf("only %d of %d schedule visits feasible", feasible, 2*len(scheds))
+			}
+			if len(tc.iters) > 1 && len(stalls) < 2 {
+				t.Fatalf("iterative schedules never moved the per-request stall (%v)", stalls)
+			}
+
+			// The caller's slice mutated in place must not read stale terms,
+			// and an equal-content copy must price the same.
+			sample := slices.Clone(shapes)
+			before := check(scheds[0], sample)
+			for i := range sample {
+				sample[i].PromptTokens += 300
+				sample[i].OutputTokens += 40
+			}
+			if after := check(scheds[0], sample); same(before, after) {
+				t.Fatal("mutating the sample did not move the metrics; the check is vacuous")
+			}
+			check(scheds[0], slices.Clone(sample))
+			check(scheds[0], shapes)
+		})
 	}
 }
