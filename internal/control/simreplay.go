@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"rago/internal/cache"
+	"rago/internal/engine"
 	"rago/internal/sim"
 	"rago/internal/trace"
 )
@@ -141,27 +142,16 @@ func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout flo
 		out.Completed += r.Completed
 		out.Rejected += r.Rejected
 		out.Segments++
-		segQPS := 0.0
-		if sp := r.LastDone - r.FirstDone; sp > 0 && r.Completed > 1 {
-			segQPS = float64(r.Completed-1) / sp
-		}
 		out.PerSegment = append(out.PerSegment, SegmentSim{
 			Entry: tn.entry, FromV: tn.from,
 			Requests: len(seg), Completed: r.Completed, Rejected: r.Rejected,
-			FirstDone: r.FirstDone, LastDone: r.LastDone, QPS: segQPS,
+			FirstDone: r.FirstDone, LastDone: r.LastDone, QPS: r.QPS,
 		})
-		if r.FirstDone < first {
-			first = r.FirstDone
-		}
-		if r.LastDone > last {
-			last = r.LastDone
-		}
+		first, last = min(first, r.FirstDone), max(last, r.LastDone)
 	}
 	if out.Completed == 0 {
 		return SimResult{}, fmt.Errorf("control: sim replay completed nothing")
 	}
-	if span := last - first; span > 0 && out.Completed > 1 {
-		out.QPS = float64(out.Completed-1) / span
-	}
+	out.QPS = engine.CompletionRate(out.Completed, first, last)
 	return out, nil
 }

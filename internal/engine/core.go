@@ -1,0 +1,488 @@
+package engine
+
+import (
+	"sort"
+
+	"rago/internal/cache"
+	"rago/internal/obs"
+	"rago/internal/pipeline"
+	"rago/internal/trace"
+)
+
+// The request-level state machine. A Core runs one compiled plan over a
+// trace: admission and MaxInFlight shedding, the answer tier, the stage
+// graph's joins and entry routing, one Dispatcher per resource, the
+// decode-slot FIFO and lease, the §5.3 park → round → resume chain, and
+// every request-level obs event. It is clock-free and single-goroutine: it
+// keeps its own pending events in a typed heap and handles them one at a
+// time in (virtual time, push order), so the only thing a driver decides
+// is when each event is handled. sim.ServeSim drives one Core as a pure
+// event loop; serve.Server drives one Core per plan epoch on the wall
+// clock, sleeping to each event's wall instant. Both merge the trace's
+// arrivals in by Ledger.NextArrival, an arrival winning a tie with any core
+// event, so both hand the core the same event sequence and it makes the
+// same decisions and publishes the same stream.
+
+// Ledger is the per-request state of one trace run, indexed by trace
+// position: pending-predecessor counts, queue-entry times, TTFT, decode
+// start and decode walk, plus the run's admission bound, in-flight count
+// and arrival cursor. Every Core serving the trace shares it — the live
+// runtime runs one Core per plan epoch, and a request keeps its state on
+// the epoch that admitted it — so it is allocated once per run.
+type Ledger struct {
+	reqs  []trace.Request
+	order []int // admission order when reqs is not sorted by arrival
+	next  int
+
+	bound, inflight int
+
+	nSteps, nSlots int
+	pending        []int32   // [r*nSteps+stage]
+	enqAt          []float64 // [r*nSlots+slot]
+	state          []reqState
+}
+
+type reqState struct {
+	ttft, decStart float64
+	seq            Seq
+}
+
+// NewLedger sizes the ledger for reqs under plan p's stage graph (every
+// plan a Core runs against it must be CompatibleWith p). maxInFlight is the
+// admission bound; 0 admits the whole trace.
+func NewLedger(p *Plan, reqs []trace.Request, maxInFlight int) *Ledger {
+	n := len(reqs)
+	l := &Ledger{reqs: reqs, bound: maxInFlight, nSteps: len(p.Steps), nSlots: p.NumSlots(),
+		pending: make([]int32, n*len(p.Steps)), enqAt: make([]float64, n*p.NumSlots()),
+		state: make([]reqState, n)}
+	for i := 1; i < n; i++ {
+		if reqs[i].Arrival < reqs[i-1].Arrival {
+			l.order = make([]int, n)
+			for j := range l.order {
+				l.order[j] = j
+			}
+			sort.SliceStable(l.order, func(a, b int) bool { return reqs[l.order[a]].Arrival < reqs[l.order[b]].Arrival })
+			break
+		}
+	}
+	return l
+}
+
+// NextArrival returns when the trace's next request arrives, in (arrival,
+// trace index) order, and false once every request has arrived.
+func (l *Ledger) NextArrival() (float64, bool) {
+	if l.next == len(l.reqs) {
+		return 0, false
+	}
+	return l.reqs[l.arrival()].Arrival, true
+}
+
+func (l *Ledger) arrival() int {
+	if l.order != nil {
+		return l.order[l.next]
+	}
+	return l.next
+}
+
+// Trace returns request r's trace entry.
+func (l *Ledger) Trace(r int) *trace.Request { return &l.reqs[r] }
+
+// EnqueuedAt returns the virtual time request r entered slot's queue.
+func (l *Ledger) EnqueuedAt(r, slot int) float64 { return l.enqAt[r*l.nSlots+slot] }
+
+// Completion is one finished request as a Core reports it.
+type Completion struct {
+	// At is the completion time; TTFT, TPOT, Latency and Stall are the
+	// request's measured latencies (all 0 for an answer-tier hit).
+	At, TTFT, TPOT, Latency, Stall float64
+	// Hit marks an answer-tier hit: completed at arrival, no decode slot.
+	Hit bool
+}
+
+// CompletionRate is the one definition of a run's sustained completion
+// rate: completions after the first over the span from the first to the
+// last. It is 0 when fewer than two requests completed or they all
+// completed at one instant.
+func CompletionRate(completed int, first, last float64) float64 {
+	if completed < 2 || last <= first {
+		return 0
+	}
+	return float64(completed-1) / (last - first)
+}
+
+// Sink receives what a Core did that its driver accounts for. Each call
+// happens at the virtual time of the event being handled.
+type Sink interface {
+	// Arrived reports request r arriving: admitted, or shed by the bound.
+	Arrived(r int, admitted bool)
+	// Enqueued reports request r entering slot's queue, which now holds
+	// depth requests (depth 1: r heads it); at the decode slot depth counts
+	// the sequences waiting for a slot (0 when a slot was free).
+	Enqueued(r, slot, depth int)
+	// Dispatched reports resource res starting batch b at virtual time at
+	// with cost c. b.Members and c's slices are valid only during the call.
+	Dispatched(res int, b Batch[int], c BatchCost, at float64)
+	// Completed reports request r finishing.
+	Completed(r int, c Completion)
+}
+
+// Core is the request-level state machine of one plan (see the top of this
+// file). Not safe for concurrent use.
+type Core struct {
+	plan  *Plan
+	led   *Ledger
+	sink  Sink
+	bus   *obs.Bus
+	cache *cache.Cache // its answer tier short-circuits admissions
+	flush float64
+
+	disp      []*Dispatcher[int]
+	busy      []bool
+	preds     []int32 // per-stage predecessor counts
+	decFree   int
+	decWait   []int // sequences waiting for a decode slot, FIFO
+	heap      eventHeap
+	seq       int
+	slotName  []string
+	slotTrack []string
+}
+
+// NewCore builds plan p's core over ledger l. flush is the partial-batch
+// flush timeout (virtual seconds), c the reuse cache (nil for none: its
+// prefix tier prices batches, its answer tier short-circuits admissions),
+// bus the event sink (nil publishes nothing) and sink the driver's.
+func NewCore(p *Plan, l *Ledger, flush float64, c *cache.Cache, bus *obs.Bus, sink Sink) *Core {
+	k := &Core{plan: p, led: l, sink: sink, bus: bus, cache: c, flush: flush, decFree: p.Sched.DecodeBatch,
+		disp: make([]*Dispatcher[int], len(p.Resources)), busy: make([]bool, len(p.Resources)),
+		preds: make([]int32, len(p.Steps)), slotName: p.SlotNames(), slotTrack: p.TrackNames()}
+	for ri := range k.disp {
+		k.disp[ri] = NewDispatcher[int](p, ri, flush, c, l)
+	}
+	for st, ps := range p.Preds {
+		k.preds[st] = int32(len(ps))
+	}
+	return k
+}
+
+// Next returns when the core's earliest pending event is due, and false
+// when it has none.
+func (k *Core) Next() (float64, bool) {
+	if len(k.heap) == 0 {
+		return 0, false
+	}
+	return k.heap[0].at, true
+}
+
+// Admit handles the ledger's next arrival (NextArrival) at its arrival
+// time: it is shed when the ledger's MaxInFlight requests are already in
+// flight, completed on the spot by an exact-match answer-tier hit, and
+// otherwise routed to the plan's entry stages.
+func (k *Core) Admit() {
+	l := k.led
+	r := l.arrival()
+	l.next++
+	q := &l.reqs[r]
+	now := q.Arrival
+	if l.bound > 0 && l.inflight >= l.bound {
+		if k.bus.Active() {
+			k.bus.Publish(obs.Event{Kind: obs.KindReject, T: now, Req: q.ID})
+		}
+		k.sink.Arrived(r, false)
+		return
+	}
+	l.inflight++
+	if k.bus.Active() {
+		k.bus.Publish(obs.Event{Kind: obs.KindAdmit, T: now, Req: q.ID})
+	}
+	k.sink.Arrived(r, true)
+	if k.cache.AnswerOn() && q.Tagged() && k.cache.AnswerLookup(q.ChunkIDs, q.PromptTokens, q.OutputTokens) {
+		if k.bus.Active() {
+			k.bus.Publish(obs.Event{Kind: obs.KindCacheAnswerHit, T: now, Req: q.ID})
+		}
+		l.inflight--
+		k.sink.Completed(r, Completion{At: now, Hit: true})
+		return
+	}
+	copy(l.pending[r*l.nSteps:], k.preds)
+	for _, idx := range k.plan.Entries {
+		k.ready(r, idx, now)
+	}
+}
+
+// event kinds.
+const (
+	evStageDone = iota
+	evResourceFree
+	evFlush
+	evDecodePark
+	evDecodeDone
+)
+
+type event struct {
+	at   float64
+	kind int
+	a, b int // payload: request index / stage or resource index
+	seq  int // tie-break for determinism
+}
+
+func (k *Core) push(at float64, kind, a, b int) {
+	k.heap.push(event{at: at, kind: kind, a: a, b: b, seq: k.seq})
+	k.seq++
+}
+
+// Step handles the earliest pending event.
+func (k *Core) Step() {
+	e := k.heap.pop()
+	p, l, now := k.plan, k.led, e.at
+	switch e.kind {
+	case evFlush:
+		if res := p.StepAt(e.a).Resource; res >= 0 {
+			k.trySchedule(res, now)
+		}
+	case evResourceFree:
+		k.busy[e.a] = false
+		k.trySchedule(e.a, now)
+	case evDecodePark:
+		// The sequence reached a trigger position: park it (slot held) and
+		// queue the iterative retrieval half of the round.
+		if k.bus.Active() {
+			k.bus.Publish(obs.Event{Kind: obs.KindDecodePark, T: now, Req: l.reqs[e.a].ID,
+				Slot: p.DecodeIdx, Stage: "decode", Track: "decode", N: l.state[e.a].seq.Rounds})
+		}
+		k.ready(e.a, p.IterRetrievalSlot(), now)
+	case evStageDone:
+		k.stageDone(e.a, e.b, now)
+	case evDecodeDone:
+		k.complete(e.a, now)
+	}
+}
+
+// stageDone moves request r past slot idx, which finished at now. The
+// iterative round's slots chain outside the stage graph: retrieval feeds
+// prefix, and prefix resumes the parked sequence.
+func (k *Core) stageDone(r, idx int, now float64) {
+	p, l := k.plan, k.led
+	st := &l.state[r]
+	if p.Round != nil {
+		switch idx {
+		case p.IterRetrievalSlot():
+			k.ready(r, p.IterPrefixSlot(), now)
+			return
+		case p.IterPrefixSlot():
+			stall := st.seq.Resume(now)
+			if k.bus.Active() {
+				k.bus.Publish(obs.Event{Kind: obs.KindDecodeResume, T: now, Req: l.reqs[r].ID,
+					Slot: p.DecodeIdx, Stage: "decode", Track: "decode", N: st.seq.Rounds, Dur: stall})
+			}
+			k.advance(r, now)
+			return
+		}
+	}
+	if idx == p.PrefixIdx {
+		st.ttft = now - l.reqs[r].Arrival
+	}
+	pending := l.pending[r*l.nSteps : (r+1)*l.nSteps]
+	for _, succ := range p.Succs[idx] {
+		if pending[succ]--; pending[succ] == 0 {
+			k.ready(r, succ, now)
+		}
+	}
+}
+
+// ready queues request r at slot idx and lets its resource dispatch.
+func (k *Core) ready(r, idx int, now float64) {
+	p, l := k.plan, k.led
+	if k.bus.Active() {
+		k.bus.Publish(obs.Event{Kind: obs.KindEnqueue, T: now, Req: l.reqs[r].ID,
+			Slot: idx, Stage: k.slotName[idx], Track: k.slotTrack[idx]})
+	}
+	if idx == p.DecodeIdx {
+		// Continuous batching: each of the DecodeBatch slots holds one
+		// sequence for its full generation — iterative parks included —
+		// and is refilled only on completion (the profiled latency already
+		// assumes all slots decode concurrently).
+		if k.decFree > 0 {
+			k.decFree--
+			k.sink.Enqueued(r, idx, 0)
+			k.lease(r, now)
+		} else {
+			k.decWait = append(k.decWait, r)
+			k.sink.Enqueued(r, idx, len(k.decWait))
+		}
+		return
+	}
+	l.enqAt[r*l.nSlots+idx] = now
+	res := p.StepAt(idx).Resource
+	k.sink.Enqueued(r, idx, k.disp[res].Push(idx, r))
+	if k.flush > 0 {
+		// Nudge the flush event past the deadline: it must see headAge >=
+		// flush despite float rounding, or a tail partial batch with no
+		// later arrivals stalls forever. The relative term keeps the nudge
+		// above one ulp at large absolute trace times, where 1e-9 alone
+		// would be absorbed.
+		ft := now + k.flush
+		k.push(ft+1e-9+ft*1e-12, evFlush, idx, 0)
+	} else {
+		k.push(now, evFlush, idx, 0)
+	}
+	k.trySchedule(res, now)
+}
+
+// trySchedule dispatches work on resource res if it is idle.
+func (k *Core) trySchedule(res int, now float64) {
+	if k.busy[res] {
+		return
+	}
+	b, ok := k.disp[res].Pick(now)
+	if !ok {
+		return
+	}
+	k.busy[res] = true
+	c := k.disp[res].Price(b)
+	if k.bus.Active() {
+		k.publishBatch(res, b, c, now)
+	}
+	k.sink.Dispatched(res, b, c, now)
+	for i, r := range b.Members {
+		k.push(now+c.DoneAt[i], evStageDone, r, b.Slot)
+	}
+	k.push(now+c.Latency, evResourceFree, res, 0)
+}
+
+// publishBatch publishes one dispatched batch: each member's prefix-cache
+// verdict, the scatter-gather bracket of a sharded retrieval batch (one
+// scatter at dispatch, one gather at the modeled finish, N the shards
+// consulted), and every member's stage start and finish.
+func (k *Core) publishBatch(res int, b Batch[int], c BatchCost, now float64) {
+	p, reqs := k.plan, k.led.reqs
+	track, stage := p.Resources[res].Name, k.slotName[b.Slot]
+	for i, credit := range c.Credits {
+		if credit == NoLookup {
+			continue
+		}
+		kind := obs.KindCacheMiss
+		if credit > 0 {
+			kind = obs.KindCacheHit
+		}
+		k.bus.Publish(obs.Event{Kind: kind, T: now, Req: reqs[b.Members[i]].ID,
+			Slot: b.Slot, Stage: stage, Track: track, N: credit})
+	}
+	if p.Shards() > 1 && p.StepAt(b.Slot).Stage.Kind == pipeline.KindRetrieval {
+		id, fo := reqs[b.Members[0]].ID, p.EffectiveFanout()
+		k.bus.Publish(obs.Event{Kind: obs.KindShardScatter, T: now, Req: id,
+			Slot: b.Slot, Stage: stage, Track: track, N: fo})
+		k.bus.Publish(obs.Event{Kind: obs.KindShardGather, T: now + c.Latency, Req: id,
+			Slot: b.Slot, Stage: stage, Track: track, N: fo, Dur: c.Latency})
+	}
+	n := len(b.Members)
+	for i, r := range b.Members {
+		k.bus.Publish(obs.Event{Kind: obs.KindStageStart, T: now, Req: reqs[r].ID,
+			Slot: b.Slot, Stage: stage, Track: track, N: n})
+		k.bus.Publish(obs.Event{Kind: obs.KindStageFinish, T: now + c.DoneAt[i], Req: reqs[r].ID,
+			Slot: b.Slot, Stage: stage, Track: track, N: n, Dur: c.DoneAt[i]})
+	}
+}
+
+// lease gives request r a decode slot at now and starts its decode walk.
+func (k *Core) lease(r int, now float64) {
+	p, l := k.plan, k.led
+	st := &l.state[r]
+	st.decStart = now
+	st.seq = p.Seq(l.reqs[r])
+	if k.bus.Active() {
+		k.bus.Publish(obs.Event{Kind: obs.KindDecodeLease, T: now, Req: l.reqs[r].ID,
+			Slot: p.DecodeIdx, Stage: k.slotName[p.DecodeIdx], Track: "decode"})
+	}
+	k.advance(r, now)
+}
+
+// advance schedules request r's next decode stop from now: a park at its
+// next trigger position, or its finish.
+func (k *Core) advance(r int, now float64) {
+	if at, park := k.led.state[r].seq.Advance(now); park {
+		k.push(at, evDecodePark, r, 0)
+	} else {
+		k.push(at, evDecodeDone, r, 0)
+	}
+}
+
+// complete retires request r, whose generation finished at now, and hands
+// its decode slot to the longest-waiting sequence.
+func (k *Core) complete(r int, now float64) {
+	p, l := k.plan, k.led
+	q, st := &l.reqs[r], &l.state[r]
+	l.inflight--
+	if k.bus.Active() {
+		k.bus.Publish(obs.Event{Kind: obs.KindDecodeFinish, T: now, Req: q.ID,
+			Slot: p.DecodeIdx, Stage: "decode", Track: "decode", Dur: now - st.decStart})
+	}
+	c := Completion{At: now, TTFT: st.ttft, Latency: now - q.Arrival, Stall: st.seq.Stall}
+	if out := p.GenTokens(q.OutputTokens); out > 0 {
+		c.TPOT = (now - st.decStart) / float64(out)
+	}
+	k.sink.Completed(r, c)
+	if k.cache.AnswerOn() && q.Tagged() {
+		k.cache.AnswerStore(q.ChunkIDs, q.PromptTokens, q.OutputTokens)
+	}
+	k.decFree++
+	if len(k.decWait) > 0 {
+		nxt := k.decWait[0]
+		k.decWait = k.decWait[1:]
+		k.decFree--
+		k.lease(nxt, now)
+	}
+}
+
+// before reports whether e orders ahead of o. (at, seq) is a total order —
+// seq is unique per event — so the pop sequence of any correct heap is the
+// same fully sorted sequence.
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	return e.seq < o.seq
+}
+
+// eventHeap is a hand-rolled binary min-heap over events. container/heap
+// funnels every Push and Pop through interface{}, which boxes one event per
+// call: two heap allocations per simulated event.
+type eventHeap []event
+
+func (h *eventHeap) push(e event) {
+	hs := append(*h, e)
+	i := len(hs) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !hs[i].before(hs[parent]) {
+			break
+		}
+		hs[i], hs[parent] = hs[parent], hs[i]
+		i = parent
+	}
+	*h = hs
+}
+
+func (h *eventHeap) pop() event {
+	hs := *h
+	top := hs[0]
+	n := len(hs) - 1
+	hs[0] = hs[n]
+	hs = hs[:n]
+	*h = hs
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && hs[r].before(hs[c]) {
+			c = r
+		}
+		if !hs[c].before(hs[i]) {
+			break
+		}
+		hs[i], hs[c] = hs[c], hs[i]
+		i = c
+	}
+	return top
+}

@@ -8,20 +8,16 @@ import (
 	"rago/internal/trace"
 )
 
-// The dispatch core. Both executors — the discrete-event simulator
-// (sim.ServeSim) and the live runtime (serve) — make every batching and
+// The dispatch decisions. Core (core.go) makes every batching and
 // decode-loop decision through the types in this file: which stage slot a
 // serial resource serves next, which waiting requests form the batch, what
 // the batch costs (prefix-cache credits, shaped or chunked prefill), and
 // where each sequence parks for an iterative round. The types are
-// clock-free and single-goroutine. The simulator drives them from its event
-// heap; the live runtime drives them from one goroutine per resource (and
-// per decode sequence) sleeping on the wall clock. The two executors
-// therefore cannot disagree on a decision, only on when they get to make it.
+// clock-free and single-goroutine.
 
-// Requests is how a Dispatcher reads the requests behind an executor's
-// handles. The executor owns the per-request state; the dispatcher queues
-// only handles.
+// Requests is how a Dispatcher reads the requests behind its handles (a
+// Core's Ledger). The owner keeps the per-request state; the dispatcher
+// queues only handles.
 type Requests[H any] interface {
 	// Trace returns h's trace entry: its shape and retrieved-chunk tags.
 	Trace(h H) *trace.Request
@@ -203,7 +199,7 @@ func (d *Dispatcher[H]) Pick(now float64) (b Batch[H], ok bool) {
 
 // Deadline is the earliest flush deadline among the waiting queue heads —
 // when a partial batch next ripens without new arrivals — and false when
-// every queue is empty. A wall-clock driver parks until then.
+// every queue is empty.
 func (d *Dispatcher[H]) Deadline() (float64, bool) {
 	at, ok := math.Inf(1), false
 	for i := range d.queues {

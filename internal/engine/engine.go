@@ -505,10 +505,8 @@ func (p *Plan) IterPrefixSlot() int    { return len(p.Steps) + 1 }
 
 // ResourceStages returns the stage indices resource ri serves, with the
 // iterative round's virtual slots appended to their owning resources —
-// the one slot layout both executors (the live dataplane and the
-// discrete-event simulator) build their per-resource queues from, so
-// round batches contend with the regular stages on the same serial
-// worker.
+// the one slot layout Core builds its per-resource queues from, so round
+// batches contend with the regular stages on the same serial resource.
 func (p *Plan) ResourceStages(ri int) []int {
 	stages := p.Resources[ri].Stages
 	if p.Round == nil {

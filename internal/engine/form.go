@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -98,6 +99,7 @@ type Former struct {
 
 	sel     []int       // selected positions, returned from Form
 	ord     []int64     // sort scratch: promptLen<<32 | position
+	keys    []int       // bucketed scratch: each position's bucket
 	buckets []bucketAgg // bucketed scratch
 }
 
@@ -163,11 +165,10 @@ func (f *Former) bucketOf(prompt int) int {
 	if prompt <= 0 {
 		prompt = f.DefaultPrompt
 	}
-	b := PadQuantum
-	for b < prompt {
-		b <<= 1
+	if prompt <= PadQuantum {
+		return PadQuantum
 	}
-	return b
+	return 1 << bits.Len(uint(prompt-1))
 }
 
 // formBucketed groups the window into pow2 length buckets (FIFO order
@@ -179,20 +180,18 @@ func (f *Former) bucketOf(prompt int) int {
 // the FIFO head deadline — the executors' park/flush wake-up logic needs
 // no policy-specific changes.
 func (f *Former) formBucketed(v FormView, now float64, ln int) (int, float64, []int) {
-	f.buckets = f.buckets[:0]
+	// Keys are powers of two, so a key's bit length indexes its aggregate.
+	var at [bits.UintSize + 1]int // bit length → 1 + index in f.buckets
+	f.buckets, f.keys = f.buckets[:0], f.keys[:0]
 	for i := 0; i < ln; i++ {
 		key := f.bucketOf(v.PromptTokens(i))
-		found := false
-		for j := range f.buckets {
-			if f.buckets[j].key == key {
-				f.buckets[j].count++
-				found = true
-				break
-			}
+		f.keys = append(f.keys, key)
+		if j := at[bits.Len(uint(key))]; j > 0 {
+			f.buckets[j-1].count++
+			continue
 		}
-		if !found {
-			f.buckets = append(f.buckets, bucketAgg{key: key, count: 1, headPos: i, headEnq: v.EnqueuedAt(i)})
-		}
+		f.buckets = append(f.buckets, bucketAgg{key: key, count: 1, headPos: i, headEnq: v.EnqueuedAt(i)})
+		at[bits.Len(uint(key))] = len(f.buckets)
 	}
 	best := -1
 	for j := range f.buckets {
@@ -220,7 +219,7 @@ func (f *Former) formBucketed(v FormView, now float64, ln int) (int, float64, []
 	f.sel = f.sel[:0]
 	formV := 0.0
 	for i := win.headPos; i < ln && len(f.sel) < n; i++ {
-		if f.bucketOf(v.PromptTokens(i)) != win.key {
+		if f.keys[i] != win.key {
 			continue
 		}
 		f.sel = append(f.sel, i)

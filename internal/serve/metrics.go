@@ -14,38 +14,31 @@ import (
 	"rago/internal/roofline"
 )
 
-// collector accumulates online serving measurements. All mutation happens
-// under one mutex; calls are short (append / counter bump), so contention
-// stays negligible next to stage service times. One collector may be
-// shared by several dataplanes (the Server's epochs), so gauges are
-// additive across them.
+// collector accumulates online serving measurements. The driver records
+// every event into it in virtual-time order, across all of the Server's
+// epochs; all mutation happens under one mutex, so Telemetry can read it
+// mid-replay.
 type collector struct {
 	mu sync.Mutex
 
-	admitted, rejected, completed int
-	ttft, tpot, latency           []float64
-	stall                         []float64 // iterative decode-loop parked seconds per request
+	admitted, rejected, completed, inflight int
+	ttft, tpot, latency                     []float64
+	stall                                   []float64 // iterative decode-loop parked seconds per request
 	// shapeP and shapeO record each completion's sequence shape (0 =
 	// schema constant), parallel to ttft/tpot, so latency quantiles can
 	// be bucketed by request shape after the fact and inside windows.
-	shapeP, shapeO      []int
-	firstDone, lastDone float64
+	shapeP, shapeO []int
 
-	// arrV records every arrival's virtual time (admitted and rejected;
-	// monotone — the replay loop is sequential) and doneV every
-	// completion's, so windowed rates and quantiles can be computed
-	// mid-replay. doneV is only roughly ordered (decode slots overlap),
-	// so donePMax carries its running prefix maximum: everything before
-	// the first index with donePMax > t finished at or before t, which
-	// lets a window snapshot binary-search its suffix instead of
-	// scanning the whole history.
-	arrV     []float64
-	doneV    []float64
-	donePMax []float64
+	// arrV records every arrival's virtual time (admitted and rejected)
+	// and doneV every completion's, both non-decreasing, so a window
+	// snapshot binary-searches its suffix.
+	arrV  []float64
+	doneV []float64
 
 	stageNames []string
+	decodeIdx  int
 	queuePeak  []int
-	depthNow   []int // live queued+in-service gauge per stage
+	depthNow   []int // live gauge per stage: queued, or holding or awaiting a decode slot
 	batches    []int
 	fillNum    []int
 	fillDen    []int
@@ -59,7 +52,7 @@ type collector struct {
 	chunkSum     int64
 
 	searches      int
-	searchWall    []float64 // wall seconds per real retrieval batch
+	searchWall    []float64 // search seconds per real retrieval batch
 	searchQueries int
 	// Sharded scatter-gather degradation: replica picks that skipped a
 	// down replica, and consulted shards dropped from a merge outright.
@@ -73,6 +66,7 @@ type collector struct {
 func (c *collector) init(plan *engine.Plan) {
 	n := plan.NumSlots()
 	c.stageNames = plan.SlotNames()
+	c.decodeIdx = plan.DecodeIdx
 	c.queuePeak = make([]int, n)
 	c.depthNow = make([]int, n)
 	c.batches = make([]int, n)
@@ -82,39 +76,26 @@ func (c *collector) init(plan *engine.Plan) {
 	c.padTotal = make([]int64, n)
 }
 
-func (c *collector) admit(at float64) {
+func (c *collector) arrive(at float64, admitted bool) {
 	c.mu.Lock()
-	c.admitted++
-	c.arrV = append(c.arrV, at)
-	c.mu.Unlock()
-}
-
-func (c *collector) reject(at float64) {
-	c.mu.Lock()
-	c.rejected++
+	if admitted {
+		c.admitted++
+		c.inflight++
+	} else {
+		c.rejected++
+	}
 	c.arrV = append(c.arrV, at)
 	c.mu.Unlock()
 }
 
 // enqueued records a request entering a stage queue whose depth (within
-// its dataplane) is now depth, bumping the live gauge.
+// its epoch) is now depth, bumping the live gauge.
 func (c *collector) enqueued(stage, depth int) {
 	c.mu.Lock()
 	if depth > c.queuePeak[stage] {
 		c.queuePeak[stage] = depth
 	}
 	c.depthNow[stage]++
-	c.mu.Unlock()
-}
-
-// release drops n requests from a stage's live gauge without a batch
-// having been dispatched (decode completions).
-func (c *collector) release(stage, n int) {
-	c.mu.Lock()
-	c.depthNow[stage] -= n
-	if c.depthNow[stage] < 0 {
-		c.depthNow[stage] = 0
-	}
 	c.mu.Unlock()
 }
 
@@ -134,48 +115,37 @@ func (c *collector) batchServed(stage, formed, full, tok, pad, chunks int) {
 		c.chunkSum += int64(chunks)
 	}
 	c.depthNow[stage] -= formed
-	if c.depthNow[stage] < 0 {
-		c.depthNow[stage] = 0
-	}
 	c.mu.Unlock()
 }
 
-func (c *collector) searchServed(queries int, wall float64) {
+// searched records one real retrieval batch: its queries, search seconds
+// and scatter-gather degradation.
+func (c *collector) searched(queries int, wall float64, fellBack, lost int) {
 	c.mu.Lock()
 	c.searches++
 	c.searchQueries += queries
 	c.searchWall = append(c.searchWall, wall)
-	c.mu.Unlock()
-}
-
-func (c *collector) shardDegraded(fellBack, lost int) {
-	c.mu.Lock()
 	c.shardFellBack += fellBack
 	c.shardLost += lost
 	c.mu.Unlock()
 }
 
-func (c *collector) complete(ttft, tpot, latency, done, stall float64, promptTok, outTok int) {
+// complete records a finished request of the given shape, releasing its
+// decode slot from the gauge unless it was an answer-tier hit.
+func (c *collector) complete(d engine.Completion, promptTok, outTok int) {
 	c.mu.Lock()
 	c.completed++
-	c.ttft = append(c.ttft, ttft)
-	c.tpot = append(c.tpot, tpot)
-	c.latency = append(c.latency, latency)
-	c.stall = append(c.stall, stall)
+	c.inflight--
+	if !d.Hit {
+		c.depthNow[c.decodeIdx]--
+	}
+	c.ttft = append(c.ttft, d.TTFT)
+	c.tpot = append(c.tpot, d.TPOT)
+	c.latency = append(c.latency, d.Latency)
+	c.stall = append(c.stall, d.Stall)
 	c.shapeP = append(c.shapeP, promptTok)
 	c.shapeO = append(c.shapeO, outTok)
-	c.doneV = append(c.doneV, done)
-	pm := done
-	if n := len(c.donePMax); n > 0 && c.donePMax[n-1] > pm {
-		pm = c.donePMax[n-1]
-	}
-	c.donePMax = append(c.donePMax, pm)
-	if c.completed == 1 || done < c.firstDone {
-		c.firstDone = done
-	}
-	if done > c.lastDone {
-		c.lastDone = done
-	}
+	c.doneV = append(c.doneV, d.At)
 	c.mu.Unlock()
 }
 
@@ -384,9 +354,11 @@ type Report struct {
 	Queues []QueueStat `json:"queues,omitempty"`
 
 	// Real-retrieval substrate stats (zero unless a Searcher or Sharded
-	// index was set). ShardFallbacks counts replica picks that skipped a
-	// down replica; ShardLost counts consulted shards a scatter-gather
-	// had to merge without (every replica down — graceful degradation).
+	// index was set). SearchWall is each batch's search time: the Searcher
+	// call's wall time, or its queries' Sharded searches summed.
+	// ShardFallbacks counts replica picks that skipped a down replica;
+	// ShardLost counts consulted shards a scatter-gather had to merge
+	// without (every replica down — graceful degradation).
 	Searches       int       `json:"searches,omitempty"`
 	SearchQueries  int       `json:"search_queries,omitempty"`
 	SearchWall     Quantiles `json:"search_wall"`
@@ -398,28 +370,28 @@ type Report struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// report snapshots the collector into a Report. It runs after the owner's
-// WaitGroup barrier, so no concurrent mutation remains.
+// report snapshots the collector into a Report once the driver has
+// returned, so no concurrent mutation remains.
 func (c *collector) report(analytic perf.Metrics, hasAnalytic bool, speedup, wall float64) *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	rep := &Report{
-		Admitted:      c.admitted,
-		Rejected:      c.rejected,
-		Completed:     c.completed,
-		TTFT:          quantilesOf(c.ttft),
-		TPOT:          quantilesOf(c.tpot),
-		Latency:       quantilesOf(c.latency),
-		Stall:         quantilesOf(c.stall),
-		Analytic:      analytic,
-		HasAnalytic:   hasAnalytic,
+		Admitted:       c.admitted,
+		Rejected:       c.rejected,
+		Completed:      c.completed,
+		TTFT:           quantilesOf(c.ttft),
+		TPOT:           quantilesOf(c.tpot),
+		Latency:        quantilesOf(c.latency),
+		Stall:          quantilesOf(c.stall),
+		Analytic:       analytic,
+		HasAnalytic:    hasAnalytic,
 		Searches:       c.searches,
 		SearchQueries:  c.searchQueries,
 		SearchWall:     quantilesOf(c.searchWall),
 		ShardFallbacks: c.shardFellBack,
 		ShardLost:      c.shardLost,
-		Speedup:       speedup,
-		WallSeconds:   wall,
+		Speedup:        speedup,
+		WallSeconds:    wall,
 	}
 	var padTok, padTotal int64
 	// Shape buckets only add signal on heterogeneous traces; a
@@ -431,9 +403,10 @@ func (c *collector) report(analytic perf.Metrics, hasAnalytic bool, speedup, wal
 			break
 		}
 	}
-	if span := c.lastDone - c.firstDone; span > 0 && c.completed > 1 {
-		rep.Span = span
-		rep.SustainedQPS = float64(c.completed-1) / span
+	if n := len(c.doneV); n > 0 {
+		if rep.SustainedQPS = engine.CompletionRate(n, c.doneV[0], c.doneV[n-1]); rep.SustainedQPS > 0 {
+			rep.Span = c.doneV[n-1] - c.doneV[0]
+		}
 	}
 	rep.SteadyQPS = obs.SteadyRate(c.doneV)
 	if rep.HasAnalytic && analytic.QPS > 0 {

@@ -1,56 +1,42 @@
 // Package serve executes RAGO schedules for real: it turns a compiled
 // execution plan (internal/engine) straight out of the optimizer into a
-// concurrent, goroutine-based serving runtime and replays open-loop
-// request traces through it under wall-clock pacing.
+// live serving runtime and replays open-loop request traces through it
+// under wall-clock pacing.
 //
-// The engine mirrors the structure the plan describes. Every XPU
-// placement group becomes one serial batching worker that time-multiplexes
-// its collocated stages; each retrieval tier becomes its own batching
-// worker that can additionally run real batched IVF-PQ queries against the
-// internal/vectordb substrate on the serving path; the decode tier is a
-// pool of continuous-batching slots implemented as a bounded channel of
-// slot leases. The runtime is the wall-clock driver of the engine's
-// dispatch core, the same one the discrete-event simulator drives from its
-// event heap: each worker's engine.Dispatcher queues, forms and prices its
-// batches (oldest ripe head first, prefix-cache credits, shaped or chunked
-// prefill), and each decode goroutine walks its engine.Seq. What stays
-// here is what is live: goroutines, channels, atomic join counters, wall
-// sleeping, real search and the metrics collector. On iterative plans
-// (§5.3) decode slots run the decode loop live: sequences park at their
-// trigger positions while iterative retrieval+prefix rounds batch — at
-// the schedule's IterativeBatch, as virtual stage slots on the same serial
-// workers the initial pass uses — then resume, accumulating the measured
-// stall the analytical fixed point prices. Requests traverse the
-// pipeline's stage graph: fan-out branches run concurrently across workers
-// and a join stage admits a request only once its last predecessor
-// finishes (an atomic countdown per stage), so multi-source pipelines
-// serve through the same data plane as linear chains. Tiers are connected by bounded channels sized by the
-// admission bound times the stages a worker serves, so the whole data
-// plane is allocation-bounded: admission control sheds arrivals once
-// MaxInFlight requests are in the system, which in turn guarantees no
-// internal channel send can block and no cross-tier cycle can deadlock.
+// The runtime is the wall-clock driver of engine.Core, the request-level
+// state machine the discrete-event simulator (sim.ServeSim) drives as a
+// pure event loop. The core makes every decision — admission and
+// MaxInFlight shedding, the answer tier, stage-graph joins, batch
+// formation and pricing on each serial resource, decode-slot leasing, the
+// §5.3 park/round/resume loop — and publishes every request-level obs
+// event. Server.Serve runs the core's event loop on the calling goroutine:
+// it reads the wall clock once per wake, handles every due arrival and core
+// event in virtual-time order, and sleeps to the next one's wall instant,
+// one virtual second being 1/Speedup wall seconds. Decisions are made at
+// each event's virtual time, never at a wall-derived "now", so a run
+// without Switch is the simulator's run plus sleeping: measured latencies
+// reflect the schedule, not OS timer jitter.
 //
-// Pacing uses a virtual clock: one virtual second is Speedup wall seconds
-// compressed. Stage service times come from the compiled plan (partial
-// batches re-profiled through the memoizing stageperf.Profiler) and are
-// slept for in wall time, but timestamps advance on a drift-free ledger —
-// each resource's next batch starts at max(busyUntil, batch-formable time),
-// both exact virtual quantities — so measured saturation throughput
-// reflects the schedule, not OS timer jitter, while the concurrency
-// (channels, goroutines, shared indexes) is entirely real and race-tested.
+// What stays concurrent is what is concurrent: real vector search runs on
+// goroutines beside the driver (a Searcher batch from its dispatch, each
+// query of a Sharded batch from when its request joins the batch), and a
+// batch's members advance only once its search has returned; Switch,
+// Telemetry and the Window stream run beside the driver; bus subscribers
+// consume on their own goroutines.
 //
-// Two front ends drive the same data plane. Runtime executes one plan for
-// one trace. Server executes a sequence of plans: Switch hot-swaps it onto
-// a new compiled plan with drain-and-migrate semantics — in-flight
-// requests finish on the old plan's workers while new admissions route to
-// the new plan's — which is what the SLO-aware controller in
-// internal/control drives. Both publish windowed telemetry (Telemetry)
-// that can be polled mid-replay.
+// Two front ends drive the same loop. Runtime executes one plan for one
+// trace. Server executes a sequence of plans: Switch hot-swaps it onto a
+// new compiled plan with drain-and-migrate semantics — every plan epoch has
+// its own core, in-flight requests finish on the epoch that admitted them
+// while new admissions route to the new one — which is what the SLO-aware
+// controller in internal/control drives. Both publish windowed telemetry
+// (Telemetry) that can be polled mid-replay.
 package serve
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -95,7 +81,7 @@ type Options struct {
 	// (with WindowEvery) streamed Window snapshots. A nil Bus, or one
 	// with no subscriber attached, keeps every instrumentation site on
 	// its zero-cost fast path; subscribers are bounded and drop-counted,
-	// so no consumer can ever stall the dataplane.
+	// so no consumer can ever stall the runtime.
 	Bus *obs.Bus
 	// WindowEvery streams a Telemetry window snapshot (width WindowEvery,
 	// so consecutive snapshots tile the run) onto Bus every WindowEvery
@@ -114,13 +100,14 @@ type Options struct {
 	Cache *cache.Cache
 	// Searcher, when set, runs real vector search per retrieval batch.
 	Searcher SearchFunc
-	// Sharded, when set, runs each retrieval batch through the real
-	// sharded scatter-gather instead of a flat Searcher: per-shard top-k
-	// on a healthy replica of every consulted shard (round-robin with
-	// failure fallback), merged exactly. The compiled schedule's NProbe
-	// and ShardFanout knobs drive the probe count and fanout, and the
-	// batch emits shard-scatter/gather/fallback events on Bus. Mutually
-	// exclusive with Searcher; requires QueryDim.
+	// Sharded, when set, runs each retrieval batch's queries through the
+	// real sharded scatter-gather instead of a flat Searcher: per-shard
+	// top-k on a healthy replica of every consulted shard (round-robin
+	// with failure fallback), merged exactly, each query as soon as its
+	// request joins the batch. The compiled schedule's NProbe and
+	// ShardFanout knobs drive the probe count and fanout, and a degraded
+	// batch emits a shard-fallback event on Bus. Mutually exclusive with
+	// Searcher; requires QueryDim.
 	Sharded *vectordb.Sharded
 	// SearchK is the per-query neighbor count for Sharded (0 means 10,
 	// the recall@10 evaluation point).
@@ -149,11 +136,15 @@ func (o Options) validate() error {
 	if o.WindowEvery > 0 && o.Bus == nil {
 		return fmt.Errorf("serve: WindowEvery without a Bus has nowhere to stream")
 	}
-	if o.searchOn() && o.QueryDim < 1 {
-		return fmt.Errorf("serve: Searcher requires a positive QueryDim")
-	}
 	if o.Searcher != nil && o.Sharded != nil {
 		return fmt.Errorf("serve: Searcher and Sharded are mutually exclusive")
+	}
+	if o.searchOn() && o.QueryDim < 1 {
+		set := "Searcher"
+		if o.Sharded != nil {
+			set = "Sharded"
+		}
+		return fmt.Errorf("serve: %s requires a positive QueryDim", set)
 	}
 	if o.SearchK < 0 {
 		return fmt.Errorf("serve: SearchK must be non-negative (0 means 10), got %d", o.SearchK)
@@ -174,344 +165,208 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// request is one in-flight trace entry traversing the stage graph. The
-// embedded trace entry (the replayed trace's own element, read-only)
-// carries its arrival, shape (0 = schema constant) and retrieved-chunk
-// tags (the prefix/KV cache key; untagged requests bypass the cache).
-type request struct {
-	*trace.Request
-	// pending counts unfinished predecessors per stage; the goroutine
-	// that decrements a stage's count to zero owns the hand-off.
-	pending []atomic.Int32
-	// enqV records the virtual time the request entered each stage's
-	// queue (virtual iterative slots included). Pipeline slots are
-	// written exactly once, before the channel send that publishes them
-	// to the reading worker; the iterative slots are rewritten per
-	// round, always by the goroutine about to publish the request.
-	enqV     []float64
-	ttft     float64
-	decStart float64
-
-	// seq is the decode walk (engine.Seq), owned by the request's decode
-	// goroutine. On iterative plans resume carries the virtual time each
-	// round finished back to that goroutine while it is parked (buffered:
-	// one round in flight at a time).
-	seq    engine.Seq
-	resume chan float64
-}
-
-// liveRequests resolves the runtime's requests for its dispatchers.
-type liveRequests struct{}
-
-func (liveRequests) Trace(q *request) *trace.Request         { return q.Request }
-func (liveRequests) EnqueuedAt(q *request, slot int) float64 { return q.enqV[slot] }
-
-// item is one unit of inbox work: a request ready at one stage slot
-// (real or virtual).
-type item struct {
-	q   *request
-	idx int
-}
-
-// dataplane is the per-plan concurrent execution fabric: the batching
-// workers, decode slot pool, and bounded channels executing one compiled
-// plan. A Runtime owns exactly one; a Server owns one per epoch, all
-// sharing the clock and the metrics collector, so in-flight requests keep
-// draining on a retired plan's workers while a newer dataplane admits.
-type dataplane struct {
-	plan  *engine.Plan
-	opts  Options
-	clock clock
-	coll  *collector
-
-	// bus is the observability event sink; slotName/slotTrack precompute
-	// the stable per-slot span names so hot-path publishes allocate
-	// nothing (both nil when no bus is configured — every publish site
-	// guards on bus.Active()).
-	bus       *obs.Bus
-	slotName  []string
-	slotTrack []string
-
-	resources []*resource
-	decode    *decodeTier
-	quit      chan struct{}
-	stopOnce  sync.Once
-
-	// inflight counts requests admitted to this dataplane and not yet
-	// completed; the owner uses it for admission control and (Server)
-	// drain detection.
-	inflight atomic.Int64
-
-	// cache is the reuse cache (nil = caching off). The dispatchers
-	// consult its prefix tier; admit and complete its answer tier.
-	cache *cache.Cache
-
-	// arena slab-allocates the per-request bookkeeping (request structs,
-	// pending counters, enqueue-time vectors): three allocations per
-	// arenaSlab admissions instead of three per request. newRequest is
-	// only ever called from the owner's sequential replay goroutine, so
-	// the arena needs no lock.
-	arena reqArena
-
-	// onComplete retires a finished request with the owner (WaitGroup,
-	// drain bookkeeping). onSearchErr records a real-retrieval failure.
-	onComplete  func(q *request, done float64)
-	onSearchErr func(error)
-
-	// searchBufs recycles runSearch's per-batch query storage.
-	searchBufs sync.Pool
-}
-
-// newDataplane builds the workers and channels for one plan. bound is the
-// in-flight admission bound; channel capacity is bound times the stages a
-// worker serves, so no send in the data plane can ever block: a request
-// occupies at most one slot per member stage (fan-out branches can queue a
-// request at several stages of one worker concurrently).
-func newDataplane(plan *engine.Plan, opts Options, ck clock, coll *collector, bound int,
-	onComplete func(*request, float64), onSearchErr func(error)) *dataplane {
-	dp := &dataplane{
-		plan:        plan,
-		opts:        opts,
-		clock:       ck,
-		coll:        coll,
-		bus:         opts.Bus,
-		cache:       opts.Cache,
-		quit:        make(chan struct{}),
-		onComplete:  onComplete,
-		onSearchErr: onSearchErr,
-	}
-	if dp.bus != nil {
-		dp.slotName = plan.SlotNames()
-		dp.slotTrack = plan.TrackNames()
-	}
-	for ri, res := range plan.Resources {
-		// ResourceStages appends the decode loop's virtual round slots
-		// to their owning resources, so round batches contend with (and
-		// are picked against) the regular stages on the same worker.
-		dp.resources = append(dp.resources, &resource{dp: dp, name: res.Name,
-			inbox: make(chan item, bound*len(plan.ResourceStages(ri))),
-			disp:  engine.NewDispatcher[*request](plan, ri, opts.FlushTimeout, opts.Cache, liveRequests{})})
-	}
-	dp.decode = &decodeTier{dp: dp}
-	dp.decode.start(bound)
-	return dp
-}
-
-// reqArena holds the slabs newRequest carves per-request bookkeeping out
-// of. Slabs are never recycled — requests keep their slices until they
-// retire — so this is purely allocation batching, with no lifetime hazard.
-type reqArena struct {
-	reqs    []request
-	pending []atomic.Int32
-	enqV    []float64
-}
-
-// arenaSlab is how many requests one slab serves.
-const arenaSlab = 256
-
-// newRequest builds the per-request bookkeeping for this dataplane's plan.
-// Called only from the owner's sequential replay goroutine (see reqArena).
-func (dp *dataplane) newRequest(r *trace.Request) *request {
-	nSteps, nSlots := len(dp.plan.Steps), dp.plan.NumSlots()
-	a := &dp.arena
-	if len(a.reqs) == 0 {
-		a.reqs = make([]request, arenaSlab)
-	}
-	if len(a.pending) < nSteps {
-		a.pending = make([]atomic.Int32, arenaSlab*nSteps)
-	}
-	if len(a.enqV) < nSlots {
-		a.enqV = make([]float64, arenaSlab*nSlots)
-	}
-	q := &a.reqs[0]
-	a.reqs = a.reqs[1:]
-	q.pending, a.pending = a.pending[:nSteps:nSteps], a.pending[nSteps:]
-	q.enqV, a.enqV = a.enqV[:nSlots:nSlots], a.enqV[nSlots:]
-	q.Request = r
-	if dp.plan.Round != nil {
-		q.resume = make(chan float64, 1)
-	}
-	return q
-}
-
-// launch starts the worker goroutines.
-func (dp *dataplane) launch() {
-	for _, r := range dp.resources {
-		go r.run()
-	}
-	go dp.decode.run()
-}
-
-// stop shuts the workers down. Idempotent; safe once no request is
-// in flight on this dataplane.
-func (dp *dataplane) stop() {
-	dp.stopOnce.Do(func() { close(dp.quit) })
-}
-
-// admit registers a request arriving at virtual time at and routes it to
-// the plan's entry stages. The caller has already accounted it in
-// dp.inflight (so drain detection cannot race admission). An exact-match
-// answer-cache hit short-circuits the whole pipeline: the request
-// completes at its arrival instant without touching any worker.
-func (dp *dataplane) admit(q *request, at float64) {
-	if dp.cache.AnswerOn() && q.Tagged() &&
-		dp.cache.AnswerLookup(q.ChunkIDs, q.PromptTokens, q.OutputTokens) {
-		if dp.bus.Active() {
-			dp.bus.Publish(obs.Event{Kind: obs.KindCacheAnswerHit, T: at, Req: q.ID})
-		}
-		dp.coll.complete(0, 0, 0, at, 0, q.PromptTokens, q.OutputTokens)
-		dp.inflight.Add(-1)
-		dp.onComplete(q, at)
-		return
-	}
-	for st, ps := range dp.plan.Preds {
-		q.pending[st].Store(int32(len(ps)))
-	}
-	for _, e := range dp.plan.Entries {
-		dp.submit(q, e, at)
-	}
-}
-
-// submit routes a request, ready at stage idx (real or virtual) since
-// virtual time at, to the owning worker.
-func (dp *dataplane) submit(q *request, idx int, at float64) {
-	if dp.bus.Active() {
-		dp.bus.Publish(obs.Event{Kind: obs.KindEnqueue, T: at, Req: q.ID,
-			Slot: idx, Stage: dp.slotName[idx], Track: dp.slotTrack[idx]})
-	}
-	q.enqV[idx] = at
-	if st := dp.plan.StepAt(idx); st.Resource >= 0 {
-		dp.resources[st.Resource].inbox <- item{q, idx}
-		return
-	}
-	dp.coll.enqueued(dp.plan.DecodeIdx, len(dp.decode.inbox)+1)
-	dp.decode.inbox <- q
-}
-
-// advance moves a request past stage idx, which completed at virtual
-// time t: successors whose last predecessor this was become ready. The
-// iterative round's virtual slots chain outside the stage graph: the
-// retrieval half feeds the prefix half, and the prefix half hands the
-// finish time back to the parked decode goroutine.
-func (dp *dataplane) advance(q *request, idx int, t float64) {
-	if dp.plan.Round != nil {
-		switch idx {
-		case dp.plan.IterRetrievalSlot():
-			dp.submit(q, dp.plan.IterPrefixSlot(), t)
-			return
-		case dp.plan.IterPrefixSlot():
-			q.resume <- t
-			return
-		}
-	}
-	if idx == dp.plan.PrefixIdx {
-		q.ttft = t - q.Arrival
-	}
-	for _, succ := range dp.plan.Succs[idx] {
-		if q.pending[succ].Add(-1) == 0 {
-			dp.submit(q, succ, t)
-		}
-	}
-}
-
-// complete retires a fully generated request.
-func (dp *dataplane) complete(q *request, done float64) {
-	tpot := 0.0
-	if out := dp.plan.GenTokens(q.OutputTokens); out > 0 {
-		tpot = (done - q.decStart) / float64(out)
-	}
-	dp.coll.release(dp.plan.DecodeIdx, 1)
-	dp.coll.complete(q.ttft, tpot, done-q.Arrival, done, q.seq.Stall, q.PromptTokens, q.OutputTokens)
-	if dp.cache.AnswerOn() && q.Tagged() {
-		dp.cache.AnswerStore(q.ChunkIDs, q.PromptTokens, q.OutputTokens)
-	}
-	dp.inflight.Add(-1)
-	dp.onComplete(q, done)
-}
-
-// searchResult is one retrieval batch's real-substrate outcome: the error
-// (if any) plus the sharded scatter-gather's fallback bookkeeping — how
-// many replica picks skipped unhealthy replicas, and how many consulted
-// shards had to be dropped from the merge with every replica down.
-type searchResult struct {
-	err      error
-	fellBack int
-	lost     int
-}
-
 // searchBuf is one retrieval batch's query storage, reused across batches:
 // the generator, the flat backing array the query vectors are drawn into,
-// their row views, and the per-query scatter plans (whose Consulted slices
-// the sharded index refills in place).
+// their row views, the per-query scatter plans (whose Consulted slices the
+// sharded index refills in place), and each unit's error and duration.
 type searchBuf struct {
 	rng     *rand.Rand
 	flat    []float32
 	queries [][]float32
 	infos   []vectordb.ShardQuery
+	errs    []error
+	durs    []time.Duration
 }
 
-// runSearch synthesizes the batch's query vectors and executes them against
-// the real retrieval substrate, concurrently with the modeled pacing.
-func (dp *dataplane) runSearch(batch []*request, done chan<- searchResult) {
-	qpr := dp.plan.Pipe.Schema.QueriesPerRetrieval
-	if qpr < 1 {
-		qpr = 1
+// search is one retrieval batch's real search. Its queries are one stream
+// seeded by the batch's head request, drawn as soon as the head is known
+// (when it enters an empty queue, else at dispatch), and searched as units
+// of work: on a Sharded index one query each, claimable as soon as the
+// query's request joins the batch — a FIFO queue's first Batch entries form
+// its next batch — and otherwise the whole batch through the Searcher, from
+// dispatch. Goroutines claim units as they become known; when the members
+// are due to advance the driver claims the rest and waits for every unit to
+// return.
+type search struct {
+	plan       *engine.Plan
+	slot, head int // head is the first member's request ID
+	prep       sync.Once
+	buf        *searchBuf
+	known      atomic.Int32 // units that may be claimed
+	next       atomic.Int32 // next unit to claim
+	// searched gets one token per searched unit; it buffers a full batch's
+	// units, so no send blocks.
+	searched chan struct{}
+
+	// Set at dispatch; the driver's.
+	members, units int
+	done           float64 // when the batch's members advance
+	fallback       obs.Event
+}
+
+func queriesPer(p *engine.Plan) int { return max(p.Pipe.Schema.QueriesPerRetrieval, 1) }
+
+func (s *Server) newSearch(p *engine.Plan, slot, head int) *search {
+	return &search{plan: p, slot: slot, head: head,
+		searched: make(chan struct{}, p.StepAt(slot).Batch*queriesPer(p))}
+}
+
+// joined starts drawing the queries of the batch request r heads when it
+// enters slot's queue at depth 1, and on a Sharded index makes r's query
+// claimable when it belongs to that batch.
+func (s *Server) joined(e *epoch, r, slot, depth int) {
+	p := e.plan
+	if !s.opts.searchOn() || p.StepAt(slot).Stage.Kind != pipeline.KindRetrieval {
+		return
 	}
-	n, dim := len(batch)*qpr, dp.opts.QueryDim
-	seed := dp.opts.QuerySeed + int64(batch[0].ID)
-	buf, _ := dp.searchBufs.Get().(*searchBuf)
+	if depth == 1 {
+		if e.ahead == nil {
+			e.ahead = make([]*search, p.NumSlots())
+		}
+		e.ahead[slot] = s.newSearch(p, slot, s.led.Trace(r).ID)
+	}
+	if e.ahead == nil || e.ahead[slot] == nil || depth > p.StepAt(slot).Batch {
+		return
+	}
+	if s.opts.Sharded != nil {
+		e.ahead[slot].known.Store(int32(depth * queriesPer(p)))
+	} else if depth > 1 {
+		return
+	}
+	go s.work(e.ahead[slot])
+}
+
+// startSearch makes all of batch b's units claimable, on resource res of
+// e's plan. Its members advance at virtual time done, once they returned.
+func (s *Server) startSearch(e *epoch, res int, b engine.Batch[int], done float64) {
+	p, head := e.plan, s.led.Trace(b.Members[0]).ID
+	var sr *search
+	if e.ahead != nil {
+		sr, e.ahead[b.Slot] = e.ahead[b.Slot], nil
+	}
+	if sr == nil || sr.head != head {
+		sr = s.newSearch(p, b.Slot, head)
+	}
+	sr.members, sr.units, sr.done = len(b.Members), 1, done
+	if s.opts.Sharded != nil {
+		sr.units = sr.members * queriesPer(p)
+	}
+	sr.known.Store(int32(sr.units))
+	sr.fallback = obs.Event{Kind: obs.KindShardFallback, T: done, Req: head, Slot: b.Slot,
+		Stage: p.SlotName(b.Slot), Track: p.Resources[res].Name}
+	go s.work(sr)
+	s.searches = append(s.searches, sr)
+}
+
+// awaitSearches finishes every search whose batch advances by virtual time
+// t: the driver searches the units still unclaimed, waits for the rest and
+// records the outcome.
+func (s *Server) awaitSearches(t float64) {
+	k := 0
+	for _, sr := range s.searches {
+		if sr.done > t {
+			s.searches[k] = sr
+			k++
+			continue
+		}
+		s.work(sr)
+		for range sr.units {
+			<-sr.searched
+		}
+		s.finish(sr)
+	}
+	clear(s.searches[k:])
+	s.searches = s.searches[:k]
+}
+
+// work draws the batch's queries unless that is done, then searches units
+// until none it may claim is left: query i against the Sharded index's
+// scatter-gather at the plan's nprobe and fanout, or the whole batch
+// through the Searcher.
+func (s *Server) work(sr *search) {
+	sr.prep.Do(func() { s.prepare(sr) })
+	b, p := sr.buf, sr.plan
+	for {
+		i := sr.next.Load()
+		if i >= sr.known.Load() {
+			return
+		}
+		if !sr.next.CompareAndSwap(i, i+1) {
+			continue
+		}
+		start := time.Now()
+		if sh := s.opts.Sharded; sh != nil {
+			k := s.opts.SearchK
+			if k == 0 {
+				k = 10
+			}
+			np := p.Sched.NProbe
+			if np <= 0 {
+				// Knob off means the tier's base configuration, same as the
+				// analytic cost model's DB.Tuned.
+				np = retrieval.BaseNProbe
+			}
+			_, b.errs[i] = sh.Search(b.queries[i], k, np, p.Sched.ShardFanout, &b.infos[i])
+		} else {
+			_, b.errs[i] = s.opts.Searcher(b.queries[:sr.members*queriesPer(p)])
+		}
+		b.durs[i] = time.Since(start)
+		sr.searched <- struct{}{}
+	}
+}
+
+// prepare draws the queries of a full batch headed by sr.head (the batch
+// uses its members' prefix): one math/rand stream seeded QuerySeed + the
+// head's request ID, Float32()*10 per coordinate.
+func (s *Server) prepare(sr *search) {
+	n := sr.plan.StepAt(sr.slot).Batch * queriesPer(sr.plan)
+	dim, seed := s.opts.QueryDim, s.opts.QuerySeed+int64(sr.head)
+	buf, _ := s.searchBufs.Get().(*searchBuf)
 	if buf == nil {
 		buf = &searchBuf{rng: rand.New(rand.NewSource(seed))}
 	} else {
 		buf.rng.Seed(seed)
 	}
-	defer dp.searchBufs.Put(buf)
-	if cap(buf.flat) < n*dim {
-		buf.flat = make([]float32, n*dim)
+	buf.flat = slices.Grow(buf.flat[:0], n*dim)[:n*dim]
+	buf.queries = slices.Grow(buf.queries[:0], n)[:n]
+	for i := range buf.flat {
+		buf.flat[i] = buf.rng.Float32() * 10
 	}
-	if cap(buf.queries) < n {
-		buf.queries = make([][]float32, n)
+	for i := range buf.queries {
+		buf.queries[i] = buf.flat[i*dim : (i+1)*dim : (i+1)*dim]
 	}
-	flat, queries := buf.flat[:n*dim], buf.queries[:n]
-	for i := range flat {
-		flat[i] = buf.rng.Float32() * 10
-	}
-	for i := range queries {
-		queries[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
-	}
-	start := time.Now()
-	var res searchResult
-	if sh := dp.opts.Sharded; sh != nil {
-		k := dp.opts.SearchK
-		if k == 0 {
-			k = 10
+	buf.infos = slices.Grow(buf.infos[:0], n)[:n]
+	buf.errs = slices.Grow(buf.errs[:0], n)[:n]
+	buf.durs = slices.Grow(buf.durs[:0], n)[:n]
+	sr.buf = buf
+}
+
+// finish records a searched batch: its search time (the units' durations
+// summed), its first error, and the scatter-gather's degradation — replica
+// picks that skipped an unhealthy replica and consulted shards merged
+// without, every replica down.
+func (s *Server) finish(sr *search) {
+	b := sr.buf
+	var wall time.Duration
+	for i := range sr.units {
+		wall += b.durs[i]
+		if err := b.errs[i]; err != nil && s.searchErr == nil {
+			s.searchErr = err
 		}
-		np := dp.plan.Sched.NProbe
-		if np <= 0 {
-			// Knob off means the tier's base configuration, same as the
-			// analytic cost model's DB.Tuned.
-			np = retrieval.BaseNProbe
-		}
-		if cap(buf.infos) < n {
-			buf.infos = make([]vectordb.ShardQuery, n)
-		}
-		infos := buf.infos[:n]
-		_, err := sh.SearchBatch(queries, k, np, dp.plan.Sched.ShardFanout, infos)
-		res.err = err
-		for _, info := range infos {
-			if info.FellBack {
-				res.fellBack++
-			}
-			res.lost += info.Lost
-		}
-	} else {
-		_, res.err = dp.opts.Searcher(queries)
 	}
-	dp.coll.searchServed(len(queries), time.Since(start).Seconds())
-	if res.fellBack > 0 || res.lost > 0 {
-		dp.coll.shardDegraded(res.fellBack, res.lost)
+	fellBack, lost := 0, 0
+	for _, info := range b.infos[:sr.units] {
+		if info.FellBack {
+			fellBack++
+		}
+		lost += info.Lost
 	}
-	done <- res
+	s.coll.searched(sr.members*queriesPer(sr.plan), wall.Seconds(), fellBack, lost)
+	if fellBack+lost > 0 && s.opts.Bus.Active() {
+		sr.fallback.N = fellBack + lost
+		s.opts.Bus.Publish(sr.fallback)
+	}
+	s.searchBufs.Put(b)
 }
 
 // Runtime is a live serving engine for one compiled plan: the

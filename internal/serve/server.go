@@ -3,6 +3,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,47 +11,66 @@ import (
 	"rago/internal/engine"
 	"rago/internal/obs"
 	"rago/internal/perf"
+	"rago/internal/pipeline"
 	"rago/internal/trace"
 )
 
 // ErrServeEnded is returned by Server.Switch when the replay has already
 // drained: there is nothing left to migrate, so the switch is refused
-// rather than starting workers no request will ever reach. Controllers
+// rather than starting a plan no request will ever reach. Controllers
 // racing the end of a run should treat it as a benign stop signal.
 var ErrServeEnded = errors.New("serve: replay has already drained")
 
-// epoch is one plan's tenure on the Server: the dataplane executing it
-// plus the lifecycle timestamps the chip-second accounting needs.
+// epoch is one plan's tenure on the Server: the core executing it, the
+// engine.Sink wiring that core to the Server's collector and real search,
+// and the lifecycle timestamps the chip-second accounting needs.
 type epoch struct {
-	dp   *dataplane
+	srv  *Server
 	plan *engine.Plan
+	core *engine.Core
+	idx  int
 
-	// idx is the epoch's ordinal (0 = initial plan); bus, when non-nil,
-	// receives the drain event once the last in-flight request retires.
-	idx int
-	bus *obs.Bus
+	startV              float64
+	admitted, completed int64
+	lastDone            float64
 
-	startV   float64
-	admitted atomic.Int64
-
-	// retired flips when the epoch stops admitting; the dataplane keeps
-	// running until its in-flight count drains to zero, then closes.
-	retired  atomic.Bool
+	// retiredV is when the Switch that replaced the epoch as Server.cur
+	// (under Server.mu) stopped it admitting; the driver closes a retired
+	// epoch once everything it admitted has completed.
 	retiredV float64
 	drainedV float64
-	closed   sync.Once
+	closed   bool
+
+	// ahead holds, per retrieval slot, the search of the batch the request
+	// heading the slot's queue will lead, until that batch dispatches.
+	ahead []*search
 }
 
-// close shuts the epoch's workers down once, recording the drain time.
-func (e *epoch) close(v float64) {
-	e.closed.Do(func() {
-		e.drainedV = v
-		e.dp.stop()
-		if e.bus.Active() && e.retired.Load() {
-			e.bus.Publish(obs.Event{Kind: obs.KindSwitchDrain, T: v, N: e.idx,
-				Dur: v - e.retiredV, Track: "control"})
-		}
-	})
+func (e *epoch) Arrived(r int, admitted bool) {
+	if admitted {
+		e.admitted++
+	}
+	e.srv.coll.arrive(e.srv.led.Trace(r).Arrival, admitted)
+}
+
+func (e *epoch) Enqueued(r, slot, depth int) {
+	e.srv.coll.enqueued(slot, depth)
+	e.srv.joined(e, r, slot, depth)
+}
+
+func (e *epoch) Dispatched(res int, b engine.Batch[int], c engine.BatchCost, at float64) {
+	s, st := e.srv, e.plan.StepAt(b.Slot)
+	s.coll.batchServed(b.Slot, len(b.Members), st.Batch, c.Tok, c.Pad, c.Chunks)
+	if s.opts.searchOn() && st.Stage.Kind == pipeline.KindRetrieval {
+		s.startSearch(e, res, b, at+c.Latency)
+	}
+}
+
+func (e *epoch) Completed(r int, c engine.Completion) {
+	e.completed++
+	e.lastDone = c.At
+	q := e.srv.led.Trace(r)
+	e.srv.coll.complete(c, q.PromptTokens, q.OutputTokens)
 }
 
 // EpochStat describes one plan's tenure in a ServerReport.
@@ -92,38 +112,36 @@ type ServerReport struct {
 
 // Server is a live serving engine that can hot-swap between compiled
 // plans of the same pipeline mid-replay. New admissions route to the
-// current plan's dataplane; a Switch retires the old plan, whose
-// in-flight requests finish on its own workers before they shut down
-// (drain-and-migrate — no request is dropped or served twice). Like
-// Runtime it is single-use: build, Serve one trace, read the report.
-// Switch and Telemetry are safe to call concurrently with Serve; the
-// SLO-aware controller in internal/control is the intended caller.
+// current plan's core; a Switch retires the old plan, whose in-flight
+// requests finish on their own core (drain-and-migrate — no request is
+// dropped or served twice). Like Runtime it is single-use: build, Serve
+// one trace, read the report. Switch and Telemetry are safe to call
+// concurrently with Serve; the SLO-aware controller in internal/control is
+// the intended caller.
 type Server struct {
 	opts Options
 
 	clock clock
 	coll  collector
+	led   *engine.Ledger
 
-	// mu orders admissions against switches: replay admits under RLock,
-	// Switch swaps the current epoch under Lock, so once Switch returns
-	// no new request can land on the retired epoch.
+	// mu orders switches against the driver, which reads cur and epochs
+	// once per wake.
 	mu     sync.RWMutex
 	cur    *epoch
 	epochs []*epoch
-
-	wg          sync.WaitGroup
-	inflight    atomic.Int64
-	maxInflight int64
-	bound       int
+	ended  bool // replay drained, no further switches
+	endV   float64
 
 	served  atomic.Bool
 	live    atomic.Bool
 	started chan struct{}
-	ended   bool // under mu: replay drained, no further switches
-	endV    float64
 
-	searchMu  sync.Mutex
-	searchErr error
+	// Real search: the batches whose search is running (driver only), the
+	// first error, and the recycled query storage.
+	searches   []*search
+	searchErr  error
+	searchBufs sync.Pool
 }
 
 // NewServer builds a multi-plan serving engine starting on the given
@@ -138,8 +156,14 @@ func NewServer(initial *engine.Plan, opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{opts: opts.withDefaults(), started: make(chan struct{})}
-	s.cur = &epoch{plan: initial}
+	s.cur = &epoch{srv: s, plan: initial}
 	return s, nil
+}
+
+// start builds e's core over the run's ledger.
+func (s *Server) start(e *epoch) *epoch {
+	e.core = engine.NewCore(e.plan, s.led, s.opts.FlushTimeout, s.opts.Cache, s.opts.Bus, e)
+	return e
 }
 
 // Plan returns the compiled plan currently receiving admissions.
@@ -173,7 +197,7 @@ func (s *Server) Telemetry(window float64) Window {
 	if !s.live.Load() {
 		return Window{}
 	}
-	w := s.coll.snapshot(s.clock.now(), window, int(s.inflight.Load()))
+	w := s.coll.snapshot(s.clock.now(), window)
 	if s.opts.Cache != nil {
 		st := s.opts.Cache.Stats()
 		w.CacheHitRate = st.HitRate
@@ -185,10 +209,10 @@ func (s *Server) Telemetry(window float64) Window {
 // Switch hot-swaps admissions onto plan, which must execute the same
 // stage graph as the running plans (a schedule of the same pipeline) and
 // pass the same executability check NewServer applies. The retired plan's
-// in-flight requests finish on its own workers, which shut down once
-// drained; the new plan's workers begin admitting immediately. Safe to
-// call concurrently with Serve. Switching to the plan already current is
-// a no-op.
+// in-flight requests finish on its own core, which closes once drained;
+// the new plan's core admits from the driver's next wake. Safe to call
+// concurrently with Serve. Switching to the plan already current is a
+// no-op.
 func (s *Server) Switch(plan *engine.Plan) error {
 	if err := plan.Executable(); err != nil {
 		return err
@@ -211,54 +235,30 @@ func (s *Server) Switch(plan *engine.Plan) error {
 		return fmt.Errorf("serve: plan executes a different stage graph; only schedules of the same pipeline are hot-swappable")
 	}
 	now := s.clock.now()
-	next := &epoch{plan: plan, startV: now, idx: len(s.epochs), bus: s.opts.Bus}
+	next := s.start(&epoch{srv: s, plan: plan, startV: now, idx: len(s.epochs)})
+	info := obs.SwitchInfo{
+		Epoch: next.idx,
+		From:  old.plan.Sched.Describe(old.plan.Pipe),
+		To:    plan.Sched.Describe(plan.Pipe),
+	}
 	if s.opts.Bus.Active() {
 		s.opts.Bus.Publish(obs.Event{Kind: obs.KindSwitchBegin, T: now, N: next.idx,
-			Track: "control", Payload: obs.SwitchInfo{
-				Epoch: next.idx,
-				From:  old.plan.Sched.Describe(old.plan.Pipe),
-				To:    plan.Sched.Describe(plan.Pipe),
-			}})
+			Track: "control", Payload: info})
 	}
-	next.dp = newDataplane(plan, s.opts, s.clock, &s.coll, s.bound, s.onComplete(next), s.setSearchErr)
-	next.dp.launch()
 	s.cur = next
 	s.epochs = append(s.epochs, next)
 	old.retiredV = now
-	old.retired.Store(true)
 	s.mu.Unlock()
 	if s.opts.Bus.Active() {
 		s.opts.Bus.Publish(obs.Event{Kind: obs.KindSwitchCommit, T: now, N: next.idx,
-			Track: "control", Payload: obs.SwitchInfo{
-				Epoch: next.idx,
-				From:  old.plan.Sched.Describe(old.plan.Pipe),
-				To:    plan.Sched.Describe(plan.Pipe),
-			}})
-	}
-	// If the old epoch was already idle there is no completion left to
-	// observe the retirement flag; close it here. sync.Once makes the
-	// race with a concurrent last completion benign.
-	if old.dp.inflight.Load() == 0 {
-		old.close(now)
+			Track: "control", Payload: info})
 	}
 	return nil
 }
 
-// onComplete returns the completion callback wiring an epoch's dataplane
-// back into the Server's global bookkeeping and drain detection.
-func (s *Server) onComplete(e *epoch) func(*request, float64) {
-	return func(_ *request, done float64) {
-		s.inflight.Add(-1)
-		if e.retired.Load() && e.dp.inflight.Load() == 0 {
-			e.close(done)
-		}
-		s.wg.Done()
-	}
-}
-
 // Serve replays the trace, routing each admission to the plan current at
 // its arrival, and blocks until every request has completed or been
-// rejected. Single-use.
+// rejected. The calling goroutine is the driver. Single-use.
 func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 	if len(reqs) == 0 {
 		return nil, fmt.Errorf("serve: empty trace")
@@ -266,19 +266,10 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 	if !s.served.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("serve: Server is single-use; build a new one per trace")
 	}
-	bound := s.opts.MaxInFlight
-	if bound <= 0 {
-		bound = len(reqs)
-	}
-	s.bound = bound
-	s.maxInflight = int64(bound)
 	s.coll.init(s.cur.plan)
+	s.led = engine.NewLedger(s.cur.plan, reqs, s.opts.MaxInFlight)
+	s.epochs = append(s.epochs, s.start(s.cur))
 	s.clock = newClock(s.opts.Speedup)
-	first := s.cur
-	first.bus = s.opts.Bus
-	first.dp = newDataplane(first.plan, s.opts, s.clock, &s.coll, bound, s.onComplete(first), s.setSearchErr)
-	first.dp.launch()
-	s.epochs = append(s.epochs, first)
 	s.live.Store(true)
 	close(s.started)
 
@@ -289,10 +280,7 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 		stopWindows = make(chan struct{})
 		go s.streamWindows(stopWindows, windowsDone)
 	}
-
-	s.wg.Add(len(reqs))
-	go s.replay(reqs)
-	s.wg.Wait()
+	s.drive()
 	if stopWindows != nil {
 		close(stopWindows)
 		<-windowsDone
@@ -302,51 +290,85 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 	s.ended = true
 	s.endV = s.clock.now()
 	for _, e := range s.epochs {
-		if !e.retired.Load() {
-			e.retiredV = s.endV
-			e.retired.Store(true)
+		switch {
+		case e.closed:
+		case e != s.cur:
+			s.close(e)
+		default:
+			e.retiredV, e.drainedV, e.closed = s.endV, s.endV, true
 		}
-		e.close(s.endV)
 	}
 	rep := s.buildReport()
 	s.mu.Unlock()
-
-	s.searchMu.Lock()
-	err := s.searchErr
-	s.searchMu.Unlock()
-	return rep, err
+	return rep, s.searchErr
 }
 
-// replay paces open-loop arrivals, applying admission control and routing
-// each admission to the epoch current at its arrival.
-func (s *Server) replay(reqs []trace.Request) {
-	bus := s.opts.Bus
-	for i := range reqs {
-		r := &reqs[i]
-		s.clock.sleepUntil(r.Arrival)
-		if s.inflight.Load() >= s.maxInflight {
-			s.coll.reject(r.Arrival)
-			if bus.Active() {
-				bus.Publish(obs.Event{Kind: obs.KindReject, T: r.Arrival, Req: r.ID})
-			}
-			s.wg.Done()
-			continue
-		}
-		if bus.Active() {
-			bus.Publish(obs.Event{Kind: obs.KindAdmit, T: r.Arrival, Req: r.ID})
-		}
-		// Admission happens under the read lock so a concurrent Switch
-		// cannot retire an epoch between choosing it and counting the
-		// request on it: after Switch returns, the retired dataplane's
-		// in-flight count can only fall.
+// drive is the wall driver. Each wake reads the wall clock once, picks up
+// the epochs Switch added and closes drained retired ones, then handles
+// every due arrival and core event in global virtual-time order, and
+// finally sleeps until the next one's wall instant. It returns once every
+// request has arrived and no core has an event left.
+func (s *Server) drive() {
+	for {
+		now := s.clock.now()
 		s.mu.RLock()
-		e := s.cur
-		s.inflight.Add(1)
-		e.dp.inflight.Add(1)
-		e.admitted.Add(1)
+		cur, eps := s.cur, s.epochs
 		s.mu.RUnlock()
-		s.coll.admit(r.Arrival)
-		e.dp.admit(e.dp.newRequest(r), r.Arrival)
+		for _, e := range eps {
+			if e != cur && !e.closed && e.admitted == e.completed {
+				s.close(e)
+			}
+		}
+		next, ok := s.advance(cur, eps, now)
+		if !ok {
+			return
+		}
+		s.clock.sleepUntil(next)
+	}
+}
+
+// advance handles, in virtual-time order, every arrival and core event due
+// by virtual time now — arrivals to cur, winning ties with core events,
+// and core events earliest first, the older epoch on ties — and returns
+// when the next one is due, or false once the trace has drained.
+func (s *Server) advance(cur *epoch, eps []*epoch, now float64) (float64, bool) {
+	for {
+		var next *epoch
+		t := math.Inf(1)
+		for _, e := range eps {
+			if et, ok := e.core.Next(); ok && et < t {
+				next, t = e, et
+			}
+		}
+		at, arriving := s.led.NextArrival()
+		admit := arriving && at <= t
+		if admit {
+			t = at
+		} else if next == nil {
+			return 0, false
+		}
+		if t > now {
+			return t, true
+		}
+		if len(s.searches) > 0 {
+			s.awaitSearches(t)
+		}
+		if admit {
+			cur.core.Admit()
+		} else {
+			next.core.Step()
+		}
+	}
+}
+
+// close records a retired epoch's drain: its last completion, or its
+// retirement when it was already idle.
+func (s *Server) close(e *epoch) {
+	e.closed = true
+	e.drainedV = max(e.lastDone, e.retiredV)
+	if s.opts.Bus.Active() {
+		s.opts.Bus.Publish(obs.Event{Kind: obs.KindSwitchDrain, T: e.drainedV, N: e.idx,
+			Dur: e.drainedV - e.retiredV, Track: "control"})
 	}
 }
 
@@ -370,8 +392,8 @@ func (s *Server) streamWindows(stop, done chan struct{}) {
 	}
 }
 
-// buildReport assembles the ServerReport. Called under s.mu after the
-// WaitGroup barrier, so no concurrent mutation remains. A single-epoch
+// buildReport assembles the ServerReport. Called under s.mu once the
+// driver has returned, so no concurrent mutation remains. A single-epoch
 // run carries its plan's analytical reference; a multi-plan run has no
 // single reference, so Analytic stays zero with HasAnalytic false.
 func (s *Server) buildReport() *ServerReport {
@@ -392,11 +414,7 @@ func (s *Server) buildReport() *ServerReport {
 	}
 	rep := &ServerReport{Report: *base, DurationV: s.endV, Switches: len(s.epochs) - 1}
 	for _, e := range s.epochs {
-		end := e.drainedV
-		if end < e.retiredV {
-			end = e.retiredV
-		}
-		cs := float64(e.plan.Sched.ChipsUsed()) * (end - e.startV)
+		cs := float64(e.plan.Sched.ChipsUsed()) * (e.drainedV - e.startV)
 		rep.Epochs = append(rep.Epochs, EpochStat{
 			Schedule:    e.plan.Sched.Describe(e.plan.Pipe),
 			Chips:       e.plan.Sched.ChipsUsed(),
@@ -404,20 +422,12 @@ func (s *Server) buildReport() *ServerReport {
 			StartV:      e.startV,
 			RetiredV:    e.retiredV,
 			DrainedV:    e.drainedV,
-			Admitted:    e.admitted.Load(),
+			Admitted:    e.admitted,
 			ChipSeconds: cs,
 		})
 		rep.ChipSeconds += cs
 	}
 	return rep
-}
-
-func (s *Server) setSearchErr(err error) {
-	s.searchMu.Lock()
-	if s.searchErr == nil {
-		s.searchErr = err
-	}
-	s.searchMu.Unlock()
 }
 
 // String renders the switching report under the base latency report.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"rago/internal/ragschema"
 	"rago/internal/stageperf"
 	"rago/internal/trace"
+	"rago/internal/vectordb"
 )
 
 // TestOptionsValidation: negative Speedup and MaxInFlight must be rejected
@@ -33,6 +35,9 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := NewServer(nil, Options{}); err == nil {
 		t.Error("NewServer should reject a nil plan")
+	}
+	if _, err := New(pipe, prof, sched, Options{Sharded: new(vectordb.Sharded)}); err == nil || !strings.Contains(err.Error(), "Sharded") {
+		t.Errorf("Sharded without QueryDim should be rejected naming Sharded, got %v", err)
 	}
 	// Zero remains "default", not an error.
 	if _, err := New(pipe, prof, sched, Options{}); err != nil {

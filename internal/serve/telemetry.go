@@ -8,8 +8,8 @@ import "sort"
 // arrival rate, completion rate, TTFT/TPOT quantiles, and per-stage
 // queue depth — cheap enough to take every few virtual seconds.
 
-// StageDepth is one stage's live queue occupancy (queued plus in-service
-// requests across all active dataplanes).
+// StageDepth is one stage's live occupancy across all epochs: requests
+// queued at a batching stage, or holding or awaiting a decode slot.
 type StageDepth struct {
 	Stage string `json:"stage"`
 	Depth int    `json:"depth"`
@@ -61,7 +61,7 @@ type Window struct {
 }
 
 // snapshot computes the trailing-window view at virtual time now.
-func (c *collector) snapshot(now, window float64, inflight int) Window {
+func (c *collector) snapshot(now, window float64) Window {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	lo := now - window
@@ -71,34 +71,24 @@ func (c *collector) snapshot(now, window float64, inflight int) Window {
 	w := Window{
 		Now:       now,
 		Span:      now - lo,
-		InFlight:  inflight,
+		InFlight:  c.inflight,
 		Admitted:  c.admitted,
 		Rejected:  c.rejected,
 		Completed: c.completed,
 	}
-	// Arrivals are recorded in order, so the window is a suffix.
-	for i := len(c.arrV) - 1; i >= 0; i-- {
-		if c.arrV[i] <= lo {
-			break
-		}
-		w.Arrivals++
-	}
-	// Completions finish only roughly in order (decode slots overlap),
-	// but the prefix maximum of done times is monotone: everything
-	// before the first index where it exceeds lo is certainly outside
-	// the window, so only the suffix needs the exact filter.
+	// Arrivals and completions are recorded in order, so the window is a
+	// suffix of each.
+	w.Arrivals = len(c.arrV) - sort.Search(len(c.arrV), func(i int) bool { return c.arrV[i] > lo })
 	var ttft, tpot []float64
 	var shapeP, shapeO []int
 	shaped := false
-	from := sort.Search(len(c.donePMax), func(i int) bool { return c.donePMax[i] > lo })
-	for i := from; i < len(c.doneV); i++ {
-		if d := c.doneV[i]; d > lo && d <= now {
-			ttft = append(ttft, c.ttft[i])
-			tpot = append(tpot, c.tpot[i])
-			shapeP = append(shapeP, c.shapeP[i])
-			shapeO = append(shapeO, c.shapeO[i])
-			shaped = shaped || c.shapeP[i] != 0 || c.shapeO[i] != 0
-		}
+	from := sort.Search(len(c.doneV), func(i int) bool { return c.doneV[i] > lo })
+	for i := from; i < len(c.doneV) && c.doneV[i] <= now; i++ {
+		ttft = append(ttft, c.ttft[i])
+		tpot = append(tpot, c.tpot[i])
+		shapeP = append(shapeP, c.shapeP[i])
+		shapeO = append(shapeO, c.shapeO[i])
+		shaped = shaped || c.shapeP[i] != 0 || c.shapeO[i] != 0
 	}
 	w.Completions = len(ttft)
 	if shaped {

@@ -1,0 +1,298 @@
+package serve
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"rago/internal/cache"
+	"rago/internal/engine"
+	"rago/internal/hw"
+	"rago/internal/obs"
+	"rago/internal/pipeline"
+	"rago/internal/ragschema"
+	"rago/internal/sim"
+	"rago/internal/stageperf"
+	"rago/internal/trace"
+)
+
+// mechanism is one of the simulator's mechanism-golden configurations
+// (internal/sim TestServeSimMechanismGolden): a plan, a trace, the reuse
+// cache each run builds fresh (nil config: none) and the admission bound.
+type mechanism struct {
+	name        string
+	plan        *engine.Plan
+	reqs        []trace.Request
+	cache       *cache.Config
+	maxInFlight int
+}
+
+// mechanismSchedule is the Case I/III golden schedule.
+func mechanismSchedule() engine.Schedule {
+	return engine.Schedule{
+		Groups:           []engine.GroupSchedule{{Stages: []int{1}, Chips: 16, Batch: 8}},
+		RetrievalServers: 16,
+		RetrievalBatch:   8,
+		DecodeChips:      16,
+		DecodeBatch:      128,
+		DecodeReplicas:   4,
+	}
+}
+
+func mechanismCompile(t *testing.T, schema ragschema.Schema, sched engine.Schedule, shards int) *engine.Plan {
+	t.Helper()
+	pipe, err := pipeline.Build(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := stageperf.New(hw.XPUC, hw.EPYCHost, schema)
+	prof.Shards = shards
+	plan, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// mechanismShapes draws lognormal lengths, leaving every fifth request at
+// the schema constant so batches mix shaped and unshaped members.
+func mechanismShapes(t *testing.T, reqs []trace.Request) []trace.Request {
+	t.Helper()
+	prompt, err := trace.LognormalLengths(512, 0.8, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	output, err := trace.LognormalLengths(256, 0.7, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := trace.WithShapes(reqs, prompt, output, 3)
+	for i := range out {
+		if i%5 == 0 {
+			out[i].PromptTokens, out[i].OutputTokens = 0, 0
+		}
+	}
+	return out
+}
+
+// mechanisms builds the five configurations: shaped Case I tagged one
+// third by document popularity, one third by session reuse and one third
+// untagged, against an evicting prefix cache with the answer tier, under
+// bucketed, sorted and bucketed+chunked formation; the shaped §5.3 decode
+// loop; and sharded Case I shedding at MaxInFlight 160.
+func mechanisms(t *testing.T) []mechanism {
+	t.Helper()
+	var out []mechanism
+	for _, m := range []struct {
+		name    string
+		pol     engine.BatchPolicy
+		quantum int
+	}{
+		{"caseI-cached-bucketed", engine.PolicyBucketed, 0},
+		{"caseI-cached-sorted", engine.PolicySorted, 0},
+		{"caseI-cached-bucketed-chunked", engine.PolicyBucketed, 256},
+	} {
+		schema := ragschema.CaseI(8e9, 1)
+		sched := mechanismSchedule()
+		sched.FormPolicy, sched.ChunkQuantum = m.pol, m.quantum
+		plan := mechanismCompile(t, schema, sched, 0)
+		const n = 1500
+		base, err := trace.Poisson(n, 1.3*plan.Metrics.QPS, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shaped := mechanismShapes(t, base)
+		zipf, err := trace.WithDocZipf(shaped, 400, 5, 1.3, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := trace.WithSessions(shaped, 32, 0.7, 400, 5, 1.3, 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reqs := make([]trace.Request, n)
+		for i := range reqs {
+			reqs[i] = [][]trace.Request{zipf, sess, shaped}[i%3][i]
+		}
+		out = append(out, mechanism{name: m.name, plan: plan, reqs: reqs,
+			cache: &cache.Config{PrefixTokens: 6000, ChunkTokens: schema.ChunkTokens, AnswerEntries: 64}})
+	}
+
+	iterSched := mechanismSchedule()
+	iterSched.IterativeBatch = 8
+	iter := mechanismCompile(t, ragschema.CaseIII(8e9, 4), iterSched, 0)
+	base, err := trace.Poisson(600, 1.3*iter.Metrics.QPS, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, mechanism{name: "caseIII-shaped", plan: iter, reqs: mechanismShapes(t, base)})
+
+	shardSched := mechanismSchedule()
+	shardSched.NProbe, shardSched.ShardFanout = 16, 2
+	sharded := mechanismCompile(t, ragschema.CaseI(8e9, 1), shardSched, 4)
+	reqs, err := trace.Poisson(1500, 2*sharded.Metrics.QPS, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(out, mechanism{name: "caseI-sharded-shed", plan: sharded, reqs: reqs, maxInFlight: 160})
+}
+
+func (m mechanism) newCache(t *testing.T) *cache.Cache {
+	t.Helper()
+	if m.cache == nil {
+		return nil
+	}
+	c, err := cache.New(*m.cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// streamEvent is the part of an event both drivers must agree on.
+type streamEvent struct {
+	kind      obs.Kind
+	t, dur    uint64
+	req, slot int
+	n         int
+}
+
+// recordStream attaches a lossless subscriber to a fresh bus; the returned
+// collect closes it and returns the stream.
+func recordStream(t *testing.T, events int) (*obs.Bus, func() []streamEvent) {
+	t.Helper()
+	bus := obs.NewBus()
+	sub := bus.Subscribe(events)
+	return bus, func() []streamEvent {
+		sub.Close()
+		if sub.Dropped() != 0 {
+			t.Fatalf("subscriber dropped %d events", sub.Dropped())
+		}
+		var out []streamEvent
+		for ev := range sub.Events() {
+			out = append(out, streamEvent{ev.Kind, math.Float64bits(ev.T), math.Float64bits(ev.Dur), ev.Req, ev.Slot, ev.N})
+		}
+		return out
+	}
+}
+
+// TestWallDriverMatchesHeapDriver: Server.Serve and sim.ServeSim.Run drive
+// the same engine.Core, so on each mechanism-golden configuration the live
+// runtime with no real searcher, unpaced and paced, publishes exactly the
+// simulator's event stream (kind, T and Dur bits, Req, Slot, N) and
+// completes and rejects the same requests. A Switch run then records its
+// completions in virtual-time order across epochs.
+func TestWallDriverMatchesHeapDriver(t *testing.T) {
+	for _, m := range mechanisms(t) {
+		t.Run(m.name, func(t *testing.T) {
+			bus, collect := recordStream(t, 64*len(m.reqs))
+			des, err := sim.NewServeFromPlan(m.plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			des.Bus, des.Cache, des.MaxInFlight = bus, m.newCache(t), m.maxInFlight
+			res, err := des.Run(m.reqs, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := collect()
+
+			// Paced: the trace's arrivals span about half a wall second.
+			paced := m.reqs[len(m.reqs)-1].Arrival / 0.5
+			for _, speedup := range []float64{1e9, paced} {
+				bus, collect := recordStream(t, 64*len(m.reqs))
+				srv, err := NewServer(m.plan, Options{Speedup: speedup, FlushTimeout: 0.05,
+					MaxInFlight: m.maxInFlight, Cache: m.newCache(t), Bus: bus})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rep, err := srv.Serve(m.reqs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := collect()
+				if rep.Completed != res.Completed || rep.Rejected != res.Rejected {
+					t.Errorf("speedup %g: completed/rejected %d/%d, sim %d/%d",
+						speedup, rep.Completed, rep.Rejected, res.Completed, res.Rejected)
+				}
+				if len(got) != len(want) {
+					t.Errorf("speedup %g: %d events, sim published %d", speedup, len(got), len(want))
+				}
+				for i := range min(len(got), len(want)) {
+					if got[i] != want[i] {
+						t.Errorf("speedup %g: event %d is %+v, sim's %+v", speedup, i, got[i], want[i])
+						break
+					}
+				}
+			}
+		})
+	}
+
+	t.Run("switch-completion-order", func(t *testing.T) {
+		m := mechanisms(t)[0]
+		sched := m.plan.Sched
+		sched.FormPolicy = engine.PolicySorted
+		other, err := engine.Compile(m.plan.Pipe, sched, stageperf.New(hw.XPUC, hw.EPYCHost, m.plan.Pipe.Schema))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := NewServer(m.plan, Options{Speedup: m.reqs[len(m.reqs)-1].Arrival / 0.5, Cache: m.newCache(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		var rep *ServerReport
+		go func() {
+			rep, err = srv.Serve(m.reqs)
+			close(done)
+		}()
+		<-srv.Started()
+		<-srv.AfterVirtual(m.reqs[len(m.reqs)/2].Arrival)
+		if err := srv.Switch(other); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Switches != 1 || rep.Completed != len(m.reqs) {
+			t.Fatalf("%d switches, %d of %d completed", rep.Switches, rep.Completed, len(m.reqs))
+		}
+		if !sort.Float64sAreSorted(srv.coll.doneV) {
+			t.Error("completions recorded out of virtual-time order across the switch")
+		}
+	})
+}
+
+// TestSingleRequestQPS: one completion has no span to measure a rate over,
+// so both executors report a completion rate of 0, not +Inf.
+func TestSingleRequestQPS(t *testing.T) {
+	pipe, prof, sched := caseISetup(t)
+	plan, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := trace.Burst(1)
+	des, err := sim.NewServeFromPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := des.Run(reqs, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed != 1 || res.QPS != 0 {
+		t.Errorf("sim: %d completed at QPS %g, want 1 at 0", res.Completed, res.QPS)
+	}
+	srv, err := NewServer(plan, Options{Speedup: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := srv.Serve(reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Completed != 1 || rep.SustainedQPS != 0 {
+		t.Errorf("serve: %d completed at QPS %g, want 1 at 0", rep.Completed, rep.SustainedQPS)
+	}
+}
