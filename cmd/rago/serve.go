@@ -595,9 +595,9 @@ func runControlled(o *core.Optimizer, front []core.SchedulePoint, tf traceFlags,
 	flushTrace()
 
 	// The discrete-event replay of the same decisions validates the live
-	// run; the simulator applies the same admission bound — and, when the
-	// runtime served with a cache, mirrors it with its own instance — so
-	// the cross-check runs whether or not -max-inflight shed arrivals.
+	// run: it runs the live run's loop under the same admission bound —
+	// and, when the runtime served with a cache, its own instance of it —
+	// so the runtime/sim ratio is exactly 1, with or without -max-inflight.
 	var simRes control.SimResult
 	if cacheCfg != nil {
 		simRes, err = control.SimReplayCached(lib, res, reqs, opts.FlushTimeout, opts.MaxInFlight, *cacheCfg)

@@ -127,8 +127,8 @@ func TestNewLibraryFromFrontier(t *testing.T) {
 // deterministic diurnal trace the controller must hold p99 TTFT inside
 // the SLO, spend measurably fewer chip-seconds than static peak
 // provisioning, switch plans in both directions without dropping or
-// double-serving a single request, and agree with the discrete-event
-// replay of its own switching decisions within 15%.
+// double-serving a single request, and equal the discrete-event replay of
+// its own switching decisions exactly.
 func TestControllerDiurnalHoldsSLO(t *testing.T) {
 	lib := caseIVLadder(t)
 	const (
@@ -160,11 +160,13 @@ func TestControllerDiurnalHoldsSLO(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := ctl.Run(serve.Options{Speedup: speedup}, reqs)
+	bus, stream := recordRequestStream(t, pacedStreamBuf)
+	res, err := ctl.Run(serve.Options{Speedup: speedup, Bus: bus}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := res.Report
+	live := stream()
 
 	// Drain-and-migrate correctness: every request served exactly once.
 	if rep.Completed != n || rep.Rejected != 0 {
@@ -204,34 +206,23 @@ func TestControllerDiurnalHoldsSLO(t *testing.T) {
 		t.Errorf("chip-seconds saving %.1f%% not measurable (want >= 10%%)", 100*res.Saved)
 	}
 
-	// The sim replay of the same switching decisions must agree.
-	simRes, err := SimReplay(lib, res, reqs, 0.05, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if simRes.Completed != n {
-		t.Fatalf("sim replay completed %d of %d", simRes.Completed, n)
-	}
-	ratio := rep.SustainedQPS / simRes.QPS
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("runtime QPS %.2f vs sim replay QPS %.2f (ratio %.2f), want within 15%%",
-			rep.SustainedQPS, simRes.QPS, ratio)
-	}
+	// The sim replay of the same switching decisions is the same run.
+	replayExactly(t, lib, res, reqs, 0, live)
 	if math.IsNaN(res.Saved) {
 		t.Errorf("accounting produced NaN: %+v", res)
 	}
 }
 
-// TestControllerSimReplayWithAdmissionBound is the cross-check that used
-// to be skipped whenever -max-inflight shed arrivals: the discrete-event
-// replay now applies the same shed-on-full bound, so a controlled run
-// with admission control must still agree with its sim replay within the
-// 15% band — and both sides must actually have shed load.
+// TestControllerSimReplayWithAdmissionBound: the discrete-event replay
+// applies the live run's shed-on-full bound once across all tenures, as
+// the Server does, so a controlled run with admission control that
+// actually sheds load equals its sim replay exactly — the same requests
+// shed, by the same tenures.
 func TestControllerSimReplayWithAdmissionBound(t *testing.T) {
 	lib := caseIVLadder(t)
-	// Flat load near the mid plan's capacity with a bound below the
-	// steady-state in-flight population, so shedding is systematic
-	// rather than a startup transient.
+	// Load near the mid plan's capacity with a bound below the steady-state
+	// in-flight population, so shedding is systematic rather than a startup
+	// transient, then a third of it, so the controller switches down.
 	rate := 0.9 * lib.Entries[1].QPS
 	const dur = 120.0
 	const bound = 32
@@ -239,6 +230,11 @@ func TestControllerSimReplayWithAdmissionBound(t *testing.T) {
 	reqs, err := trace.Poisson(n, rate, 29)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for i := range reqs {
+		if a := reqs[i].Arrival; a > dur/2 {
+			reqs[i].Arrival = dur/2 + 3*(a-dur/2)
+		}
 	}
 	ctl, err := NewController(lib, Config{
 		SLO:      SLO{TTFT: 1.0},
@@ -254,11 +250,14 @@ func TestControllerSimReplayWithAdmissionBound(t *testing.T) {
 	if raceEnabled {
 		wallBudget = 9.0
 	}
-	res, err := ctl.Run(serve.Options{Speedup: dur / wallBudget, MaxInFlight: bound}, reqs)
+	bus, stream := recordRequestStream(t, pacedStreamBuf)
+	span := reqs[n-1].Arrival
+	res, err := ctl.Run(serve.Options{Speedup: span / wallBudget, MaxInFlight: bound, Bus: bus}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rep := res.Report
+	live := stream()
 	if rep.Completed+rep.Rejected != n {
 		t.Fatalf("completed %d + rejected %d != %d", rep.Completed, rep.Rejected, n)
 	}
@@ -266,22 +265,10 @@ func TestControllerSimReplayWithAdmissionBound(t *testing.T) {
 		t.Fatalf("bound %d against ~%.0f in-flight demand should shed load", bound, rate)
 	}
 
-	simRes, err := SimReplay(lib, res, reqs, 0.05, bound)
-	if err != nil {
-		t.Fatal(err)
+	if len(res.Events) == 0 {
+		t.Fatal("the controller never switched; the replay would not cross a tenure boundary")
 	}
-	if simRes.Rejected == 0 {
-		t.Errorf("sim replay with the same bound should shed load too")
-	}
-	if d := float64(simRes.Completed-rep.Completed) / float64(rep.Completed); d < -0.15 || d > 0.15 {
-		t.Errorf("sim replay completed %d vs live %d (%.0f%% apart), want within 15%%",
-			simRes.Completed, rep.Completed, 100*d)
-	}
-	ratio := rep.SustainedQPS / simRes.QPS
-	if ratio < 0.85 || ratio > 1.15 {
-		t.Errorf("runtime QPS %.2f vs sim replay QPS %.2f (ratio %.2f), want within 15%%",
-			rep.SustainedQPS, simRes.QPS, ratio)
-	}
+	replayExactly(t, lib, res, reqs, bound, live)
 }
 
 // TestControllerStaticLoad: on a flat trace comfortably inside one plan's

@@ -83,7 +83,10 @@ func (c Config) validate() error {
 
 // Event is one plan switch the controller made.
 type Event struct {
-	// AtV is the virtual decision time; From/To index Library.Entries.
+	// AtV is the virtual time the switch took effect, the StartV of the
+	// epoch it started (set once the run drains): every later arrival went
+	// to To. SimReplay starts its tenures there. From/To index
+	// Library.Entries.
 	AtV  float64 `json:"at_v"`
 	From int     `json:"from"`
 	To   int     `json:"to"`
@@ -309,18 +312,18 @@ func (c *Controller) startEntry(reqs []trace.Request) int {
 	}
 	early := 0
 	for _, r := range reqs {
-		if r.Arrival > c.Cfg.Window {
-			break
+		if r.Arrival <= c.Cfg.Window {
+			early++
 		}
-		early++
 	}
 	return c.Lib.IndexFor(float64(early) / c.Cfg.Window * c.Cfg.Headroom)
 }
 
 // account fills in the cost comparison once the run has drained, and
-// back-fills each switch event with its retired epoch's measured drain
-// time (switch i retires epoch i — epochs and events are both in switch
-// order, with epochs carrying one extra leading entry for the start plan).
+// back-fills each switch event with when it took effect and its retired
+// epoch's measured drain time (switch i retires epoch i and starts epoch
+// i+1 — epochs and events are both in switch order, with epochs carrying
+// one extra leading entry for the start plan).
 func (c *Controller) account(res *Result, rep *serve.ServerReport) {
 	res.ChipSeconds = rep.ChipSeconds
 	res.StaticChipSeconds = float64(c.Lib.Entries[res.MaxEntry].Chips) * rep.DurationV
@@ -328,13 +331,9 @@ func (c *Controller) account(res *Result, rep *serve.ServerReport) {
 		res.Saved = 1 - res.ChipSeconds/res.StaticChipSeconds
 	}
 	for i := range res.Events {
-		if i >= len(rep.Epochs) {
-			break
-		}
-		e := rep.Epochs[i]
-		if d := e.DrainedV - e.RetiredV; d > 0 {
-			res.Events[i].DrainSeconds = d
-		}
+		old := rep.Epochs[i]
+		res.Events[i].AtV = rep.Epochs[i+1].StartV
+		res.Events[i].DrainSeconds = max(old.DrainedV-old.RetiredV, 0)
 	}
 }
 

@@ -6,22 +6,21 @@ import (
 
 	"rago/internal/cache"
 	"rago/internal/engine"
-	"rago/internal/sim"
+	"rago/internal/obs"
 	"rago/internal/trace"
 )
 
-// SimResult is the discrete-event replay of a recorded switching history.
+// SimResult is the discrete-event replay of a recorded switching history;
+// for the live run that recorded it, it is that run (see SimReplay).
 type SimResult struct {
-	// Completed counts simulated completions; QPS is completions over
-	// the union completion span.
+	// Completed counts simulated completions; QPS is the completion rate
+	// over the completion span (engine.CompletionRate).
 	Completed int     `json:"completed"`
 	QPS       float64 `json:"qps"`
-	// Rejected counts arrivals the admission bound shed across tenures.
+	// Rejected counts arrivals the admission bound shed.
 	Rejected int `json:"rejected,omitempty"`
-	// Segments is how many plan tenures actually served requests.
-	Segments int `json:"segments"`
-	// PerSegment annotates each served tenure: which library entry ran
-	// it, the slice of the trace it carried, and its own completion rate.
+	// PerSegment annotates each plan tenure, in the order of the live
+	// run's Report.Epochs.
 	PerSegment []SegmentSim `json:"per_segment,omitempty"`
 	// Cache is the replay's reuse-cache statistics (SimReplayCached only).
 	Cache *cache.Stats `json:"cache,omitempty"`
@@ -33,43 +32,43 @@ type SegmentSim struct {
 	// the initial plan).
 	Entry int     `json:"entry"`
 	FromV float64 `json:"from_v"`
-	// Requests/Completed/Rejected count the tenure's trace slice.
-	Requests  int `json:"requests"`
+	// Admitted and Rejected count the arrivals routed to the tenure;
+	// Completed counts the admitted requests it finished.
+	Admitted  int `json:"admitted"`
 	Completed int `json:"completed"`
 	Rejected  int `json:"rejected,omitempty"`
 	// FirstDone/LastDone bound the tenure's completions in absolute trace
-	// time; QPS is the tenure's own windowed completion rate.
+	// time (0 when it completed nothing); QPS is its own completion rate.
 	FirstDone float64 `json:"first_done"`
 	LastDone  float64 `json:"last_done"`
 	QPS       float64 `json:"qps"`
 }
 
 // SimReplay replays a controller Result's switching decisions through the
-// discrete-event validator: each request is simulated on the plan that
-// was current at its arrival, on that plan's own resources — exactly the
-// drain-and-migrate semantics of the live Server, where epochs never
-// share workers — and the per-tenure results are combined over the union
-// completion span. maxInFlight applies the live runtime's admission bound
-// (shed-on-full, 0 admits everything) per tenure; the live Server bounds
-// in-flight requests globally across draining epochs, so under heavy
-// shedding the per-tenure replay is an approximation — accurate away from
-// switch instants. The returned QPS is the reference the live runtime is
-// cross-checked against (the two must agree within the established 15%
-// band).
+// discrete-event validator. It runs the live Server's own loop
+// (engine.Loop) with one epoch per recorded tenure, each starting at its
+// switch's Event.AtV, to the end of the trace: every request is admitted by
+// the plan current at its arrival and finishes on that plan's resources
+// (drain-and-migrate), maxInFlight bounds in-flight requests across all
+// tenures at once (shed-on-full, 0 admits everything), and events of
+// different tenures interleave in virtual-time order. That is what the
+// live run did, so for a Result the controller recorded with the same
+// flushTimeout and bound the replay equals the live run exactly.
 func SimReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int) (SimResult, error) {
-	return simReplay(lib, res, reqs, flushTimeout, maxInFlight, nil)
+	return simReplay(lib, res, reqs, flushTimeout, maxInFlight, nil, nil)
 }
 
 // SimReplayCached is SimReplay with the simulator mirroring the live
 // Server's reuse cache: one cache built from cfg spans every tenure, the
 // way Options.Cache is server-scoped in the runtime (plan switches never
-// flush it). The replay's cache statistics land in SimResult.Cache.
+// flush it), and sees the lookups of all tenures in virtual-time order.
+// The replay's cache statistics land in SimResult.Cache.
 func SimReplayCached(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int, cfg cache.Config) (SimResult, error) {
 	c, err := cache.New(cfg)
 	if err != nil {
 		return SimResult{}, err
 	}
-	out, err := simReplay(lib, res, reqs, flushTimeout, maxInFlight, c)
+	out, err := simReplay(lib, res, reqs, flushTimeout, maxInFlight, c, nil)
 	if err == nil {
 		st := c.Stats()
 		out.Cache = &st
@@ -77,7 +76,9 @@ func SimReplayCached(lib *Library, res *Result, reqs []trace.Request, flushTimeo
 	return out, err
 }
 
-func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int, c *cache.Cache) (SimResult, error) {
+// simReplay runs the replay, publishing its request-level events on bus
+// (nil publishes nothing).
+func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int, c *cache.Cache, bus *obs.Bus) (SimResult, error) {
 	if lib == nil || len(lib.Entries) == 0 {
 		return SimResult{}, fmt.Errorf("control: empty plan library")
 	}
@@ -90,68 +91,71 @@ func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout flo
 	if maxInFlight < 0 {
 		return SimResult{}, fmt.Errorf("control: maxInFlight must be non-negative (0 admits everything), got %d", maxInFlight)
 	}
-	// Reconstruct the plan timeline: entry indices over [bound, next).
-	type tenure struct {
-		entry int
-		from  float64
-	}
-	timeline := []tenure{{entry: res.Start}}
+	segs := []SegmentSim{{Entry: res.Start}}
 	for _, e := range res.Events {
-		if e.To < 0 || e.To >= len(lib.Entries) {
-			return SimResult{}, fmt.Errorf("control: event targets entry %d outside the library", e.To)
-		}
-		timeline = append(timeline, tenure{entry: e.To, from: e.AtV})
+		segs = append(segs, SegmentSim{Entry: e.To, FromV: e.AtV})
 	}
-
-	out := SimResult{}
-	first, last := math.Inf(1), math.Inf(-1)
-	lo := 0
-	// Pool one simulator per library entry: an oscillating controller
-	// revisits the same few entries across many tenures, and ServeSim.Run
-	// keeps no cross-run state, so re-running a pooled instance is exactly
-	// one fresh construction per distinct entry instead of one per segment
-	// (the pool-scratch discipline the executors' hot paths already use).
-	sims := make(map[int]*sim.ServeSim, len(lib.Entries))
-	for i, tn := range timeline {
-		hi := len(reqs)
-		if i+1 < len(timeline) {
-			next := timeline[i+1].from
-			for hi = lo; hi < len(reqs) && reqs[hi].Arrival < next; hi++ {
-			}
+	var led *engine.Ledger
+	var loop *engine.Loop
+	for i := range segs {
+		if e := segs[i].Entry; e < 0 || e >= len(lib.Entries) {
+			return SimResult{}, fmt.Errorf("control: tenure runs entry %d outside the library", e)
 		}
-		seg := reqs[lo:hi]
-		lo = hi
-		if len(seg) == 0 {
-			continue
-		}
-		s := sims[tn.entry]
-		if s == nil {
-			var err error
-			s, err = sim.NewServeFromPlan(lib.Entries[tn.entry].Plan)
-			if err != nil {
-				return SimResult{}, err
-			}
-			sims[tn.entry] = s
-		}
-		s.MaxInFlight = maxInFlight
-		s.Cache = c
-		r, err := s.Run(seg, flushTimeout)
-		if err != nil {
+		p := lib.Entries[segs[i].Entry].Plan
+		if err := p.Executable(); err != nil {
 			return SimResult{}, err
 		}
-		out.Completed += r.Completed
-		out.Rejected += r.Rejected
-		out.Segments++
-		out.PerSegment = append(out.PerSegment, SegmentSim{
-			Entry: tn.entry, FromV: tn.from,
-			Requests: len(seg), Completed: r.Completed, Rejected: r.Rejected,
-			FirstDone: r.FirstDone, LastDone: r.LastDone, QPS: r.QPS,
-		})
-		first, last = min(first, r.FirstDone), max(last, r.LastDone)
+		if i == 0 {
+			led = engine.NewLedger(p, reqs, maxInFlight)
+			loop = engine.NewLoop(led)
+		} else if !lib.Entries[res.Start].Plan.CompatibleWith(p) {
+			return SimResult{}, fmt.Errorf("control: tenure runs entry %d, a different stage graph", segs[i].Entry)
+		}
+		loop.Add(engine.NewCore(p, led, flushTimeout, c, bus, segSink{&segs[i]}), segs[i].FromV)
+	}
+	loop.Advance(math.Inf(1), nil)
+
+	out := SimResult{PerSegment: segs}
+	firstDone, lastDone := 0.0, 0.0
+	for i := range segs {
+		sg := &segs[i]
+		sg.QPS = engine.CompletionRate(sg.Completed, sg.FirstDone, sg.LastDone)
+		out.Rejected += sg.Rejected
+		if sg.Completed == 0 {
+			continue
+		}
+		if out.Completed == 0 || sg.FirstDone < firstDone {
+			firstDone = sg.FirstDone
+		}
+		lastDone = max(lastDone, sg.LastDone)
+		out.Completed += sg.Completed
 	}
 	if out.Completed == 0 {
 		return SimResult{}, fmt.Errorf("control: sim replay completed nothing")
 	}
-	out.QPS = engine.CompletionRate(out.Completed, first, last)
+	out.QPS = engine.CompletionRate(out.Completed, firstDone, lastDone)
 	return out, nil
+}
+
+// segSink is a tenure's engine.Sink: it counts into the tenure's SegmentSim.
+type segSink struct{ sg *SegmentSim }
+
+func (s segSink) Arrived(_ int, admitted bool) {
+	if admitted {
+		s.sg.Admitted++
+	} else {
+		s.sg.Rejected++
+	}
+}
+
+func (s segSink) Enqueued(int, int, int) {}
+
+func (s segSink) Dispatched(int, engine.Batch, engine.BatchCost, float64) {}
+
+func (s segSink) Completed(_ int, c engine.Completion) {
+	if s.sg.Completed == 0 {
+		s.sg.FirstDone = c.At
+	}
+	s.sg.Completed++
+	s.sg.LastDone = c.At
 }

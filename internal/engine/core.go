@@ -16,12 +16,10 @@ import (
 // every request-level obs event. It is clock-free and single-goroutine: it
 // keeps its own pending events in a typed heap and handles them one at a
 // time in (virtual time, push order), so the only thing a driver decides
-// is when each event is handled. sim.ServeSim drives one Core as a pure
-// event loop; serve.Server drives one Core per plan epoch on the wall
-// clock, sleeping to each event's wall instant. Both merge the trace's
-// arrivals in by Ledger.NextArrival, an arrival winning a tie with any core
-// event, so both hand the core the same event sequence and it makes the
-// same decisions and publishes the same stream.
+// is when each event is handled. Every run drives its cores through one
+// Loop (loop.go): sim.ServeSim and the controller's replay run it to the
+// end, serve.Server advances it on the wall clock, and all three make the
+// same decisions and publish the same stream.
 
 // Ledger is the per-request state of one trace run, indexed by trace
 // position: pending-predecessor counts, queue-entry times, TTFT, decode
@@ -121,7 +119,7 @@ type Sink interface {
 	Enqueued(r, slot, depth int)
 	// Dispatched reports resource res starting batch b at virtual time at
 	// with cost c. b.Members and c's slices are valid only during the call.
-	Dispatched(res int, b Batch[int], c BatchCost, at float64)
+	Dispatched(res int, b Batch, c BatchCost, at float64)
 	// Completed reports request r finishing.
 	Completed(r int, c Completion)
 }
@@ -136,9 +134,10 @@ type Core struct {
 	cache *cache.Cache // its answer tier short-circuits admissions
 	flush float64
 
-	disp      []*Dispatcher[int]
+	disp      []*Dispatcher
 	busy      []bool
 	preds     []int32 // per-stage predecessor counts
+	held      int     // admitted requests not yet completed
 	decFree   int
 	decWait   []int // sequences waiting for a decode slot, FIFO
 	heap      eventHeap
@@ -153,10 +152,10 @@ type Core struct {
 // bus the event sink (nil publishes nothing) and sink the driver's.
 func NewCore(p *Plan, l *Ledger, flush float64, c *cache.Cache, bus *obs.Bus, sink Sink) *Core {
 	k := &Core{plan: p, led: l, sink: sink, bus: bus, cache: c, flush: flush, decFree: p.Sched.DecodeBatch,
-		disp: make([]*Dispatcher[int], len(p.Resources)), busy: make([]bool, len(p.Resources)),
+		disp: make([]*Dispatcher, len(p.Resources)), busy: make([]bool, len(p.Resources)),
 		preds: make([]int32, len(p.Steps)), slotName: p.SlotNames(), slotTrack: p.TrackNames()}
 	for ri := range k.disp {
-		k.disp[ri] = NewDispatcher[int](p, ri, flush, c, l)
+		k.disp[ri] = NewDispatcher(p, ri, flush, c, l)
 	}
 	for st, ps := range p.Preds {
 		k.preds[st] = int32(len(ps))
@@ -191,6 +190,7 @@ func (k *Core) Admit() {
 		return
 	}
 	l.inflight++
+	k.held++
 	if k.bus.Active() {
 		k.bus.Publish(obs.Event{Kind: obs.KindAdmit, T: now, Req: q.ID})
 	}
@@ -200,6 +200,7 @@ func (k *Core) Admit() {
 			k.bus.Publish(obs.Event{Kind: obs.KindCacheAnswerHit, T: now, Req: q.ID})
 		}
 		l.inflight--
+		k.held--
 		k.sink.Completed(r, Completion{At: now, Hit: true})
 		return
 	}
@@ -353,7 +354,7 @@ func (k *Core) trySchedule(res int, now float64) {
 // verdict, the scatter-gather bracket of a sharded retrieval batch (one
 // scatter at dispatch, one gather at the modeled finish, N the shards
 // consulted), and every member's stage start and finish.
-func (k *Core) publishBatch(res int, b Batch[int], c BatchCost, now float64) {
+func (k *Core) publishBatch(res int, b Batch, c BatchCost, now float64) {
 	p, reqs := k.plan, k.led.reqs
 	track, stage := p.Resources[res].Name, k.slotName[b.Slot]
 	for i, credit := range c.Credits {
@@ -412,6 +413,7 @@ func (k *Core) complete(r int, now float64) {
 	p, l := k.plan, k.led
 	q, st := &l.reqs[r], &l.state[r]
 	l.inflight--
+	k.held--
 	if k.bus.Active() {
 		k.bus.Publish(obs.Event{Kind: obs.KindDecodeFinish, T: now, Req: q.ID,
 			Slot: p.DecodeIdx, Stage: "decode", Track: "decode", Dur: now - st.decStart})

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math"
 
 	"rago/internal/cache"
@@ -15,47 +14,37 @@ import (
 // where each sequence parks for an iterative round. The types are
 // clock-free and single-goroutine.
 
-// Requests is how a Dispatcher reads the requests behind its handles (a
-// Core's Ledger). The owner keeps the per-request state; the dispatcher
-// queues only handles.
-type Requests[H any] interface {
-	// Trace returns h's trace entry: its shape and retrieved-chunk tags.
-	Trace(h H) *trace.Request
-	// EnqueuedAt returns the virtual time h entered stage slot's queue.
-	EnqueuedAt(h H, slot int) float64
-}
-
-// queue is one stage slot's FIFO of handles with a consumed-head offset:
+// queue is one stage slot's FIFO of ledger indices with a consumed-head offset:
 // dispatch advances the offset instead of re-copying the tail, and the
 // storage resets to the front whenever the queue drains. It is the
 // FormView the slot's Former decides over.
-type queue[H any] struct {
-	buf  []H
+type queue struct {
+	buf  []int
 	head int
 	slot int
-	reqs Requests[H]
+	led  *Ledger
 }
 
-func (q *queue[H]) Len() int                 { return len(q.buf) - q.head }
-func (q *queue[H]) EnqueuedAt(i int) float64 { return q.reqs.EnqueuedAt(q.buf[q.head+i], q.slot) }
-func (q *queue[H]) PromptTokens(i int) int   { return q.reqs.Trace(q.buf[q.head+i]).PromptTokens }
+func (q *queue) Len() int                 { return len(q.buf) - q.head }
+func (q *queue) EnqueuedAt(i int) float64 { return q.led.EnqueuedAt(q.buf[q.head+i], q.slot) }
+func (q *queue) PromptTokens(i int) int   { return q.led.Trace(q.buf[q.head+i]).PromptTokens }
 
-// push appends h, first compacting a mostly consumed queue, so a backlog
+// push appends r, first compacting a mostly consumed queue, so a backlog
 // that never fully drains cannot grow the storage (and pin served handles)
 // without bound.
-func (q *queue[H]) push(h H) {
+func (q *queue) push(r int) {
 	if c := q.head; c >= 64 && 2*c >= len(q.buf) {
 		live := copy(q.buf, q.buf[c:])
 		clear(q.buf[live:])
 		q.buf = q.buf[:live]
 		q.head = 0
 	}
-	q.buf = append(q.buf, h)
+	q.buf = append(q.buf, r)
 }
 
 // popN consumes the first n entries. The result aliases the queue's
 // storage and is valid until the next push.
-func (q *queue[H]) popN(n int) []H {
+func (q *queue) popN(n int) []int {
 	b := q.buf[q.head : q.head+n : q.head+n]
 	q.head += n
 	if q.head == len(q.buf) {
@@ -68,7 +57,7 @@ func (q *queue[H]) popN(n int) []H {
 // popSel consumes the entries at the given head-relative positions
 // (ascending, as formation policies return them), appending them to out
 // and compacting the survivors in place.
-func (q *queue[H]) popSel(sel []int, out []H) []H {
+func (q *queue) popSel(sel []int, out []int) []int {
 	for _, p := range sel {
 		out = append(out, q.buf[q.head+p])
 	}
@@ -95,18 +84,18 @@ func (q *queue[H]) popSel(sel []int, out []H) []H {
 // Dispatcher is the batching state of one serial resource (an XPU
 // placement group or a retrieval tier): a queue and a Former per stage slot
 // the resource serves (Plan.ResourceStages, iterative round slots
-// included), plus the scratch pricing reuses. H is the executor's request
-// handle. Not safe for concurrent use.
-type Dispatcher[H any] struct {
+// included), plus the scratch pricing reuses. It queues ledger indices and
+// reads their trace entries and enqueue times from the Ledger. Not safe for
+// concurrent use.
+type Dispatcher struct {
 	plan    *Plan
 	cache   *cache.Cache // nil unless the prefix tier is on
-	flush   float64
-	reqs    Requests[H]
-	slots   []int
-	queues  []queue[H]
-	formers []Former
+	led     *Ledger
+	slots   []int    // the slots served, in pick-tie order
+	queues  []queue  // indexed by slot
+	formers []Former // indexed by slot
 
-	batch   []H
+	batch   []int
 	prompts []int
 	credits []int
 	doneAt  []float64
@@ -115,50 +104,42 @@ type Dispatcher[H any] struct {
 // NewDispatcher builds resource res's dispatcher. flush is the executor's
 // flush timeout: a partial batch dispatches once its head has waited that
 // long. c is the reuse cache the prefix slot consults at pricing (nil, or
-// a cache with the prefix tier off, consults nothing). reqs resolves the
-// queued handles.
-func NewDispatcher[H any](p *Plan, res int, flush float64, c *cache.Cache, reqs Requests[H]) *Dispatcher[H] {
-	slots := p.ResourceStages(res)
-	d := &Dispatcher[H]{plan: p, flush: flush, reqs: reqs, slots: slots,
-		queues: make([]queue[H], len(slots)), formers: make([]Former, len(slots))}
+// a cache with the prefix tier off, consults nothing). l holds the queued
+// requests.
+func NewDispatcher(p *Plan, res int, flush float64, c *cache.Cache, l *Ledger) *Dispatcher {
+	d := &Dispatcher{plan: p, led: l, slots: p.ResourceStages(res),
+		queues: make([]queue, p.NumSlots()), formers: make([]Former, p.NumSlots())}
 	if c.PrefixOn() {
 		d.cache = c
 	}
-	for i, s := range slots {
-		d.queues[i].slot, d.queues[i].reqs = s, reqs
+	for _, s := range d.slots {
+		d.queues[s].slot, d.queues[s].led = s, l
 		f := Former{Policy: PolicyFIFO, Batch: p.StepAt(s).Batch}
 		if s == p.PrefixIdx {
 			f = p.Former()
 		}
 		f.Flush = flush
-		d.formers[i] = f
+		d.formers[s] = f
 	}
 	return d
 }
 
-// Push queues h at stage slot and returns the slot's queue depth. The
-// executor has already recorded when h entered the slot
-// (Requests.EnqueuedAt).
-func (d *Dispatcher[H]) Push(slot int, h H) int {
-	for i, s := range d.slots {
-		if s == slot {
-			d.queues[i].push(h)
-			return d.queues[i].Len()
-		}
-	}
-	panic(fmt.Sprintf("engine: slot %d is not served by this resource", slot))
+// Push queues request r at stage slot, which the resource must serve, and
+// returns the slot's queue depth. The ledger already records when r entered
+// the slot (Ledger.EnqueuedAt).
+func (d *Dispatcher) Push(slot, r int) int {
+	d.queues[slot].push(r)
+	return d.queues[slot].Len()
 }
 
 // Batch is one dispatch decision.
-type Batch[H any] struct {
+type Batch struct {
 	// Slot is the stage slot served.
 	Slot int
-	// Members are the batch's requests in dispatch order. The slice
-	// aliases dispatcher storage and is valid until the next Push or Pick.
-	Members []H
-	// FormV is the exact virtual time the batch became formable: its last
-	// member's enqueue, or the head's flush deadline for a partial batch.
-	FormV float64
+	// Members are the batch's requests (ledger indices) in dispatch order.
+	// The slice aliases dispatcher storage and is valid until the next Push
+	// or Pick.
+	Members []int
 }
 
 // Pick decides what the resource serves at virtual time now and dequeues
@@ -167,22 +148,22 @@ type Batch[H any] struct {
 // plan's formation policy and every other slot FIFO. Among the ripe slots
 // the one with the oldest waiting head wins, the earlier slot on ties. ok
 // is false when nothing is ripe.
-func (d *Dispatcher[H]) Pick(now float64) (b Batch[H], ok bool) {
+func (d *Dispatcher) Pick(now float64) (b Batch, ok bool) {
 	best, bestAge, n := -1, math.Inf(-1), 0
 	var sel []int
-	for i := range d.queues {
-		q := &d.queues[i]
+	for _, s := range d.slots {
+		q := &d.queues[s]
 		if q.Len() == 0 {
 			continue
 		}
-		pn, formV, ps := d.formers[i].Form(q, now)
+		pn, _, ps := d.formers[s].Form(q, now)
 		if pn == 0 {
 			continue
 		}
 		if age := now - q.EnqueuedAt(0); age > bestAge {
-			best, bestAge = i, age
+			best, bestAge = s, age
 			n, sel = pn, ps
-			b = Batch[H]{Slot: d.slots[i], FormV: formV}
+			b = Batch{Slot: s}
 		}
 	}
 	if best < 0 {
@@ -195,21 +176,6 @@ func (d *Dispatcher[H]) Pick(now float64) (b Batch[H], ok bool) {
 		b.Members = d.batch
 	}
 	return b, true
-}
-
-// Deadline is the earliest flush deadline among the waiting queue heads —
-// when a partial batch next ripens without new arrivals — and false when
-// every queue is empty.
-func (d *Dispatcher[H]) Deadline() (float64, bool) {
-	at, ok := math.Inf(1), false
-	for i := range d.queues {
-		if q := &d.queues[i]; q.Len() > 0 {
-			if t := q.EnqueuedAt(0) + d.flush; t < at {
-				at, ok = t, true
-			}
-		}
-	}
-	return at, ok
 }
 
 // NoLookup marks a BatchCost.Credits entry whose member bypassed the
@@ -243,7 +209,7 @@ type BatchCost struct {
 // which is the constant-shape latency when every member is unshaped and
 // uncredited. The slices alias dispatcher scratch, valid until the next
 // Price.
-func (d *Dispatcher[H]) Price(b Batch[H]) BatchCost {
+func (d *Dispatcher) Price(b Batch) BatchCost {
 	p, n := d.plan, len(b.Members)
 	var c BatchCost
 	switch {
@@ -272,12 +238,12 @@ func (d *Dispatcher[H]) Price(b Batch[H]) BatchCost {
 // lookup fills d.prompts with the members' effective prompt lengths after
 // their prefix-cache credits and returns the credits (nil when no member
 // was looked up).
-func (d *Dispatcher[H]) lookup(members []H) []int {
+func (d *Dispatcher) lookup(members []int) []int {
 	p := d.plan
 	d.prompts, d.credits = d.prompts[:0], d.credits[:0]
 	looked := false
 	for _, m := range members {
-		r := d.reqs.Trace(m)
+		r := d.led.Trace(m)
 		pt, credit := r.PromptTokens, NoLookup
 		if d.cache != nil && r.Tagged() {
 			base := pt

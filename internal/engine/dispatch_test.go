@@ -42,15 +42,6 @@ func TestExecutable(t *testing.T) {
 	}
 }
 
-// testRequests resolves indices into a trace and its enqueue times.
-type testRequests struct {
-	reqs []trace.Request
-	enq  []float64
-}
-
-func (t testRequests) Trace(i int) *trace.Request  { return &t.reqs[i] }
-func (t testRequests) EnqueuedAt(i, _ int) float64 { return t.enq[i] }
-
 // TestDispatcherPickAndPrice walks one resource through the core's
 // decisions: an unripe partial batch waits until its head's flush
 // deadline, the oldest ripe head wins across slots, and a prefix batch is
@@ -62,33 +53,31 @@ func TestDispatcherPickAndPrice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reqs := testRequests{
-		reqs: []trace.Request{{ChunkIDs: []int{3, 4}}, {ChunkIDs: []int{3, 4}}, {}, {}},
-		enq:  []float64{1.0, 1.25, 1.5, 0.75},
+	led := NewLedger(plan, []trace.Request{{ChunkIDs: []int{3, 4}}, {ChunkIDs: []int{3, 4}}, {}, {}}, 0)
+	d := NewDispatcher(plan, res, 0.5, c, led)
+	if _, ok := d.Pick(10); ok {
+		t.Fatal("empty dispatcher picked a batch")
 	}
-	d := NewDispatcher[int](plan, res, 0.5, c, reqs)
-	if _, ok := d.Deadline(); ok {
-		t.Fatal("empty dispatcher reports a deadline")
-	}
-	for i := range 3 {
+	for i, at := range []float64{1.0, 1.25, 1.5} {
+		led.enqAt[i*led.nSlots+plan.PrefixIdx] = at
 		d.Push(plan.PrefixIdx, i)
 	}
+	led.enqAt[3*led.nSlots+plan.IterPrefixSlot()] = 0.75
 	if depth := d.Push(plan.IterPrefixSlot(), 3); depth != 1 {
 		t.Fatalf("iter-prefix depth %d, want 1", depth)
 	}
+	// The older head (iter-prefix, enqueued at 0.75) ripens at its flush
+	// deadline 1.25, before the prefix head's 1.5.
 	if _, ok := d.Pick(1.125); ok {
 		t.Fatal("partial batches dispatched before their flush deadline")
 	}
-	if at, ok := d.Deadline(); !ok || at != 1.25 {
-		t.Fatalf("deadline %v/%v, want the older head's 1.25", at, ok)
-	}
 	b, ok := d.Pick(1.25)
-	if !ok || b.Slot != plan.IterPrefixSlot() || len(b.Members) != 1 || b.FormV != 1.25 {
-		t.Fatalf("first pick %+v/%v, want the iter-prefix round formed at its deadline", b, ok)
+	if !ok || b.Slot != plan.IterPrefixSlot() || len(b.Members) != 1 || b.Members[0] != 3 {
+		t.Fatalf("first pick %+v/%v, want the iter-prefix round at its deadline", b, ok)
 	}
 	b, ok = d.Pick(2)
-	if !ok || b.Slot != plan.PrefixIdx || len(b.Members) != 3 || b.FormV != 1.5 {
-		t.Fatalf("second pick %+v/%v, want the 3-member prefix batch formed at 1.5", b, ok)
+	if !ok || b.Slot != plan.PrefixIdx || len(b.Members) != 3 {
+		t.Fatalf("second pick %+v/%v, want the 3-member prefix batch", b, ok)
 	}
 	cost := d.Price(b)
 	// The first tagged member misses and admits its chunks; the second

@@ -37,12 +37,11 @@ func tracedServe(t *testing.T, opts Options, reqs []trace.Request) (*Report, []o
 }
 
 // TestObsSpanParityServeVsSim is the structural cross-check the tracer
-// makes possible: the live concurrent runtime and the discrete-event
+// makes possible: the live runtime (unpaced) and the discrete-event
 // simulator, replaying the identical Case III trace (same seed, same
 // trigger positions), must produce per-request timelines with the same
 // admit set, the same ordered stage visits, and the same iterative stall
-// rounds. Timestamps differ (that is the point of having both); the
-// structure must not.
+// rounds. TestWallDriverMatchesHeapDriver pins the timestamps too.
 func TestObsSpanParityServeVsSim(t *testing.T) {
 	pipe, prof, sched := caseIIISetup(t)
 	plan, err := engine.Compile(pipe, sched, prof)
@@ -56,8 +55,7 @@ func TestObsSpanParityServeVsSim(t *testing.T) {
 	}
 	reqs = trace.WithTriggers(reqs, plan.Round.RoundsPerSeq, pipe.Stages[plan.DecodeIdx].OutTokens, 7)
 
-	speedup := (float64(n) / plan.Metrics.QPS) / 4.0
-	_, live := tracedServe(t, Options{Speedup: speedup, FlushTimeout: iterFlush}, reqs)
+	_, live := tracedServe(t, Options{Speedup: unpaced, FlushTimeout: iterFlush}, reqs)
 
 	simBus := obs.NewBus()
 	simTr := obs.NewTracer()
@@ -133,7 +131,7 @@ func TestObsBackpressureSlowSubscriber(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := (float64(n) / plan.Metrics.QPS) / 2.0
+	speedup := (float64(n) / plan.Metrics.QPS) / 0.5
 
 	run := func(bus *obs.Bus) *Report {
 		rt, err := New(pipe, prof, sched, Options{Speedup: speedup, Bus: bus})
@@ -190,7 +188,7 @@ func TestObsWindowStreamAndSteadyQPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := (float64(n) / plan.Metrics.QPS) / 2.0
+	speedup := float64(n) / plan.Metrics.QPS       // about a wall second
 	every := (float64(n) / plan.Metrics.QPS) / 6.0 // ~6 windows over the replay
 
 	bus := obs.NewBus()

@@ -3,19 +3,21 @@
 // live serving runtime and replays open-loop request traces through it
 // under wall-clock pacing.
 //
-// The runtime is the wall-clock driver of engine.Core, the request-level
-// state machine the discrete-event simulator (sim.ServeSim) drives as a
-// pure event loop. The core makes every decision — admission and
+// The runtime drives engine.Core, the request-level state machine, through
+// engine.Loop, the same arrival/epoch merge loop the discrete-event
+// simulator (sim.ServeSim) and the controller's replay (control.SimReplay)
+// run to the end. The core makes every decision — admission and
 // MaxInFlight shedding, the answer tier, stage-graph joins, batch
 // formation and pricing on each serial resource, decode-slot leasing, the
 // §5.3 park/round/resume loop — and publishes every request-level obs
-// event. Server.Serve runs the core's event loop on the calling goroutine:
-// it reads the wall clock once per wake, handles every due arrival and core
-// event in virtual-time order, and sleeps to the next one's wall instant,
-// one virtual second being 1/Speedup wall seconds. Decisions are made at
-// each event's virtual time, never at a wall-derived "now", so a run
-// without Switch is the simulator's run plus sleeping: measured latencies
-// reflect the schedule, not OS timer jitter.
+// event. Server.Serve advances the loop on the calling goroutine: it reads
+// the wall clock once per wake, handles every due arrival and core event in
+// virtual-time order, and sleeps to the next one's wall instant, one
+// virtual second being 1/Speedup wall seconds. Decisions are made at each
+// event's virtual time, never at a wall-derived "now", and a Switch takes
+// effect at a virtual instant no handled arrival has reached, so a run is
+// the simulator's run of the same plan epochs plus sleeping: measured
+// latencies reflect the schedule, not OS timer jitter.
 //
 // What stays concurrent is what is concurrent: real vector search runs on
 // goroutines beside the driver (a Searcher batch from its dispatch, each
@@ -28,9 +30,9 @@
 // trace. Server executes a sequence of plans: Switch hot-swaps it onto a
 // new compiled plan with drain-and-migrate semantics — every plan epoch has
 // its own core, in-flight requests finish on the epoch that admitted them
-// while new admissions route to the new one — which is what the SLO-aware
-// controller in internal/control drives. Both publish windowed telemetry
-// (Telemetry) that can be polled mid-replay.
+// while requests arriving from the switch on route to the new one — which
+// is what the SLO-aware controller in internal/control drives. Both
+// publish windowed telemetry (Telemetry) that can be polled mid-replay.
 package serve
 
 import (
@@ -44,7 +46,6 @@ import (
 	"rago/internal/cache"
 	"rago/internal/engine"
 	"rago/internal/obs"
-	"rago/internal/perf"
 	"rago/internal/pipeline"
 	"rago/internal/retrieval"
 	"rago/internal/stageperf"
@@ -238,7 +239,7 @@ func (s *Server) joined(e *epoch, r, slot, depth int) {
 
 // startSearch makes all of batch b's units claimable, on resource res of
 // e's plan. Its members advance at virtual time done, once they returned.
-func (s *Server) startSearch(e *epoch, res int, b engine.Batch[int], done float64) {
+func (s *Server) startSearch(e *epoch, res int, b engine.Batch, done float64) {
 	p, head := e.plan, s.led.Trace(b.Members[0]).ID
 	var sr *search
 	if e.ahead != nil {
@@ -374,8 +375,7 @@ func (s *Server) finish(sr *search) {
 // reference attached). It is single-use: build, Serve one trace, read
 // the Report.
 type Runtime struct {
-	plan *engine.Plan
-	srv  *Server
+	srv *Server
 }
 
 // New compiles (pipeline, schedule) through the shared engine and builds
@@ -390,15 +390,11 @@ func New(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule
 	if err != nil {
 		return nil, err
 	}
-	return &Runtime{plan: plan, srv: srv}, nil
+	return &Runtime{srv: srv}, nil
 }
 
 // Plan returns the compiled execution plan the runtime executes.
-func (rt *Runtime) Plan() *engine.Plan { return rt.plan }
-
-// Analytic returns the assembled analytical metrics of the plan (the
-// reference the measured report is compared against).
-func (rt *Runtime) Analytic() (perf.Metrics, bool) { return rt.plan.Metrics, true }
+func (rt *Runtime) Plan() *engine.Plan { return rt.srv.Plan() }
 
 // Serve replays the trace through the live engine and blocks until every
 // request has completed or been rejected. Arrival times are virtual

@@ -63,9 +63,9 @@ func caseISetup(t testing.TB) (pipeline.Pipeline, *stageperf.Profiler, core.Sche
 
 // TestRuntimeSaturationMatchesAnalytic is the headline cross-check: a
 // 10k-request Poisson trace at 1.5x the analytical capacity, replayed
-// through the live concurrent engine, must sustain the assembler's QPS
-// within 15% — and agree with the discrete-event validator on the same
-// trace.
+// through the live engine, must sustain the assembler's QPS within 15% —
+// and equal the discrete-event validator on the same trace (the paced
+// configuration is TestWallDriverMatchesHeapDriver's caseIV-saturation).
 func TestRuntimeSaturationMatchesAnalytic(t *testing.T) {
 	pipe, prof, sched := caseIVSetup(t)
 	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
@@ -77,9 +77,7 @@ func TestRuntimeSaturationMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Compress the ~(n/QPS)-second virtual run into a few wall seconds.
-	speedup := (float64(n) / want.QPS) / 4.0
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +109,7 @@ func TestRuntimeSaturationMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desRatio := rep.SustainedQPS / res.QPS
-	if desRatio < 0.85 || desRatio > 1.15 {
-		t.Errorf("runtime QPS %.2f vs event-sim QPS %.2f (ratio %.2f), want within 15%%",
-			rep.SustainedQPS, res.QPS, desRatio)
-	}
+	matchesSim(t, "Case IV saturation", rep, res)
 }
 
 // TestRuntimeUnloadedTTFT checks the other calibration end: at batch 1 and
@@ -132,7 +126,7 @@ func TestRuntimeUnloadedTTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: 200, FlushTimeout: -1})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +150,7 @@ func TestRuntimeUnloadedTTFT(t *testing.T) {
 // request still completes.
 func TestRuntimeAdmissionControl(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
-	rt, err := New(pipe, prof, sched, Options{Speedup: 400, MaxInFlight: 32})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, MaxInFlight: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +188,7 @@ func TestRuntimeRealRetrieval(t *testing.T) {
 	var mu sync.Mutex
 	offStream := 0
 	rt, err := New(pipe, prof, sched, Options{
-		Speedup: 300,
+		Speedup: unpaced,
 		Searcher: func(queries [][]float32) ([][]vectordb.Result, error) {
 			matched := false
 			for id := 0; id < n && !matched; id++ {
@@ -338,11 +332,12 @@ func caseVSetup(t testing.TB) (pipeline.Pipeline, *stageperf.Profiler, core.Sche
 }
 
 // TestRuntimeCaseVFanOutEndToEnd serves the non-linear stage-graph preset
-// through the live concurrent engine: fan-out branches run on parallel
-// retrieval workers, the rerank join admits a request only after both
-// sources answered, and saturation throughput must match both the
-// compiled plan's analytical QPS and the discrete-event validator within
-// 15%.
+// through the live engine: fan-out branches run on parallel retrieval
+// tiers, the rerank join admits a request only after both sources
+// answered, saturation throughput must match the compiled plan's
+// analytical QPS within 15%, and the run must equal the discrete-event
+// validator's (the paced configuration is TestWallDriverMatchesHeapDriver's
+// caseV-fanout).
 func TestRuntimeCaseVFanOutEndToEnd(t *testing.T) {
 	pipe, prof, sched := caseVSetup(t)
 	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
@@ -354,8 +349,7 @@ func TestRuntimeCaseVFanOutEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := (float64(n) / want.QPS) / 4.0
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,11 +385,7 @@ func TestRuntimeCaseVFanOutEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desRatio := rep.SustainedQPS / res.QPS
-	if desRatio < 0.85 || desRatio > 1.15 {
-		t.Errorf("fan-out runtime QPS %.2f vs event-sim QPS %.2f (ratio %.2f), want within 15%%",
-			rep.SustainedQPS, res.QPS, desRatio)
-	}
+	matchesSim(t, "Case V fan-out", rep, res)
 }
 
 // TestRuntimeCaseVUnloadedTTFT: the live engine must overlap the parallel
@@ -413,7 +403,7 @@ func TestRuntimeCaseVUnloadedTTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: 200, FlushTimeout: -1})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,22 +20,21 @@ import (
 // racing the end of a run should treat it as a benign stop signal.
 var ErrServeEnded = errors.New("serve: replay has already drained")
 
-// epoch is one plan's tenure on the Server: the core executing it, the
-// engine.Sink wiring that core to the Server's collector and real search,
-// and the lifecycle timestamps the chip-second accounting needs.
+// epoch is one plan's tenure on the Server: the engine.Sink wiring the
+// plan's core to the Server's collector and real search, and the lifecycle
+// timestamps the chip-second accounting needs.
 type epoch struct {
 	srv  *Server
 	plan *engine.Plan
-	core *engine.Core
 	idx  int
 
-	startV              float64
-	admitted, completed int64
-	lastDone            float64
+	startV   float64
+	admitted int64
+	lastDone float64
 
-	// retiredV is when the Switch that replaced the epoch as Server.cur
-	// (under Server.mu) stopped it admitting; the driver closes a retired
-	// epoch once everything it admitted has completed.
+	// retiredV is when the Switch that retired the epoch started its
+	// successor; the driver closes a retired epoch once the loop reports it
+	// drained.
 	retiredV float64
 	drainedV float64
 	closed   bool
@@ -58,7 +56,7 @@ func (e *epoch) Enqueued(r, slot, depth int) {
 	e.srv.joined(e, r, slot, depth)
 }
 
-func (e *epoch) Dispatched(res int, b engine.Batch[int], c engine.BatchCost, at float64) {
+func (e *epoch) Dispatched(res int, b engine.Batch, c engine.BatchCost, at float64) {
 	s, st := e.srv, e.plan.StepAt(b.Slot)
 	s.coll.batchServed(b.Slot, len(b.Members), st.Batch, c.Tok, c.Pad, c.Chunks)
 	if s.opts.searchOn() && st.Stage.Kind == pipeline.KindRetrieval {
@@ -67,7 +65,6 @@ func (e *epoch) Dispatched(res int, b engine.Batch[int], c engine.BatchCost, at 
 }
 
 func (e *epoch) Completed(r int, c engine.Completion) {
-	e.completed++
 	e.lastDone = c.At
 	q := e.srv.led.Trace(r)
 	e.srv.coll.complete(c, q.PromptTokens, q.OutputTokens)
@@ -111,13 +108,13 @@ type ServerReport struct {
 }
 
 // Server is a live serving engine that can hot-swap between compiled
-// plans of the same pipeline mid-replay. New admissions route to the
-// current plan's core; a Switch retires the old plan, whose in-flight
-// requests finish on their own core (drain-and-migrate — no request is
-// dropped or served twice). Like Runtime it is single-use: build, Serve
-// one trace, read the report. Switch and Telemetry are safe to call
-// concurrently with Serve; the SLO-aware controller in internal/control is
-// the intended caller.
+// plans of the same pipeline mid-replay. Each request is admitted by the
+// plan current at its arrival; a Switch retires the old plan, whose
+// in-flight requests finish on their own core (drain-and-migrate — no
+// request is dropped or served twice). Like Runtime it is single-use:
+// build, Serve one trace, read the report. Switch and Telemetry are safe to
+// call concurrently with Serve; the SLO-aware controller in
+// internal/control is the intended caller.
 type Server struct {
 	opts Options
 
@@ -125,10 +122,9 @@ type Server struct {
 	coll  collector
 	led   *engine.Ledger
 
-	// mu orders switches against the driver, which reads cur and epochs
-	// once per wake.
+	// mu orders switches against the driver, which reads the clock and
+	// epochs under it once per wake. The last epoch is the current plan's.
 	mu     sync.RWMutex
-	cur    *epoch
 	epochs []*epoch
 	ended  bool // replay drained, no further switches
 	endV   float64
@@ -156,21 +152,15 @@ func NewServer(initial *engine.Plan, opts Options) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{opts: opts.withDefaults(), started: make(chan struct{})}
-	s.cur = &epoch{srv: s, plan: initial}
+	s.epochs = []*epoch{{srv: s, plan: initial}}
 	return s, nil
-}
-
-// start builds e's core over the run's ledger.
-func (s *Server) start(e *epoch) *epoch {
-	e.core = engine.NewCore(e.plan, s.led, s.opts.FlushTimeout, s.opts.Cache, s.opts.Bus, e)
-	return e
 }
 
 // Plan returns the compiled plan currently receiving admissions.
 func (s *Server) Plan() *engine.Plan {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.cur.plan
+	return s.epochs[len(s.epochs)-1].plan
 }
 
 // Started is closed when Serve has begun replaying (the virtual clock is
@@ -208,11 +198,12 @@ func (s *Server) Telemetry(window float64) Window {
 
 // Switch hot-swaps admissions onto plan, which must execute the same
 // stage graph as the running plans (a schedule of the same pipeline) and
-// pass the same executability check NewServer applies. The retired plan's
-// in-flight requests finish on its own core, which closes once drained;
-// the new plan's core admits from the driver's next wake. Safe to call
-// concurrently with Serve. Switching to the plan already current is a
-// no-op.
+// pass the same executability check NewServer applies. The new plan's
+// core admits every request arriving from the switch instant (the virtual
+// now, read under mu, which the driver's wakes have not yet passed) on;
+// the retired plan's in-flight requests finish on its own core, which
+// closes once drained. Safe to call concurrently with Serve. Switching to
+// the plan already current is a no-op.
 func (s *Server) Switch(plan *engine.Plan) error {
 	if err := plan.Executable(); err != nil {
 		return err
@@ -225,7 +216,7 @@ func (s *Server) Switch(plan *engine.Plan) error {
 		s.mu.Unlock()
 		return ErrServeEnded
 	}
-	old := s.cur
+	old := s.epochs[len(s.epochs)-1]
 	if old.plan == plan {
 		s.mu.Unlock()
 		return nil
@@ -235,7 +226,7 @@ func (s *Server) Switch(plan *engine.Plan) error {
 		return fmt.Errorf("serve: plan executes a different stage graph; only schedules of the same pipeline are hot-swappable")
 	}
 	now := s.clock.now()
-	next := s.start(&epoch{srv: s, plan: plan, startV: now, idx: len(s.epochs)})
+	next := &epoch{srv: s, plan: plan, startV: now, idx: len(s.epochs)}
 	info := obs.SwitchInfo{
 		Epoch: next.idx,
 		From:  old.plan.Sched.Describe(old.plan.Pipe),
@@ -245,7 +236,6 @@ func (s *Server) Switch(plan *engine.Plan) error {
 		s.opts.Bus.Publish(obs.Event{Kind: obs.KindSwitchBegin, T: now, N: next.idx,
 			Track: "control", Payload: info})
 	}
-	s.cur = next
 	s.epochs = append(s.epochs, next)
 	old.retiredV = now
 	s.mu.Unlock()
@@ -266,9 +256,9 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 	if !s.served.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("serve: Server is single-use; build a new one per trace")
 	}
-	s.coll.init(s.cur.plan)
-	s.led = engine.NewLedger(s.cur.plan, reqs, s.opts.MaxInFlight)
-	s.epochs = append(s.epochs, s.start(s.cur))
+	first := s.epochs[0].plan
+	s.coll.init(first)
+	s.led = engine.NewLedger(first, reqs, s.opts.MaxInFlight)
 	s.clock = newClock(s.opts.Speedup)
 	s.live.Store(true)
 	close(s.started)
@@ -289,10 +279,10 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 	s.mu.Lock()
 	s.ended = true
 	s.endV = s.clock.now()
-	for _, e := range s.epochs {
+	for i, e := range s.epochs {
 		switch {
 		case e.closed:
-		case e != s.cur:
+		case i < len(s.epochs)-1:
 			s.close(e)
 		default:
 			e.retiredV, e.drainedV, e.closed = s.endV, s.endV, true
@@ -303,61 +293,33 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 	return rep, s.searchErr
 }
 
-// drive is the wall driver. Each wake reads the wall clock once, picks up
-// the epochs Switch added and closes drained retired ones, then handles
-// every due arrival and core event in global virtual-time order, and
-// finally sleeps until the next one's wall instant. It returns once every
-// request has arrived and no core has an event left.
+// drive is the wall driver: engine.Loop plus sleeping. Each wake reads the
+// virtual clock and the epochs under mu, adds a core to the loop for each
+// epoch Switch started and closes the retired ones it reports drained,
+// advances the loop to the clock's reading (first waiting, before each
+// event, for the real searches due by then) and sleeps until the next
+// event's wall instant. It returns once every request has arrived and no
+// core has an event left.
 func (s *Server) drive() {
-	for {
-		now := s.clock.now()
+	loop, before := engine.NewLoop(s.led), s.awaitSearches
+	for added := 0; ; {
 		s.mu.RLock()
-		cur, eps := s.cur, s.epochs
+		now, eps := s.clock.now(), s.epochs
 		s.mu.RUnlock()
-		for _, e := range eps {
-			if e != cur && !e.closed && e.admitted == e.completed {
+		for ; added < len(eps); added++ {
+			e := eps[added]
+			loop.Add(engine.NewCore(e.plan, s.led, s.opts.FlushTimeout, s.opts.Cache, s.opts.Bus, e), e.startV)
+		}
+		for i, e := range eps {
+			if !e.closed && loop.Drained(i) {
 				s.close(e)
 			}
 		}
-		next, ok := s.advance(cur, eps, now)
+		next, ok := loop.Advance(now, before)
 		if !ok {
 			return
 		}
 		s.clock.sleepUntil(next)
-	}
-}
-
-// advance handles, in virtual-time order, every arrival and core event due
-// by virtual time now — arrivals to cur, winning ties with core events,
-// and core events earliest first, the older epoch on ties — and returns
-// when the next one is due, or false once the trace has drained.
-func (s *Server) advance(cur *epoch, eps []*epoch, now float64) (float64, bool) {
-	for {
-		var next *epoch
-		t := math.Inf(1)
-		for _, e := range eps {
-			if et, ok := e.core.Next(); ok && et < t {
-				next, t = e, et
-			}
-		}
-		at, arriving := s.led.NextArrival()
-		admit := arriving && at <= t
-		if admit {
-			t = at
-		} else if next == nil {
-			return 0, false
-		}
-		if t > now {
-			return t, true
-		}
-		if len(s.searches) > 0 {
-			s.awaitSearches(t)
-		}
-		if admit {
-			cur.core.Admit()
-		} else {
-			next.core.Step()
-		}
 	}
 }
 

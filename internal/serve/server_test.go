@@ -98,7 +98,7 @@ func TestRuntimeTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := (float64(n) / want.QPS) / 2.0
+	speedup := float64(n) / want.QPS // about a wall second
 	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestServerSwitchDrainAndMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := (float64(n) / rate) / 3.0
+	speedup := float64(n) / rate // about a wall second
 	s, err := NewServer(small, Options{Speedup: speedup})
 	if err != nil {
 		t.Fatal(err)

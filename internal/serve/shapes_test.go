@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"testing"
 	"time"
 
@@ -37,9 +36,10 @@ func shapesOf(reqs []trace.Request) []engine.Shape {
 
 // TestRuntimeHeterogeneousCrossCheck is the acceptance check for
 // heterogeneous request shapes: on a seeded heavy-tailed Case I trace, the
-// live runtime's saturation QPS must agree with both the discrete-event
-// simulator on the same trace and the shape-weighted analytical estimate
-// within 15%, and the two executors must report consistent padding waste.
+// live runtime's saturation QPS and mean TPOT must agree with the
+// shape-weighted analytical estimate within 15%, and the live run must
+// equal the discrete-event simulator on the same trace: completions, rate,
+// mean TTFT and padding waste.
 func TestRuntimeHeterogeneousCrossCheck(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
 	plan, err := engine.Compile(pipe, sched, prof)
@@ -63,8 +63,7 @@ func TestRuntimeHeterogeneousCrossCheck(t *testing.T) {
 		reqs[i].Arrival /= 1.5 * want.QPS
 	}
 
-	speedup := (float64(n) / want.QPS) / 4.0
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +85,8 @@ func TestRuntimeHeterogeneousCrossCheck(t *testing.T) {
 	}
 
 	within(t, "runtime QPS vs shape-weighted analytic", rep.SustainedQPS, want.QPS, 0.15)
-	within(t, "runtime QPS vs event-sim", rep.SustainedQPS, res.QPS, 0.15)
-	within(t, "runtime mean TTFT vs event-sim", rep.TTFT.Mean, res.MeanTTFT, 0.15)
+	matchesSim(t, "heavy-tailed Case I", rep, res)
+	within(t, "runtime mean TTFT vs event-sim", rep.TTFT.Mean, res.MeanTTFT, 1e-9)
 	within(t, "runtime mean TPOT vs shape-weighted analytic", rep.TPOT.Mean, want.TPOT, 0.15)
 
 	// Pad-to-max is genuinely wasteful on this mix, and both executors
@@ -95,8 +94,8 @@ func TestRuntimeHeterogeneousCrossCheck(t *testing.T) {
 	if rep.PadWaste <= 0.05 || rep.PadWaste >= 0.9 {
 		t.Errorf("runtime padding waste %.3f implausible for a heavy-tailed mix", rep.PadWaste)
 	}
-	if math.Abs(rep.PadWaste-res.PadWaste) > 0.1 {
-		t.Errorf("padding waste disagrees: runtime %.3f vs sim %.3f", rep.PadWaste, res.PadWaste)
+	if rep.PadWaste != res.PadWaste {
+		t.Errorf("padding waste disagrees: runtime %v vs sim %v", rep.PadWaste, res.PadWaste)
 	}
 	// Per-shape-bucket quantiles: several buckets, and long-output
 	// requests must show the same per-token pace as short ones (TPOT is
@@ -119,8 +118,8 @@ func TestRuntimeHeterogeneousCrossCheck(t *testing.T) {
 // TestRuntimeHeterogeneousUnloadedTTFT pins the latency end of the
 // cross-check: at batch 1 and trivial load, the measured mean TTFT over a
 // shaped trace must match the shape-weighted analytical chain (which at
-// batch 1 is the plain expectation over the prompt distribution) and the
-// discrete-event simulator within 15%.
+// batch 1 is the plain expectation over the prompt distribution) within
+// 15%, and equal the discrete-event simulator's.
 func TestRuntimeHeterogeneousUnloadedTTFT(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
 	sched.Groups[0].Batch = 1
@@ -139,7 +138,7 @@ func TestRuntimeHeterogeneousUnloadedTTFT(t *testing.T) {
 		t.Fatalf("heavy prompts should stretch analytic TTFT: %.4f vs %.4f", want.TTFT, plan.Metrics.TTFT)
 	}
 
-	rt, err := New(pipe, prof, sched, Options{Speedup: 200, FlushTimeout: -1})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestRuntimeHeterogeneousUnloadedTTFT(t *testing.T) {
 		t.Fatal(err)
 	}
 	within(t, "unloaded shaped TTFT vs shape-weighted analytic", rep.TTFT.Mean, want.TTFT, 0.15)
-	within(t, "unloaded shaped TTFT vs event-sim", rep.TTFT.Mean, res.MeanTTFT, 0.15)
+	within(t, "unloaded shaped TTFT vs event-sim", rep.TTFT.Mean, res.MeanTTFT, 1e-9)
 }
 
 // TestRuntimeConstantShapeRegression: explicitly shaping every request at
@@ -210,8 +209,7 @@ func TestRuntimeConstantShapeRegression(t *testing.T) {
 	// The live runtime on the unshaped trace reports no shape buckets and
 	// no padding waste — the report surface is unchanged for existing
 	// traces.
-	speedup := (2000 / plan.Metrics.QPS) / 2.0
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +235,7 @@ func TestTelemetryShapeBuckets(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs := heavyShapes(t, base)
-	speedup := (2500 / plan.Metrics.QPS) / 3.0
+	speedup := 2500 / plan.Metrics.QPS // about a wall second
 	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		t.Fatal(err)
@@ -271,7 +269,7 @@ func TestTelemetryShapeBuckets(t *testing.T) {
 // TestRuntimeIterativeShapedSmoke: per-request output lengths compose with
 // the §5.3 decode loop — triggers synthesize inside each request's own
 // generation, both executors park at identical tokens, and the runtime
-// still tracks the simulator within 15%.
+// equals the simulator.
 func TestRuntimeIterativeShapedSmoke(t *testing.T) {
 	pipe, prof, sched := caseIIISetup(t)
 	plan, err := engine.Compile(pipe, sched, prof)
@@ -289,8 +287,7 @@ func TestRuntimeIterativeShapedSmoke(t *testing.T) {
 	}
 	reqs := trace.WithShapes(base, trace.LengthDist{}, output, 23)
 
-	speedup := (float64(n) / plan.Metrics.QPS) / 6.0
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup, FlushTimeout: iterFlush})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: iterFlush})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +306,7 @@ func TestRuntimeIterativeShapedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	within(t, "shaped iterative QPS vs event-sim", rep.SustainedQPS, res.QPS, 0.15)
+	matchesSim(t, "shaped Case III", rep, res)
 	if rep.Stall.Max <= 0 {
 		t.Error("iterative shaped replay recorded no stall")
 	}

@@ -14,17 +14,21 @@ import (
 	"rago/internal/sim"
 	"rago/internal/stageperf"
 	"rago/internal/trace"
+	"rago/internal/vectordb"
 )
 
-// mechanism is one of the simulator's mechanism-golden configurations
-// (internal/sim TestServeSimMechanismGolden): a plan, a trace, the reuse
-// cache each run builds fresh (nil config: none) and the admission bound.
+// mechanism is one configuration both drivers replay: a plan, a trace, the
+// reuse cache each run builds fresh (nil config: none), the admission
+// bound, the flush timeout (0: the 0.05 default) and the live run's real
+// search substrate (its Searcher or Sharded fields; none by default).
 type mechanism struct {
 	name        string
 	plan        *engine.Plan
 	reqs        []trace.Request
 	cache       *cache.Config
 	maxInFlight int
+	flush       float64
+	search      Options
 }
 
 // mechanismSchedule is the Case I/III golden schedule.
@@ -137,6 +141,101 @@ func mechanisms(t *testing.T) []mechanism {
 	return append(out, mechanism{name: "caseI-sharded-shed", plan: sharded, reqs: reqs, maxInFlight: 160})
 }
 
+// parityRows are the configurations whose live-vs-sim checks moved onto
+// this stream equality: Case IV saturation, Case V fan-out, the Case III
+// cliff (IterativeBatch 1), FIFO and FIFO with chunked prefill on a
+// heavy-tailed Case I trace, and Case I over a real Searcher and over a
+// healthy Sharded index. The last two show that real search gates only when
+// a batch's members advance on the wall clock, never a decision.
+func parityRows(t *testing.T) []mechanism {
+	t.Helper()
+	poisson := func(n int, rate float64, seed int64) []trace.Request {
+		reqs, err := trace.Poisson(n, rate, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return reqs
+	}
+	compile := func(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule) *engine.Plan {
+		plan, err := engine.Compile(pipe, sched, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	var out []mechanism
+
+	pipe, prof, sched := caseIVSetup(t)
+	plan := compile(pipe, prof, sched)
+	out = append(out, mechanism{name: "caseIV-saturation", plan: plan, reqs: poisson(1500, 1.5*plan.Metrics.QPS, 42)})
+
+	pipe, prof, sched = caseVSetup(t)
+	plan = compile(pipe, prof, sched)
+	out = append(out, mechanism{name: "caseV-fanout", plan: plan, reqs: poisson(1500, 1.5*plan.Metrics.QPS, 11)})
+
+	pipe, prof, sched = caseIIISetup(t)
+	sched.IterativeBatch = 1
+	plan = compile(pipe, prof, sched)
+	reqs := trace.WithTriggers(poisson(600, 1.5*plan.Metrics.QPS, 42), plan.Round.RoundsPerSeq, pipe.Stages[plan.DecodeIdx].OutTokens, 7)
+	out = append(out, mechanism{name: "caseIII-cliff", plan: plan, reqs: reqs, flush: iterFlush})
+
+	pipe, prof, sched = caseISetup(t)
+	for _, quantum := range []int{0, 256} {
+		s := sched
+		s.ChunkQuantum = quantum
+		plan := compile(pipe, prof, s)
+		reqs := heavyShapes(t, poisson(1500, 1, 42))
+		rate := 1.5 * plan.ShapeMetrics(shapesOf(reqs)).QPS
+		for i := range reqs {
+			reqs[i].Arrival /= rate
+		}
+		name := "caseI-fifo"
+		if quantum > 0 {
+			name = "caseI-fifo-chunked"
+		}
+		out = append(out, mechanism{name: name, plan: plan, reqs: reqs})
+	}
+
+	const dim = 16
+	ix, err := vectordb.BuildIVFPQ(vectordb.GenClustered(1500, dim, 12, 0.4, 3), 16, dim/2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan = compile(pipe, prof, sched)
+	out = append(out, mechanism{name: "caseI-searcher", plan: plan, reqs: poisson(600, 1.5*plan.Metrics.QPS, 9),
+		search: Options{QueryDim: dim, QuerySeed: 41, Searcher: func(queries [][]float32) ([][]vectordb.Result, error) {
+			return ix.SearchBatch(queries, 10, 4)
+		}}})
+
+	plan, _, opts := shardedCaseISetup(t)
+	return append(out, mechanism{name: "caseI-sharded-healthy", plan: plan, reqs: poisson(1500, 1.5*plan.Metrics.QPS, 42), search: opts})
+}
+
+// flushTimeout is the row's flush timeout.
+func (m mechanism) flushTimeout() float64 {
+	if m.flush == 0 {
+		return 0.05
+	}
+	return m.flush
+}
+
+// unpaced is the Speedup of a live run whose wall time plays no part in
+// what a test checks: no sleep ever fires, and the run makes the
+// simulator's decisions at the same virtual times.
+const unpaced = 1e9
+
+// matchesSim requires a live report to equal the simulator's run of the
+// same trace and configuration: the same completions and rejections and a
+// bit-identical completion rate.
+func matchesSim(t *testing.T, what string, rep *Report, res sim.ServeResult) {
+	t.Helper()
+	if rep.Completed != res.Completed || rep.Rejected != res.Rejected ||
+		math.Float64bits(rep.SustainedQPS) != math.Float64bits(res.QPS) {
+		t.Errorf("%s: live completed/rejected %d/%d at %v QPS, sim %d/%d at %v", what,
+			rep.Completed, rep.Rejected, rep.SustainedQPS, res.Completed, res.Rejected, res.QPS)
+	}
+}
+
 func (m mechanism) newCache(t *testing.T) *cache.Cache {
 	t.Helper()
 	if m.cache == nil {
@@ -177,13 +276,14 @@ func recordStream(t *testing.T, events int) (*obs.Bus, func() []streamEvent) {
 }
 
 // TestWallDriverMatchesHeapDriver: Server.Serve and sim.ServeSim.Run drive
-// the same engine.Core, so on each mechanism-golden configuration the live
-// runtime with no real searcher, unpaced and paced, publishes exactly the
-// simulator's event stream (kind, T and Dur bits, Req, Slot, N) and
-// completes and rejects the same requests. A Switch run then records its
-// completions in virtual-time order across epochs.
+// the same engine.Loop, so on each mechanism-golden configuration and each
+// parity row the live runtime, unpaced and paced, publishes exactly the
+// simulator's event stream (kind, T and Dur bits, Req, Slot, N), completes
+// and rejects the same requests, and reports a bit-identical completion
+// rate. A Switch run then records its completions in virtual-time order
+// across epochs.
 func TestWallDriverMatchesHeapDriver(t *testing.T) {
-	for _, m := range mechanisms(t) {
+	for _, m := range append(mechanisms(t), parityRows(t)...) {
 		t.Run(m.name, func(t *testing.T) {
 			bus, collect := recordStream(t, 64*len(m.reqs))
 			des, err := sim.NewServeFromPlan(m.plan)
@@ -191,18 +291,20 @@ func TestWallDriverMatchesHeapDriver(t *testing.T) {
 				t.Fatal(err)
 			}
 			des.Bus, des.Cache, des.MaxInFlight = bus, m.newCache(t), m.maxInFlight
-			res, err := des.Run(m.reqs, 0.05)
+			res, err := des.Run(m.reqs, m.flushTimeout())
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := collect()
 
-			// Paced: the trace's arrivals span about half a wall second.
-			paced := m.reqs[len(m.reqs)-1].Arrival / 0.5
+			// Paced: the trace's arrivals span about a quarter wall second.
+			paced := m.reqs[len(m.reqs)-1].Arrival / 0.25
 			for _, speedup := range []float64{1e9, paced} {
 				bus, collect := recordStream(t, 64*len(m.reqs))
-				srv, err := NewServer(m.plan, Options{Speedup: speedup, FlushTimeout: 0.05,
-					MaxInFlight: m.maxInFlight, Cache: m.newCache(t), Bus: bus})
+				opts := m.search
+				opts.Speedup, opts.FlushTimeout, opts.MaxInFlight = speedup, m.flushTimeout(), m.maxInFlight
+				opts.Cache, opts.Bus = m.newCache(t), bus
+				srv, err := NewServer(m.plan, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -214,6 +316,12 @@ func TestWallDriverMatchesHeapDriver(t *testing.T) {
 				if rep.Completed != res.Completed || rep.Rejected != res.Rejected {
 					t.Errorf("speedup %g: completed/rejected %d/%d, sim %d/%d",
 						speedup, rep.Completed, rep.Rejected, res.Completed, res.Rejected)
+				}
+				if math.Float64bits(rep.SustainedQPS) != math.Float64bits(res.QPS) {
+					t.Errorf("speedup %g: sustained QPS %v, sim %v", speedup, rep.SustainedQPS, res.QPS)
+				}
+				if m.search.searchOn() && rep.SearchQueries == 0 {
+					t.Errorf("speedup %g: the real search substrate saw no query", speedup)
 				}
 				if len(got) != len(want) {
 					t.Errorf("speedup %g: %d events, sim published %d", speedup, len(got), len(want))

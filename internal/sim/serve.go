@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"rago/internal/cache"
 	"rago/internal/engine"
@@ -21,9 +22,8 @@ import (
 // decode loop: sequences park at their trigger positions and an iterative
 // retrieval+prefix round batches through the same tier and prefix-group
 // servers the initial pass uses. Every decision is engine.Core's: Run is
-// its pure event-loop driver, merging the trace's arrivals into the core's
-// event heap, and the live runtime (serve.Server) is the same core's
-// wall-clock driver. It exists to validate the analytical assembly: at
+// engine.Loop with one epoch, run to the end, and the live runtime
+// (serve.Server) is the same loop advanced on the wall clock. It exists to validate the analytical assembly: at
 // saturation its throughput must match the compiled Plan.Metrics QPS, and
 // unloaded its TTFT must match the analytical latency chain.
 type ServeSim struct {
@@ -75,8 +75,7 @@ type ServeResult struct {
 	// traces, where no padding accounting applies).
 	PadWaste float64
 	// FirstDone and LastDone bound the completion span in absolute trace
-	// time, so results of trace segments simulated on different plans can
-	// be combined into one aggregate rate (the controller's sim replay).
+	// time.
 	FirstDone, LastDone float64
 	// Cache carries the reuse cache's final counters (nil when the run
 	// had no cache attached).
@@ -112,19 +111,10 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 	}
 	led := engine.NewLedger(s.plan, reqs, s.MaxInFlight)
 	t := &tally{done: make([]float64, 0, len(reqs))}
-	core := engine.NewCore(s.plan, led, flushTimeout, s.Cache, s.Bus, t)
-	for {
-		at, arriving := led.NextArrival()
-		next, pending := core.Next()
-		switch {
-		case arriving && (!pending || at <= next):
-			core.Admit()
-		case pending:
-			core.Step()
-		default:
-			return t.result(s.Cache)
-		}
-	}
+	loop := engine.NewLoop(led)
+	loop.Add(engine.NewCore(s.plan, led, flushTimeout, s.Cache, s.Bus, t), 0)
+	loop.Advance(math.Inf(1), nil)
+	return t.result(s.Cache)
 }
 
 // tally is the simulator's engine.Sink: it accumulates the ServeResult.
@@ -143,7 +133,7 @@ func (t *tally) Arrived(_ int, admitted bool) {
 
 func (t *tally) Enqueued(int, int, int) {}
 
-func (t *tally) Dispatched(_ int, _ engine.Batch[int], c engine.BatchCost, _ float64) {
+func (t *tally) Dispatched(_ int, _ engine.Batch, c engine.BatchCost, _ float64) {
 	t.padTok += int64(c.Tok)
 	t.padTotal += int64(c.Pad)
 }

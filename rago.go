@@ -335,9 +335,9 @@ func NewController(lib *PlanLibrary, cfg ControlConfig) (*Controller, error) {
 }
 
 // ReplaySwitches re-executes a controlled run's switching decisions in
-// the discrete-event validator, applying the same maxInFlight admission
-// bound the live run used (0 admits everything); the returned QPS should
-// match the live run within the established 15% band.
+// the discrete-event validator, through the live Server's own loop; with
+// the live run's flushTimeout and maxInFlight bound (0 admits everything)
+// it equals the live run exactly, its QPS bit for bit.
 func ReplaySwitches(lib *PlanLibrary, res *ControlResult, reqs []Request, flushTimeout float64, maxInFlight int) (SimReplayResult, error) {
 	return control.SimReplay(lib, res, reqs, flushTimeout, maxInFlight)
 }
