@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -120,9 +119,4 @@ func RenderPlanSummaries(title string, sums []PlanSummary) string {
 			s.MaxQPSChip, s.MinTTFT, s.Points, s.Desc)
 	}
 	return b.String()
-}
-
-// SortPlanSummaries orders plan summaries by descending max QPS/chip.
-func SortPlanSummaries(sums []PlanSummary) {
-	sort.SliceStable(sums, func(i, j int) bool { return sums[i].MaxQPSChip > sums[j].MaxQPSChip })
 }

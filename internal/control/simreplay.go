@@ -11,10 +11,11 @@ import (
 )
 
 // SimResult is the discrete-event replay of a recorded switching history;
-// for the live run that recorded it, it is that run (see SimReplay).
+// for the live run that recorded it, it is that run (see SimReplay): a view
+// of the replay's engine.Tally, Total and per tenure EpochCount.
 type SimResult struct {
 	// Completed counts simulated completions; QPS is the completion rate
-	// over the completion span (engine.CompletionRate).
+	// over the completion span (Tally.CompletionRate).
 	Completed int     `json:"completed"`
 	QPS       float64 `json:"qps"`
 	// Rejected counts arrivals the admission bound shed.
@@ -54,6 +55,9 @@ type SegmentSim struct {
 // different tenures interleave in virtual-time order. That is what the
 // live run did, so for a Result the controller recorded with the same
 // flushTimeout and bound the replay equals the live run exactly.
+//
+// flushTimeout is the effective flush timeout, used as given: 0 dispatches
+// partial batches at once, where serve.Options.FlushTimeout 0 means 0.05 s.
 func SimReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int) (SimResult, error) {
 	return simReplay(lib, res, reqs, flushTimeout, maxInFlight, nil, nil)
 }
@@ -96,6 +100,7 @@ func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout flo
 		segs = append(segs, SegmentSim{Entry: e.To, FromV: e.AtV})
 	}
 	var led *engine.Ledger
+	var t *engine.Tally
 	var loop *engine.Loop
 	for i := range segs {
 		if e := segs[i].Entry; e < 0 || e >= len(lib.Entries) {
@@ -106,56 +111,23 @@ func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout flo
 			return SimResult{}, err
 		}
 		if i == 0 {
-			led = engine.NewLedger(p, reqs, maxInFlight)
+			t, led = engine.NewTally(p, len(reqs)), engine.NewLedger(p, reqs, maxInFlight)
 			loop = engine.NewLoop(led)
 		} else if !lib.Entries[res.Start].Plan.CompatibleWith(p) {
 			return SimResult{}, fmt.Errorf("control: tenure runs entry %d, a different stage graph", segs[i].Entry)
 		}
-		loop.Add(engine.NewCore(p, led, flushTimeout, c, bus, segSink{&segs[i]}), segs[i].FromV)
+		loop.Add(engine.NewCore(p, led, flushTimeout, c, bus, t.Epoch(i)), segs[i].FromV)
 	}
 	loop.Advance(math.Inf(1), nil)
 
-	out := SimResult{PerSegment: segs}
-	firstDone, lastDone := 0.0, 0.0
-	for i := range segs {
-		sg := &segs[i]
-		sg.QPS = engine.CompletionRate(sg.Completed, sg.FirstDone, sg.LastDone)
-		out.Rejected += sg.Rejected
-		if sg.Completed == 0 {
-			continue
-		}
-		if out.Completed == 0 || sg.FirstDone < firstDone {
-			firstDone = sg.FirstDone
-		}
-		lastDone = max(lastDone, sg.LastDone)
-		out.Completed += sg.Completed
-	}
-	if out.Completed == 0 {
+	tot := t.Total()
+	if tot.Completed == 0 {
 		return SimResult{}, fmt.Errorf("control: sim replay completed nothing")
 	}
-	out.QPS = engine.CompletionRate(out.Completed, firstDone, lastDone)
-	return out, nil
-}
-
-// segSink is a tenure's engine.Sink: it counts into the tenure's SegmentSim.
-type segSink struct{ sg *SegmentSim }
-
-func (s segSink) Arrived(_ int, admitted bool) {
-	if admitted {
-		s.sg.Admitted++
-	} else {
-		s.sg.Rejected++
+	for i := range segs {
+		ec, sg := t.EpochCount(i), &segs[i]
+		sg.Admitted, sg.Completed, sg.Rejected = ec.Admitted, ec.Completed, ec.Rejected
+		sg.FirstDone, sg.LastDone, sg.QPS = ec.FirstDone, ec.LastDone, ec.QPS
 	}
-}
-
-func (s segSink) Enqueued(int, int, int) {}
-
-func (s segSink) Dispatched(int, engine.Batch, engine.BatchCost, float64) {}
-
-func (s segSink) Completed(_ int, c engine.Completion) {
-	if s.sg.Completed == 0 {
-		s.sg.FirstDone = c.At
-	}
-	s.sg.Completed++
-	s.sg.LastDone = c.At
+	return SimResult{Completed: tot.Completed, QPS: tot.QPS, Rejected: tot.Rejected, PerSegment: segs}, nil
 }

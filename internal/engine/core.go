@@ -97,17 +97,6 @@ type Completion struct {
 	Hit bool
 }
 
-// CompletionRate is the one definition of a run's sustained completion
-// rate: completions after the first over the span from the first to the
-// last. It is 0 when fewer than two requests completed or they all
-// completed at one instant.
-func CompletionRate(completed int, first, last float64) float64 {
-	if completed < 2 || last <= first {
-		return 0
-	}
-	return float64(completed-1) / (last - first)
-}
-
 // Sink receives what a Core did that its driver accounts for. Each call
 // happens at the virtual time of the event being handled.
 type Sink interface {

@@ -140,6 +140,8 @@ type Batch struct {
 	// The slice aliases dispatcher storage and is valid until the next Push
 	// or Pick.
 	Members []int
+
+	full int // the slot's configured batch size
 }
 
 // Pick decides what the resource serves at virtual time now and dequeues
@@ -163,7 +165,7 @@ func (d *Dispatcher) Pick(now float64) (b Batch, ok bool) {
 		if age := now - q.EnqueuedAt(0); age > bestAge {
 			best, bestAge = s, age
 			n, sel = pn, ps
-			b = Batch{Slot: s}
+			b = Batch{Slot: s, full: d.formers[s].Batch}
 		}
 	}
 	if best < 0 {

@@ -1,0 +1,198 @@
+package engine
+
+import (
+	"math"
+	"sort"
+	"testing"
+
+	"rago/internal/cache"
+	"rago/internal/pipeline"
+	"rago/internal/ragschema"
+	"rago/internal/trace"
+)
+
+// refCompletionRate and refSteadyRate are the package functions the Tally's
+// methods replaced, kept as the reference the methods must match bit for
+// bit on sorted completion times.
+func refCompletionRate(completed int, first, last float64) float64 {
+	if completed < 2 || last <= first {
+		return 0
+	}
+	return float64(completed-1) / (last - first)
+}
+
+func refSteadyRate(done []float64) float64 {
+	if len(done) < 3 {
+		return 0
+	}
+	s := append([]float64(nil), done...)
+	sort.Float64s(s)
+	span := s[len(s)-1] - s[0]
+	if span <= 0 {
+		return 0
+	}
+	w := span / 4
+	best := 0.0
+	j := 0
+	for i := range s {
+		if s[i]+w > s[len(s)-1] {
+			break
+		}
+		if j < i {
+			j = i
+		}
+		for j < len(s) && s[j] <= s[i]+w {
+			j++
+		}
+		if r := float64(j-i) / w; r > best {
+			best = r
+		}
+	}
+	return best
+}
+
+// tallyOf counts completions at the given times into a fresh tally, as
+// answer-tier hits (no decode slot to release).
+func tallyOf(done []float64) *Tally {
+	t := &Tally{}
+	e := t.Epoch(0)
+	for r, at := range done {
+		e.Completed(r, Completion{At: at, Hit: true})
+	}
+	return t
+}
+
+// TestTally counts a hand-checkable two-epoch run of one chunked Case I plan
+// (256-token quantum) under MaxInFlight 1 with an answer-tier cache:
+//   - r0 arrives at 0 and is served on epoch 0: a 300-token prompt, one
+//     prefix batch of 2 chunks padded to 512 tokens;
+//   - r1 arrives at 0 with r0 in flight and is shed;
+//   - r2 repeats r0 at 100 and completes on the spot from the answer tier;
+//   - r3 arrives at 200, after epoch 1 started at 150, and is served there:
+//     600 tokens, 3 chunks padded to 768.
+func TestTally(t *testing.T) {
+	sched := caseISchedule()
+	sched.ChunkQuantum = 256
+	plan, _, _ := mustCompile(t, ragschema.CaseI(8e9, 1), sched)
+	c, err := cache.New(cache.Config{AnswerEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := []trace.Request{
+		{ID: 0, Arrival: 0, PromptTokens: 300, OutputTokens: 64, ChunkIDs: []int{1, 2}},
+		{ID: 1, Arrival: 0, PromptTokens: 300, OutputTokens: 64},
+		{ID: 2, Arrival: 100, PromptTokens: 300, OutputTokens: 64, ChunkIDs: []int{1, 2}},
+		{ID: 3, Arrival: 200, PromptTokens: 600, OutputTokens: 64},
+	}
+	led := NewLedger(plan, reqs, 1)
+	tl := NewTally(plan, len(reqs))
+	loop := NewLoop(led)
+	loop.Add(NewCore(plan, led, 0.05, c, nil, tl.Epoch(0)), 0)
+	loop.Add(NewCore(plan, led, 0.05, c, nil, tl.Epoch(1)), 150)
+	loop.Advance(math.Inf(1), nil)
+
+	tot := tl.Total()
+	want := []Count{{Admitted: 2, Rejected: 1, Completed: 2}, {Admitted: 1, Completed: 1}}
+	var sum Count
+	for i, w := range want {
+		got := tl.EpochCount(i)
+		if got.Admitted != w.Admitted || got.Rejected != w.Rejected || got.Completed != w.Completed {
+			t.Errorf("epoch %d counted %+v, want %+v", i, got, w)
+		}
+		sum.Admitted += got.Admitted
+		sum.Rejected += got.Rejected
+		sum.Completed += got.Completed
+	}
+	if tot.Admitted != sum.Admitted || tot.Rejected != sum.Rejected || tot.Completed != sum.Completed {
+		t.Errorf("epochs sum to %+v, total %+v", sum, tot)
+	}
+	if tot.Admitted+tot.Rejected != len(reqs) || tot.Completed != tot.Admitted {
+		t.Errorf("conservation: total %+v, %d requests", tot, len(reqs))
+	}
+
+	// r2's hit completes epoch 0 at its arrival; r3 completes the run.
+	done := tl.Done()
+	if len(done) != 3 || !sort.Float64sAreSorted(done) || done[1] != 100 || done[2] <= 200 {
+		t.Fatalf("completion times %v", done)
+	}
+	e0, e1 := tl.EpochCount(0), tl.EpochCount(1)
+	if e0.FirstDone != done[0] || e0.LastDone != 100 || e1.FirstDone != done[2] || e1.LastDone != done[2] {
+		t.Errorf("epoch spans %+v %+v over completions %v", e0, e1, done)
+	}
+	if tot.FirstDone != done[0] || tot.LastDone != done[2] {
+		t.Errorf("run span [%v, %v], completions %v", tot.FirstDone, tot.LastDone, done)
+	}
+
+	for i, sl := range tl.Slots {
+		var w SlotCount
+		switch {
+		case i == plan.PrefixIdx:
+			w = SlotCount{Batches: 2, Formed: 2, Full: 2 * sched.Groups[0].Batch,
+				Tok: 300 + 600, Pad: 512 + 768, Chunked: 2, Chunks: 2 + 3, Peak: 1}
+		case i < len(plan.Steps) && plan.Pipe.Stages[i].Kind == pipeline.KindRetrieval:
+			w = SlotCount{Batches: 2, Formed: 2, Full: 2 * sched.RetrievalBatch, Peak: 1}
+		}
+		if sl != w {
+			t.Errorf("slot %s counted %+v, want %+v", plan.SlotName(i), sl, w)
+		}
+	}
+	s := tl.Summary()
+	if s.PadWaste != 1-900.0/1280 || s.MeanChunks != 2.5 || tl.Slots[plan.PrefixIdx].Fill() != 2.0/16 {
+		t.Errorf("pad waste %v, mean chunks %v, prefix fill %v", s.PadWaste, s.MeanChunks, tl.Slots[plan.PrefixIdx].Fill())
+	}
+
+	bits := math.Float64bits
+	if got, want := tl.CompletionRate(), refCompletionRate(3, done[0], done[2]); got == 0 || bits(got) != bits(want) || bits(tot.QPS) != bits(want) {
+		t.Errorf("completion rate %v (total %v), reference %v", got, tot.QPS, want)
+	}
+	if got, want := tl.SteadyRate(), refSteadyRate(done); got == 0 || bits(got) != bits(want) || bits(s.SteadyQPS) != bits(want) {
+		t.Errorf("steady rate %v (summary %v), reference %v", got, s.SteadyQPS, want)
+	}
+	if got, want := e0.QPS, refCompletionRate(2, done[0], 100); bits(got) != bits(want) || e1.QPS != 0 {
+		t.Errorf("epoch rates %v and %v, want %v and 0", got, e1.QPS, want)
+	}
+}
+
+func TestTallySteadyRateDegenerate(t *testing.T) {
+	for _, done := range [][]float64{nil, {1, 2}, {5, 5, 5, 5}} {
+		if r := tallyOf(done).SteadyRate(); r != 0 {
+			t.Errorf("%v: got %g, want 0", done, r)
+		}
+	}
+}
+
+// Uniform completions must estimate close to the true rate, with the
+// reference's bits.
+func TestTallySteadyRateUniform(t *testing.T) {
+	done := make([]float64, 1001)
+	for i := range done {
+		done[i] = float64(i) * 0.1 // 10/s for 100s
+	}
+	r := tallyOf(done).SteadyRate()
+	if math.Abs(r-10)/10 > 0.05 {
+		t.Errorf("uniform 10/s: got %g", r)
+	}
+	if want := refSteadyRate(done); math.Float64bits(r) != math.Float64bits(want) {
+		t.Errorf("got %v, reference %v", r, want)
+	}
+}
+
+// A run that is mostly warmup and tail with a dense middle: the steady
+// rate must see the middle, where the span-based rate dilutes it.
+func TestTallySteadyRateIgnoresWarmupAndTail(t *testing.T) {
+	var done []float64
+	done = append(done, 0, 20) // sparse warmup
+	for i := 0; i < 400; i++ { // dense middle: 40/s over 10s
+		done = append(done, 40+float64(i)*0.025)
+	}
+	done = append(done, 80, 100) // sparse tail
+	tl := tallyOf(done)
+	spanRate := tl.CompletionRate()
+	steady := tl.SteadyRate()
+	if steady < 2*spanRate {
+		t.Errorf("steady %g did not rise above diluted span rate %g", steady, spanRate)
+	}
+	if steady < 10 || steady > 45 {
+		t.Errorf("steady %g implausible for a 40/s middle (window wider than the clump)", steady)
+	}
+}

@@ -9,47 +9,32 @@ import (
 
 	"rago/internal/cache"
 	"rago/internal/engine"
-	"rago/internal/obs"
 	"rago/internal/perf"
 	"rago/internal/roofline"
 )
 
-// collector accumulates online serving measurements. The driver records
-// every event into it in virtual-time order, across all of the Server's
-// epochs; all mutation happens under one mutex, so Telemetry can read it
-// mid-replay.
+// collector holds what a live run measures beyond its engine.Tally: the
+// per-completion samples behind quantiles, shape buckets and windows, every
+// arrival's time, and the real-search stats. The driver records into both
+// under one mutex, so Telemetry can read them mid-replay.
 type collector struct {
-	mu sync.Mutex
+	mu    sync.Mutex
+	tally *engine.Tally
+	names []string // stage slot names
 
-	admitted, rejected, completed, inflight int
-	ttft, tpot, latency                     []float64
-	stall                                   []float64 // iterative decode-loop parked seconds per request
+	ttft, tpot, latency []float64
+	stall               []float64 // iterative decode-loop parked seconds per request
 	// shapeP and shapeO record each completion's sequence shape (0 =
 	// schema constant), parallel to ttft/tpot, so latency quantiles can
 	// be bucketed by request shape after the fact and inside windows.
 	shapeP, shapeO []int
 
-	// arrV records every arrival's virtual time (admitted and rejected)
-	// and doneV every completion's, both non-decreasing, so a window
-	// snapshot binary-searches its suffix.
+	// arrV records every arrival's virtual time (admitted and rejected),
+	// and doneV views the tally's completion times, parallel to the
+	// samples. Both are non-decreasing, so a window snapshot
+	// binary-searches its suffix.
 	arrV  []float64
 	doneV []float64
-
-	stageNames []string
-	decodeIdx  int
-	queuePeak  []int
-	depthNow   []int // live gauge per stage: queued, or holding or awaiting a decode slot
-	batches    []int
-	fillNum    []int
-	fillDen    []int
-	// padTok/padTotal accumulate effective vs padded batch tokens per
-	// stage (shaped prefix batches only) for padding-waste reporting.
-	padTok   []int64
-	padTotal []int64
-	// chunkBatches/chunkSum count chunked-prefill batches and their total
-	// chunk depth, so the report can expose the mean chunks per batch.
-	chunkBatches int
-	chunkSum     int64
 
 	searches      int
 	searchWall    []float64 // search seconds per real retrieval batch
@@ -58,64 +43,6 @@ type collector struct {
 	// down replica, and consulted shards dropped from a merge outright.
 	shardFellBack int
 	shardLost     int
-}
-
-// init sizes the per-stage accounting for a plan's slot layout: one entry
-// per pipeline stage plus, on iterative plans, the decode loop's two
-// virtual round slots.
-func (c *collector) init(plan *engine.Plan) {
-	n := plan.NumSlots()
-	c.stageNames = plan.SlotNames()
-	c.decodeIdx = plan.DecodeIdx
-	c.queuePeak = make([]int, n)
-	c.depthNow = make([]int, n)
-	c.batches = make([]int, n)
-	c.fillNum = make([]int, n)
-	c.fillDen = make([]int, n)
-	c.padTok = make([]int64, n)
-	c.padTotal = make([]int64, n)
-}
-
-func (c *collector) arrive(at float64, admitted bool) {
-	c.mu.Lock()
-	if admitted {
-		c.admitted++
-		c.inflight++
-	} else {
-		c.rejected++
-	}
-	c.arrV = append(c.arrV, at)
-	c.mu.Unlock()
-}
-
-// enqueued records a request entering a stage queue whose depth (within
-// its epoch) is now depth, bumping the live gauge.
-func (c *collector) enqueued(stage, depth int) {
-	c.mu.Lock()
-	if depth > c.queuePeak[stage] {
-		c.queuePeak[stage] = depth
-	}
-	c.depthNow[stage]++
-	c.mu.Unlock()
-}
-
-// batchServed records one dispatched batch. tok and pad are the batch's
-// effective and padded token totals for shaped prefix batches (both 0 when
-// no shape-aware costing applied); chunks is the batch's chunk count under
-// chunked prefill (0 for whole-prompt batches).
-func (c *collector) batchServed(stage, formed, full, tok, pad, chunks int) {
-	c.mu.Lock()
-	c.batches[stage]++
-	c.fillNum[stage] += formed
-	c.fillDen[stage] += full
-	c.padTok[stage] += int64(tok)
-	c.padTotal[stage] += int64(pad)
-	if chunks > 0 {
-		c.chunkBatches++
-		c.chunkSum += int64(chunks)
-	}
-	c.depthNow[stage] -= formed
-	c.mu.Unlock()
 }
 
 // searched records one real retrieval batch: its queries, search seconds
@@ -127,25 +54,6 @@ func (c *collector) searched(queries int, wall float64, fellBack, lost int) {
 	c.searchWall = append(c.searchWall, wall)
 	c.shardFellBack += fellBack
 	c.shardLost += lost
-	c.mu.Unlock()
-}
-
-// complete records a finished request of the given shape, releasing its
-// decode slot from the gauge unless it was an answer-tier hit.
-func (c *collector) complete(d engine.Completion, promptTok, outTok int) {
-	c.mu.Lock()
-	c.completed++
-	c.inflight--
-	if !d.Hit {
-		c.depthNow[c.decodeIdx]--
-	}
-	c.ttft = append(c.ttft, d.TTFT)
-	c.tpot = append(c.tpot, d.TPOT)
-	c.latency = append(c.latency, d.Latency)
-	c.stall = append(c.stall, d.Stall)
-	c.shapeP = append(c.shapeP, promptTok)
-	c.shapeO = append(c.shapeO, outTok)
-	c.doneV = append(c.doneV, d.At)
 	c.mu.Unlock()
 }
 
@@ -330,10 +238,8 @@ type Report struct {
 	// SustainedQPS is completions over the completion span — the
 	// saturation throughput when the trace overdrives the schedule.
 	SustainedQPS float64 `json:"sustained_qps"`
-	// SteadyQPS is the peak windowed completion rate (obs.SteadyRate):
-	// the best quarter-span window, so warmup ramp and drain tail don't
-	// dilute the steady-state throughput the way the full span does on
-	// short runs. 0 when there are too few completions to window.
+	// SteadyQPS is the peak windowed completion rate (Tally.SteadyRate),
+	// which warmup ramp and drain tail do not dilute.
 	SteadyQPS float64 `json:"steady_qps,omitempty"`
 	// Span is the virtual completion span the rate is measured over.
 	Span float64 `json:"span"`
@@ -370,19 +276,24 @@ type Report struct {
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
-// report snapshots the collector into a Report once the driver has
-// returned, so no concurrent mutation remains.
+// report snapshots the collector and its tally into a Report once the
+// driver has returned, so no concurrent mutation remains.
 func (c *collector) report(analytic perf.Metrics, hasAnalytic bool, speedup, wall float64) *Report {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	sum := c.tally.Summary()
 	rep := &Report{
-		Admitted:       c.admitted,
-		Rejected:       c.rejected,
-		Completed:      c.completed,
+		Admitted:       sum.Admitted,
+		Rejected:       sum.Rejected,
+		Completed:      sum.Completed,
 		TTFT:           quantilesOf(c.ttft),
 		TPOT:           quantilesOf(c.tpot),
 		Latency:        quantilesOf(c.latency),
 		Stall:          quantilesOf(c.stall),
+		PadWaste:       sum.PadWaste,
+		MeanChunkDepth: sum.MeanChunks,
+		SustainedQPS:   sum.QPS,
+		SteadyQPS:      sum.SteadyQPS,
 		Analytic:       analytic,
 		HasAnalytic:    hasAnalytic,
 		Searches:       c.searches,
@@ -393,7 +304,6 @@ func (c *collector) report(analytic perf.Metrics, hasAnalytic bool, speedup, wal
 		Speedup:        speedup,
 		WallSeconds:    wall,
 	}
-	var padTok, padTotal int64
 	// Shape buckets only add signal on heterogeneous traces; a
 	// constant-shape replay would collapse into one "schema" row that
 	// just repeats the global quantiles.
@@ -403,35 +313,18 @@ func (c *collector) report(analytic perf.Metrics, hasAnalytic bool, speedup, wal
 			break
 		}
 	}
-	if n := len(c.doneV); n > 0 {
-		if rep.SustainedQPS = engine.CompletionRate(n, c.doneV[0], c.doneV[n-1]); rep.SustainedQPS > 0 {
-			rep.Span = c.doneV[n-1] - c.doneV[0]
-		}
+	if rep.SustainedQPS > 0 {
+		rep.Span = sum.LastDone - sum.FirstDone
 	}
-	rep.SteadyQPS = obs.SteadyRate(c.doneV)
 	if rep.HasAnalytic && analytic.QPS > 0 {
 		rep.QPSVsAnalytic = rep.SustainedQPS / analytic.QPS
 	}
-	for i, name := range c.stageNames {
-		if c.batches[i] == 0 && c.queuePeak[i] == 0 {
+	for i, sl := range c.tally.Slots {
+		if sl.Batches == 0 && sl.Peak == 0 {
 			continue
 		}
-		qs := QueueStat{Stage: name, PeakDepth: c.queuePeak[i], Batches: c.batches[i]}
-		if c.fillDen[i] > 0 {
-			qs.MeanFill = float64(c.fillNum[i]) / float64(c.fillDen[i])
-		}
-		if c.padTotal[i] > 0 {
-			qs.PadWaste = 1 - float64(c.padTok[i])/float64(c.padTotal[i])
-			padTok += c.padTok[i]
-			padTotal += c.padTotal[i]
-		}
-		rep.Queues = append(rep.Queues, qs)
-	}
-	if padTotal > 0 {
-		rep.PadWaste = 1 - float64(padTok)/float64(padTotal)
-	}
-	if c.chunkBatches > 0 {
-		rep.MeanChunkDepth = float64(c.chunkSum) / float64(c.chunkBatches)
+		rep.Queues = append(rep.Queues, QueueStat{Stage: c.names[i], PeakDepth: sl.Peak,
+			Batches: sl.Batches, MeanFill: sl.Fill(), PadWaste: sl.PadWaste()})
 	}
 	return rep
 }

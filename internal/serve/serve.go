@@ -33,6 +33,11 @@
 // while requests arriving from the switch on route to the new one — which
 // is what the SLO-aware controller in internal/control drives. Both
 // publish windowed telemetry (Telemetry) that can be polled mid-replay.
+//
+// A run's counts, rates, per-stage batching and end come from one
+// engine.Tally, the account the simulator and the controller's replay read
+// too; the collector keeps only per-completion samples, arrival times and
+// real-search stats.
 package serve
 
 import (

@@ -21,17 +21,16 @@ import (
 var ErrServeEnded = errors.New("serve: replay has already drained")
 
 // epoch is one plan's tenure on the Server: the engine.Sink wiring the
-// plan's core to the Server's collector and real search, and the lifecycle
-// timestamps the chip-second accounting needs.
+// plan's core to the run's tally (its epoch sink, under the collector's
+// lock) and to real search, and the lifecycle timestamps the chip-second
+// accounting needs.
 type epoch struct {
-	srv  *Server
-	plan *engine.Plan
-	idx  int
+	srv   *Server
+	plan  *engine.Plan
+	idx   int
+	tally engine.Sink // the run tally's epoch idx; the driver's
 
-	startV   float64
-	admitted int64
-	lastDone float64
-
+	startV float64
 	// retiredV is when the Switch that retired the epoch started its
 	// successor; the driver closes a retired epoch once the loop reports it
 	// drained.
@@ -45,29 +44,43 @@ type epoch struct {
 }
 
 func (e *epoch) Arrived(r int, admitted bool) {
-	if admitted {
-		e.admitted++
-	}
-	e.srv.coll.arrive(e.srv.led.Trace(r).Arrival, admitted)
+	c := &e.srv.coll
+	c.mu.Lock()
+	e.tally.Arrived(r, admitted)
+	c.arrV = append(c.arrV, e.srv.led.Trace(r).Arrival)
+	c.mu.Unlock()
 }
 
 func (e *epoch) Enqueued(r, slot, depth int) {
-	e.srv.coll.enqueued(slot, depth)
+	c := &e.srv.coll
+	c.mu.Lock()
+	e.tally.Enqueued(r, slot, depth)
+	c.mu.Unlock()
 	e.srv.joined(e, r, slot, depth)
 }
 
 func (e *epoch) Dispatched(res int, b engine.Batch, c engine.BatchCost, at float64) {
-	s, st := e.srv, e.plan.StepAt(b.Slot)
-	s.coll.batchServed(b.Slot, len(b.Members), st.Batch, c.Tok, c.Pad, c.Chunks)
-	if s.opts.searchOn() && st.Stage.Kind == pipeline.KindRetrieval {
+	s := e.srv
+	s.coll.mu.Lock()
+	e.tally.Dispatched(res, b, c, at)
+	s.coll.mu.Unlock()
+	if s.opts.searchOn() && e.plan.StepAt(b.Slot).Stage.Kind == pipeline.KindRetrieval {
 		s.startSearch(e, res, b, at+c.Latency)
 	}
 }
 
-func (e *epoch) Completed(r int, c engine.Completion) {
-	e.lastDone = c.At
-	q := e.srv.led.Trace(r)
-	e.srv.coll.complete(c, q.PromptTokens, q.OutputTokens)
+func (e *epoch) Completed(r int, d engine.Completion) {
+	c, q := &e.srv.coll, e.srv.led.Trace(r)
+	c.mu.Lock()
+	e.tally.Completed(r, d)
+	c.ttft = append(c.ttft, d.TTFT)
+	c.tpot = append(c.tpot, d.TPOT)
+	c.latency = append(c.latency, d.Latency)
+	c.stall = append(c.stall, d.Stall)
+	c.shapeP = append(c.shapeP, q.PromptTokens)
+	c.shapeO = append(c.shapeO, q.OutputTokens)
+	c.doneV = c.tally.Done()
+	c.mu.Unlock()
 }
 
 // EpochStat describes one plan's tenure in a ServerReport.
@@ -257,7 +270,7 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 		return nil, fmt.Errorf("serve: Server is single-use; build a new one per trace")
 	}
 	first := s.epochs[0].plan
-	s.coll.init(first)
+	s.coll.tally, s.coll.names = engine.NewTally(first, len(reqs)), first.SlotNames()
 	s.led = engine.NewLedger(first, reqs, s.opts.MaxInFlight)
 	s.clock = newClock(s.opts.Speedup)
 	s.live.Store(true)
@@ -276,9 +289,11 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 		<-windowsDone
 	}
 
+	// The run ends at its last completion, as a retired epoch drains at its
+	// own, but never before the newest epoch started.
 	s.mu.Lock()
 	s.ended = true
-	s.endV = s.clock.now()
+	s.endV = max(s.coll.tally.Total().LastDone, s.epochs[len(s.epochs)-1].startV)
 	for i, e := range s.epochs {
 		switch {
 		case e.closed:
@@ -308,6 +323,7 @@ func (s *Server) drive() {
 		s.mu.RUnlock()
 		for ; added < len(eps); added++ {
 			e := eps[added]
+			e.tally = s.coll.tally.Epoch(added)
 			loop.Add(engine.NewCore(e.plan, s.led, s.opts.FlushTimeout, s.opts.Cache, s.opts.Bus, e), e.startV)
 		}
 		for i, e := range eps {
@@ -327,7 +343,7 @@ func (s *Server) drive() {
 // retirement when it was already idle.
 func (s *Server) close(e *epoch) {
 	e.closed = true
-	e.drainedV = max(e.lastDone, e.retiredV)
+	e.drainedV = max(s.coll.tally.EpochCount(e.idx).LastDone, e.retiredV)
 	if s.opts.Bus.Active() {
 		s.opts.Bus.Publish(obs.Event{Kind: obs.KindSwitchDrain, T: e.drainedV, N: e.idx,
 			Dur: e.drainedV - e.retiredV, Track: "control"})
@@ -384,7 +400,7 @@ func (s *Server) buildReport() *ServerReport {
 			StartV:      e.startV,
 			RetiredV:    e.retiredV,
 			DrainedV:    e.drainedV,
-			Admitted:    e.admitted,
+			Admitted:    int64(s.coll.tally.EpochCount(e.idx).Admitted),
 			ChipSeconds: cs,
 		})
 		rep.ChipSeconds += cs

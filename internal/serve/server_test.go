@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +12,7 @@ import (
 	"rago/internal/hw"
 	"rago/internal/pipeline"
 	"rago/internal/ragschema"
+	"rago/internal/sim"
 	"rago/internal/stageperf"
 	"rago/internal/trace"
 	"rago/internal/vectordb"
@@ -228,6 +230,54 @@ func TestServerSwitchDrainAndMigrate(t *testing.T) {
 	}
 	if rep.DurationV <= 0 || rep.ChipSeconds <= 0 {
 		t.Errorf("report accounting empty: %+v", rep)
+	}
+}
+
+// TestServerRunEndsAtLastEvent: a run ends at its last event, not at the
+// wall clock's reading once the driver returned. Unpaced, DurationV is the
+// simulator's last completion (this trace's last event) and the one epoch
+// holds its chips exactly that long; two paced runs end at the same virtual
+// instant, bit for bit.
+func TestServerRunEndsAtLastEvent(t *testing.T) {
+	pipe, prof, sched := caseISetup(t)
+	plan, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs, err := trace.Poisson(600, 1.2*plan.Metrics.QPS, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	des, err := sim.NewServeFromPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := des.Run(reqs, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveAt := func(speedup float64) *ServerReport {
+		t.Helper()
+		srv, err := NewServer(plan, Options{Speedup: speedup})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := srv.Serve(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	chips := float64(plan.Sched.ChipsUsed())
+	rep := serveAt(unpaced)
+	if rep.DurationV != res.LastDone || rep.ChipSeconds != chips*rep.DurationV {
+		t.Errorf("unpaced run lasted %v virtual seconds for %v chip-seconds; its last event is at %v (%v chip-seconds)",
+			rep.DurationV, rep.ChipSeconds, res.LastDone, chips*res.LastDone)
+	}
+	paced := reqs[len(reqs)-1].Arrival / 0.25
+	a, b := serveAt(paced), serveAt(paced)
+	if math.Float64bits(a.DurationV) != math.Float64bits(b.DurationV) || a.DurationV != rep.DurationV {
+		t.Errorf("paced runs lasted %v and %v virtual seconds, unpaced %v", a.DurationV, b.DurationV, rep.DurationV)
 	}
 }
 

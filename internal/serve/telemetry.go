@@ -68,13 +68,14 @@ func (c *collector) snapshot(now, window float64) Window {
 	if lo < 0 {
 		lo = 0
 	}
+	tot := c.tally.Total()
 	w := Window{
 		Now:       now,
 		Span:      now - lo,
-		InFlight:  c.inflight,
-		Admitted:  c.admitted,
-		Rejected:  c.rejected,
-		Completed: c.completed,
+		InFlight:  tot.Admitted - tot.Completed,
+		Admitted:  tot.Admitted,
+		Rejected:  tot.Rejected,
+		Completed: tot.Completed,
 	}
 	// Arrivals and completions are recorded in order, so the window is a
 	// suffix of each.
@@ -100,9 +101,9 @@ func (c *collector) snapshot(now, window float64) Window {
 	}
 	w.TTFT = quantilesOf(ttft)
 	w.TPOT = quantilesOf(tpot)
-	for i, name := range c.stageNames {
-		if c.depthNow[i] > 0 {
-			w.Depths = append(w.Depths, StageDepth{Stage: name, Depth: c.depthNow[i]})
+	for i, sl := range c.tally.Slots {
+		if sl.Live > 0 {
+			w.Depths = append(w.Depths, StageDepth{Stage: c.names[i], Depth: sl.Live})
 		}
 	}
 	return w

@@ -21,11 +21,12 @@ import (
 // through the same loop. Iterative plans (§5.3) additionally run the
 // decode loop: sequences park at their trigger positions and an iterative
 // retrieval+prefix round batches through the same tier and prefix-group
-// servers the initial pass uses. Every decision is engine.Core's: Run is
-// engine.Loop with one epoch, run to the end, and the live runtime
-// (serve.Server) is the same loop advanced on the wall clock. It exists to validate the analytical assembly: at
-// saturation its throughput must match the compiled Plan.Metrics QPS, and
-// unloaded its TTFT must match the analytical latency chain.
+// servers the initial pass uses. Every decision is engine.Core's and every
+// count engine.Tally's: Run is engine.Loop with one epoch, run to the end,
+// and the live runtime (serve.Server) is the same loop advanced on the wall
+// clock. It exists to validate the analytical assembly: at saturation its
+// throughput must match the compiled Plan.Metrics QPS, and unloaded its
+// TTFT must match the analytical latency chain.
 type ServeSim struct {
 	plan *engine.Plan
 
@@ -50,19 +51,15 @@ type ServeSim struct {
 	Cache *cache.Cache
 }
 
-// ServeResult is the measured behaviour of one run.
+// ServeResult is the measured behaviour of one run: a view of the run's
+// engine.Tally (Tally.Summary) plus the cache's counters.
 type ServeResult struct {
 	Completed int
 	// Rejected counts arrivals shed by the MaxInFlight admission bound.
 	Rejected int
-	// QPS is the completion rate over the completion span
-	// (engine.CompletionRate): 0 with fewer than two completions or a zero
-	// span.
-	QPS float64
-	// SteadyQPS is the peak windowed completion rate (obs.SteadyRate over
-	// the completion times): the best quarter-span window, insensitive to
-	// warmup ramp and drain tail. 0 when too few completions to window.
-	SteadyQPS float64
+	// QPS is the completion rate (Tally.CompletionRate) and SteadyQPS the
+	// peak windowed one (Tally.SteadyRate).
+	QPS, SteadyQPS float64
 	// MeanTTFT is the average time from arrival to prefix completion.
 	MeanTTFT float64
 	// MeanLatency is the average time from arrival to full generation.
@@ -70,9 +67,8 @@ type ServeResult struct {
 	// MeanStall is the average per-request time sequences spent parked
 	// in the §5.3 decode loop (0 for single-retrieval plans).
 	MeanStall float64
-	// PadWaste is the fraction of prefix-batch tokens spent padding
-	// heterogeneous prompts to the batch maximum (0 on constant-shape
-	// traces, where no padding accounting applies).
+	// PadWaste is the fraction of padded prompt tokens spent padding
+	// (engine.Summary.PadWaste).
 	PadWaste float64
 	// FirstDone and LastDone bound the completion span in absolute trace
 	// time.
@@ -109,64 +105,29 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 	if len(reqs) == 0 {
 		return ServeResult{}, fmt.Errorf("sim: empty trace")
 	}
+	t := engine.NewTally(s.plan, len(reqs))
 	led := engine.NewLedger(s.plan, reqs, s.MaxInFlight)
-	t := &tally{done: make([]float64, 0, len(reqs))}
 	loop := engine.NewLoop(led)
-	loop.Add(engine.NewCore(s.plan, led, flushTimeout, s.Cache, s.Bus, t), 0)
+	loop.Add(engine.NewCore(s.plan, led, flushTimeout, s.Cache, s.Bus, t.Epoch(0)), 0)
 	loop.Advance(math.Inf(1), nil)
-	return t.result(s.Cache)
-}
-
-// tally is the simulator's engine.Sink: it accumulates the ServeResult.
-type tally struct {
-	rejected                  int
-	done                      []float64 // completion times, in order
-	sumTTFT, sumLat, sumStall float64
-	padTok, padTotal          int64
-}
-
-func (t *tally) Arrived(_ int, admitted bool) {
-	if !admitted {
-		t.rejected++
-	}
-}
-
-func (t *tally) Enqueued(int, int, int) {}
-
-func (t *tally) Dispatched(_ int, _ engine.Batch, c engine.BatchCost, _ float64) {
-	t.padTok += int64(c.Tok)
-	t.padTotal += int64(c.Pad)
-}
-
-func (t *tally) Completed(_ int, c engine.Completion) {
-	t.done = append(t.done, c.At)
-	t.sumTTFT += c.TTFT
-	t.sumLat += c.Latency
-	t.sumStall += c.Stall
-}
-
-func (t *tally) result(c *cache.Cache) (ServeResult, error) {
-	n := len(t.done)
-	if n == 0 {
+	sum := t.Summary()
+	if sum.Completed == 0 {
 		return ServeResult{}, fmt.Errorf("sim: no request completed")
 	}
-	first, last := t.done[0], t.done[n-1]
 	res := ServeResult{
-		Completed:   n,
-		Rejected:    t.rejected,
-		QPS:         engine.CompletionRate(n, first, last),
-		SteadyQPS:   obs.SteadyRate(t.done),
-		MeanTTFT:    t.sumTTFT / float64(n),
-		MeanLatency: t.sumLat / float64(n),
-		MeanStall:   t.sumStall / float64(n),
-		FirstDone:   first,
-		LastDone:    last,
+		Completed:   sum.Completed,
+		Rejected:    sum.Rejected,
+		QPS:         sum.QPS,
+		SteadyQPS:   sum.SteadyQPS,
+		MeanTTFT:    sum.MeanTTFT,
+		MeanLatency: sum.MeanLatency,
+		MeanStall:   sum.MeanStall,
+		PadWaste:    sum.PadWaste,
+		FirstDone:   sum.FirstDone,
+		LastDone:    sum.LastDone,
 	}
-	if t.padTotal > 0 {
-		res.PadWaste = 1 - float64(t.padTok)/float64(t.padTotal)
-	}
-	if c != nil {
-		st := c.Stats()
+	if s.Cache != nil {
+		st := s.Cache.Stats()
 		res.Cache = &st
 	}
 	return res, nil

@@ -337,7 +337,9 @@ func NewController(lib *PlanLibrary, cfg ControlConfig) (*Controller, error) {
 // ReplaySwitches re-executes a controlled run's switching decisions in
 // the discrete-event validator, through the live Server's own loop; with
 // the live run's flushTimeout and maxInFlight bound (0 admits everything)
-// it equals the live run exactly, its QPS bit for bit.
+// it equals the live run exactly, its QPS bit for bit. flushTimeout is the
+// effective timeout, used as given: 0 dispatches partial batches at once,
+// where ServeOptions.FlushTimeout 0 means 0.05 s live.
 func ReplaySwitches(lib *PlanLibrary, res *ControlResult, reqs []Request, flushTimeout float64, maxInFlight int) (SimReplayResult, error) {
 	return control.SimReplay(lib, res, reqs, flushTimeout, maxInFlight)
 }
@@ -367,8 +369,6 @@ var (
 	NewTracer = obs.NewTracer
 	// NewMetricsServer serves streaming metrics from a Bus on an address.
 	NewMetricsServer = obs.NewMetricsServer
-	// SteadyRate is the peak windowed completion rate over done times.
-	SteadyRate = obs.SteadyRate
 )
 
 // Vector search substrate (a working IVF-PQ implementation of the
