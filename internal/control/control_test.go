@@ -2,11 +2,13 @@ package control
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"rago/internal/core"
 	"rago/internal/engine"
 	"rago/internal/hw"
+	"rago/internal/obs"
 	"rago/internal/pipeline"
 	"rago/internal/ragschema"
 	"rago/internal/serve"
@@ -123,6 +125,30 @@ func TestNewLibraryFromFrontier(t *testing.T) {
 	}
 }
 
+// unpaced is a speedup at which no sleep ever fires: the run is the
+// simulation of its controlled plan epochs.
+const unpaced = 1e9
+
+// diurnal is the acceptance scenario: a deterministic diurnal trace with a
+// 1 s p99 TTFT objective, and the controller configuration tracking it.
+func diurnal(t *testing.T) ([]trace.Request, Config) {
+	t.Helper()
+	const (
+		base      = 45.0 // mean arrival rate (requests/s)
+		amplitude = 0.8
+		period    = 150.0 // virtual seconds per diurnal cycle
+		cycles    = 2.5
+	)
+	reqs, err := trace.Diurnal(int(base*period*cycles), base, amplitude, period, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return reqs, Config{SLO: SLO{TTFT: 1}, Window: 12, Interval: 4, Headroom: 1.3, HoldDown: 12}
+}
+
+// streamBuf buffers a whole controlled run's obs stream over n requests.
+func streamBuf(n int) int { return 24 * n }
+
 // TestControllerDiurnalHoldsSLO is the acceptance test: on a
 // deterministic diurnal trace the controller must hold p99 TTFT inside
 // the SLO, spend measurably fewer chip-seconds than static peak
@@ -131,37 +157,14 @@ func TestNewLibraryFromFrontier(t *testing.T) {
 // its own switching decisions exactly.
 func TestControllerDiurnalHoldsSLO(t *testing.T) {
 	lib := caseIVLadder(t)
-	const (
-		base      = 45.0 // mean arrival rate (requests/s)
-		amplitude = 0.8
-		period    = 150.0 // virtual seconds per diurnal cycle
-		cycles    = 2.5
-		sloTTFT   = 1.0
-	)
-	n := int(base * period * cycles)
-	reqs, err := trace.Diurnal(n, base, amplitude, period, 17)
+	reqs, cfg := diurnal(t)
+	n, sloTTFT := len(reqs), cfg.SLO.TTFT
+	ctl, err := NewController(lib, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := reqs[len(reqs)-1].Arrival
-	wallBudget := 5.0 // seconds of wall time for the replay
-	if raceEnabled {
-		wallBudget = 15.0
-	}
-	speedup := span / wallBudget
-
-	ctl, err := NewController(lib, Config{
-		SLO:      SLO{TTFT: sloTTFT},
-		Window:   12,
-		Interval: 4,
-		Headroom: 1.3,
-		HoldDown: 12,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bus, stream := recordRequestStream(t, pacedStreamBuf)
-	res, err := ctl.Run(serve.Options{Speedup: speedup, Bus: bus}, reqs)
+	bus, stream := recordStream(t, streamBuf(n))
+	res, err := ctl.Run(serve.Options{Speedup: unpaced, Bus: bus}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,6 +216,64 @@ func TestControllerDiurnalHoldsSLO(t *testing.T) {
 	}
 }
 
+// TestControllerPacingChangesNothing: the controller decides in the run's
+// own loop, so a paced controlled run is the unpaced one plus sleeping: the
+// same switches at the same instants on the same telemetry, the same epochs,
+// and the same obs stream, the decisions, switches and streamed windows
+// included. Each run gets a fresh library, since Run reweights it in place.
+func TestControllerPacingChangesNothing(t *testing.T) {
+	reqs, cfg := diurnal(t)
+	run := func(speedup float64) (*Result, []streamEvent) {
+		t.Helper()
+		ctl, err := NewController(caseIVLadder(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bus, stream := recordStream(t, streamBuf(len(reqs)))
+		res, err := ctl.Run(serve.Options{Speedup: speedup, Bus: bus, WindowEvery: 2}, reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, stream()
+	}
+	// Paced: the trace spans about half a wall second.
+	paced, pacedStream := run(reqs[len(reqs)-1].Arrival / 0.5)
+	free, freeStream := run(unpaced)
+	if len(free.Events) == 0 {
+		t.Fatal("the controller never switched; pacing has nothing to change")
+	}
+	type bits struct {
+		atV, rate, p99, drain uint64
+		from, to              int
+		reason                string
+	}
+	key := func(e Event) bits {
+		return bits{math.Float64bits(e.AtV), math.Float64bits(e.Rate), math.Float64bits(e.P99TTFT),
+			math.Float64bits(e.DrainSeconds), e.From, e.To, e.Reason}
+	}
+	if len(paced.Events) != len(free.Events) {
+		t.Fatalf("paced run switched %d times, unpaced %d", len(paced.Events), len(free.Events))
+	}
+	for i := range free.Events {
+		if key(paced.Events[i]) != key(free.Events[i]) {
+			t.Errorf("switch %d: paced %+v, unpaced %+v", i, paced.Events[i], free.Events[i])
+		}
+	}
+	if !reflect.DeepEqual(paced.Report.Epochs, free.Report.Epochs) {
+		t.Errorf("paced epochs %+v, unpaced %+v", paced.Report.Epochs, free.Report.Epochs)
+	}
+	kinds := map[obs.Kind]bool{}
+	for _, ev := range freeStream {
+		kinds[ev.kind] = true
+	}
+	for _, k := range []obs.Kind{obs.KindDecision, obs.KindSwitchBegin, obs.KindSwitchCommit, obs.KindSwitchDrain, obs.KindWindow} {
+		if !kinds[k] {
+			t.Errorf("the stream carries no %v event", k)
+		}
+	}
+	sameStream(t, "paced vs unpaced obs stream", pacedStream, freeStream)
+}
+
 // TestControllerSimReplayWithAdmissionBound: the discrete-event replay
 // applies the live run's shed-on-full bound once across all tenures, as
 // the Server does, so a controlled run with admission control that
@@ -246,13 +307,8 @@ func TestControllerSimReplayWithAdmissionBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wallBudget := 3.0
-	if raceEnabled {
-		wallBudget = 9.0
-	}
-	bus, stream := recordRequestStream(t, pacedStreamBuf)
-	span := reqs[n-1].Arrival
-	res, err := ctl.Run(serve.Options{Speedup: span / wallBudget, MaxInFlight: bound, Bus: bus}, reqs)
+	bus, stream := recordStream(t, streamBuf(n))
+	res, err := ctl.Run(serve.Options{Speedup: unpaced, MaxInFlight: bound, Bus: bus}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +328,8 @@ func TestControllerSimReplayWithAdmissionBound(t *testing.T) {
 }
 
 // TestControllerStaticLoad: on a flat trace comfortably inside one plan's
-// capacity the controller must settle instead of hunting. A couple of
-// switches are tolerated: heavy CPU contention can lag the paced replay
-// behind the virtual clock, briefly deflating a telemetry window's
-// arrival rate (a harness artifact of time compression, not a policy
-// bug), and the post-trace drain tick may legitimately scale down.
+// capacity, whose opening window sizes the right plan, the controller must
+// settle instead of hunting: it never switches.
 func TestControllerStaticLoad(t *testing.T) {
 	lib := caseIVLadder(t)
 	rate := 0.6 * lib.Entries[1].QPS
@@ -296,18 +349,14 @@ func TestControllerStaticLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wallBudget := 3.0
-	if raceEnabled {
-		wallBudget = 9.0
-	}
-	res, err := ctl.Run(serve.Options{Speedup: dur / wallBudget}, reqs)
+	res, err := ctl.Run(serve.Options{Speedup: unpaced}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Report.Completed != n {
 		t.Fatalf("completed %d of %d", res.Report.Completed, n)
 	}
-	if len(res.Events) > 4 {
+	if len(res.Events) != 0 {
 		t.Errorf("flat load should settle, got %d switches: %+v", len(res.Events), res.Events)
 	}
 	if res.Report.TTFT.P99 > 1.0 {

@@ -83,9 +83,9 @@ func (c Config) validate() error {
 
 // Event is one plan switch the controller made.
 type Event struct {
-	// AtV is the virtual time the switch took effect, the StartV of the
-	// epoch it started (set once the run drains): every later arrival went
-	// to To. SimReplay starts its tenures there. From/To index
+	// AtV is the virtual time the switch took effect, the tick instant
+	// that decided it and the StartV of the epoch it started: every later
+	// arrival went to To. SimReplay starts its tenures there. From/To index
 	// Library.Entries.
 	AtV  float64 `json:"at_v"`
 	From int     `json:"from"`
@@ -154,30 +154,24 @@ func (c *Controller) decide(cur int, w serve.Window) (want int, reason string) {
 		target /= 1 + c.Cfg.CacheGain*w.CacheHitRate
 	}
 	want, reason = c.Lib.IndexForFloor(target, c.Cfg.MinRecall), "load"
-	quantileTrusted := w.Completions >= c.Cfg.MinSamples
-	// Reactive upshift: a windowed p99 TTFT violation means the rate
-	// estimate is lying (queues are building faster than completions
-	// report), so take at least one step up regardless.
-	if quantileTrusted && c.Cfg.SLO.TTFT > 0 && w.TTFT.P99 > c.Cfg.SLO.TTFT && want <= cur {
-		if cur+1 < len(c.Lib.Entries) {
-			want, reason = cur+1, "slo"
-		}
+	// above reports whether a trusted windowed p99 TTFT or TPOT exceeds
+	// frac of its objective.
+	slo := c.Cfg.SLO
+	above := func(frac float64) bool {
+		return w.Completions >= c.Cfg.MinSamples &&
+			(slo.TTFT > 0 && w.TTFT.P99 > frac*slo.TTFT || slo.TPOT > 0 && w.TPOT.P99 > frac*slo.TPOT)
 	}
-	if quantileTrusted && c.Cfg.SLO.TPOT > 0 && w.TPOT.P99 > c.Cfg.SLO.TPOT && want <= cur {
-		if cur+1 < len(c.Lib.Entries) {
-			want, reason = cur+1, "slo"
-		}
+	// Reactive upshift: a windowed p99 violation means the rate estimate is
+	// lying (queues are building faster than completions report), so take
+	// at least one step up regardless.
+	if above(1) && want <= cur && cur+1 < len(c.Lib.Entries) {
+		want, reason = cur+1, "slo"
 	}
 	// Never scale down while either latency is anywhere near its
 	// objective — the hysteresis that keeps a just-upshifted run from
 	// flapping straight back down.
-	if want < cur && quantileTrusted {
-		if c.Cfg.SLO.TTFT > 0 && w.TTFT.P99 > 0.7*c.Cfg.SLO.TTFT {
-			want = cur
-		}
-		if c.Cfg.SLO.TPOT > 0 && w.TPOT.P99 > 0.7*c.Cfg.SLO.TPOT {
-			want = cur
-		}
+	if above(0.7) && want < cur {
+		want = cur
 	}
 	return want, reason
 }
@@ -185,8 +179,9 @@ func (c *Controller) decide(cur int, w serve.Window) (want int, reason string) {
 // Run replays the trace through a fresh multi-plan Server, starting on
 // the cheapest plan able to carry the trace's opening window (so a trace
 // that begins at crest load is not admitted onto the trough plan),
-// polling telemetry every Interval and switching plans to hold the SLO
-// at minimum chip cost. It blocks until the replay drains.
+// deciding at each k*Interval virtual seconds in the run's own loop
+// (serve.Server.At, so the same at any speedup) and switching plans to
+// hold the SLO at minimum chip cost. It blocks until the replay drains.
 func (c *Controller) Run(opts serve.Options, reqs []trace.Request) (*Result, error) {
 	start := c.startEntry(reqs)
 	srv, err := serve.NewServer(c.Lib.Entries[start].Plan, opts)
@@ -194,83 +189,57 @@ func (c *Controller) Run(opts serve.Options, reqs []trace.Request) (*Result, err
 		return nil, err
 	}
 	res := &Result{Start: start, MaxEntry: start, SLO: c.Cfg.SLO}
-
-	var rep *serve.ServerReport
-	var serveErr error
-	done := make(chan struct{})
-	go func() {
-		rep, serveErr = srv.Serve(reqs)
-		close(done)
-	}()
-	select {
-	case <-srv.Started():
-	case <-done:
-		return nil, serveErr
-	}
-
-	cur := start
-	lastSwitch := 0.0
-	lastReweight := 0.0
-	for k := 1; ; k++ {
-		select {
-		case <-done:
-			if serveErr != nil {
-				return nil, serveErr
+	cur, lastSwitch, lastReweight := start, 0.0, 0.0
+	var tickErr error
+	var tick func()
+	tick = func() {
+		res.Ticks++
+		w := srv.Telemetry(c.Cfg.Window)
+		// Online staircase re-pricing: the library's shape weighting was
+		// priced once at startup, and a trace whose shape mix drifts
+		// (long-prompt afternoon after a short-prompt morning) leaves
+		// every QPS estimate stale — the controller then tracks load
+		// against capacities no plan delivers. Re-weight from the live
+		// window's bucket mix, hold-down gated so a noisy window cannot
+		// thrash the pricing, and in place (Reweight, not WeightByShapes)
+		// so cur and the recorded events keep indexing the same plans.
+		if w.Completions >= c.Cfg.MinSamples && w.Now-lastReweight >= c.Cfg.HoldDown {
+			if shapes := shapesFromWindow(w.Shapes); len(shapes) > 0 {
+				c.Lib.Reweight(shapes)
+				lastReweight = w.Now
 			}
-			res.Report = rep
-			c.account(res, rep)
-			return res, nil
-		case <-srv.AfterVirtual(float64(k) * c.Cfg.Interval):
-			res.Ticks++
-			w := srv.Telemetry(c.Cfg.Window)
-			// Online staircase re-pricing: the library's shape weighting was
-			// priced once at startup, and a trace whose shape mix drifts
-			// (long-prompt afternoon after a short-prompt morning) leaves
-			// every QPS estimate stale — the controller then tracks load
-			// against capacities no plan delivers. Re-weight from the live
-			// window's bucket mix, hold-down gated so a noisy window cannot
-			// thrash the pricing, and in place (Reweight, not WeightByShapes)
-			// so cur and the recorded events keep indexing the same plans.
-			if w.Completions >= c.Cfg.MinSamples && w.Now-lastReweight >= c.Cfg.HoldDown {
-				if shapes := shapesFromWindow(w.Shapes); len(shapes) > 0 {
-					c.Lib.Reweight(shapes)
-					lastReweight = w.Now
-				}
-			}
-			want, reason := c.decide(cur, w)
-			if opts.Bus.Active() {
-				opts.Bus.Publish(obs.Event{Kind: obs.KindDecision, T: w.Now,
-					N: res.Ticks, Track: "controller", Payload: obs.DecisionInfo{
-						Cur: cur, Want: want, Reason: reason,
-						Rate: w.ArrivalRate, P99TTFT: w.TTFT.P99,
-						QPS: w.QPS, InFlight: w.InFlight,
-					}})
-			}
-			if want == cur {
-				continue
-			}
-			if want < cur && w.Now-lastSwitch < c.Cfg.HoldDown {
-				continue
-			}
+		}
+		want, reason := c.decide(cur, w)
+		if opts.Bus.Active() {
+			opts.Bus.Publish(obs.Event{Kind: obs.KindDecision, T: w.Now,
+				N: res.Ticks, Track: "controller", Payload: obs.DecisionInfo{
+					Cur: cur, Want: want, Reason: reason,
+					Rate: w.ArrivalRate, P99TTFT: w.TTFT.P99,
+					QPS: w.QPS, InFlight: w.InFlight,
+				}})
+		}
+		if want > cur || (want < cur && w.Now-lastSwitch >= c.Cfg.HoldDown) {
 			if err := srv.Switch(c.Lib.Entries[want].Plan); err != nil {
-				// A tick can race the replay draining; the next select
-				// iteration observes done and finishes up.
-				if errors.Is(err, serve.ErrServeEnded) {
-					continue
-				}
-				return nil, fmt.Errorf("control: switch at tick %d: %w", k, err)
+				tickErr = fmt.Errorf("control: switch at tick %d: %w", res.Ticks, err)
+				return
 			}
 			res.Events = append(res.Events, Event{
 				AtV: w.Now, From: cur, To: want, Reason: reason,
 				Rate: w.ArrivalRate, P99TTFT: w.TTFT.P99,
 			})
-			cur = want
-			lastSwitch = w.Now
-			if want > res.MaxEntry {
-				res.MaxEntry = want
-			}
+			cur, lastSwitch = want, w.Now
+			res.MaxEntry = max(res.MaxEntry, want)
 		}
+		srv.At(float64(res.Ticks+1)*c.Cfg.Interval, tick)
 	}
+	srv.At(c.Cfg.Interval, tick)
+	rep, err := srv.Serve(reqs)
+	if err = errors.Join(err, tickErr); err != nil {
+		return nil, err
+	}
+	res.Report = rep
+	c.account(res, rep)
+	return res, nil
 }
 
 // shapesFromWindow turns a telemetry window's shape-bucket mix into a
@@ -320,10 +289,9 @@ func (c *Controller) startEntry(reqs []trace.Request) int {
 }
 
 // account fills in the cost comparison once the run has drained, and
-// back-fills each switch event with when it took effect and its retired
-// epoch's measured drain time (switch i retires epoch i and starts epoch
-// i+1 — epochs and events are both in switch order, with epochs carrying
-// one extra leading entry for the start plan).
+// back-fills each switch event with its retired epoch's measured drain time
+// (switch i retires epoch i — epochs and events are both in switch order,
+// with epochs carrying one extra leading entry for the start plan).
 func (c *Controller) account(res *Result, rep *serve.ServerReport) {
 	res.ChipSeconds = rep.ChipSeconds
 	res.StaticChipSeconds = float64(c.Lib.Entries[res.MaxEntry].Chips) * rep.DurationV
@@ -332,7 +300,6 @@ func (c *Controller) account(res *Result, rep *serve.ServerReport) {
 	}
 	for i := range res.Events {
 		old := rep.Epochs[i]
-		res.Events[i].AtV = rep.Epochs[i+1].StartV
 		res.Events[i].DrainSeconds = max(old.DrainedV-old.RetiredV, 0)
 	}
 }

@@ -162,11 +162,7 @@ func TestControllerReweightsOnShapeDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wallBudget := 4.0
-	if raceEnabled {
-		wallBudget = 12.0
-	}
-	res, err := ctl.Run(serve.Options{Speedup: dur / wallBudget}, reqs)
+	res, err := ctl.Run(serve.Options{Speedup: unpaced}, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package control
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -10,39 +11,37 @@ import (
 	"rago/internal/trace"
 )
 
-// streamEvent is the part of a request-level event a live run and its
-// replay must agree on.
+// streamEvent is the part of an obs event two runs of the same thing must
+// agree on; payload renders its Payload (a serve.Window, DecisionInfo or
+// SwitchInfo), whose floats %v prints exactly.
 type streamEvent struct {
 	kind      obs.Kind
 	t, dur    uint64
 	req, slot int
 	n         int
+	payload   string
 }
 
-// requestLevel reports whether kind is one of the request-level events the
-// cores publish: admission, queueing, stage service, decode and cache.
-// Switch, decision and window events come from the controller's goroutine
-// and the wall clock, so they are not part of the stream.
-func requestLevel(k obs.Kind) bool {
+// fromCore reports whether kind is one the epoch cores publish: admission,
+// queueing, stage service, decode and cache. The server's switch and window
+// events and the controller's decisions come from the run's At callbacks,
+// as deterministic as the rest, but a replay of the switching history runs
+// no controller and publishes none of them.
+func fromCore(k obs.Kind) bool {
 	switch k {
-	case obs.KindAdmit, obs.KindReject, obs.KindEnqueue, obs.KindStageStart, obs.KindStageFinish,
-		obs.KindDecodeLease, obs.KindDecodePark, obs.KindDecodeResume, obs.KindDecodeFinish,
-		obs.KindCacheHit, obs.KindCacheMiss, obs.KindCacheAnswerHit:
-		return true
+	case obs.KindSwitchBegin, obs.KindSwitchCommit, obs.KindSwitchDrain, obs.KindDecision,
+		obs.KindWindow, obs.KindShardFallback:
+		return false
 	}
-	return false
+	return true
 }
 
-// pacedStreamBuf buffers a paced live run's stream: the run publishes in
-// bursts at each driver wake, and the draining goroutine must never fall a
-// whole buffer behind.
-const pacedStreamBuf = 1 << 17
-
-// recordRequestStream attaches a subscriber with a buf-event buffer to a
-// fresh bus and drains its request-level events on a goroutine; stop
-// detaches it, fails the test if any event was dropped, and returns the
-// stream in publication order.
-func recordRequestStream(t *testing.T, buf int) (*obs.Bus, func() []streamEvent) {
+// recordStream attaches a subscriber with a buf-event buffer to a fresh bus
+// and drains it on a goroutine; stop detaches it, fails the test if any
+// event was dropped, and returns the stream in publication order. An
+// unpaced run publishes faster than a goroutine drains, so buf must hold
+// its whole stream.
+func recordStream(t *testing.T, buf int) (*obs.Bus, func() []streamEvent) {
 	t.Helper()
 	bus := obs.NewBus()
 	sub := bus.Subscribe(buf)
@@ -50,9 +49,11 @@ func recordRequestStream(t *testing.T, buf int) (*obs.Bus, func() []streamEvent)
 	go func() {
 		var out []streamEvent
 		for ev := range sub.Events() {
-			if requestLevel(ev.Kind) {
-				out = append(out, streamEvent{ev.Kind, math.Float64bits(ev.T), math.Float64bits(ev.Dur), ev.Req, ev.Slot, ev.N})
+			se := streamEvent{ev.Kind, math.Float64bits(ev.T), math.Float64bits(ev.Dur), ev.Req, ev.Slot, ev.N, ""}
+			if ev.Payload != nil {
+				se.payload = fmt.Sprintf("%+v", ev.Payload)
 			}
+			out = append(out, se)
 		}
 		done <- out
 	}()
@@ -67,16 +68,28 @@ func recordRequestStream(t *testing.T, buf int) (*obs.Bus, func() []streamEvent)
 	}
 }
 
+// sameStream requires two event streams to be equal, event for event.
+func sameStream(t *testing.T, what string, got, want []streamEvent) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Errorf("%s: %d events, want %d", what, len(got), len(want))
+	}
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			t.Errorf("%s: event %d is %+v, want %+v", what, i, got[i], want[i])
+			return
+		}
+	}
+}
+
 // replayExactly replays a controlled run's switching history with the bound
 // it ran under and requires the replay to be the same run: the same
 // completions and rejections, a bit-identical completion rate, each tenure
-// admitting what its epoch admitted, and the same request-level event
-// stream (kind, T and Dur bits, Req, Slot, N) as live.
+// admitting what its epoch admitted from where it started, and the live
+// run's core events (kind, T and Dur bits, Req, Slot, N) as its stream.
 func replayExactly(t *testing.T, lib *Library, res *Result, reqs []trace.Request, maxInFlight int, live []streamEvent) SimResult {
 	t.Helper()
-	// The unpaced replay publishes faster than a goroutine drains, so the
-	// buffer holds the whole stream (and any events past the live count).
-	bus, stream := recordRequestStream(t, len(live)+1024)
+	bus, stream := recordStream(t, len(live)+1024)
 	sr, err := simReplay(lib, res, reqs, 0.05, maxInFlight, nil, bus)
 	if err != nil {
 		t.Fatal(err)
@@ -97,15 +110,13 @@ func replayExactly(t *testing.T, lib *Library, res *Result, reqs []trace.Request
 			t.Errorf("tenure %d admitted %d from %v, live epoch admitted %d from %v", i, sg.Admitted, sg.FromV, e.Admitted, e.StartV)
 		}
 	}
-	if len(got) != len(live) {
-		t.Errorf("replay published %d request-level events, live %d", len(got), len(live))
-	}
-	for i := range min(len(got), len(live)) {
-		if got[i] != live[i] {
-			t.Errorf("event %d: replay %+v, live %+v", i, got[i], live[i])
-			break
+	var core []streamEvent
+	for _, ev := range live {
+		if fromCore(ev.kind) {
+			core = append(core, ev)
 		}
 	}
+	sameStream(t, "replay vs live core events", got, core)
 	return sr
 }
 

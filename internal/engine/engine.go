@@ -12,12 +12,12 @@
 //   - core.Assembler reads Plan.Metrics (Algorithm 1 step 3);
 //   - sim.ServeSim replays traces through Plan.Steps as a discrete-event
 //     system;
-//   - serve.Runtime executes Plan.Steps for real with goroutines and
-//     wall-clock pacing.
+//   - serve.Server executes Plan.Steps live under wall-clock pacing.
 //
-// The two trace executors make every dispatch decision through one core
-// (dispatch.go): a Dispatcher per serial resource picks and prices
-// batches, and a Seq per sequence runs the decode loop.
+// The trace executors and the controller's replay make every request-level
+// decision through one Core (core.go), over a Dispatcher per serial
+// resource and a Seq per sequence (dispatch.go); one Loop (loop.go) orders
+// timers, arrivals and core events, and one Tally (tally.go) counts.
 //
 // A compiled Plan is immutable and safe for concurrent use; partial-batch
 // re-profiling (StepLatency) goes through the memoizing stageperf.Profiler.

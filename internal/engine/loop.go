@@ -3,16 +3,22 @@ package engine
 import "math"
 
 // Loop is the one arrival/epoch merge loop every run goes through. It holds
-// a run's Ledger and its epoch cores (one per plan tenure) in start order
-// and hands each arrival and core event to its core in one virtual-time
-// order: an arrival goes to the newest epoch started at or before it and
-// wins a tie with any core event; between cores the older epoch wins ties.
-// Drivers differ only in when they advance it, so the same epochs at the
-// same starts make the same decisions. Not safe for concurrent use.
+// a run's Ledger, its epoch cores (one per plan tenure) in start order and
+// its timers, and handles each in one virtual-time order: a timer first
+// (same-instant timers in the order set), then an arrival, which goes to the
+// newest epoch started at or before it, then core events, the older epoch's
+// first. Drivers differ only in when they advance it, so the same epochs and
+// timers make the same decisions. Not safe for concurrent use.
 type Loop struct {
 	led    *Ledger
 	cores  []*Core
 	starts []float64
+	timers []timer
+}
+
+type timer struct {
+	at float64
+	fn func()
 }
 
 // NewLoop builds an empty loop over ledger l.
@@ -26,10 +32,20 @@ func (lp *Loop) Add(k *Core, start float64) {
 	lp.starts = append(lp.starts, start)
 }
 
-// Advance handles, in order, every arrival and core event due at or before
-// virtual time now, calling before (when non-nil) with each one's time just
-// ahead of handling it. It returns when the next one is due, or false once
-// every request has arrived and no core has an event left.
+// At sets a timer: Advance calls fn at virtual time v, which must not
+// precede the instant being handled. fn may set timers and add an epoch
+// starting at v. Timers never extend a run.
+func (lp *Loop) At(v float64, fn func()) {
+	lp.timers = append(lp.timers, timer{v, fn})
+	for i := len(lp.timers) - 1; i > 0 && lp.timers[i-1].at > v; i-- {
+		lp.timers[i], lp.timers[i-1] = lp.timers[i-1], lp.timers[i]
+	}
+}
+
+// Advance handles, in order, every timer, arrival and core event due at or
+// before virtual time now, calling before (when non-nil) with each one's
+// time just ahead of handling it. It returns when the next one is due, or
+// false once every request has arrived and no core has an event left.
 func (lp *Loop) Advance(now float64, before func(t float64)) (float64, bool) {
 	for {
 		var next *Core
@@ -45,21 +61,30 @@ func (lp *Loop) Advance(now float64, before func(t float64)) (float64, bool) {
 		} else if next == nil {
 			return 0, false
 		}
+		timed := len(lp.timers) > 0 && lp.timers[0].at <= t
+		if timed {
+			t = lp.timers[0].at
+		}
 		if t > now {
 			return t, true
 		}
 		if before != nil {
 			before(t)
 		}
-		if next != nil {
+		switch {
+		case timed:
+			fn := lp.timers[0].fn
+			lp.timers = lp.timers[1:]
+			fn()
+		case next != nil:
 			next.Step()
-			continue
+		default:
+			i := len(lp.starts) - 1
+			for i > 0 && lp.starts[i] > at {
+				i--
+			}
+			lp.cores[i].Admit()
 		}
-		i := len(lp.starts) - 1
-		for i > 0 && lp.starts[i] > at {
-			i--
-		}
-		lp.cores[i].Admit()
 	}
 }
 

@@ -219,30 +219,18 @@ func TestServerSwitchIterativeDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	reqs = trace.WithTriggers(reqs, small.Round.RoundsPerSeq, pipe.Stages[small.DecodeIdx].OutTokens, 5)
-	speedup := float64(n) / rate // about a wall second
-	s, err := NewServer(small, Options{Speedup: speedup, FlushTimeout: iterFlush})
+	s, err := NewServer(small, Options{Speedup: unpaced, FlushTimeout: iterFlush})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep *ServerReport
-	done := make(chan struct{})
-	go func() {
-		rep, err = s.Serve(reqs)
-		close(done)
-	}()
-	<-s.Started()
-	<-s.AfterVirtual(reqs[n/3].Arrival)
-	if err := s.Switch(big); err != nil {
-		t.Errorf("switch up: %v", err)
-	}
-	<-s.AfterVirtual(reqs[2*n/3].Arrival)
-	if err := s.Switch(small); err != nil {
-		t.Errorf("switch down: %v", err)
-	}
-	<-done
+	starts := []float64{0, reqs[n/3].Arrival, reqs[2*n/3].Arrival}
+	switchAt(t, s, starts[1], big)
+	switchAt(t, s, starts[2], small)
+	rep, err := s.Serve(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	startedAt(t, rep, starts)
 	if rep.Completed != n || rep.Rejected != 0 {
 		t.Fatalf("completed %d rejected %d, want %d/0: parked sequences dropped or double-served across the switch", rep.Completed, rep.Rejected, n)
 	}

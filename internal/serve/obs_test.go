@@ -188,12 +188,11 @@ func TestObsWindowStreamAndSteadyQPS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := float64(n) / plan.Metrics.QPS       // about a wall second
 	every := (float64(n) / plan.Metrics.QPS) / 6.0 // ~6 windows over the replay
 
 	bus := obs.NewBus()
 	sub := bus.Subscribe(1 << 15)
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup, Bus: bus, WindowEvery: every})
+	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, Bus: bus, WindowEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}

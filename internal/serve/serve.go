@@ -22,9 +22,10 @@
 // What stays concurrent is what is concurrent: real vector search runs on
 // goroutines beside the driver (a Searcher batch from its dispatch, each
 // query of a Sharded batch from when its request joins the batch), and a
-// batch's members advance only once its search has returned; Switch,
-// Telemetry and the Window stream run beside the driver; bus subscribers
-// consume on their own goroutines.
+// batch's members advance only once its search has returned; bus
+// subscribers consume on their own goroutines. The controller's ticks and
+// the Window stream are timers of the loop itself (Server.At), so they too
+// happen at the same virtual instants at any speedup.
 //
 // Two front ends drive the same loop. Runtime executes one plan for one
 // trace. Server executes a sequence of plans: Switch hot-swaps it onto a
@@ -428,14 +429,7 @@ func newClock(speedup float64) clock { return clock{start: time.Now(), speedup: 
 // now returns the current virtual time.
 func (c clock) now() float64 { return time.Since(c.start).Seconds() * c.speedup }
 
-// wallAt returns the wall-clock instant of virtual time v.
-func (c clock) wallAt(v float64) time.Time {
-	return c.start.Add(time.Duration(v / c.speedup * float64(time.Second)))
-}
-
 // sleepUntil blocks until virtual time v has passed.
 func (c clock) sleepUntil(v float64) {
-	if d := time.Until(c.wallAt(v)); d > 0 {
-		time.Sleep(d)
-	}
+	time.Sleep(time.Until(c.start.Add(time.Duration(v / c.speedup * float64(time.Second)))))
 }

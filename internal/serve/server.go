@@ -136,7 +136,7 @@ type Server struct {
 	led   *engine.Ledger
 
 	// mu orders switches against the driver, which reads the clock and
-	// epochs under it once per wake. The last epoch is the current plan's.
+	// epochs under it at each wake. The last epoch is the current plan's.
 	mu     sync.RWMutex
 	epochs []*epoch
 	ended  bool // replay drained, no further switches
@@ -145,6 +145,12 @@ type Server struct {
 	served  atomic.Bool
 	live    atomic.Bool
 	started chan struct{}
+	atV     atomic.Pointer[float64] // the running At callback's instant
+
+	// The driver's loop, the epochs it runs and At calls made before Serve.
+	loop    *engine.Loop
+	running []*epoch
+	early   []func()
 
 	// Real search: the batches whose search is running (driver only), the
 	// first error, and the recycled query storage.
@@ -180,18 +186,30 @@ func (s *Server) Plan() *engine.Plan {
 // live); controllers wait on it before polling telemetry.
 func (s *Server) Started() <-chan struct{} { return s.started }
 
-// Now returns the current virtual time (0 before Serve starts).
-func (s *Server) Now() float64 {
-	if !s.live.Load() {
-		return 0
+// At runs fn on the driver at virtual time v, ahead of every arrival and
+// core event due then, at any speedup; while fn runs the server's now is v,
+// so Telemetry snapshots and a Switch takes effect at v. Call At before Serve
+// or from an At callback, for a v not yet passed. It never extends a run.
+func (s *Server) At(v float64, fn func()) {
+	if s.loop == nil {
+		s.early = append(s.early, func() { s.At(v, fn) })
+		return
 	}
-	return s.clock.now()
+	s.loop.At(v, func() {
+		s.atV.Store(&v)
+		fn()
+		s.atV.Store(nil)
+		s.addEpochs()
+	})
 }
 
-// AfterVirtual returns a channel that fires once virtual time v has
-// passed. Only valid after Started.
-func (s *Server) AfterVirtual(v float64) <-chan time.Time {
-	return time.After(time.Until(s.clock.wallAt(v)))
+// now is the virtual now: the running At callback's instant, else the
+// clock's reading.
+func (s *Server) now() float64 {
+	if v := s.atV.Load(); v != nil {
+		return *v
+	}
+	return s.clock.now()
 }
 
 // Telemetry snapshots the sliding-window serving metrics over the
@@ -200,7 +218,7 @@ func (s *Server) Telemetry(window float64) Window {
 	if !s.live.Load() {
 		return Window{}
 	}
-	w := s.coll.snapshot(s.clock.now(), window)
+	w := s.coll.snapshot(s.now(), window)
 	if s.opts.Cache != nil {
 		st := s.opts.Cache.Stats()
 		w.CacheHitRate = st.HitRate
@@ -213,10 +231,10 @@ func (s *Server) Telemetry(window float64) Window {
 // stage graph as the running plans (a schedule of the same pipeline) and
 // pass the same executability check NewServer applies. The new plan's
 // core admits every request arriving from the switch instant (the virtual
-// now, read under mu, which the driver's wakes have not yet passed) on;
-// the retired plan's in-flight requests finish on its own core, which
-// closes once drained. Safe to call concurrently with Serve. Switching to
-// the plan already current is a no-op.
+// now, read under mu, which the driver has not yet passed) on; the retired
+// plan's in-flight requests finish on its own core, which closes once
+// drained. Safe to call concurrently with Serve. Switching to the plan
+// already current is a no-op.
 func (s *Server) Switch(plan *engine.Plan) error {
 	if err := plan.Executable(); err != nil {
 		return err
@@ -238,7 +256,7 @@ func (s *Server) Switch(plan *engine.Plan) error {
 		s.mu.Unlock()
 		return fmt.Errorf("serve: plan executes a different stage graph; only schedules of the same pipeline are hot-swappable")
 	}
-	now := s.clock.now()
+	now := max(s.now(), old.startV)
 	next := &epoch{srv: s, plan: plan, startV: now, idx: len(s.epochs)}
 	info := obs.SwitchInfo{
 		Epoch: next.idx,
@@ -272,22 +290,17 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 	first := s.epochs[0].plan
 	s.coll.tally, s.coll.names = engine.NewTally(first, len(reqs)), first.SlotNames()
 	s.led = engine.NewLedger(first, reqs, s.opts.MaxInFlight)
+	s.loop = engine.NewLoop(s.led)
+	if s.opts.Bus != nil && s.opts.WindowEvery > 0 {
+		s.streamWindows(1)
+	}
+	for _, at := range s.early {
+		at()
+	}
 	s.clock = newClock(s.opts.Speedup)
 	s.live.Store(true)
 	close(s.started)
-
-	var windowsDone chan struct{}
-	var stopWindows chan struct{}
-	if s.opts.Bus != nil && s.opts.WindowEvery > 0 {
-		windowsDone = make(chan struct{})
-		stopWindows = make(chan struct{})
-		go s.streamWindows(stopWindows, windowsDone)
-	}
 	s.drive()
-	if stopWindows != nil {
-		close(stopWindows)
-		<-windowsDone
-	}
 
 	// The run ends at its last completion, as a retired epoch drains at its
 	// own, but never before the newest epoch started.
@@ -309,33 +322,43 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 }
 
 // drive is the wall driver: engine.Loop plus sleeping. Each wake reads the
-// virtual clock and the epochs under mu, adds a core to the loop for each
-// epoch Switch started and closes the retired ones it reports drained,
-// advances the loop to the clock's reading (first waiting, before each
-// event, for the real searches due by then) and sleeps until the next
+// virtual clock, adds a core to the loop for each epoch Switch started,
+// advances the loop to the clock's reading and sleeps until the next
 // event's wall instant. It returns once every request has arrived and no
 // core has an event left.
 func (s *Server) drive() {
-	loop, before := engine.NewLoop(s.led), s.awaitSearches
-	for added := 0; ; {
-		s.mu.RLock()
-		now, eps := s.clock.now(), s.epochs
-		s.mu.RUnlock()
-		for ; added < len(eps); added++ {
-			e := eps[added]
-			e.tally = s.coll.tally.Epoch(added)
-			loop.Add(engine.NewCore(e.plan, s.led, s.opts.FlushTimeout, s.opts.Cache, s.opts.Bus, e), e.startV)
-		}
-		for i, e := range eps {
-			if !e.closed && loop.Drained(i) {
-				s.close(e)
-			}
-		}
-		next, ok := loop.Advance(now, before)
+	for before := s.beforeEvent; ; {
+		next, ok := s.loop.Advance(s.addEpochs(), before)
 		if !ok {
 			return
 		}
 		s.clock.sleepUntil(next)
+	}
+}
+
+// addEpochs adds a core to the loop for each epoch started since the last
+// call, and returns the clock's reading, taken with the epochs.
+func (s *Server) addEpochs() float64 {
+	s.mu.RLock()
+	now, eps := s.clock.now(), s.epochs[len(s.running):]
+	s.mu.RUnlock()
+	for _, e := range eps {
+		e.tally = s.coll.tally.Epoch(e.idx)
+		s.loop.Add(engine.NewCore(e.plan, s.led, s.opts.FlushTimeout, s.opts.Cache, s.opts.Bus, e), e.startV)
+		s.running = append(s.running, e)
+	}
+	return now
+}
+
+// beforeEvent finishes the real searches due by t and closes the retired
+// epochs the loop reports drained, ahead of each loop event at t (so at
+// the same point of the run at any speedup).
+func (s *Server) beforeEvent(t float64) {
+	s.awaitSearches(t)
+	for i, e := range s.running[:len(s.running)-1] {
+		if !e.closed && s.loop.Drained(i) {
+			s.close(e)
+		}
 	}
 }
 
@@ -350,24 +373,18 @@ func (s *Server) close(e *epoch) {
 	}
 }
 
-// streamWindows publishes a KindWindow snapshot onto the bus every
-// WindowEvery virtual seconds (the snapshot's trailing window is the same
-// width), until stopped at the end of the replay. The snapshots ride the
-// bus as Payload, so obs stays free of serve types.
-func (s *Server) streamWindows(stop, done chan struct{}) {
-	defer close(done)
+// streamWindows publishes a KindWindow snapshot of the trailing
+// WindowEvery onto the bus at k*WindowEvery virtual seconds, then k+1, and
+// so on. The snapshots ride the bus as Payload, so obs stays free of serve
+// types.
+func (s *Server) streamWindows(k int) {
 	every := s.opts.WindowEvery
-	for k := 1; ; k++ {
-		v := float64(k) * every
-		select {
-		case <-s.AfterVirtual(v):
-		case <-stop:
-			return
-		}
+	s.At(float64(k)*every, func() {
 		w := s.Telemetry(every)
 		s.opts.Bus.Publish(obs.Event{Kind: obs.KindWindow, T: w.Now,
 			Track: "telemetry", N: k, Payload: w})
-	}
+		s.streamWindows(k + 1)
+	})
 }
 
 // buildReport assembles the ServerReport. Called under s.mu once the

@@ -161,6 +161,29 @@ func serverSetup(t testing.TB) (small, large *engine.Plan) {
 	return small, large
 }
 
+// switchAt schedules a Switch of s to plan at virtual time v.
+func switchAt(t *testing.T, s *Server, v float64, plan *engine.Plan) {
+	s.At(v, func() {
+		if err := s.Switch(plan); err != nil {
+			t.Errorf("switch at %v: %v", v, err)
+		}
+	})
+}
+
+// startedAt requires each epoch of rep to have started at its scheduled
+// instant, bit for bit.
+func startedAt(t *testing.T, rep *ServerReport, starts []float64) {
+	t.Helper()
+	if len(rep.Epochs) != len(starts) {
+		t.Fatalf("%d epochs, scheduled %d", len(rep.Epochs), len(starts))
+	}
+	for i, e := range rep.Epochs {
+		if math.Float64bits(e.StartV) != math.Float64bits(starts[i]) {
+			t.Errorf("epoch %d started at %v, scheduled at %v", i, e.StartV, starts[i])
+		}
+	}
+}
+
 // TestServerSwitchDrainAndMigrate is the drain-semantics assertion: a
 // mid-replay switch must route new admissions to the new plan while every
 // in-flight request finishes on the old one — nothing dropped, nothing
@@ -174,38 +197,29 @@ func TestServerSwitchDrainAndMigrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	speedup := float64(n) / rate // about a wall second
-	s, err := NewServer(small, Options{Speedup: speedup})
+	s, err := NewServer(small, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Switch(large); err == nil {
 		t.Fatal("Switch before Serve should error")
 	}
-	var rep *ServerReport
-	done := make(chan struct{})
-	go func() {
-		rep, err = s.Serve(reqs)
-		close(done)
-	}()
-	<-s.Started()
-	// Switch up roughly mid-trace, then back down later.
-	midV := reqs[n/2].Arrival
-	<-s.AfterVirtual(midV)
-	if err := s.Switch(large); err != nil {
-		t.Errorf("switch up: %v", err)
-	}
-	if got := s.Plan(); got != large {
-		t.Errorf("current plan not swapped")
-	}
-	<-s.AfterVirtual(reqs[3*n/4].Arrival)
-	if err := s.Switch(small); err != nil {
-		t.Errorf("switch down: %v", err)
-	}
-	<-done
+	// Switch up mid-trace, then back down later.
+	starts := []float64{0, reqs[n/2].Arrival, reqs[3*n/4].Arrival}
+	s.At(starts[1], func() {
+		if err := s.Switch(large); err != nil {
+			t.Errorf("switch up: %v", err)
+		}
+		if got := s.Plan(); got != large {
+			t.Errorf("current plan not swapped")
+		}
+	})
+	switchAt(t, s, starts[2], small)
+	rep, err := s.Serve(reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	startedAt(t, rep, starts)
 	if rep.Completed != n || rep.Rejected != 0 {
 		t.Fatalf("completed %d rejected %d, want %d/0: drain dropped or double-served", rep.Completed, rep.Rejected, n)
 	}

@@ -344,25 +344,17 @@ func TestWallDriverMatchesHeapDriver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := NewServer(m.plan, Options{Speedup: m.reqs[len(m.reqs)-1].Arrival / 0.5, Cache: m.newCache(t)})
+		srv, err := NewServer(m.plan, Options{Speedup: unpaced, Cache: m.newCache(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		done := make(chan struct{})
-		var rep *ServerReport
-		go func() {
-			rep, err = srv.Serve(m.reqs)
-			close(done)
-		}()
-		<-srv.Started()
-		<-srv.AfterVirtual(m.reqs[len(m.reqs)/2].Arrival)
-		if err := srv.Switch(other); err != nil {
-			t.Fatal(err)
-		}
-		<-done
+		starts := []float64{0, m.reqs[len(m.reqs)/2].Arrival}
+		switchAt(t, srv, starts[1], other)
+		rep, err := srv.Serve(m.reqs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		startedAt(t, rep, starts)
 		if rep.Switches != 1 || rep.Completed != len(m.reqs) {
 			t.Fatalf("%d switches, %d of %d completed", rep.Switches, rep.Completed, len(m.reqs))
 		}

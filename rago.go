@@ -246,12 +246,9 @@ var (
 	EmpiricalLengths = trace.EmpiricalLengths
 )
 
-// Serving runtime (a concurrent, goroutine-based engine that executes a
-// Schedule from the optimizer for real under open-loop load: one batching
-// worker per placement group, continuous-batching decode slots — running
-// the §5.3 iterative decode loop live on iterative workloads — wall-clock
-// pacing of profiled stage latencies, admission control, and an online
-// p50/p95/p99 metrics collector).
+// Serving runtime (the simulator's loop and core driven on the wall clock
+// under open-loop load: stage batching, continuous-batching decode slots with
+// the §5.3 decode loop, admission control and online p50/p95/p99 metrics).
 type (
 	// Runtime is a live serving engine for one schedule. Single-use:
 	// build, Serve one trace, read the Report.
