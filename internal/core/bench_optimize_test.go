@@ -9,11 +9,15 @@ import (
 
 // BenchmarkOptimizeCaseIV measures the full schedule search on the richest
 // non-iterative workload (rewriter + retrieval + reranker) with and
-// without the stageperf memoization layers — the engine's hot path. The
-// memoized variant is the production configuration; the no-memo variant
-// re-runs the underlying roofline/vector-search models for every one of
-// the (stage, chips, batch, replicas) tuples the search revisits, which is
-// what every Optimize call paid before the caches existed.
+// without the stage-pricing memos — the profiler's shared caches and each
+// search worker's Evaluator memo, both of which stageperf.NoMemo turns
+// off. The memoized variant is the production configuration; the no-memo
+// variant re-runs the underlying roofline/vector-search models every time
+// the search prices a (stage, chips, batch, replicas) tuple, which is what
+// every Optimize call paid before the caches existed. Both variants share
+// each pre-decode prefix's partials across its plans and each group's
+// choices across plans: those memos are part of the search, not of
+// pricing, so they stay on.
 func BenchmarkOptimizeCaseIV(b *testing.B) {
 	run := func(b *testing.B, noMemo bool) {
 		b.ReportAllocs()

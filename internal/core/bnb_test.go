@@ -156,7 +156,10 @@ func TestWorkersOption(t *testing.T) {
 // TestOptimizeAllocs pins the search's allocation budget: one cold Case IV
 // Optimize (profiler memo empty) keeps only candidates that can still reach
 // the frontier, so it allocates a bounded, small number of objects instead
-// of one heap schedule per evaluated candidate.
+// of one heap schedule per evaluated candidate. Before the prefix memo the
+// search allocated about 91.7k objects; with it, about 94.8k (two exact-size
+// slices per memoized prefix). The budget is 1.3x that, so per-partial
+// allocations in the memo would fail it.
 func TestOptimizeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -164,7 +167,7 @@ func TestOptimizeAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs two full Case IV searches")
 	}
-	const budget = 300_000
+	const budget = 123_000
 	n := testing.AllocsPerRun(1, func() {
 		o, err := NewOptimizer(ragschema.CaseIV(8e9), DefaultOptions(hw.DefaultCluster()))
 		if err != nil {
@@ -177,6 +180,114 @@ func TestOptimizeAllocs(t *testing.T) {
 	if n > budget {
 		t.Errorf("Case IV Optimize allocates %.0f objects, budget %d", n, budget)
 	}
+}
+
+// decodeCrossRef is the retired decode tier: every (decode point, partial)
+// combination, in that order, pruned as a whole. mergeDecode is
+// differential-tested against it.
+func decodeCrossRef(parts []spart, dec []decPoint) []spart {
+	var next []spart
+	for _, d := range dec {
+		for _, p := range parts {
+			np := p
+			np.tpot = d.tpot
+			np.qps = math.Min(np.qps, d.qps)
+			np.decB = d.batch
+			np.decR = d.replicas
+			next = append(next, np)
+		}
+	}
+	return prunePartialsInto(&searchCtx{}, next, nil)
+}
+
+// TestMergeDecodeDifferential drives the two-staircase decode merge against
+// the full cross product on random pre-decode staircases and decode tiers
+// drawn from coarse grids, so TTFT, QPS and TPOT ties, decode throughputs
+// equal to a partial's, and duplicate decode points are common. Each
+// partial and decode point carries a distinct id (node, batch), so the
+// survivors must match the reference's representatives and order exactly,
+// not just its metrics. Some trials use a single partial, an unbounded one
+// (the no-group, no-retrieval start), or decode points the validity filter
+// rejects.
+func TestMergeDecodeDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	ctx := &searchCtx{} // reused across trials, as a worker's is
+	for trial := 0; trial < 3000; trial++ {
+		// Pre-decode partials: prune random grid points into a staircase,
+		// as the group and retrieval tiers leave them.
+		var raw []spart
+		switch trial % 10 {
+		case 0:
+			raw = []spart{{qps: qpsUnbounded, node: -1}}
+		case 1:
+			raw = []spart{{ttft: 0.02, qps: 30, node: 0}}
+		default:
+			for i := range 1 + rng.Intn(24) {
+				p := spart{
+					ttft: float64(1+rng.Intn(8)) * 0.01,
+					qps:  float64(1+rng.Intn(8)) * 10,
+					node: int32(i),
+				}
+				if rng.Intn(20) == 0 {
+					p.qps = qpsUnbounded
+				}
+				raw = append(raw, p)
+			}
+		}
+		parts := prunePartialsInto(&searchCtx{}, raw, nil)
+
+		dec := make([]decPoint, rng.Intn(14))
+		for i := range dec {
+			d := decPoint{
+				tpot:     float64(1+rng.Intn(5)) * 0.001,
+				qps:      float64(1+rng.Intn(9)) * 10,
+				batch:    int32(i),
+				replicas: int32(rng.Intn(3)),
+			}
+			switch rng.Intn(25) {
+			case 0:
+				d.tpot = math.NaN()
+			case 1:
+				d.qps = math.Inf(1)
+			case 2:
+				d.tpot = math.Inf(1)
+			case 3:
+				if i > 0 { // an exact duplicate under a new id
+					d = dec[rng.Intn(i)]
+					d.batch = int32(i)
+				}
+			}
+			dec[i] = d
+		}
+
+		want := decodeCrossRef(parts, dec)
+		got := ctx.mergeDecode(append(ctx.parts[:0], parts...), dec)
+		if !samePartials(got, want) {
+			t.Fatalf("trial %d: merge kept %d partials, cross product %d\nparts %+v\ndec %+v\ngot  %+v\nwant %+v",
+				trial, len(got), len(want), parts, dec, got, want)
+		}
+	}
+}
+
+// samePartials compares partials field for field, floats by their bits (a
+// lone NaN partial passes the prune unfiltered on both sides).
+func samePartials(a, b []spart) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	bits := math.Float64bits
+	for i := range a {
+		x, y := a[i], b[i]
+		if bits(x.ttft) != bits(y.ttft) || bits(x.tpot) != bits(y.tpot) || bits(x.qps) != bits(y.qps) {
+			return false
+		}
+		x.ttft, x.tpot, x.qps = 0, 0, 0
+		y.ttft, y.tpot, y.qps = 0, 0, 0
+		if x != y {
+			return false
+		}
+	}
+	return true
 }
 
 // pruneGroupChoicesRef is the retired O(n²) pairwise implementation, kept

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"rago/internal/engine"
 	"rago/internal/perf"
@@ -27,7 +28,9 @@ type spart struct {
 	tpot float64
 	qps  float64
 	// node indexes searchCtx.nodes (the last group's choice; parents
-	// chain backwards through the groups), -1 before any group commits.
+	// chain backwards through the groups) while a prefix frontier is
+	// built, -1 before any group commits. In a finished prefixEntry it is
+	// the partial's row in the entry's picks slab.
 	node int32
 	// retrB, decB, decR carry the scalar schedule fields until the
 	// partial is stamped.
@@ -38,9 +41,35 @@ type spart struct {
 
 // gnode is one arena entry of the group-choice chain.
 type gnode struct {
-	parent   int32
-	batch    int32
-	replicas []int // memo-owned; copied out by own
+	parent int32
+	pick   *groupChoice // into gcache's memo; copied out by own
+}
+
+// prefixEntry is one pre-decode frontier: the partials a (placement,
+// group chips, servers, iterative batch) prefix leaves after the group and
+// retrieval tiers' Pareto prune, before any incumbent cut. The prefix
+// fixes everything those tiers price, so every decode-chip variant of it
+// extends the same entry. picks is one flat slab holding each partial's
+// group choices: row i (the partial's node) is picks[i*ng : (i+1)*ng],
+// pointing into gcache's memo.
+type prefixEntry struct {
+	parts []spart
+	picks []*groupChoice
+}
+
+// prefixSlot is one prefix's entry in an Optimize call's memo. The first
+// worker to reach the prefix fills it; any other waits for that fill.
+type prefixSlot struct {
+	once sync.Once
+	e    prefixEntry
+}
+
+// decPoint is one decode-tier operating point: the TPOT it sets and the
+// throughput it caps, with the batch and replica count that realize it.
+type decPoint struct {
+	tpot, qps float64
+	batch     int32
+	replicas  int32
 }
 
 // qpsUnbounded stands in for "no throughput constraint yet"; finite so the
@@ -86,11 +115,22 @@ type searchCtx struct {
 	cheapNP    int
 	cheapFO    int
 
+	// memo is the running Optimize call's prefix memo (nil outside one):
+	// slot (plan.prefix-1)*len(iterBatches)+bi holds the prefix's frontier
+	// at iterBatches[bi]. pre is the entry the current candidates extend;
+	// own is the worker's reusable entry when there is no memo.
+	memo []prefixSlot
+	pre  *prefixEntry
+	own  prefixEntry
+
 	nodes  []gnode
 	parts  []spart
 	next   []spart
 	stairs []partialCorner
 	idx    []int32
+	dec    []decPoint
+	bestD  []int32
+	firstP []int32
 
 	probeGroups []GroupSchedule
 	// scratch is the schedule every stamped candidate is evaluated from
@@ -111,10 +151,7 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 		preBatches:  roofline.Pow2Range(1, o.Opts.MaxPreBatch),
 		retrBatches: roofline.Pow2Range(1, o.Opts.MaxRetrievalBatch),
 		decBatches:  roofline.Pow2Range(1, o.Opts.MaxDecodeBatch),
-		iterBatches: []int{0},
-	}
-	if o.Pipe.Schema.Iterative() {
-		ctx.iterBatches = roofline.Pow2Range(1, o.Opts.MaxDecodeBatch)
+		iterBatches: o.iterBatches(),
 	}
 	ctx.policies = o.Opts.Policies
 	if len(ctx.policies) == 0 {
@@ -135,6 +172,15 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 		ctx.ev = ev
 	}
 	return ctx
+}
+
+// iterBatches returns the iterative batches the search tries: {0} for a
+// single-retrieval workload.
+func (o *Optimizer) iterBatches() []int {
+	if o.Pipe.Schema.Iterative() {
+		return roofline.Pow2Range(1, o.Opts.MaxDecodeBatch)
+	}
+	return []int{0}
 }
 
 // searchedKnobs returns the normalized retrieval knob sets: the configured
@@ -215,10 +261,11 @@ func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
 }
 
 // stamp expands a surviving partial into the worker's scratch schedule,
-// walking the group-choice chain backwards. The group storage is reused
-// across calls and the replica slices alias the shared memo (evaluation
-// only reads them), so stamping allocates nothing; the schedule is valid
-// until the next stamp, and own copies out the ones worth keeping.
+// reading its group choices from the prefix entry's slab. The group
+// storage is reused across calls and the replica slices alias the shared
+// memo (evaluation only reads them), so stamping allocates nothing; the
+// schedule is valid until the next stamp, and own copies out the ones
+// worth keeping.
 func (c *searchCtx) stamp(plan Plan, bIter int, p spart) *Schedule {
 	ng := len(plan.Placement.Groups)
 	groups := c.scratch.Groups
@@ -226,16 +273,14 @@ func (c *searchCtx) stamp(plan Plan, bIter int, p spart) *Schedule {
 		groups = make([]GroupSchedule, ng)
 	}
 	groups = groups[:ng]
-	node := p.node
-	for gi := ng - 1; gi >= 0; gi-- {
-		nd := c.nodes[node]
+	picks := c.pre.picks[int(p.node)*ng : int(p.node+1)*ng]
+	for gi, pk := range picks {
 		groups[gi] = GroupSchedule{
 			Stages:   plan.Placement.Groups[gi].Stages,
 			Chips:    plan.GroupChips[gi],
-			Batch:    int(nd.batch),
-			Replicas: nd.replicas,
+			Batch:    pk.batch,
+			Replicas: pk.replicas,
 		}
-		node = nd.parent
 	}
 	c.scratch = Schedule{
 		Groups:           groups,
@@ -265,19 +310,87 @@ func own(s Schedule) Schedule {
 	return s
 }
 
-// planCandidates enumerates batch policies for one plan at a fixed
-// iterative batch (bIter == 0 for non-iterative workloads), pruning
-// dominated combinations after each component. When inc is non-nil, the
-// branch-and-bound pass additionally discards partials whose optimistic
+// planCandidates enumerates batch policies for one plan at the iterative
+// batch iterBatches[bi] (0 for non-iterative workloads), pruning dominated
+// combinations after each component. The pre-decode tiers come from the
+// plan's prefix frontier (prefixFrontier), built once per Optimize call
+// for all the plans that share the prefix. When inc is non-nil, the
+// branch-and-bound pass then discards the prefix partials whose optimistic
 // completion (the plan bound with the partial's own throughput ceiling,
 // relaxed by boundEps for float drift) is strictly dominated by the
-// incumbent frontier — lossless for the final frontier. The surviving
-// partials are returned in the worker's reusable buffer (valid until the
-// next call); callers stamp and evaluate them.
-func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *perf.Incremental, bound perf.Metrics) []spart {
+// incumbent frontier — lossless for the final frontier, and the same cut
+// as applying it after every tier: the threshold filter is monotone in
+// throughput, so it commutes with the Pareto prunes and with the running
+// throughput minimum. The decode tier follows (mergeDecode). The
+// surviving partials are returned in the worker's reusable buffer (valid
+// until the next call); callers stamp and evaluate them.
+func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.Incremental, bound perf.Metrics) []spart {
+	bIter := ctx.iterBatches[bi]
+	ctx.pre = o.prefixFrontier(ctx, plan, bi)
+	normChips := float64(plan.chips())
+	if o.Opts.NormalizeChips > 0 {
+		normChips = float64(o.Opts.NormalizeChips)
+	}
+	parts := append(ctx.parts[:0], ctx.pre.parts...)
+	parts = ctx.pruneAgainstIncumbent(parts, inc, bound, normChips)
+	ctx.parts = parts
+	if len(parts) == 0 {
+		return nil
+	}
+
+	// Decode tier (sets TPOT).
+	decIdx := o.Pipe.Index(pipeline.KindDecode)
+	outTokens := float64(o.Pipe.Stages[decIdx].OutTokens)
+	dec := ctx.dec[:0]
+	for _, bd := range ctx.decBatches {
+		for _, cand := range o.Prof.Candidates(o.Pipe.Stages[decIdx], plan.DecodeChips, bd) {
+			var stall float64
+			if bIter > 0 {
+				probe := ctx.probeSchedule(plan, bIter)
+				probe.DecodeBatch = bd
+				probe.DecodeReplicas = cand.Replicas
+				ic, ok := engine.IterativeCost(o.Pipe, o.Prof, probe)
+				if !ok {
+					continue
+				}
+				stall = ic.StallPerRequest
+			}
+			genTime := cand.Latency + stall
+			dec = append(dec, decPoint{
+				tpot:     genTime / outTokens,
+				qps:      float64(bd) / genTime,
+				batch:    int32(bd),
+				replicas: int32(cand.Replicas),
+			})
+		}
+	}
+	ctx.dec = dec
+	return ctx.mergeDecode(parts, dec)
+}
+
+// prefixFrontier returns the plan's pre-decode frontier at iterBatches[bi]:
+// from the running Optimize call's memo, filled by the first worker to need
+// it, or — outside Optimize, for a plan Plans did not number — built into
+// the worker's own entry.
+func (o *Optimizer) prefixFrontier(ctx *searchCtx, plan Plan, bi int) *prefixEntry {
+	if ctx.memo == nil || plan.prefix == 0 {
+		o.fillPrefix(ctx, plan, ctx.iterBatches[bi], &ctx.own)
+		return &ctx.own
+	}
+	slot := &ctx.memo[(plan.prefix-1)*len(ctx.iterBatches)+bi]
+	slot.once.Do(func() { o.fillPrefix(ctx, plan, ctx.iterBatches[bi], &slot.e) })
+	return &slot.e
+}
+
+// fillPrefix builds the plan's pre-decode frontier at iterative batch
+// bIter into dst: the XPU groups, then the retrieval tier, each extension
+// Pareto-pruned. Only the prefix — placement, group chips, servers, bIter —
+// enters here; the decode chips and the incumbent never do, which is what
+// lets plans share the result. An infeasible prefix leaves dst empty.
+func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefixEntry) {
+	dst.parts, dst.picks = dst.parts[:0], dst.picks[:0]
 	prefixIdx := o.Pipe.Index(pipeline.KindPrefix)
 	retrIdx := o.Pipe.Index(pipeline.KindRetrieval)
-	decIdx := o.Pipe.Index(pipeline.KindDecode)
 
 	// Iterative occupancy terms for this bIter (coupled to the prefix
 	// group's chips and the retrieval servers, both fixed by the plan).
@@ -286,11 +399,11 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *pe
 		n := float64(o.Pipe.Schema.RetrievalFrequency - 1)
 		prefChips, ok := o.planPrefixChips(plan, prefixIdx)
 		if !ok || retrIdx < 0 {
-			return nil
+			return
 		}
 		rt := o.Prof.Eval(o.Pipe.Stages[retrIdx].Tuned(ctx.cheapNP, ctx.cheapFO), plan.Servers, bIter)
 		if !rt.OK {
-			return nil
+			return
 		}
 		iterStage := o.Pipe.Stages[prefixIdx]
 		iterStage.SeqLen = o.Pipe.Schema.RetrievedTokens()
@@ -301,20 +414,16 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *pe
 			}
 		}
 		if !pt.OK {
-			return nil
+			return
 		}
 		iterRetrOcc = n / rt.QPS
 		iterPrefOcc = n / pt.QPS
 	}
 
-	normChips := float64(plan.chips())
-	if o.Opts.NormalizeChips > 0 {
-		normChips = float64(o.Opts.NormalizeChips)
-	}
-
 	ctx.nodes = ctx.nodes[:0]
 	parts := append(ctx.parts[:0], spart{qps: qpsUnbounded, node: -1})
 	next := ctx.next[:0]
+	defer func() { ctx.parts, ctx.next = parts, next }()
 
 	// Pre-decode XPU groups.
 	for gi, g := range plan.Placement.Groups {
@@ -325,13 +434,13 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *pe
 		}
 		choices := o.groupChoicesFor(ctx, g, chips, plan.Servers, prefixIdx, occExtra)
 		if len(choices) == 0 {
-			ctx.parts, ctx.next = parts, next
-			return nil
+			return
 		}
 		next = next[:0]
-		for _, c := range choices {
+		for ci := range choices {
+			c := &choices[ci]
 			for _, p := range parts {
-				ctx.nodes = append(ctx.nodes, gnode{parent: p.node, batch: int32(c.batch), replicas: c.replicas})
+				ctx.nodes = append(ctx.nodes, gnode{parent: p.node, pick: c})
 				np := p
 				np.ttft += c.ttft
 				np.qps = math.Min(np.qps, 1/c.occ)
@@ -340,10 +449,8 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *pe
 			}
 		}
 		parts = prunePartialsInto(ctx, next, parts[:0])
-		parts = ctx.pruneAgainstIncumbent(parts, inc, bound, normChips)
 		if len(parts) == 0 {
-			ctx.parts, ctx.next = parts, next
-			return nil
+			return
 		}
 	}
 
@@ -369,45 +476,113 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bIter int, inc *pe
 			}
 		}
 		parts = prunePartialsInto(ctx, next, parts[:0])
-		parts = ctx.pruneAgainstIncumbent(parts, inc, bound, normChips)
 		if len(parts) == 0 {
-			ctx.parts, ctx.next = parts, next
-			return nil
+			return
 		}
 	}
 
-	// Decode tier (sets TPOT).
-	outTokens := float64(o.Pipe.Stages[decIdx].OutTokens)
-	next = next[:0]
-	for _, bd := range ctx.decBatches {
-		for _, cand := range o.Prof.Candidates(o.Pipe.Stages[decIdx], plan.DecodeChips, bd) {
-			var stall float64
-			if bIter > 0 {
-				probe := ctx.probeSchedule(plan, bIter)
-				probe.DecodeBatch = bd
-				probe.DecodeReplicas = cand.Replicas
-				ic, ok := engine.IterativeCost(o.Pipe, o.Prof, probe)
-				if !ok {
-					continue
+	// Copy the frontier out, its group-choice chains flattened into the
+	// slab: one allocation for the partials and one for the picks.
+	ng := len(plan.Placement.Groups)
+	dst.parts = append(dst.parts, parts...)
+	if n := len(parts) * ng; cap(dst.picks) < n {
+		dst.picks = make([]*groupChoice, n)
+	} else {
+		dst.picks = dst.picks[:n]
+	}
+	for i := range dst.parts {
+		node := dst.parts[i].node
+		for gi := ng - 1; gi >= 0; gi-- {
+			dst.picks[i*ng+gi] = ctx.nodes[node].pick
+			node = ctx.nodes[node].parent
+		}
+		dst.parts[i].node = int32(i)
+	}
+}
+
+// mergeDecode extends the pre-decode partials with every decode point and
+// returns what Pareto-pruning the full cross product, enumerated decode
+// point by decode point, returns — the same survivors in the same order —
+// without building it. The partials form a strict staircase, the order
+// prunePartialsInto leaves them in: TTFT ascending and, as no partial has a
+// TPOT yet, throughput ascending with it. A combination (p, d) has p's
+// TTFT, d's TPOT and throughput min(qps_p, qps_d), so it can survive only
+// if
+//
+//   - qps_d >= qps_p and d is the first least-TPOT point among those with
+//     qps_d >= qps_p: every such point gives p the same TTFT and
+//     throughput, so a lower TPOT dominates and an equal one is a later
+//     exact duplicate, while a partial before p has less throughput; or
+//   - qps_d < qps_p and p is the first partial with qps_p >= qps_d: that
+//     partial reaches the same throughput, qps_d, at a lower TTFT.
+//
+// Only pairs meeting one of these are emitted, in cross-product order, and
+// prunePartialsInto arbitrates among them. Every pair it would have kept is
+// there, so is the first of every set of exact duplicates, and relative
+// order is unchanged; hence so is its output. Invalid elements are never
+// emitted: the validity filter would drop their combinations.
+// parts aliases the worker's partial buffer, which the result reuses.
+func (c *searchCtx) mergeDecode(parts []spart, dec []decPoint) []spart {
+	// bestD[pi]: the first least-TPOT valid decode point with qps_d >=
+	// qps_p; firstP[di]: the first valid partial with qps_p >= qps_d.
+	// -1 when there is none or the element itself is invalid.
+	bestD := c.bestD[:0]
+	for _, p := range parts {
+		best := int32(-1)
+		if partialValid(p) {
+			for di, d := range dec {
+				if decValid(d) && d.qps >= p.qps && (best < 0 || d.tpot < dec[best].tpot) {
+					best = int32(di)
 				}
-				stall = ic.StallPerRequest
 			}
-			genTime := cand.Latency + stall
-			tierQPS := float64(bd) / genTime
-			tpot := genTime / outTokens
-			for _, p := range parts {
-				np := p
-				np.tpot = tpot
-				np.qps = math.Min(np.qps, tierQPS)
-				np.decB = int32(bd)
-				np.decR = int32(cand.Replicas)
-				next = append(next, np)
+		}
+		bestD = append(bestD, best)
+	}
+	firstP := c.firstP[:0]
+	for _, d := range dec {
+		first := int32(-1)
+		if decValid(d) {
+			for pi, p := range parts {
+				if partialValid(p) && p.qps >= d.qps {
+					first = int32(pi)
+					break
+				}
+			}
+		}
+		firstP = append(firstP, first)
+	}
+	c.bestD, c.firstP = bestD, firstP
+	// prunePartialsInto passes a lone element through unfiltered, so a
+	// one-pair product is emitted whatever it holds.
+	all := len(parts)*len(dec) <= 1
+	next := c.next[:0]
+	for di, d := range dec {
+		for pi, p := range parts {
+			if all || bestD[pi] == int32(di) || firstP[di] == int32(pi) {
+				next = append(next, combine(p, d))
 			}
 		}
 	}
-	parts = prunePartialsInto(ctx, next, parts[:0])
-	ctx.parts, ctx.next = parts, next
-	return parts
+	out := prunePartialsInto(c, next, parts[:0])
+	c.parts, c.next = out, next
+	return out
+}
+
+// combine extends a pre-decode partial with a decode point.
+func combine(p spart, d decPoint) spart {
+	p.tpot = d.tpot
+	p.qps = math.Min(p.qps, d.qps)
+	p.decB = d.batch
+	p.decR = d.replicas
+	return p
+}
+
+// decValid reports whether a decode point's combinations with a valid
+// partial pass partialValid: its TPOT must, and its throughput must once
+// capped by the partial's finite one (qpsUnbounded bounds every partial).
+func decValid(d decPoint) bool {
+	return !math.IsNaN(d.tpot) && !math.IsInf(d.tpot, 0) && d.tpot >= 0 &&
+		!math.IsNaN(d.qps) && d.qps >= 0
 }
 
 // probeSchedule builds the minimal schedule IterativeCost needs from the
@@ -498,7 +673,7 @@ func (o *Optimizer) groupChoicesFor(ctx *searchCtx, g pipeline.Group, chips, ser
 	}
 	var choices []groupChoice
 	for _, b := range ctx.preBatches {
-		pause, ok := engine.RetrievalPause(o.Pipe, o.Prof, g.Stages, servers, b, ctx.cheapNP, ctx.cheapFO)
+		pause, ok := engine.RetrievalPause(&o.Pipe, o.Prof, g.Stages, servers, b, ctx.cheapNP, ctx.cheapFO)
 		if !ok {
 			continue
 		}

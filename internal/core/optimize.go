@@ -179,6 +179,11 @@ type Plan struct {
 	GroupChips  []int
 	DecodeChips int
 	Servers     int
+
+	// prefix numbers the plan's (placement, group chips, servers) prefix,
+	// from 1; plans Plans enumerates with the same prefix share its
+	// pre-decode frontier within an Optimize call. 0 means unnumbered.
+	prefix int
 }
 
 // Describe renders the plan compactly.
@@ -222,7 +227,10 @@ func (o *Optimizer) serverOptions() []int {
 }
 
 // Plans enumerates every (placement, allocation) combination within the
-// chip budget (Algorithm 1: getPlacementOptions x getAllocationOptions).
+// chip budget (Algorithm 1: getPlacementOptions x getAllocationOptions),
+// numbering each distinct pre-decode prefix — the placement, its group
+// chips and the server count — so Optimize can build each prefix's
+// frontier once for all its decode-chip variants.
 func (o *Optimizer) Plans() []Plan {
 	budget := o.Opts.Cluster.XPUs()
 	chipOpts := roofline.Pow2Range(1, budget)
@@ -231,21 +239,28 @@ func (o *Optimizer) Plans() []Plan {
 	// to recompute it in its innermost decode loop.
 	srvOpts := o.serverOptions()
 	var plans []Plan
+	prefixes := 0
 	for _, pl := range o.placements() {
 		mins := o.groupMinChips(pl)
 		var rec func(gi, used int, acc []int)
 		rec = func(gi, used int, acc []int) {
 			if gi == len(pl.Groups) {
+				first := -1 // the prefix number of (acc, srvOpts[0])
 				for _, dc := range chipOpts {
 					if dc < decodeMin || used+dc > budget {
 						continue
 					}
-					for _, srv := range srvOpts {
+					if first < 0 {
+						first = prefixes + 1
+						prefixes += len(srvOpts)
+					}
+					for si, srv := range srvOpts {
 						plans = append(plans, Plan{
 							Placement:   pl,
 							GroupChips:  append([]int(nil), acc...),
 							DecodeChips: dc,
 							Servers:     srv,
+							prefix:      first + si,
 						})
 					}
 				}
@@ -318,8 +333,8 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 		partialInc = nil
 	}
 	var pts []SchedulePoint
-	for _, bIter := range ctx.iterBatches {
-		for _, p := range o.planCandidates(ctx, plan, bIter, partialInc, bound) {
+	for bi, bIter := range ctx.iterBatches {
+		for _, p := range o.planCandidates(ctx, plan, bi, partialInc, bound) {
 			sc := ctx.stamp(plan, bIter, p)
 			for _, pol := range ctx.policies {
 				for _, q := range ctx.quanta {
@@ -353,9 +368,21 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 // in original enumeration order before the final frontier pass, so the
 // output is bit-identical to the exhaustive NoPrune reference, including
 // which schedule represents each set of exactly-equal metric points.
+//
+// Plans that differ only in decode chips share their pre-decode prefix,
+// and the prefix alone decides the group and retrieval tiers' Pareto-pruned
+// partials. The call builds each prefix's partials once, at each iterative
+// batch, in a memo the workers share (planCandidates); pruned and
+// exhaustive searches alike go through it, and it lives only as long as
+// the call.
 func (o *Optimizer) Optimize() []SchedulePoint {
 	plans := o.Plans()
 	o.fb = nil
+	prefixes := 0
+	for _, p := range plans {
+		prefixes = max(prefixes, p.prefix)
+	}
+	memo := make([]prefixSlot, prefixes*len(o.iterBatches()))
 	o.stats = SearchStats{Plans: len(plans)}
 	o.prunedPlans.Store(0)
 	o.searchedPlans.Store(0)
@@ -412,6 +439,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 		go func() {
 			defer wg.Done()
 			ctx := o.newSearchCtx()
+			ctx.memo = memo
 			for i := range next {
 				if inc == nil {
 					o.searchedPlans.Add(1)

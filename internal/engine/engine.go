@@ -145,7 +145,7 @@ func Compile(pipe pipeline.Pipeline, sched Schedule, prof *stageperf.Profiler) (
 	}
 	p := &Plan{}
 	p.buildGraph(pipe)
-	if err := compileInto(p, pipe, sched, prof, true); err != nil {
+	if err := compileInto(p, &pipe, sched, pricer{prof: prof}, true); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -177,11 +177,13 @@ func (p *Plan) buildGraph(pipe pipeline.Pipeline) {
 // the exact compileInto code path Compile runs — bit-identical metrics —
 // but re-fills preallocated step/resource/graph storage instead of building
 // a fresh immutable Plan per schedule, which is what the schedule search's
-// innermost loop (thousands of surviving candidates per plan) needs. Not
+// innermost loop (thousands of surviving candidates per plan) needs. Its
+// stage prices come from its own memo (pricer), so a worker evaluating
+// candidates never takes the profiler's lock once its memo is warm. Not
 // safe for concurrent use; each search worker owns one.
 type Evaluator struct {
 	pipe pipeline.Pipeline
-	prof *stageperf.Profiler
+	pr   pricer
 	plan Plan
 	err  error
 }
@@ -191,7 +193,7 @@ func NewEvaluator(pipe pipeline.Pipeline, prof *stageperf.Profiler) (*Evaluator,
 	if err := pipe.ValidateGraph(); err != nil {
 		return nil, err
 	}
-	e := &Evaluator{pipe: pipe, prof: prof}
+	e := &Evaluator{pipe: pipe, pr: pricer{prof: prof, memo: make(map[uint64]stageperf.Point)}}
 	e.plan.buildGraph(pipe)
 	e.plan.cpScratch = make([]float64, len(pipe.Stages))
 	e.plan.memo = new(shapeMemo)
@@ -201,7 +203,7 @@ func NewEvaluator(pipe pipeline.Pipeline, prof *stageperf.Profiler) (*Evaluator,
 // Evaluate compiles sched into the scratch plan and returns its assembled
 // metrics; ok is false when the schedule is infeasible.
 func (e *Evaluator) Evaluate(sched Schedule) (perf.Metrics, bool) {
-	if err := compileInto(&e.plan, e.pipe, sched, e.prof, false); err != nil {
+	if err := compileInto(&e.plan, &e.pipe, sched, e.pr, false); err != nil {
 		return perf.Metrics{}, false
 	}
 	return e.plan.Metrics, true
@@ -215,7 +217,7 @@ func (e *Evaluator) Evaluate(sched Schedule) (perf.Metrics, bool) {
 // bit-identical to a cold Compile(...).ShapeMetrics. An empty sample falls
 // back to the constant-shape metrics, bit-identical to Evaluate.
 func (e *Evaluator) EvaluateShaped(sched Schedule, shapes []Shape) (perf.Metrics, bool) {
-	if err := compileInto(&e.plan, e.pipe, sched, e.prof, false); err != nil {
+	if err := compileInto(&e.plan, &e.pipe, sched, e.pr, false); err != nil {
 		return perf.Metrics{}, false
 	}
 	if len(shapes) == 0 {
@@ -229,18 +231,21 @@ func (e *Evaluator) EvaluateShaped(sched Schedule, shapes []Shape) (perf.Metrics
 // resource storage is freshly allocated and defensively copied so the
 // result is immutable; without it, p's existing storage is re-filled and
 // schedule-owned slices are aliased (the Evaluator's scratch discipline).
-// Both paths execute the same arithmetic in the same order.
-func compileInto(p *Plan, pipe pipeline.Pipeline, sched Schedule, prof *stageperf.Profiler, alloc bool) error {
-	if err := sched.Validate(pipe); err != nil {
+// Both paths execute the same arithmetic in the same order; pr only decides
+// whether stage prices come from the profiler or an Evaluator's memo of
+// the same values.
+func compileInto(p *Plan, pipe *pipeline.Pipeline, sched Schedule, pr pricer, alloc bool) error {
+	prof := pr.prof
+	if err := sched.Validate(*pipe); err != nil {
 		return err
 	}
 
-	iter, round, ok := IterativePlan(pipe, prof, sched)
+	iter, round, ok := IterativePlan(*pipe, prof, sched)
 	if !ok {
 		return fmt.Errorf("engine: iterative retrieval structure infeasible under schedule")
 	}
 
-	p.Pipe = pipe
+	p.Pipe = *pipe
 	p.Sched = sched
 	p.PrefixIdx = pipe.Index(pipeline.KindPrefix)
 	p.DecodeIdx = pipe.Index(pipeline.KindDecode)
@@ -263,7 +268,7 @@ func compileInto(p *Plan, pipe pipeline.Pipeline, sched Schedule, prof *stageper
 	// the group's throughput (§6.1). The group hosting the main prefix
 	// additionally absorbs the iterative prefix passes.
 	for gi, g := range sched.Groups {
-		if !GroupMemFits(pipe, prof, g) {
+		if !GroupMemFits(*pipe, prof, g) {
 			return fmt.Errorf("engine: group %d models exceed %d-chip HBM", gi, g.Chips)
 		}
 		var occ float64
@@ -273,7 +278,7 @@ func compileInto(p *Plan, pipe pipeline.Pipeline, sched Schedule, prof *stageper
 			if len(g.Stages) > 1 && g.ReplicasFor(i) > MaxPhaseReplicas(pipe.Stages[idx], g.Batch) {
 				return fmt.Errorf("engine: group %d stage %v over-replicated for its phase work", gi, pipe.Stages[idx].Kind)
 			}
-			pt := prof.EvalR(pipe.Stages[idx], g.Chips, g.Batch, g.ReplicasFor(i))
+			pt := pr.price(pipe, idx, 0, 0, g.Chips, g.Batch, g.ReplicasFor(i))
 			if !pt.OK {
 				return fmt.Errorf("engine: stage %v infeasible on %d chips at batch %d", pipe.Stages[idx].Kind, g.Chips, g.Batch)
 			}
@@ -312,7 +317,7 @@ func compileInto(p *Plan, pipe pipeline.Pipeline, sched Schedule, prof *stageper
 		// Fig. 14: when a retrieval separates collocated stages, the
 		// group pauses for the retrieval round before resuming the
 		// next inference phase (§7.1's second baseline inefficiency).
-		pause, ok := RetrievalPause(pipe, prof, g.Stages, sched.RetrievalServers, g.Batch, sched.NProbe, sched.ShardFanout)
+		pause, ok := pr.pause(pipe, g.Stages, sched.RetrievalServers, g.Batch, sched.NProbe, sched.ShardFanout)
 		if !ok {
 			return fmt.Errorf("engine: retrieval pause infeasible for group %d", gi)
 		}
@@ -338,7 +343,7 @@ func compileInto(p *Plan, pipe pipeline.Pipeline, sched Schedule, prof *stageper
 		// profiler memoization, partial-batch re-pricing (StepLatency),
 		// and both executors then cost the tuned scan automatically.
 		rst := pipe.Stages[ridx].Tuned(sched.NProbe, sched.ShardFanout)
-		rt := prof.Eval(rst, sched.RetrievalServers, sched.RetrievalBatch)
+		rt := pr.price(pipe, ridx, sched.NProbe, sched.ShardFanout, sched.RetrievalServers, sched.RetrievalBatch, 1)
 		if !rt.OK {
 			return fmt.Errorf("engine: retrieval infeasible on %d servers at batch %d", sched.RetrievalServers, sched.RetrievalBatch)
 		}
@@ -376,7 +381,7 @@ func compileInto(p *Plan, pipe pipeline.Pipeline, sched Schedule, prof *stageper
 
 	// Decode tier: continuous batching; worst-case TPOT is the step
 	// latency plus iterative stalls amortized per token (§5.3).
-	dec := prof.EvalR(pipe.Stages[p.DecodeIdx], sched.DecodeChips, sched.DecodeBatch, sched.DecodeReplicasOrOne())
+	dec := pr.price(pipe, p.DecodeIdx, 0, 0, sched.DecodeChips, sched.DecodeBatch, sched.DecodeReplicasOrOne())
 	if !dec.OK {
 		return fmt.Errorf("engine: decode infeasible on %d chips at batch %d", sched.DecodeChips, sched.DecodeBatch)
 	}
@@ -633,7 +638,12 @@ func (p *Plan) StepLatency(idx, n int) float64 {
 // infeasible at this batch. Exposed for the optimizer's incremental
 // per-plan search, which prices group choices before full schedules
 // exist.
-func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []int, servers, batch, nprobe, fanout int) (float64, bool) {
+func RetrievalPause(pipe *pipeline.Pipeline, prof *stageperf.Profiler, stages []int, servers, batch, nprobe, fanout int) (float64, bool) {
+	return pricer{prof: prof}.pause(pipe, stages, servers, batch, nprobe, fanout)
+}
+
+// pause is RetrievalPause priced through pr.
+func (pr pricer) pause(pipe *pipeline.Pipeline, stages []int, servers, batch, nprobe, fanout int) (float64, bool) {
 	// Fixed backing arrays keep the common case (a handful of sources)
 	// allocation-free; chain[i] is the longest chain ending at spanned[i].
 	var spannedBuf [8]int
@@ -658,7 +668,7 @@ func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []i
 	}
 	var pause float64
 	for i, ridx := range spanned { // ascending index == topological order
-		rt := prof.Eval(pipe.Stages[ridx].Tuned(nprobe, fanout), servers, batch)
+		rt := pr.price(pipe, ridx, nprobe, fanout, servers, batch, 1)
 		if !rt.OK {
 			return 0, false
 		}
@@ -673,6 +683,50 @@ func RetrievalPause(pipe pipeline.Pipeline, prof *stageperf.Profiler, stages []i
 		pause = math.Max(pause, longest)
 	}
 	return pause, true
+}
+
+// pricer prices the pipeline stages compileInto and RetrievalPause
+// evaluate. Without a memo every call goes to the profiler, whose shared
+// cache hashes the whole stage value under a mutex; an Evaluator's pricer
+// carries the worker's own memo, keyed by the stage's index and a few small
+// integers packed into one word and read without a lock. The profiler's
+// NoMemo bypasses it, so a cold benchmark still re-runs the models.
+type pricer struct {
+	prof *stageperf.Profiler
+	memo map[uint64]stageperf.Point
+}
+
+// stageKeyBits are the widths stageKey packs its fields into, in order:
+// the pipeline stage index, the retrieval knobs the stage is tuned to
+// (zero for other kinds), its chips (servers for retrieval), batch, and
+// replicas. They sum to 64.
+var stageKeyBits = [...]uint{6, 13, 8, 13, 14, 10}
+
+// stageKey packs one priced operating point into a memo key; ok is false
+// when a field is negative or too wide, and the point is priced unmemoized.
+func stageKey(idx, nprobe, fanout, chips, batch, replicas int) (k uint64, ok bool) {
+	for i, v := range [...]int{idx, nprobe, fanout, chips, batch, replicas} {
+		if v < 0 || v >= 1<<stageKeyBits[i] {
+			return 0, false
+		}
+		k = k<<stageKeyBits[i] | uint64(v)
+	}
+	return k, true
+}
+
+// price evaluates pipeline stage idx, tuned to (nprobe, fanout), at chips,
+// batch and replicas: the value prof.EvalR returns for that stage.
+func (pr pricer) price(pipe *pipeline.Pipeline, idx, nprobe, fanout, chips, batch, replicas int) stageperf.Point {
+	k, ok := stageKey(idx, nprobe, fanout, chips, batch, replicas)
+	if !ok || pr.memo == nil || pr.prof.NoMemo {
+		return pr.prof.EvalR(pipe.Stages[idx].Tuned(nprobe, fanout), chips, batch, replicas)
+	}
+	if pt, ok := pr.memo[k]; ok {
+		return pt
+	}
+	pt := pr.prof.EvalR(pipe.Stages[idx].Tuned(nprobe, fanout), chips, batch, replicas)
+	pr.memo[k] = pt
+	return pt
 }
 
 // GroupMemFits checks that the models collocated on a group fit together

@@ -135,6 +135,67 @@ func TestEvaluateAllocFree(t *testing.T) {
 	}
 }
 
+// TestEvaluatorStageMemo pins the Evaluator's per-worker stage memo: it
+// prices the Case IV stages — the group members, a collocated group's
+// retrieval pause, the tuned retrieval tier and decode — into the memo,
+// memoized evaluations equal a fresh Compile, and a profiler with NoMemo
+// set bypasses the memo entirely, so every evaluation re-runs the models.
+func TestEvaluatorStageMemo(t *testing.T) {
+	schema := ragschema.CaseIV(8e9)
+	sched := caseIVSchedule()
+	sched.NProbe = 4
+	// One pool for every pre-decode XPU stage, waiting out the retrieval
+	// round at its own batch, which differs from the tier's.
+	spanning := sched
+	spanning.Groups = []GroupSchedule{{Stages: []int{0, 1, 3, 4}, Chips: 16, Batch: 8}}
+	plan, prof, pipe := mustCompile(t, schema, sched)
+	splan, err := Compile(pipe, spanning, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, err := NewEvaluator(pipe, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 { // cold, then from the memo
+		if m, ok := ev.Evaluate(sched); !ok || m != plan.Metrics {
+			t.Fatalf("Evaluate = %v, %v; Compile says %v", m, ok, plan.Metrics)
+		}
+		if m, ok := ev.Evaluate(spanning); !ok || m != splan.Metrics {
+			t.Fatalf("Evaluate(spanning) = %v, %v; Compile says %v", m, ok, splan.Metrics)
+		}
+	}
+	// Four group stages on 4 or 16 chips, then on 16 chips at batch 8, the
+	// pause's retrieval at batch 8, the tier's at batch 4, and decode.
+	if n := len(ev.pr.memo); n != 4+4+1+1+1 {
+		t.Errorf("memo holds %d stage prices, want 11", n)
+	}
+
+	cold := stageperf.New(hw.XPUC, hw.EPYCHost, schema)
+	cold.NoMemo = true
+	nev, err := NewEvaluator(pipe, cold)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := nev.Evaluate(sched); !ok || m != plan.Metrics {
+		t.Fatalf("NoMemo Evaluate = %v, %v; Compile says %v", m, ok, plan.Metrics)
+	}
+	if m, ok := nev.Evaluate(spanning); !ok || m != splan.Metrics {
+		t.Fatalf("NoMemo Evaluate(spanning) = %v, %v; Compile says %v", m, ok, splan.Metrics)
+	}
+	if n := len(nev.pr.memo); n != 0 {
+		t.Errorf("a NoMemo profiler's evaluator memoized %d stage prices, want 0", n)
+	}
+
+	// A field too wide for the packed key is priced straight through.
+	if _, ok := stageKey(0, 1<<13, 0, 1, 1, 1); ok {
+		t.Error("stageKey packed a 14-bit nprobe into 13 bits")
+	}
+	if _, ok := stageKey(0, 0, 0, 1, -1, 1); ok {
+		t.Error("stageKey packed a negative batch")
+	}
+}
+
 // TestValidatePlacementInPlace pins the allocation-free placement check
 // against pipeline.Placement.Validate on valid and malformed groupings of
 // the Case IV stages (reordered, duplicated, empty, missing, or including
@@ -401,7 +462,7 @@ func TestRetrievalPauseParallelSources(t *testing.T) {
 	// spanning both retrieval sources.
 	spanning := pipe.PreDecodeXPUStages()
 	const servers, batch = 8, 4
-	pause, ok := RetrievalPause(pipe, prof, spanning, servers, batch, 0, 0)
+	pause, ok := RetrievalPause(&pipe, prof, spanning, servers, batch, 0, 0)
 	if !ok {
 		t.Fatal("pause infeasible")
 	}
@@ -412,7 +473,7 @@ func TestRetrievalPauseParallelSources(t *testing.T) {
 	}
 	// A group strictly downstream of the fan-out pauses not at all.
 	post := []int{pipe.Index(pipeline.KindRerank), pipe.Index(pipeline.KindPrefix)}
-	if pause, ok := RetrievalPause(pipe, prof, post, servers, batch, 0, 0); !ok || pause != 0 {
+	if pause, ok := RetrievalPause(&pipe, prof, post, servers, batch, 0, 0); !ok || pause != 0 {
 		t.Errorf("downstream group pause = %v, want 0", pause)
 	}
 }
