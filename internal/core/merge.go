@@ -559,22 +559,16 @@ func (c *searchCtx) mergeDecode(parts []spart, dec []decPoint) []spart {
 	for di, d := range dec {
 		for pi, p := range parts {
 			if all || bestD[pi] == int32(di) || firstP[di] == int32(pi) {
-				next = append(next, combine(p, d))
+				p.tpot = d.tpot
+				p.qps = math.Min(p.qps, d.qps)
+				p.decB, p.decR = d.batch, d.replicas
+				next = append(next, p)
 			}
 		}
 	}
 	out := prunePartialsInto(c, next, parts[:0])
 	c.parts, c.next = out, next
 	return out
-}
-
-// combine extends a pre-decode partial with a decode point.
-func combine(p spart, d decPoint) spart {
-	p.tpot = d.tpot
-	p.qps = math.Min(p.qps, d.qps)
-	p.decB = d.batch
-	p.decR = d.replicas
-	return p
 }
 
 // decValid reports whether a decode point's combinations with a valid

@@ -121,8 +121,9 @@ type SearchStats struct {
 	Infeasible  int `json:"infeasible"`
 	PrunedPlans int `json:"pruned_plans"`
 	Searched    int `json:"searched"`
-	// PrunedPartials counts partial schedule extensions discarded
-	// mid-plan against the incumbent (pruneAgainstIncumbent drops).
+	// PrunedPartials counts pre-decode partial schedules discarded
+	// against the incumbent before the decode tier extends them
+	// (pruneAgainstIncumbent drops; one cut per plan and iterative batch).
 	PrunedPartials int64 `json:"pruned_partials"`
 	// TTFTGap, TPOTGap, and QPSGap are per-objective bound-to-achieved
 	// ratios, each >= 1 when defined (0 when not): the frontier's best
