@@ -306,8 +306,12 @@ func hashBuild(t *testing.T, data [][]float32, nlist, m int, seed int64) string 
 // parallel build is byte-deterministic. The datasets cover 2- and 4-float
 // subspaces, fewer than 256 training points (padded codebooks), and heavy
 // duplication (the k-means++ zero-total and empty-cluster re-seed paths).
+// The benchmark-shape row (5,000 x 32, nlist 64, m 16: 256 centroids per
+// 2-float subspace) was captured from the full-scan assignment (commit
+// a62b66c) before the pruned nearest-centroid search replaced it.
 func TestBuildGoldenAcrossGOMAXPROCS(t *testing.T) {
 	a := GenClustered(2000, 16, 8, 1.0, 5)
+	bench := GenClustered(5000, 32, 8, 1.5, 3)
 	b := GenClustered(300, 12, 4, 0.5, 21)
 	c := GenUniform(100, 8, 7)
 	c = append(c, c[:20]...)
@@ -333,6 +337,8 @@ func TestBuildGoldenAcrossGOMAXPROCS(t *testing.T) {
 			func() string { return hashBuild(t, c, 8, 4, 4) }},
 		{"BuildIVFPQ/duplicates", "e8e1cd1a8c545c408e6ca2e72bb1a7f7e7b4caea60c2a6cb1acb8351f694f400",
 			func() string { return hashBuild(t, e, 64, 3, 13) }},
+		{"BuildIVFPQ/benchmark-shape", "f579d3b506d3b2bb16eb98e560a1d8f3963d24a6a886345dcc78ed7bf4fd3354",
+			func() string { return hashBuild(t, bench, 64, 16, 3) }},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
