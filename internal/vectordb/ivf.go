@@ -58,11 +58,11 @@ func BuildIVFPQ(data [][]float32, nlist, m int, seed int64) (*IVFPQ, error) {
 	// Counting sort by cell: slot[id] is first the vector's cell, then its
 	// position in the concatenated lists, ascending by ID within a cell.
 	slot := make([]int, len(data))
+	var ord keyOrder
+	ord.reset(cents, nlist, dim)
 	parallelFor(len(data), pointGrain, workers, func(lo, hi int) {
-		dists := make([]float32, nlist)
 		for id := lo; id < hi; id++ {
-			sqDists(dists, data[id], ix.centroids)
-			slot[id] = argmin(dists)
+			slot[id] = ord.nearest(data[id], -1)
 		}
 	})
 	for _, cell := range slot {
@@ -78,9 +78,8 @@ func BuildIVFPQ(data [][]float32, nlist, m int, seed int64) (*IVFPQ, error) {
 		fill[cell]++
 	}
 	parallelFor(len(data), pointGrain, workers, func(lo, hi int) {
-		var row [pqCentroids]float32
 		for id := lo; id < hi; id++ {
-			pq.encodeInto(ix.codes[slot[id]*m:(slot[id]+1)*m], data[id], &row)
+			pq.encodeInto(ix.codes[slot[id]*m:(slot[id]+1)*m], data[id])
 		}
 	})
 	return ix, nil

@@ -202,6 +202,103 @@ func TestDifferentialAgainstOracle(t *testing.T) {
 	}
 }
 
+// TestNearestCentroidMatchesOracle requires keyOrder.nearest, from every
+// start index and from none, to return the oracle's full-scan
+// nearestCentroid: random sets, and sets engineered against each rule of
+// the pruned walk — duplicate centroids, equal key coordinates, grid points
+// equidistant from two centroids, k = 1, and squared distances that
+// overflow to +Inf.
+func TestNearestCentroidMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261017))
+	check := func(name string, cents []float32, k, dim int, points [][]float32) {
+		t.Helper()
+		var o keyOrder
+		o.reset(cents, k, dim)
+		rows := rowViews(cents, k, dim)
+		for i, v := range points {
+			want := nearestCentroid(v, rows)
+			for start := -1; start < k; start++ {
+				if got := o.nearest(v, start); got != want {
+					t.Fatalf("%s (k=%d dim=%d key=%d) point %d from start %d: %d, full scan %d",
+						name, k, dim, o.key, i, start, got, want)
+				}
+			}
+		}
+	}
+	// gen draws n vectors of dim coordinates from coord.
+	gen := func(n, dim int, coord func() float32) [][]float32 {
+		out := make([][]float32, n)
+		for i := range out {
+			out[i] = make([]float32, dim)
+			for d := range out[i] {
+				out[i][d] = coord()
+			}
+		}
+		return out
+	}
+	flat := func(rows [][]float32) []float32 {
+		var out []float32
+		for _, r := range rows {
+			out = append(out, r...)
+		}
+		return out
+	}
+	normal := func() float32 { return float32(rng.NormFloat64()) }
+	grid := func() float32 { return float32(rng.Intn(7) - 3) }
+
+	// The smallest tie: (0, 0) is 1 from both centroids, so from start 1
+	// only the strict stop rule and the tie-break reach index 0.
+	check("midpoint", []float32{-1, 0, 1, 0}, 2, 2, [][]float32{{0, 0}, {0, 5}})
+
+	for trial := 0; trial < 40; trial++ {
+		dim := []int{1, 2, 3, 4, 8, 32}[rng.Intn(6)]
+		k := 1 + rng.Intn(80)
+		if trial%5 == 0 {
+			k = 1
+		}
+		where := fmt.Sprintf("trial %d", trial)
+
+		cents := gen(k, dim, normal)
+		check(where+" random", flat(cents), k, dim, gen(30, dim, normal))
+
+		// Duplicate centroids: a third repeat an earlier one exactly.
+		for c := 1; c < k; c++ {
+			if rng.Intn(3) == 0 {
+				copy(cents[c], cents[rng.Intn(c)])
+			}
+		}
+		check(where+" duplicates", flat(cents), k, dim, gen(30, dim, normal))
+
+		// Integer grids: equal key coordinates everywhere, duplicate
+		// centroids, and points midway between two centroids, which are
+		// exactly equidistant from both.
+		gc := gen(k, dim, grid)
+		points := gen(20, dim, grid)
+		for i := 0; i < 20; i++ {
+			a, b := gc[rng.Intn(k)], gc[rng.Intn(k)]
+			mid := make([]float32, dim)
+			for d := range mid {
+				mid[d] = (a[d] + b[d]) / 2
+			}
+			points = append(points, mid)
+		}
+		check(where+" grid", flat(gc), k, dim, points)
+
+		// Overflow: huge coordinates beside ordinary ones, so some squared
+		// distances are +Inf and some points are +Inf from every centroid.
+		huge := func() float32 {
+			switch rng.Intn(3) {
+			case 0:
+				return normal()
+			case 1:
+				return float32(rng.NormFloat64() * 1e20)
+			}
+			return float32(rng.Intn(2)*2-1) * 3e38
+		}
+		check(where+" overflow", flat(gen(k, dim, huge)), k, dim, gen(30, dim, huge))
+	}
+}
+
 // TestDistTableAndADCMatchOracle pins the public table and ADC kernels to
 // the oracle's bits.
 func TestDistTableAndADCMatchOracle(t *testing.T) {

@@ -1,19 +1,25 @@
 package vectordb
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
 // KMeans clusters data into k centroids with Lloyd's algorithm seeded by
-// k-means++ initialization. It is deterministic for a given seed — and for
-// any GOMAXPROCS: only the per-point distance steps run in parallel, every
-// float accumulation across points stays serial in index order. iters bounds the
-// refinement passes; the loop exits early on convergence. The returned rows
-// are views over one contiguous backing array.
+// k-means++ initialization. Each assignment step finds every point's
+// nearest centroid with keyOrder.nearest, an exact pruned search that
+// returns what a full scan would (the first smallest squared distance). It
+// is deterministic for a given seed — and for any GOMAXPROCS: only the
+// per-point distance steps run in parallel, every float accumulation across
+// points stays serial in index order. iters bounds the refinement passes;
+// the loop exits early on convergence. The returned rows are views over one
+// contiguous backing array.
 func KMeans(data [][]float32, k, iters int, seed int64) ([][]float32, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("vectordb: kmeans k = %d < 1", k)
@@ -30,7 +36,9 @@ func KMeans(data [][]float32, k, iters int, seed int64) ([][]float32, error) {
 }
 
 // kmeans clusters the sub-vectors data[i][off:off+dim] into k centroids,
-// returned flat (k*dim), using up to workers goroutines.
+// returned flat (k*dim), using up to workers goroutines. Every iteration
+// re-sorts the centroids into a keyOrder and starts each point's search
+// from its previous assignment.
 func kmeans(data [][]float32, off, dim, k, iters int, seed int64, workers int) []float32 {
 	n := len(data)
 	cents := make([]float32, k*dim)
@@ -49,15 +57,14 @@ func kmeans(data [][]float32, off, dim, k, iters int, seed int64, workers int) [
 	assign := make([]int, n)
 	sums := make([]float64, k*dim)
 	counts := make([]int, k)
-	centsT := make([]float32, k*dim)
+	var ord keyOrder
 	for it := 0; it < iters; it++ {
-		transpose(centsT, cents, k, dim)
+		ord.reset(cents, k, dim)
 		var changed atomic.Int64
 		parallelFor(n, pointGrain, workers, func(lo, hi int) {
-			dists, ch := make([]float32, k), 0
+			ch := 0
 			for i := lo; i < hi; i++ {
-				sqDists(dists, data[i][off:off+dim], centsT)
-				if c := argmin(dists); assign[i] != c {
+				if c := ord.nearest(data[i][off:off+dim], assign[i]); assign[i] != c {
 					assign[i] = c
 					ch++
 				}
@@ -161,15 +168,115 @@ func sqDists(dst, v, centsT []float32) {
 	}
 }
 
-// argmin returns the index of the first smallest distance (strict <).
-func argmin(dists []float32) int {
-	best, bestD := 0, float32(0)
-	for c, d := range dists {
-		if c == 0 || d < bestD {
-			best, bestD = c, d
+// keyOrder holds k centroids sorted by one key coordinate for exact pruned
+// nearest-centroid search. It refers to the centroids, centroid-major, and
+// must be reset after they change.
+type keyOrder struct {
+	dim, key int
+	cents    []float32 // k*dim, centroid-major
+	keys     []float32 // the key coordinate of each slot, ascending
+	ids      []int     // the centroid in each slot; equal keys ascend by index
+}
+
+// reset sorts the k centroids of cents (centroid-major) on the dimension
+// where they spread widest, the lowest such dimension on a tie.
+func (o *keyOrder) reset(cents []float32, k, dim int) {
+	o.dim, o.cents, o.key = dim, cents, 0
+	widest := float32(-1)
+	for d := 0; d < dim; d++ {
+		lo, hi := cents[d], cents[d]
+		for c := 1; c < k; c++ {
+			lo, hi = min(lo, cents[c*dim+d]), max(hi, cents[c*dim+d])
+		}
+		if hi-lo > widest {
+			widest, o.key = hi-lo, d
 		}
 	}
-	return best
+	o.ids = grow(o.ids, k)
+	for c := range o.ids {
+		o.ids[c] = c
+	}
+	key := func(c int) float32 { return cents[c*dim+o.key] }
+	slices.SortFunc(o.ids, func(a, b int) int {
+		if c := cmp.Compare(key(a), key(b)); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	o.keys = grow(o.keys, k)
+	for j, c := range o.ids {
+		o.keys[j] = key(c)
+	}
+}
+
+// nearest returns the centroid nearest to v: the first smallest squared
+// distance, summed in dimension order as SquaredL2 and sqDists sum it, so
+// exactly the index a full scan returns. The search starts from centroid
+// start's distance (start < 0: none), binary-searches v's key coordinate
+// and walks outward in both directions, one candidate from each per step,
+// their sums run in lockstep. The squared distance is a float32 sum of
+// non-negative terms, and rounding never makes a partial sum decrease, so
+// any one coordinate's term bounds the whole sum from below: a direction
+// stops once its key term alone exceeds the best distance so far, and a
+// step's sums are abandoned once both do. An exact tie goes to the lower
+// index.
+func (o *keyOrder) nearest(v []float32, start int) int {
+	k, dim := len(o.ids), o.dim
+	best, bi := float32(math.Inf(1)), k
+	if start >= 0 {
+		best, bi = SquaredL2(v, o.cents[start*dim:][:dim]), start
+	}
+	x, keys := v[o.key], o.keys
+	r, hi := 0, k // r becomes the first slot whose key is >= x
+	for r < hi {
+		if h := int(uint(r+hi) >> 1); keys[h] < x {
+			r = h + 1
+		} else {
+			hi = h
+		}
+	}
+	l := r - 1
+	for {
+		cl, cr := -1, -1
+		if l >= 0 {
+			if e := x - keys[l]; e*e > best {
+				l = -1
+			} else {
+				cl, l = o.ids[l], l-1
+			}
+		}
+		if r < k {
+			if e := x - keys[r]; e*e > best {
+				r = k
+			} else {
+				cr, r = o.ids[r], r+1
+			}
+		}
+		switch { // a stopped direction repeats the other's candidate
+		case cl < 0 && cr < 0:
+			return bi
+		case cl < 0:
+			cl = cr
+		case cr < 0:
+			cr = cl
+		}
+		a, b := o.cents[cl*dim:][:dim], o.cents[cr*dim:][:dim]
+		var sa, sb float32
+		for d, y := range v {
+			ea, eb := y-a[d], y-b[d]
+			sa += ea * ea
+			sb += eb * eb
+			if sa > best && sb > best {
+				break
+			}
+		}
+		if sa < best || sa == best && cl < bi {
+			best, bi = sa, cl
+		}
+		if sb < best || sb == best && cr < bi {
+			best, bi = sb, cr
+		}
+	}
 }
 
 // pointGrain is the fewest data points worth a goroutine of their own in

@@ -17,6 +17,10 @@ type PQ struct {
 	// codebooks holds every subspace's 256 centroids dimension-major,
 	// [m][subDim][256] contiguous: the layout sqDists streams over.
 	codebooks []float32
+	// entries holds the same centroids centroid-major, [m][256][subDim],
+	// and orders[s] sorts subspace s's for encoding.
+	entries []float32
+	orders  []keyOrder
 }
 
 // pqCentroids is the codebook size per subspace; one byte addresses it.
@@ -38,7 +42,10 @@ func TrainPQ(data [][]float32, m int, seed int64) (*PQ, error) {
 		return nil, fmt.Errorf("vectordb: PQ subspaces %d must divide dim %d", m, dim)
 	}
 	sub := dim / m
-	pq := &PQ{dim: dim, m: m, subDim: sub, codebooks: make([]float32, m*pqCentroids*sub)}
+	pq := &PQ{dim: dim, m: m, subDim: sub,
+		codebooks: make([]float32, m*pqCentroids*sub),
+		entries:   make([]float32, m*pqCentroids*sub),
+		orders:    make([]keyOrder, m)}
 	k := min(pqCentroids, len(data))
 	procs := runtime.GOMAXPROCS(0)
 	inner := max(1, procs/m) // workers inside each k-means once the subspaces are spread
@@ -47,12 +54,12 @@ func TrainPQ(data [][]float32, m int, seed int64) (*PQ, error) {
 			cents := kmeans(data, s*sub, sub, k, 10, seed+int64(s), inner)
 			// Fewer than 256 training points: pad the codebook with
 			// repeats so codes are always one byte.
-			book := pq.book(s)
+			entries := pq.entries[s*pqCentroids*sub:][:pqCentroids*sub]
 			for c := 0; c < pqCentroids; c++ {
-				for d, x := range cents[(c%k)*sub:][:sub] {
-					book[d*pqCentroids+c] = x
-				}
+				copy(entries[c*sub:(c+1)*sub], cents[(c%k)*sub:])
 			}
+			transpose(pq.book(s), entries, pqCentroids, sub)
+			pq.orders[s].reset(entries, pqCentroids, sub)
 		}
 	})
 	return pq, nil
@@ -76,16 +83,15 @@ func (p *PQ) Encode(v []float32) ([]byte, error) {
 		return nil, fmt.Errorf("vectordb: encode dim %d != %d", len(v), p.dim)
 	}
 	code := make([]byte, p.m)
-	var row [pqCentroids]float32
-	p.encodeInto(code, v, &row)
+	p.encodeInto(code, v)
 	return code, nil
 }
 
-// encodeInto writes v's M-byte code into code, using row as working space.
-func (p *PQ) encodeInto(code []byte, v []float32, row *[pqCentroids]float32) {
+// encodeInto writes v's M-byte code into code: per subspace, the nearest
+// codebook entry.
+func (p *PQ) encodeInto(code []byte, v []float32) {
 	for s := range code {
-		sqDists(row[:], v[s*p.subDim:(s+1)*p.subDim], p.book(s))
-		code[s] = byte(argmin(row[:]))
+		code[s] = byte(p.orders[s].nearest(v[s*p.subDim:(s+1)*p.subDim], -1))
 	}
 }
 
@@ -94,12 +100,9 @@ func (p *PQ) Decode(code []byte) ([]float32, error) {
 	if len(code) != p.m {
 		return nil, fmt.Errorf("vectordb: code length %d != %d", len(code), p.m)
 	}
-	out := make([]float32, p.dim)
+	out := make([]float32, 0, p.dim)
 	for s, c := range code {
-		book := p.book(s)
-		for d := 0; d < p.subDim; d++ {
-			out[s*p.subDim+d] = book[d*pqCentroids+int(c)]
-		}
+		out = append(out, p.entries[(s*pqCentroids+int(c))*p.subDim:][:p.subDim]...)
 	}
 	return out, nil
 }

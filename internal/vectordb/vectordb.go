@@ -19,6 +19,7 @@ package vectordb
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -178,15 +179,18 @@ func (f *FlatIndex) Dim() int { return f.dim }
 func (f *FlatIndex) Len() int { return f.n }
 
 // Add appends copies of the vectors; IDs are assigned densely in insertion
-// order.
+// order. A vector of the wrong dimension or with a NaN or infinite
+// component fails the whole call and adds nothing.
 func (f *FlatIndex) Add(vecs ...[]float32) error {
-	for _, v := range vecs {
-		if len(v) != f.dim {
-			return fmt.Errorf("vectordb: vector dim %d != index dim %d", len(v), f.dim)
+	for i, v := range vecs {
+		if err := checkVector(i, v, f.dim); err != nil {
+			return err
 		}
-		f.vecs = append(f.vecs, v...)
-		f.n++
 	}
+	for _, v := range vecs {
+		f.vecs = append(f.vecs, v...)
+	}
+	f.n += len(vecs)
 	return nil
 }
 
@@ -255,8 +259,23 @@ func checkDataset(data [][]float32, dim int) error {
 		return fmt.Errorf("vectordb: empty dataset")
 	}
 	for i, v := range data {
-		if len(v) != dim {
-			return fmt.Errorf("vectordb: vector %d has dim %d, want %d", i, len(v), dim)
+		if err := checkVector(i, v, dim); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// checkVector validates vector i of a build or insert: dim finite
+// components. One NaN would otherwise make every distance to it NaN, which
+// no nearest-centroid comparison orders.
+func checkVector(i int, v []float32, dim int) error {
+	if len(v) != dim {
+		return fmt.Errorf("vectordb: vector %d has dim %d, want %d", i, len(v), dim)
+	}
+	for d, x := range v {
+		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
+			return fmt.Errorf("vectordb: vector %d has non-finite %v at dimension %d", i, x, d)
 		}
 	}
 	return nil

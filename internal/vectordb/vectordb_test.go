@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -60,6 +61,39 @@ func TestFlatErrors(t *testing.T) {
 	}
 	if _, err := ix.Search(make([]float32, 8), 0); err == nil {
 		t.Errorf("k=0 should error")
+	}
+}
+
+// TestNonFiniteInputRejected: one NaN or infinite component anywhere in a
+// build or insert is an error naming the vector and the dimension. Before,
+// a single NaN put every vector into cell 0 and made every search distance
+// NaN without an error.
+func TestNonFiniteInputRejected(t *testing.T) {
+	entries := []struct {
+		name string
+		call func(data [][]float32) error
+	}{
+		{"KMeans", func(data [][]float32) error { _, err := KMeans(data, 8, 5, 1); return err }},
+		{"TrainPQ", func(data [][]float32) error { _, err := TrainPQ(data, 4, 1); return err }},
+		{"BuildIVFPQ", func(data [][]float32) error { _, err := BuildIVFPQ(data, 32, 4, 1); return err }},
+		{"FlatIndex.Add", func(data [][]float32) error {
+			f := NewFlat(len(data[0]))
+			err := f.Add(data...)
+			if err != nil && f.Len() != 0 {
+				t.Errorf("FlatIndex.Add: a failed Add kept %d vectors", f.Len())
+			}
+			return err
+		}},
+	}
+	for _, e := range entries {
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			data := GenClustered(2000, 16, 8, 1.0, 5)
+			data[1234][7] = bad
+			err := e.call(data)
+			if err == nil || !strings.Contains(err.Error(), "vector 1234") || !strings.Contains(err.Error(), "dimension 7") {
+				t.Errorf("%s with %v at vector 1234, dimension 7: err %v", e.name, bad, err)
+			}
+		}
 	}
 }
 
