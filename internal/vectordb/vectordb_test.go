@@ -65,9 +65,9 @@ func TestFlatErrors(t *testing.T) {
 }
 
 // TestNonFiniteInputRejected: one NaN or infinite component anywhere in a
-// build or insert is an error naming the vector and the dimension. Before,
-// a single NaN put every vector into cell 0 and made every search distance
-// NaN without an error.
+// build or insert is an error naming the vector and the dimension. Were it
+// accepted, a single NaN would put every vector into cell 0 and make every
+// search distance NaN without an error.
 func TestNonFiniteInputRejected(t *testing.T) {
 	entries := []struct {
 		name string
