@@ -197,37 +197,15 @@ func (o *Optimizer) planBound(plan Plan) (perf.Metrics, bool) {
 	qpsUB = math.Min(qpsUB, denv.MaxQPS*outRatio)
 	tpotLB := denv.MinLatency / float64(pipe.Stages[decIdx].OutTokens)
 
-	// TTFT: longest path to the prefix over minimum latencies. Stage
-	// indices are topologically ordered (ValidateGraph), so one forward
-	// sweep resolves the DAG.
-	finish := make([]float64, n)
-	preds := pipe.Preds()
-	for i := 0; i < n; i++ {
-		if i == decIdx {
-			continue
-		}
-		start := 0.0
-		for _, j := range preds[i] {
-			if j == decIdx {
-				continue
-			}
-			if finish[j] > start {
-				start = finish[j]
-			}
-		}
-		finish[i] = start + minLat[i]
-	}
-	ttftLB := finish[prefixIdx]
+	// TTFT: longest path to the prefix over minimum latencies (the walk
+	// consumes minLat, which nothing reads after it).
+	ttftLB := engine.CriticalPathTTFT(pipe.Preds(), minLat, prefixIdx)
 
-	norm := plan.chips()
-	if o.Opts.NormalizeChips > 0 {
-		norm = o.Opts.NormalizeChips
-	}
 	return perf.Metrics{
 		TTFT:       ttftLB,
 		TPOT:       tpotLB,
 		QPS:        qpsUB,
-		QPSPerChip: qpsUB / float64(norm),
+		QPSPerChip: qpsUB / o.normChips(plan),
 		// No schedule's measured recall exceeds the calibrated surface's
 		// maximum (bilinear interpolation never leaves the grid's hull),
 		// so MaxRecall is an exact ceiling — admissible without margin.
@@ -245,13 +223,24 @@ func (p Plan) chips() int {
 	return total
 }
 
-// boundEps is the relative optimism margin partial-extension pruning adds
-// on top of the plan bound: partial accumulations (sums, running minima)
-// and the engine's compiled metrics agree only to float rounding, so the
-// incumbent must beat a partial's bound by at least this factor before the
-// partial is discarded. Plan-level bounds need no margin — they are
-// composed purely of envelope minima that every compiled metric includes
-// termwise.
+// normChips is the QPS/chip denominator of the plan's schedules: the fixed
+// NormalizeChips when set, else the chips the plan allocates.
+func (o *Optimizer) normChips(plan Plan) float64 {
+	if o.Opts.NormalizeChips > 0 {
+		return float64(o.Opts.NormalizeChips)
+	}
+	return float64(plan.chips())
+}
+
+// boundEps is the relative optimism margin the partial cut
+// (pruneAgainstIncumbent) adds on top of the plan bound: the incumbent must
+// beat a partial's bound by at least this factor before the partial is
+// discarded, so a proxy term that prices a hair below its compiled
+// counterpart cannot make the cut lossy. The candidate filter needs no
+// margin — it reads the decode merge's exact metrics, which equal the
+// compiled ones bit for bit (mergedMetrics) — and neither do plan-level
+// bounds, which are composed purely of envelope minima that every compiled
+// metric includes termwise.
 const boundEps = 1e-9
 
 // relax widens m optimistically by eps on every objective (lower TTFT and

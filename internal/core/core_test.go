@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -179,6 +180,31 @@ func TestOptimizeDeterministic(t *testing.T) {
 		if a[i].Metrics != b[i].Metrics {
 			t.Fatalf("non-deterministic frontier at %d: %v vs %v", i, a[i].Metrics, b[i].Metrics)
 		}
+	}
+}
+
+// TestOptimizeAfterOptionsChange pins that Optimize searches the options
+// it runs under. The group-choice memo is keyed without the batch bounds,
+// so a second call after MaxPreBatch shrinks must rebuild it rather than
+// offer group batches the new bound excludes.
+func TestOptimizeAfterOptionsChange(t *testing.T) {
+	o := newOpt(t, ragschema.CaseIV(8e9), hw.DefaultCluster(), 0)
+	o.Optimize()
+	o.Opts.MaxPreBatch = 4
+	got := o.Optimize()
+
+	opts := DefaultOptions(hw.DefaultCluster())
+	opts.MaxPreBatch = 4
+	fresh, err := NewOptimizer(ragschema.CaseIV(8e9), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fresh.Optimize()
+	if len(want) == 0 {
+		t.Fatal("fresh frontier is empty")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("after MaxPreBatch 32 -> 4 the frontier has %d points, a fresh optimizer's %d", len(got), len(want))
 	}
 }
 

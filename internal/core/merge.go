@@ -27,6 +27,12 @@ type spart struct {
 	ttft float64
 	tpot float64
 	qps  float64
+	// exact is, in a finished prefixEntry, the partial's TTFT as the
+	// engine's critical-path walk prices it — bit-identical to the compiled
+	// TTFT of every candidate extending it, where ttft's group-by-group sum
+	// may differ by an ulp. While a prefix frontier is built it carries the
+	// retrieval step's latency the walk needs.
+	exact float64
 	// node indexes searchCtx.nodes (the last group's choice; parents
 	// chain backwards through the groups) while a prefix frontier is
 	// built, -1 before any group commits. In a finished prefixEntry it is
@@ -78,12 +84,14 @@ const qpsUnbounded = 1e15
 
 // groupChoice is one evaluated batching/replication option for a whole
 // placement group: the latency added to TTFT, the per-request occupancy of
-// the group, and the per-stage replica counts that realize it.
+// the group, and the per-stage replica counts that realize it with their
+// batch latencies.
 type groupChoice struct {
 	ttft     float64
 	occ      float64
 	batch    int
 	replicas []int
+	lats     []float64
 }
 
 // searchCtx is one worker's reusable state for the per-plan search:
@@ -132,11 +140,22 @@ type searchCtx struct {
 	bestD  []int32
 	firstP []int32
 
+	// preds, retrIdxs and lat feed the critical-path walk that prices a
+	// finished prefix's exact TTFTs: the stage graph, its retrieval stages
+	// and a per-stage latency buffer.
+	preds    [][]int
+	retrIdxs []int
+	lat      []float64
+	// recall is the recall of the base retrieval operating point, the one
+	// every candidate compiles at when the knob dimensions are off.
+	recall float64
+
 	probeGroups []GroupSchedule
-	// scratch is the schedule every stamped candidate is evaluated from
+	// scratch is the schedule every compiled candidate is stamped into
 	// (stamp); only candidates that survive the incumbent filter are
-	// copied out of it (own).
-	scratch Schedule
+	// copied out of it (own). compiled counts the compiles.
+	scratch  Schedule
+	compiled int64
 }
 
 type partialCorner struct{ tpot, qps float64 }
@@ -168,6 +187,12 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 	ctx.retrActive = len(ctx.nprobes) != 1 || ctx.nprobes[0] != 0 ||
 		len(ctx.fanouts) != 1 || ctx.fanouts[0] != 0
 	ctx.cheapNP, ctx.cheapFO = o.cheapestKnobs(ctx.nprobes, ctx.fanouts)
+	ctx.preds = o.Pipe.Preds()
+	ctx.retrIdxs = o.Pipe.Indices(pipeline.KindRetrieval)
+	ctx.lat = make([]float64, len(o.Pipe.Stages))
+	if ri := o.Pipe.Index(pipeline.KindRetrieval); ri >= 0 {
+		ctx.recall = o.Prof.StageRecall(o.Pipe.Stages[ri].Tuned(0, 0))
+	}
 	if ev, err := engine.NewEvaluator(o.Pipe, o.Prof); err == nil {
 		ctx.ev = ev
 	}
@@ -241,6 +266,7 @@ func (o *Optimizer) cheapestKnobs(nprobes, fanouts []int) (np, fo int) {
 // scratch evaluator, applying the Assembler's QPS/chip normalization.
 // Results are bit-identical to Assembler.Evaluate.
 func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
+	c.compiled++
 	if c.ev == nil {
 		return c.o.Asm.Evaluate(s)
 	}
@@ -258,6 +284,15 @@ func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
 		m.QPSPerChip = m.QPS / float64(n)
 	}
 	return m, true
+}
+
+// mergedMetrics is a decode-merged candidate's metrics as the merge knows
+// them before any compile. Where the incumbent filter reads them — FIFO,
+// unchunked, unshaped, base retrieval knobs — they are bit-identical to the
+// metrics compiling the stamped candidate returns
+// (TestMergeMetricsMatchEvaluate).
+func (c *searchCtx) mergedMetrics(p spart, normChips float64) perf.Metrics {
+	return perf.Metrics{TTFT: p.exact, TPOT: p.tpot, QPS: p.qps, QPSPerChip: p.qps / normChips, Recall: c.recall}
 }
 
 // stamp expands a surviving partial into the worker's scratch schedule,
@@ -323,16 +358,12 @@ func own(s Schedule) Schedule {
 // throughput, so it commutes with the Pareto prunes and with the running
 // throughput minimum. The decode tier follows (mergeDecode). The
 // surviving partials are returned in the worker's reusable buffer (valid
-// until the next call); callers stamp and evaluate them.
+// until the next call); callers filter, stamp and compile them.
 func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.Incremental, bound perf.Metrics) []spart {
 	bIter := ctx.iterBatches[bi]
 	ctx.pre = o.prefixFrontier(ctx, plan, bi)
-	normChips := float64(plan.chips())
-	if o.Opts.NormalizeChips > 0 {
-		normChips = float64(o.Opts.NormalizeChips)
-	}
 	parts := append(ctx.parts[:0], ctx.pre.parts...)
-	parts = ctx.pruneAgainstIncumbent(parts, inc, bound, normChips)
+	parts = ctx.pruneAgainstIncumbent(parts, inc, bound, o.normChips(plan))
 	ctx.parts = parts
 	if len(parts) == 0 {
 		return nil
@@ -467,9 +498,11 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 				continue
 			}
 			tierQPS := 1 / (1/rt.QPS + iterRetrOcc)
+			lat := rt.Latency + transfer
 			for _, p := range parts {
 				np := p
-				np.ttft += rt.Latency + transfer
+				np.ttft += lat
+				np.exact = lat
 				np.qps = math.Min(np.qps, tierQPS)
 				np.retrB = int32(b)
 				next = append(next, np)
@@ -482,7 +515,9 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 	}
 
 	// Copy the frontier out, its group-choice chains flattened into the
-	// slab: one allocation for the partials and one for the picks.
+	// slab: one allocation for the partials and one for the picks. Each
+	// partial's exact TTFT is walked here, once, from its chosen stage
+	// latencies; every decode-chip variant of the prefix reads it.
 	ng := len(plan.Placement.Groups)
 	dst.parts = append(dst.parts, parts...)
 	if n := len(parts) * ng; cap(dst.picks) < n {
@@ -490,13 +525,24 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 	} else {
 		dst.picks = dst.picks[:n]
 	}
+	lat := ctx.lat
 	for i := range dst.parts {
-		node := dst.parts[i].node
+		p := &dst.parts[i]
+		clear(lat)
+		node := p.node
 		for gi := ng - 1; gi >= 0; gi-- {
-			dst.picks[i*ng+gi] = ctx.nodes[node].pick
+			pk := ctx.nodes[node].pick
+			dst.picks[i*ng+gi] = pk
+			for k, st := range plan.Placement.Groups[gi].Stages {
+				lat[st] = pk.lats[k]
+			}
 			node = ctx.nodes[node].parent
 		}
-		dst.parts[i].node = int32(i)
+		for _, ri := range ctx.retrIdxs {
+			lat[ri] = p.exact
+		}
+		p.exact = engine.CriticalPathTTFT(ctx.preds, lat, prefixIdx)
+		p.node = int32(i)
 	}
 }
 
@@ -714,14 +760,15 @@ func (o *Optimizer) groupChoices(g pipeline.Group, chips, batch, prefixIdx int, 
 		perStage[i] = cands
 	}
 	var out []groupChoice
-	var rec func(i int, ttft, occ float64, reps []int)
-	rec = func(i int, ttft, occ float64, reps []int) {
+	var rec func(i int, ttft, occ float64, reps []int, lats []float64)
+	rec = func(i int, ttft, occ float64, reps []int, lats []float64) {
 		if i == len(perStage) {
 			out = append(out, groupChoice{
 				ttft:     ttft,
 				occ:      occ + pause,
 				batch:    batch,
 				replicas: append([]int(nil), reps...),
+				lats:     append([]float64(nil), lats...),
 			})
 			return
 		}
@@ -730,10 +777,10 @@ func (o *Optimizer) groupChoices(g pipeline.Group, chips, batch, prefixIdx int, 
 			if g.Stages[i] == prefixIdx {
 				extra = iterPrefOcc
 			}
-			rec(i+1, ttft+pt.Latency, occ+1/pt.QPS+extra, append(reps, pt.Replicas))
+			rec(i+1, ttft+pt.Latency, occ+1/pt.QPS+extra, append(reps, pt.Replicas), append(lats, pt.Latency))
 		}
 	}
-	rec(0, 0, 0, nil)
+	rec(0, 0, 0, nil, nil)
 	return out
 }
 

@@ -95,7 +95,8 @@ type Optimizer struct {
 	// gmu guards gcache, the cross-plan memo of pruned per-group
 	// batching choices (see groupChoicesFor): the same (group, chips,
 	// servers) triple recurs across every decode-chip variation of the
-	// allocation enumeration.
+	// allocation enumeration. Its key omits the batch bounds, so Optimize
+	// resets it with fb.
 	gmu    sync.Mutex
 	gcache map[groupKey][]groupChoice
 
@@ -105,13 +106,15 @@ type Optimizer struct {
 	prunedPlans    atomic.Int64
 	searchedPlans  atomic.Int64
 	prunedPartials atomic.Int64
+	compiled       atomic.Int64
 }
 
 // SearchStats summarizes one Optimize call's branch-and-bound behaviour:
 // how much of the enumeration the admissible bounds eliminated, and how
 // tight those bounds were against what the search actually achieved. A
-// NoPrune (exhaustive reference) run reports only Plans/Searched — it
-// computes no bounds, so the pruning counters and gaps stay zero.
+// NoPrune (exhaustive reference) run reports only Plans, Searched and
+// Compiled — it computes no bounds, so the pruning counters and gaps stay
+// zero.
 type SearchStats struct {
 	// Plans is the full enumeration size; Infeasible the plans skipped
 	// because no schedule of theirs compiles; PrunedPlans the feasible
@@ -125,6 +128,10 @@ type SearchStats struct {
 	// against the incumbent before the decode tier extends them
 	// (pruneAgainstIncumbent drops; one cut per plan and iterative batch).
 	PrunedPartials int64 `json:"pruned_partials"`
+	// Compiled counts the candidate schedules the search compiled.
+	// Wherever the partial cut runs, the incumbent filter runs before the
+	// compile, so only candidates it does not dominate pay for one.
+	Compiled int64 `json:"compiled"`
 	// TTFTGap, TPOTGap, and QPSGap are per-objective bound-to-achieved
 	// ratios, each >= 1 when defined (0 when not): the frontier's best
 	// achieved value over the best optimistic bound for the latency
@@ -138,8 +145,8 @@ type SearchStats struct {
 
 // String renders the stats as the two CLI lines `rago optimize` prints.
 func (s SearchStats) String() string {
-	out := fmt.Sprintf("search: %d plans (%d infeasible, %d pruned by bound, %d searched), %d partials pruned",
-		s.Plans, s.Infeasible, s.PrunedPlans, s.Searched, s.PrunedPartials)
+	out := fmt.Sprintf("search: %d plans (%d infeasible, %d pruned by bound, %d searched), %d partials pruned, %d schedules compiled",
+		s.Plans, s.Infeasible, s.PrunedPlans, s.Searched, s.PrunedPartials, s.Compiled)
 	if s.TTFTGap > 0 || s.TPOTGap > 0 || s.QPSGap > 0 {
 		out += fmt.Sprintf("\nbound gap (achieved/bound): TTFT %.2fx, TPOT %.2fx, QPS %.2fx",
 			s.TTFTGap, s.TPOTGap, s.QPSGap)
@@ -301,9 +308,13 @@ func (o *Optimizer) groupMinChips(pl pipeline.Placement) []int {
 }
 
 // PlanFrontier searches batching policies within one plan and returns its
-// Pareto frontier. Metrics are recomputed through the engine's compile
-// arithmetic for every surviving schedule, so the output is exactly
-// Evaluate-consistent.
+// Pareto frontier. With no incumbent to filter against, every candidate is
+// compiled, so the output is exactly Evaluate-consistent. It reuses both
+// memos across calls — the optimizer's group choices and the profiler's
+// stage prices — so a repeated call prices nothing twice (which is what
+// core.plan_frontier_ns measures). Only Optimize resets the group-choice
+// memo: after changing Opts, run Optimize or build a new Optimizer before
+// calling PlanFrontier.
 func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 	return o.planFrontier(o.newSearchCtx(), plan, nil, perf.Metrics{})
 }
@@ -312,13 +323,20 @@ func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 // pruning against the shared incumbent (inc nil disables; bound is the
 // plan's admissible bound when inc is set).
 //
-// Every stamped candidate is evaluated from the worker's scratch schedule
-// and dropped, before it is copied out, when an incumbent point strictly
-// dominates its exact metrics. That is lossless: the incumbent holds only
-// real evaluated points, each of which is on the final frontier or strictly
-// dominated by a point that is, so a dropped candidate could never be
-// returned. Exact ties are not strict dominance, so they survive, and the
-// final pass still keeps the first of them in enumeration order.
+// A candidate is dropped when an incumbent point strictly dominates its
+// exact metrics. That is lossless: the incumbent holds only real compiled
+// points, each of which is on the final frontier or strictly dominated by a
+// point that is, so a dropped candidate could never be returned. Exact ties
+// are not strict dominance, so they survive, and the final pass still keeps
+// the first of them in enumeration order.
+//
+// Where the partial cut runs (partialInc set: pruning on, no formation or
+// knob dimensions), the filter runs before the candidate is stamped or
+// compiled, on the metrics the decode merge already holds (mergedMetrics),
+// which equal the compiled ones bit for bit; only its survivors are
+// compiled, and their returned metrics come from that compile. Otherwise
+// every stamping is compiled from the worker's scratch schedule and
+// filtered on its compiled metrics before it is copied out.
 func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incremental, bound perf.Metrics) []SchedulePoint {
 	partialInc := inc
 	if ctx.formActive || ctx.retrActive {
@@ -333,9 +351,13 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 		// prunes. The candidate filter below uses real metrics and stays on.
 		partialInc = nil
 	}
+	normChips := o.normChips(plan)
 	var pts []SchedulePoint
 	for bi, bIter := range ctx.iterBatches {
 		for _, p := range o.planCandidates(ctx, plan, bi, partialInc, bound) {
+			if partialInc != nil && partialInc.DominatedBy(ctx.mergedMetrics(p, normChips)) {
+				continue
+			}
 			sc := ctx.stamp(plan, bIter, p)
 			for _, pol := range ctx.policies {
 				for _, q := range ctx.quanta {
@@ -379,6 +401,7 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 func (o *Optimizer) Optimize() []SchedulePoint {
 	plans := o.Plans()
 	o.fb = nil
+	o.gcache = nil
 	prefixes := 0
 	for _, p := range plans {
 		prefixes = max(prefixes, p.prefix)
@@ -388,6 +411,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 	o.prunedPlans.Store(0)
 	o.searchedPlans.Store(0)
 	o.prunedPartials.Store(0)
+	o.compiled.Store(0)
 	workers := o.Opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -441,6 +465,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 			defer wg.Done()
 			ctx := o.newSearchCtx()
 			ctx.memo = memo
+			defer func() { o.compiled.Add(ctx.compiled) }()
 			for i := range next {
 				if inc == nil {
 					o.searchedPlans.Add(1)
@@ -478,6 +503,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 	o.stats.PrunedPlans = int(o.prunedPlans.Load())
 	o.stats.Searched = int(o.searchedPlans.Load())
 	o.stats.PrunedPartials = o.prunedPartials.Load()
+	o.stats.Compiled = o.compiled.Load()
 	if inc != nil {
 		for i := range plans {
 			if !feasible[i] {

@@ -442,8 +442,8 @@ var (
 // from the pipeline entries through the prefix. On a linear pipeline this
 // is the plain sum of every pre-decode stage latency; on a fan-out graph
 // parallel branches overlap and only the slowest counts. The walk itself
-// lives in criticalPathTTFTWithPrefix (shape.go), which ShapeMetrics also
-// uses with the shape-weighted prefix latency.
+// is CriticalPathTTFT (shape.go), which the schedule search also prices its
+// candidates with; ShapeMetrics feeds it the shape-weighted prefix latency.
 func (p *Plan) criticalPathTTFT() float64 {
 	return p.criticalPathTTFTWithPrefix(p.Steps[p.PrefixIdx].Latency)
 }

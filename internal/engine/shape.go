@@ -453,27 +453,35 @@ func (p *Plan) PadEfficiency(shapes []Shape) float64 {
 // criticalPathTTFTWithPrefix is criticalPathTTFT with the prefix stage's
 // full-batch latency overridden (the shape-weighted expectation).
 func (p *Plan) criticalPathTTFTWithPrefix(prefixLatency float64) float64 {
-	finish := p.cpScratch
-	if finish == nil {
-		finish = make([]float64, len(p.Steps))
-	} else {
-		for i := range finish {
-			finish[i] = 0
-		}
+	lat := p.cpScratch
+	if lat == nil {
+		lat = make([]float64, len(p.Steps))
 	}
-	for i := range p.Steps {
-		if i == p.DecodeIdx {
-			continue
-		}
+	for i := range lat {
+		lat[i] = p.Steps[i].Latency
+	}
+	lat[p.PrefixIdx] = prefixLatency
+	return CriticalPathTTFT(p.Preds, lat, p.PrefixIdx)
+}
+
+// CriticalPathTTFT is the completion time of stage target on the unloaded
+// latency chain: the longest path over per-stage latencies from the graph's
+// entries through target. On a linear pipeline this is the plain sum of the
+// stage latencies up to target; on a fan-out graph parallel branches overlap
+// and only the slowest counts. preds lists each stage's predecessors, all
+// earlier in stage order (pipeline.ValidateGraph), so the walk visits stages
+// 0..target once and never reaches the decode stage behind the prefix. lat
+// holds each stage's latency on entry; the walk overwrites the visited
+// entries with their finish times, so callers pass scratch. Compiled plans
+// and the schedule search both price TTFT through this one walk, which is
+// what makes their values agree bit for bit.
+func CriticalPathTTFT(preds [][]int, lat []float64, target int) float64 {
+	for i := 0; i <= target; i++ {
 		start := 0.0
-		for _, j := range p.Preds[i] {
-			start = math.Max(start, finish[j])
+		for _, j := range preds[i] {
+			start = math.Max(start, lat[j])
 		}
-		lat := p.Steps[i].Latency
-		if i == p.PrefixIdx {
-			lat = prefixLatency
-		}
-		finish[i] = start + lat
+		lat[i] = start + lat[i]
 	}
-	return finish[p.PrefixIdx]
+	return lat[target]
 }
