@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -381,16 +382,26 @@ func TestFigure17CaseIIPlacementInsensitive(t *testing.T) {
 }
 
 func TestFigure18AllocationSpread(t *testing.T) {
-	spread, best, worst, err := Figure18(EvalCaseII, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Paper: 64.1x spread across disaggregated allocations in Case II.
-	if spread < 10 {
-		t.Errorf("allocation spread = %.1fx, want >> 10x (paper 64.1x)", spread)
-	}
-	if best.MaxQPSChip <= worst.MaxQPSChip {
-		t.Errorf("best (%.3f) must beat worst (%.4f)", best.MaxQPSChip, worst.MaxQPSChip)
+	// Paper: Case II allocations spread 64.1x disaggregated and 52.5x
+	// collocated in max QPS/chip; the model reads 67.4x and 56.3x.
+	for _, tc := range []struct {
+		name       string
+		collocated bool
+		paper      float64
+	}{
+		{"disaggregated", false, 64.1},
+		{"collocated", true, 52.5},
+	} {
+		spread, best, worst, err := Figure18(EvalCaseII, tc.collocated)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(spread/tc.paper-1) > 0.10 {
+			t.Errorf("%s allocation spread = %.1fx, want within 10%% of the paper's %.1fx", tc.name, spread, tc.paper)
+		}
+		if best.MaxQPSChip <= worst.MaxQPSChip {
+			t.Errorf("%s: best (%.3f) must beat worst (%.4f)", tc.name, best.MaxQPSChip, worst.MaxQPSChip)
+		}
 	}
 }
 

@@ -155,9 +155,9 @@ func Figure17(c EvalCase) (map[PlacementClass]Series, error) {
 
 	groups := map[PlacementClass][]core.SchedulePoint{}
 	for _, pl := range placements {
-		sub := core.DefaultOptions(pool128())
+		sub := opts
 		sub.Placements = []pipeline.Placement{pl}
-		so, err := core.NewOptimizer(schema, sub)
+		so, err := o.With(sub)
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +190,7 @@ func Figure18(c EvalCase, collocated bool) (spread float64, best, worst PlanSumm
 	} else {
 		opts.Placements = []pipeline.Placement{probe.Pipe.FullyDisaggregated()}
 	}
-	o, err := core.NewOptimizer(schema, opts)
+	o, err := probe.With(opts)
 	if err != nil {
 		return 0, PlanSummary{}, PlanSummary{}, err
 	}

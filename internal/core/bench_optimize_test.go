@@ -45,11 +45,12 @@ func BenchmarkOptimizeCaseV(b *testing.B) {
 	run := func(b *testing.B, noPrune bool) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			opts := DefaultOptions(hw.DefaultCluster())
-			opts.NoPrune = noPrune
-			o, err := NewOptimizer(ragschema.CaseV(8e9, 2), opts)
+			o, err := NewOptimizer(ragschema.CaseV(8e9, 2), DefaultOptions(hw.DefaultCluster()))
 			if err != nil {
 				b.Fatal(err)
+			}
+			if noPrune {
+				exhaustiveRef(o)
 			}
 			if front := o.Optimize(); len(front) == 0 {
 				b.Fatal("empty frontier")

@@ -12,9 +12,17 @@ import (
 	"rago/internal/ragschema"
 )
 
+// exhaustiveRef makes o, before its first search, the exhaustive reference
+// search the pruned one is tested against: no plan bounds, no pruning, plans
+// dispatched in enumeration order.
+func exhaustiveRef(o *Optimizer) *Optimizer {
+	o.noPrune = true
+	return o
+}
+
 // TestBranchAndBoundMatchesExhaustive is the branch-and-bound acceptance
 // test: on every case preset, the pruned concurrent search must return a
-// frontier identical — schedules and metrics, in order — to the NoPrune
+// frontier identical — schedules and metrics, in order — to the noPrune
 // exhaustive reference. Pruning is only allowed to skip work that is
 // provably strictly dominated, so any divergence here is a bound
 // admissibility bug.
@@ -36,13 +44,11 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 			opts := DefaultOptions(tc.cluster)
 			opts.NormalizeChips = tc.norm
 
-			exOpts := opts
-			exOpts.NoPrune = true
-			exhaustive, err := NewOptimizer(tc.schema, exOpts)
+			exhaustive, err := NewOptimizer(tc.schema, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := exhaustive.Optimize()
+			want := exhaustiveRef(exhaustive).Optimize()
 
 			pruned, err := NewOptimizer(tc.schema, opts)
 			if err != nil {
@@ -104,7 +110,7 @@ func TestPlanBoundAdmissible(t *testing.T) {
 // frontier nor determinism. What the incumbent holds when a plan runs — and
 // so which partials and candidates that plan drops — depends on worker
 // timing; the frontier must not. Every configuration must return exactly
-// the exhaustive NoPrune frontier, at 1, 2 and 8 workers, on Case IV
+// the exhaustive noPrune frontier, at 1, 2 and 8 workers, on Case IV
 // (placement-heavy) and on Case I with the formation and retrieval-knob
 // dimensions on (where the partial cut is off and only the candidate
 // filter prunes within a plan).
@@ -125,20 +131,24 @@ func TestWorkersOption(t *testing.T) {
 				opts := DefaultOptions(hw.DefaultCluster())
 				opts.NormalizeChips = tc.norm
 				opts.Workers = workers
-				opts.NoPrune = noPrune
+				var o *Optimizer
 				if !tc.dims {
-					o, err := NewOptimizer(tc.schema, opts)
-					if err != nil {
+					var err error
+					if o, err = NewOptimizer(tc.schema, opts); err != nil {
 						t.Fatal(err)
 					}
-					return o.Optimize()
+				} else {
+					opts.Shapes = formationShapes()
+					opts.Policies = []engine.BatchPolicy{engine.PolicyFIFO, engine.PolicyBucketed, engine.PolicySorted}
+					opts.ChunkQuanta = []int{0, 256}
+					opts.NProbes = []int{2, 0, 32}
+					opts.ShardFanouts = []int{2, 0}
+					o = shardedOptimizer(t, tc.schema, opts)
 				}
-				opts.Shapes = formationShapes()
-				opts.Policies = []engine.BatchPolicy{engine.PolicyFIFO, engine.PolicyBucketed, engine.PolicySorted}
-				opts.ChunkQuanta = []int{0, 256}
-				opts.NProbes = []int{2, 0, 32}
-				opts.ShardFanouts = []int{2, 0}
-				return shardedOptimizer(t, tc.schema, opts).Optimize()
+				if noPrune {
+					exhaustiveRef(o)
+				}
+				return o.Optimize()
 			}
 			want := run(0, true)
 			if len(want) == 0 {

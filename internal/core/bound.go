@@ -9,55 +9,6 @@ import (
 	"rago/internal/stageperf"
 )
 
-// formBound carries the formation-dimension relaxation terms the plan
-// bounds need when the search prices batch policies, chunk quanta, or a
-// shape sample: the sample's minimum raw prompt / padded prompt / output
-// length (schema constants for unshaped entries), and the candidate chunk
-// quanta. Computed once per Optimize (planBound runs serially before the
-// workers start).
-type formBound struct {
-	active bool // any dimension beyond FIFO/unchunked/unshaped
-	shaped bool // a shape sample re-prices batches
-	minPrompt, padMin, minOut int
-	quanta                    []int
-}
-
-// formBoundTerms lazily computes the relaxation terms.
-func (o *Optimizer) formBoundTerms() *formBound {
-	if o.fb != nil {
-		return o.fb
-	}
-	fb := &formBound{}
-	for _, q := range o.Opts.ChunkQuanta {
-		if q > 0 {
-			fb.quanta = append(fb.quanta, q)
-		}
-	}
-	fb.shaped = len(o.Opts.Shapes) > 0
-	fb.active = fb.shaped || len(fb.quanta) > 0
-	schemaPrompt := o.Pipe.Schema.PrefixTokens
-	decIdx := o.Pipe.Index(pipeline.KindDecode)
-	schemaOut := o.Pipe.Stages[decIdx].OutTokens
-	fb.minPrompt, fb.minOut = schemaPrompt, schemaOut
-	for _, s := range o.Opts.Shapes {
-		pt, out := s.PromptTokens, s.OutputTokens
-		if pt <= 0 {
-			pt = schemaPrompt
-		}
-		if out <= 0 {
-			out = schemaOut
-		}
-		fb.minPrompt = min(fb.minPrompt, pt)
-		fb.minOut = min(fb.minOut, out)
-	}
-	if fb.minOut < 1 {
-		fb.minOut = 1
-	}
-	fb.padMin = engine.PadTokens(fb.minPrompt)
-	o.fb = fb
-	return fb
-}
-
 // prefixFormBound is the optimistic (latency, occupancy) floor of the
 // prefix stage on chips over every formation dimension the search may
 // pick. Shaped batches are priced at padded member maxima, all of which
@@ -68,24 +19,24 @@ func (o *Optimizer) formBoundTerms() *formBound {
 // resource for at least the shortest request's own chunk count
 // (occupancy floor), per candidate quantum.
 func (o *Optimizer) prefixFormBound(st pipeline.Stage, chips int) (minLat, occLB float64, ok bool) {
-	fb := o.formBoundTerms()
+	sp := &o.space
 	base := st
-	if fb.shaped {
-		base = stageperf.ShapedStage(st, fb.padMin)
+	if sp.shaped {
+		base = stageperf.ShapedStage(st, sp.padMin)
 	}
-	env := o.Prof.Envelope(base, chips, o.Opts.MaxPreBatch)
+	env := o.Prof.Envelope(base, chips, o.opts.MaxPreBatch)
 	if !env.OK {
 		return 0, 0, false
 	}
 	minLat = env.MinLatency
 	occLB = 1 / env.MaxQPS
-	for _, q := range fb.quanta {
+	for _, q := range sp.chunks {
 		cl := o.Prof.EvalR(stageperf.ShapedStage(st, q), chips, 1, 1)
 		if !cl.OK {
 			continue
 		}
 		minLat = math.Min(minLat, cl.Latency)
-		occLB = math.Min(occLB, float64((fb.minPrompt+q-1)/q)*cl.Latency)
+		occLB = math.Min(occLB, float64((sp.minPrompt+q-1)/q)*cl.Latency)
 	}
 	return minLat, occLB, true
 }
@@ -128,12 +79,12 @@ func (o *Optimizer) planBound(plan Plan) (perf.Metrics, bool) {
 
 	// Pre-decode groups: stages share the group's chips; batches range
 	// over the pre-decode bound.
-	fb := o.formBoundTerms()
+	sp := &o.space
 	for gi, g := range plan.Placement.Groups {
 		chips := plan.GroupChips[gi]
 		var occLB float64
 		for _, idx := range g.Stages {
-			if idx == prefixIdx && fb.active {
+			if idx == prefixIdx && (sp.shaped || len(sp.chunks) > 0) {
 				lat, occ, ok := o.prefixFormBound(pipe.Stages[idx], chips)
 				if !ok {
 					return perf.Metrics{}, false
@@ -142,7 +93,7 @@ func (o *Optimizer) planBound(plan Plan) (perf.Metrics, bool) {
 				occLB += occ
 				continue
 			}
-			env := o.Prof.Envelope(pipe.Stages[idx], chips, o.Opts.MaxPreBatch)
+			env := o.Prof.Envelope(pipe.Stages[idx], chips, o.opts.MaxPreBatch)
 			if !env.OK {
 				return perf.Metrics{}, false
 			}
@@ -156,13 +107,12 @@ func (o *Optimizer) planBound(plan Plan) (perf.Metrics, bool) {
 	// With nprobe/fanout searched, every knob pair's envelope contributes
 	// to the optimistic union — the bound's latency floors and throughput
 	// ceilings hold for whichever stamping the search picks.
-	nprobes, fanouts := o.searchedKnobs()
-	for _, ridx := range pipe.Indices(pipeline.KindRetrieval) {
+	for _, ridx := range sp.retrIdxs {
 		rMinLat, rMaxQPS := math.Inf(1), 0.0
 		any := false
-		for _, np := range nprobes {
-			for _, fo := range fanouts {
-				env := o.Prof.Envelope(pipe.Stages[ridx].Tuned(np, fo), plan.Servers, o.Opts.MaxRetrievalBatch)
+		for _, np := range sp.nprobes {
+			for _, fo := range sp.fanouts {
+				env := o.Prof.Envelope(pipe.Stages[ridx].Tuned(np, fo), plan.Servers, o.opts.MaxRetrievalBatch)
 				if !env.OK {
 					continue
 				}
@@ -186,11 +136,11 @@ func (o *Optimizer) planBound(plan Plan) (perf.Metrics, bool) {
 	// minOut tokens at the floored pace).
 	dstage := pipe.Stages[decIdx]
 	outRatio := 1.0
-	if fb.shaped {
-		dstage = stageperf.ShapedDecodeStage(dstage, engine.PadTokens(fb.minPrompt+fb.minOut/2))
-		outRatio = float64(pipe.Stages[decIdx].OutTokens) / float64(fb.minOut)
+	if sp.shaped {
+		dstage = stageperf.ShapedDecodeStage(dstage, engine.PadTokens(sp.minPrompt+sp.minOut/2))
+		outRatio = float64(pipe.Stages[decIdx].OutTokens) / float64(sp.minOut)
 	}
-	denv := o.Prof.Envelope(dstage, plan.DecodeChips, o.Opts.MaxDecodeBatch)
+	denv := o.Prof.Envelope(dstage, plan.DecodeChips, o.opts.MaxDecodeBatch)
 	if !denv.OK {
 		return perf.Metrics{}, false
 	}
@@ -226,8 +176,8 @@ func (p Plan) chips() int {
 // normChips is the QPS/chip denominator of the plan's schedules: the fixed
 // NormalizeChips when set, else the chips the plan allocates.
 func (o *Optimizer) normChips(plan Plan) float64 {
-	if o.Opts.NormalizeChips > 0 {
-		return float64(o.Opts.NormalizeChips)
+	if o.opts.NormalizeChips > 0 {
+		return float64(o.opts.NormalizeChips)
 	}
 	return float64(plan.chips())
 }

@@ -183,29 +183,64 @@ func TestOptimizeDeterministic(t *testing.T) {
 	}
 }
 
-// TestOptimizeAfterOptionsChange pins that Optimize searches the options
-// it runs under. The group-choice memo is keyed without the batch bounds,
-// so a second call after MaxPreBatch shrinks must rebuild it rather than
-// offer group batches the new bound excludes.
+// TestOptimizeAfterOptionsChange pins that a changed search is a new
+// optimizer with memos of its own. o runs Optimize and PlanFrontier at
+// MaxPreBatch 32, filling its group-choice memo, whose key omits the batch
+// bounds; o.With(MaxPreBatch 4) shares o's profiler and nothing else, so it
+// must return exactly what a fresh optimizer returns. When options could
+// change in place, 6,819 of 7,810 Case IV plan frontiers came back stale.
+// o's own memos persist, so repeating its calls must return its first
+// results.
 func TestOptimizeAfterOptionsChange(t *testing.T) {
 	o := newOpt(t, ragschema.CaseIV(8e9), hw.DefaultCluster(), 0)
-	o.Optimize()
-	o.Opts.MaxPreBatch = 4
-	got := o.Optimize()
+	first := o.Optimize()
+	var plans []Plan
+	var frontiers [][]SchedulePoint
+	for i, p := range o.Plans() {
+		if i%16 == 0 {
+			plans = append(plans, p)
+			frontiers = append(frontiers, o.PlanFrontier(p))
+		}
+	}
 
 	opts := DefaultOptions(hw.DefaultCluster())
 	opts.MaxPreBatch = 4
+	changed, err := o.With(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh, err := NewOptimizer(ragschema.CaseIV(8e9), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fresh.Optimize()
-	if len(want) == 0 {
-		t.Fatal("fresh frontier is empty")
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("after MaxPreBatch 32 -> 4 the frontier has %d points, a fresh optimizer's %d", len(got), len(want))
-	}
+
+	t.Run("PlanFrontier", func(t *testing.T) {
+		for i, p := range plans {
+			if got, want := changed.PlanFrontier(p), fresh.PlanFrontier(p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("plan %d (%s) after MaxPreBatch 32 -> 4: %d points, a fresh optimizer's %d",
+					16*i, p.Describe(o.Pipe), len(got), len(want))
+			}
+		}
+	})
+	t.Run("Optimize", func(t *testing.T) {
+		want := fresh.Optimize()
+		if len(want) == 0 {
+			t.Fatal("fresh frontier is empty")
+		}
+		if got := changed.Optimize(); !reflect.DeepEqual(got, want) {
+			t.Errorf("after MaxPreBatch 32 -> 4 the frontier has %d points, a fresh optimizer's %d", len(got), len(want))
+		}
+	})
+	t.Run("Repeated", func(t *testing.T) {
+		if got := o.Optimize(); !reflect.DeepEqual(got, first) {
+			t.Errorf("a repeated Optimize returned %d points, the first %d", len(got), len(first))
+		}
+		for i, p := range plans {
+			if got := o.PlanFrontier(p); !reflect.DeepEqual(got, frontiers[i]) {
+				t.Fatalf("plan %d: a repeated PlanFrontier returned %d points, the first %d", 16*i, len(got), len(frontiers[i]))
+			}
+		}
+	})
 }
 
 func TestCaseIRetrievalBound(t *testing.T) {
@@ -391,5 +426,14 @@ func TestOptionsValidation(t *testing.T) {
 	bad.GenerativeParams = 0
 	if _, err := NewOptimizer(bad, DefaultOptions(hw.DefaultCluster())); err == nil {
 		t.Errorf("invalid schema should fail")
+	}
+	o := newOpt(t, ragschema.CaseI(8e9, 1), hw.DefaultCluster(), 0)
+	if _, err := o.With(opts); err == nil {
+		t.Errorf("With should validate like NewOptimizer")
+	}
+	other := DefaultOptions(hw.DefaultCluster())
+	other.Cluster.Chip.HBMBytes *= 2
+	if _, err := o.With(other); err == nil {
+		t.Errorf("With should refuse a chip its profiler does not price")
 	}
 }

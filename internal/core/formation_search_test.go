@@ -25,7 +25,7 @@ func formationShapes() []engine.Shape {
 // TestFormationSearchMatchesExhaustive extends the branch-and-bound
 // acceptance test to the formation dimensions: with per-request shapes,
 // a policy sweep, and chunk quanta all active, the pruned search must
-// return a frontier identical to the NoPrune exhaustive reference. The
+// return a frontier identical to the noPrune exhaustive reference. The
 // plan-level bounds are relaxed for shaped costing (min-padded envelope,
 // per-quantum chunk floors, min-context decode envelope); any divergence
 // here means a relaxation stopped being admissible.
@@ -44,13 +44,11 @@ func TestFormationSearchMatchesExhaustive(t *testing.T) {
 			opts.Policies = []engine.BatchPolicy{engine.PolicyFIFO, engine.PolicyBucketed, engine.PolicySorted}
 			opts.ChunkQuanta = []int{0, 256}
 
-			exOpts := opts
-			exOpts.NoPrune = true
-			exhaustive, err := NewOptimizer(tc.schema, exOpts)
+			exhaustive, err := NewOptimizer(tc.schema, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := exhaustive.Optimize()
+			want := exhaustiveRef(exhaustive).Optimize()
 
 			pruned, err := NewOptimizer(tc.schema, opts)
 			if err != nil {

@@ -94,13 +94,11 @@ type groupChoice struct {
 	lats     []float64
 }
 
-// searchCtx is one worker's reusable state for the per-plan search:
-// the scratch metrics evaluator, the partial/arena buffers, and the
-// hoisted power-of-two batch ranges. Not safe for concurrent use.
-type searchCtx struct {
-	o  *Optimizer
-	ev *engine.Evaluator
-
+// searchSpace is what the search derives from the options and the pipeline
+// alone. NewOptimizer builds it once; every worker shares it read-only.
+type searchSpace struct {
+	// The power-of-two batch ladders, and the iterative batches the search
+	// tries: {0} for a single-retrieval workload.
 	preBatches  []int
 	retrBatches []int
 	decBatches  []int
@@ -113,15 +111,102 @@ type searchCtx struct {
 	quanta     []int
 	formActive bool
 
-	// Retrieval search dimensions (nprobe x shard fanout), whether they
-	// depart from the base-configuration search, and the cheapest searched
-	// knob pair — the pair whose tuned scan is optimistic against every
-	// stamping, used for the partials' proxy retrieval pricing.
+	// Retrieval search dimensions (nprobe x shard fanout), and whether they
+	// depart from the base-configuration search. A retrieval-free pipeline
+	// searches only the base pair: stamping knobs onto its schedules would
+	// fail validation without changing any metric.
 	nprobes    []int
 	fanouts    []int
 	retrActive bool
-	cheapNP    int
-	cheapFO    int
+
+	// The plan bounds' formation relaxation terms: whether a shape sample
+	// re-prices batches, the positive chunk quanta, and the sample's
+	// minimum raw prompt / padded prompt / output length (schema constants
+	// for unshaped entries).
+	shaped                    bool
+	chunks                    []int
+	minPrompt, padMin, minOut int
+
+	// preds and retrIdxs feed the critical-path walk that prices a finished
+	// prefix's exact TTFTs: the stage graph and its retrieval stages.
+	preds    [][]int
+	retrIdxs []int
+}
+
+func newSearchSpace(pipe pipeline.Pipeline, opts Options) searchSpace {
+	orBase := func(xs []int) []int { // unset: the base configuration only
+		if len(xs) == 0 {
+			return []int{0}
+		}
+		return xs
+	}
+	sp := searchSpace{
+		preBatches:  roofline.Pow2Range(1, opts.MaxPreBatch),
+		retrBatches: roofline.Pow2Range(1, opts.MaxRetrievalBatch),
+		decBatches:  roofline.Pow2Range(1, opts.MaxDecodeBatch),
+		iterBatches: []int{0},
+		policies:    opts.Policies,
+		quanta:      orBase(opts.ChunkQuanta),
+		shaped:      len(opts.Shapes) > 0,
+		preds:       pipe.Preds(),
+		retrIdxs:    pipe.Indices(pipeline.KindRetrieval),
+	}
+	if pipe.Schema.Iterative() {
+		sp.iterBatches = sp.decBatches
+	}
+	if len(sp.policies) == 0 {
+		sp.policies = []engine.BatchPolicy{engine.PolicyFIFO}
+	}
+	sp.formActive = sp.shaped || len(sp.policies) != 1 || sp.policies[0] != engine.PolicyFIFO ||
+		len(sp.quanta) != 1 || sp.quanta[0] != 0
+	if len(sp.retrIdxs) > 0 {
+		sp.nprobes, sp.fanouts = opts.NProbes, opts.ShardFanouts
+	}
+	sp.nprobes, sp.fanouts = orBase(sp.nprobes), orBase(sp.fanouts)
+	sp.retrActive = len(sp.nprobes) != 1 || sp.nprobes[0] != 0 ||
+		len(sp.fanouts) != 1 || sp.fanouts[0] != 0
+
+	for _, q := range opts.ChunkQuanta {
+		if q > 0 {
+			sp.chunks = append(sp.chunks, q)
+		}
+	}
+	schemaPrompt := pipe.Schema.PrefixTokens
+	schemaOut := pipe.Stages[pipe.Index(pipeline.KindDecode)].OutTokens
+	sp.minPrompt, sp.minOut = schemaPrompt, schemaOut
+	for _, s := range opts.Shapes {
+		pt, out := s.PromptTokens, s.OutputTokens
+		if pt <= 0 {
+			pt = schemaPrompt
+		}
+		if out <= 0 {
+			out = schemaOut
+		}
+		sp.minPrompt = min(sp.minPrompt, pt)
+		sp.minOut = min(sp.minOut, out)
+	}
+	sp.minOut = max(sp.minOut, 1)
+	sp.padMin = engine.PadTokens(sp.minPrompt)
+	return sp
+}
+
+// searchCtx is one worker's reusable state for the per-plan search: the
+// shared search space, the scratch metrics evaluator, the partial/arena
+// buffers and the worker's search counters. Not safe for concurrent use.
+type searchCtx struct {
+	*searchSpace
+	o  *Optimizer
+	ev *engine.Evaluator
+
+	// The cheapest searched knob pair — the pair whose tuned scan is
+	// optimistic against every stamping, used for the partials' proxy
+	// retrieval pricing — and the recall of the base retrieval operating
+	// point, the one every candidate compiles at when the knob dimensions
+	// are off. Both read the profiler's retrieval configuration, so each
+	// search derives them afresh.
+	cheapNP int
+	cheapFO int
+	recall  float64
 
 	// memo is the running Optimize call's prefix memo (nil outside one):
 	// slot (plan.prefix-1)*len(iterBatches)+bi holds the prefix's frontier
@@ -139,91 +224,40 @@ type searchCtx struct {
 	dec    []decPoint
 	bestD  []int32
 	firstP []int32
-
-	// preds, retrIdxs and lat feed the critical-path walk that prices a
-	// finished prefix's exact TTFTs: the stage graph, its retrieval stages
-	// and a per-stage latency buffer.
-	preds    [][]int
-	retrIdxs []int
-	lat      []float64
-	// recall is the recall of the base retrieval operating point, the one
-	// every candidate compiles at when the knob dimensions are off.
-	recall float64
+	// lat is the critical-path walk's per-stage latency buffer.
+	lat []float64
 
 	probeGroups []GroupSchedule
 	// scratch is the schedule every compiled candidate is stamped into
 	// (stamp); only candidates that survive the incumbent filter are
-	// copied out of it (own). compiled counts the compiles.
-	scratch  Schedule
-	compiled int64
+	// copied out of it (own).
+	scratch Schedule
+	// stats counts this worker's plans, pruned partials and compiles.
+	stats SearchStats
 }
 
 type partialCorner struct{ tpot, qps float64 }
 
 // newSearchCtx builds a worker context. The scratch evaluator runs the
 // exact compile arithmetic Assembler.Evaluate runs, without per-schedule
-// plan allocation; on the (already validated) pipelines the optimizer
-// builds it cannot fail, but a failure falls back to the Assembler.
+// plan allocation.
 func (o *Optimizer) newSearchCtx() *searchCtx {
+	ev, err := engine.NewEvaluator(o.Pipe, o.Prof)
+	if err != nil {
+		// NewOptimizer ran the one check NewEvaluator makes.
+		panic("core: search evaluator on a validated pipeline: " + err.Error())
+	}
 	ctx := &searchCtx{
+		searchSpace: &o.space,
 		o:           o,
-		preBatches:  roofline.Pow2Range(1, o.Opts.MaxPreBatch),
-		retrBatches: roofline.Pow2Range(1, o.Opts.MaxRetrievalBatch),
-		decBatches:  roofline.Pow2Range(1, o.Opts.MaxDecodeBatch),
-		iterBatches: o.iterBatches(),
+		ev:          ev,
+		lat:         make([]float64, len(o.Pipe.Stages)),
 	}
-	ctx.policies = o.Opts.Policies
-	if len(ctx.policies) == 0 {
-		ctx.policies = []engine.BatchPolicy{engine.PolicyFIFO}
-	}
-	ctx.quanta = o.Opts.ChunkQuanta
-	if len(ctx.quanta) == 0 {
-		ctx.quanta = []int{0}
-	}
-	ctx.formActive = len(o.Opts.Shapes) > 0 ||
-		len(ctx.policies) != 1 || ctx.policies[0] != engine.PolicyFIFO ||
-		len(ctx.quanta) != 1 || ctx.quanta[0] != 0
-	ctx.nprobes, ctx.fanouts = o.searchedKnobs()
-	ctx.retrActive = len(ctx.nprobes) != 1 || ctx.nprobes[0] != 0 ||
-		len(ctx.fanouts) != 1 || ctx.fanouts[0] != 0
 	ctx.cheapNP, ctx.cheapFO = o.cheapestKnobs(ctx.nprobes, ctx.fanouts)
-	ctx.preds = o.Pipe.Preds()
-	ctx.retrIdxs = o.Pipe.Indices(pipeline.KindRetrieval)
-	ctx.lat = make([]float64, len(o.Pipe.Stages))
 	if ri := o.Pipe.Index(pipeline.KindRetrieval); ri >= 0 {
 		ctx.recall = o.Prof.StageRecall(o.Pipe.Stages[ri].Tuned(0, 0))
 	}
-	if ev, err := engine.NewEvaluator(o.Pipe, o.Prof); err == nil {
-		ctx.ev = ev
-	}
 	return ctx
-}
-
-// iterBatches returns the iterative batches the search tries: {0} for a
-// single-retrieval workload.
-func (o *Optimizer) iterBatches() []int {
-	if o.Pipe.Schema.Iterative() {
-		return roofline.Pow2Range(1, o.Opts.MaxDecodeBatch)
-	}
-	return []int{0}
-}
-
-// searchedKnobs returns the normalized retrieval knob sets: the configured
-// dimensions, or the single base configuration when unset. A retrieval-free
-// pipeline searches only the base pair regardless — stamping knobs onto its
-// schedules would fail validation without changing any metric.
-func (o *Optimizer) searchedKnobs() (nprobes, fanouts []int) {
-	nprobes, fanouts = o.Opts.NProbes, o.Opts.ShardFanouts
-	if o.Pipe.Index(pipeline.KindRetrieval) < 0 {
-		nprobes, fanouts = nil, nil
-	}
-	if len(nprobes) == 0 {
-		nprobes = []int{0}
-	}
-	if len(fanouts) == 0 {
-		fanouts = []int{0}
-	}
-	return nprobes, fanouts
 }
 
 // cheapestKnobs picks the searched (nprobe, fanout) pair with the smallest
@@ -263,24 +297,22 @@ func (o *Optimizer) cheapestKnobs(nprobes, fanouts []int) (np, fo int) {
 }
 
 // evaluate assembles end-to-end metrics for one schedule through the
-// scratch evaluator, applying the Assembler's QPS/chip normalization.
-// Results are bit-identical to Assembler.Evaluate.
+// scratch evaluator, shaped when the options carry a sample, normalized by
+// the options' QPS/chip denominator. Unshaped, results are bit-identical to
+// Assembler.Evaluate.
 func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
-	c.compiled++
-	if c.ev == nil {
-		return c.o.Asm.Evaluate(s)
-	}
+	c.stats.Compiled++
 	var m perf.Metrics
 	var ok bool
-	if len(c.o.Opts.Shapes) > 0 {
-		m, ok = c.ev.EvaluateShaped(s, c.o.Opts.Shapes)
+	if shapes := c.o.opts.Shapes; len(shapes) > 0 {
+		m, ok = c.ev.EvaluateShaped(s, shapes)
 	} else {
 		m, ok = c.ev.Evaluate(s)
 	}
 	if !ok {
 		return perf.Metrics{}, false
 	}
-	if n := c.o.Asm.NormalizeChips; n > 0 {
+	if n := c.o.opts.NormalizeChips; n > 0 {
 		m.QPSPerChip = m.QPS / float64(n)
 	}
 	return m, true
@@ -460,7 +492,7 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 	for gi, g := range plan.Placement.Groups {
 		chips := plan.GroupChips[gi]
 		occExtra := 0.0
-		if groupHasStage(g, prefixIdx) {
+		if slices.Contains(g.Stages, prefixIdx) {
 			occExtra = iterPrefOcc
 		}
 		choices := o.groupChoicesFor(ctx, g, chips, plan.Servers, prefixIdx, occExtra)
@@ -666,20 +698,8 @@ func (c *searchCtx) pruneAgainstIncumbent(parts []spart, inc *perf.Incremental, 
 			kept = append(kept, p)
 		}
 	}
-	if d := len(parts) - len(kept); d > 0 {
-		c.o.prunedPartials.Add(int64(d))
-	}
+	c.stats.PrunedPartials += int64(len(parts) - len(kept))
 	return kept
-}
-
-// groupHasStage reports whether the placement group serves stage idx.
-func groupHasStage(g pipeline.Group, idx int) bool {
-	for _, s := range g.Stages {
-		if s == idx {
-			return true
-		}
-	}
-	return false
 }
 
 // groupKey memoizes pruned group choices across plans: the choice set
@@ -703,9 +723,6 @@ func (o *Optimizer) groupChoicesFor(ctx *searchCtx, g pipeline.Group, chips, ser
 		key.mask |= 1 << uint(s)
 	}
 	o.gmu.Lock()
-	if o.gcache == nil {
-		o.gcache = make(map[groupKey][]groupChoice)
-	}
 	cs, ok := o.gcache[key]
 	o.gmu.Unlock()
 	if ok {
@@ -829,10 +846,8 @@ func pruneGroupChoices(cs []groupChoice) []groupChoice {
 // main prefix stage.
 func (o *Optimizer) planPrefixChips(plan Plan, prefixIdx int) (int, bool) {
 	for gi, g := range plan.Placement.Groups {
-		for _, idx := range g.Stages {
-			if idx == prefixIdx {
-				return plan.GroupChips[gi], true
-			}
+		if slices.Contains(g.Stages, prefixIdx) {
+			return plan.GroupChips[gi], true
 		}
 	}
 	return 0, false

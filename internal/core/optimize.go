@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rago/internal/engine"
 	"rago/internal/hw"
@@ -58,11 +58,6 @@ type Options struct {
 	// per query) on a sharded retrieval tier; 0 means all shards. Empty
 	// searches only all-shards.
 	ShardFanouts []int
-	// NoPrune disables branch-and-bound pruning and bound-ordered
-	// dispatch, forcing the exhaustive reference search. The frontier is
-	// provably identical either way (the differential test pins it);
-	// the knob exists for that proof and for bound-quality debugging.
-	NoPrune bool
 	// Workers caps search concurrency; 0 means GOMAXPROCS.
 	Workers int
 }
@@ -81,40 +76,41 @@ func DefaultOptions(cluster hw.Cluster) Options {
 	}
 }
 
-// Optimizer runs the schedule search for one workload.
+// Optimizer runs the schedule search for one workload under options fixed
+// at construction, so every memo it keeps is valid for its lifetime; a
+// different search is a different optimizer (With). Configure the Profiler
+// (Shards, RecallMod, NoMemo) before the first search, as stageperf.Profiler
+// requires: each search reads its cheapest retrieval knobs and base recall
+// from it, but the group-choice memo does not key on them.
 type Optimizer struct {
 	Pipe pipeline.Pipeline
 	Prof *stageperf.Profiler
 	Asm  *Assembler
-	Opts Options
 
-	// fb caches the formation-dimension bound relaxation terms
-	// (formBoundTerms); reset at the top of each Optimize.
-	fb *formBound
+	opts Options
+	// noPrune selects the exhaustive reference search: no plan bounds, no
+	// pruning, no bound-ordered dispatch. The frontier is provably
+	// identical either way; the in-package differential tests set it.
+	noPrune bool
+	space   searchSpace
 
-	// gmu guards gcache, the cross-plan memo of pruned per-group
-	// batching choices (see groupChoicesFor): the same (group, chips,
-	// servers) triple recurs across every decode-chip variation of the
-	// allocation enumeration. Its key omits the batch bounds, so Optimize
-	// resets it with fb.
+	// gmu guards gcache, the memo of pruned per-group batching choices
+	// (see groupChoicesFor): the same (group, chips, servers) triple recurs
+	// across every decode-chip variation of the allocation enumeration and
+	// across calls. What its key omits — the batch ladder, the cheapest
+	// knob pair — is fixed for the optimizer's lifetime.
 	gmu    sync.Mutex
 	gcache map[groupKey][]groupChoice
 
-	// stats describes the most recent Optimize call; the atomics are the
-	// live counters the concurrent workers increment while it runs.
-	stats          SearchStats
-	prunedPlans    atomic.Int64
-	searchedPlans  atomic.Int64
-	prunedPartials atomic.Int64
-	compiled       atomic.Int64
+	// stats describes the most recent Optimize call.
+	stats SearchStats
 }
 
 // SearchStats summarizes one Optimize call's branch-and-bound behaviour:
 // how much of the enumeration the admissible bounds eliminated, and how
-// tight those bounds were against what the search actually achieved. A
-// NoPrune (exhaustive reference) run reports only Plans, Searched and
-// Compiled — it computes no bounds, so the pruning counters and gaps stay
-// zero.
+// tight those bounds were against what the search actually achieved. An
+// exhaustive reference run reports only Plans, Searched and Compiled — it
+// computes no bounds, so the pruning counters and gaps stay zero.
 type SearchStats struct {
 	// Plans is the full enumeration size; Infeasible the plans skipped
 	// because no schedule of theirs compiles; PrunedPlans the feasible
@@ -161,22 +157,50 @@ func (o *Optimizer) SearchStats() SearchStats { return o.stats }
 
 // NewOptimizer builds an optimizer for schema under opts.
 func NewOptimizer(schema ragschema.Schema, opts Options) (*Optimizer, error) {
+	pipe, err := pipeline.Build(schema)
+	if err != nil {
+		return nil, err
+	}
+	// The search's evaluators check nothing else (engine.NewEvaluator).
+	if err := pipe.ValidateGraph(); err != nil {
+		return nil, err
+	}
+	return newOptimizer(pipe, stageperf.New(opts.Cluster.Chip, opts.Cluster.Host, schema), opts)
+}
+
+// With returns an optimizer for the same workload under opts, validated as
+// NewOptimizer validates them. It shares o's pipeline and profiler — whose
+// memo keys on everything it reads — and starts its own search memos.
+// opts must name the profiler's chip and host.
+func (o *Optimizer) With(opts Options) (*Optimizer, error) {
+	if opts.Cluster.Chip != o.Prof.Sim.Chip || opts.Cluster.Host != o.Prof.Host {
+		return nil, fmt.Errorf("core: With keeps the profiler's chip and host; build a new optimizer for other hardware")
+	}
+	return newOptimizer(o.Pipe, o.Prof, opts)
+}
+
+// newOptimizer validates opts and owns a copy of them, slices included, so
+// no caller can change the search after its memos are built.
+func newOptimizer(pipe pipeline.Pipeline, prof *stageperf.Profiler, opts Options) (*Optimizer, error) {
 	if err := opts.Cluster.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.MaxPreBatch < 1 || opts.MaxRetrievalBatch < 1 || opts.MaxDecodeBatch < 1 {
 		return nil, fmt.Errorf("core: batch bounds must be positive")
 	}
-	pipe, err := pipeline.Build(schema)
-	if err != nil {
-		return nil, err
-	}
-	prof := stageperf.New(opts.Cluster.Chip, opts.Cluster.Host, schema)
+	opts.Placements = slices.Clone(opts.Placements)
+	opts.Shapes = slices.Clone(opts.Shapes)
+	opts.Policies = slices.Clone(opts.Policies)
+	opts.ChunkQuanta = slices.Clone(opts.ChunkQuanta)
+	opts.NProbes = slices.Clone(opts.NProbes)
+	opts.ShardFanouts = slices.Clone(opts.ShardFanouts)
 	return &Optimizer{
-		Pipe: pipe,
-		Prof: prof,
-		Asm:  &Assembler{Pipe: pipe, Prof: prof, NormalizeChips: opts.NormalizeChips},
-		Opts: opts,
+		Pipe:   pipe,
+		Prof:   prof,
+		Asm:    &Assembler{Pipe: pipe, Prof: prof, NormalizeChips: opts.NormalizeChips},
+		opts:   opts,
+		space:  newSearchSpace(pipe, opts),
+		gcache: make(map[groupKey][]groupChoice),
 	}, nil
 }
 
@@ -202,8 +226,8 @@ func (p Plan) Describe(pipe pipeline.Pipeline) string {
 
 // placements returns the search's placement candidates.
 func (o *Optimizer) placements() []pipeline.Placement {
-	if o.Opts.Placements != nil {
-		return o.Opts.Placements
+	if o.opts.Placements != nil {
+		return o.opts.Placements
 	}
 	return o.Pipe.Placements()
 }
@@ -217,7 +241,7 @@ func (o *Optimizer) serverOptions() []int {
 	if sources == 0 {
 		return []int{0}
 	}
-	budget := o.Opts.Cluster.Hosts / sources
+	budget := o.opts.Cluster.Hosts / sources
 	min := o.Prof.MinRetrievalServers()
 	if min > budget {
 		return nil
@@ -240,7 +264,7 @@ func (o *Optimizer) serverOptions() []int {
 // chips and the server count — so Optimize can build each prefix's
 // frontier once for all its decode-chip variants.
 func (o *Optimizer) Plans() []Plan {
-	budget := o.Opts.Cluster.XPUs()
+	budget := o.opts.Cluster.XPUs()
 	chipOpts := roofline.Pow2Range(1, budget)
 	decodeMin := o.Prof.Sim.MinChips(o.Pipe.Stages[o.Pipe.Index(pipeline.KindDecode)].Model)
 	// Invariant across the whole enumeration; the recursion below used
@@ -312,9 +336,7 @@ func (o *Optimizer) groupMinChips(pl pipeline.Placement) []int {
 // compiled, so the output is exactly Evaluate-consistent. It reuses both
 // memos across calls — the optimizer's group choices and the profiler's
 // stage prices — so a repeated call prices nothing twice (which is what
-// core.plan_frontier_ns measures). Only Optimize resets the group-choice
-// memo: after changing Opts, run Optimize or build a new Optimizer before
-// calling PlanFrontier.
+// core.plan_frontier_ns measures).
 func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 	return o.planFrontier(o.newSearchCtx(), plan, nil, perf.Metrics{})
 }
@@ -389,7 +411,7 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 // skipped when an incumbent point strictly dominates its bound, which is
 // provably lossless for the returned frontier. Results are concatenated
 // in original enumeration order before the final frontier pass, so the
-// output is bit-identical to the exhaustive NoPrune reference, including
+// output is bit-identical to the exhaustive reference search, including
 // which schedule represents each set of exactly-equal metric points.
 //
 // Plans that differ only in decode chips share their pre-decode prefix,
@@ -400,28 +422,16 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 // the call.
 func (o *Optimizer) Optimize() []SchedulePoint {
 	plans := o.Plans()
-	o.fb = nil
-	o.gcache = nil
 	prefixes := 0
 	for _, p := range plans {
 		prefixes = max(prefixes, p.prefix)
 	}
-	memo := make([]prefixSlot, prefixes*len(o.iterBatches()))
-	o.stats = SearchStats{Plans: len(plans)}
-	o.prunedPlans.Store(0)
-	o.searchedPlans.Store(0)
-	o.prunedPartials.Store(0)
-	o.compiled.Store(0)
-	workers := o.Opts.Workers
+	memo := make([]prefixSlot, prefixes*len(o.space.iterBatches))
+	workers := o.opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(plans) {
-		workers = len(plans)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, len(plans)))
 
 	order := make([]int, len(plans))
 	for i := range order {
@@ -430,7 +440,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 	var bounds []perf.Metrics
 	var feasible []bool
 	var inc *perf.Incremental
-	if !o.Opts.NoPrune {
+	if !o.noPrune {
 		bounds = make([]perf.Metrics, len(plans))
 		feasible = make([]bool, len(plans))
 		for i, p := range plans {
@@ -457,18 +467,21 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 	}
 
 	results := make([][]SchedulePoint, len(plans))
+	// Each worker counts into its own context's stats; they are summed
+	// once every worker is done.
+	ctxs := make([]*searchCtx, workers)
 	var wg sync.WaitGroup
 	next := make(chan int)
-	for w := 0; w < workers; w++ {
+	for w := range ctxs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			ctx := o.newSearchCtx()
 			ctx.memo = memo
-			defer func() { o.compiled.Add(ctx.compiled) }()
+			ctxs[w] = ctx
 			for i := range next {
 				if inc == nil {
-					o.searchedPlans.Add(1)
+					ctx.stats.Searched++
 					results[i] = o.planFrontier(ctx, plans[i], nil, perf.Metrics{})
 					continue
 				}
@@ -476,10 +489,10 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 					continue // no schedule of the plan compiles
 				}
 				if inc.DominatedBy(bounds[i]) {
-					o.prunedPlans.Add(1)
+					ctx.stats.PrunedPlans++
 					continue // every completion strictly dominated
 				}
-				o.searchedPlans.Add(1)
+				ctx.stats.Searched++
 				pts := o.planFrontier(ctx, plans[i], inc, bounds[i])
 				results[i] = pts
 				for _, p := range pts {
@@ -500,18 +513,22 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 	}
 	front := perf.Frontier(all)
 
-	o.stats.PrunedPlans = int(o.prunedPlans.Load())
-	o.stats.Searched = int(o.searchedPlans.Load())
-	o.stats.PrunedPartials = o.prunedPartials.Load()
-	o.stats.Compiled = o.compiled.Load()
+	st := SearchStats{Plans: len(plans)}
+	for _, c := range ctxs {
+		st.PrunedPlans += c.stats.PrunedPlans
+		st.Searched += c.stats.Searched
+		st.PrunedPartials += c.stats.PrunedPartials
+		st.Compiled += c.stats.Compiled
+	}
 	if inc != nil {
 		for i := range plans {
 			if !feasible[i] {
-				o.stats.Infeasible++
+				st.Infeasible++
 			}
 		}
-		o.fillBoundGaps(front, bounds, feasible)
+		st.fillBoundGaps(front, bounds, feasible)
 	}
+	o.stats = st
 	return front
 }
 
@@ -520,7 +537,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 // over the feasible plans. Each ratio is >= 1 when both sides are
 // positive (the bound is optimistic by construction) and 0 when either
 // side is undefined (empty frontier, no feasible plan).
-func (o *Optimizer) fillBoundGaps(front []SchedulePoint, bounds []perf.Metrics, feasible []bool) {
+func (s *SearchStats) fillBoundGaps(front []SchedulePoint, bounds []perf.Metrics, feasible []bool) {
 	if len(front) == 0 {
 		return
 	}
@@ -551,13 +568,13 @@ func (o *Optimizer) fillBoundGaps(front []SchedulePoint, bounds []perf.Metrics, 
 		aQPS = math.Max(aQPS, p.Metrics.QPSPerChip)
 	}
 	if bTTFT > 0 {
-		o.stats.TTFTGap = aTTFT / bTTFT
+		s.TTFTGap = aTTFT / bTTFT
 	}
 	if bTPOT > 0 {
-		o.stats.TPOTGap = aTPOT / bTPOT
+		s.TPOTGap = aTPOT / bTPOT
 	}
 	if aQPS > 0 {
-		o.stats.QPSGap = bQPS / aQPS
+		s.QPSGap = bQPS / aQPS
 	}
 }
 
@@ -567,7 +584,7 @@ func (o *Optimizer) fillBoundGaps(front []SchedulePoint, bounds []perf.Metrics, 
 // server count; batching policies are still tuned (the baseline is "an
 // extension of LLM-only systems", not a strawman with silly batches).
 func (o *Optimizer) BaselineFrontier() []SchedulePoint {
-	budget := o.Opts.Cluster.XPUs()
+	budget := o.opts.Cluster.XPUs()
 	half := budget / 2
 	if half < 1 {
 		half = 1

@@ -44,7 +44,7 @@ func shardedOptimizer(t *testing.T, schema ragschema.Schema, opts Options) *Opti
 // TestRetrievalKnobSearchMatchesExhaustive extends the branch-and-bound
 // acceptance test to the retrieval knob dimensions: with nprobe and shard
 // fanout both searched on a sharded tier with a recall surface, the pruned
-// search must return a frontier identical to the NoPrune exhaustive
+// search must return a frontier identical to the noPrune exhaustive
 // reference. The plan bound prices the retrieval envelope over every knob
 // pair and carries the surface's recall ceiling; any divergence here means
 // one of those relaxations stopped being admissible.
@@ -62,9 +62,7 @@ func TestRetrievalKnobSearchMatchesExhaustive(t *testing.T) {
 			opts.NProbes = []int{2, 0, 32}
 			opts.ShardFanouts = []int{2, 0}
 
-			exOpts := opts
-			exOpts.NoPrune = true
-			want := shardedOptimizer(t, tc.schema, exOpts).Optimize()
+			want := exhaustiveRef(shardedOptimizer(t, tc.schema, opts)).Optimize()
 			got := shardedOptimizer(t, tc.schema, opts).Optimize()
 
 			if len(want) == 0 {
