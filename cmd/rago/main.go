@@ -19,8 +19,8 @@
 // instead compiles the SLO-feasible frontier into a plan library and lets
 // the online controller hot-swap the live runtime between plans as the
 // (typically time-varying: -arrivals diurnal|mmpp|gamma, or a -trace
-// file) load shifts, reporting plan switches, chip-seconds against static
-// peak provisioning, and a discrete-event replay of the same decisions.
+// file) load shifts, reporting plan switches and chip-seconds against
+// static peak provisioning.
 package main
 
 import (

@@ -17,10 +17,8 @@ import (
 	"rago/internal/engine"
 	"rago/internal/obs"
 	"rago/internal/perf"
-	"rago/internal/pipeline"
 	"rago/internal/retrieval"
 	"rago/internal/serve"
-	"rago/internal/stageperf"
 	"rago/internal/trace"
 	"rago/internal/vectordb"
 )
@@ -359,15 +357,13 @@ func runServe(args []string) {
 	if perRequest < 1 {
 		perRequest = 1
 	}
-	var cacheCfg *cache.Config
+	cacheCfg := cache.Config{PrefixTokens: *cacheTokens, ChunkTokens: schema.ChunkTokens, AnswerEntries: *cacheAnswers}
 	if *cacheTokens > 0 || *cacheAnswers > 0 {
-		cfg := cache.Config{PrefixTokens: *cacheTokens, ChunkTokens: schema.ChunkTokens, AnswerEntries: *cacheAnswers}
-		c, err := cache.New(cfg)
+		c, err := cache.New(cacheCfg)
 		if err != nil {
 			log.Fatal(err)
 		}
 		opts.Cache = c
-		cacheCfg = &cfg
 	}
 
 	// Observability wiring: one bus feeds the optional metrics endpoint
@@ -487,7 +483,7 @@ func runServe(args []string) {
 		runControlled(o, front, tf, opts, info, *jsonOut, control.SLO{TTFT: *sloTTFT, TPOT: *sloTPOT},
 			control.Config{Window: *ctrlWindow, Interval: *ctrlTick, Headroom: *headroom, HoldDown: *holddown,
 				CacheGain: *cacheGain, MinRecall: *minRecall},
-			flushTrace, perRequest, cacheCfg)
+			flushTrace, perRequest)
 		return
 	}
 
@@ -504,12 +500,13 @@ func runServe(args []string) {
 		opts.Speedup = autoSpeedup(reqs, chosen.Metrics.QPS)
 	}
 
-	pipe, err := pipeline.Build(schema)
+	// Serve the plan the optimizer priced: its profiler carries the
+	// sharded tier's shard count and recall surface.
+	plan, err := o.Asm.Compile(chosen.Item)
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := stageperf.New(cluster.Chip, cluster.Host, schema)
-	rt, err := serve.New(pipe, prof, chosen.Item, opts)
+	srv, err := serve.NewServer(plan, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -517,40 +514,39 @@ func runServe(args []string) {
 	fmt.Fprintf(info, "schedule: %s\n", chosen.Item.Describe(o.Pipe))
 	fmt.Fprintf(info, "analytic: %s\n", chosen.Metrics)
 	if shapes := traceShapes(reqs); shapes != nil {
-		fmt.Fprintf(info, "analytic (shape-weighted): %s\n", rt.Plan().ShapeMetrics(shapes))
+		fmt.Fprintf(info, "analytic (shape-weighted): %s\n", plan.ShapeMetrics(shapes))
 	}
-	if cacheCfg != nil && cacheCfg.PrefixTokens > 0 {
+	if cacheCfg.PrefixTokens > 0 {
 		// Cache-aware analytic reference: replay the tagged trace through
 		// a fresh cache instance to get the per-request prefix credits the
 		// runtime's own cache will grant, then recost with them.
-		credits, cst, cerr := cache.ReplayCredits(*cacheCfg, reqs, schema.PrefixTokens)
+		credits, cst, cerr := cache.ReplayCredits(cacheCfg, reqs, schema.PrefixTokens)
 		if cerr != nil {
 			log.Fatal(cerr)
 		}
-		fmt.Fprintf(info, "analytic (cache-aware): %s\n", rt.Plan().CachedMetrics(traceShapes(reqs), credits))
+		fmt.Fprintf(info, "analytic (cache-aware): %s\n", plan.CachedMetrics(traceShapes(reqs), credits))
 		fmt.Fprintf(info, "analytic replay %s\n", cst)
 	}
 	fmt.Fprintf(info, "trace:    %s\n", desc)
 	fmt.Fprintf(info, "pacing:   speedup %.0fx\n\n", opts.Speedup)
 
-	rep, err := rt.Serve(reqs)
+	rep, err := srv.Serve(reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
 	flushTrace()
 	if *jsonOut {
-		printJSON(rep)
+		printJSON(&rep.Report)
 		return
 	}
-	fmt.Print(rep)
+	fmt.Print(&rep.Report)
 }
 
 // runControlled builds the SLO-filtered plan library from the frontier and
-// lets the online controller drive the replay, then cross-checks the
-// switching decisions in the discrete-event simulator.
+// lets the online controller drive the replay.
 func runControlled(o *core.Optimizer, front []core.SchedulePoint, tf traceFlags,
 	opts serve.Options, info *os.File, jsonOut bool, slo control.SLO, cfg control.Config,
-	flushTrace func(), perRequest int, cacheCfg *cache.Config) {
+	flushTrace func(), perRequest int) {
 	lib, err := control.NewLibrary(o, front, slo)
 	if err != nil {
 		log.Fatal(err)
@@ -594,30 +590,11 @@ func runControlled(o *core.Optimizer, front []core.SchedulePoint, tf traceFlags,
 	}
 	flushTrace()
 
-	// The discrete-event replay of the same decisions validates the live
-	// run: it runs the live run's loop under the same admission bound —
-	// and, when the runtime served with a cache, its own instance of it —
-	// so the runtime/sim ratio is exactly 1, with or without -max-inflight.
-	var simRes control.SimResult
-	if cacheCfg != nil {
-		simRes, err = control.SimReplayCached(lib, res, reqs, opts.FlushTimeout, opts.MaxInFlight, *cacheCfg)
-	} else {
-		simRes, err = control.SimReplay(lib, res, reqs, opts.FlushTimeout, opts.MaxInFlight)
-	}
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	if jsonOut {
-		printJSON(struct {
-			*control.Result
-			SimReplay *control.SimResult `json:"sim_replay,omitempty"`
-		}{res, &simRes})
+		printJSON(res)
 		return
 	}
 	fmt.Print(res)
-	fmt.Printf("sim replay: %d completed (%d rejected), QPS %.2f (runtime/sim ratio %.2f)\n",
-		simRes.Completed, simRes.Rejected, simRes.QPS, res.Report.SustainedQPS/simRes.QPS)
 }
 
 // traceShapes extracts the per-request shapes, or nil when the whole

@@ -1,8 +1,7 @@
 // The SLO-aware online controller: optimize Case IV once, compile the
 // SLO-feasible frontier into a plan library, then let the controller track
 // a diurnal day of traffic — switching the live serving runtime between
-// cheaper and beefier plans while holding p99 TTFT — and validate the
-// switching decisions in the discrete-event simulator.
+// cheaper and beefier plans while holding p99 TTFT.
 package main
 
 import (
@@ -53,11 +52,4 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Print(res)
-
-	sim, err := rago.ReplaySwitches(lib, res, reqs, 0.05, 0)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("sim replay: QPS %.2f (runtime/sim ratio %.2f)\n",
-		sim.QPS, res.Report.SustainedQPS/sim.QPS)
 }

@@ -100,7 +100,7 @@ func main() {
 		log.Fatal(err)
 	}
 	reqs = rago.WithTriggers(reqs, plan.Round.RoundsPerSeq, outTokens, 7)
-	rt, err := rago.NewRuntime(schema, sched, cluster, rago.ServeOptions{
+	srv, err := rago.NewServer(plan, rago.ServeOptions{
 		Speedup:      (n / plan.Metrics.QPS) / 6.0, // ~6s of wall time
 		FlushTimeout: 0.25,                         // let iterative rounds form full batches
 	})
@@ -109,11 +109,11 @@ func main() {
 	}
 	fmt.Printf("\nserving Case III live (decode batch %d, iterative batch %d, %d requests at 1.5x capacity)...\n",
 		sched.DecodeBatch, sched.IterativeBatch, n)
-	rep, err := rt.Serve(reqs)
+	rep, err := srv.Serve(reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(rep)
+	fmt.Print(&rep.Report)
 
 	// The token-level simulator at the identical operating point.
 	tok, err := rago.RunIterative(rago.IterativeConfig{

@@ -63,7 +63,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt, err := rago.NewRuntime(schema, best.Item, cluster, rago.ServeOptions{
+	plan, err := rago.CompilePlan(schema, best.Item, cluster)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv, err := rago.NewServer(plan, rago.ServeOptions{
 		Speedup:     (n / best.Metrics.QPS) / 4.0, // ~4s of wall time
 		WindowEvery: 2,
 		Bus:         bus,
@@ -91,11 +95,11 @@ func main() {
 		}
 	}()
 
-	rep, err := rt.Serve(reqs)
+	rep, err := srv.Serve(reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\n%s\n\n", rep)
+	fmt.Printf("\n%s\n\n", &rep.Report)
 
 	// 4. Drain the consumers: raw feed stats, then the span export.
 	counter.Close()

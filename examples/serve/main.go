@@ -47,15 +47,19 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rt, err := rago.NewRuntime(schema, best.Item, cluster, rago.ServeOptions{
+	plan, err := rago.CompilePlan(schema, best.Item, cluster)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv, err := rago.NewServer(plan, rago.ServeOptions{
 		Speedup: (n / best.Metrics.QPS) / 5.0, // ~5s of wall time
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := rt.Serve(reqs)
+	rep, err := srv.Serve(reqs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(rep)
+	fmt.Print(&rep.Report)
 }

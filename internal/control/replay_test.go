@@ -90,7 +90,7 @@ func sameStream(t *testing.T, what string, got, want []streamEvent) {
 func replayExactly(t *testing.T, lib *Library, res *Result, reqs []trace.Request, maxInFlight int, live []streamEvent) SimResult {
 	t.Helper()
 	bus, stream := recordStream(t, len(live)+1024)
-	sr, err := simReplay(lib, res, reqs, 0.05, maxInFlight, nil, bus)
+	sr, err := simReplay(lib, res, reqs, 0.05, maxInFlight, bus)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"rago/internal/cache"
 	"rago/internal/engine"
 	"rago/internal/obs"
 	"rago/internal/trace"
@@ -23,8 +22,6 @@ type SimResult struct {
 	// PerSegment annotates each plan tenure, in the order of the live
 	// run's Report.Epochs.
 	PerSegment []SegmentSim `json:"per_segment,omitempty"`
-	// Cache is the replay's reuse-cache statistics (SimReplayCached only).
-	Cache *cache.Stats `json:"cache,omitempty"`
 }
 
 // SegmentSim is one plan tenure of a simulated switching replay.
@@ -54,35 +51,18 @@ type SegmentSim struct {
 // tenures at once (shed-on-full, 0 admits everything), and events of
 // different tenures interleave in virtual-time order. That is what the
 // live run did, so for a Result the controller recorded with the same
-// flushTimeout and bound the replay equals the live run exactly.
+// flushTimeout and bound, and no reuse cache, the replay equals the live
+// run exactly.
 //
 // flushTimeout is the effective flush timeout, used as given: 0 dispatches
 // partial batches at once, where serve.Options.FlushTimeout 0 means 0.05 s.
 func SimReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int) (SimResult, error) {
-	return simReplay(lib, res, reqs, flushTimeout, maxInFlight, nil, nil)
-}
-
-// SimReplayCached is SimReplay with the simulator mirroring the live
-// Server's reuse cache: one cache built from cfg spans every tenure, the
-// way Options.Cache is server-scoped in the runtime (plan switches never
-// flush it), and sees the lookups of all tenures in virtual-time order.
-// The replay's cache statistics land in SimResult.Cache.
-func SimReplayCached(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int, cfg cache.Config) (SimResult, error) {
-	c, err := cache.New(cfg)
-	if err != nil {
-		return SimResult{}, err
-	}
-	out, err := simReplay(lib, res, reqs, flushTimeout, maxInFlight, c, nil)
-	if err == nil {
-		st := c.Stats()
-		out.Cache = &st
-	}
-	return out, err
+	return simReplay(lib, res, reqs, flushTimeout, maxInFlight, nil)
 }
 
 // simReplay runs the replay, publishing its request-level events on bus
 // (nil publishes nothing).
-func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int, c *cache.Cache, bus *obs.Bus) (SimResult, error) {
+func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout float64, maxInFlight int, bus *obs.Bus) (SimResult, error) {
 	if lib == nil || len(lib.Entries) == 0 {
 		return SimResult{}, fmt.Errorf("control: empty plan library")
 	}
@@ -116,7 +96,7 @@ func simReplay(lib *Library, res *Result, reqs []trace.Request, flushTimeout flo
 		} else if !lib.Entries[res.Start].Plan.CompatibleWith(p) {
 			return SimResult{}, fmt.Errorf("control: tenure runs entry %d, a different stage graph", segs[i].Entry)
 		}
-		loop.Add(engine.NewCore(p, led, flushTimeout, c, bus, t.Epoch(i)), segs[i].FromV)
+		loop.Add(engine.NewCore(p, led, flushTimeout, nil, bus, t.Epoch(i)), segs[i].FromV)
 	}
 	loop.Advance(math.Inf(1), nil)
 

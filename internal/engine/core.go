@@ -17,9 +17,10 @@ import (
 // keeps its own pending events in a typed heap and handles them one at a
 // time in (virtual time, push order), so the only thing a driver decides
 // is when each event is handled. Every run drives its cores through one
-// Loop (loop.go): sim.ServeSim and the controller's replay run it to the
-// end, serve.Server advances it on the wall clock, and all three make the
-// same decisions and publish the same stream.
+// Loop (loop.go): sim.ServeSim and the controller's replay
+// (control.SimReplay) run it to the end, serve.Server advances it on the
+// wall clock, and all three make the same decisions over the same compiled
+// plans and publish the same stream.
 
 // Ledger is the per-request state of one trace run, indexed by trace
 // position: pending-predecessor counts, queue-entry times, TTFT, decode

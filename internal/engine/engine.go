@@ -9,10 +9,15 @@
 //
 // Three executors consume the same *Plan:
 //
-//   - core.Assembler reads Plan.Metrics (Algorithm 1 step 3);
-//   - sim.ServeSim replays traces through Plan.Steps as a discrete-event
-//     system;
-//   - serve.Server executes Plan.Steps live under wall-clock pacing.
+//   - core.Assembler reads Plan.Metrics (Algorithm 1 step 3), and its
+//     Compile yields the plans the other two run;
+//   - sim.ServeSim (sim.NewServeFromPlan) replays traces through
+//     Plan.Steps as a discrete-event system;
+//   - serve.Server (serve.NewServer) executes Plan.Steps live under
+//     wall-clock pacing.
+//
+// Neither trace executor compiles a plan of its own, so each runs the plan
+// the optimizer priced.
 //
 // The trace executors and the controller's replay make every request-level
 // decision through one Core (core.go), over a Dispatcher per serial

@@ -27,7 +27,7 @@ func BenchmarkServeCaseIV(b *testing.B) {
 	speedup := (float64(n) / want.QPS) / 4.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+		rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func BenchmarkServeHeterogeneous(b *testing.B) {
 		r.PromptTokens, r.OutputTokens = 0, 0
 		baseline[i] = r
 	}
-	brt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	brt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func BenchmarkServeHeterogeneous(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+		rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +122,7 @@ func BenchmarkServeCaseIII(b *testing.B) {
 	speedup := (float64(n) / plan.Metrics.QPS) / 8.0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := New(pipe, prof, sched, Options{Speedup: speedup, FlushTimeout: iterFlush})
+		rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup, FlushTimeout: iterFlush})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkServeCachedCaseI(b *testing.B) {
 	}
 	speedup := (float64(n) / want.QPS) / 4.0
 
-	brt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	brt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func BenchmarkServeCachedCaseI(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rt, err := New(pipe, prof, sched, Options{Speedup: speedup, Cache: c})
+		rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup, Cache: c})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -196,6 +196,9 @@ func BenchmarkServeCachedCaseI(b *testing.B) {
 		}
 		if rep.Cache == nil {
 			b.Fatal("cached replay reported no cache stats")
+		}
+		if r := rep.SustainedQPS / brep.SustainedQPS; r < 1.5 {
+			b.Fatalf("cached QPS %.3fx the uncached baseline, want at least 1.5x", r)
 		}
 		b.ReportMetric(rep.SustainedQPS, "sustainedQPS")
 		b.ReportMetric(rep.SustainedQPS/brep.SustainedQPS, "QPSvsNoCache")
@@ -235,7 +238,7 @@ func BenchmarkServeBucketedCaseI(b *testing.B) {
 	}
 	speedup := (float64(n) / want.QPS) / 4.0
 
-	frt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	frt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -246,7 +249,7 @@ func BenchmarkServeBucketedCaseI(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := New(pipe, prof, bs, Options{Speedup: speedup})
+		rt, err := serverFor(pipe, prof, bs, Options{Speedup: speedup})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -256,6 +259,12 @@ func BenchmarkServeBucketedCaseI(b *testing.B) {
 		}
 		if rep.Completed != n {
 			b.Fatalf("completed %d of %d", rep.Completed, n)
+		}
+		if rep.PadWaste > 0.30 {
+			b.Fatalf("padding waste %.4f, want at most 0.30", rep.PadWaste)
+		}
+		if r := rep.SustainedQPS / frep.SustainedQPS; r < 1.25 {
+			b.Fatalf("QPS %.3fx the FIFO baseline, want at least 1.25x", r)
 		}
 		b.ReportMetric(rep.SustainedQPS, "sustainedQPS")
 		b.ReportMetric(rep.TTFT.P99, "p99TTFT_s")
@@ -291,7 +300,7 @@ func BenchmarkServeChunkedCaseI(b *testing.B) {
 	}
 	speedup := (float64(n) / want.QPS) / 4.0
 
-	frt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	frt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -302,7 +311,7 @@ func BenchmarkServeChunkedCaseI(b *testing.B) {
 
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rt, err := New(pipe, prof, cs, Options{Speedup: speedup})
+		rt, err := serverFor(pipe, prof, cs, Options{Speedup: speedup})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -312,6 +321,12 @@ func BenchmarkServeChunkedCaseI(b *testing.B) {
 		}
 		if rep.Completed != n {
 			b.Fatalf("completed %d of %d", rep.Completed, n)
+		}
+		if rep.PadWaste > 0.30 {
+			b.Fatalf("padding waste %.4f, want at most 0.30", rep.PadWaste)
+		}
+		if r := rep.SustainedQPS / frep.SustainedQPS; r < 1.25 {
+			b.Fatalf("QPS %.3fx the FIFO baseline, want at least 1.25x", r)
 		}
 		b.ReportMetric(rep.SustainedQPS, "sustainedQPS")
 		b.ReportMetric(rep.TTFT.P99, "p99TTFT_s")

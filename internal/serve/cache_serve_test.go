@@ -67,7 +67,7 @@ func TestRuntimeCachedCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, Cache: rtCache})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, Cache: rtCache})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestRuntimeCachedCrossCheck(t *testing.T) {
 	}
 
 	within(t, "cached runtime QPS vs cache-aware analytic", rep.SustainedQPS, want.QPS, 0.15)
-	matchesSim(t, "cached Case I", rep, res)
+	matchesSim(t, "cached Case I", &rep.Report, res)
 
 	// Hit rates: runtime = sim ≈ the trace's intrinsic reuse skew.
 	hr, ha := rep.Cache.HitRate, replayStats.HitRate
@@ -169,7 +169,7 @@ func TestCacheInertWhenDisabled(t *testing.T) {
 
 	// The live runtime on the tagged trace with a nil cache keeps the
 	// historical report surface: no cache stats, no shape artifacts.
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestAnswerTierShortCircuit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, Cache: rtCache})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, Cache: rtCache})
 	if err != nil {
 		t.Fatal(err)
 	}

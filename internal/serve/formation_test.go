@@ -58,7 +58,7 @@ func TestRuntimeBatchPolicyCrossCheck(t *testing.T) {
 			// replay serves n heavy-tailed requests arriving at load x the
 			// policy-aware capacity, live and through the event sim;
 			// capacity is the analytic QPS.
-			replay := func(n int, load float64) (rep *Report, res sim.ServeResult, capacity float64) {
+			replay := func(n int, load float64) (rep *ServerReport, res sim.ServeResult, capacity float64) {
 				reqs, err := trace.Poisson(n, 1, 42) // rescaled below
 				if err != nil {
 					t.Fatal(err)
@@ -68,7 +68,7 @@ func TestRuntimeBatchPolicyCrossCheck(t *testing.T) {
 				for i := range reqs {
 					reqs[i].Arrival /= load * capacity
 				}
-				rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
+				rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -87,7 +87,7 @@ func TestRuntimeBatchPolicyCrossCheck(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				matchesSim(t, fmt.Sprintf("%s at load %.1f", cfg.name, load), rep, res)
+				matchesSim(t, fmt.Sprintf("%s at load %.1f", cfg.name, load), &rep.Report, res)
 				return rep, res, capacity
 			}
 
@@ -158,7 +158,7 @@ func TestRuntimeFormationInvariants(t *testing.T) {
 			for i := range reqs {
 				reqs[i].Arrival /= 2 * want.QPS
 			}
-			rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
+			rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced})
 			if err != nil {
 				t.Fatal(err)
 			}

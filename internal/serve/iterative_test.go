@@ -59,7 +59,7 @@ func runCaseIII(t *testing.T, pipe pipeline.Pipeline, prof *stageperf.Profiler, 
 		t.Fatal(err)
 	}
 	reqs = trace.WithTriggers(reqs, plan.Round.RoundsPerSeq, pipe.Stages[plan.DecodeIdx].OutTokens, 7)
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: iterFlush})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: iterFlush})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func runCaseIII(t *testing.T, pipe pipeline.Pipeline, prof *stageperf.Profiler, 
 	if rep.Stall.Mean <= 0 || rep.Stall.P99 < rep.Stall.P50 {
 		t.Fatalf("iterative stall quantiles implausible: %+v", rep.Stall)
 	}
-	return plan, rep
+	return plan, &rep.Report
 }
 
 // tokenSim runs the §5.3 token-level simulator at the plan's operating
@@ -270,12 +270,12 @@ func TestRuntimeCaseIIITelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	speedup := float64(n) / plan.Metrics.QPS // about a wall second
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup, FlushTimeout: iterFlush})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup, FlushTimeout: iterFlush})
 	if err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan struct{})
-	var rep *Report
+	var rep *ServerReport
 	go func() {
 		rep, err = rt.Serve(reqs)
 		close(done)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"rago/internal/core"
@@ -11,10 +12,10 @@ import (
 // BenchmarkServeObsOverhead is the observability-cost trajectory point CI
 // uploads (BENCH_obs.json): the BenchmarkServeCaseIV replay served twice
 // per iteration — once with a nil bus (every instrumentation site on its
-// zero-cost fast path; nilBusQPS must track the historical ServeCaseIV
-// sustainedQPS within 5%) and once with a bus plus an attached
-// deep-buffered Tracer (the full per-request firehose) — reporting both
-// sustained rates and the traced/nil ratio.
+// zero-cost fast path; its sustained QPS must be within 5% of the plan's
+// analytic QPS) and once with a bus plus an attached deep-buffered Tracer
+// (the full per-request firehose; its QPS must be within 5% of the nil
+// bus's) — reporting both sustained rates and the traced/nil ratio.
 func BenchmarkServeObsOverhead(b *testing.B) {
 	pipe, prof, sched := caseIVSetup(b)
 	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
@@ -29,7 +30,7 @@ func BenchmarkServeObsOverhead(b *testing.B) {
 	speedup := (float64(n) / want.QPS) / 4.0
 
 	run := func(bus *obs.Bus) *Report {
-		rt, err := New(pipe, prof, sched, Options{Speedup: speedup, Bus: bus})
+		rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup, Bus: bus})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -40,7 +41,7 @@ func BenchmarkServeObsOverhead(b *testing.B) {
 		if rep.Completed != n {
 			b.Fatalf("completed %d of %d", rep.Completed, n)
 		}
-		return rep
+		return &rep.Report
 	}
 
 	b.ResetTimer()
@@ -55,6 +56,12 @@ func BenchmarkServeObsOverhead(b *testing.B) {
 		tracedRep := run(bus)
 		tr.Close()
 
+		if math.Abs(nilRep.QPSVsAnalytic-1) > 0.05 {
+			b.Fatalf("nil-bus QPS %.3fx the plan's analytic QPS, want within 5%%", nilRep.QPSVsAnalytic)
+		}
+		if r := tracedRep.SustainedQPS / nilRep.SustainedQPS; math.Abs(r-1) > 0.05 {
+			b.Fatalf("traced QPS %.3fx the nil-bus QPS, want within 5%%", r)
+		}
 		b.ReportMetric(nilRep.SustainedQPS, "nilBusQPS")
 		b.ReportMetric(tracedRep.SustainedQPS, "tracedQPS")
 		b.ReportMetric(tracedRep.SustainedQPS/nilRep.SustainedQPS, "tracedOverNil")

@@ -21,7 +21,7 @@ func tracedServe(t *testing.T, opts Options, reqs []trace.Request) (*Report, []o
 		t.Fatal(err)
 	}
 	opts.Bus = bus
-	rt, err := New(pipe, prof, sched, opts)
+	rt, err := serverFor(pipe, prof, sched, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func tracedServe(t *testing.T, opts Options, reqs []trace.Request) (*Report, []o
 	if tr.Dropped() != 0 {
 		t.Fatalf("tracer dropped %d events with a deep buffer", tr.Dropped())
 	}
-	return rep, tr.Requests()
+	return &rep.Report, tr.Requests()
 }
 
 // TestObsSpanParityServeVsSim is the structural cross-check the tracer
@@ -134,7 +134,7 @@ func TestObsBackpressureSlowSubscriber(t *testing.T) {
 	speedup := (float64(n) / plan.Metrics.QPS) / 0.5
 
 	run := func(bus *obs.Bus) *Report {
-		rt, err := New(pipe, prof, sched, Options{Speedup: speedup, Bus: bus})
+		rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup, Bus: bus})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -142,7 +142,7 @@ func TestObsBackpressureSlowSubscriber(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return &rep.Report
 	}
 
 	base := run(nil)
@@ -192,7 +192,7 @@ func TestObsWindowStreamAndSteadyQPS(t *testing.T) {
 
 	bus := obs.NewBus()
 	sub := bus.Subscribe(1 << 15)
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, Bus: bus, WindowEvery: every})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, Bus: bus, WindowEvery: every})
 	if err != nil {
 		t.Fatal(err)
 	}

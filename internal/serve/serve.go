@@ -1,7 +1,7 @@
-// Package serve executes RAGO schedules for real: it turns a compiled
-// execution plan (internal/engine) straight out of the optimizer into a
-// live serving runtime and replays open-loop request traces through it
-// under wall-clock pacing.
+// Package serve executes RAGO schedules for real: NewServer turns a
+// compiled execution plan (internal/engine) straight out of the optimizer
+// into a live serving runtime, Server, and Serve replays open-loop request
+// traces through it under wall-clock pacing.
 //
 // The runtime drives engine.Core, the request-level state machine, through
 // engine.Loop, the same arrival/epoch merge loop the discrete-event
@@ -27,14 +27,6 @@
 // the Window stream are timers of the loop itself (Server.At), so they too
 // happen at the same virtual instants at any speedup.
 //
-// Two front ends drive the same loop. Runtime executes one plan for one
-// trace. Server executes a sequence of plans: Switch hot-swaps it onto a
-// new compiled plan with drain-and-migrate semantics — every plan epoch has
-// its own core, in-flight requests finish on the epoch that admitted them
-// while requests arriving from the switch on route to the new one — which
-// is what the SLO-aware controller in internal/control drives. Both
-// publish windowed telemetry (Telemetry) that can be polled mid-replay.
-//
 // A run's counts, rates, per-stage batching and end come from one
 // engine.Tally, the account the simulator and the controller's replay read
 // too; the collector keeps only per-completion samples, arrival times and
@@ -54,8 +46,6 @@ import (
 	"rago/internal/obs"
 	"rago/internal/pipeline"
 	"rago/internal/retrieval"
-	"rago/internal/stageperf"
-	"rago/internal/trace"
 	"rago/internal/vectordb"
 )
 
@@ -67,7 +57,7 @@ import (
 // they are valid only until the function returns.
 type SearchFunc func(queries [][]float32) ([][]vectordb.Result, error)
 
-// Options configures a Runtime or Server.
+// Options configures a Server.
 type Options struct {
 	// Speedup compresses time: one virtual second of schedule latency is
 	// served in 1/Speedup wall seconds. 0 means 1 (real time); negative
@@ -375,48 +365,6 @@ func (s *Server) finish(sr *search) {
 	}
 	s.searchBufs.Put(b)
 }
-
-// Runtime is a live serving engine for one compiled plan: the
-// single-plan facade over Server (one epoch, never switched, analytical
-// reference attached). It is single-use: build, Serve one trace, read
-// the Report.
-type Runtime struct {
-	srv *Server
-}
-
-// New compiles (pipeline, schedule) through the shared engine and builds
-// a runtime executing the resulting plan. Negative Options are rejected
-// (NewServer's validation).
-func New(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule, opts Options) (*Runtime, error) {
-	plan, err := engine.Compile(pipe, sched, prof)
-	if err != nil {
-		return nil, err
-	}
-	srv, err := NewServer(plan, opts)
-	if err != nil {
-		return nil, err
-	}
-	return &Runtime{srv: srv}, nil
-}
-
-// Plan returns the compiled execution plan the runtime executes.
-func (rt *Runtime) Plan() *engine.Plan { return rt.srv.Plan() }
-
-// Serve replays the trace through the live engine and blocks until every
-// request has completed or been rejected. Arrival times are virtual
-// seconds; they are paced in wall time at the configured Speedup.
-func (rt *Runtime) Serve(reqs []trace.Request) (*Report, error) {
-	rep, err := rt.srv.Serve(reqs)
-	if rep == nil {
-		return nil, err
-	}
-	return &rep.Report, err
-}
-
-// Telemetry snapshots the sliding-window serving metrics over the trailing
-// window virtual seconds. It is safe to call concurrently with Serve, at
-// any time; before Serve starts it returns the zero Window.
-func (rt *Runtime) Telemetry(window float64) Window { return rt.srv.Telemetry(window) }
 
 // clock maps virtual schedule time onto compressed wall time.
 type clock struct {

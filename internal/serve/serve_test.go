@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rago/internal/core"
+	"rago/internal/engine"
 	"rago/internal/hw"
 	"rago/internal/pipeline"
 	"rago/internal/ragschema"
@@ -61,6 +62,15 @@ func caseISetup(t testing.TB) (pipeline.Pipeline, *stageperf.Profiler, core.Sche
 	return pipe, prof, sched
 }
 
+// serverFor compiles sched for pipe on prof and builds a Server over the plan.
+func serverFor(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule, opts Options) (*Server, error) {
+	plan, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		return nil, err
+	}
+	return NewServer(plan, opts)
+}
+
 // TestRuntimeSaturationMatchesAnalytic is the headline cross-check: a
 // 10k-request Poisson trace at 1.5x the analytical capacity, replayed
 // through the live engine, must sustain the assembler's QPS within 15% —
@@ -77,7 +87,7 @@ func TestRuntimeSaturationMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +111,7 @@ func TestRuntimeSaturationMatchesAnalytic(t *testing.T) {
 	}
 
 	// Cross-check against the discrete-event simulator on the same trace.
-	des, err := sim.NewServe(pipe, prof, sched)
+	des, err := sim.NewServeFromPlan(rt.Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +119,7 @@ func TestRuntimeSaturationMatchesAnalytic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesSim(t, "Case IV saturation", rep, res)
+	matchesSim(t, "Case IV saturation", &rep.Report, res)
 }
 
 // TestRuntimeUnloadedTTFT checks the other calibration end: at batch 1 and
@@ -126,7 +136,7 @@ func TestRuntimeUnloadedTTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +160,7 @@ func TestRuntimeUnloadedTTFT(t *testing.T) {
 // request still completes.
 func TestRuntimeAdmissionControl(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, MaxInFlight: 32})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, MaxInFlight: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +197,7 @@ func TestRuntimeRealRetrieval(t *testing.T) {
 	// Float32()*10 per coordinate.
 	var mu sync.Mutex
 	offStream := 0
-	rt, err := New(pipe, prof, sched, Options{
+	rt, err := serverFor(pipe, prof, sched, Options{
 		Speedup: unpaced,
 		Searcher: func(queries [][]float32) ([][]vectordb.Result, error) {
 			matched := false
@@ -239,7 +249,7 @@ func TestRuntimeRealRetrieval(t *testing.T) {
 // compression — primarily a data-race canary for `go test -race`.
 func TestRuntimeConcurrentReplay(t *testing.T) {
 	pipe, prof, sched := caseIVSetup(t)
-	rt, err := New(pipe, prof, sched, Options{Speedup: 500, MaxInFlight: 256})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: 500, MaxInFlight: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,26 +286,26 @@ func TestRuntimeRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	iterProf := stageperf.New(hw.XPUC, hw.EPYCHost, iterSchema)
-	if _, err := New(iterPipe, iterProf, sched, Options{}); err == nil {
+	if _, err := serverFor(iterPipe, iterProf, sched, Options{}); err == nil {
 		t.Error("iterative schedule without IterativeBatch should be rejected")
 	}
 	iterSched := sched
 	iterSched.IterativeBatch = 8
-	if _, err := New(iterPipe, iterProf, iterSched, Options{}); err != nil {
+	if _, err := serverFor(iterPipe, iterProf, iterSched, Options{}); err != nil {
 		t.Errorf("iterative workload with a complete schedule should serve: %v", err)
 	}
 
 	bad := sched
 	bad.DecodeChips = 0
-	if _, err := New(pipe, prof, bad, Options{}); err == nil {
+	if _, err := serverFor(pipe, prof, bad, Options{}); err == nil {
 		t.Error("invalid schedule should be rejected")
 	}
 
-	if _, err := New(pipe, prof, sched, Options{Searcher: func([][]float32) ([][]vectordb.Result, error) { return nil, nil }}); err == nil {
+	if _, err := serverFor(pipe, prof, sched, Options{Searcher: func([][]float32) ([][]vectordb.Result, error) { return nil, nil }}); err == nil {
 		t.Error("Searcher without QueryDim should be rejected")
 	}
 
-	rt, err := New(pipe, prof, sched, Options{Speedup: 500})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,7 @@ func TestRuntimeCaseVFanOutEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,7 +387,7 @@ func TestRuntimeCaseVFanOutEndToEnd(t *testing.T) {
 	}
 
 	// Cross-check against the discrete-event simulator on the same trace.
-	des, err := sim.NewServe(pipe, prof, sched)
+	des, err := sim.NewServeFromPlan(rt.Plan())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +395,7 @@ func TestRuntimeCaseVFanOutEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesSim(t, "Case V fan-out", rep, res)
+	matchesSim(t, "Case V fan-out", &rep.Report, res)
 }
 
 // TestRuntimeCaseVUnloadedTTFT: the live engine must overlap the parallel
@@ -403,7 +413,7 @@ func TestRuntimeCaseVUnloadedTTFT(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

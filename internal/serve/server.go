@@ -124,10 +124,11 @@ type ServerReport struct {
 // plans of the same pipeline mid-replay. Each request is admitted by the
 // plan current at its arrival; a Switch retires the old plan, whose
 // in-flight requests finish on their own core (drain-and-migrate — no
-// request is dropped or served twice). Like Runtime it is single-use:
-// build, Serve one trace, read the report. Switch and Telemetry are safe to
-// call concurrently with Serve; the SLO-aware controller in
-// internal/control is the intended caller.
+// request is dropped or served twice); a Server never switched runs one
+// plan and reports its analytical reference. It is single-use: build,
+// Serve one trace, read the report. Switch and Telemetry are safe to call
+// concurrently with Serve; the SLO-aware controller in internal/control is
+// the intended caller of Switch.
 type Server struct {
 	opts Options
 

@@ -22,10 +22,10 @@ import (
 // with a descriptive error instead of being silently mapped to defaults.
 func TestOptionsValidation(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
-	if _, err := New(pipe, prof, sched, Options{Speedup: -1}); err == nil {
+	if _, err := serverFor(pipe, prof, sched, Options{Speedup: -1}); err == nil {
 		t.Error("negative Speedup should be rejected")
 	}
-	if _, err := New(pipe, prof, sched, Options{MaxInFlight: -5}); err == nil {
+	if _, err := serverFor(pipe, prof, sched, Options{MaxInFlight: -5}); err == nil {
 		t.Error("negative MaxInFlight should be rejected")
 	}
 	plan, err := engine.Compile(pipe, sched, prof)
@@ -38,11 +38,11 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewServer(nil, Options{}); err == nil {
 		t.Error("NewServer should reject a nil plan")
 	}
-	if _, err := New(pipe, prof, sched, Options{Sharded: new(vectordb.Sharded)}); err == nil || !strings.Contains(err.Error(), "Sharded") {
+	if _, err := serverFor(pipe, prof, sched, Options{Sharded: new(vectordb.Sharded)}); err == nil || !strings.Contains(err.Error(), "Sharded") {
 		t.Errorf("Sharded without QueryDim should be rejected naming Sharded, got %v", err)
 	}
 	// Zero remains "default", not an error.
-	if _, err := New(pipe, prof, sched, Options{}); err != nil {
+	if _, err := serverFor(pipe, prof, sched, Options{}); err != nil {
 		t.Errorf("zero options should be fine: %v", err)
 	}
 }
@@ -66,7 +66,7 @@ func TestQuantilesOfEdgeCases(t *testing.T) {
 // (the -json CLI flag and CI artifacts depend on it).
 func TestReportJSON(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
-	rt, err := New(pipe, prof, sched, Options{Speedup: 400})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: 400})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRuntimeTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	speedup := float64(n) / want.QPS // about a wall second
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestRuntimeTelemetry(t *testing.T) {
 		t.Errorf("pre-Serve telemetry should be zero, got %+v", w)
 	}
 	done := make(chan struct{})
-	var rep *Report
+	var rep *ServerReport
 	go func() {
 		rep, err = rt.Serve(reqs)
 		close(done)

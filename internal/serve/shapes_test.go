@@ -63,7 +63,7 @@ func TestRuntimeHeterogeneousCrossCheck(t *testing.T) {
 		reqs[i].Arrival /= 1.5 * want.QPS
 	}
 
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestRuntimeHeterogeneousCrossCheck(t *testing.T) {
 	}
 
 	within(t, "runtime QPS vs shape-weighted analytic", rep.SustainedQPS, want.QPS, 0.15)
-	matchesSim(t, "heavy-tailed Case I", rep, res)
+	matchesSim(t, "heavy-tailed Case I", &rep.Report, res)
 	within(t, "runtime mean TTFT vs event-sim", rep.TTFT.Mean, res.MeanTTFT, 1e-9)
 	within(t, "runtime mean TPOT vs shape-weighted analytic", rep.TPOT.Mean, want.TPOT, 0.15)
 
@@ -138,7 +138,7 @@ func TestRuntimeHeterogeneousUnloadedTTFT(t *testing.T) {
 		t.Fatalf("heavy prompts should stretch analytic TTFT: %.4f vs %.4f", want.TTFT, plan.Metrics.TTFT)
 	}
 
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestRuntimeConstantShapeRegression(t *testing.T) {
 	// The live runtime on the unshaped trace reports no shape buckets and
 	// no padding waste — the report surface is unchanged for existing
 	// traces.
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestTelemetryShapeBuckets(t *testing.T) {
 	}
 	reqs := heavyShapes(t, base)
 	speedup := 2500 / plan.Metrics.QPS // about a wall second
-	rt, err := New(pipe, prof, sched, Options{Speedup: speedup})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: speedup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestRuntimeIterativeShapedSmoke(t *testing.T) {
 	}
 	reqs := trace.WithShapes(base, trace.LengthDist{}, output, 23)
 
-	rt, err := New(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: iterFlush})
+	rt, err := serverFor(pipe, prof, sched, Options{Speedup: unpaced, FlushTimeout: iterFlush})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestRuntimeIterativeShapedSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	matchesSim(t, "shaped Case III", rep, res)
+	matchesSim(t, "shaped Case III", &rep.Report, res)
 	if rep.Stall.Max <= 0 {
 		t.Error("iterative shaped replay recorded no stall")
 	}

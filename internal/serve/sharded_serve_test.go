@@ -79,21 +79,32 @@ func buildShardedSubstrate(t testing.TB) (*vectordb.Sharded, *retrieval.RecallMo
 // real 4-shard x 2-replica scatter-gather index at three fanout operating
 // points, reporting sustained QPS, p99 TTFT, and the operating point's
 // calibrated recall@10 — the latency/quality trade the recall axis puts
-// on the frontier, measured end to end.
+// on the frontier, measured end to end. The recall must rise strictly with
+// the fanout.
 func BenchmarkServeShardedCaseI(b *testing.B) {
 	pipe, prof, sched := caseISetup(b)
 	sh, mod, dim := buildShardedSubstrate(b)
 	prof.Shards = sh.Shards()
 	prof.RecallMod = mod
 	sched.NProbe = 16
-	for _, fanout := range []int{1, 2, 4} {
+	fanouts := []int{1, 2, 4}
+	plans := make([]*engine.Plan, len(fanouts))
+	for i, fanout := range fanouts {
+		s := sched
+		s.ShardFanout = fanout
+		plan, err := engine.Compile(pipe, s, prof)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i > 0 && !(plan.Metrics.Recall > plans[i-1].Metrics.Recall) {
+			b.Fatalf("recall@10 %.4f at fanout %d, want above %.4f at fanout %d",
+				plan.Metrics.Recall, fanout, plans[i-1].Metrics.Recall, fanouts[i-1])
+		}
+		plans[i] = plan
+	}
+	for i, fanout := range fanouts {
+		plan := plans[i]
 		b.Run(fmt.Sprintf("fanout=%d", fanout), func(b *testing.B) {
-			s := sched
-			s.ShardFanout = fanout
-			plan, err := engine.Compile(pipe, s, prof)
-			if err != nil {
-				b.Fatal(err)
-			}
 			const n = 4000
 			reqs, err := trace.Poisson(n, 1.5*plan.Metrics.QPS, 42)
 			if err != nil {

@@ -36,7 +36,7 @@ func BenchmarkServeSimCaseIV(b *testing.B) {
 		DecodeBatch:      64,
 		DecodeReplicas:   4,
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func BenchmarkServeSimCaseIII(b *testing.B) {
 		DecodeReplicas:   4,
 		IterativeBatch:   8,
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		b.Fatal(err)
 	}

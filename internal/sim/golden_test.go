@@ -44,9 +44,8 @@ func TestServeSimConstantShapeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ServeResult{
-		Completed:   3000,
-		QPS:         205.08542593602056,
+	want := engine.Summary{
+		Count:       engine.Count{Completed: 3000, QPS: 205.08542593602056},
 		MeanTTFT:    0.073760364094233991,
 		MeanLatency: 3.2074139114869626,
 	}
@@ -107,9 +106,8 @@ func TestServeSimIterativeConstantShapeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ServeResult{
-		Completed: 1500,
-		QPS:       88.442242484580802,
+	want := engine.Summary{
+		Count:     engine.Count{Completed: 1500, QPS: 88.442242484580802},
 		MeanTTFT:  0.36255653386005227,
 		MeanStall: 0.81148571334212116,
 	}

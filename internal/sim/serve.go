@@ -7,13 +7,11 @@ import (
 	"rago/internal/cache"
 	"rago/internal/engine"
 	"rago/internal/obs"
-	"rago/internal/pipeline"
-	"rago/internal/stageperf"
 	"rago/internal/trace"
 )
 
-// ServeSim executes a compiled execution plan on a request trace as a
-// discrete-event system: the plan's resources are time-multiplexed servers
+// ServeSim executes a compiled execution plan (NewServeFromPlan) on a
+// request trace as a discrete-event system: the plan's resources are time-multiplexed servers
 // forming batches per stage, and the decode tier is a pool of
 // continuous-batching slots. Requests traverse the pipeline's stage graph —
 // fan-out stages run concurrently on their resources and joins wait for
@@ -51,46 +49,18 @@ type ServeSim struct {
 	Cache *cache.Cache
 }
 
-// ServeResult is the measured behaviour of one run: a view of the run's
-// engine.Tally (Tally.Summary) plus the cache's counters.
+// ServeResult is the measured behaviour of one run: its engine.Tally's
+// Summary plus the reuse cache's final counters (Cache, nil when the run
+// had no cache attached).
 type ServeResult struct {
-	Completed int
-	// Rejected counts arrivals shed by the MaxInFlight admission bound.
-	Rejected int
-	// QPS is the completion rate (Tally.CompletionRate) and SteadyQPS the
-	// peak windowed one (Tally.SteadyRate).
-	QPS, SteadyQPS float64
-	// MeanTTFT is the average time from arrival to prefix completion.
-	MeanTTFT float64
-	// MeanLatency is the average time from arrival to full generation.
-	MeanLatency float64
-	// MeanStall is the average per-request time sequences spent parked
-	// in the §5.3 decode loop (0 for single-retrieval plans).
-	MeanStall float64
-	// PadWaste is the fraction of padded prompt tokens spent padding
-	// (engine.Summary.PadWaste).
-	PadWaste float64
-	// FirstDone and LastDone bound the completion span in absolute trace
-	// time.
-	FirstDone, LastDone float64
-	// Cache carries the reuse cache's final counters (nil when the run
-	// had no cache attached).
+	engine.Summary
 	Cache *cache.Stats
 }
 
-// NewServe compiles (pipeline, schedule) through the shared engine and
-// builds a simulator for the resulting plan.
-func NewServe(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule) (*ServeSim, error) {
-	plan, err := engine.Compile(pipe, sched, prof)
-	if err != nil {
-		return nil, err
-	}
-	return NewServeFromPlan(plan)
-}
-
-// NewServeFromPlan wraps an already-compiled execution plan — the object
-// the optimizer's library and the live runtime share — so switching
-// decisions can be replayed without recompiling schedules.
+// NewServeFromPlan builds a simulator for a compiled execution plan (see
+// engine.Compile or core.Assembler.Compile) — the object the live runtime
+// executes, so both run the plan the optimizer priced. Inexecutable plans
+// (engine.Plan.Executable) are rejected.
 func NewServeFromPlan(plan *engine.Plan) (*ServeSim, error) {
 	if err := plan.Executable(); err != nil {
 		return nil, err
@@ -114,18 +84,7 @@ func (s *ServeSim) Run(reqs []trace.Request, flushTimeout float64) (ServeResult,
 	if sum.Completed == 0 {
 		return ServeResult{}, fmt.Errorf("sim: no request completed")
 	}
-	res := ServeResult{
-		Completed:   sum.Completed,
-		Rejected:    sum.Rejected,
-		QPS:         sum.QPS,
-		SteadyQPS:   sum.SteadyQPS,
-		MeanTTFT:    sum.MeanTTFT,
-		MeanLatency: sum.MeanLatency,
-		MeanStall:   sum.MeanStall,
-		PadWaste:    sum.PadWaste,
-		FirstDone:   sum.FirstDone,
-		LastDone:    sum.LastDone,
-	}
+	res := ServeResult{Summary: sum}
 	if s.Cache != nil {
 		st := s.Cache.Stats()
 		res.Cache = &st

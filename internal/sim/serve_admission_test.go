@@ -13,7 +13,7 @@ import (
 // produces (serve_test.go's TestRuntimeAdmissionControl counterpart).
 func TestServeSimMaxInFlightBurst(t *testing.T) {
 	pipe, prof, sched := serveSetup(t)
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestServeSimMaxInFlightAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestServeSimMaxInFlightAccounting(t *testing.T) {
 	if res.Rejected == 0 {
 		t.Errorf("overdriven trace against MaxInFlight=64 should shed load")
 	}
-	open, err := NewServe(pipe, prof, sched)
+	open, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func TestServeSimCaseIV(t *testing.T) {
 	if !ok {
 		t.Fatal("schedule infeasible analytically")
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestServeSimCaseVFanOut(t *testing.T) {
 	if !ok {
 		t.Fatal("schedule infeasible analytically")
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestServeSimCaseVUnloadedTTFT(t *testing.T) {
 	if !ok {
 		t.Fatal("schedule infeasible analytically")
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestServeSimCaseIILongContext(t *testing.T) {
 	if !ok {
 		t.Fatal("schedule infeasible analytically")
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rago/internal/core"
+	"rago/internal/engine"
 	"rago/internal/hw"
 	"rago/internal/pipeline"
 	"rago/internal/ragschema"
@@ -173,6 +174,15 @@ func serveSetup(t *testing.T) (pipeline.Pipeline, *stageperf.Profiler, core.Sche
 	return pipe, prof, sched
 }
 
+// simFor compiles sched for pipe on prof and builds a simulator for the plan.
+func simFor(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Schedule) (*ServeSim, error) {
+	plan, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		return nil, err
+	}
+	return NewServeFromPlan(plan)
+}
+
 func TestServeSimThroughputMatchesAnalytic(t *testing.T) {
 	pipe, prof, sched := serveSetup(t)
 	asm := &core.Assembler{Pipe: pipe, Prof: prof}
@@ -180,7 +190,7 @@ func TestServeSimThroughputMatchesAnalytic(t *testing.T) {
 	if !ok {
 		t.Fatal("schedule infeasible analytically")
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +217,7 @@ func TestServeSimUnloadedTTFT(t *testing.T) {
 	if !ok {
 		t.Fatal("schedule infeasible analytically")
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,20 +250,20 @@ func TestServeSimRejects(t *testing.T) {
 		t.Fatal(err)
 	}
 	iterProf := stageperf.New(hw.XPUC, hw.EPYCHost, iterSchema)
-	if _, err := NewServe(iterPipe, iterProf, sched); err == nil {
+	if _, err := simFor(iterPipe, iterProf, sched); err == nil {
 		t.Errorf("iterative schedule without IterativeBatch should be rejected")
 	}
 	iterSched := sched
 	iterSched.IterativeBatch = 8
-	if _, err := NewServe(iterPipe, iterProf, iterSched); err != nil {
+	if _, err := simFor(iterPipe, iterProf, iterSched); err != nil {
 		t.Errorf("iterative workload with a complete schedule should simulate: %v", err)
 	}
 	bad := sched
 	bad.DecodeChips = 0
-	if _, err := NewServe(pipe, prof, bad); err == nil {
+	if _, err := simFor(pipe, prof, bad); err == nil {
 		t.Errorf("invalid schedule should be rejected")
 	}
-	s, err := NewServe(pipe, prof, sched)
+	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -190,10 +190,6 @@ type (
 	IterativeConfig = sim.IterativeConfig
 	// IterativeResult reports measured decode dynamics.
 	IterativeResult = sim.IterativeResult
-	// ServeSim executes a schedule on a request trace.
-	ServeSim = sim.ServeSim
-	// ServeResult reports measured serving behaviour.
-	ServeResult = sim.ServeResult
 	// Request is one trace entry; its PromptTokens/OutputTokens carry the
 	// per-request sequence shape (0 = schema constant).
 	Request = trace.Request
@@ -250,9 +246,6 @@ var (
 // under open-loop load: stage batching, continuous-batching decode slots with
 // the §5.3 decode loop, admission control and online p50/p95/p99 metrics).
 type (
-	// Runtime is a live serving engine for one schedule. Single-use:
-	// build, Serve one trace, read the Report.
-	Runtime = serve.Runtime
 	// ServeOptions configures pacing (time compression), batching flush,
 	// admission control, and the optional real retrieval substrate.
 	ServeOptions = serve.Options
@@ -267,24 +260,13 @@ type (
 	SearchFunc = serve.SearchFunc
 )
 
-// NewRuntime builds a serving engine executing sched — typically the Item
-// of a frontier point returned by Optimize — for schema on the given
-// cluster's hardware generation.
-func NewRuntime(schema Schema, sched Schedule, cluster Cluster, opts ServeOptions) (*Runtime, error) {
-	pipe, err := pipeline.Build(schema)
-	if err != nil {
-		return nil, err
-	}
-	return serve.New(pipe, stageperf.New(cluster.Chip, cluster.Host, schema), sched, opts)
-}
-
 // Online control plane (an SLO-aware controller over the serving
 // runtime: windowed telemetry, a plan library from the Pareto frontier,
 // and live plan switching with drain-and-migrate semantics).
 type (
 	// TelemetryWindow is a sliding-window snapshot of live serving
 	// metrics (arrival rate, windowed p99 TTFT/TPOT, queue depths),
-	// pollable mid-replay via Runtime.Telemetry or Server.Telemetry.
+	// pollable mid-replay via Server.Telemetry.
 	TelemetryWindow = serve.Window
 	// Server is a live serving engine that hot-swaps between compiled
 	// plans of one pipeline (Switch drains in-flight requests on the
@@ -307,13 +289,10 @@ type (
 	// ControlResult is a controlled replay's outcome: report, switch
 	// events, and chip-seconds versus static peak provisioning.
 	ControlResult = control.Result
-	// SimReplayResult is the discrete-event replay of a switching
-	// history, the reference the live run is validated against.
-	SimReplayResult = control.SimResult
 )
 
-// NewServer builds a multi-plan serving engine starting on the given
-// compiled plan (see CompilePlan).
+// NewServer builds a serving engine starting on the given compiled plan
+// (see CompilePlan); one that is never switched serves that plan alone.
 func NewServer(initial *ExecutionPlan, opts ServeOptions) (*Server, error) {
 	return serve.NewServer(initial, opts)
 }
@@ -329,16 +308,6 @@ func NewPlanLibrary(o *Optimizer, front []SchedulePoint, slo SLO) (*PlanLibrary,
 // hold the SLO at minimum chip cost.
 func NewController(lib *PlanLibrary, cfg ControlConfig) (*Controller, error) {
 	return control.NewController(lib, cfg)
-}
-
-// ReplaySwitches re-executes a controlled run's switching decisions in
-// the discrete-event validator, through the live Server's own loop; with
-// the live run's flushTimeout and maxInFlight bound (0 admits everything)
-// it equals the live run exactly, its QPS bit for bit. flushTimeout is the
-// effective timeout, used as given: 0 dispatches partial batches at once,
-// where ServeOptions.FlushTimeout 0 means 0.05 s live.
-func ReplaySwitches(lib *PlanLibrary, res *ControlResult, reqs []Request, flushTimeout float64, maxInFlight int) (SimReplayResult, error) {
-	return control.SimReplay(lib, res, reqs, flushTimeout, maxInFlight)
 }
 
 // Observability: the typed event bus the executors publish onto, the
@@ -360,7 +329,7 @@ type (
 
 // Observability constructors.
 var (
-	// NewBus builds an event bus for ServeOptions.Bus / ServeSim.Bus.
+	// NewBus builds an event bus for ServeOptions.Bus.
 	NewBus = obs.NewBus
 	// NewTracer builds an empty span tracer (attach it to a Bus).
 	NewTracer = obs.NewTracer

@@ -74,7 +74,11 @@ func TestPublicAPIServeWorkflow(t *testing.T) {
 	if !ok {
 		t.Fatal("no max-QPS point")
 	}
-	rt, err := NewRuntime(schema, best.Item, cluster, ServeOptions{Speedup: 1500})
+	plan, err := CompilePlan(schema, best.Item, cluster)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt, err := NewServer(plan, ServeOptions{Speedup: 1500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestPublicAPIHeterogeneousShapes(t *testing.T) {
 		reqs[i].Arrival /= 1.5 * want.QPS
 	}
 
-	rt, err := NewRuntime(schema, sched, cluster, ServeOptions{Speedup: (n / want.QPS) / 4.0})
+	rt, err := NewServer(plan, ServeOptions{Speedup: (n / want.QPS) / 4.0})
 	if err != nil {
 		t.Fatal(err)
 	}
