@@ -22,26 +22,41 @@ import (
 // constant-shape goldens cannot see: heterogeneous shapes under every
 // non-FIFO formation policy and chunked prefill, an evicting prefix cache
 // with the answer tier on over a partly tagged trace, the shaped §5.3
-// decode loop, and sharded retrieval under MaxInFlight shedding. Each run
-// hashes its ServeResult (floats as raw bits) and its full obs event
+// decode loop, sharded retrieval under MaxInFlight shedding, resources
+// that serve two stage slots (Case IV's rewrite and rerank+prefix groups)
+// from light load to overload, with immediate flush and under shedding, and
+// the Case V fan-out join. Each run hashes its ServeResult (floats as raw bits) and its full obs event
 // stream, so any change to a dispatch decision, a service price, a cache
 // lookup order or an event's timestamp moves the digest.
 func TestServeSimMechanismGolden(t *testing.T) {
 	runs := []struct {
 		name  string
 		build func(t *testing.T) (*ServeSim, []trace.Request)
+		flush float64
 		want  string
 	}{
-		{"caseI-cached-bucketed", mechanismCaseI(engine.PolicyBucketed, 0),
+		{"caseI-cached-bucketed", mechanismCaseI(engine.PolicyBucketed, 0), 0.05,
 			"c5658eb11f6ebb50db401f6d3ff9fc95c53aa8c90661d1fc0122f07ec40dc2d9"},
-		{"caseI-cached-sorted", mechanismCaseI(engine.PolicySorted, 0),
+		{"caseI-cached-sorted", mechanismCaseI(engine.PolicySorted, 0), 0.05,
 			"6831256d9bf2b3ea3289605b5362ae017577e5062d9d96e7603fb0c2df08e62e"},
-		{"caseI-cached-bucketed-chunked", mechanismCaseI(engine.PolicyBucketed, 256),
+		{"caseI-cached-bucketed-chunked", mechanismCaseI(engine.PolicyBucketed, 256), 0.05,
 			"cc51da793ba55789038a34c0397b62a2f210a775c8716058440e2f26d2276c07"},
-		{"caseIII-shaped", mechanismCaseIII,
+		{"caseIII-shaped", mechanismCaseIII, 0.05,
 			"674d22990b7fa4ea4bac291b36b29f8c0f20c198fd9560bd6b941dd7dce1602a"},
-		{"caseI-sharded-shed", mechanismSharded,
+		{"caseI-sharded-shed", mechanismSharded, 0.05,
 			"22c5432bba08fbfd792e7ebcb88470bd5171010dc57d364c1724b4c096b33167"},
+		{"caseIV-shaped-0.3x", mechanismCaseIV(0.3, 0, 0), 0.05,
+			"8b0ea0306927388302d84146ea4b323577bfdc1bc25da425c592ba9e4bb56b6e"},
+		{"caseIV-shaped-1.5x", mechanismCaseIV(1.5, 0, 0), 0.05,
+			"1f5bddf978a99fdca4525e9eda7366a070f8a5c747c0cae2a9da06575492c1dc"},
+		{"caseIV-shaped-immediate", mechanismCaseIV(0.9, 0, 0), -1,
+			"a228bd4b8029f8bfa967bebbab1ed3dfe1d58fd2962a779086e3c142facda4f8"},
+		{"caseIV-shaped-shed", mechanismCaseIV(1.5, 40, 0), 0.2,
+			"4cedc971975454af740a424f1f6f52ec0d1d5f556182b190df750263d867d2c7"},
+		{"caseIV-shaped-chunked", mechanismCaseIV(1.2, 0, 256), 0.05,
+			"c3b535d6be3ab6bbbcad40b58fcf6377e6a797f1407d1e076b1e7a29fa3ef143"},
+		{"caseV-fanout-0.9x", mechanismCaseV, 0.05,
+			"a07c27d7029c685c4754c7b78c95ceaa00d965dacca9b5b93aaf2cc0e7c9d886"},
 	}
 	for _, r := range runs {
 		t.Run(r.name, func(t *testing.T) {
@@ -49,7 +64,7 @@ func TestServeSimMechanismGolden(t *testing.T) {
 			bus := obs.NewBus()
 			sub := bus.Subscribe(64 * len(reqs))
 			s.Bus = bus
-			res, err := s.Run(reqs, 0.05)
+			res, err := s.Run(reqs, r.flush)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -222,5 +237,60 @@ func mechanismSharded(t *testing.T) (*ServeSim, []trace.Request) {
 		t.Fatal(err)
 	}
 	s.MaxInFlight = 160
+	return s, reqs
+}
+
+// mechanismCaseIV is shaped Case IV at load times its plan's capacity,
+// with the rewrite prefix+decode and the rerank+prefix stages each sharing
+// one resource, under an admission bound of maxInFlight (0 admits all) and
+// chunked prefill at quantum tokens (0 runs whole batches).
+func mechanismCaseIV(load float64, maxInFlight, quantum int) func(t *testing.T) (*ServeSim, []trace.Request) {
+	return func(t *testing.T) (*ServeSim, []trace.Request) {
+		sched := engine.Schedule{
+			Groups: []engine.GroupSchedule{
+				{Stages: []int{0, 1}, Chips: 4, Batch: 4},
+				{Stages: []int{3, 4}, Chips: 16, Batch: 4},
+			},
+			RetrievalServers: 16,
+			RetrievalBatch:   4,
+			DecodeChips:      16,
+			DecodeBatch:      64,
+			DecodeReplicas:   4,
+			ChunkQuantum:     quantum,
+		}
+		plan := mechanismCompile(t, ragschema.CaseIV(8e9), sched, 0)
+		base, err := trace.Poisson(800, load*plan.Metrics.QPS, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := NewServeFromPlan(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.MaxInFlight = maxInFlight
+		return s, mechanismShapes(t, base)
+	}
+}
+
+// mechanismCaseV is the two-source Case V fan-out, joining on the
+// reranker, at 0.9x its plan's capacity.
+func mechanismCaseV(t *testing.T) (*ServeSim, []trace.Request) {
+	sched := engine.Schedule{
+		Groups:           []engine.GroupSchedule{{Stages: []int{2, 3}, Chips: 16, Batch: 4}},
+		RetrievalServers: 8,
+		RetrievalBatch:   4,
+		DecodeChips:      16,
+		DecodeBatch:      64,
+		DecodeReplicas:   4,
+	}
+	plan := mechanismCompile(t, ragschema.CaseV(8e9, 2), sched, 0)
+	reqs, err := trace.Poisson(800, 0.9*plan.Metrics.QPS, 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewServeFromPlan(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return s, reqs
 }
