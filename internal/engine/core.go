@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sort"
 
 	"rago/internal/cache"
@@ -13,14 +14,18 @@ import (
 // trace: admission and MaxInFlight shedding, the answer tier, the stage
 // graph's joins and entry routing, one Dispatcher per resource, the
 // decode-slot FIFO and lease, the §5.3 park → round → resume chain, and
-// every request-level obs event. It is clock-free and single-goroutine: it
-// keeps its own pending events in a typed heap and handles them one at a
-// time in (virtual time, push order), so the only thing a driver decides
-// is when each event is handled. Every run drives its cores through one
-// Loop (loop.go): sim.ServeSim and the controller's replay
-// (control.SimReplay) run it to the end, serve.Server advances it on the
-// wall clock, and all three make the same decisions over the same compiled
-// plans and publish the same stream.
+// every request-level obs event. It is clock-free and single-goroutine, so
+// the only thing a driver decides is when each event is handled. Every run
+// drives its cores through one Loop (loop.go): sim.ServeSim and the
+// controller's replay (control.SimReplay) run it to the end, serve.Server
+// advances it on the wall clock, and all three make the same decisions over
+// the same compiled plans and publish the same stream.
+//
+// A core handles its events in (virtual time, seq) order. A dispatch
+// reserves a seq per member finish plus the resource's free, an enqueue
+// one for a flush check at its deadline, a decode stop one; but the heap
+// holds only what can act: a batch in service is one entry (finish), and
+// an idle resource arms one flush check, not one per enqueue (arm).
 
 // Ledger is the per-request state of one trace run, indexed by trace
 // position: pending-predecessor counts, queue-entry times, TTFT, decode
@@ -125,15 +130,30 @@ type Core struct {
 	flush float64
 
 	disp      []*Dispatcher
-	busy      []bool
-	preds     []int32 // per-stage predecessor counts
-	held      int     // admitted requests not yet completed
+	stations  []station // per resource, beside disp
+	preds     []int32   // per-stage predecessor counts
+	held      int       // admitted requests not yet completed
 	decFree   int
 	decWait   []int // sequences waiting for a decode slot, FIFO
 	heap      eventHeap
-	seq       int
+	seq       int // the next event's seq
+	pos       int // seq of the event being handled; -1 while admitting
 	slotName  []string
 	slotTrack []string
+}
+
+// station is one resource's state beside its Dispatcher: the batch in
+// service (copies of its members, their finish offsets then its service
+// time, its start, slot, first reserved seq and next finish), and its flush
+// checks, due[head:] in (at, seq) order, armed the seq last pushed.
+type station struct {
+	busy             bool
+	members          []int
+	doneAt           []float64
+	start            float64
+	slot, base, next int
+	due              []event
+	head, armed      int
 }
 
 // NewCore builds plan p's core over ledger l. flush is the partial-batch
@@ -142,10 +162,11 @@ type Core struct {
 // bus the event sink (nil publishes nothing) and sink the driver's.
 func NewCore(p *Plan, l *Ledger, flush float64, c *cache.Cache, bus *obs.Bus, sink Sink) *Core {
 	k := &Core{plan: p, led: l, sink: sink, bus: bus, cache: c, flush: flush, decFree: p.Sched.DecodeBatch,
-		disp: make([]*Dispatcher, len(p.Resources)), busy: make([]bool, len(p.Resources)),
+		disp: make([]*Dispatcher, len(p.Resources)), stations: make([]station, len(p.Resources)),
 		preds: make([]int32, len(p.Steps)), slotName: p.SlotNames(), slotTrack: p.TrackNames()}
 	for ri := range k.disp {
 		k.disp[ri] = NewDispatcher(p, ri, flush, c, l)
+		k.stations[ri].armed = -1
 	}
 	for st, ps := range p.Preds {
 		k.preds[st] = int32(len(ps))
@@ -172,6 +193,7 @@ func (k *Core) Admit() {
 	l.next++
 	q := &l.reqs[r]
 	now := q.Arrival
+	k.pos = -1
 	if l.bound > 0 && l.inflight >= l.bound {
 		if k.bus.Active() {
 			k.bus.Publish(obs.Event{Kind: obs.KindReject, T: now, Req: q.ID})
@@ -202,22 +224,23 @@ func (k *Core) Admit() {
 
 // event kinds.
 const (
-	evStageDone = iota
-	evResourceFree
+	evBatch = iota
 	evFlush
 	evDecodePark
 	evDecodeDone
 )
 
+// event is one heap entry: a batch in service, at its next member's
+// finish or its end; an armed flush check; or a decode stop. at and seq
+// order it; a is its resource, or its request for a decode stop.
 type event struct {
-	at   float64
-	kind int
-	a, b int // payload: request index / stage or resource index
-	seq  int // tie-break for determinism
+	at      float64
+	kind, a int
+	seq     int
 }
 
-func (k *Core) push(at float64, kind, a, b int) {
-	k.heap.push(event{at: at, kind: kind, a: a, b: b, seq: k.seq})
+func (k *Core) push(at float64, kind, a int) {
+	k.heap.push(event{at: at, kind: kind, a: a, seq: k.seq})
 	k.seq++
 }
 
@@ -225,13 +248,11 @@ func (k *Core) push(at float64, kind, a, b int) {
 func (k *Core) Step() {
 	e := k.heap.pop()
 	p, l, now := k.plan, k.led, e.at
+	k.pos = e.seq
 	switch e.kind {
+	case evBatch:
+		k.finish(e.a, now)
 	case evFlush:
-		if res := p.StepAt(e.a).Resource; res >= 0 {
-			k.trySchedule(res, now)
-		}
-	case evResourceFree:
-		k.busy[e.a] = false
 		k.trySchedule(e.a, now)
 	case evDecodePark:
 		// The sequence reached a trigger position: park it (slot held) and
@@ -241,11 +262,26 @@ func (k *Core) Step() {
 				Slot: p.DecodeIdx, Stage: "decode", Track: "decode", N: l.state[e.a].seq.Rounds})
 		}
 		k.ready(e.a, p.IterRetrievalSlot(), now)
-	case evStageDone:
-		k.stageDone(e.a, e.b, now)
 	case evDecodeDone:
 		k.complete(e.a, now)
 	}
+}
+
+// finish handles resource res's batch at now, its next finish: members
+// finishing by now move on in order, then the resource frees once service
+// ends. Same-instant finishes hold consecutive seqs, so nothing orders
+// between them; the first one still ahead re-queues the entry at its seq.
+func (k *Core) finish(res int, now float64) {
+	st := &k.stations[res]
+	for ; st.start+st.doneAt[st.next] <= now; st.next++ {
+		if st.next == len(st.members) {
+			st.busy = false
+			k.trySchedule(res, now)
+			return
+		}
+		k.stageDone(st.members[st.next], st.slot, now)
+	}
+	k.heap.push(event{at: st.start + st.doneAt[st.next], kind: evBatch, a: res, seq: st.base + st.next})
 }
 
 // stageDone moves request r past slot idx, which finished at now. The
@@ -306,38 +342,77 @@ func (k *Core) ready(r, idx int, now float64) {
 	res := p.StepAt(idx).Resource
 	k.sink.Enqueued(r, idx, k.disp[res].Push(idx, r))
 	if k.flush > 0 {
-		// Nudge the flush event past the deadline: it must see headAge >=
-		// flush despite float rounding, or a tail partial batch with no
-		// later arrivals stalls forever. The relative term keeps the nudge
-		// above one ulp at large absolute trace times, where 1e-9 alone
-		// would be absorbed.
+		// The enqueue's flush check (see arm; with no timeout all is ripe at
+		// once), nudged past the deadline: it must see headAge >= flush
+		// despite float rounding, or a tail partial batch with no later
+		// arrivals stalls forever. The relative term keeps the nudge above
+		// one ulp at large trace times, where 1e-9 alone would be absorbed.
 		ft := now + k.flush
-		k.push(ft+1e-9+ft*1e-12, evFlush, idx, 0)
-	} else {
-		k.push(now, evFlush, idx, 0)
+		k.stations[res].reserve(now, event{at: ft + 1e-9 + ft*1e-12, kind: evFlush, a: res, seq: k.seq})
 	}
+	k.seq++
 	k.trySchedule(res, now)
 }
 
-// trySchedule dispatches work on resource res if it is idle.
+// reserve appends flush deadline e, reserved at now, first dropping the
+// deadlines already passed.
+func (st *station) reserve(now float64, e event) {
+	for st.head < len(st.due) && st.due[st.head].at < now {
+		st.head++
+	}
+	if h := st.head; h == len(st.due) || h >= 64 && 2*h >= len(st.due) {
+		st.due, st.head = st.due[:copy(st.due, st.due[h:])], 0
+	}
+	st.due = append(st.due, e)
+}
+
+// arm pushes the next flush check that can act on resource res, idle with
+// nothing ripe at now. A check acts only if it finds the resource idle and
+// a queue head aged past the timeout; else Pick mutates nothing (Form
+// touches only scratch). Until the resource's state changes, which arms
+// anew, that is the first reserved check after the event being handled
+// whose deadline ages the oldest head past the timeout. Heads only get
+// younger, so the checks before it are dropped; with no head, none is.
+func (k *Core) arm(res int, now float64) {
+	oldest := k.disp[res].oldest()
+	if math.IsInf(oldest, 1) {
+		return
+	}
+	st := &k.stations[res]
+	for ; st.head < len(st.due); st.head++ {
+		if e := st.due[st.head]; (e.at > now || e.at == now && e.seq > k.pos) && e.at-oldest >= k.flush {
+			if st.armed != e.seq {
+				st.armed = e.seq
+				k.heap.push(e)
+			}
+			return
+		}
+	}
+}
+
+// trySchedule dispatches a batch on resource res if it is idle and
+// something is ripe, and arms its flush check if nothing is.
 func (k *Core) trySchedule(res int, now float64) {
-	if k.busy[res] {
+	st := &k.stations[res]
+	if st.busy {
 		return
 	}
 	b, ok := k.disp[res].Pick(now)
 	if !ok {
+		k.arm(res, now)
 		return
 	}
-	k.busy[res] = true
+	st.busy = true
 	c := k.disp[res].Price(b)
 	if k.bus.Active() {
 		k.publishBatch(res, b, c, now)
 	}
 	k.sink.Dispatched(res, b, c, now)
-	for i, r := range b.Members {
-		k.push(now+c.DoneAt[i], evStageDone, r, b.Slot)
-	}
-	k.push(now+c.Latency, evResourceFree, res, 0)
+	st.members = append(st.members[:0], b.Members...)
+	st.doneAt = append(append(st.doneAt[:0], c.DoneAt...), c.Latency)
+	st.start, st.slot, st.base, st.next = now, b.Slot, k.seq, 0
+	k.seq += len(b.Members) + 1
+	k.heap.push(event{at: now + c.DoneAt[0], kind: evBatch, a: res, seq: st.base})
 }
 
 // publishBatch publishes one dispatched batch: each member's prefix-cache
@@ -391,9 +466,9 @@ func (k *Core) lease(r int, now float64) {
 // next trigger position, or its finish.
 func (k *Core) advance(r int, now float64) {
 	if at, park := k.led.state[r].seq.Advance(now); park {
-		k.push(at, evDecodePark, r, 0)
+		k.push(at, evDecodePark, r)
 	} else {
-		k.push(at, evDecodeDone, r, 0)
+		k.push(at, evDecodeDone, r)
 	}
 }
 
@@ -426,8 +501,8 @@ func (k *Core) complete(r int, now float64) {
 }
 
 // before reports whether e orders ahead of o. (at, seq) is a total order —
-// seq is unique per event — so the pop sequence of any correct heap is the
-// same fully sorted sequence.
+// no two pending entries share a seq — so the pop sequence of any correct
+// heap is the same fully sorted sequence.
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at

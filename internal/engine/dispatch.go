@@ -158,7 +158,7 @@ func (d *Dispatcher) Pick(now float64) (b Batch, ok bool) {
 		if q.Len() == 0 {
 			continue
 		}
-		pn, _, ps := d.formers[s].Form(q, now)
+		pn, ps := d.formers[s].Form(q, now)
 		if pn == 0 {
 			continue
 		}
@@ -180,6 +180,18 @@ func (d *Dispatcher) Pick(now float64) (b Batch, ok bool) {
 	return b, true
 }
 
+// oldest returns when the longest-waiting queued request entered its
+// queue, +Inf when nothing is queued.
+func (d *Dispatcher) oldest() float64 {
+	t := math.Inf(1)
+	for _, s := range d.slots {
+		if q := &d.queues[s]; q.Len() > 0 {
+			t = min(t, q.EnqueuedAt(0))
+		}
+	}
+	return t
+}
+
 // NoLookup marks a BatchCost.Credits entry whose member bypassed the
 // prefix cache.
 const NoLookup = -1
@@ -188,9 +200,9 @@ const NoLookup = -1
 type BatchCost struct {
 	// Latency is the resource's service time for the batch.
 	Latency float64
-	// DoneAt[i] is when member i finishes, as an offset from the batch's
-	// service start: Latency for every member, except under chunked
-	// prefill, where each member finishes with its own last chunk.
+	// DoneAt[i] is when member i finishes after service starts: Latency,
+	// except under chunked prefill, where each member finishes with its own
+	// last chunk (never before the one ahead of it, nor after Latency).
 	DoneAt []float64
 	// Credits[i] is member i's prefix-cache credit in tokens, or NoLookup
 	// when it bypassed the cache; nil when no member was looked up.

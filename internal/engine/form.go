@@ -110,16 +110,14 @@ type bucketAgg struct {
 }
 
 // Form decides whether the window dispatches a batch now. n == 0 means
-// nothing is ripe. Otherwise n is the batch size, formV is the exact
-// virtual time the batch became formable (the drift-free ledger both the
-// live pacer and the analytic cross-check depend on), and sel lists the
+// nothing is ripe. Otherwise n is the batch size and sel lists the
 // selected window positions in ascending order — nil means the FIFO
 // prefix [0, n). sel aliases the Former's scratch and is valid until the
-// next Form call.
-func (f *Former) Form(v FormView, now float64) (n int, formV float64, sel []int) {
+// next Form call. Form writes only that scratch.
+func (f *Former) Form(v FormView, now float64) (n int, sel []int) {
 	ln := v.Len()
 	if ln == 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	switch f.Policy {
 	case PolicyBucketed:
@@ -132,29 +130,12 @@ func (f *Former) Form(v FormView, now float64) (n int, formV float64, sel []int)
 
 // formFIFO is the historical rule, bit for bit: dispatchable iff the
 // window fills a batch or the head has aged past Flush; the batch is the
-// FIFO prefix; formV is the last member's enqueue time, or the head's
-// flush deadline for deadline-triggered partials.
-func (f *Former) formFIFO(v FormView, now float64, ln int) (int, float64, []int) {
-	headEnq := v.EnqueuedAt(0)
-	if ln < f.Batch && now-headEnq < f.Flush {
-		return 0, 0, nil
+// FIFO prefix.
+func (f *Former) formFIFO(v FormView, now float64, ln int) (int, []int) {
+	if ln < f.Batch && now-v.EnqueuedAt(0) < f.Flush {
+		return 0, nil
 	}
-	n := f.Batch
-	if ln < n {
-		n = ln
-	}
-	formV := 0.0
-	for i := 0; i < n; i++ {
-		if e := v.EnqueuedAt(i); e > formV {
-			formV = e
-		}
-	}
-	if n < f.Batch {
-		if d := headEnq + f.Flush; d > formV {
-			formV = d
-		}
-	}
-	return n, formV, nil
+	return min(f.Batch, ln), nil
 }
 
 // bucketOf maps a prompt length onto the power-of-two bucket grid
@@ -179,7 +160,7 @@ func (f *Former) bucketOf(prompt int) int {
 // always some bucket's head, the earliest deadline across buckets equals
 // the FIFO head deadline — the executors' park/flush wake-up logic needs
 // no policy-specific changes.
-func (f *Former) formBucketed(v FormView, now float64, ln int) (int, float64, []int) {
+func (f *Former) formBucketed(v FormView, now float64, ln int) (int, []int) {
 	// Keys are powers of two, so a key's bit length indexes its aggregate.
 	var at [bits.UintSize + 1]int // bit length → 1 + index in f.buckets
 	f.buckets, f.keys = f.buckets[:0], f.keys[:0]
@@ -209,30 +190,17 @@ func (f *Former) formBucketed(v FormView, now float64, ln int) (int, float64, []
 		}
 	}
 	if best < 0 {
-		return 0, 0, nil
+		return 0, nil
 	}
 	win := f.buckets[best]
-	n := f.Batch
-	if win.count < n {
-		n = win.count
-	}
+	n := min(f.Batch, win.count)
 	f.sel = f.sel[:0]
-	formV := 0.0
 	for i := win.headPos; i < ln && len(f.sel) < n; i++ {
-		if f.keys[i] != win.key {
-			continue
-		}
-		f.sel = append(f.sel, i)
-		if e := v.EnqueuedAt(i); e > formV {
-			formV = e
+		if f.keys[i] == win.key {
+			f.sel = append(f.sel, i)
 		}
 	}
-	if win.count < f.Batch {
-		if d := win.headEnq + f.Flush; d > formV {
-			formV = d
-		}
-	}
-	return n, formV, f.sel
+	return n, f.sel
 }
 
 // formSorted keeps FIFO's ripeness (window fills a batch, or the head
@@ -242,16 +210,12 @@ func (f *Former) formBucketed(v FormView, now float64, ln int) (int, float64, []
 // position (the largest prompts not exceeding the head's own length, so
 // the head sets the pad ceiling) — which is what makes the policy
 // starvation-free: every member eventually becomes the head.
-func (f *Former) formSorted(v FormView, now float64, ln int) (int, float64, []int) {
-	headEnq := v.EnqueuedAt(0)
-	headRipe := now-headEnq >= f.Flush
+func (f *Former) formSorted(v FormView, now float64, ln int) (int, []int) {
+	headRipe := now-v.EnqueuedAt(0) >= f.Flush
 	if ln < f.Batch && !headRipe {
-		return 0, 0, nil
+		return 0, nil
 	}
-	n := f.Batch
-	if ln < n {
-		n = ln
-	}
+	n := min(f.Batch, ln)
 	f.ord = f.ord[:0]
 	for i := 0; i < ln; i++ {
 		pt := v.PromptTokens(i)
@@ -280,18 +244,7 @@ func (f *Former) formSorted(v FormView, now float64, ln int) (int, float64, []in
 		f.sel = append(f.sel, int(k&0xffffffff))
 	}
 	slices.Sort(f.sel)
-	formV := 0.0
-	for _, i := range f.sel {
-		if e := v.EnqueuedAt(i); e > formV {
-			formV = e
-		}
-	}
-	if n < f.Batch {
-		if d := headEnq + f.Flush; d > formV {
-			formV = d
-		}
-	}
-	return n, formV, f.sel
+	return n, f.sel
 }
 
 // Former builds the prefix stage's batch-formation state machine from the

@@ -37,7 +37,7 @@ func TestParseBatchPolicy(t *testing.T) {
 }
 
 // TestFormerConstantShapeDegeneracy: on constant shapes every policy must
-// make the identical decision FIFO makes — same n, same formV, and a
+// make the identical decision FIFO makes — same n and a
 // selection that is the FIFO prefix — which is what keeps the
 // pre-refactor goldens bit-identical under every policy.
 func TestFormerConstantShapeDegeneracy(t *testing.T) {
@@ -55,15 +55,15 @@ func TestFormerConstantShapeDegeneracy(t *testing.T) {
 			now = 1.0 + 0.21 // head aged past flush
 		}
 		ref := Former{Policy: PolicyFIFO, Batch: 4, Flush: 0.2, DefaultPrompt: 512}
-		wantN, wantV, _ := ref.Form(v, now)
-		if full && (wantN != 4 || wantV != 1.3) {
-			t.Fatalf("FIFO reference: n=%d formV=%v", wantN, wantV)
+		wantN, _ := ref.Form(v, now)
+		if full && wantN != 4 {
+			t.Fatalf("FIFO reference: n=%d", wantN)
 		}
 		for _, pol := range []BatchPolicy{PolicyBucketed, PolicySorted} {
 			f := Former{Policy: pol, Batch: 4, Flush: 0.2, DefaultPrompt: 512}
-			n, formV, sel := f.Form(v, now)
-			if n != wantN || formV != wantV {
-				t.Errorf("%v on constant shapes: n=%d formV=%v, want FIFO's %d/%v", pol, n, formV, wantN, wantV)
+			n, sel := f.Form(v, now)
+			if n != wantN {
+				t.Errorf("%v on constant shapes: n=%d, want FIFO's %d", pol, n, wantN)
 			}
 			for i, p := range sel {
 				if p != i {
@@ -81,7 +81,7 @@ func TestFormerRipeness(t *testing.T) {
 	v := sliceView{enq: []float64{1.0, 1.05}, prompts: []int{300, 4000}}
 	for _, pol := range []BatchPolicy{PolicyFIFO, PolicyBucketed, PolicySorted} {
 		f := Former{Policy: pol, Batch: 4, Flush: 0.5, DefaultPrompt: 512}
-		if n, _, _ := f.Form(v, 1.2); n != 0 {
+		if n, _ := f.Form(v, 1.2); n != 0 {
 			t.Errorf("%v dispatched an unripe window (n=%d)", pol, n)
 		}
 	}
@@ -96,7 +96,7 @@ func TestFormerBucketedSelection(t *testing.T) {
 		prompts: []int{3000, 400, 500, 450, 2500, 480},
 	}
 	f := Former{Policy: PolicyBucketed, Batch: 3, Flush: 10, DefaultPrompt: 512}
-	n, formV, sel := f.Form(v, 1.6)
+	n, sel := f.Form(v, 1.6)
 	if n != 3 {
 		t.Fatalf("n = %d, want 3", n)
 	}
@@ -108,23 +108,17 @@ func TestFormerBucketedSelection(t *testing.T) {
 			t.Fatalf("sel = %v, want %v", sel, want)
 		}
 	}
-	if formV != 1.3 {
-		t.Errorf("formV = %v, want last member's enqueue 1.3", formV)
-	}
 
 	// Drain the short bucket: only the two long prompts remain, unripe
 	// until the long head ages out, then they ship together without the
 	// batch filling.
 	v2 := sliceView{enq: []float64{1.0, 1.4}, prompts: []int{3000, 2500}}
-	if n, _, _ := f.Form(v2, 1.5); n != 0 {
+	if n, _ := f.Form(v2, 1.5); n != 0 {
 		t.Fatalf("long bucket dispatched before its deadline (n=%d)", n)
 	}
-	n, formV, sel = f.Form(v2, 12.0)
+	n, sel = f.Form(v2, 12.0)
 	if n != 2 || sel[0] != 0 || sel[1] != 1 {
 		t.Fatalf("deadline flush: n=%d sel=%v, want both long prompts", n, sel)
-	}
-	if formV != 1.0+10 {
-		t.Errorf("deadline-partial formV = %v, want head deadline %v", formV, 11.0)
 	}
 }
 
@@ -139,7 +133,7 @@ func TestFormerSortedDeadlineRescue(t *testing.T) {
 		prompts: []int{4000, 300, 350, 320, 310},
 	}
 	f := Former{Policy: PolicySorted, Batch: 2, Flush: 0.5, DefaultPrompt: 512}
-	n, _, sel := f.Form(v, 2.4) // head has waited 1.4 > Flush
+	n, sel := f.Form(v, 2.4) // head has waited 1.4 > Flush
 	if n != 2 {
 		t.Fatalf("n = %d, want 2", n)
 	}
@@ -157,7 +151,7 @@ func TestFormerSortedDeadlineRescue(t *testing.T) {
 	// full window is a batch multiple, and the two closest lengths ship.
 	v2 := sliceView{enq: []float64{1.0, 1.1}, prompts: []int{300, 4000}}
 	f2 := Former{Policy: PolicySorted, Batch: 2, Flush: 10, DefaultPrompt: 512}
-	n, _, sel = f2.Form(v2, 1.2)
+	n, sel = f2.Form(v2, 1.2)
 	if n != 2 || len(sel) != 2 {
 		t.Fatalf("filled window should ship: n=%d sel=%v", n, sel)
 	}
