@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"rago/internal/engine"
@@ -180,6 +181,29 @@ func TestOptimizeDeterministic(t *testing.T) {
 		if a[i].Metrics != b[i].Metrics {
 			t.Fatalf("non-deterministic frontier at %d: %v vs %v", i, a[i].Metrics, b[i].Metrics)
 		}
+	}
+}
+
+// TestOptimizeConcurrent runs two searches on one optimizer at once. They
+// share its memos and each records its SearchStats, so under -race an
+// unsynchronised write fails the test; both must return the same frontier.
+func TestOptimizeConcurrent(t *testing.T) {
+	o := newOpt(t, ragschema.CaseI(8e9, 1), hw.DefaultCluster(), 64)
+	var fronts [2][]SchedulePoint
+	var wg sync.WaitGroup
+	for i := range fronts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fronts[i] = o.Optimize()
+		}()
+	}
+	wg.Wait()
+	if len(fronts[0]) == 0 || !reflect.DeepEqual(fronts[0], fronts[1]) {
+		t.Errorf("concurrent searches returned %d and %d frontier points", len(fronts[0]), len(fronts[1]))
+	}
+	if o.SearchStats().Plans == 0 {
+		t.Error("no search statistics recorded")
 	}
 }
 

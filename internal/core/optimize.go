@@ -102,7 +102,8 @@ type Optimizer struct {
 	gmu    sync.Mutex
 	gcache map[groupKey][]groupChoice
 
-	// stats describes the most recent Optimize call.
+	// smu guards stats, which describes the most recent Optimize call.
+	smu   sync.Mutex
 	stats SearchStats
 }
 
@@ -150,10 +151,13 @@ func (s SearchStats) String() string {
 	return out
 }
 
-// SearchStats returns the statistics of the most recent Optimize call
-// (zero-valued before the first). Not synchronized with a concurrently
-// running Optimize.
-func (o *Optimizer) SearchStats() SearchStats { return o.stats }
+// SearchStats returns the statistics of the most recent Optimize call to
+// finish (zero-valued before the first).
+func (o *Optimizer) SearchStats() SearchStats {
+	o.smu.Lock()
+	defer o.smu.Unlock()
+	return o.stats
+}
 
 // NewOptimizer builds an optimizer for schema under opts.
 func NewOptimizer(schema ragschema.Schema, opts Options) (*Optimizer, error) {
@@ -528,7 +532,9 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 		}
 		st.fillBoundGaps(front, bounds, feasible)
 	}
+	o.smu.Lock()
 	o.stats = st
+	o.smu.Unlock()
 	return front
 }
 

@@ -134,7 +134,7 @@ type Core struct {
 	preds     []int32   // per-stage predecessor counts
 	held      int       // admitted requests not yet completed
 	decFree   int
-	decWait   []int // sequences waiting for a decode slot, FIFO
+	decWait   queue // sequences waiting for a decode slot
 	heap      eventHeap
 	seq       int // the next event's seq
 	pos       int // seq of the event being handled; -1 while admitting
@@ -333,8 +333,8 @@ func (k *Core) ready(r, idx int, now float64) {
 			k.sink.Enqueued(r, idx, 0)
 			k.lease(r, now)
 		} else {
-			k.decWait = append(k.decWait, r)
-			k.sink.Enqueued(r, idx, len(k.decWait))
+			k.decWait.push(r)
+			k.sink.Enqueued(r, idx, k.decWait.Len())
 		}
 		return
 	}
@@ -492,9 +492,8 @@ func (k *Core) complete(r int, now float64) {
 		k.cache.AnswerStore(q.ChunkIDs, q.PromptTokens, q.OutputTokens)
 	}
 	k.decFree++
-	if len(k.decWait) > 0 {
-		nxt := k.decWait[0]
-		k.decWait = k.decWait[1:]
+	if k.decWait.Len() > 0 {
+		nxt := k.decWait.popN(1)[0]
 		k.decFree--
 		k.lease(nxt, now)
 	}

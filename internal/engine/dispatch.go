@@ -2,6 +2,8 @@ package engine
 
 import (
 	"math"
+	"math/bits"
+	"slices"
 
 	"rago/internal/cache"
 	"rago/internal/trace"
@@ -14,10 +16,10 @@ import (
 // where each sequence parks for an iterative round. The types are
 // clock-free and single-goroutine.
 
-// queue is one stage slot's FIFO of ledger indices with a consumed-head offset:
-// dispatch advances the offset instead of re-copying the tail, and the
-// storage resets to the front whenever the queue drains. It is the
-// FormView the slot's Former decides over.
+// queue is a FIFO of ledger indices with a consumed-head offset: dispatch
+// advances the offset instead of re-copying the tail, and the storage
+// resets to the front whenever the queue drains. A stage slot's queue is
+// the FormView its Former decides over; a bucketed slot has one per bucket.
 type queue struct {
 	buf  []int
 	head int
@@ -31,13 +33,16 @@ func (q *queue) PromptTokens(i int) int   { return q.led.Trace(q.buf[q.head+i]).
 
 // push appends r, first compacting a mostly consumed queue, so a backlog
 // that never fully drains cannot grow the storage (and pin served handles)
-// without bound.
+// without bound. Full storage doubles, so growth allocates O(log peak).
 func (q *queue) push(r int) {
 	if c := q.head; c >= 64 && 2*c >= len(q.buf) {
 		live := copy(q.buf, q.buf[c:])
 		clear(q.buf[live:])
 		q.buf = q.buf[:live]
 		q.head = 0
+	}
+	if len(q.buf) == cap(q.buf) {
+		q.buf = slices.Grow(q.buf, len(q.buf)+1)
 	}
 	q.buf = append(q.buf, r)
 }
@@ -84,16 +89,20 @@ func (q *queue) popSel(sel []int, out []int) []int {
 // Dispatcher is the batching state of one serial resource (an XPU
 // placement group or a retrieval tier): a queue and a Former per stage slot
 // the resource serves (Plan.ResourceStages, iterative round slots
-// included), plus the scratch pricing reuses. It queues ledger indices and
-// reads their trace entries and enqueue times from the Ledger. Not safe for
-// concurrent use.
+// included), plus the scratch pricing reuses; a bucketed prefix slot queues
+// in one lane per bucket, so Pick reads lane heads, not the whole backlog.
+// It queues ledger indices and reads their trace entries and enqueue times
+// from the Ledger. Not safe for concurrent use.
 type Dispatcher struct {
 	plan    *Plan
 	cache   *cache.Cache // nil unless the prefix tier is on
 	led     *Ledger
 	slots   []int    // the slots served, in pick-tie order
-	queues  []queue  // indexed by slot
+	queues  []queue  // indexed by slot; the laned slot's stays empty
 	formers []Former // indexed by slot
+	laned   int      // the bucketed prefix slot, -1 if none is served
+	lanes   []queue  // its FIFO lanes, indexed by the bucket key's bit length
+	inLanes int      // requests queued across its lanes
 
 	batch   []int
 	prompts []int
@@ -107,7 +116,7 @@ type Dispatcher struct {
 // a cache with the prefix tier off, consults nothing). l holds the queued
 // requests.
 func NewDispatcher(p *Plan, res int, flush float64, c *cache.Cache, l *Ledger) *Dispatcher {
-	d := &Dispatcher{plan: p, led: l, slots: p.ResourceStages(res),
+	d := &Dispatcher{plan: p, led: l, slots: p.ResourceStages(res), laned: -1,
 		queues: make([]queue, p.NumSlots()), formers: make([]Former, p.NumSlots())}
 	if c.PrefixOn() {
 		d.cache = c
@@ -117,6 +126,9 @@ func NewDispatcher(p *Plan, res int, flush float64, c *cache.Cache, l *Ledger) *
 		f := Former{Policy: PolicyFIFO, Batch: p.StepAt(s).Batch}
 		if s == p.PrefixIdx {
 			f = p.Former()
+			if f.Policy == PolicyBucketed {
+				d.laned = s
+			}
 		}
 		f.Flush = flush
 		d.formers[s] = f
@@ -128,8 +140,17 @@ func NewDispatcher(p *Plan, res int, flush float64, c *cache.Cache, l *Ledger) *
 // returns the slot's queue depth. The ledger already records when r entered
 // the slot (Ledger.EnqueuedAt).
 func (d *Dispatcher) Push(slot, r int) int {
-	d.queues[slot].push(r)
-	return d.queues[slot].Len()
+	if slot != d.laned {
+		d.queues[slot].push(r)
+		return d.queues[slot].Len()
+	}
+	i := bits.Len(uint(d.formers[slot].bucketOf(d.led.Trace(r).PromptTokens)))
+	for len(d.lanes) <= i {
+		d.lanes = append(d.lanes, queue{slot: slot, led: d.led})
+	}
+	d.lanes[i].push(r)
+	d.inLanes++
+	return d.inLanes
 }
 
 // Batch is one dispatch decision.
@@ -151,33 +172,59 @@ type Batch struct {
 // the one with the oldest waiting head wins, the earlier slot on ties. ok
 // is false when nothing is ripe.
 func (d *Dispatcher) Pick(now float64) (b Batch, ok bool) {
-	best, bestAge, n := -1, math.Inf(-1), 0
+	bestAge, n := math.Inf(-1), 0
+	var from *queue
 	var sel []int
 	for _, s := range d.slots {
-		q := &d.queues[s]
-		if q.Len() == 0 {
-			continue
+		q, pn, ps, head := &d.queues[s], 0, []int(nil), 0.0
+		if s == d.laned {
+			q, pn, head = d.formLanes(now)
+		} else if q.Len() > 0 {
+			if pn, ps = d.formers[s].Form(q, now); pn > 0 {
+				head = q.EnqueuedAt(0)
+			}
 		}
-		pn, ps := d.formers[s].Form(q, now)
 		if pn == 0 {
 			continue
 		}
-		if age := now - q.EnqueuedAt(0); age > bestAge {
-			best, bestAge = s, age
-			n, sel = pn, ps
+		if age := now - head; age > bestAge {
+			bestAge, from, n, sel = age, q, pn, ps
 			b = Batch{Slot: s, full: d.formers[s].Batch}
 		}
 	}
-	if best < 0 {
+	if from == nil {
 		return b, false
 	}
 	if sel == nil {
-		b.Members = d.queues[best].popN(n)
+		b.Members = from.popN(n)
 	} else {
-		d.batch = d.queues[best].popSel(sel, d.batch[:0])
+		d.batch = from.popSel(sel, d.batch[:0])
 		b.Members = d.batch
 	}
+	if b.Slot == d.laned {
+		d.inLanes -= n
+	}
 	return b, true
+}
+
+// formLanes judges the laned slot at now from its lane heads: n > 0
+// members of lane q are ripe, its FIFO prefix, which is what Form selects
+// from the flat window (the first n positions carrying the winning key).
+// head is the slot's oldest lane head: enqueue times never decrease in push
+// order, so the flat window's head is one of them.
+func (d *Dispatcher) formLanes(now float64) (q *queue, n int, head float64) {
+	f, head := &d.formers[d.laned], math.Inf(1)
+	f.buckets = f.buckets[:0]
+	for i := range d.lanes {
+		if l := &d.lanes[i]; l.Len() > 0 {
+			b := bucketAgg{key: 1 << (i - 1), count: l.Len(), headEnq: l.EnqueuedAt(0)}
+			f.buckets, head = append(f.buckets, b), min(head, b.headEnq)
+		}
+	}
+	if w, n := f.pickBucket(f.buckets, now); n > 0 {
+		return &d.lanes[bits.Len(uint(f.buckets[w].key))], n, head
+	}
+	return nil, 0, head
 }
 
 // oldest returns when the longest-waiting queued request entered its
@@ -186,6 +233,11 @@ func (d *Dispatcher) oldest() float64 {
 	t := math.Inf(1)
 	for _, s := range d.slots {
 		if q := &d.queues[s]; q.Len() > 0 {
+			t = min(t, q.EnqueuedAt(0))
+		}
+	}
+	for i := range d.lanes {
+		if q := &d.lanes[i]; q.Len() > 0 {
 			t = min(t, q.EnqueuedAt(0))
 		}
 	}

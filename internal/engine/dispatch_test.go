@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -96,6 +98,67 @@ func TestDispatcherPickAndPrice(t *testing.T) {
 	}
 	if _, ok := d.Pick(10); ok {
 		t.Error("drained dispatcher picked a batch")
+	}
+}
+
+// TestDispatcherBucketedMatchesForm drives a resource serving a bucketed
+// prefix slot, which queues in per-bucket lanes, and a FIFO iter-prefix
+// slot through random Push/Pick interleavings, and requires every decision
+// to equal a reference that keeps the prefix slot's flat window and calls
+// Former.Form on it: same queue depths, oldest head and picks. Prompts mix
+// shaped lengths across bucket edges with unshaped entries, and arrivals
+// share instants, so the count, head and key tie-breaks all decide.
+func TestDispatcherBucketedMatchesForm(t *testing.T) {
+	prompts := []int{0, 1, 64, 65, 128, 300, 511, 512, 513, 1024, 1500, 4000}
+	for batch := 1; batch <= 8; batch++ {
+		for _, flush := range []float64{-1, 0, 0.05} {
+			sched := caseIIISchedule()
+			sched.FormPolicy = PolicyBucketed
+			sched.Groups[0].Batch = batch
+			sched.IterativeBatch = 9 - batch
+			plan, _, _ := mustCompile(t, ragschema.CaseIII(8e9, 4), sched)
+			rng := rand.New(rand.NewSource(int64(batch*10) + int64(flush*100)))
+			reqs := make([]trace.Request, 600)
+			for i := range reqs {
+				if reqs[i].PromptTokens = prompts[rng.Intn(len(prompts))]; rng.Intn(3) == 0 {
+					reqs[i].PromptTokens = rng.Intn(5000)
+				}
+			}
+			led := NewLedger(plan, reqs, 0)
+			res := plan.Steps[plan.PrefixIdx].Resource
+			d, ref := NewDispatcher(plan, res, flush, nil, led), NewDispatcher(plan, res, flush, nil, led)
+			if d.laned != plan.PrefixIdx {
+				t.Fatal("bucketed prefix slot does not queue in lanes")
+			}
+			ref.laned = -1
+			now := 0.0
+			for r := range reqs {
+				now += []float64{0, 0, 0.005, 0.02}[rng.Intn(4)]
+				slot := plan.PrefixIdx
+				if rng.Intn(4) == 0 {
+					slot = plan.IterPrefixSlot()
+				}
+				led.enqAt[r*led.nSlots+slot] = now
+				if got, want := d.Push(slot, r), ref.Push(slot, r); got != want {
+					t.Fatalf("batch %d flush %v: push %d depth %d, want %d", batch, flush, r, got, want)
+				}
+				if got, want := d.oldest(), ref.oldest(); got != want {
+					t.Fatalf("batch %d flush %v: oldest head %v, want %v", batch, flush, got, want)
+				}
+				for rng.Intn(3) == 0 || r == len(reqs)-1 {
+					b, ok := d.Pick(now)
+					got := append([]int(nil), b.Members...)
+					want, wantOK := ref.Pick(now)
+					if ok != wantOK || b.Slot != want.Slot || !slices.Equal(got, want.Members) {
+						t.Fatalf("batch %d flush %v at %v: picked %v slot %d %v, want %v slot %d %v",
+							batch, flush, now, ok, b.Slot, got, wantOK, want.Slot, want.Members)
+					}
+					if !ok {
+						break
+					}
+				}
+			}
+		}
 	}
 }
 

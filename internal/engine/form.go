@@ -82,9 +82,9 @@ type FormView interface {
 
 // Former is the batch-formation state machine of one stage. Dispatcher
 // owns one per stage slot (scratch is not shared): the plan's policy at
-// the prefix slot, FIFO everywhere else. The zero value is not usable —
-// build one with Plan.Former and set Flush to the executor's flush
-// timeout.
+// the prefix slot, FIFO everywhere else; a bucketed slot's Dispatcher
+// keeps the buckets as lanes and calls pickBucket, not Form. The zero value
+// is not usable — build one with Plan.Former and set Flush.
 type Former struct {
 	// Policy is the formation policy.
 	Policy BatchPolicy
@@ -105,7 +105,7 @@ type Former struct {
 
 type bucketAgg struct {
 	key, count int
-	headPos    int
+	headPos    int // the head's window position (Form only)
 	headEnq    float64
 }
 
@@ -153,13 +153,11 @@ func (f *Former) bucketOf(prompt int) int {
 }
 
 // formBucketed groups the window into pow2 length buckets (FIFO order
-// within each) and dispatches the fullest ripe bucket. A bucket is ripe
-// when it fills a batch or its own oldest member has waited Flush. Ties
-// break toward the older bucket head, then the smaller bucket key, so
-// both executors pick identically. Because the overall window head is
-// always some bucket's head, the earliest deadline across buckets equals
-// the FIFO head deadline — the executors' park/flush wake-up logic needs
-// no policy-specific changes.
+// within each) and dispatches pickBucket's winner: the first n window
+// positions carrying its key. Because the overall window head is always
+// some bucket's head, the earliest deadline across buckets equals the FIFO
+// head deadline — the executors' park/flush wake-up logic needs no
+// policy-specific changes.
 func (f *Former) formBucketed(v FormView, now float64, ln int) (int, []int) {
 	// Keys are powers of two, so a key's bit length indexes its aggregate.
 	var at [bits.UintSize + 1]int // bit length → 1 + index in f.buckets
@@ -174,26 +172,8 @@ func (f *Former) formBucketed(v FormView, now float64, ln int) (int, []int) {
 		f.buckets = append(f.buckets, bucketAgg{key: key, count: 1, headPos: i, headEnq: v.EnqueuedAt(i)})
 		at[bits.Len(uint(key))] = len(f.buckets)
 	}
-	best := -1
-	for j := range f.buckets {
-		b := &f.buckets[j]
-		if b.count < f.Batch && now-b.headEnq < f.Flush {
-			continue
-		}
-		if best < 0 {
-			best = j
-			continue
-		}
-		w := &f.buckets[best]
-		if b.count > w.count || (b.count == w.count && (b.headEnq < w.headEnq || (b.headEnq == w.headEnq && b.key < w.key))) {
-			best = j
-		}
-	}
-	if best < 0 {
-		return 0, nil
-	}
+	best, n := f.pickBucket(f.buckets, now) // n == 0 selects nothing
 	win := f.buckets[best]
-	n := min(f.Batch, win.count)
 	f.sel = f.sel[:0]
 	for i := win.headPos; i < ln && len(f.sel) < n; i++ {
 		if f.keys[i] == win.key {
@@ -201,6 +181,23 @@ func (f *Former) formBucketed(v FormView, now float64, ln int) (int, []int) {
 		}
 	}
 	return n, f.sel
+}
+
+// pickBucket is the bucketed rule: a bucket is ripe when it fills a batch or
+// its head has waited Flush; the fullest ripe one wins, then the older head,
+// then the smaller key (keys are unique, so the order of bs does not
+// matter). It returns the winner's index and batch size, n == 0 if none.
+func (f *Former) pickBucket(bs []bucketAgg, now float64) (best, n int) {
+	for j := range bs {
+		b, w := &bs[j], &bs[best]
+		if b.count < f.Batch && now-b.headEnq < f.Flush {
+			continue
+		}
+		if n == 0 || b.count > w.count || (b.count == w.count && (b.headEnq < w.headEnq || (b.headEnq == w.headEnq && b.key < w.key))) {
+			best, n = j, min(f.Batch, b.count)
+		}
+	}
+	return best, n
 }
 
 // formSorted keeps FIFO's ripeness (window fills a batch, or the head

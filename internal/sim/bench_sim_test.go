@@ -54,6 +54,32 @@ func BenchmarkServeSimCaseIV(b *testing.B) {
 	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "sim-requests/sec")
 }
 
+// BenchmarkServeSimCaseIBucketed measures bucketed prefix formation under
+// overload: shaped Case I (lognormal prompts, every fifth at the schema
+// constant) with a 4-chip prefix group, its bottleneck, at 1.5x the plan's
+// capacity over 4,000 Poisson arrivals, so the prefix backlog grows to
+// ~2,000 through the run and every pick judges it. The reported
+// sim-requests/sec metric is completed simulated requests per wall second.
+func BenchmarkServeSimCaseIBucketed(b *testing.B) {
+	s := bucketedCaseI(b, 4)
+	base, err := trace.Poisson(4000, 1.5*s.plan.Metrics.QPS, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	reqs := mechanismShapes(b, base)
+	b.ReportAllocs()
+	b.ResetTimer()
+	completed := 0
+	for i := 0; i < b.N; i++ {
+		res, err := s.Run(reqs, 0.05)
+		if err != nil {
+			b.Fatal(err)
+		}
+		completed += res.Completed
+	}
+	b.ReportMetric(float64(completed)/b.Elapsed().Seconds(), "sim-requests/sec")
+}
+
 // BenchmarkServeSimCaseIII measures the event loop with the §5.3 iterative
 // decode loop live: sequences park at trigger positions and round batches
 // contend with the initial pass for the same prefix-group servers, which

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rago/internal/engine"
+	"rago/internal/ragschema"
 	"rago/internal/trace"
 )
 
@@ -37,18 +38,33 @@ func TestLoopEventBudget(t *testing.T) {
 // TestServeSimAllocsFlat pins that a run's allocations do not grow with
 // its trace: every per-request array is sized once, and every queue and
 // scratch buffer is reused, so only their growth to the run's peak backlog
-// adds a few. Case IV Poisson runs allocate 98 and 102 times for 2,000 and
-// 20,000 requests at 0.5x load, and 105 and 118 times at 1.5x. The bound
-// is 1.25x the short run's count: one allocation per 500 requests would
-// exceed it.
+// adds a few. Case IV Poisson runs allocate 95 and 99 times for 2,000 and
+// 20,000 requests at 0.5x load, and 101 and 110 times at 1.5x. Shaped
+// bucketed Case I at 1.5x allocates 139 and 164 times: its prefix slot
+// queues in one lane per bucket, and each lane grows to its own peak. The
+// bound is 1.25x the short run's count: one allocation per 500 requests
+// would exceed it.
 func TestServeSimAllocsFlat(t *testing.T) {
-	for _, load := range []float64{0.5, 1.5} {
-		s, _ := mechanismCaseIV(load, 0, 0)(t)
+	caseIV := func(t *testing.T) *ServeSim {
+		s, _ := mechanismCaseIV(1, 0, 0)(t)
+		return s
+	}
+	caseI := func(t *testing.T) *ServeSim { return bucketedCaseI(t, 16) }
+	for _, tc := range []struct {
+		name   string
+		sim    func(*testing.T) *ServeSim
+		load   float64
+		shaped bool
+	}{{"Case IV", caseIV, 0.5, false}, {"Case IV", caseIV, 1.5, false}, {"shaped bucketed Case I", caseI, 1.5, true}} {
+		s := tc.sim(t)
 		var allocs [2]float64
 		for i, n := range []int{2000, 20000} {
-			reqs, err := trace.Poisson(n, load*s.plan.Metrics.QPS, 14)
+			reqs, err := trace.Poisson(n, tc.load*s.plan.Metrics.QPS, 14)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if tc.shaped {
+				reqs = mechanismShapes(t, reqs)
 			}
 			allocs[i] = testing.AllocsPerRun(1, func() {
 				if _, err := s.Run(reqs, 0.05); err != nil {
@@ -57,7 +73,21 @@ func TestServeSimAllocsFlat(t *testing.T) {
 			})
 		}
 		if allocs[1] > 1.25*allocs[0] {
-			t.Errorf("Case IV at %vx load: %.0f allocations for 2,000 requests but %.0f for 20,000", load, allocs[0], allocs[1])
+			t.Errorf("%s at %vx load: %.0f allocations for 2,000 requests but %.0f for 20,000", tc.name, tc.load, allocs[0], allocs[1])
 		}
 	}
+}
+
+// bucketedCaseI is the mechanism Case I plan under bucketed formation on
+// a prefix group of the given chips (the mechanism plan's is 16), with no
+// cache.
+func bucketedCaseI(t testing.TB, chips int) *ServeSim {
+	sched := mechanismSchedule()
+	sched.FormPolicy = engine.PolicyBucketed
+	sched.Groups[0].Chips = chips
+	s, err := NewServeFromPlan(mechanismCompile(t, ragschema.CaseI(8e9, 1), sched, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

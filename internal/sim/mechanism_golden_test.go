@@ -120,7 +120,7 @@ func mechanismSchedule() engine.Schedule {
 	}
 }
 
-func mechanismCompile(t *testing.T, schema ragschema.Schema, sched engine.Schedule, shards int) *engine.Plan {
+func mechanismCompile(t testing.TB, schema ragschema.Schema, sched engine.Schedule, shards int) *engine.Plan {
 	t.Helper()
 	pipe, err := pipeline.Build(schema)
 	if err != nil {
@@ -138,7 +138,7 @@ func mechanismCompile(t *testing.T, schema ragschema.Schema, sched engine.Schedu
 // mechanismShapes draws lognormal prompt/output lengths, leaving every
 // fifth request at the schema constant so batches mix shaped and unshaped
 // members.
-func mechanismShapes(t *testing.T, reqs []trace.Request) []trace.Request {
+func mechanismShapes(t testing.TB, reqs []trace.Request) []trace.Request {
 	t.Helper()
 	prompt, err := trace.LognormalLengths(512, 0.8, 4096)
 	if err != nil {
