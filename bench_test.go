@@ -330,8 +330,8 @@ func BenchmarkAblationParetoPruning(b *testing.B) {
 								DecodeBatch:      db,
 								DecodeReplicas:   r,
 							}
-							if m, ok := o.Asm.Evaluate(s); ok {
-								pts = append(pts, core.SchedulePoint{Metrics: m, Item: s})
+							if plan, err := o.Compile(s); err == nil {
+								pts = append(pts, core.SchedulePoint{Metrics: plan.Metrics, Item: s})
 							}
 						}
 					}

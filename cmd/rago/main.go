@@ -36,7 +36,6 @@ import (
 	"rago/internal/hw"
 	"rago/internal/perf"
 	"rago/internal/ragschema"
-	"rago/internal/vectordb"
 )
 
 func main() {
@@ -142,16 +141,7 @@ func runOptimize(args []string) {
 		// No real corpus on the optimize path: calibrate the recall
 		// surface on a small synthetic clustered index sharded the same
 		// way, so the frontier carries a measured quality axis.
-		data := vectordb.GenClustered(20000, 64, 64, 0.4, 1)
-		ix, err := vectordb.BuildIVFPQ(data, 128, 32, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		sh, err := vectordb.NewSharded(ix, *shards, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		mod, err := calibratedRecallModel(sh, data, 64, 10, npList, foList, 1)
+		_, _, mod, err := syntheticIndex(20000, 64, *shards, 1, 10, npList, foList, 1)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -415,21 +415,15 @@ func runServe(args []string) {
 	)
 	if *dbVectors > 0 {
 		fmt.Fprintf(info, "building IVF-PQ index: %d vectors, dim %d ...\n", *dbVectors, *dbDim)
-		data := vectordb.GenClustered(*dbVectors, *dbDim, 64, 0.4, *tf.seed)
-		ix, err := vectordb.BuildIVFPQ(data, 128, *dbDim/2, *tf.seed)
+		if *shards > 1 {
+			fmt.Fprintf(info, "sharding: %d shards x %d replicas; calibrating recall@%d ...\n", *shards, *replicas, *k)
+		}
+		var ix *vectordb.IVFPQ
+		ix, sharded, recallMod, err = syntheticIndex(*dbVectors, *dbDim, *shards, *replicas, *k, npList, foList, *tf.seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if *shards > 1 {
-			sharded, err = vectordb.NewSharded(ix, *shards, *replicas)
-			if err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(info, "sharding: %d shards x %d replicas; calibrating recall@%d ...\n", *shards, *replicas, *k)
-			recallMod, err = calibratedRecallModel(sharded, data, *dbDim, *k, npList, foList, *tf.seed)
-			if err != nil {
-				log.Fatal(err)
-			}
+		if sharded != nil {
 			opts.Sharded = sharded
 			opts.SearchK = *k
 		} else {
@@ -444,10 +438,14 @@ func runServe(args []string) {
 
 	// The optimizer runs after the substrate wiring so a sharded tier's
 	// measured recall surface and merge costs price the frontier; the knob
-	// lists make nprobe and shard-fanout schedule dimensions of the search.
+	// lists make nprobe and shard-fanout schedule dimensions of the search,
+	// and the requested batch formation is a single-valued one, so every
+	// frontier point is priced, and pruned, under the formation it serves.
 	coreOpts := core.DefaultOptions(cluster)
 	coreOpts.NProbes = npList
 	coreOpts.ShardFanouts = foList
+	coreOpts.Policies = []engine.BatchPolicy{pol}
+	coreOpts.ChunkQuanta = []int{*chunkPrefill}
 	o, err := core.NewOptimizer(schema, coreOpts)
 	if err != nil {
 		log.Fatal(err)
@@ -459,24 +457,6 @@ func runServe(args []string) {
 	front := o.Optimize()
 	if len(front) == 0 {
 		log.Fatal("no feasible schedule under the given resources")
-	}
-	// Stamp the requested formation dimensions onto every frontier point
-	// and re-price it (chunking changes the compiled prefix cost; the
-	// policy re-prices only shaped traffic).
-	if pol != engine.PolicyFIFO || *chunkPrefill > 0 {
-		kept := front[:0]
-		for _, p := range front {
-			p.Item.FormPolicy = pol
-			p.Item.ChunkQuantum = *chunkPrefill
-			if m, ok := o.Asm.Evaluate(p.Item); ok {
-				p.Metrics = m
-				kept = append(kept, p)
-			}
-		}
-		front = kept
-		if len(front) == 0 {
-			log.Fatal("no frontier schedule is feasible under the requested batch formation")
-		}
 	}
 
 	if *controller {
@@ -502,7 +482,7 @@ func runServe(args []string) {
 
 	// Serve the plan the optimizer priced: its profiler carries the
 	// sharded tier's shard count and recall surface.
-	plan, err := o.Asm.Compile(chosen.Item)
+	plan, err := o.Compile(chosen.Item)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -649,15 +629,27 @@ func knobAxis(vals []int, def, max int) []int {
 	return axis
 }
 
-// calibratedRecallModel measures the sharded tier's recall@k against exact
-// ground truth (a flat index over the same vectors) at every effective
-// (nprobe, fanout) the schedule search can visit, and wraps the grid in
-// the interpolating surface the analytic planner prices recall from. The
-// query sample matches the serving path's synthesized query distribution.
-func calibratedRecallModel(sh *vectordb.Sharded, data [][]float32, dim, k int, nprobes, fanouts []int, seed int64) (*retrieval.RecallModel, error) {
+// syntheticIndex builds the synthetic clustered IVF-PQ index (n vectors of
+// dimension dim around 64 clusters, 128 cells, dim/2 subquantizers) and,
+// with shards > 1, shards it shards x replicas ways and measures the
+// sharded tier's recall@k against exact ground truth (a flat index over the
+// same vectors) at every effective (nprobe, fanout) the schedule search can
+// visit, wrapped in the interpolating surface the analytic planner prices
+// recall from. The query sample matches the serving path's synthesized
+// query distribution. Unsharded, the tier and its surface are nil.
+func syntheticIndex(n, dim, shards, replicas, k int, nprobes, fanouts []int, seed int64) (*vectordb.IVFPQ, *vectordb.Sharded, *retrieval.RecallModel, error) {
+	data := vectordb.GenClustered(n, dim, 64, 0.4, seed)
+	ix, err := vectordb.BuildIVFPQ(data, 128, dim/2, seed)
+	if err != nil || shards <= 1 {
+		return ix, nil, nil, err
+	}
+	sh, err := vectordb.NewSharded(ix, shards, replicas)
+	if err != nil {
+		return nil, nil, nil, err
+	}
 	flat := vectordb.NewFlat(dim)
 	if err := flat.Add(data...); err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	// Decorrelate the calibration sample from the arrival stream (same
 	// rationale as applyShapes' xor).
@@ -671,12 +663,16 @@ func calibratedRecallModel(sh *vectordb.Sharded, data [][]float32, dim, k int, n
 		queries[i] = v
 	}
 	npAxis := knobAxis(nprobes, retrieval.BaseNProbe, 0)
-	foAxis := knobAxis(fanouts, sh.Shards(), sh.Shards())
+	foAxis := knobAxis(fanouts, shards, shards)
 	grid, err := sh.CalibrateRecall(flat, queries, k, npAxis, foAxis)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
-	return retrieval.NewRecallModel(npAxis, foAxis, grid)
+	mod, err := retrieval.NewRecallModel(npAxis, foAxis, grid)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return ix, sh, mod, nil
 }
 
 // autoSpeedup compresses the expected makespan into ~10s wall. The run

@@ -2,11 +2,14 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rago/internal/core"
+	"rago/internal/perf"
 	"rago/internal/serve"
 )
 
@@ -66,5 +69,42 @@ func TestServeShardedReportsServedPoint(t *testing.T) {
 	}
 	if got := rep.Analytic.String(); got != point {
 		t.Errorf("report's analytic %s, want the served frontier point %s", got, point)
+	}
+}
+
+// TestServeSearchesRequestedFormation: `rago serve -chunk-prefill` serves
+// the best point of a search that prices every schedule chunked, not a
+// FIFO-optimal point re-priced with chunking after the search.
+func TestServeSearchesRequestedFormation(t *testing.T) {
+	args := []string{"-preset", "case4"}
+	stdout, _ := captureOutput(t, func() {
+		runServe(append(args, "-chunk-prefill", "256", "-n", "300", "-speedup", "1e7", "-json"))
+	})
+	var rep serve.Report
+	if err := json.Unmarshal([]byte(stdout), &rep); err != nil {
+		t.Fatalf("stdout is not a JSON report: %v\n%s", err, stdout)
+	}
+
+	fs := flag.NewFlagSet("workload", flag.ContinueOnError)
+	wf := addWorkloadFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	schema, cluster, err := wf.load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.DefaultOptions(cluster)
+	opts.ChunkQuanta = []int{256}
+	o, err := core.NewOptimizer(schema, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	best, ok := perf.MaxQPSPerChip(o.Optimize())
+	if !ok {
+		t.Fatal("chunked search found no schedule")
+	}
+	if rep.Analytic != best.Metrics {
+		t.Errorf("served analytic %s, want the chunked search's max QPS/chip point %s", rep.Analytic, best.Metrics)
 	}
 }

@@ -80,13 +80,11 @@ type Stats struct {
 }
 
 // node is one cached chunk-ID prefix (a chain link: depth k means the
-// sequence ids[:k] is cached). Nodes form an intrusive LRU list. Answer-tier
-// nodes additionally carry the corpus generation they were stored under.
+// sequence ids[:k] is cached). Nodes form an intrusive LRU list.
 type node struct {
 	hash       uint64
 	depth      int // chunks in the prefix
 	last       int // chunk ID at position depth-1 (weak collision check)
-	gen        uint64
 	prev, next *node
 }
 
@@ -103,12 +101,7 @@ type Cache struct {
 	usedTokens int64
 
 	// Answer tier: exact-match (chunk IDs, shape) entries under a count
-	// budget, same intrusive-LRU discipline. generation is the corpus
-	// generation stamp: Invalidate bumps it, and an answer stored under an
-	// older generation misses (the corpus its answer was derived from no
-	// longer exists). Prefix chains are keyed by chunk IDs alone and stay
-	// valid across corpus updates that preserve IDs.
-	generation      uint64
+	// budget, same intrusive-LRU discipline.
 	answers         map[uint64]*node
 	ahead, atail    *node
 	hits, misses    int64
@@ -294,9 +287,7 @@ func answerKey(ids []int, promptTok, outTok int) uint64 {
 // AnswerLookup reports whether an identical request (same retrieved-chunk
 // sequence and sequence shape) has a cached answer — the semantic tier's
 // short-circuit: on true, the executors complete the request immediately,
-// skipping retrieval, prefill, and decode entirely. An entry stored before
-// the last Invalidate is stale — its answer was derived from a corpus that
-// no longer exists — so it misses and is dropped.
+// skipping retrieval, prefill, and decode entirely.
 func (c *Cache) AnswerLookup(ids []int, promptTok, outTok int) bool {
 	if c.cfg.AnswerEntries == 0 || len(ids) == 0 {
 		return false
@@ -309,43 +300,12 @@ func (c *Cache) AnswerLookup(ids []int, promptTok, outTok int) bool {
 		c.answerMisses++
 		return false
 	}
-	if n.gen != c.generation {
-		c.aunlink(n)
-		delete(c.answers, h)
-		c.answerMisses++
-		return false
-	}
 	c.answerHits++
 	if c.ahead != n {
 		c.aunlink(n)
 		c.apushFront(n)
 	}
 	return true
-}
-
-// Invalidate marks a corpus update (an index rebuild or document refresh):
-// the corpus generation advances, so every answer cached before this call
-// misses from now on. Prefix chains survive — they cache KV by retrieved-
-// chunk identity, which an update that keeps chunk IDs does not stale.
-// Stale answer entries are dropped lazily on lookup rather than swept here,
-// keeping Invalidate O(1) on the serving path.
-func (c *Cache) Invalidate() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.generation++
-}
-
-// Generation returns the current corpus generation (bumped by Invalidate).
-func (c *Cache) Generation() uint64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.generation
 }
 
 // AnswerStore records a completed request's answer for exact-match reuse.
@@ -357,14 +317,13 @@ func (c *Cache) AnswerStore(ids []int, promptTok, outTok int) {
 	defer c.mu.Unlock()
 	h := answerKey(ids, promptTok, outTok)
 	if n := c.answers[h]; n != nil {
-		n.gen = c.generation // re-derived under the current corpus
 		if c.ahead != n {
 			c.aunlink(n)
 			c.apushFront(n)
 		}
 		return
 	}
-	n := &node{hash: h, gen: c.generation}
+	n := &node{hash: h}
 	c.answers[h] = n
 	c.apushFront(n)
 	for len(c.answers) > c.cfg.AnswerEntries && c.atail != nil {

@@ -309,52 +309,3 @@ func TestPartialChainAdmission(t *testing.T) {
 		t.Errorf("occupancy %d exceeds budget %d", st.CachedTokens, c.Config().PrefixTokens)
 	}
 }
-
-// Regression: a corpus update (Invalidate) must flush answer-tier hits —
-// the stored answers were derived from the old corpus — while prefix
-// chains, keyed by retrieved-chunk identity, keep their credits.
-func TestInvalidateFlushesAnswersKeepsPrefixes(t *testing.T) {
-	c := mustNew(t, Config{PrefixTokens: 10_000, ChunkTokens: 100, AnswerEntries: 8})
-	ids := []int{1, 2, 3}
-	c.Access(ids, 512)
-	c.AnswerStore(ids, 512, 256)
-	if !c.AnswerLookup(ids, 512, 256) {
-		t.Fatal("stored answer missed before invalidation")
-	}
-	if c.Generation() != 0 {
-		t.Fatalf("fresh cache generation = %d, want 0", c.Generation())
-	}
-
-	c.Invalidate()
-
-	if c.Generation() != 1 {
-		t.Fatalf("generation after Invalidate = %d, want 1", c.Generation())
-	}
-	if c.AnswerLookup(ids, 512, 256) {
-		t.Error("stale answer served after corpus invalidation")
-	}
-	if st := c.Stats(); st.AnswerEntries != 0 {
-		t.Errorf("stale answer entry still resident after missed lookup: %d entries", st.AnswerEntries)
-	}
-	// Prefix chains survive: same chain still earns full credit.
-	if got := c.Access(ids, 512); got != 300 {
-		t.Errorf("prefix credit after invalidation = %d, want 300", got)
-	}
-	// Re-stored answers hit again under the new generation.
-	c.AnswerStore(ids, 512, 256)
-	if !c.AnswerLookup(ids, 512, 256) {
-		t.Error("answer re-stored under the new generation missed")
-	}
-	// Re-storing an existing entry restamps it.
-	c.Invalidate()
-	c.AnswerStore(ids, 512, 256) // node exists (stale); store restamps
-	if !c.AnswerLookup(ids, 512, 256) {
-		t.Error("restamped answer entry missed")
-	}
-	// Nil-safety of the new methods.
-	var nilC *Cache
-	nilC.Invalidate()
-	if nilC.Generation() != 0 {
-		t.Error("nil cache generation != 0")
-	}
-}

@@ -69,7 +69,7 @@ type Library struct {
 // NewLibrary builds a plan library from an optimizer's Pareto frontier:
 // points violating the SLO analytically (unloaded TTFT over the TTFT
 // bound, steady-state TPOT over the TPOT bound) are excluded, the rest
-// are compiled through the optimizer's assembler, and the cost/capacity
+// are compiled by the optimizer that priced them, and the cost/capacity
 // staircase is pruned to plans that buy throughput with their chips.
 func NewLibrary(o *core.Optimizer, front []core.SchedulePoint, slo SLO) (*Library, error) {
 	var plans []*engine.Plan
@@ -80,7 +80,7 @@ func NewLibrary(o *core.Optimizer, front []core.SchedulePoint, slo SLO) (*Librar
 		if slo.TPOT > 0 && p.Metrics.TPOT > slo.TPOT {
 			continue
 		}
-		plan, err := o.Asm.Compile(p.Item)
+		plan, err := o.Compile(p.Item)
 		if err != nil {
 			// Frontier points assembled once already; a compile failure
 			// here means the schedule went stale, not a user error.

@@ -14,7 +14,7 @@ import (
 // of the replay's engine.Tally, Total and per tenure EpochCount.
 type SimResult struct {
 	// Completed counts simulated completions; QPS is the completion rate
-	// over the completion span (Tally.CompletionRate).
+	// over the completion span (Tally.Total().QPS).
 	Completed int     `json:"completed"`
 	QPS       float64 `json:"qps"`
 	// Rejected counts arrivals the admission bound shed.

@@ -33,7 +33,7 @@ func TestCaseVOptimize(t *testing.T) {
 		if err := p.Item.Validate(o.Pipe); err != nil {
 			t.Fatalf("frontier schedule invalid: %v", err)
 		}
-		if m, ok := o.Asm.Evaluate(p.Item); !ok || m != p.Metrics {
+		if m, ok := compiledMetrics(o, p.Item); !ok || m != p.Metrics {
 			t.Fatalf("frontier point not Evaluate-consistent: %v vs %v", p.Metrics, m)
 		}
 	}

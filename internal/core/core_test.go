@@ -24,6 +24,20 @@ func newOpt(t *testing.T, s ragschema.Schema, cluster hw.Cluster, norm int) *Opt
 	return o
 }
 
+// compiledMetrics compiles s with o and reads the plan's metrics,
+// normalized by o's QPS/chip denominator as the search normalizes them.
+func compiledMetrics(o *Optimizer, s Schedule) (perf.Metrics, bool) {
+	plan, err := o.Compile(s)
+	if err != nil {
+		return perf.Metrics{}, false
+	}
+	m := plan.Metrics
+	if n := o.opts.NormalizeChips; n > 0 {
+		m.QPSPerChip = m.QPS / float64(n)
+	}
+	return m, true
+}
+
 func caseISchedule() Schedule {
 	return Schedule{
 		Groups:           []GroupSchedule{{Stages: []int{1}, Chips: 16, Batch: 4}},
@@ -75,7 +89,7 @@ func TestScheduleValidateAndDescribe(t *testing.T) {
 
 func TestEvaluateKnownSchedule(t *testing.T) {
 	o := newOpt(t, ragschema.CaseI(8e9, 1), hw.DefaultCluster(), 64)
-	m, ok := o.Asm.Evaluate(caseISchedule())
+	m, ok := compiledMetrics(o, caseISchedule())
 	if !ok {
 		t.Fatal("schedule should be feasible")
 	}
@@ -97,14 +111,14 @@ func TestEvaluateRejectsInfeasible(t *testing.T) {
 	o := newOpt(t, ragschema.CaseI(405e9, 1), hw.DefaultCluster(), 0)
 	s := caseISchedule()
 	s.Groups[0].Chips = 1 // 405B prefix cannot fit one chip
-	if _, ok := o.Asm.Evaluate(s); ok {
+	if _, ok := compiledMetrics(o, s); ok {
 		t.Errorf("405B prefix on one chip should be infeasible")
 	}
 	// 8 retrieval servers cannot hold the 6.1 TB corpus.
 	o8 := newOpt(t, ragschema.CaseI(8e9, 1), hw.DefaultCluster(), 0)
 	s = caseISchedule()
 	s.RetrievalServers = 8
-	if _, ok := o8.Asm.Evaluate(s); ok {
+	if _, ok := compiledMetrics(o8, s); ok {
 		t.Errorf("8-server retrieval should be infeasible")
 	}
 }
@@ -154,9 +168,9 @@ func TestOptimizeFrontierProperties(t *testing.T) {
 	}
 	for i, p := range front {
 		// Every schedule must re-evaluate to exactly the reported
-		// metrics (the search's incremental merge and the assembler
+		// metrics (the search's incremental merge and the compile
 		// must agree).
-		m, ok := o.Asm.Evaluate(p.Item)
+		m, ok := compiledMetrics(o, p.Item)
 		if !ok {
 			t.Fatalf("frontier schedule %d infeasible on re-evaluation", i)
 		}
@@ -328,7 +342,7 @@ func TestIterativeRetrievalRaisesTPOT(t *testing.T) {
 		s.Groups[0].Chips = 16
 		s.DecodeChips = 16
 		s.IterativeBatch = 16
-		m, ok := o.Asm.Evaluate(s)
+		m, ok := compiledMetrics(o, s)
 		if !ok {
 			t.Fatalf("freq %d: schedule infeasible", freq)
 		}

@@ -239,8 +239,8 @@ type searchCtx struct {
 type partialCorner struct{ tpot, qps float64 }
 
 // newSearchCtx builds a worker context. The scratch evaluator runs the
-// exact compile arithmetic Assembler.Evaluate runs, without per-schedule
-// plan allocation.
+// exact compile arithmetic engine.Compile runs, without per-schedule plan
+// allocation.
 func (o *Optimizer) newSearchCtx() *searchCtx {
 	ev, err := engine.NewEvaluator(o.Pipe, o.Prof)
 	if err != nil {
@@ -298,8 +298,8 @@ func (o *Optimizer) cheapestKnobs(nprobes, fanouts []int) (np, fo int) {
 
 // evaluate assembles end-to-end metrics for one schedule through the
 // scratch evaluator, shaped when the options carry a sample, normalized by
-// the options' QPS/chip denominator. Unshaped, results are bit-identical to
-// Assembler.Evaluate.
+// the options' QPS/chip denominator. Unshaped and unnormalized, results are
+// bit-identical to the metrics of Optimizer.Compile's plan.
 func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
 	c.stats.Compiled++
 	var m perf.Metrics

@@ -85,7 +85,6 @@ func DefaultOptions(cluster hw.Cluster) Options {
 type Optimizer struct {
 	Pipe pipeline.Pipeline
 	Prof *stageperf.Profiler
-	Asm  *Assembler
 
 	opts Options
 	// noPrune selects the exhaustive reference search: no plan bounds, no
@@ -183,6 +182,14 @@ func (o *Optimizer) With(opts Options) (*Optimizer, error) {
 	return newOptimizer(o.Pipe, o.Prof, opts)
 }
 
+// Compile compiles s into the execution plan the executors run, through
+// the pipeline and profiler that priced it (sharded tier and recall surface
+// included), with the engine's descriptive error on infeasibility. The
+// plan's metrics are per allocated chip whatever Options.NormalizeChips says.
+func (o *Optimizer) Compile(s Schedule) (*engine.Plan, error) {
+	return engine.Compile(o.Pipe, s, o.Prof)
+}
+
 // newOptimizer validates opts and owns a copy of them, slices included, so
 // no caller can change the search after its memos are built.
 func newOptimizer(pipe pipeline.Pipeline, prof *stageperf.Profiler, opts Options) (*Optimizer, error) {
@@ -201,7 +208,6 @@ func newOptimizer(pipe pipeline.Pipeline, prof *stageperf.Profiler, opts Options
 	return &Optimizer{
 		Pipe:   pipe,
 		Prof:   prof,
-		Asm:    &Assembler{Pipe: pipe, Prof: prof, NormalizeChips: opts.NormalizeChips},
 		opts:   opts,
 		space:  newSearchSpace(pipe, opts),
 		gcache: make(map[groupKey][]groupChoice),

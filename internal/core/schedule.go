@@ -10,7 +10,10 @@
 // prefix tier, §7.1) and the micro-batched burst TTFT model of §7.2.
 package core
 
-import "rago/internal/engine"
+import (
+	"rago/internal/engine"
+	"rago/internal/perf"
+)
 
 // GroupSchedule is the resolved policy for one XPU placement group.
 type GroupSchedule = engine.GroupSchedule
@@ -19,3 +22,6 @@ type GroupSchedule = engine.GroupSchedule
 // with how many resources, at which batch sizes. It is engine.Schedule;
 // core aliases it so the optimizer's public surface stays in one package.
 type Schedule = engine.Schedule
+
+// SchedulePoint couples a complete schedule with its assembled metrics.
+type SchedulePoint = perf.Point[Schedule]

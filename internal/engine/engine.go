@@ -9,8 +9,9 @@
 //
 // Three executors consume the same *Plan:
 //
-//   - core.Assembler reads Plan.Metrics (Algorithm 1 step 3), and its
-//     Compile yields the plans the other two run;
+//   - core.Optimizer prices every candidate schedule with Compile's
+//     arithmetic (Evaluator; Algorithm 1 step 3), and its Compile yields
+//     the plans the other two run;
 //   - sim.ServeSim (sim.NewServeFromPlan) replays traces through
 //     Plan.Steps as a discrete-event system;
 //   - serve.Server (serve.NewServer) executes Plan.Steps live under

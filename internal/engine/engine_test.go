@@ -45,7 +45,7 @@ func caseIVSchedule() Schedule {
 // plan's per-stage steps must reproduce the pre-refactor construction —
 // a direct profiler evaluation per (stage, chips, batch, replicas) — and
 // the assembled metrics must equal the hand-composed latency/occupancy
-// chain the analytical Assembler used to build privately.
+// chain the analytical assembler used to build privately.
 func TestCompileGoldenCaseIV(t *testing.T) {
 	schema := ragschema.CaseIV(8e9)
 	sched := caseIVSchedule()

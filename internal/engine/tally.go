@@ -19,7 +19,7 @@ type Tally struct {
 // Count is a Tally's account of a run or of one epoch: its arrivals by
 // admission verdict (Admitted minus Completed are in flight), its
 // completions, their span in virtual time (0 without one) and the completion
-// rate over that span (CompletionRate).
+// rate over that span.
 type Count struct {
 	Admitted, Rejected, Completed int
 	FirstDone, LastDone, QPS      float64
@@ -108,11 +108,9 @@ func (t *Tally) Summary() Summary {
 	return s
 }
 
-// CompletionRate is the one definition of a run's sustained completion
-// rate: completions after the first over the span from the first to the
-// last. It is 0 with fewer than two completions or a zero span.
-func (t *Tally) CompletionRate() float64 { return t.Total().QPS }
-
+// rated returns c with its QPS, the one definition of a sustained rate:
+// completions after the first over the span from the first to the last. It
+// is 0 with fewer than two completions or a zero span.
 func (c Count) rated() Count {
 	if c.Completed >= 2 && c.LastDone > c.FirstDone {
 		c.QPS = float64(c.Completed-1) / (c.LastDone - c.FirstDone)
@@ -121,7 +119,7 @@ func (c Count) rated() Count {
 }
 
 // SteadyRate is the run's peak completions per second over any
-// quarter-span window anchored at a completion. Unlike CompletionRate it
+// quarter-span window anchored at a completion. Unlike Total().QPS it
 // sits inside the saturated middle of a run whose span is mostly warmup ramp
 // and drain tail, as when huge decode batches complete in a few clumps. It
 // is 0 with fewer than three completions or a zero span.

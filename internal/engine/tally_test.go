@@ -142,8 +142,8 @@ func TestTally(t *testing.T) {
 	}
 
 	bits := math.Float64bits
-	if got, want := tl.CompletionRate(), refCompletionRate(3, done[0], done[2]); got == 0 || bits(got) != bits(want) || bits(tot.QPS) != bits(want) {
-		t.Errorf("completion rate %v (total %v), reference %v", got, tot.QPS, want)
+	if got, want := tot.QPS, refCompletionRate(3, done[0], done[2]); got == 0 || bits(got) != bits(want) {
+		t.Errorf("completion rate %v, reference %v", got, want)
 	}
 	if got, want := tl.SteadyRate(), refSteadyRate(done); got == 0 || bits(got) != bits(want) || bits(s.SteadyQPS) != bits(want) {
 		t.Errorf("steady rate %v (summary %v), reference %v", got, s.SteadyQPS, want)
@@ -187,7 +187,7 @@ func TestTallySteadyRateIgnoresWarmupAndTail(t *testing.T) {
 	}
 	done = append(done, 80, 100) // sparse tail
 	tl := tallyOf(done)
-	spanRate := tl.CompletionRate()
+	spanRate := tl.Total().QPS
 	steady := tl.SteadyRate()
 	if steady < 2*spanRate {
 		t.Errorf("steady %g did not rise above diluted span rate %g", steady, spanRate)

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"rago/internal/cache"
-	"rago/internal/core"
 	"rago/internal/engine"
 	"rago/internal/trace"
 )
@@ -15,10 +14,11 @@ import (
 // sustained QPS and p99 TTFT alongside ns/op.
 func BenchmarkServeCaseIV(b *testing.B) {
 	pipe, prof, sched := caseIVSetup(b)
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		b.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		b.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	const n = 10000
 	reqs, err := trace.Poisson(n, 1.5*want.QPS, 42)
 	if err != nil {

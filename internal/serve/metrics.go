@@ -244,7 +244,7 @@ type Report struct {
 	// Span is the virtual completion span the rate is measured over.
 	Span float64 `json:"span"`
 
-	// Analytic carries the assembler's prediction for the same schedule,
+	// Analytic carries the compiled plan's prediction for the same schedule,
 	// zero-valued unless HasAnalytic (a multi-plan run has no single
 	// reference); QPSVsAnalytic is SustainedQPS over Analytic.QPS.
 	Analytic      perf.Metrics `json:"analytic"`

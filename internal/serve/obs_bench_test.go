@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"rago/internal/core"
+	"rago/internal/engine"
 	"rago/internal/obs"
 	"rago/internal/trace"
 )
@@ -18,10 +18,11 @@ import (
 // bus's) — reporting both sustained rates and the traced/nil ratio.
 func BenchmarkServeObsOverhead(b *testing.B) {
 	pipe, prof, sched := caseIVSetup(b)
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		b.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		b.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	const n = 10000
 	reqs, err := trace.Poisson(n, 1.5*want.QPS, 42)
 	if err != nil {

@@ -78,10 +78,11 @@ func serverFor(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Sc
 // configuration is TestWallDriverMatchesHeapDriver's caseIV-saturation).
 func TestRuntimeSaturationMatchesAnalytic(t *testing.T) {
 	pipe, prof, sched := caseIVSetup(t)
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	const n = 10000
 	reqs, err := trace.Poisson(n, 1.5*want.QPS, 42)
 	if err != nil {
@@ -128,10 +129,11 @@ func TestRuntimeUnloadedTTFT(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
 	sched.Groups[0].Batch = 1
 	sched.RetrievalBatch = 1
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	reqs, err := trace.Poisson(50, 1, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -350,10 +352,11 @@ func caseVSetup(t testing.TB) (pipeline.Pipeline, *stageperf.Profiler, core.Sche
 // caseV-fanout).
 func TestRuntimeCaseVFanOutEndToEnd(t *testing.T) {
 	pipe, prof, sched := caseVSetup(t)
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	const n = 6000
 	reqs, err := trace.Poisson(n, 1.5*want.QPS, 11)
 	if err != nil {
@@ -405,10 +408,11 @@ func TestRuntimeCaseVUnloadedTTFT(t *testing.T) {
 	pipe, prof, sched := caseVSetup(t)
 	sched.Groups[0].Batch = 1
 	sched.RetrievalBatch = 1
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	reqs, err := trace.Poisson(50, 1, 5)
 	if err != nil {
 		t.Fatal(err)

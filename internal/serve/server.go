@@ -161,7 +161,7 @@ type Server struct {
 }
 
 // NewServer builds a multi-plan serving engine starting on the given
-// compiled plan (see engine.Compile or core.Assembler.Compile).
+// compiled plan (see engine.Compile or core.Optimizer.Compile).
 // Inexecutable plans (engine.Plan.Executable) and negative Options are
 // rejected.
 func NewServer(initial *engine.Plan, opts Options) (*Server, error) {

@@ -91,10 +91,11 @@ func TestReportJSON(t *testing.T) {
 // converges on the cumulative truth.
 func TestRuntimeTelemetry(t *testing.T) {
 	pipe, prof, sched := caseISetup(t)
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	const n = 3000
 	reqs, err := trace.Poisson(n, want.QPS, 21)
 	if err != nil {

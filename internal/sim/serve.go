@@ -58,7 +58,7 @@ type ServeResult struct {
 }
 
 // NewServeFromPlan builds a simulator for a compiled execution plan (see
-// engine.Compile or core.Assembler.Compile) — the object the live runtime
+// engine.Compile or core.Optimizer.Compile) — the object the live runtime
 // executes, so both run the plan the optimizer priced. Inexecutable plans
 // (engine.Plan.Executable) are rejected.
 func NewServeFromPlan(plan *engine.Plan) (*ServeSim, error) {

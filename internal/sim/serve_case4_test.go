@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rago/internal/core"
+	"rago/internal/engine"
 	"rago/internal/hw"
 	"rago/internal/pipeline"
 	"rago/internal/ragschema"
@@ -32,11 +33,11 @@ func TestServeSimCaseIV(t *testing.T) {
 		DecodeBatch:      64,
 		DecodeReplicas:   4,
 	}
-	asm := &core.Assembler{Pipe: pipe, Prof: prof}
-	want, ok := asm.Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rago/internal/core"
+	"rago/internal/engine"
 	"rago/internal/hw"
 	"rago/internal/pipeline"
 	"rago/internal/ragschema"
@@ -39,10 +40,11 @@ func caseVSetup(t *testing.T) (pipeline.Pipeline, *stageperf.Profiler, core.Sche
 // plan's analytical QPS.
 func TestServeSimCaseVFanOut(t *testing.T) {
 	pipe, prof, sched := caseVSetup(t)
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -67,10 +69,11 @@ func TestServeSimCaseVUnloadedTTFT(t *testing.T) {
 	pipe, prof, sched := caseVSetup(t)
 	sched.Groups[0].Batch = 1
 	sched.RetrievalBatch = 1
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +114,11 @@ func TestServeSimCaseIILongContext(t *testing.T) {
 		DecodeBatch:      64,
 		DecodeReplicas:   4,
 	}
-	want, ok := (&core.Assembler{Pipe: pipe, Prof: prof}).Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)

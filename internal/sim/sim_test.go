@@ -185,11 +185,11 @@ func simFor(pipe pipeline.Pipeline, prof *stageperf.Profiler, sched engine.Sched
 
 func TestServeSimThroughputMatchesAnalytic(t *testing.T) {
 	pipe, prof, sched := serveSetup(t)
-	asm := &core.Assembler{Pipe: pipe, Prof: prof}
-	want, ok := asm.Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)
@@ -212,11 +212,11 @@ func TestServeSimUnloadedTTFT(t *testing.T) {
 	// unloaded simulated TTFT coincide.
 	sched.Groups[0].Batch = 1
 	sched.RetrievalBatch = 1
-	asm := &core.Assembler{Pipe: pipe, Prof: prof}
-	want, ok := asm.Evaluate(sched)
-	if !ok {
-		t.Fatal("schedule infeasible analytically")
+	ref, err := engine.Compile(pipe, sched, prof)
+	if err != nil {
+		t.Fatalf("schedule infeasible analytically: %v", err)
 	}
+	want := ref.Metrics
 	s, err := simFor(pipe, prof, sched)
 	if err != nil {
 		t.Fatal(err)

@@ -169,7 +169,7 @@ func BuildPipeline(schema Schema) (Pipeline, error) { return pipeline.Build(sche
 // ExecutionPlan is a schedule compiled against its pipeline: per-stage
 // steps (resource, batch, replicas, profiled latency), per-resource
 // occupancies, the iterative loop structure, and the assembled analytical
-// metrics. One compiled plan drives the analytical assembler, the
+// metrics. One compiled plan drives the optimizer's pricing, the
 // discrete-event validator, and the live serving runtime alike.
 type ExecutionPlan = engine.Plan
 
