@@ -1,14 +1,13 @@
 package rago
 
 // One benchmark per table and figure of the paper, plus ablation
-// benchmarks for the design choices DESIGN.md calls out. Each benchmark
+// benchmarks for the optimizer's design choices. Each benchmark
 // regenerates its artifact through the internal/bench harness and reports
 // the headline quantity as a custom metric, so
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the paper's evaluation end to end. EXPERIMENTS.md records the
-// paper-vs-measured comparison for every artifact.
+// reproduces the paper's evaluation end to end.
 
 import (
 	"testing"
@@ -289,7 +288,7 @@ func BenchmarkTable4(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (design choices, DESIGN.md §7) ---
+// --- Ablation benchmarks (design choices) ---
 
 // BenchmarkAblationParetoPruning compares the optimizer's incremental
 // Pareto-pruned batch search against brute-force enumeration of every

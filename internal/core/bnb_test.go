@@ -85,7 +85,7 @@ func TestPlanBoundAdmissible(t *testing.T) {
 		if i%97 != 0 { // sample; every plan costs a full sub-search
 			continue
 		}
-		bound, ok := o.planBound(plan)
+		bound, ok := o.planBound(plan, nil)
 		front := o.PlanFrontier(plan)
 		if !ok {
 			if len(front) != 0 {

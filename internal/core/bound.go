@@ -64,92 +64,53 @@ func (o *Optimizer) prefixFormBound(st pipeline.Stage, chips int) (minLat, occLB
 //
 // ok is false when some stage is infeasible at every batch/replication on
 // the plan's resources: no schedule of the plan compiles, so the caller
-// skips the plan outright.
-func (o *Optimizer) planBound(plan Plan) (perf.Metrics, bool) {
-	pipe := o.Pipe
-	n := len(pipe.Stages)
+// skips the plan outright. The per-stage terms come through terms
+// (boundTerm).
+func (o *Optimizer) planBound(plan Plan, terms boundTerms) (perf.Metrics, bool) {
+	pipe := &o.Pipe
+	sp := &o.space
 	prefixIdx := pipe.Index(pipeline.KindPrefix)
 	decIdx := pipe.Index(pipeline.KindDecode)
-	transfer := o.Prof.RetrievalTransferLatency()
 
-	// Per-stage optimistic latency and saturation throughput on the
-	// plan's resources.
-	minLat := make([]float64, n)
+	// Per-stage optimistic latency on the plan's resources.
+	minLat := make([]float64, len(pipe.Stages))
 	qpsUB := math.Inf(1)
 
-	// Pre-decode groups: stages share the group's chips; batches range
-	// over the pre-decode bound.
-	sp := &o.space
+	// Pre-decode groups: stages share the group's chips.
 	for gi, g := range plan.Placement.Groups {
-		chips := plan.GroupChips[gi]
 		var occLB float64
 		for _, idx := range g.Stages {
-			if idx == prefixIdx && (sp.shaped || len(sp.chunks) > 0) {
-				lat, occ, ok := o.prefixFormBound(pipe.Stages[idx], chips)
-				if !ok {
-					return perf.Metrics{}, false
-				}
-				minLat[idx] = lat
-				occLB += occ
-				continue
-			}
-			env := o.Prof.Envelope(pipe.Stages[idx], chips, o.opts.MaxPreBatch)
-			if !env.OK {
+			t := o.boundTerm(terms, termKey{idx, plan.GroupChips[gi], true})
+			if !t.ok {
 				return perf.Metrics{}, false
 			}
-			minLat[idx] = env.MinLatency
-			occLB += 1 / env.MaxQPS
+			minLat[idx] = t.lat
+			occLB += t.occ
 		}
 		qpsUB = math.Min(qpsUB, 1/occLB)
 	}
 
 	// Retrieval tiers (one per source, each on the plan's server count).
-	// With nprobe/fanout searched, every knob pair's envelope contributes
-	// to the optimistic union — the bound's latency floors and throughput
-	// ceilings hold for whichever stamping the search picks.
 	for _, ridx := range sp.retrIdxs {
-		rMinLat, rMaxQPS := math.Inf(1), 0.0
-		any := false
-		for _, np := range sp.nprobes {
-			for _, fo := range sp.fanouts {
-				env := o.Prof.Envelope(pipe.Stages[ridx].Tuned(np, fo), plan.Servers, o.opts.MaxRetrievalBatch)
-				if !env.OK {
-					continue
-				}
-				any = true
-				rMinLat = math.Min(rMinLat, env.MinLatency)
-				rMaxQPS = math.Max(rMaxQPS, env.MaxQPS)
-			}
-		}
-		if !any {
+		t := o.boundTerm(terms, termKey{ridx, plan.Servers, false})
+		if !t.ok {
 			return perf.Metrics{}, false
 		}
-		minLat[ridx] = rMinLat + transfer
-		qpsUB = math.Min(qpsUB, rMaxQPS)
+		minLat[ridx] = t.lat
+		qpsUB = math.Min(qpsUB, t.qps)
 	}
 
-	// Decode tier. A shape sample re-prices decode at each request's own
-	// live KV context and output length: the envelope moves to the
-	// sample's minimum context (per-token pace is monotone in context, so
-	// it floors every request's pace), and the throughput ceiling scales
-	// by the schema-to-minimum output ratio (slots free after at least
-	// minOut tokens at the floored pace).
-	dstage := pipe.Stages[decIdx]
-	outRatio := 1.0
-	if sp.shaped {
-		dstage = stageperf.ShapedDecodeStage(dstage, engine.PadTokens(sp.minPrompt+sp.minOut/2))
-		outRatio = float64(pipe.Stages[decIdx].OutTokens) / float64(sp.minOut)
-	}
-	denv := o.Prof.Envelope(dstage, plan.DecodeChips, o.opts.MaxDecodeBatch)
-	if !denv.OK {
+	// Decode tier.
+	t := o.boundTerm(terms, termKey{decIdx, plan.DecodeChips, false})
+	if !t.ok {
 		return perf.Metrics{}, false
 	}
-	qpsUB = math.Min(qpsUB, denv.MaxQPS*outRatio)
-	tpotLB := denv.MinLatency / float64(pipe.Stages[decIdx].OutTokens)
+	qpsUB = math.Min(qpsUB, t.qps)
+	tpotLB := t.lat / float64(pipe.Stages[decIdx].OutTokens)
 
 	// TTFT: longest path to the prefix over minimum latencies (the walk
 	// consumes minLat, which nothing reads after it).
-	ttftLB := engine.CriticalPathTTFT(pipe.Preds(), minLat, prefixIdx)
+	ttftLB := engine.CriticalPathTTFT(sp.preds, minLat, prefixIdx)
 
 	return perf.Metrics{
 		TTFT:       ttftLB,
@@ -161,6 +122,89 @@ func (o *Optimizer) planBound(plan Plan) (perf.Metrics, bool) {
 		// so MaxRecall is an exact ceiling — admissible without margin.
 		Recall: o.Prof.MaxRecall(),
 	}, true
+}
+
+// boundTerms memoizes boundTerm for one pass over the plans (nil prices
+// every term afresh). Case IV's 7,810 plans ask for a few dozen distinct
+// terms, and the profiler's envelope memo hashes the whole stage value
+// under its mutex on every ask.
+type boundTerms map[termKey]boundTerm
+
+// termKey names one stage on one resource size: chips for an XPU stage,
+// servers for retrieval. group says whether the stage is a pre-decode
+// group member or a tier of its own (retrieval, decode).
+type termKey struct {
+	stage, size int
+	group       bool
+}
+
+// boundTerm is one stage's optimistic terms on one resource size, as
+// planBound composes them: a latency floor, and a per-request occupancy
+// floor (a group member) or a throughput ceiling (a tier). ok is false when
+// no batch or replication the search may pick is feasible there.
+type boundTerm struct {
+	lat, occ, qps float64
+	ok            bool
+}
+
+// boundTerm returns k's terms, through terms when it is non-nil. They are
+// composed from per-resource envelopes (stageperf.Envelope — roofline
+// minima/maxima over every batch and replication the search may pick):
+//
+//   - A group member's batches range over the pre-decode bound; the prefix
+//     stage relaxes over the formation dimensions (prefixFormBound).
+//   - A retrieval tier adds the CPU-to-XPU transfer to its latency floor.
+//     With nprobe/fanout searched, every knob pair's envelope contributes
+//     to the optimistic union — the floors and ceilings hold for whichever
+//     stamping the search picks.
+//   - The decode tier's latency floor is its minimum full-generation
+//     latency. A shape sample re-prices decode at each request's own live
+//     KV context and output length: the envelope moves to the sample's
+//     minimum context (per-token pace is monotone in context, so it floors
+//     every request's pace), and the throughput ceiling scales by the
+//     schema-to-minimum output ratio (slots free after at least minOut
+//     tokens at the floored pace).
+func (o *Optimizer) boundTerm(terms boundTerms, k termKey) boundTerm {
+	if t, ok := terms[k]; ok {
+		return t
+	}
+	pipe := &o.Pipe
+	sp := &o.space
+	st := pipe.Stages[k.stage]
+	var t boundTerm
+	switch {
+	case k.group && k.stage == pipe.Index(pipeline.KindPrefix) && (sp.shaped || len(sp.chunks) > 0):
+		t.lat, t.occ, t.ok = o.prefixFormBound(st, k.size)
+	case k.group:
+		env := o.Prof.Envelope(st, k.size, o.opts.MaxPreBatch)
+		t = boundTerm{lat: env.MinLatency, occ: 1 / env.MaxQPS, ok: env.OK}
+	case st.Kind == pipeline.KindRetrieval:
+		rMinLat := math.Inf(1)
+		for _, np := range sp.nprobes {
+			for _, fo := range sp.fanouts {
+				env := o.Prof.Envelope(st.Tuned(np, fo), k.size, o.opts.MaxRetrievalBatch)
+				if !env.OK {
+					continue
+				}
+				t.ok = true
+				rMinLat = math.Min(rMinLat, env.MinLatency)
+				t.qps = math.Max(t.qps, env.MaxQPS)
+			}
+		}
+		t.lat = rMinLat + o.Prof.RetrievalTransferLatency()
+	default:
+		outRatio := 1.0
+		if sp.shaped {
+			st = stageperf.ShapedDecodeStage(st, engine.PadTokens(sp.minPrompt+sp.minOut/2))
+			outRatio = float64(pipe.Stages[k.stage].OutTokens) / float64(sp.minOut)
+		}
+		env := o.Prof.Envelope(st, k.size, o.opts.MaxDecodeBatch)
+		t = boundTerm{lat: env.MinLatency, qps: env.MaxQPS * outRatio, ok: env.OK}
+	}
+	if terms != nil {
+		terms[k] = t
+	}
+	return t
 }
 
 // chips is the XPU total every schedule of the plan occupies (groups plus

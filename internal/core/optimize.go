@@ -1,12 +1,13 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rago/internal/engine"
 	"rago/internal/hw"
@@ -111,6 +112,12 @@ type Optimizer struct {
 // tight those bounds were against what the search actually achieved. An
 // exhaustive reference run reports only Plans, Searched and Compiled — it
 // computes no bounds, so the pruning counters and gaps stay zero.
+//
+// With more than one worker the pruning counters and Compiled depend on
+// worker timing: which plans finish first decides how tight the incumbent
+// is when each later plan is probed. Six 2-worker Case IV searches compiled
+// 1,139–1,222 schedules where six 1-worker searches compiled 1,137 each.
+// The frontier does not move; exact counters come from a Workers: 1 search.
 type SearchStats struct {
 	// Plans is the full enumeration size; Infeasible the plans skipped
 	// because no schedule of theirs compiles; PrunedPlans the feasible
@@ -453,35 +460,44 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 	if !o.noPrune {
 		bounds = make([]perf.Metrics, len(plans))
 		feasible = make([]bool, len(plans))
+		terms := make(boundTerms)
 		for i, p := range plans {
-			bounds[i], feasible[i] = o.planBound(p)
+			bounds[i], feasible[i] = o.planBound(p, terms)
 		}
 		// Best-bound-first: plans whose optimistic metrics look
 		// strongest are searched first, so their real frontier points
 		// enter the incumbent early and prune the long tail.
-		sort.SliceStable(order, func(a, b int) bool {
-			i, j := order[a], order[b]
+		// The plan index breaks ties, which makes the sort stable.
+		slices.SortFunc(order, func(i, j int) int {
 			if feasible[i] != feasible[j] {
-				return feasible[i]
+				if feasible[i] {
+					return -1
+				}
+				return 1
 			}
-			bi, bj := bounds[i], bounds[j]
-			if bi.QPSPerChip != bj.QPSPerChip {
-				return bi.QPSPerChip > bj.QPSPerChip
+			bi, bj := &bounds[i], &bounds[j]
+			if c := cmp.Compare(bj.QPSPerChip, bi.QPSPerChip); c != 0 {
+				return c
 			}
-			if bi.TTFT != bj.TTFT {
-				return bi.TTFT < bj.TTFT
+			if c := cmp.Compare(bi.TTFT, bj.TTFT); c != 0 {
+				return c
 			}
-			return bi.TPOT < bj.TPOT
+			if c := cmp.Compare(bi.TPOT, bj.TPOT); c != 0 {
+				return c
+			}
+			return cmp.Compare(i, j)
 		})
 		inc = &perf.Incremental{}
 	}
 
 	results := make([][]SchedulePoint, len(plans))
 	// Each worker counts into its own context's stats; they are summed
-	// once every worker is done.
+	// once every worker is done. Workers claim plans in order's sequence
+	// through one shared cursor: most plans are pruned by a single probe,
+	// so a claim must cost no more than an atomic add.
 	ctxs := make([]*searchCtx, workers)
 	var wg sync.WaitGroup
-	next := make(chan int)
+	var cursor atomic.Int64
 	for w := range ctxs {
 		wg.Add(1)
 		go func() {
@@ -489,7 +505,13 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 			ctx := o.newSearchCtx()
 			ctx.memo = memo
 			ctxs[w] = ctx
-			for i := range next {
+			var front []perf.Metrics // a plan frontier's metrics, inserted as one
+			for {
+				k := int(cursor.Add(1)) - 1
+				if k >= len(order) {
+					return
+				}
+				i := order[k]
 				if inc == nil {
 					ctx.stats.Searched++
 					results[i] = o.planFrontier(ctx, plans[i], nil, perf.Metrics{})
@@ -505,16 +527,14 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 				ctx.stats.Searched++
 				pts := o.planFrontier(ctx, plans[i], inc, bounds[i])
 				results[i] = pts
+				front = front[:0]
 				for _, p := range pts {
-					inc.Insert(p.Metrics)
+					front = append(front, p.Metrics)
 				}
+				inc.Insert(front...)
 			}
 		}()
 	}
-	for _, i := range order {
-		next <- i
-	}
-	close(next)
 	wg.Wait()
 
 	var all []SchedulePoint

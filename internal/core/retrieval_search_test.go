@@ -111,7 +111,7 @@ func TestRetrievalKnobPlanBoundAdmissible(t *testing.T) {
 		if i%5 != 0 { // sample; every plan costs a full sub-search
 			continue
 		}
-		bound, ok := o.planBound(plan)
+		bound, ok := o.planBound(plan, nil)
 		front := o.PlanFrontier(plan)
 		if !ok {
 			if len(front) != 0 {

@@ -130,7 +130,10 @@ type Plan struct {
 	// the profiler.
 	ChunkLatency float64
 
-	prof *stageperf.Profiler
+	// pr prices the plan's stages: through the profiler alone on a
+	// compiled Plan, through the worker's own memo first on an
+	// Evaluator's scratch plan (pricer).
+	pr pricer
 	// cpScratch and memo, when non-nil, are the critical-path walk's
 	// reusable buffer and ShapeMetrics' sample memo (shapeMemo). Only
 	// Evaluator-owned scratch plans set them: a compiled Plan stays
@@ -257,7 +260,7 @@ func compileInto(p *Plan, pipe *pipeline.Pipeline, sched Schedule, pr pricer, al
 	p.DecodeIdx = pipe.Index(pipeline.KindDecode)
 	p.Iter = iter
 	p.Round = round
-	p.prof = prof
+	p.pr = pr
 	p.ChunkLatency = 0 // scratch reuse: recomputed below when chunking is on
 	if alloc || p.RetrievalIdxs == nil {
 		p.RetrievalIdxs = pipe.Indices(pipeline.KindRetrieval)
@@ -296,7 +299,7 @@ func compileInto(p *Plan, pipe *pipeline.Pipeline, sched Schedule, pr pricer, al
 				// TTFT contribution is the mean member completion within a
 				// full batch, since first tokens unblock at chunk
 				// boundaries instead of batch end.
-				cpt := prof.EvalR(stageperf.ShapedStage(pipe.Stages[idx], sched.ChunkQuantum), g.Chips, 1, 1)
+				cpt := pr.shaped(&pipe.Stages[idx], idx, sched.ChunkQuantum, g.Chips, 1, 1)
 				if !cpt.OK {
 					return fmt.Errorf("engine: chunk quantum %d infeasible for prefix on %d chips", sched.ChunkQuantum, g.Chips)
 				}
@@ -582,7 +585,7 @@ func (p *Plan) TrackNames() []string {
 // Shards returns the retrieval shard count of the profiler the plan was
 // compiled against (0 or 1 means an unsharded tier). Executors use it to
 // decide whether retrieval batches run — and trace — as a scatter-gather.
-func (p *Plan) Shards() int { return p.prof.Shards }
+func (p *Plan) Shards() int { return p.pr.prof.Shards }
 
 // EffectiveFanout normalizes the schedule's fanout knob against the shard
 // count: values outside [1, Shards] mean consult every shard.
@@ -617,8 +620,8 @@ func (p *Plan) StepLatency(idx, n int) float64 {
 		return st.Latency
 	}
 	if st.Stage.Kind == pipeline.KindRetrieval {
-		if pt := p.prof.Eval(st.Stage, st.Chips, n); pt.OK {
-			return pt.Latency + p.prof.RetrievalTransferLatency()
+		if pt := p.pr.prof.Eval(st.Stage, st.Chips, n); pt.OK {
+			return pt.Latency + p.pr.prof.RetrievalTransferLatency()
 		}
 		return st.Latency
 	}
@@ -626,7 +629,7 @@ func (p *Plan) StepLatency(idx, n int) float64 {
 	if r > n {
 		r = n
 	}
-	if pt := p.prof.EvalR(st.Stage, st.Chips, n, r); pt.OK {
+	if pt := p.pr.prof.EvalR(st.Stage, st.Chips, n, r); pt.OK {
 		return pt.Latency
 	}
 	return st.Latency
@@ -692,26 +695,31 @@ func (pr pricer) pause(pipe *pipeline.Pipeline, stages []int, servers, batch, np
 }
 
 // pricer prices the pipeline stages compileInto and RetrievalPause
-// evaluate. Without a memo every call goes to the profiler, whose shared
-// cache hashes the whole stage value under a mutex; an Evaluator's pricer
-// carries the worker's own memo, keyed by the stage's index and a few small
-// integers packed into one word and read without a lock. The profiler's
-// NoMemo bypasses it, so a cold benchmark still re-runs the models.
+// evaluate and the shaped stages a plan's ShapeMetrics evaluates. Without a
+// memo every call goes to the profiler, whose shared cache hashes the whole
+// stage value under a mutex; an Evaluator's pricer carries the worker's own
+// memo, keyed by the stage's index and a few small integers packed into one
+// word and read without a lock, so a search worker prices shaped and
+// unshaped candidates alike without touching the profiler once its memo is
+// warm. The profiler's NoMemo bypasses it, so a cold benchmark still re-runs
+// the models.
 type pricer struct {
 	prof *stageperf.Profiler
 	memo map[uint64]stageperf.Point
 }
 
 // stageKeyBits are the widths stageKey packs its fields into, in order:
-// the pipeline stage index, the retrieval knobs the stage is tuned to
-// (zero for other kinds), its chips (servers for retrieval), batch, and
-// replicas. They sum to 64.
-var stageKeyBits = [...]uint{6, 13, 8, 13, 14, 10}
+// the pipeline stage index, the stage's variant, its chips (servers for
+// retrieval), batch, and replicas. They sum to 64. The variant is what the
+// stage is tuned or shaped to, and the index's kind says which: nprobe<<8 |
+// fanout for a retrieval stage (price), the padded token length for a
+// prefix or decode stage (shaped), 0 for the stage as the pipeline has it.
+var stageKeyBits = [...]uint{6, 21, 13, 14, 10}
 
 // stageKey packs one priced operating point into a memo key; ok is false
 // when a field is negative or too wide, and the point is priced unmemoized.
-func stageKey(idx, nprobe, fanout, chips, batch, replicas int) (k uint64, ok bool) {
-	for i, v := range [...]int{idx, nprobe, fanout, chips, batch, replicas} {
+func stageKey(idx, variant, chips, batch, replicas int) (k uint64, ok bool) {
+	for i, v := range [...]int{idx, variant, chips, batch, replicas} {
 		if v < 0 || v >= 1<<stageKeyBits[i] {
 			return 0, false
 		}
@@ -723,16 +731,55 @@ func stageKey(idx, nprobe, fanout, chips, batch, replicas int) (k uint64, ok boo
 // price evaluates pipeline stage idx, tuned to (nprobe, fanout), at chips,
 // batch and replicas: the value prof.EvalR returns for that stage.
 func (pr pricer) price(pipe *pipeline.Pipeline, idx, nprobe, fanout, chips, batch, replicas int) stageperf.Point {
-	k, ok := stageKey(idx, nprobe, fanout, chips, batch, replicas)
-	if !ok || pr.memo == nil || pr.prof.NoMemo {
-		return pr.prof.EvalR(pipe.Stages[idx].Tuned(nprobe, fanout), chips, batch, replicas)
+	variant := -1 // a fanout too wide for its field prices unmemoized
+	if fanout >= 0 && fanout < 1<<8 {
+		variant = nprobe<<8 | fanout
 	}
-	if pt, ok := pr.memo[k]; ok {
-		return pt
+	k, ok := pr.key(idx, variant, chips, batch, replicas)
+	if ok {
+		if pt, hit := pr.memo[k]; hit {
+			return pt
+		}
 	}
 	pt := pr.prof.EvalR(pipe.Stages[idx].Tuned(nprobe, fanout), chips, batch, replicas)
-	pr.memo[k] = pt
+	if ok {
+		pr.memo[k] = pt
+	}
 	return pt
+}
+
+// shaped evaluates stage st — pipeline stage idx as the pipeline has it —
+// at a padded token length (stageperf.ShapedStage's prompt for a prefix
+// stage, stageperf.ShapedDecodeStage's live context for a decode stage), at
+// chips, batch and replicas: the value prof.EvalR returns for the shaped
+// stage.
+func (pr pricer) shaped(st *pipeline.Stage, idx, tokens, chips, batch, replicas int) stageperf.Point {
+	k, ok := pr.key(idx, tokens, chips, batch, replicas)
+	if ok {
+		if pt, hit := pr.memo[k]; hit {
+			return pt
+		}
+	}
+	var shaped pipeline.Stage
+	if st.Kind.Autoregressive() {
+		shaped = stageperf.ShapedDecodeStage(*st, tokens)
+	} else {
+		shaped = stageperf.ShapedStage(*st, tokens)
+	}
+	pt := pr.prof.EvalR(shaped, chips, batch, replicas)
+	if ok {
+		pr.memo[k] = pt
+	}
+	return pt
+}
+
+// key is stageKey for a memoizing pricer; ok is false when pr prices
+// straight through the profiler.
+func (pr pricer) key(idx, variant, chips, batch, replicas int) (uint64, bool) {
+	if pr.memo == nil || pr.prof.NoMemo {
+		return 0, false
+	}
+	return stageKey(idx, variant, chips, batch, replicas)
 }
 
 // GroupMemFits checks that the models collocated on a group fit together

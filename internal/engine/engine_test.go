@@ -188,10 +188,10 @@ func TestEvaluatorStageMemo(t *testing.T) {
 	}
 
 	// A field too wide for the packed key is priced straight through.
-	if _, ok := stageKey(0, 1<<13, 0, 1, 1, 1); ok {
+	if _, ok := stageKey(0, 1<<13<<8, 1, 1, 1); ok {
 		t.Error("stageKey packed a 14-bit nprobe into 13 bits")
 	}
-	if _, ok := stageKey(0, 0, 0, 1, -1, 1); ok {
+	if _, ok := stageKey(0, 0, 1, -1, 1); ok {
 		t.Error("stageKey packed a negative batch")
 	}
 }

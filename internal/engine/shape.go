@@ -87,7 +87,7 @@ func (p *Plan) StepLatencyShaped(idx, n int, sh Shape) float64 {
 	if sh.PromptTokens <= 0 || idx != p.PrefixIdx {
 		return p.StepLatency(idx, n)
 	}
-	st := p.Steps[p.PrefixIdx]
+	st := &p.Steps[p.PrefixIdx]
 	b := n
 	if b > st.Batch {
 		b = st.Batch
@@ -96,8 +96,13 @@ func (p *Plan) StepLatencyShaped(idx, n int, sh Shape) float64 {
 	if r > b {
 		r = b
 	}
-	shaped := stageperf.ShapedStage(st.Stage, sh.PromptTokens)
-	if pt := p.prof.EvalR(shaped, st.Chips, b, r); pt.OK {
+	var pt stageperf.Point
+	if p.memo != nil { // an Evaluator's scratch plan: the worker's own memo
+		pt = p.pr.shaped(&st.Stage, p.PrefixIdx, sh.PromptTokens, st.Chips, b, r)
+	} else {
+		pt = p.pr.prof.EvalR(stageperf.ShapedStage(st.Stage, sh.PromptTokens), st.Chips, b, r)
+	}
+	if pt.OK {
 		return pt.Latency
 	}
 	return p.StepLatency(idx, n)
@@ -140,9 +145,14 @@ func (p *Plan) DecodeStepFor(promptTok, outTok int) float64 {
 
 // decodePace is the per-token decode pace at a padded live KV context.
 func (p *Plan) decodePace(ctx int) float64 {
-	st := p.Steps[p.DecodeIdx]
-	shaped := stageperf.ShapedDecodeStage(st.Stage, ctx)
-	if pt := p.prof.EvalR(shaped, st.Chips, st.Batch, st.Replicas); pt.OK && pt.StepLatency > 0 {
+	st := &p.Steps[p.DecodeIdx]
+	var pt stageperf.Point
+	if p.memo != nil {
+		pt = p.pr.shaped(&st.Stage, p.DecodeIdx, ctx, st.Chips, st.Batch, st.Replicas)
+	} else {
+		pt = p.pr.prof.EvalR(stageperf.ShapedDecodeStage(st.Stage, ctx), st.Chips, st.Batch, st.Replicas)
+	}
+	if pt.OK && pt.StepLatency > 0 {
 		return pt.StepLatency
 	}
 	return p.DecodeStep

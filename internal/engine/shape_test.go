@@ -180,7 +180,12 @@ func TestPadEfficiencyMatchesChunkPrefill(t *testing.T) {
 // batch, decode batch and replicas, and (on the iterative Case III
 // pipeline) the per-request stall — and requires every result to equal a
 // freshly compiled plan's cold ShapeMetrics bit for bit. A sample mutated
-// in place, and an equal-content copy of it, must both price fresh.
+// in place, and an equal-content copy of it, must both price fresh. The
+// evaluator prices shaped stages through its own lock-free memo, so two
+// more rows pin that memo to the profiler: one evaluates through a NoMemo
+// profiler, which the memo must bypass too, and one prices a lognormal
+// Case I sample under every policy and chunk quantum against plans
+// compiled on a second profiler that never saw the evaluator's prices.
 func TestEvaluateShapedMemo(t *testing.T) {
 	shapes := make([]Shape, 96)
 	for i := range shapes {
@@ -204,9 +209,11 @@ func TestEvaluateShapedMemo(t *testing.T) {
 		name   string
 		schema ragschema.Schema
 		iters  []int
+		noMemo bool
 	}{
-		{"caseI", ragschema.CaseI(8e9, 1), []int{0}},
-		{"caseIII", ragschema.CaseIII(8e9, 4), []int{8, 2}},
+		{"caseI", ragschema.CaseI(8e9, 1), []int{0}, false},
+		{"caseIII", ragschema.CaseIII(8e9, 4), []int{8, 2}, false},
+		{"caseI-nomemo", ragschema.CaseI(8e9, 1), []int{0}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			pipe, err := pipeline.Build(tc.schema)
@@ -215,6 +222,7 @@ func TestEvaluateShapedMemo(t *testing.T) {
 			}
 			prof := stageperf.New(hw.XPUC, hw.EPYCHost, tc.schema)
 			prof.Shards = 8
+			prof.NoMemo = tc.noMemo
 			ev, err := NewEvaluator(pipe, prof)
 			if err != nil {
 				t.Fatal(err)
@@ -289,6 +297,60 @@ func TestEvaluateShapedMemo(t *testing.T) {
 			}
 			check(scheds[0], slices.Clone(sample))
 			check(scheds[0], shapes)
+			if n := len(ev.pr.memo); tc.noMemo && n != 0 {
+				t.Fatalf("a NoMemo profiler's evaluator memoized %d prices, want 0", n)
+			}
 		})
 	}
+
+	t.Run("caseI-formation", func(t *testing.T) {
+		schema := ragschema.CaseI(8e9, 1)
+		pipe, err := pipeline.Build(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ev, err := NewEvaluator(pipe, stageperf.New(hw.XPUC, hw.EPYCHost, schema))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := stageperf.New(hw.XPUC, hw.EPYCHost, schema)
+		rng := rand.New(rand.NewSource(5))
+		sample := make([]Shape, 128)
+		for i := range sample {
+			sample[i] = Shape{
+				PromptTokens: min(4096, int(512*math.Exp(0.8*rng.NormFloat64()))+1),
+				OutputTokens: min(1024, int(256*math.Exp(0.7*rng.NormFloat64()))+1),
+			}
+		}
+		for range 2 { // a cold memo, then a warm one
+			for _, pol := range []BatchPolicy{PolicyFIFO, PolicyBucketed, PolicySorted} {
+				for _, q := range []int{0, 256} {
+					s := caseISchedule()
+					s.FormPolicy, s.ChunkQuantum = pol, q
+					got, ok := ev.EvaluateShaped(s, sample)
+					plan, err := Compile(pipe, s, ref)
+					if !ok || err != nil {
+						t.Fatalf("%v q=%d: EvaluateShaped ok=%v, Compile err=%v", pol, q, ok, err)
+					}
+					if want := plan.ShapeMetrics(sample); !same(got, want) {
+						t.Fatalf("%v q=%d: worker memo %+v != profiler %+v", pol, q, got, want)
+					}
+				}
+			}
+		}
+		// The shaped prices came from the worker's memo: it holds prefix
+		// (prompt and chunk) and decode (live context) prices keyed on
+		// their padded lengths, beside the unshaped ones.
+		shaped := map[int]int{}
+		for k := range ev.pr.memo {
+			lenShift := 64 - stageKeyBits[0] - stageKeyBits[1]
+			idx, tokens := int(k>>(64-stageKeyBits[0])), int(k>>lenShift&(1<<stageKeyBits[1]-1))
+			if tokens > 0 && (idx == ev.plan.PrefixIdx || idx == ev.plan.DecodeIdx) {
+				shaped[idx]++
+			}
+		}
+		if shaped[ev.plan.PrefixIdx] == 0 || shaped[ev.plan.DecodeIdx] == 0 {
+			t.Fatalf("the worker memo holds no shaped prices (%v)", shaped)
+		}
+	})
 }

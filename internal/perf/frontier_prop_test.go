@@ -3,7 +3,9 @@ package perf
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -158,6 +160,103 @@ func TestIncrementalMatchesFrontier(t *testing.T) {
 				t.Fatalf("trial %d: DominatedBy(%v) = %v, brute force says %v", trial, p.Metrics, !dominated, dominated)
 			}
 		}
+	}
+}
+
+// TestIncrementalConcurrent inserts disjoint shuffled shares of one point
+// set from several goroutines while others probe the incumbent, as the
+// schedule search's workers do. Every snapshot a reader sees must be a
+// valid staircase — in the members' total order, no member dominating
+// another — a point once dominated must stay dominated, and the final set
+// must equal a serial insertion of the whole set, order included.
+func TestIncrementalConcurrent(t *testing.T) {
+	const writers, readers, perWriter = 4, 3, 1500
+	rng := rand.New(rand.NewSource(41))
+	pts := make([]Metrics, writers*perWriter)
+	for i := range pts {
+		// A TTFT-for-throughput trade-off on coarse grids: a frontier of
+		// hundreds of members, with ties and exact duplicates. Raw QPS
+		// follows QPS/chip, so duplicates on the four objectives are
+		// whole duplicates and the survivor cannot depend on the order.
+		k := rng.Intn(400)
+		m := Metrics{
+			TTFT:       float64(k) * 0.01,
+			TPOT:       float64(rng.Intn(4)) * 0.1,
+			QPSPerChip: float64(k/4+rng.Intn(6)) * 0.5,
+			Recall:     float64(rng.Intn(3)) * 0.2,
+		}
+		if rng.Intn(20) == 0 {
+			m.TPOT = math.NaN()
+		}
+		m.QPS = m.QPSPerChip * 8
+		pts[i] = m
+	}
+	var serial Incremental
+	for _, m := range pts {
+		serial.Insert(m)
+	}
+	want := serial.Points()
+
+	var inc Incremental
+	var wg, done sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan string, readers)
+	for r := range readers {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			rr := rand.New(rand.NewSource(int64(100 + r)))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The incumbent only ever tightens, so a point dominated in
+				// one snapshot stays dominated in every later one.
+				q := pts[rr.Intn(len(pts))]
+				if q.Valid() && inc.DominatedBy(q) {
+					if gt, ge := inc.QPSThresholds(q.TTFT, q.TPOT, q.Recall); !(q.QPSPerChip < gt || q.QPSPerChip <= ge) {
+						errs <- "a dominated point reads as undominated later"
+						return
+					}
+				}
+				snap := inc.Points()
+				for i := range snap {
+					if i > 0 && !memberBefore(snap[i-1], snap[i]) {
+						errs <- "snapshot out of order"
+						return
+					}
+					for j := range snap {
+						if snap[j].Dominates(snap[i]) {
+							errs <- "snapshot holds a dominated member"
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	order := rng.Perm(len(pts))
+	for w := range writers {
+		share := order[w*perWriter : (w+1)*perWriter]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range share {
+				inc.Insert(pts[i])
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	done.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if got := inc.Points(); !slices.Equal(got, want) {
+		t.Fatalf("concurrent insertion kept %d points, serial %d:\n%v\n%v", len(got), len(want), got, want)
 	}
 }
 

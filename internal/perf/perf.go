@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Metrics is one evaluated operating point of a system or stage.
@@ -200,25 +201,42 @@ func Frontier[T any](pts []Point[T]) []Point[T] {
 // probing optimistic plan bounds against it before paying for a search, and
 // probing each evaluated candidate before keeping it.
 //
+// Reads take no lock. The members live in an immutable snapshot behind an
+// atomic pointer; Insert, serialized by a mutex, builds the next snapshot
+// without touching the current one and publishes it with one store. Probes vastly
+// outnumber inserts in a search, so the workers never wait on each other
+// to read. Members are kept in one total order — (TTFT, TPOT) ascending,
+// then QPS/chip and Recall descending — so the snapshot depends only on
+// the set inserted, not on the order concurrent inserts landed in.
+//
 // Only metrics participate; payloads do not. Pruning a search node whose
 // admissible bound b satisfies DominatedBy(b) is lossless: every completion
 // of the node is weakly worse than b on all objectives, hence strictly
 // dominated by whichever incumbent point strictly dominates b.
 type Incremental struct {
-	mu  sync.RWMutex
-	pts []Metrics // non-dominated, sorted by (TTFT asc, TPOT asc)
+	mu   sync.Mutex                // serializes Insert
+	snap atomic.Pointer[[]Metrics] // non-dominated members, never mutated once stored
+}
+
+// members returns the current snapshot; callers must not modify it.
+func (inc *Incremental) members() []Metrics {
+	if p := inc.snap.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // DominatedBy reports whether some current member strictly dominates m.
 // Equal points do not dominate, so a bound exactly on the frontier is not
 // prunable (its completions may tie rather than lose).
 func (inc *Incremental) DominatedBy(m Metrics) bool {
-	inc.mu.RLock()
-	defer inc.mu.RUnlock()
+	pts := inc.members()
 	// Only points with TTFT <= m.TTFT can dominate; they are a prefix.
-	n := sort.Search(len(inc.pts), func(i int) bool { return inc.pts[i].TTFT > m.TTFT })
-	for i := 0; i < n; i++ {
-		if inc.pts[i].Dominates(m) {
+	for _, p := range pts {
+		if p.TTFT > m.TTFT {
+			break
+		}
+		if p.Dominates(m) {
 			return true
 		}
 	}
@@ -235,9 +253,7 @@ func (inc *Incremental) DominatedBy(m Metrics) bool {
 // and including it. Both are -Inf when no member qualifies.
 func (inc *Incremental) QPSThresholds(ttft, tpot, recall float64) (gt, ge float64) {
 	gt, ge = math.Inf(-1), math.Inf(-1)
-	inc.mu.RLock()
-	defer inc.mu.RUnlock()
-	for _, p := range inc.pts {
+	for _, p := range inc.members() {
 		if p.TTFT > ttft {
 			break // sorted by TTFT: the candidates are a prefix
 		}
@@ -252,53 +268,84 @@ func (inc *Incremental) QPSThresholds(ttft, tpot, recall float64) (gt, ge float6
 	return gt, ge
 }
 
-// Insert adds m to the incumbent set, evicting members it dominates. It
-// returns false — leaving the set unchanged — when m is invalid, dominated
-// by a member, or a duplicate on the four objectives (raw QPS is not an
-// objective, matching Frontier's duplicate collapse).
-func (inc *Incremental) Insert(m Metrics) bool {
-	if !m.Valid() {
-		return false
-	}
+// Insert adds each of ms to the incumbent set in turn, evicting members it
+// dominates, and publishes one snapshot for the lot. A point is skipped —
+// leaving the set unchanged — when it is invalid, dominated by a member, or
+// a duplicate on the four objectives (raw QPS is not an objective, matching
+// Frontier's duplicate collapse). Insert reports whether it kept any point.
+//
+// No element a published snapshot holds is ever written again. A point that
+// sorts last is appended past the end of the current snapshot, where no
+// reader looks; any other change goes to a fresh copy.
+func (inc *Incremental) Insert(ms ...Metrics) bool {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	for _, p := range inc.pts {
+	pts := inc.members()
+	changed, private := false, false // private: pts no longer shares published elements
+	for _, m := range ms {
+		if !m.Valid() || rejects(pts, m) {
+			continue
+		}
+		changed = true
+		if len(pts) == 0 || memberBefore(pts[len(pts)-1], m) {
+			// Sorting last, m is worse than every member on the first
+			// objective of the order where they differ: it evicts none.
+			pts = append(pts, m)
+			continue
+		}
+		if !private {
+			pts, private = append(make([]Metrics, 0, len(pts)+len(ms)), pts...), true
+		}
+		kept := pts[:0]
+		for _, p := range pts {
+			if !m.Dominates(p) {
+				kept = append(kept, p)
+			}
+		}
+		i := sort.Search(len(kept), func(k int) bool { return memberBefore(m, kept[k]) })
+		pts = slices.Insert(kept, i, m)
+	}
+	if changed {
+		snap := pts
+		inc.snap.Store(&snap)
+	}
+	return changed
+}
+
+// rejects reports whether a member of pts dominates m or equals it on the
+// four objectives.
+func rejects(pts []Metrics, m Metrics) bool {
+	for _, p := range pts {
 		if (p.TTFT == m.TTFT && p.TPOT == m.TPOT && p.QPSPerChip == m.QPSPerChip && p.Recall == m.Recall) || p.Dominates(m) {
-			return false
+			return true
 		}
 	}
-	kept := inc.pts[:0]
-	for _, p := range inc.pts {
-		if !m.Dominates(p) {
-			kept = append(kept, p)
-		}
+	return false
+}
+
+// memberBefore is the snapshot's total order on distinct members: TTFT
+// and TPOT ascending, then QPS/chip and Recall descending.
+func memberBefore(a, b Metrics) bool {
+	if a.TTFT != b.TTFT {
+		return a.TTFT < b.TTFT
 	}
-	i := sort.Search(len(kept), func(k int) bool {
-		if kept[k].TTFT != m.TTFT {
-			return kept[k].TTFT > m.TTFT
-		}
-		return kept[k].TPOT > m.TPOT
-	})
-	kept = append(kept, Metrics{})
-	copy(kept[i+1:], kept[i:])
-	kept[i] = m
-	inc.pts = kept
-	return true
+	if a.TPOT != b.TPOT {
+		return a.TPOT < b.TPOT
+	}
+	if a.QPSPerChip != b.QPSPerChip {
+		return a.QPSPerChip > b.QPSPerChip
+	}
+	return a.Recall > b.Recall
 }
 
 // Len returns the current frontier size.
 func (inc *Incremental) Len() int {
-	inc.mu.RLock()
-	defer inc.mu.RUnlock()
-	return len(inc.pts)
+	return len(inc.members())
 }
 
-// Points returns a snapshot copy of the current frontier, sorted by
-// ascending TTFT.
+// Points returns a copy of the current frontier, sorted by ascending TTFT.
 func (inc *Incremental) Points() []Metrics {
-	inc.mu.RLock()
-	defer inc.mu.RUnlock()
-	return append([]Metrics(nil), inc.pts...)
+	return slices.Clone(inc.members())
 }
 
 // MaxQPSPerChip returns the frontier point with the highest QPS/chip.

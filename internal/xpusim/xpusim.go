@@ -22,7 +22,7 @@ import (
 
 // Params are the simulator calibration constants. The paper's in-house
 // simulator is calibrated against production accelerators; we expose the
-// three standard knobs and fix them (see DESIGN.md §4) so the model
+// three standard knobs and fix them so the model
 // reproduces the paper's published anchor numbers.
 type Params struct {
 	// ComputeDerate is the achievable fraction of peak FLOPS on top of
