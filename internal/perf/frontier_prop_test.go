@@ -164,11 +164,12 @@ func TestIncrementalMatchesFrontier(t *testing.T) {
 }
 
 // TestIncrementalConcurrent inserts disjoint shuffled shares of one point
-// set from several goroutines while others probe the incumbent, as the
-// schedule search's workers do. Every snapshot a reader sees must be a
-// valid staircase — in the members' total order, no member dominating
-// another — a point once dominated must stay dominated, and the final set
-// must equal a serial insertion of the whole set, order included.
+// set, in small batches, from several goroutines while others probe the
+// incumbent, as the schedule search's workers do. Every snapshot a reader
+// sees must be a valid staircase — in the members' total order, no member
+// dominating another — a point once dominated must stay dominated, and
+// the final set must equal a serial insertion of the whole set, order
+// included.
 func TestIncrementalConcurrent(t *testing.T) {
 	const writers, readers, perWriter = 4, 3, 1500
 	rng := rand.New(rand.NewSource(41))
@@ -243,8 +244,15 @@ func TestIncrementalConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for _, i := range share {
-				inc.Insert(pts[i])
+			for len(share) > 0 {
+				// Batches of 1–7 points, as plan frontiers arrive.
+				n := min(len(share), 1+len(share)%7)
+				batch := make([]Metrics, n)
+				for j, i := range share[:n] {
+					batch[j] = pts[i]
+				}
+				inc.Insert(batch...)
+				share = share[n:]
 			}
 		}()
 	}
