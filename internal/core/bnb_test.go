@@ -81,11 +81,12 @@ func TestPlanBoundAdmissible(t *testing.T) {
 	o := newOpt(t, ragschema.CaseIV(8e9), hw.DefaultCluster(), 0)
 	plans := o.Plans()
 	checked := 0
+	terms := make(boundTerms) // shared, as in Optimize: later plans read memoized terms
 	for i, plan := range plans {
 		if i%97 != 0 { // sample; every plan costs a full sub-search
 			continue
 		}
-		bound, ok := o.planBound(plan, nil)
+		bound, ok := o.planBound(plan, terms)
 		front := o.PlanFrontier(plan)
 		if !ok {
 			if len(front) != 0 {

@@ -124,8 +124,7 @@ func (o *Optimizer) planBound(plan Plan, terms boundTerms) (perf.Metrics, bool) 
 	}, true
 }
 
-// boundTerms memoizes boundTerm for one pass over the plans (nil prices
-// every term afresh). Case IV's 7,810 plans ask for a few dozen distinct
+// boundTerms memoizes boundTerm for one pass over the plans. Case IV's 7,810 plans ask for a few dozen distinct
 // terms, and the profiler's envelope memo hashes the whole stage value
 // under its mutex on every ask.
 type boundTerms map[termKey]boundTerm
@@ -147,7 +146,7 @@ type boundTerm struct {
 	ok            bool
 }
 
-// boundTerm returns k's terms, through terms when it is non-nil. They are
+// boundTerm returns k's terms, through the memo terms. They are
 // composed from per-resource envelopes (stageperf.Envelope — roofline
 // minima/maxima over every batch and replication the search may pick):
 //
@@ -201,9 +200,7 @@ func (o *Optimizer) boundTerm(terms boundTerms, k termKey) boundTerm {
 		env := o.Prof.Envelope(st, k.size, o.opts.MaxDecodeBatch)
 		t = boundTerm{lat: env.MinLatency, qps: env.MaxQPS * outRatio, ok: env.OK}
 	}
-	if terms != nil {
-		terms[k] = t
-	}
+	terms[k] = t
 	return t
 }
 

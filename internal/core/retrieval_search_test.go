@@ -107,11 +107,12 @@ func TestRetrievalKnobPlanBoundAdmissible(t *testing.T) {
 	o := shardedOptimizer(t, ragschema.CaseI(8e9, 1), opts)
 	plans := o.Plans()
 	checked := 0
+	terms := make(boundTerms) // shared, as in Optimize: later plans read memoized terms
 	for i, plan := range plans {
 		if i%5 != 0 { // sample; every plan costs a full sub-search
 			continue
 		}
-		bound, ok := o.planBound(plan, nil)
+		bound, ok := o.planBound(plan, terms)
 		front := o.PlanFrontier(plan)
 		if !ok {
 			if len(front) != 0 {

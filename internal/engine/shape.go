@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"rago/internal/perf"
-	"rago/internal/stageperf"
 )
 
 // Shape-aware step costing. RAGO's workload characterization (§4) is built
@@ -96,13 +95,7 @@ func (p *Plan) StepLatencyShaped(idx, n int, sh Shape) float64 {
 	if r > b {
 		r = b
 	}
-	var pt stageperf.Point
-	if p.memo != nil { // an Evaluator's scratch plan: the worker's own memo
-		pt = p.pr.shaped(&st.Stage, p.PrefixIdx, sh.PromptTokens, st.Chips, b, r)
-	} else {
-		pt = p.pr.prof.EvalR(stageperf.ShapedStage(st.Stage, sh.PromptTokens), st.Chips, b, r)
-	}
-	if pt.OK {
+	if pt := p.pr.shaped(&st.Stage, p.PrefixIdx, sh.PromptTokens, st.Chips, b, r); pt.OK {
 		return pt.Latency
 	}
 	return p.StepLatency(idx, n)
@@ -146,13 +139,7 @@ func (p *Plan) DecodeStepFor(promptTok, outTok int) float64 {
 // decodePace is the per-token decode pace at a padded live KV context.
 func (p *Plan) decodePace(ctx int) float64 {
 	st := &p.Steps[p.DecodeIdx]
-	var pt stageperf.Point
-	if p.memo != nil {
-		pt = p.pr.shaped(&st.Stage, p.DecodeIdx, ctx, st.Chips, st.Batch, st.Replicas)
-	} else {
-		pt = p.pr.prof.EvalR(stageperf.ShapedDecodeStage(st.Stage, ctx), st.Chips, st.Batch, st.Replicas)
-	}
-	if pt.OK && pt.StepLatency > 0 {
+	if pt := p.pr.shaped(&st.Stage, p.DecodeIdx, ctx, st.Chips, st.Batch, st.Replicas); pt.OK && pt.StepLatency > 0 {
 		return pt.StepLatency
 	}
 	return p.DecodeStep

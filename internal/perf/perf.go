@@ -274,27 +274,19 @@ func (inc *Incremental) QPSThresholds(ttft, tpot, recall float64) (gt, ge float6
 // a duplicate on the four objectives (raw QPS is not an objective, matching
 // Frontier's duplicate collapse). Insert reports whether it kept any point.
 //
-// No element a published snapshot holds is ever written again. A point that
-// sorts last is appended past the end of the current snapshot, where no
-// reader looks; any other change goes to a fresh copy.
+// A published snapshot is never written again: the first point kept goes
+// into a fresh copy, which the call edits and then publishes.
 func (inc *Incremental) Insert(ms ...Metrics) bool {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	pts := inc.members()
-	changed, private := false, false // private: pts no longer shares published elements
+	changed := false
 	for _, m := range ms {
 		if !m.Valid() || rejects(pts, m) {
 			continue
 		}
-		changed = true
-		if len(pts) == 0 || memberBefore(pts[len(pts)-1], m) {
-			// Sorting last, m is worse than every member on the first
-			// objective of the order where they differ: it evicts none.
-			pts = append(pts, m)
-			continue
-		}
-		if !private {
-			pts, private = append(make([]Metrics, 0, len(pts)+len(ms)), pts...), true
+		if !changed {
+			pts, changed = append(make([]Metrics, 0, len(pts)+len(ms)), pts...), true
 		}
 		kept := pts[:0]
 		for _, p := range pts {
@@ -306,8 +298,7 @@ func (inc *Incremental) Insert(ms ...Metrics) bool {
 		pts = slices.Insert(kept, i, m)
 	}
 	if changed {
-		snap := pts
-		inc.snap.Store(&snap)
+		inc.snap.Store(&pts)
 	}
 	return changed
 }
