@@ -176,10 +176,36 @@ func (tf traceFlags) applyShapes(reqs []trace.Request, desc string) ([]trace.Req
 		desc, part("prompt", *tf.promptLen), part("out", *tf.outLen), *tf.shapeMax), nil
 }
 
-// build materializes the trace. rate0 is the auto mean rate when -rate is
-// unset; perRequest is the schema's retrieved-chunks-per-request, used by
-// the reuse decorators. The description is human-readable for the preamble.
+// build materializes the trace: the arrivals, then the shape and reuse
+// decorations, written to -save-trace when it is set (alongside -trace that
+// re-persists the loaded trace: format conversion, normalization, added
+// shapes and reuse tags). rate0 is the auto mean rate when -rate is unset;
+// perRequest is the schema's retrieved-chunks-per-request, used by the
+// reuse decorators. The description is human-readable for the preamble.
 func (tf traceFlags) build(rate0 float64, perRequest int) ([]trace.Request, string, error) {
+	reqs, desc, err := tf.base(rate0)
+	if err != nil {
+		return nil, "", err
+	}
+	reqs, desc, err = tf.applyShapes(reqs, desc)
+	if err != nil {
+		return nil, "", err
+	}
+	reqs, desc, err = tf.applyReuse(reqs, desc, perRequest)
+	if err != nil {
+		return nil, "", err
+	}
+	if *tf.saveTrace != "" {
+		if err := trace.Save(*tf.saveTrace, reqs); err != nil {
+			return nil, "", err
+		}
+	}
+	return reqs, desc, nil
+}
+
+// base is the undecorated trace: the -trace file, or the -arrivals
+// process at -rate (rate0 when unset).
+func (tf traceFlags) base(rate0 float64) ([]trace.Request, string, error) {
 	if *tf.tracePath != "" {
 		reqs, err := trace.Load(*tf.tracePath)
 		if err != nil {
@@ -188,22 +214,7 @@ func (tf traceFlags) build(rate0 float64, perRequest int) ([]trace.Request, stri
 		if len(reqs) == 0 {
 			return nil, "", fmt.Errorf("serve: trace file %s is empty", *tf.tracePath)
 		}
-		reqs, desc, err := tf.applyShapes(reqs, fmt.Sprintf("%d requests from %s", len(reqs), *tf.tracePath))
-		if err != nil {
-			return nil, "", err
-		}
-		reqs, desc, err = tf.applyReuse(reqs, desc, perRequest)
-		if err != nil {
-			return nil, "", err
-		}
-		// -save-trace alongside -trace re-persists the loaded trace
-		// (format conversion, normalization, added shapes/reuse tags).
-		if *tf.saveTrace != "" {
-			if err := trace.Save(*tf.saveTrace, reqs); err != nil {
-				return nil, "", err
-			}
-		}
-		return reqs, desc, nil
+		return reqs, fmt.Sprintf("%d requests from %s", len(reqs), *tf.tracePath), nil
 	}
 	rate := *tf.rate
 	if rate <= 0 {
@@ -251,20 +262,43 @@ func (tf traceFlags) build(rate0 float64, perRequest int) ([]trace.Request, stri
 	if len(reqs) == 0 {
 		return nil, "", fmt.Errorf("serve: empty trace (need -n > 0 or a non-empty -trace file)")
 	}
-	reqs, desc, err = tf.applyShapes(reqs, desc)
-	if err != nil {
-		return nil, "", err
-	}
-	reqs, desc, err = tf.applyReuse(reqs, desc, perRequest)
-	if err != nil {
-		return nil, "", err
-	}
-	if *tf.saveTrace != "" {
-		if err := trace.Save(*tf.saveTrace, reqs); err != nil {
-			return nil, "", err
-		}
-	}
 	return reqs, desc, nil
+}
+
+// searchSample caps the shape sample the schedule search prices: pricing
+// is linear in the sample, and a strided sample of this size reads within
+// a few percent of the full trace.
+const searchSample = 128
+
+// searchShapes is the shape sample the schedule search prices: at most
+// searchSample of the served trace's shapes, at an even stride over it,
+// or nil when the trace is unshaped. applyShapes draws lengths in request
+// order from a seed of their own, so shaping -n placeholder requests gives
+// exactly the shapes the generated trace carries at whatever rate the
+// search then sets.
+func (tf traceFlags) searchShapes() ([]engine.Shape, error) {
+	var (
+		reqs []trace.Request
+		err  error
+	)
+	if *tf.tracePath != "" {
+		if reqs, _, err = tf.base(0); err != nil {
+			return nil, err
+		}
+	} else {
+		reqs = make([]trace.Request, max(*tf.n, 0))
+	}
+	reqs, _, err = tf.applyShapes(reqs, "")
+	if err != nil {
+		return nil, err
+	}
+	shapes := traceShapes(reqs)
+	stride := (len(shapes) + searchSample - 1) / searchSample
+	var sample []engine.Shape
+	for i := 0; i < len(shapes); i += stride {
+		sample = append(sample, shapes[i])
+	}
+	return sample, nil
 }
 
 // runServe implements `rago serve`: optimize the workload, then either
@@ -439,13 +473,19 @@ func runServe(args []string) {
 	// The optimizer runs after the substrate wiring so a sharded tier's
 	// measured recall surface and merge costs price the frontier; the knob
 	// lists make nprobe and shard-fanout schedule dimensions of the search,
-	// and the requested batch formation is a single-valued one, so every
-	// frontier point is priced, and pruned, under the formation it serves.
+	// the requested batch formation is a single-valued one, and the served
+	// trace's shapes are its length sample, so every frontier point is
+	// priced, and pruned, under the formation and traffic it serves.
+	shapes, err := tf.searchShapes()
+	if err != nil {
+		log.Fatal(err)
+	}
 	coreOpts := core.DefaultOptions(cluster)
 	coreOpts.NProbes = npList
 	coreOpts.ShardFanouts = foList
 	coreOpts.Policies = []engine.BatchPolicy{pol}
 	coreOpts.ChunkQuanta = []int{*chunkPrefill}
+	coreOpts.Shapes = shapes
 	o, err := core.NewOptimizer(schema, coreOpts)
 	if err != nil {
 		log.Fatal(err)
@@ -481,7 +521,8 @@ func runServe(args []string) {
 	}
 
 	// Serve the plan the optimizer priced: its profiler carries the
-	// sharded tier's shard count and recall surface.
+	// sharded tier's shard count and recall surface, and its metrics are
+	// the searched ones, shapes included.
 	plan, err := o.Compile(chosen.Item)
 	if err != nil {
 		log.Fatal(err)
@@ -493,9 +534,6 @@ func runServe(args []string) {
 
 	fmt.Fprintf(info, "schedule: %s\n", chosen.Item.Describe(o.Pipe))
 	fmt.Fprintf(info, "analytic: %s\n", chosen.Metrics)
-	if shapes := traceShapes(reqs); shapes != nil {
-		fmt.Fprintf(info, "analytic (shape-weighted): %s\n", plan.ShapeMetrics(shapes))
-	}
 	if cacheCfg.PrefixTokens > 0 {
 		// Cache-aware analytic reference: replay the tagged trace through
 		// a fresh cache instance to get the per-request prefix credits the
@@ -536,14 +574,6 @@ func runControlled(o *core.Optimizer, front []core.SchedulePoint, tf traceFlags,
 	if err != nil {
 		log.Fatal(err)
 	}
-	// On heterogeneous traffic, re-price the capacity staircase by each
-	// plan's policy-aware expected pad efficiency before the controller
-	// locks onto it: a formation policy that wastes less prefill earns
-	// proportionally more admitted load per chip.
-	if shapes := traceShapes(reqs); shapes != nil {
-		lib.WeightByShapes(shapes)
-		top = lib.Entries[len(lib.Entries)-1]
-	}
 	cfg.SLO = slo
 	ctl, err := control.NewController(lib, cfg)
 	if err != nil {
@@ -555,10 +585,6 @@ func runControlled(o *core.Optimizer, front []core.SchedulePoint, tf traceFlags,
 
 	fmt.Fprintf(info, "library:  %d SLO-feasible plans (TTFT<=%.2fs):\n", len(lib.Entries), slo.TTFT)
 	for i, e := range lib.Entries {
-		if e.PadEff > 0 {
-			fmt.Fprintf(info, "  [%d] %6.1f QPS  %3d chips  pad-eff %.2f  %s\n", i, e.QPS, e.Chips, e.PadEff, e.Schedule)
-			continue
-		}
 		fmt.Fprintf(info, "  [%d] %6.1f QPS  %3d chips  %s\n", i, e.QPS, e.Chips, e.Schedule)
 	}
 	fmt.Fprintf(info, "trace:    %s\n", desc)

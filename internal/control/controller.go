@@ -195,14 +195,14 @@ func (c *Controller) Run(opts serve.Options, reqs []trace.Request) (*Result, err
 	tick = func() {
 		res.Ticks++
 		w := srv.Telemetry(c.Cfg.Window)
-		// Online staircase re-pricing: the library's shape weighting was
-		// priced once at startup, and a trace whose shape mix drifts
-		// (long-prompt afternoon after a short-prompt morning) leaves
-		// every QPS estimate stale — the controller then tracks load
-		// against capacities no plan delivers. Re-weight from the live
-		// window's bucket mix, hold-down gated so a noisy window cannot
-		// thrash the pricing, and in place (Reweight, not WeightByShapes)
-		// so cur and the recorded events keep indexing the same plans.
+		// Online staircase re-pricing: the library was priced once, on
+		// the shape sample its search saw, and a trace whose shape mix
+		// drifts (long-prompt afternoon after a short-prompt morning)
+		// leaves every QPS estimate stale — the controller then tracks
+		// load against capacities no plan delivers. Re-weight from the
+		// live window's bucket mix, hold-down gated so a noisy window
+		// cannot thrash the pricing, and in place so cur and the
+		// recorded events keep indexing the same plans.
 		if w.Completions >= c.Cfg.MinSamples && w.Now-lastReweight >= c.Cfg.HoldDown {
 			if shapes := shapesFromWindow(w.Shapes); len(shapes) > 0 {
 				c.Lib.Reweight(shapes)

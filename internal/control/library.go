@@ -40,7 +40,10 @@ type Entry struct {
 	// Schedule renders the plan's schedule for reports.
 	Schedule string `json:"schedule"`
 	// QPS is the plan's analytical saturation throughput — the load it
-	// can sustain; TTFT its unloaded first-token latency.
+	// can sustain; TTFT its unloaded first-token latency. Both start as
+	// the plan's own metrics, which a shaped search already priced over
+	// its shape sample (core.Optimizer.Compile), and Reweight re-prices
+	// them when the live shape mix drifts.
 	QPS  float64 `json:"qps"`
 	TTFT float64 `json:"ttft"`
 	// Chips is the XPU count the plan occupies (its cost).
@@ -51,11 +54,6 @@ type Entry struct {
 	// controller can trade quality for capacity under overload — and
 	// back — without leaving the library.
 	Recall float64 `json:"recall,omitempty"`
-	// PadEff is the plan's expected effective-to-padded prefill token
-	// ratio on the shape sample the library was last weighted by
-	// (Reweight, or WeightByShapes through it); 0 until weighted, 1 means
-	// zero padding waste.
-	PadEff float64 `json:"pad_eff,omitempty"`
 }
 
 // Library is the controller's precomputed plan menu: SLO-feasible
@@ -152,32 +150,17 @@ func staircase(entries []Entry) []Entry {
 	return kept
 }
 
-// WeightByShapes re-prices the capacity staircase for a heterogeneous
-// shape sample: each entry's sustainable QPS and unloaded TTFT become its
-// plan's policy-aware shape-weighted predictions (ShapeMetrics at the
-// plan's own formation policy and chunk quantum), and PadEff records the
-// expected effective-to-padded prefill token ratio — a plan whose
-// formation policy wastes less prefill earns proportionally more admitted
-// load before the controller steps the staircase up. The staircase is
-// re-sorted and re-pruned under the new capacities (entries whose shaped
-// capacity no longer justifies their chips drop out). Empty samples leave
-// the library unchanged.
-func (l *Library) WeightByShapes(shapes []engine.Shape) {
-	if len(shapes) == 0 {
-		return
-	}
-	l.Reweight(shapes)
-	l.Entries = staircase(l.Entries)
-}
-
-// Reweight re-prices every entry for a shape sample IN PLACE: the same
-// per-entry pricing WeightByShapes applies, without the re-sort/re-prune
-// pass. Entry indices stay stable, which is what lets a controller
+// Reweight re-prices every entry IN PLACE for a shape sample: each
+// entry's sustainable QPS and unloaded TTFT become its plan's
+// policy-aware shape-weighted predictions (ShapeMetrics at the plan's own
+// formation policy and chunk quantum). Entries are neither re-sorted nor
+// pruned, so indices stay stable, which is what lets a controller
 // re-weight its library mid-run — its current-plan index, its recorded
 // switch events, and any replay of them keep pointing at the same plans.
-// A startup-priced staircase goes stale the moment the live shape mix
-// drifts from the sample it was priced on; the controller calls this from
-// its tick loop (hold-down gated) with the telemetry window's bucket mix.
+// The staircase is priced for the sample the library's search saw and
+// goes stale the moment the live shape mix drifts from it; the controller
+// calls this from its tick loop (hold-down gated) with the telemetry
+// window's bucket mix. Empty samples leave the library unchanged.
 func (l *Library) Reweight(shapes []engine.Shape) {
 	if len(shapes) == 0 {
 		return
@@ -187,7 +170,6 @@ func (l *Library) Reweight(shapes []engine.Shape) {
 		m := e.Plan.ShapeMetrics(shapes)
 		e.QPS = m.QPS
 		e.TTFT = m.TTFT
-		e.PadEff = e.Plan.PadEfficiency(shapes)
 	}
 }
 

@@ -40,7 +40,7 @@ type Options struct {
 	// this per-request length sample instead of the schema constants.
 	// Heterogeneous traffic is what differentiates formation policies; the
 	// plan bounds relax onto the sample minima to stay admissible against
-	// the shaped pricing.
+	// the shaped pricing. Compile's plans carry the same shaped metrics.
 	Shapes []engine.Shape
 	// Policies enumerates batch-formation policies as a schedule search
 	// dimension. Empty searches only FIFO — byte-compatible with the
@@ -192,9 +192,18 @@ func (o *Optimizer) With(opts Options) (*Optimizer, error) {
 // Compile compiles s into the execution plan the executors run, through
 // the pipeline and profiler that priced it (sharded tier and recall surface
 // included), with the engine's descriptive error on infeasibility. The
-// plan's metrics are per allocated chip whatever Options.NormalizeChips says.
+// plan's metrics are the ones the search priced s at: ShapeMetrics over
+// Options.Shapes when the search is shaped, so every reference read off
+// the plan (a report's analytic, a library's capacities) is for the
+// traffic the schedule was chosen for. They are per allocated chip
+// whatever Options.NormalizeChips says.
 func (o *Optimizer) Compile(s Schedule) (*engine.Plan, error) {
-	return engine.Compile(o.Pipe, s, o.Prof)
+	p, err := engine.Compile(o.Pipe, s, o.Prof)
+	if err != nil || len(o.opts.Shapes) == 0 {
+		return p, err
+	}
+	p.Metrics = p.ShapeMetrics(o.opts.Shapes)
+	return p, nil
 }
 
 // newOptimizer validates opts and owns a copy of them, slices included, so

@@ -196,11 +196,7 @@ func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
 	prefix := p.Steps[p.PrefixIdx]
 	var deltaOcc, ttftPrefix float64
 	if q := p.Sched.ChunkQuantum; q > 0 {
-		var chunks float64
-		for _, pt := range m.raw {
-			chunks += float64((pt + q - 1) / q)
-		}
-		perReq := chunks / n * p.ChunkLatency
+		perReq := m.chunkCount(q) / n * p.ChunkLatency
 		schemaChunks := (p.Pipe.Schema.PrefixTokens + q - 1) / q
 		deltaOcc = perReq - float64(schemaChunks)*p.ChunkLatency
 		ttftPrefix = perReq * float64(prefix.Batch+1) / 2
@@ -231,9 +227,9 @@ func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
 	}
 }
 
-// shapeMemo is a shape sample normalized once, plus ShapeMetrics' two
+// shapeMemo is a shape sample normalized once, plus ShapeMetrics' three
 // sample terms keyed on exactly the plan fields they read (a zero key
-// matches no compiled step). An Evaluator's scratch plan keeps one across
+// matches no compiled step or quantum). An Evaluator's scratch plan keeps one across
 // candidates: the policy, quantum, nprobe and fanout the search stamps onto
 // a partial schedule never move the decode step, so each distinct decode or
 // prefix step is priced once per sample — by the code a cold call runs, so
@@ -248,6 +244,8 @@ type shapeMemo struct {
 	dec            decodeKey
 	sumGen, sumOut float64
 	pre            [PolicySorted + 1]prefixSlot // one per policy: the search cycles them
+	chunkQ         int                          // the quantum chunks counts at
+	chunks         float64
 }
 
 type decodeKey struct {
@@ -260,8 +258,8 @@ type prefixSlot struct {
 	el   float64
 }
 
-// load makes shapes the memo's sample, re-normalizing it and dropping both
-// terms unless it equals the current sample by content.
+// load makes shapes the memo's sample, re-normalizing it and dropping
+// every term unless it equals the current sample by content.
 func (m *shapeMemo) load(p *Plan, shapes []Shape) {
 	if slices.Equal(m.shapes, shapes) {
 		return
@@ -279,7 +277,20 @@ func (m *shapeMemo) load(p *Plan, shapes []Shape) {
 		m.raw, m.padded, m.ctx = append(m.raw, pr), append(m.padded, PadTokens(pr)), append(m.ctx, ctx)
 	}
 	sort.Ints(m.padded)
-	m.dec, m.pre = decodeKey{}, [len(m.pre)]prefixSlot{}
+	m.dec, m.pre, m.chunkQ = decodeKey{}, [len(m.pre)]prefixSlot{}, 0
+}
+
+// chunkCount is the chunked-prefill term: the sample's summed
+// per-request chunk count at quantum q.
+func (m *shapeMemo) chunkCount(q int) float64 {
+	if m.chunkQ != q {
+		var chunks float64
+		for _, pt := range m.raw {
+			chunks += float64((pt + q - 1) / q)
+		}
+		m.chunkQ, m.chunks = q, chunks
+	}
+	return m.chunks
 }
 
 // decodeSums is the decode-side term: the sample's summed slot holding
@@ -319,31 +330,38 @@ func (p *Plan) expectedPrefixLatency(padded []int, shaped bool, batch int, pol B
 	if !shaped {
 		return p.Steps[p.PrefixIdx].Latency
 	}
+	return policyExpectation(padded, batch, pol, float64(len(padded)), func(v int) float64 {
+		return p.StepLatencyShaped(p.PrefixIdx, batch, Shape{PromptTokens: v})
+	})
+}
+
+// policyExpectation walks a sorted padded sample through the batches a
+// saturated formation policy forms, pricing each request at its batch's
+// padded maximum through cost, and returns the request-weighted sum over
+// div: the sample size for a per-request expectation, 1 for a total.
+// FIFO batches draw from the whole sample; Bucketed batches never mix
+// pow2 length buckets, so the expectation conditions within each bucket
+// and weights by bucket mass; a saturated SortedWindow dispatches
+// consecutive sorted runs, so blocks of batch requests price at their
+// block's maximum.
+func policyExpectation(padded []int, batch int, pol BatchPolicy, div float64, cost func(int) float64) float64 {
+	var sum float64
 	switch pol {
 	case PolicyBucketed:
-		// Batches never mix buckets: condition the padded-max expectation
-		// within each pow2 bucket and weight by bucket mass.
-		var el float64
-		n := float64(len(padded))
 		for i := 0; i < len(padded); {
 			j := bucketEnd(padded, i)
-			el += float64(j-i) / n * p.expectedMaxLatency(padded[i:j], batch)
+			sum += float64(j-i) / div * expectedMax(padded[i:j], batch, cost)
 			i = j
 		}
-		return el
 	case PolicySorted:
-		// A saturated sorted window dispatches consecutive sorted runs:
-		// partition the sorted sample into blocks of `batch` and price
-		// each request at its block's padded maximum.
-		var el float64
-		n := float64(len(padded))
 		for i := 0; i < len(padded); i += batch {
 			j := min(i+batch, len(padded))
-			el += float64(j-i) / n * p.StepLatencyShaped(p.PrefixIdx, batch, Shape{PromptTokens: padded[j-1]})
+			sum += float64(j-i) / div * cost(padded[j-1])
 		}
-		return el
+	default:
+		sum = float64(len(padded)) / div * expectedMax(padded, batch, cost)
 	}
-	return p.expectedMaxLatency(padded, batch)
+	return sum
 }
 
 // bucketEnd is the end of the pow2 length bucket that starts at index i of
@@ -360,29 +378,10 @@ func bucketEnd(padded []int, i int) int {
 	return j
 }
 
-// expectedMaxLatency is E[L(max of batch draws)] over a sorted padded
-// sample, computed exactly from the empirical CDF (P(max <= v) = F(v)^B)
-// with each distinct padded length priced through the memoizing profiler.
-func (p *Plan) expectedMaxLatency(padded []int, batch int) float64 {
-	n := float64(len(padded))
-	var el, fPrev float64
-	for i := 0; i < len(padded); {
-		v := padded[i]
-		j := i
-		for j < len(padded) && padded[j] == v {
-			j++
-		}
-		f := math.Pow(float64(j)/n, float64(batch))
-		el += (f - fPrev) * p.StepLatencyShaped(p.PrefixIdx, batch, Shape{PromptTokens: v})
-		fPrev = f
-		i = j
-	}
-	return el
-}
-
-// expectedMaxPadded is E[max of batch draws] over a sorted padded sample
-// — the token-space twin of expectedMaxLatency.
-func expectedMaxPadded(padded []int, batch int) float64 {
+// expectedMax is E[cost(max of batch draws)] over a sorted padded sample,
+// computed exactly from the empirical CDF (P(max <= v) = F(v)^B) with
+// cost read once per distinct padded length.
+func expectedMax(padded []int, batch int, cost func(int) float64) float64 {
 	n := float64(len(padded))
 	var ev, fPrev float64
 	for i := 0; i < len(padded); {
@@ -392,7 +391,7 @@ func expectedMaxPadded(padded []int, batch int) float64 {
 			j++
 		}
 		f := math.Pow(float64(j)/n, float64(batch))
-		ev += (f - fPrev) * float64(v)
+		ev += (f - fPrev) * cost(v)
 		fPrev = f
 		i = j
 	}
@@ -401,11 +400,10 @@ func expectedMaxPadded(padded []int, batch int) float64 {
 
 // PadEfficiency is the expected effective-to-padded prefill token ratio
 // the plan's formation policy achieves on a shape sample (1 = zero
-// padding waste; FIFO on the PR 5 heavy-tailed mix sits near 0.39). The
-// controller's capacity staircase weights library entries by it, so a
-// policy that wastes less prefill earns proportionally more admitted
-// load. Empty and all-unshaped samples return 1: constant-shape batches
-// pad nothing under any policy. Chunked-prefill plans pad each raw prompt
+// padding waste; FIFO on a heavy-tailed lognormal mix sits near 0.39):
+// the prefill a formation policy saves, in tokens rather than seconds.
+// Empty and all-unshaped samples return 1: constant-shape batches pad
+// nothing under any policy. Chunked-prefill plans pad each raw prompt
 // straight to the chunk quantum, exactly as ChunkPrefill does.
 func (p *Plan) PadEfficiency(shapes []Shape) float64 {
 	var m shapeMemo
@@ -421,25 +419,9 @@ func (p *Plan) PadEfficiency(shapes []Shape) float64 {
 			padTotal += float64((pt + q - 1) / q * q)
 		}
 	}
-	padded := m.padded
-	n := float64(len(padded))
-	batch := p.Steps[p.PrefixIdx].Batch
 	if q <= 0 {
-		switch p.Sched.FormPolicy {
-		case PolicyBucketed:
-			for i := 0; i < len(padded); {
-				j := bucketEnd(padded, i)
-				padTotal += float64(j-i) * expectedMaxPadded(padded[i:j], batch)
-				i = j
-			}
-		case PolicySorted:
-			for i := 0; i < len(padded); i += batch {
-				j := min(i+batch, len(padded))
-				padTotal += float64(j-i) * float64(padded[j-1])
-			}
-		default:
-			padTotal = n * expectedMaxPadded(padded, batch)
-		}
+		padTotal = policyExpectation(m.padded, p.Steps[p.PrefixIdx].Batch, p.Sched.FormPolicy, 1,
+			func(v int) float64 { return float64(v) })
 	}
 	if padTotal <= 0 || eff > padTotal {
 		return 1

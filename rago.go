@@ -51,9 +51,6 @@ type (
 
 // Preset workloads from Table 3 of the paper.
 var (
-	// Default is the §4 baseline workload shape for a generative model
-	// size, with no optional components.
-	Default = ragschema.Default
 	// CaseI is hyperscale retrieval: 64B vectors, 1-8 query vectors.
 	CaseI = ragschema.CaseI
 	// CaseII is long-context processing: a 120M document encoder over a
@@ -79,8 +76,6 @@ var (
 type (
 	// XPU is a systolic-array accelerator description.
 	XPU = hw.XPU
-	// CPUHost is a retrieval host server description.
-	CPUHost = hw.CPUHost
 	// Cluster is a resource pool of hosts and accelerators.
 	Cluster = hw.Cluster
 )
@@ -188,16 +183,12 @@ func CompilePlan(schema Schema, sched Schedule, cluster Cluster) (*ExecutionPlan
 type (
 	// IterativeConfig parameterizes the decode-idleness simulation.
 	IterativeConfig = sim.IterativeConfig
-	// IterativeResult reports measured decode dynamics.
-	IterativeResult = sim.IterativeResult
 	// Request is one trace entry; its PromptTokens/OutputTokens carry the
 	// per-request sequence shape (0 = schema constant).
 	Request = trace.Request
 	// LengthDist is a per-request token-length distribution (constant,
 	// lognormal, or empirical histogram), seed-deterministic and clamped.
 	LengthDist = trace.LengthDist
-	// LengthBucket is one bin of an empirical length histogram.
-	LengthBucket = trace.LengthBucket
 	// Shape is the padded sequence shape a batch is costed at; see
 	// ExecutionPlan.ShapeMetrics for the shape-weighted analytical
 	// reference of a heterogeneous trace.
@@ -207,8 +198,7 @@ type (
 // Simulation entry points and trace generators. The non-stationary
 // processes (diurnal sinusoid, Markov-modulated bursts, heavy-tailed
 // Gamma inter-arrivals) model production RAG traffic for the online
-// controller; all are deterministic by seed. Traces persist to JSON or
-// CSV files (SaveTrace/LoadTrace, extension-dispatched).
+// controller; all are deterministic by seed.
 var (
 	// RunIterative executes the §5.3 token-level decode simulation.
 	RunIterative = sim.RunIterative
@@ -218,13 +208,6 @@ var (
 	BurstTrace = trace.Burst
 	// DiurnalTrace generates a sinusoid-modulated Poisson process.
 	DiurnalTrace = trace.Diurnal
-	// MMPPTrace generates Markov-modulated (bursty on/off) arrivals.
-	MMPPTrace = trace.MMPP
-	// GammaTrace generates Gamma inter-arrival (heavy-tailed) arrivals.
-	GammaTrace = trace.Gamma
-	// SaveTrace and LoadTrace persist traces as .json or .csv files.
-	SaveTrace = trace.Save
-	LoadTrace = trace.Load
 	// WithTriggers decorates a trace with per-request iterative-retrieval
 	// positions (§5.3), so the live runtime and the simulators park every
 	// sequence at identical tokens.
@@ -249,32 +232,16 @@ type (
 	// ServeOptions configures pacing (time compression), batching flush,
 	// admission control, and the optional real retrieval substrate.
 	ServeOptions = serve.Options
-	// ServeReport is the measured latency/throughput report of a replay;
-	// on heterogeneous traces it carries per-shape-bucket quantiles
-	// (Shapes) and the pad-to-max padding-waste fraction (PadWaste).
-	ServeReport = serve.Report
-	// ShapeBucketStat is one shape bucket's TTFT/TPOT quantiles.
-	ShapeBucketStat = serve.ShapeStat
-	// SearchFunc plugs a real vector index (e.g. IVFPQ.SearchBatch) into
-	// the runtime's retrieval tier.
-	SearchFunc = serve.SearchFunc
 )
 
 // Online control plane (an SLO-aware controller over the serving
 // runtime: windowed telemetry, a plan library from the Pareto frontier,
 // and live plan switching with drain-and-migrate semantics).
 type (
-	// TelemetryWindow is a sliding-window snapshot of live serving
-	// metrics (arrival rate, windowed p99 TTFT/TPOT, queue depths),
-	// pollable mid-replay via Server.Telemetry.
-	TelemetryWindow = serve.Window
 	// Server is a live serving engine that hot-swaps between compiled
 	// plans of one pipeline (Switch drains in-flight requests on the
 	// old plan while new admissions route to the new one).
 	Server = serve.Server
-	// ServerReport extends ServeReport with the plan-switching history
-	// and chip-second accounting.
-	ServerReport = serve.ServerReport
 	// SLO is the latency objective the controller enforces.
 	SLO = control.SLO
 	// PlanLibrary is the controller's menu of SLO-feasible compiled
@@ -286,9 +253,6 @@ type (
 	// ControlConfig tunes the control loop (window, interval, headroom,
 	// hold-down).
 	ControlConfig = control.Config
-	// ControlResult is a controlled replay's outcome: report, switch
-	// events, and chip-seconds versus static peak provisioning.
-	ControlResult = control.Result
 )
 
 // NewServer builds a serving engine starting on the given compiled plan
@@ -317,12 +281,8 @@ func NewController(lib *PlanLibrary, cfg ControlConfig) (*Controller, error) {
 type (
 	// Bus is the bounded fan-out event bus (nil = zero-cost no-op).
 	Bus = obs.Bus
-	// ObsEvent is one typed observability event.
-	ObsEvent = obs.Event
 	// Tracer assembles per-request spans from the event stream.
 	Tracer = obs.Tracer
-	// RequestTrace is one request's assembled span timeline.
-	RequestTrace = obs.RequestTrace
 	// MetricsServer is the streaming metrics HTTP endpoint.
 	MetricsServer = obs.MetricsServer
 )
@@ -340,8 +300,6 @@ var (
 // Vector search substrate (a working IVF-PQ implementation of the
 // retrieval tier the paper models analytically).
 type (
-	// VectorResult is one nearest-neighbor candidate.
-	VectorResult = vectordb.Result
 	// FlatIndex is exact brute-force kNN.
 	FlatIndex = vectordb.FlatIndex
 	// IVFPQ is an inverted-file index with product-quantized codes.
