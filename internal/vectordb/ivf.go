@@ -25,9 +25,11 @@ type IVFPQ struct {
 }
 
 // BuildIVFPQ trains a coarse quantizer with nlist cells and an m-byte
-// product quantizer, then assigns and encodes every vector. Assignment and
-// encoding run in parallel per vector; the index is byte-identical for any
-// GOMAXPROCS.
+// product quantizer, then files every vector under its cell with its code.
+// Both come from the training itself: the last bounded k-means pass of the
+// coarse quantizer assigns each vector its nearest cell and that of each
+// PQ subspace its code byte, exactly as a full scan would, so the build
+// searches no vector again. The index is byte-identical for any GOMAXPROCS.
 func BuildIVFPQ(data [][]float32, nlist, m int, seed int64) (*IVFPQ, error) {
 	if len(data) == 0 {
 		return nil, fmt.Errorf("vectordb: BuildIVFPQ on empty dataset")
@@ -39,49 +41,50 @@ func BuildIVFPQ(data [][]float32, nlist, m int, seed int64) (*IVFPQ, error) {
 	if nlist < 1 {
 		return nil, fmt.Errorf("vectordb: nlist = %d < 1", nlist)
 	}
-	workers := runtime.GOMAXPROCS(0)
-	cents := kmeans(data, 0, dim, nlist, 12, seed, workers)
-	pq, err := TrainPQ(data, m, seed+1)
-	if err != nil {
+	// The coarse quantizer and the product quantizer train independently,
+	// so they train at the same time.
+	var (
+		pq    *PQ
+		codes []byte
+		err   error
+		done  = make(chan struct{})
+	)
+	go func() {
+		defer close(done)
+		pq, codes, err = trainPQ(data, m, seed+1)
+	}()
+	cents, cells := new(lloyd).kmeans(data, 0, dim, nlist, 12, seed, runtime.GOMAXPROCS(0))
+	if <-done; err != nil {
 		return nil, err
 	}
+	n := len(data)
 	ix := &IVFPQ{
 		dim:       dim,
 		nlist:     nlist,
 		centroids: make([]float32, nlist*dim),
 		listOff:   make([]int, nlist+1),
-		ids:       make([]int, len(data)),
-		codes:     make([]byte, len(data)*m),
+		ids:       make([]int, n),
+		codes:     make([]byte, n*m),
 		pq:        pq,
 	}
 	transpose(ix.centroids, cents, nlist, dim)
-	// Counting sort by cell: slot[id] is first the vector's cell, then its
-	// position in the concatenated lists, ascending by ID within a cell.
-	slot := make([]int, len(data))
-	var ord keyOrder
-	ord.reset(cents, nlist, dim)
-	parallelFor(len(data), pointGrain, workers, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			slot[id] = ord.nearest(data[id], -1)
-		}
-	})
-	for _, cell := range slot {
+	// Counting sort by cell, ascending by ID within a cell.
+	for _, cell := range cells {
 		ix.listOff[cell+1]++
 	}
 	for c := 0; c < nlist; c++ {
 		ix.listOff[c+1] += ix.listOff[c]
 	}
 	fill := append([]int(nil), ix.listOff[:nlist]...)
-	for id, cell := range slot {
-		slot[id] = fill[cell]
-		ix.ids[fill[cell]] = id
+	for id, cell := range cells {
+		pos := fill[cell]
 		fill[cell]++
-	}
-	parallelFor(len(data), pointGrain, workers, func(lo, hi int) {
-		for id := lo; id < hi; id++ {
-			pq.encodeInto(ix.codes[slot[id]*m:(slot[id]+1)*m], data[id])
+		ix.ids[pos] = id
+		code := ix.codes[pos*m : (pos+1)*m]
+		for s := range code {
+			code[s] = codes[s*n+id]
 		}
-	})
+	}
 	return ix, nil
 }
 

@@ -448,6 +448,174 @@ func TestBuildGoldenAcrossGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestKMeansMatchesOracle requires KMeans, TrainPQ and BuildIVFPQ — whose
+// Lloyd passes search a point only where its carried bounds cannot prove
+// its assignment, and whose last pass files and encodes the vectors — to
+// equal the oracle's full-scan refKMeans, refTrainPQ and refBuildIVFPQ bit
+// for bit. The sets are built against the bounds' rules: integer grids
+// (exact ties, points equidistant from two centroids), heavy duplication
+// (the k-means++ zero-total draw and the empty-cluster re-seed), huge
+// finite coordinates (squared distances that overflow to +Inf), k = 1 and
+// k >= n, in dimensions 1 to 128. The "draw" rows pin sample, the k-means++
+// draw, to the serial scan it replaces, at and beside every prefix-sum
+// boundary.
+func TestKMeansMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261019))
+	gen := func(n, dim int, coord func() float32) [][]float32 {
+		out := make([][]float32, n)
+		for i := range out {
+			out[i] = make([]float32, dim)
+			for d := range out[i] {
+				out[i][d] = coord()
+			}
+		}
+		return out
+	}
+	grid := func() float32 { return float32(rng.Intn(7) - 3) }
+	huge := func() float32 {
+		switch rng.Intn(3) {
+		case 0:
+			return float32(rng.NormFloat64())
+		case 1:
+			return float32(rng.NormFloat64() * 1e20)
+		}
+		return float32(rng.Intn(2)*2-1) * 3e38
+	}
+	for _, dim := range []int{1, 2, 3, 4, 8, 32, 128} {
+		n := 40 + rng.Intn(300)
+		dups := gen(1+rng.Intn(8), dim, grid) // a few distinct points, repeated
+		for len(dups) < n {
+			dups = append(dups, dups[rng.Intn(len(dups))])
+		}
+		sets := []struct {
+			name string
+			data [][]float32
+		}{
+			{"clustered", GenClustered(n, dim, 1+rng.Intn(6), 0.3+rng.Float64(), rng.Int63())},
+			{"grid", gen(n, dim, grid)},
+			{"duplicates", dups},
+			{"overflow", gen(n, dim, huge)},
+		}
+		sub := []int{1, 2, 4}[rng.Intn(3)]
+		if dim%sub != 0 {
+			sub = 1
+		}
+		if dim == 128 {
+			sub = 8
+		}
+		for _, set := range sets {
+			data, seed := set.data, rng.Int63()
+			for _, k := range []int{1, 2 + rng.Intn(40), n, n + 5} {
+				iters := rng.Intn(13)
+				where := fmt.Sprintf("%s dim=%d n=%d k=%d iters=%d", set.name, dim, n, k, iters)
+				got, err := KMeans(data, k, iters, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for c, want := range refKMeans(data, k, iters, seed) {
+					if !sameFloats(got[c], want) {
+						t.Fatalf("KMeans %s: centroid %d = %v, oracle %v", where, c, got[c], want)
+					}
+				}
+			}
+			m := dim / sub
+			pq, err := TrainPQ(data, m, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, book := range refTrainPQ(data, m, seed).codebooks {
+				entries := centroidMajor(pq.book(s), pqCentroids, sub)
+				for c, want := range book {
+					if !sameFloats(entries[c*sub:(c+1)*sub], want) {
+						t.Fatalf("TrainPQ %s dim=%d n=%d m=%d: codebook %d entry %d differs", set.name, dim, n, m, s, c)
+					}
+				}
+			}
+			for _, nlist := range []int{1, 1 + rng.Intn(24), n + 3} {
+				ix, err := BuildIVFPQ(data, nlist, m, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sameIndex(ix, refBuildIVFPQ(data, nlist, m, seed)); err != nil {
+					t.Fatalf("BuildIVFPQ %s dim=%d n=%d nlist=%d m=%d: %v", set.name, dim, n, nlist, m, err)
+				}
+			}
+		}
+	}
+
+	t.Run("draw", func(t *testing.T) {
+		scan := func(d2 []float64, r float64) int {
+			for i, w := range d2 {
+				if r -= w; r <= 0 {
+					return i
+				}
+			}
+			return 0
+		}
+		for trial := 0; trial < 300; trial++ {
+			n := 1 + rng.Intn(60)
+			d2, cum := make([]float64, n), make([]float64, n)
+			var total float64
+			for i := range d2 {
+				switch rng.Intn(5) {
+				case 0:
+				case 1:
+					d2[i] = float64(rng.Intn(4))
+				case 2:
+					d2[i] = float64(float32(rng.ExpFloat64() * 1e-30))
+				default:
+					d2[i] = float64(float32(rng.ExpFloat64()))
+				}
+				if trial%50 == 0 && rng.Intn(n) == 0 {
+					d2[i] = math.Inf(1)
+				}
+				total += d2[i]
+				cum[i] = total
+			}
+			draws := []float64{0, total, rng.Float64() * total}
+			for _, c := range cum {
+				draws = append(draws, c, math.Nextafter(c, 0), math.Nextafter(c, math.Inf(1)))
+			}
+			for _, r := range draws {
+				if got, want := sample(d2, cum, r), scan(d2, r); got != want {
+					t.Fatalf("trial %d: sample(%v, r=%v) = %d, serial scan %d", trial, d2, r, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestBuildDistanceBudget pins the point–centroid distances the bounded
+// Lloyd passes evaluate building the benchmark-shape index (5,000 x 32,
+// nlist 64, m 16), under GOMAXPROCS 1, 2 and 8: the coarse quantizer's, the
+// 16 PQ subspaces', and their sum for BuildIVFPQ, which searches no vector
+// after training. The build assigns every vector 13 times to a coarse cell
+// and 11 times to a code in each subspace, which by full scan would cost
+// 4,160,000 and 225,280,000 distances. The first assignment comes from
+// k-means++ seeding, which evaluates a fixed k·n per quantizer.
+func TestBuildDistanceBudget(t *testing.T) {
+	const coarseWant, pqWant = 1062703, 7952178
+	data := GenClustered(5000, 32, 8, 1.5, 3)
+	count := func(build func() error) int64 {
+		distanceEvals.Store(0)
+		if err := build(); err != nil {
+			t.Fatal(err)
+		}
+		return distanceEvals.Load()
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		coarse := count(func() error { _, err := KMeans(data, 64, 12, 3); return err })
+		pq := count(func() error { _, err := TrainPQ(data, 16, 4); return err })
+		build := count(func() error { _, err := BuildIVFPQ(data, 64, 16, 3); return err })
+		if coarse != coarseWant || pq != pqWant || build != coarseWant+pqWant {
+			t.Errorf("GOMAXPROCS=%d: coarse %d, PQ %d, build %d distances; want %d, %d, %d",
+				procs, coarse, pq, build, coarseWant, pqWant, coarseWant+pqWant)
+		}
+	}
+}
+
 // TestSearchSteadyStateAllocs pins the kernel's allocation contract: once
 // the pooled scratch is warm, a search allocates only the slice it returns.
 func TestSearchSteadyStateAllocs(t *testing.T) {

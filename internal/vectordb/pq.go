@@ -31,27 +31,42 @@ const pqCentroids = 256
 // seed+s), so the subspaces train concurrently and the result does not
 // depend on GOMAXPROCS.
 func TrainPQ(data [][]float32, m int, seed int64) (*PQ, error) {
+	pq, _, err := trainPQ(data, m, seed)
+	return pq, err
+}
+
+// trainPQ is TrainPQ that also returns every training vector's code,
+// subspace-major: codes[s*len(data)+i] is vector i's byte in subspace s.
+// Each is the subspace k-means' final assignment, the entry encodeInto
+// picks (a padded codebook repeats entries at higher indexes, which lose
+// the tie).
+func trainPQ(data [][]float32, m int, seed int64) (*PQ, []byte, error) {
 	if len(data) == 0 {
-		return nil, fmt.Errorf("vectordb: TrainPQ on empty dataset")
+		return nil, nil, fmt.Errorf("vectordb: TrainPQ on empty dataset")
 	}
 	dim := len(data[0])
 	if err := checkDataset(data, dim); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if m < 1 || dim%m != 0 {
-		return nil, fmt.Errorf("vectordb: PQ subspaces %d must divide dim %d", m, dim)
+		return nil, nil, fmt.Errorf("vectordb: PQ subspaces %d must divide dim %d", m, dim)
 	}
-	sub := dim / m
+	n, sub := len(data), dim/m
 	pq := &PQ{dim: dim, m: m, subDim: sub,
 		codebooks: make([]float32, m*pqCentroids*sub),
 		entries:   make([]float32, m*pqCentroids*sub),
 		orders:    make([]keyOrder, m)}
-	k := min(pqCentroids, len(data))
+	codes := make([]byte, m*n)
+	k := min(pqCentroids, n)
 	procs := runtime.GOMAXPROCS(0)
 	inner := max(1, procs/m) // workers inside each k-means once the subspaces are spread
 	parallelFor(m, 1, procs, func(lo, hi int) {
+		var l lloyd
 		for s := lo; s < hi; s++ {
-			cents := kmeans(data, s*sub, sub, k, 10, seed+int64(s), inner)
+			cents, assign := l.kmeans(data, s*sub, sub, k, 10, seed+int64(s), inner)
+			for i, c := range assign {
+				codes[s*n+i] = byte(c)
+			}
 			// Fewer than 256 training points: pad the codebook with
 			// repeats so codes are always one byte.
 			entries := pq.entries[s*pqCentroids*sub:][:pqCentroids*sub]
@@ -62,7 +77,7 @@ func TrainPQ(data [][]float32, m int, seed int64) (*PQ, error) {
 			pq.orders[s].reset(entries, pqCentroids, sub)
 		}
 	})
-	return pq, nil
+	return pq, codes, nil
 }
 
 // book returns subspace s's codebook, dimension-major ([subDim][256]).

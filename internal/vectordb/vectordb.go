@@ -43,6 +43,24 @@ func SquaredL2(a, b []float32) float32 {
 	return s
 }
 
+// sqDist4 returns the squared distances from q to the four consecutive
+// vectors of vs (4·len(q) floats), each summed in dimension order as
+// SquaredL2 sums it; the four accumulator chains run in lockstep so their
+// additions overlap.
+func sqDist4(q, vs []float32) [4]float32 {
+	dim := len(q)
+	v0, v1, v2, v3 := vs[:dim], vs[dim:][:dim], vs[2*dim:][:dim], vs[3*dim:][:dim]
+	var d0, d1, d2, d3 float32 // scalars: the compiler keeps arrays in memory
+	for j, x := range q {
+		e0, e1, e2, e3 := x-v0[j], x-v1[j], x-v2[j], x-v3[j]
+		d0 += e0 * e0
+		d1 += e1 * e1
+		d2 += e2 * e2
+		d3 += e3 * e3
+	}
+	return [4]float32{d0, d1, d2, d3}
+}
+
 // less is the total order on candidates: distance, ties by ID.
 func less(a, b Result) bool {
 	if a.Dist != b.Dist {
@@ -202,7 +220,9 @@ func (f *FlatIndex) Search(q []float32, k int) ([]Result, error) {
 	return out, err
 }
 
-// searchInto appends the k exact nearest neighbors of q to dst.
+// searchInto appends the k exact nearest neighbors of q to dst. Four stored
+// vectors are scanned at a time (sqDist4), each distance summed in
+// SquaredL2's order, so the Dist bits are those of a one-by-one scan.
 func (f *FlatIndex) searchInto(s *scratch, q []float32, k int, dst []Result) ([]Result, error) {
 	if len(q) != f.dim {
 		return nil, fmt.Errorf("vectordb: query dim %d != index dim %d", len(q), f.dim)
@@ -212,8 +232,13 @@ func (f *FlatIndex) searchInto(s *scratch, q []float32, k int, dst []Result) ([]
 	}
 	t := &s.top
 	t.reset(k)
-	dim := f.dim
-	for id := 0; id < f.n; id++ {
+	dim, id := f.dim, 0
+	for ; id+4 <= f.n; id += 4 {
+		for j, d := range sqDist4(q, f.vecs[id*dim:(id+4)*dim]) {
+			t.offer(id+j, d)
+		}
+	}
+	for ; id < f.n; id++ {
 		t.offer(id, SquaredL2(q, f.vecs[id*dim:(id+1)*dim]))
 	}
 	return append(dst, t.sorted()...), nil
