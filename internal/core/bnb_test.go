@@ -362,6 +362,130 @@ func TestMergeDecodeDifferential(t *testing.T) {
 	}
 }
 
+// prefixCrossRef is the retired group and retrieval tier extension: every
+// (option, partial) pair, in that order, pruned as a whole. Each pair
+// carries its option's index in retrB, as the retrieval tier carries its
+// batch. stairPairs is differential-tested against it.
+func prefixCrossRef(parts []spart, opts []stairOpt) []spart {
+	var next []spart
+	for oi, o := range opts {
+		for _, p := range parts {
+			np := p
+			np.ttft += o.cost
+			np.qps = math.Min(np.qps, o.qps)
+			np.retrB = int32(oi)
+			next = append(next, np)
+		}
+	}
+	return prunePartialsInto(&searchCtx{}, next, nil)
+}
+
+// TestPrefixTierDifferential drives the group and retrieval tiers'
+// extension — stairPairs' selection, extended and pruned — against the full
+// cross product. Partials are random staircases and options random points,
+// both on coarse grids, so TTFT and throughput ties, options whose
+// throughput equals a partial's, and duplicate options are common; some
+// TTFTs are nudged by a few ulps, so that distinct TTFTs round to equal
+// sums, and some grids are so coarse that sums overflow. Options are drawn
+// as each tier prices them: a group's throughput is the inverse of its
+// occupancy, the retrieval tier's adds the iterative occupancy. Some trials
+// use a single partial (the unbounded start, or an invalid one a lone
+// pass-through left), a single option, or options with NaN, infinite or
+// negative values. Each partial and option carries a distinct id (node,
+// retrB), so the survivors must match the reference's representatives and
+// order, not just its metrics, and no invalid pair may be selected.
+func TestPrefixTierDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	ctx := &searchCtx{} // reused across trials, as a worker's is
+	nudge := func(v float64) float64 {
+		for range rng.Intn(4) {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		return v
+	}
+	for _, tier := range []string{"group", "retrieval"} {
+		for trial := 0; trial < 3000; trial++ {
+			unit := 0.01 // the grid's TTFT step
+			if trial%10 == 4 {
+				unit = 2e307 // sums overflow to +Inf
+			}
+			var raw []spart
+			switch trial % 10 {
+			case 0:
+				raw = []spart{{qps: qpsUnbounded, node: -1}}
+			case 1:
+				raw = []spart{{ttft: 0.02, qps: 30, node: 0}}
+			case 2: // invalid, passed through alone
+				raw = []spart{{ttft: []float64{-0.02, math.NaN(), math.Inf(1)}[rng.Intn(3)], qps: 30, node: 0}}
+			default:
+				for i := range 1 + rng.Intn(24) {
+					p := spart{
+						ttft: nudge(float64(1+rng.Intn(8)) * unit),
+						qps:  float64(1+rng.Intn(8)) * 10,
+						node: int32(i),
+					}
+					if rng.Intn(20) == 0 {
+						p.qps = qpsUnbounded
+					}
+					raw = append(raw, p)
+				}
+			}
+			parts := prunePartialsInto(&searchCtx{}, raw, nil)
+
+			opts := make([]stairOpt, rng.Intn(14))
+			if trial%10 == 3 {
+				opts = opts[:min(len(opts), 1)]
+			}
+			for i := range opts {
+				qps := float64(1+rng.Intn(9)) * 10
+				o := stairOpt{cost: nudge(float64(rng.Intn(6)) * unit)}
+				if tier == "group" {
+					o.qps = 1 / (1 / qps) // the inverse of an occupancy
+				} else {
+					o.qps = 1 / (1/qps + float64(rng.Intn(2))*0.001)
+				}
+				switch rng.Intn(30) {
+				case 0:
+					o.cost = math.NaN()
+				case 1:
+					o.cost = math.Inf(1)
+				case 2:
+					o.cost = math.Inf(-1)
+				case 3:
+					o.cost = -float64(1+rng.Intn(4)) * unit
+				case 4:
+					o.qps = math.NaN()
+				case 5:
+					o.qps = math.Inf(1)
+				case 6:
+					o.qps = -10
+				case 7, 8:
+					if i > 0 { // an exact duplicate under a new id
+						o = opts[rng.Intn(i)]
+					}
+				}
+				opts[i] = o
+			}
+
+			want := prefixCrossRef(parts, opts)
+			var next []spart
+			for _, k := range ctx.stairPairs(parts, opts, false) {
+				np := opts[k>>32].extend(parts[uint32(k)], false)
+				if len(parts)*len(opts) > 1 && !partialValid(np) {
+					t.Fatalf("%s trial %d: selected the invalid pair %+v", tier, trial, np)
+				}
+				np.retrB = int32(k >> 32)
+				next = append(next, np)
+			}
+			got := prunePartialsInto(ctx, next, nil)
+			if !samePartials(got, want) {
+				t.Fatalf("%s trial %d: selection kept %d partials, cross product %d\nparts %+v\nopts %+v\ngot  %+v\nwant %+v",
+					tier, trial, len(got), len(want), parts, opts, got, want)
+			}
+		}
+	}
+}
+
 // samePartials compares partials field for field, floats by their bits (a
 // lone NaN partial passes the prune unfiltered on both sides).
 func samePartials(a, b []spart) bool {
@@ -468,5 +592,28 @@ func TestRelaxWidens(t *testing.T) {
 	}
 	if math.IsNaN(r.TTFT) {
 		t.Fatal("NaN")
+	}
+}
+
+// TestPrefixFillBudget pins the pairs the group and retrieval tiers hand to
+// prunePartialsInto in a one-worker Case IV search: stairPairs' selections.
+// The full cross products were 205,261 and 118,503 pairs, of which the
+// prunes keep 36,718 and 13,167. Each prefix is filled once, so the counts
+// do not depend on worker timing.
+func TestPrefixFillBudget(t *testing.T) {
+	const groupWant, retrWant = 39_523, 16_614
+	opts := DefaultOptions(hw.DefaultCluster())
+	opts.Workers = 1
+	o, err := NewOptimizer(ragschema.CaseIV(8e9), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groupPairs.Store(0)
+	retrPairs.Store(0)
+	if len(o.Optimize()) == 0 {
+		t.Fatal("empty frontier")
+	}
+	if g, r := groupPairs.Load(), retrPairs.Load(); g != groupWant || r != retrWant {
+		t.Errorf("group tier pruned %d pairs, retrieval tier %d; want %d, %d", g, r, groupWant, retrWant)
 	}
 }

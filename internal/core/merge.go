@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"rago/internal/engine"
 	"rago/internal/perf"
@@ -50,6 +51,10 @@ type gnode struct {
 	parent int32
 	pick   *groupChoice // into gcache's memo; copied out by own
 }
+
+// groupPairs and retrPairs count the pairs the group and retrieval tiers
+// hand to prunePartialsInto: the search's work counters for the prefix fill.
+var groupPairs, retrPairs atomic.Int64
 
 // prefixEntry is one pre-decode frontier: the partials a (placement,
 // group chips, servers, iterative batch) prefix leaves after the group and
@@ -221,9 +226,18 @@ type searchCtx struct {
 	next   []spart
 	stairs []partialCorner
 	idx    []int32
-	dec    []decPoint
-	bestD  []int32
-	firstP []int32
+	// opts, batches, byCost, claim and pairs are stairPairs' buffers and
+	// its callers': a tier's options, the retrieval batch of each, the
+	// options by cost, each partial's claiming option, and the selection.
+	opts    []stairOpt
+	batches []int32
+	byCost  []int32
+	claim   []int32
+	pairs   []uint64
+	// dec prices an iterative search's decode points; decMemo holds a
+	// single-retrieval search's, per decode chip count (decodePoints).
+	dec     []decPoint
+	decMemo map[int][]decPoint
 	// lat is the critical-path walk's per-stage latency buffer.
 	lat []float64
 
@@ -252,6 +266,7 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 		o:           o,
 		ev:          ev,
 		lat:         make([]float64, len(o.Pipe.Stages)),
+		decMemo:     make(map[int][]decPoint),
 	}
 	ctx.cheapNP, ctx.cheapFO = o.cheapestKnobs(ctx.nprobes, ctx.fanouts)
 	if ri := o.Pipe.Index(pipeline.KindRetrieval); ri >= 0 {
@@ -400,11 +415,22 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.
 	if len(parts) == 0 {
 		return nil
 	}
+	return ctx.mergeDecode(parts, o.decodePoints(ctx, plan, bIter))
+}
 
-	// Decode tier (sets TPOT).
+// decodePoints prices the plan's decode-tier operating points at iterative
+// batch bIter. Without iteration they depend on the plan only through its
+// decode chips, so a worker prices each chip count once; with it, the
+// stall term depends on the whole plan.
+func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) []decPoint {
+	var dec []decPoint
+	if bIter > 0 {
+		dec = ctx.dec[:0]
+	} else if memo, ok := ctx.decMemo[plan.DecodeChips]; ok {
+		return memo
+	}
 	decIdx := o.Pipe.Index(pipeline.KindDecode)
 	outTokens := float64(o.Pipe.Stages[decIdx].OutTokens)
-	dec := ctx.dec[:0]
 	for _, bd := range ctx.decBatches {
 		for _, cand := range o.Prof.Candidates(o.Pipe.Stages[decIdx], plan.DecodeChips, bd) {
 			var stall float64
@@ -427,8 +453,12 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.
 			})
 		}
 	}
-	ctx.dec = dec
-	return ctx.mergeDecode(parts, dec)
+	if bIter > 0 {
+		ctx.dec = dec
+	} else {
+		ctx.decMemo[plan.DecodeChips] = dec
+	}
+	return dec
 }
 
 // prefixFrontier returns the plan's pre-decode frontier at iterBatches[bi]:
@@ -499,18 +529,19 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 		if len(choices) == 0 {
 			return
 		}
-		next = next[:0]
+		opts := ctx.opts[:0]
 		for ci := range choices {
-			c := &choices[ci]
-			for _, p := range parts {
-				ctx.nodes = append(ctx.nodes, gnode{parent: p.node, pick: c})
-				np := p
-				np.ttft += c.ttft
-				np.qps = math.Min(np.qps, 1/c.occ)
-				np.node = int32(len(ctx.nodes) - 1)
-				next = append(next, np)
-			}
+			opts = append(opts, stairOpt{cost: choices[ci].ttft, qps: 1 / choices[ci].occ})
 		}
+		ctx.opts = opts
+		next = next[:0]
+		for _, k := range ctx.stairPairs(parts, opts, false) {
+			np := opts[k>>32].extend(parts[uint32(k)], false)
+			ctx.nodes = append(ctx.nodes, gnode{parent: np.node, pick: &choices[k>>32]})
+			np.node = int32(len(ctx.nodes) - 1)
+			next = append(next, np)
+		}
+		groupPairs.Add(int64(len(next)))
 		parts = prunePartialsInto(ctx, next, parts[:0])
 		if len(parts) == 0 {
 			return
@@ -523,23 +554,24 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 	if retrIdx >= 0 {
 		transfer := o.Prof.RetrievalTransferLatency()
 		rstage := o.Pipe.Stages[retrIdx].Tuned(ctx.cheapNP, ctx.cheapFO)
-		next = next[:0]
+		opts, batches := ctx.opts[:0], ctx.batches[:0]
 		for _, b := range ctx.retrBatches {
 			rt := o.Prof.Eval(rstage, plan.Servers, b)
 			if !rt.OK {
 				continue
 			}
-			tierQPS := 1 / (1/rt.QPS + iterRetrOcc)
-			lat := rt.Latency + transfer
-			for _, p := range parts {
-				np := p
-				np.ttft += lat
-				np.exact = lat
-				np.qps = math.Min(np.qps, tierQPS)
-				np.retrB = int32(b)
-				next = append(next, np)
-			}
+			opts = append(opts, stairOpt{cost: rt.Latency + transfer, qps: 1 / (1/rt.QPS + iterRetrOcc)})
+			batches = append(batches, int32(b))
 		}
+		ctx.opts, ctx.batches = opts, batches
+		next = next[:0]
+		for _, k := range ctx.stairPairs(parts, opts, false) {
+			np := opts[k>>32].extend(parts[uint32(k)], false)
+			np.exact = opts[k>>32].cost
+			np.retrB = batches[k>>32]
+			next = append(next, np)
+		}
+		retrPairs.Add(int64(len(next)))
 		parts = prunePartialsInto(ctx, next, parts[:0])
 		if len(parts) == 0 {
 			return
@@ -578,83 +610,170 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 	}
 }
 
-// mergeDecode extends the pre-decode partials with every decode point and
-// returns what Pareto-pruning the full cross product, enumerated decode
-// point by decode point, returns — the same survivors in the same order —
-// without building it. The partials form a strict staircase, the order
-// prunePartialsInto leaves them in: TTFT ascending and, as no partial has a
-// TPOT yet, throughput ascending with it. A combination (p, d) has p's
-// TTFT, d's TPOT and throughput min(qps_p, qps_d), so it can survive only
-// if
-//
-//   - qps_d >= qps_p and d is the first least-TPOT point among those with
-//     qps_d >= qps_p: every such point gives p the same TTFT and
-//     throughput, so a lower TPOT dominates and an equal one is a later
-//     exact duplicate, while a partial before p has less throughput; or
-//   - qps_d < qps_p and p is the first partial with qps_p >= qps_d: that
-//     partial reaches the same throughput, qps_d, at a lower TTFT.
-//
-// Only pairs meeting one of these are emitted, in cross-product order, and
-// prunePartialsInto arbitrates among them. Every pair it would have kept is
-// there, so is the first of every set of exact duplicates, and relative
-// order is unchanged; hence so is its output. Invalid elements are never
-// emitted: the validity filter would drop their combinations.
-// parts aliases the worker's partial buffer, which the result reuses.
+// mergeDecode extends the pre-decode partials with every decode point —
+// the tier sets TPOT and caps throughput — and returns what Pareto-pruning
+// the full cross product returns, building only the pairs stairPairs
+// selects. parts aliases the worker's partial buffer, which the result
+// reuses.
 func (c *searchCtx) mergeDecode(parts []spart, dec []decPoint) []spart {
-	// bestD[pi]: the first least-TPOT valid decode point with qps_d >=
-	// qps_p; firstP[di]: the first valid partial with qps_p >= qps_d.
-	// -1 when there is none or the element itself is invalid.
-	bestD := c.bestD[:0]
-	for _, p := range parts {
-		best := int32(-1)
-		if partialValid(p) {
-			for di, d := range dec {
-				if decValid(d) && d.qps >= p.qps && (best < 0 || d.tpot < dec[best].tpot) {
-					best = int32(di)
-				}
-			}
-		}
-		bestD = append(bestD, best)
-	}
-	firstP := c.firstP[:0]
+	opts := c.opts[:0]
 	for _, d := range dec {
-		first := int32(-1)
-		if decValid(d) {
-			for pi, p := range parts {
-				if partialValid(p) && p.qps >= d.qps {
-					first = int32(pi)
-					break
-				}
-			}
-		}
-		firstP = append(firstP, first)
+		opts = append(opts, stairOpt{cost: d.tpot, qps: d.qps})
 	}
-	c.bestD, c.firstP = bestD, firstP
-	// prunePartialsInto passes a lone element through unfiltered, so a
-	// one-pair product is emitted whatever it holds.
-	all := len(parts)*len(dec) <= 1
+	c.opts = opts
 	next := c.next[:0]
-	for di, d := range dec {
-		for pi, p := range parts {
-			if all || bestD[pi] == int32(di) || firstP[di] == int32(pi) {
-				p.tpot = d.tpot
-				p.qps = math.Min(p.qps, d.qps)
-				p.decB, p.decR = d.batch, d.replicas
-				next = append(next, p)
-			}
-		}
+	for _, k := range c.stairPairs(parts, opts, true) {
+		np := opts[k>>32].extend(parts[uint32(k)], true)
+		np.decB, np.decR = dec[k>>32].batch, dec[k>>32].replicas
+		next = append(next, np)
 	}
 	out := prunePartialsInto(c, next, parts[:0])
 	c.parts, c.next = out, next
 	return out
 }
 
-// decValid reports whether a decode point's combinations with a valid
-// partial pass partialValid: its TPOT must, and its throughput must once
-// capped by the partial's finite one (qpsUnbounded bounds every partial).
-func decValid(d decPoint) bool {
-	return !math.IsNaN(d.tpot) && !math.IsInf(d.tpot, 0) && d.tpot >= 0 &&
-		!math.IsNaN(d.qps) && d.qps >= 0
+// stairOpt is one option a tier extends every partial with: the cost it
+// adds to TTFT (group and retrieval tiers) or sets as TPOT (decode tier),
+// and the throughput it caps.
+type stairOpt struct{ cost, qps float64 }
+
+// extend returns p extended by the option, as the tier's cross product
+// holds the pair.
+func (o stairOpt) extend(p spart, setTPOT bool) spart {
+	if setTPOT {
+		p.tpot = o.cost
+	} else {
+		p.ttft += o.cost
+	}
+	p.qps = math.Min(p.qps, o.qps)
+	return p
+}
+
+// viable reports whether the option can make a valid pair with a valid
+// partial: its throughput is neither NaN nor negative, and its cost is
+// finite and, as a TPOT, not negative. An added TTFT may be negative: the
+// pair's sum can still be valid.
+func (o stairOpt) viable(setTPOT bool) bool {
+	lo := -math.MaxFloat64
+	if setTPOT {
+		lo = 0
+	}
+	return o.qps >= 0 && o.cost >= lo && o.cost <= math.MaxFloat64
+}
+
+// stairPairs selects, from the cross product of the partials and a tier's
+// options, the pairs Pareto-pruning it can keep, packed option<<32|partial
+// in ascending order: the product's own order, option by option. Pruning
+// the selection with prunePartialsInto returns what pruning the whole
+// product returns — the same survivors, representatives and order — and
+// the selection holds at most one pair per partial and one per option.
+//
+// Unless it is a lone one (which prunePartialsInto passes through, valid or
+// not), the partials form a valid strict staircase, the order
+// prunePartialsInto leaves them in: TTFT and throughput both ascending, no
+// TPOT yet. A pair (p, o) has throughput min(qps_p, qps_o) and a latency o
+// moves monotonically — TTFT fl(ttft_p + cost_o) when o adds TTFT, TPOT
+// cost_o when it sets TPOT — so it can survive only if
+//
+//   - qps_o > qps_p, and of the options with qps_o > qps_p — whose pairs
+//     with p share p's throughput and every other metric — o gives p the
+//     least such latency a valid pair has, and is the first of those that
+//     tie on it after rounding: their pairs with p are exact duplicates,
+//     of which the prune keeps only the first; or
+//   - qps_p >= qps_o, and p is the first partial with qps_p >= qps_o that
+//     makes a valid pair with o: every later one gives the same
+//     throughput, qps_o, at a TTFT no lower.
+//
+// Every pair the full prune keeps is selected, and so is, for every pair
+// selected and dropped, a kept pair that dominates or duplicates it; the
+// relative order is the product's. The options are walked once, by cost:
+// each finds its partial of the second rule by binary search, and
+// claims, under the first, the partials it admits that no cheaper option
+// has claimed. Once an option admits the staircase from its start, the
+// claimed partials are a prefix that only grows, so the walk visits each
+// partial about once; only a negative added TTFT, which no tier prices,
+// admits a range further up.
+func (c *searchCtx) stairPairs(parts []spart, opts []stairOpt, setTPOT bool) []uint64 {
+	pairs := c.pairs[:0]
+	if len(parts) == 1 {
+		// Every valid pair, or the product's single pair.
+		for oi, o := range opts {
+			if len(opts) == 1 || partialValid(o.extend(parts[0], setTPOT)) {
+				pairs = append(pairs, uint64(oi)<<32)
+			}
+		}
+		c.pairs = pairs
+		return pairs
+	}
+	// negative reports a pair an added TTFT below zero leaves invalid;
+	// moved is the latency a pair's option moves.
+	negative := func(p spart, o stairOpt) bool { return !setTPOT && p.ttft+o.cost < 0 }
+	moved := func(p spart, o stairOpt) float64 {
+		if setTPOT {
+			return o.cost
+		}
+		return p.ttft + o.cost
+	}
+	byCost := c.byCost[:0]
+	for oi, o := range opts {
+		if o.viable(setTPOT) {
+			byCost = append(byCost, int32(oi))
+		}
+	}
+	slices.SortStableFunc(byCost, func(a, b int32) int { return cmpFloat(opts[a].cost, opts[b].cost) })
+	claim := c.claim[:0]
+	for range parts {
+		claim = append(claim, -1)
+	}
+	n, cover := len(parts), 0 // parts[:cover] are claimed
+	for s, oi := range byCost {
+		o := opts[oi]
+		lo := sort.Search(n, func(i int) bool { return parts[i].qps >= o.qps })
+		pi := lo
+		for pi < n && negative(parts[pi], o) {
+			pi++
+		}
+		if pi < n && partialValid(o.extend(parts[pi], setTPOT)) {
+			pairs = append(pairs, uint64(oi)<<32|uint64(pi))
+		}
+		// o admits parts[z:lo]: qps_p < qps_o and a TTFT not negative.
+		z := 0
+		for z < lo && negative(parts[z], o) {
+			z++
+		}
+		for p := max(z, cover); p < lo; p++ {
+			if claim[p] < 0 {
+				claim[p] = int32(s)
+			}
+		}
+		if z <= cover {
+			cover = max(cover, lo)
+		}
+	}
+	for pi, s := range claim {
+		if s < 0 {
+			continue
+		}
+		p, best := parts[pi], byCost[s]
+		if !partialValid(opts[best].extend(p, setTPOT)) {
+			continue // an added TTFT overflowed
+		}
+		least := moved(p, opts[best])
+		for _, oi := range byCost[s+1:] {
+			if moved(p, opts[oi]) != least {
+				break
+			}
+			if opts[oi].qps > p.qps {
+				best = min(best, oi)
+			}
+		}
+		pairs = append(pairs, uint64(best)<<32|uint64(pi))
+	}
+	c.byCost, c.claim = byCost, claim
+	slices.Sort(pairs)
+	pairs = slices.Compact(pairs)
+	c.pairs = pairs
+	return pairs
 }
 
 // probeSchedule builds the minimal schedule IterativeCost needs from the
@@ -947,10 +1066,7 @@ func cmpFloat(x, y float64) int {
 // partialValid mirrors perf.Metrics.Valid on a partial's accumulated
 // metrics.
 func partialValid(p spart) bool {
-	for _, v := range []float64{p.ttft, p.tpot, p.qps} {
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return false
-		}
-	}
-	return true
+	return p.ttft >= 0 && p.ttft <= math.MaxFloat64 &&
+		p.tpot >= 0 && p.tpot <= math.MaxFloat64 &&
+		p.qps >= 0 && p.qps <= math.MaxFloat64
 }

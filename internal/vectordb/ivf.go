@@ -51,9 +51,9 @@ func BuildIVFPQ(data [][]float32, nlist, m int, seed int64) (*IVFPQ, error) {
 	)
 	go func() {
 		defer close(done)
-		pq, codes, err = trainPQ(data, m, seed+1)
+		pq, codes, err = trainPQ(data, m, seed+1, true)
 	}()
-	cents, cells := new(lloyd).kmeans(data, 0, dim, nlist, 12, seed, runtime.GOMAXPROCS(0))
+	cents, cells := new(lloyd).kmeans(data, 0, dim, nlist, 12, seed, runtime.GOMAXPROCS(0), true)
 	if <-done; err != nil {
 		return nil, err
 	}

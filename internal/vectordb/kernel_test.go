@@ -587,14 +587,16 @@ func TestKMeansMatchesOracle(t *testing.T) {
 
 // TestBuildDistanceBudget pins the point–centroid distances the bounded
 // Lloyd passes evaluate building the benchmark-shape index (5,000 x 32,
-// nlist 64, m 16), under GOMAXPROCS 1, 2 and 8: the coarse quantizer's, the
-// 16 PQ subspaces', and their sum for BuildIVFPQ, which searches no vector
-// after training. The build assigns every vector 13 times to a coarse cell
-// and 11 times to a code in each subspace, which by full scan would cost
-// 4,160,000 and 225,280,000 distances. The first assignment comes from
-// k-means++ seeding, which evaluates a fixed k·n per quantizer.
+// nlist 64, m 16), under GOMAXPROCS 1, 2 and 8: the coarse quantizer's and
+// the 16 PQ subspaces' in BuildIVFPQ, which searches no vector after
+// training, and in KMeans and TrainPQ, which return only centroids and so
+// skip the last assignment. The build assigns every vector 13 times to a
+// coarse cell and 11 times to a code in each subspace, which by full scan
+// would cost 4,160,000 and 225,280,000 distances. The first assignment
+// comes from k-means++ seeding, which evaluates a fixed k·n per quantizer.
 func TestBuildDistanceBudget(t *testing.T) {
-	const coarseWant, pqWant = 1062703, 7952178
+	const coarseWant, pqWant = 1062703, 7952178      // in the build
+	const kmeansWant, trainPQWant = 1009330, 7579254 // centroids only
 	data := GenClustered(5000, 32, 8, 1.5, 3)
 	count := func(build func() error) int64 {
 		distanceEvals.Store(0)
@@ -609,9 +611,9 @@ func TestBuildDistanceBudget(t *testing.T) {
 		coarse := count(func() error { _, err := KMeans(data, 64, 12, 3); return err })
 		pq := count(func() error { _, err := TrainPQ(data, 16, 4); return err })
 		build := count(func() error { _, err := BuildIVFPQ(data, 64, 16, 3); return err })
-		if coarse != coarseWant || pq != pqWant || build != coarseWant+pqWant {
-			t.Errorf("GOMAXPROCS=%d: coarse %d, PQ %d, build %d distances; want %d, %d, %d",
-				procs, coarse, pq, build, coarseWant, pqWant, coarseWant+pqWant)
+		if coarse != kmeansWant || pq != trainPQWant || build != coarseWant+pqWant {
+			t.Errorf("GOMAXPROCS=%d: KMeans %d, TrainPQ %d, build %d distances; want %d, %d, %d",
+				procs, coarse, pq, build, kmeansWant, trainPQWant, coarseWant+pqWant)
 		}
 	}
 }

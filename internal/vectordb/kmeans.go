@@ -33,7 +33,7 @@ func KMeans(data [][]float32, k, iters int, seed int64) ([][]float32, error) {
 	if err := checkDataset(data, dim); err != nil {
 		return nil, err
 	}
-	cents, _ := new(lloyd).kmeans(data, 0, dim, k, iters, seed, runtime.GOMAXPROCS(0))
+	cents, _ := new(lloyd).kmeans(data, 0, dim, k, iters, seed, runtime.GOMAXPROCS(0), false)
 	return rowViews(cents, k, dim), nil
 }
 
@@ -48,12 +48,14 @@ type lloyd struct {
 }
 
 // kmeans clusters the sub-vectors data[i][off:off+dim] into k centroids,
-// returned flat (k*dim), using up to workers goroutines. It also returns
-// each point's nearest final centroid: after the last mean update one more
-// bounded pass assigns every point exactly, so a caller needs no search of
-// its own. Both results live in l and hold until its next use. The first
-// assignment is seeding's, which already knows each point's nearest seed.
-func (l *lloyd) kmeans(data [][]float32, off, dim, k, iters int, seed int64, workers int) ([]float32, []int) {
+// returned flat (k*dim), using up to workers goroutines. With assign it
+// also returns each point's nearest final centroid: after the last mean
+// update one more bounded pass assigns every point exactly, so a caller
+// needs no search of its own. Without it that pass, which moves no
+// centroid, is skipped and the assignment is nil. Both results live in l
+// and hold until its next use. The first assignment is seeding's, which
+// already knows each point's nearest seed.
+func (l *lloyd) kmeans(data [][]float32, off, dim, k, iters int, seed int64, workers int, assign bool) ([]float32, []int) {
 	n := len(data)
 	l.xs = grow(l.xs, n*dim)
 	xs := l.xs
@@ -87,11 +89,17 @@ func (l *lloyd) kmeans(data [][]float32, off, dim, k, iters int, seed int64, wor
 	l.prev, l.sums, l.counts = grow(l.prev, k*dim), grow(l.sums, k*dim), grow(l.counts, k)
 	prev, sums, counts := l.prev, l.sums, l.counts
 	for it := 0; ; it++ {
+		if it >= iters && !assign {
+			return cents, nil
+		}
 		changed := 0
 		if it > 0 || !seeded {
 			changed = b.pass(xs, workers)
 		}
 		if it >= iters || it > 0 && changed == 0 {
+			if !assign {
+				return cents, nil
+			}
 			return cents, b.assign
 		}
 		// Recompute means, accumulating serially in point order.

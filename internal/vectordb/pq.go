@@ -31,16 +31,16 @@ const pqCentroids = 256
 // seed+s), so the subspaces train concurrently and the result does not
 // depend on GOMAXPROCS.
 func TrainPQ(data [][]float32, m int, seed int64) (*PQ, error) {
-	pq, _, err := trainPQ(data, m, seed)
+	pq, _, err := trainPQ(data, m, seed, false)
 	return pq, err
 }
 
-// trainPQ is TrainPQ that also returns every training vector's code,
-// subspace-major: codes[s*len(data)+i] is vector i's byte in subspace s.
-// Each is the subspace k-means' final assignment, the entry encodeInto
-// picks (a padded codebook repeats entries at higher indexes, which lose
-// the tie).
-func trainPQ(data [][]float32, m int, seed int64) (*PQ, []byte, error) {
+// trainPQ is TrainPQ that, with encode, also returns every training
+// vector's code, subspace-major: codes[s*len(data)+i] is vector i's byte in
+// subspace s. Each is the subspace k-means' final assignment, the entry
+// encodeInto picks (a padded codebook repeats entries at higher indexes,
+// which lose the tie).
+func trainPQ(data [][]float32, m int, seed int64, encode bool) (*PQ, []byte, error) {
 	if len(data) == 0 {
 		return nil, nil, fmt.Errorf("vectordb: TrainPQ on empty dataset")
 	}
@@ -56,14 +56,17 @@ func trainPQ(data [][]float32, m int, seed int64) (*PQ, []byte, error) {
 		codebooks: make([]float32, m*pqCentroids*sub),
 		entries:   make([]float32, m*pqCentroids*sub),
 		orders:    make([]keyOrder, m)}
-	codes := make([]byte, m*n)
+	var codes []byte
+	if encode {
+		codes = make([]byte, m*n)
+	}
 	k := min(pqCentroids, n)
 	procs := runtime.GOMAXPROCS(0)
 	inner := max(1, procs/m) // workers inside each k-means once the subspaces are spread
 	parallelFor(m, 1, procs, func(lo, hi int) {
 		var l lloyd
 		for s := lo; s < hi; s++ {
-			cents, assign := l.kmeans(data, s*sub, sub, k, 10, seed+int64(s), inner)
+			cents, assign := l.kmeans(data, s*sub, sub, k, 10, seed+int64(s), inner, encode)
 			for i, c := range assign {
 				codes[s*n+i] = byte(c)
 			}
