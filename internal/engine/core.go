@@ -28,11 +28,13 @@ import (
 // an idle resource arms one flush check, not one per enqueue (arm).
 
 // Ledger is the per-request state of one trace run, indexed by trace
-// position: pending-predecessor counts, queue-entry times, TTFT, decode
-// start and decode walk, plus the run's admission bound, in-flight count
-// and arrival cursor. Every Core serving the trace shares it — the live
-// runtime runs one Core per plan epoch, and a request keeps its state on
-// the epoch that admitted it — so it is allocated once per run.
+// position: pending-predecessor counts, TTFT, decode start and decode slot,
+// plus the run's admission bound, in-flight count and arrival cursor. Every
+// Core serving the trace shares it — the live runtime runs one Core per plan
+// epoch, and a request keeps its state on the epoch that admitted it — so it
+// is allocated once per run. State with a shorter life lives where it is
+// bounded: enqueue times beside the queue entries (Dispatcher), decode walks
+// in the admitting Core's decode slots.
 type Ledger struct {
 	reqs  []trace.Request
 	order []int // admission order when reqs is not sorted by arrival
@@ -40,15 +42,16 @@ type Ledger struct {
 
 	bound, inflight int
 
-	nSteps, nSlots int
-	pending        []int32   // [r*nSteps+stage]
-	enqAt          []float64 // [r*nSlots+slot]
-	state          []reqState
+	nSteps  int
+	pending []int32 // [r*nSteps+stage]
+	state   []reqState
 }
 
+// reqState is a request's TTFT, decode start and the index of the decode
+// slot it holds, in the slot table of the Core that admitted it.
 type reqState struct {
 	ttft, decStart float64
-	seq            Seq
+	slot           int32
 }
 
 // NewLedger sizes the ledger for reqs under plan p's stage graph (every
@@ -56,9 +59,8 @@ type reqState struct {
 // admission bound; 0 admits the whole trace.
 func NewLedger(p *Plan, reqs []trace.Request, maxInFlight int) *Ledger {
 	n := len(reqs)
-	l := &Ledger{reqs: reqs, bound: maxInFlight, nSteps: len(p.Steps), nSlots: p.NumSlots(),
-		pending: make([]int32, n*len(p.Steps)), enqAt: make([]float64, n*p.NumSlots()),
-		state: make([]reqState, n)}
+	l := &Ledger{reqs: reqs, bound: maxInFlight, nSteps: len(p.Steps),
+		pending: make([]int32, n*len(p.Steps)), state: make([]reqState, n)}
 	for i := 1; i < n; i++ {
 		if reqs[i].Arrival < reqs[i-1].Arrival {
 			l.order = make([]int, n)
@@ -78,21 +80,24 @@ func (l *Ledger) NextArrival() (float64, bool) {
 	if l.next == len(l.reqs) {
 		return 0, false
 	}
-	return l.reqs[l.arrival()].Arrival, true
+	return l.ArrivalAt(l.next), true
 }
 
-func (l *Ledger) arrival() int {
+// ArrivalAt returns when the trace's i-th arrival, in (arrival, trace
+// index) order, arrives. It reads only the immutable trace, so it is safe
+// beside a running Core.
+func (l *Ledger) ArrivalAt(i int) float64 { return l.reqs[l.arrival(i)].Arrival }
+
+// arrival returns the trace index of the i-th arrival.
+func (l *Ledger) arrival(i int) int {
 	if l.order != nil {
-		return l.order[l.next]
+		return l.order[i]
 	}
-	return l.next
+	return i
 }
 
 // Trace returns request r's trace entry.
 func (l *Ledger) Trace(r int) *trace.Request { return &l.reqs[r] }
-
-// EnqueuedAt returns the virtual time request r entered slot's queue.
-func (l *Ledger) EnqueuedAt(r, slot int) float64 { return l.enqAt[r*l.nSlots+slot] }
 
 // Completion is one finished request as a Core reports it.
 type Completion struct {
@@ -133,8 +138,9 @@ type Core struct {
 	stations  []station // per resource, beside disp
 	preds     []int32   // per-stage predecessor counts
 	held      int       // admitted requests not yet completed
-	decFree   int
-	decWait   queue // sequences waiting for a decode slot
+	dec       []Seq     // the decode slots' walks, Sched.DecodeBatch of them
+	decFree   []int32   // free decode slots, a stack
+	decWait   queue     // sequences waiting for a decode slot
 	heap      eventHeap
 	seq       int // the next event's seq
 	pos       int // seq of the event being handled; -1 while admitting
@@ -161,9 +167,14 @@ type station struct {
 // prefix tier prices batches, its answer tier short-circuits admissions),
 // bus the event sink (nil publishes nothing) and sink the driver's.
 func NewCore(p *Plan, l *Ledger, flush float64, c *cache.Cache, bus *obs.Bus, sink Sink) *Core {
-	k := &Core{plan: p, led: l, sink: sink, bus: bus, cache: c, flush: flush, decFree: p.Sched.DecodeBatch,
+	nDec := p.Sched.DecodeBatch
+	k := &Core{plan: p, led: l, sink: sink, bus: bus, cache: c, flush: flush,
+		dec: make([]Seq, nDec), decFree: make([]int32, nDec),
 		disp: make([]*Dispatcher, len(p.Resources)), stations: make([]station, len(p.Resources)),
 		preds: make([]int32, len(p.Steps)), slotName: p.SlotNames(), slotTrack: p.TrackNames()}
+	for i := range k.decFree {
+		k.decFree[i] = int32(i)
+	}
 	for ri := range k.disp {
 		k.disp[ri] = NewDispatcher(p, ri, flush, c, l)
 		k.stations[ri].armed = -1
@@ -189,7 +200,7 @@ func (k *Core) Next() (float64, bool) {
 // otherwise routed to the plan's entry stages.
 func (k *Core) Admit() {
 	l := k.led
-	r := l.arrival()
+	r := l.arrival(l.next)
 	l.next++
 	q := &l.reqs[r]
 	now := q.Arrival
@@ -259,7 +270,7 @@ func (k *Core) Step() {
 		// queue the iterative retrieval half of the round.
 		if k.bus.Active() {
 			k.bus.Publish(obs.Event{Kind: obs.KindDecodePark, T: now, Req: l.reqs[e.a].ID,
-				Slot: p.DecodeIdx, Stage: "decode", Track: "decode", N: l.state[e.a].seq.Rounds})
+				Slot: p.DecodeIdx, Stage: "decode", Track: "decode", N: k.dec[l.state[e.a].slot].Rounds})
 		}
 		k.ready(e.a, p.IterRetrievalSlot(), now)
 	case evDecodeDone:
@@ -296,10 +307,11 @@ func (k *Core) stageDone(r, idx int, now float64) {
 			k.ready(r, p.IterPrefixSlot(), now)
 			return
 		case p.IterPrefixSlot():
-			stall := st.seq.Resume(now)
+			seq := &k.dec[st.slot]
+			stall := seq.Resume(now)
 			if k.bus.Active() {
 				k.bus.Publish(obs.Event{Kind: obs.KindDecodeResume, T: now, Req: l.reqs[r].ID,
-					Slot: p.DecodeIdx, Stage: "decode", Track: "decode", N: st.seq.Rounds, Dur: stall})
+					Slot: p.DecodeIdx, Stage: "decode", Track: "decode", N: seq.Rounds, Dur: stall})
 			}
 			k.advance(r, now)
 			return
@@ -328,19 +340,17 @@ func (k *Core) ready(r, idx int, now float64) {
 		// sequence for its full generation — iterative parks included —
 		// and is refilled only on completion (the profiled latency already
 		// assumes all slots decode concurrently).
-		if k.decFree > 0 {
-			k.decFree--
+		if len(k.decFree) > 0 {
 			k.sink.Enqueued(r, idx, 0)
 			k.lease(r, now)
 		} else {
-			k.decWait.push(r)
+			k.decWait.push(r, now)
 			k.sink.Enqueued(r, idx, k.decWait.Len())
 		}
 		return
 	}
-	l.enqAt[r*l.nSlots+idx] = now
 	res := p.StepAt(idx).Resource
-	k.sink.Enqueued(r, idx, k.disp[res].Push(idx, r))
+	k.sink.Enqueued(r, idx, k.disp[res].Push(idx, r, now))
 	if k.flush > 0 {
 		// The enqueue's flush check (see arm; with no timeout all is ripe at
 		// once), nudged past the deadline: it must see headAge >= flush
@@ -449,12 +459,13 @@ func (k *Core) publishBatch(res int, b Batch, c BatchCost, now float64) {
 	}
 }
 
-// lease gives request r a decode slot at now and starts its decode walk.
+// lease gives request r a free decode slot at now and starts its decode
+// walk there.
 func (k *Core) lease(r int, now float64) {
 	p, l := k.plan, k.led
-	st := &l.state[r]
-	st.decStart = now
-	st.seq = p.Seq(l.reqs[r])
+	st, n := &l.state[r], len(k.decFree)-1
+	st.decStart, st.slot, k.decFree = now, k.decFree[n], k.decFree[:n]
+	k.dec[st.slot] = p.Seq(l.reqs[r])
 	if k.bus.Active() {
 		k.bus.Publish(obs.Event{Kind: obs.KindDecodeLease, T: now, Req: l.reqs[r].ID,
 			Slot: p.DecodeIdx, Stage: k.slotName[p.DecodeIdx], Track: "decode"})
@@ -465,7 +476,7 @@ func (k *Core) lease(r int, now float64) {
 // advance schedules request r's next decode stop from now: a park at its
 // next trigger position, or its finish.
 func (k *Core) advance(r int, now float64) {
-	if at, park := k.led.state[r].seq.Advance(now); park {
+	if at, park := k.dec[k.led.state[r].slot].Advance(now); park {
 		k.push(at, evDecodePark, r)
 	} else {
 		k.push(at, evDecodeDone, r)
@@ -483,7 +494,7 @@ func (k *Core) complete(r int, now float64) {
 		k.bus.Publish(obs.Event{Kind: obs.KindDecodeFinish, T: now, Req: q.ID,
 			Slot: p.DecodeIdx, Stage: "decode", Track: "decode", Dur: now - st.decStart})
 	}
-	c := Completion{At: now, TTFT: st.ttft, Latency: now - q.Arrival, Stall: st.seq.Stall}
+	c := Completion{At: now, TTFT: st.ttft, Latency: now - q.Arrival, Stall: k.dec[st.slot].Stall}
 	if out := p.GenTokens(q.OutputTokens); out > 0 {
 		c.TPOT = (now - st.decStart) / float64(out)
 	}
@@ -491,11 +502,9 @@ func (k *Core) complete(r int, now float64) {
 	if k.cache.AnswerOn() && q.Tagged() {
 		k.cache.AnswerStore(q.ChunkIDs, q.PromptTokens, q.OutputTokens)
 	}
-	k.decFree++
+	k.decFree = append(k.decFree, st.slot)
 	if k.decWait.Len() > 0 {
-		nxt := k.decWait.popN(1)[0]
-		k.decFree--
-		k.lease(nxt, now)
+		k.lease(k.decWait.pop(), now)
 	}
 }
 

@@ -16,55 +16,74 @@ import (
 // where each sequence parks for an iterative round. The types are
 // clock-free and single-goroutine.
 
-// queue is a FIFO of ledger indices with a consumed-head offset: dispatch
-// advances the offset instead of re-copying the tail, and the storage
-// resets to the front whenever the queue drains. A stage slot's queue is
-// the FormView its Former decides over; a bucketed slot has one per bucket.
+// queue is a FIFO of ledger indices, each beside the virtual time it was
+// queued, with a consumed-head offset: dispatch advances the offset instead
+// of re-copying the tail, and the storage resets to the front whenever the
+// queue drains, so it is bounded by the backlog, not the trace. A stage
+// slot's queue is the FormView its Former decides over; a bucketed slot has
+// one per bucket.
 type queue struct {
-	buf  []int
+	buf  []entry
 	head int
-	slot int
 	led  *Ledger
 }
 
-func (q *queue) Len() int                 { return len(q.buf) - q.head }
-func (q *queue) EnqueuedAt(i int) float64 { return q.led.EnqueuedAt(q.buf[q.head+i], q.slot) }
-func (q *queue) PromptTokens(i int) int   { return q.led.Trace(q.buf[q.head+i]).PromptTokens }
+// entry is one queued request and its enqueue time.
+type entry struct {
+	r  int
+	at float64
+}
 
-// push appends r, first compacting a mostly consumed queue, so a backlog
-// that never fully drains cannot grow the storage (and pin served handles)
-// without bound. Full storage doubles, so growth allocates O(log peak).
-func (q *queue) push(r int) {
+func (q *queue) Len() int                 { return len(q.buf) - q.head }
+func (q *queue) EnqueuedAt(i int) float64 { return q.buf[q.head+i].at }
+func (q *queue) PromptTokens(i int) int   { return q.led.Trace(q.buf[q.head+i].r).PromptTokens }
+
+// push appends r, queued at virtual time at, first compacting a mostly
+// consumed queue, so a backlog that never fully drains cannot grow the
+// storage without bound. Full storage doubles, so growth allocates
+// O(log peak).
+func (q *queue) push(r int, at float64) {
 	if c := q.head; c >= 64 && 2*c >= len(q.buf) {
-		live := copy(q.buf, q.buf[c:])
-		clear(q.buf[live:])
-		q.buf = q.buf[:live]
+		q.buf = q.buf[:copy(q.buf, q.buf[c:])]
 		q.head = 0
 	}
 	if len(q.buf) == cap(q.buf) {
 		q.buf = slices.Grow(q.buf, len(q.buf)+1)
 	}
-	q.buf = append(q.buf, r)
+	q.buf = append(q.buf, entry{r, at})
 }
 
-// popN consumes the first n entries. The result aliases the queue's
-// storage and is valid until the next push.
-func (q *queue) popN(n int) []int {
-	b := q.buf[q.head : q.head+n : q.head+n]
+// pop consumes the head entry and returns its request.
+func (q *queue) pop() int {
+	r := q.buf[q.head].r
+	q.consume(1)
+	return r
+}
+
+// popN consumes the first n entries, appending their requests to out.
+func (q *queue) popN(n int, out []int) []int {
+	for _, e := range q.buf[q.head : q.head+n] {
+		out = append(out, e.r)
+	}
+	q.consume(n)
+	return out
+}
+
+// consume advances the head past n entries, resetting drained storage.
+func (q *queue) consume(n int) {
 	q.head += n
 	if q.head == len(q.buf) {
 		q.buf = q.buf[:0]
 		q.head = 0
 	}
-	return b
 }
 
 // popSel consumes the entries at the given head-relative positions
-// (ascending, as formation policies return them), appending them to out
-// and compacting the survivors in place.
+// (ascending, as formation policies return them), appending their requests
+// to out and compacting the survivors in place.
 func (q *queue) popSel(sel []int, out []int) []int {
 	for _, p := range sel {
-		out = append(out, q.buf[q.head+p])
+		out = append(out, q.buf[q.head+p].r)
 	}
 	ln := q.Len()
 	w := q.head + sel[0]
@@ -77,12 +96,8 @@ func (q *queue) popSel(sel []int, out []int) []int {
 		q.buf[w] = q.buf[q.head+p]
 		w++
 	}
-	clear(q.buf[w:])
 	q.buf = q.buf[:w]
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	}
+	q.consume(0)
 	return out
 }
 
@@ -91,8 +106,8 @@ func (q *queue) popSel(sel []int, out []int) []int {
 // the resource serves (Plan.ResourceStages, iterative round slots
 // included), plus the scratch pricing reuses; a bucketed prefix slot queues
 // in one lane per bucket, so Pick reads lane heads, not the whole backlog.
-// It queues ledger indices and reads their trace entries and enqueue times
-// from the Ledger. Not safe for concurrent use.
+// It queues ledger indices with their enqueue times and reads their trace
+// entries from the Ledger. Not safe for concurrent use.
 type Dispatcher struct {
 	plan    *Plan
 	cache   *cache.Cache // nil unless the prefix tier is on
@@ -118,11 +133,12 @@ type Dispatcher struct {
 func NewDispatcher(p *Plan, res int, flush float64, c *cache.Cache, l *Ledger) *Dispatcher {
 	d := &Dispatcher{plan: p, led: l, slots: p.ResourceStages(res), laned: -1,
 		queues: make([]queue, p.NumSlots()), formers: make([]Former, p.NumSlots())}
+	full := 0
 	if c.PrefixOn() {
 		d.cache = c
 	}
 	for _, s := range d.slots {
-		d.queues[s].slot, d.queues[s].led = s, l
+		d.queues[s].led = l
 		f := Former{Policy: PolicyFIFO, Batch: p.StepAt(s).Batch}
 		if s == p.PrefixIdx {
 			f = p.Former()
@@ -132,23 +148,25 @@ func NewDispatcher(p *Plan, res int, flush float64, c *cache.Cache, l *Ledger) *
 		}
 		f.Flush = flush
 		d.formers[s] = f
+		full = max(full, f.Batch)
 	}
+	d.batch = make([]int, 0, full)
 	return d
 }
 
-// Push queues request r at stage slot, which the resource must serve, and
-// returns the slot's queue depth. The ledger already records when r entered
-// the slot (Ledger.EnqueuedAt).
-func (d *Dispatcher) Push(slot, r int) int {
+// Push queues request r at stage slot, which the resource must serve, at
+// virtual time at (never before the slot's last push), and returns the
+// slot's queue depth.
+func (d *Dispatcher) Push(slot, r int, at float64) int {
 	if slot != d.laned {
-		d.queues[slot].push(r)
+		d.queues[slot].push(r, at)
 		return d.queues[slot].Len()
 	}
 	i := bits.Len(uint(d.formers[slot].bucketOf(d.led.Trace(r).PromptTokens)))
 	for len(d.lanes) <= i {
-		d.lanes = append(d.lanes, queue{slot: slot, led: d.led})
+		d.lanes = append(d.lanes, queue{led: d.led})
 	}
-	d.lanes[i].push(r)
+	d.lanes[i].push(r, at)
 	d.inLanes++
 	return d.inLanes
 }
@@ -158,8 +176,7 @@ type Batch struct {
 	// Slot is the stage slot served.
 	Slot int
 	// Members are the batch's requests (ledger indices) in dispatch order.
-	// The slice aliases dispatcher storage and is valid until the next Push
-	// or Pick.
+	// The slice aliases dispatcher scratch and is valid until the next Pick.
 	Members []int
 
 	full int // the slot's configured batch size
@@ -196,11 +213,11 @@ func (d *Dispatcher) Pick(now float64) (b Batch, ok bool) {
 		return b, false
 	}
 	if sel == nil {
-		b.Members = from.popN(n)
+		d.batch = from.popN(n, d.batch[:0])
 	} else {
 		d.batch = from.popSel(sel, d.batch[:0])
-		b.Members = d.batch
 	}
+	b.Members = d.batch
 	if b.Slot == d.laned {
 		d.inLanes -= n
 	}

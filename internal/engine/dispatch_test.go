@@ -61,11 +61,9 @@ func TestDispatcherPickAndPrice(t *testing.T) {
 		t.Fatal("empty dispatcher picked a batch")
 	}
 	for i, at := range []float64{1.0, 1.25, 1.5} {
-		led.enqAt[i*led.nSlots+plan.PrefixIdx] = at
-		d.Push(plan.PrefixIdx, i)
+		d.Push(plan.PrefixIdx, i, at)
 	}
-	led.enqAt[3*led.nSlots+plan.IterPrefixSlot()] = 0.75
-	if depth := d.Push(plan.IterPrefixSlot(), 3); depth != 1 {
+	if depth := d.Push(plan.IterPrefixSlot(), 3, 0.75); depth != 1 {
 		t.Fatalf("iter-prefix depth %d, want 1", depth)
 	}
 	// The older head (iter-prefix, enqueued at 0.75) ripens at its flush
@@ -138,8 +136,7 @@ func TestDispatcherBucketedMatchesForm(t *testing.T) {
 				if rng.Intn(4) == 0 {
 					slot = plan.IterPrefixSlot()
 				}
-				led.enqAt[r*led.nSlots+slot] = now
-				if got, want := d.Push(slot, r), ref.Push(slot, r); got != want {
+				if got, want := d.Push(slot, r, now), ref.Push(slot, r, now); got != want {
 					t.Fatalf("batch %d flush %v: push %d depth %d, want %d", batch, flush, r, got, want)
 				}
 				if got, want := d.oldest(), ref.oldest(); got != want {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"rago/internal/cache"
 	"rago/internal/pipeline"
@@ -194,5 +195,42 @@ func TestTallySteadyRateIgnoresWarmupAndTail(t *testing.T) {
 	}
 	if steady < 10 || steady > 45 {
 		t.Errorf("steady %g implausible for a 40/s middle (window wider than the clump)", steady)
+	}
+}
+
+// TestRunStateBytes pins the bytes per request a run's NewLedger and
+// NewTally hold, counted from slice capacities times element sizes (the
+// trace itself is the caller's). The Case IV ledger held 176 B per request
+// by this count (172 B in a heap profile of a 100k-request Case IV run)
+// while each request kept its decode walk (an 88 B Seq) and a float64 per
+// stage slot for its enqueue times, and the Case III one 156 B. Decode walks
+// now live in the Core's DecodeBatch slots and enqueue times beside the
+// queue entries, so what is left per request is its TTFT, decode start and
+// slot (24 B), a pending-predecessor count per stage (4 B each) and the
+// tally's completion time (8 B).
+func TestRunStateBytes(t *testing.T) {
+	const n = 1000
+	reqs := make([]trace.Request, n)
+	for i := range reqs {
+		reqs[i] = trace.Request{ID: i, Arrival: float64(i)}
+	}
+	for _, tc := range []struct {
+		name          string
+		schema        ragschema.Schema
+		sched         Schedule
+		ledger, tally int
+	}{
+		{"Case IV", ragschema.CaseIV(8e9), caseIVSchedule(), 48, 8},
+		{"Case III", ragschema.CaseIII(8e9, 4), caseIIISchedule(), 36, 8},
+	} {
+		plan, _, _ := mustCompile(t, tc.schema, tc.sched)
+		l, tl := NewLedger(plan, reqs, 0), NewTally(plan, n)
+		ledger := cap(l.order)*int(unsafe.Sizeof(int(0))) + cap(l.pending)*int(unsafe.Sizeof(int32(0))) +
+			cap(l.state)*int(unsafe.Sizeof(reqState{}))
+		tally := cap(tl.done) * int(unsafe.Sizeof(float64(0)))
+		if ledger%n != 0 || tally%n != 0 || ledger/n != tc.ledger || tally/n != tc.tally {
+			t.Errorf("%s: ledger %d B and tally %d B for %d requests, want %d and %d B per request",
+				tc.name, ledger, tally, n, tc.ledger, tc.tally)
+		}
 	}
 }

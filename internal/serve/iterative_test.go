@@ -197,7 +197,10 @@ func TestRuntimeCaseIIICliff(t *testing.T) {
 // mid-replay, under load, with sequences parked in iterative rounds at the
 // switch instant: the retired epoch must keep its workers alive until
 // every parked sequence resumed, finished its decode loop, and drained —
-// zero dropped, zero double-served. Runs under -race in CI.
+// zero dropped, zero double-served. The plans hold 32 and 64 decode slots,
+// and each decode walk lives in a slot of the core that admitted it, so the
+// report's quantiles are pinned to the bit: no walk may change across
+// epochs. Runs under -race in CI.
 func TestServerSwitchIterativeDrain(t *testing.T) {
 	pipe, prof, sched := caseIIISetup(t)
 	small, err := engine.Compile(pipe, sched, prof)
@@ -252,6 +255,24 @@ func TestServerSwitchIterativeDrain(t *testing.T) {
 	}
 	if rep.Stall.Mean <= 0 {
 		t.Errorf("iterative replay measured no stall: %+v", rep.Stall)
+	}
+	for _, c := range []struct {
+		name string
+		q    Quantiles
+		bits [5]uint64 // mean, p50, p95, p99, max
+	}{
+		{"TTFT", rep.TTFT, [5]uint64{0x3fb1db5cd52cd261, 0x3fae95d5a8850650, 0x3fc2099bbd37bb00, 0x3fc9a47319829700, 0x3fe0e630c8a0afc0}},
+		{"TPOT", rep.TPOT, [5]uint64{0x3f6e4695d8598b97, 0x3f6d6a2d7c5bf8a0, 0x3f72edfa7302ef50, 0x3f79172224c27e09, 0x3f80eec811962240}},
+		{"Latency", rep.Latency, [5]uint64{0x400bfaafd2a0d2a2, 0x4007ed0346666076, 0x401eaecdcb298054, 0x402129f1aecf9512, 0x40230a0007dbaafc}},
+		{"Stall", rep.Stall, [5]uint64{0x3fda7d7af80ee838, 0x3fd8cf7684008600, 0x3fe46b9cbeb2ed40, 0x3ff070f120eed360, 0x3ff9741ca5ca4940}},
+	} {
+		got := [5]float64{c.q.Mean, c.q.P50, c.q.P95, c.q.P99, c.q.Max}
+		for i, v := range got {
+			if math.Float64bits(v) != c.bits[i] {
+				t.Errorf("%s quantiles %+v, want the pinned bits %#x", c.name, c.q, c.bits)
+				break
+			}
+		}
 	}
 }
 

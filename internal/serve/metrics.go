@@ -14,27 +14,24 @@ import (
 )
 
 // collector holds what a live run measures beyond its engine.Tally: the
-// per-completion samples behind quantiles, shape buckets and windows, every
-// arrival's time, and the real-search stats. The driver records into both
-// under one mutex, so Telemetry can read them mid-replay.
+// per-completion samples behind quantiles, shape buckets and windows, and
+// the real-search stats. The driver records into both under one mutex, so
+// Telemetry can read them mid-replay.
 type collector struct {
 	mu    sync.Mutex
 	tally *engine.Tally
-	names []string // stage slot names
+	led   *engine.Ledger // the run's trace, for arrival times and shapes
+	names []string       // stage slot names
 
-	ttft, tpot, latency []float64
-	stall               []float64 // iterative decode-loop parked seconds per request
-	// shapeP and shapeO record each completion's sequence shape (0 =
-	// schema constant), parallel to ttft/tpot, so latency quantiles can
-	// be bucketed by request shape after the fact and inside windows.
-	shapeP, shapeO []int
+	// One sample per completion, in completion order, parallel to the
+	// tally's completion times: the latencies, the iterative decode-loop
+	// parked seconds, and the trace index, whose shape buckets latency
+	// quantiles after the fact and inside windows. Each column is sized at
+	// the trace length when the run starts, so recording never grows one.
+	ttft, tpot, latency, stall []float64
+	req                        []int32
 
-	// arrV records every arrival's virtual time (admitted and rejected),
-	// and doneV views the tally's completion times, parallel to the
-	// samples. Both are non-decreasing, so a window snapshot
-	// binary-searches its suffix.
-	arrV  []float64
-	doneV []float64
+	sorted []float64 // the scratch quantiles sort into
 
 	searches      int
 	searchWall    []float64 // search seconds per real retrieval batch
@@ -66,11 +63,36 @@ type Quantiles struct {
 	Max  float64 `json:"max"`
 }
 
-func quantilesOf(xs []float64) Quantiles {
-	if len(xs) == 0 {
+// start sizes the collector for a run of n requests over ledger led under
+// plan p's stage graph.
+func (c *collector) start(p *engine.Plan, led *engine.Ledger, n int) {
+	c.tally, c.led, c.names = engine.NewTally(p, n), led, p.SlotNames()
+	c.ttft, c.tpot = make([]float64, 0, n), make([]float64, 0, n)
+	c.latency, c.stall = make([]float64, 0, n), make([]float64, 0, n)
+	c.req = make([]int32, 0, n)
+}
+
+// completed records request r's completion d. Caller holds the lock.
+func (c *collector) completed(r int, d engine.Completion) {
+	c.ttft = append(c.ttft, d.TTFT)
+	c.tpot = append(c.tpot, d.TPOT)
+	c.latency = append(c.latency, d.Latency)
+	c.stall = append(c.stall, d.Stall)
+	c.req = append(c.req, int32(r))
+}
+
+// quantiles summarizes xs, sorting a copy in the collector's scratch.
+// Caller holds the lock.
+func (c *collector) quantiles(xs []float64) Quantiles {
+	c.sorted = append(c.sorted[:0], xs...)
+	return quantilesOf(c.sorted)
+}
+
+// quantilesOf summarizes s, which it sorts in place.
+func quantilesOf(s []float64) Quantiles {
+	if len(s) == 0 {
 		return Quantiles{}
 	}
-	s := append([]float64(nil), xs...)
 	sort.Float64s(s)
 	var sum float64
 	for _, x := range s {
@@ -153,10 +175,21 @@ func shapeBucketOf(promptTok, outTok int) (string, uint64) {
 	return part("p", promptTok, p) + " " + part("o", outTok, o), uint64(p)<<32 | uint64(o)
 }
 
-// shapeStats buckets parallel ttft/tpot/shape slices into ShapeStats
-// sorted by ascending shape. Caller holds the collector lock (or owns the
-// slices).
-func shapeStats(ttft, tpot []float64, shapeP, shapeO []int) []ShapeStat {
+// shapeStats buckets the completions [from, to) into ShapeStats sorted by
+// ascending shape, or returns nil when every one ran at the schema
+// constants: a constant-shape replay would collapse into one "schema" row
+// that just repeats the global quantiles. Caller holds the lock.
+func (c *collector) shapeStats(from, to int) []ShapeStat {
+	shaped := false
+	for _, r := range c.req[from:to] {
+		if q := c.led.Trace(int(r)); q.PromptTokens != 0 || q.OutputTokens != 0 {
+			shaped = true
+			break
+		}
+	}
+	if !shaped {
+		return nil
+	}
 	type agg struct {
 		label      string
 		key        uint64
@@ -164,17 +197,18 @@ func shapeStats(ttft, tpot []float64, shapeP, shapeO []int) []ShapeStat {
 		sumP, sumO int
 	}
 	byBucket := map[string]*agg{}
-	for i := range ttft {
-		label, key := shapeBucketOf(shapeP[i], shapeO[i])
+	for i := from; i < to; i++ {
+		q := c.led.Trace(int(c.req[i]))
+		label, key := shapeBucketOf(q.PromptTokens, q.OutputTokens)
 		a := byBucket[label]
 		if a == nil {
 			a = &agg{label: label, key: key}
 			byBucket[label] = a
 		}
-		a.ttft = append(a.ttft, ttft[i])
-		a.tpot = append(a.tpot, tpot[i])
-		a.sumP += shapeP[i]
-		a.sumO += shapeO[i]
+		a.ttft = append(a.ttft, c.ttft[i])
+		a.tpot = append(a.tpot, c.tpot[i])
+		a.sumP += q.PromptTokens
+		a.sumO += q.OutputTokens
 	}
 	aggs := make([]*agg, 0, len(byBucket))
 	for _, a := range byBucket {
@@ -286,10 +320,10 @@ func (c *collector) report(analytic perf.Metrics, hasAnalytic bool, speedup, wal
 		Admitted:       sum.Admitted,
 		Rejected:       sum.Rejected,
 		Completed:      sum.Completed,
-		TTFT:           quantilesOf(c.ttft),
-		TPOT:           quantilesOf(c.tpot),
-		Latency:        quantilesOf(c.latency),
-		Stall:          quantilesOf(c.stall),
+		TTFT:           c.quantiles(c.ttft),
+		TPOT:           c.quantiles(c.tpot),
+		Latency:        c.quantiles(c.latency),
+		Stall:          c.quantiles(c.stall),
 		PadWaste:       sum.PadWaste,
 		MeanChunkDepth: sum.MeanChunks,
 		SustainedQPS:   sum.QPS,
@@ -298,20 +332,12 @@ func (c *collector) report(analytic perf.Metrics, hasAnalytic bool, speedup, wal
 		HasAnalytic:    hasAnalytic,
 		Searches:       c.searches,
 		SearchQueries:  c.searchQueries,
-		SearchWall:     quantilesOf(c.searchWall),
+		SearchWall:     c.quantiles(c.searchWall),
 		ShardFallbacks: c.shardFellBack,
 		ShardLost:      c.shardLost,
 		Speedup:        speedup,
 		WallSeconds:    wall,
-	}
-	// Shape buckets only add signal on heterogeneous traces; a
-	// constant-shape replay would collapse into one "schema" row that
-	// just repeats the global quantiles.
-	for i := range c.shapeP {
-		if c.shapeP[i] != 0 || c.shapeO[i] != 0 {
-			rep.Shapes = shapeStats(c.ttft, c.tpot, c.shapeP, c.shapeO)
-			break
-		}
+		Shapes:         c.shapeStats(0, len(c.req)),
 	}
 	if rep.SustainedQPS > 0 {
 		rep.Span = sum.LastDone - sum.FirstDone

@@ -29,8 +29,8 @@
 //
 // A run's counts, rates, per-stage batching and end come from one
 // engine.Tally, the account the simulator and the controller's replay read
-// too; the collector keeps only per-completion samples, arrival times and
-// real-search stats.
+// too; the collector keeps only per-completion samples and real-search
+// stats.
 package serve
 
 import (

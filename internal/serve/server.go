@@ -47,7 +47,6 @@ func (e *epoch) Arrived(r int, admitted bool) {
 	c := &e.srv.coll
 	c.mu.Lock()
 	e.tally.Arrived(r, admitted)
-	c.arrV = append(c.arrV, e.srv.led.Trace(r).Arrival)
 	c.mu.Unlock()
 }
 
@@ -70,16 +69,10 @@ func (e *epoch) Dispatched(res int, b engine.Batch, c engine.BatchCost, at float
 }
 
 func (e *epoch) Completed(r int, d engine.Completion) {
-	c, q := &e.srv.coll, e.srv.led.Trace(r)
+	c := &e.srv.coll
 	c.mu.Lock()
 	e.tally.Completed(r, d)
-	c.ttft = append(c.ttft, d.TTFT)
-	c.tpot = append(c.tpot, d.TPOT)
-	c.latency = append(c.latency, d.Latency)
-	c.stall = append(c.stall, d.Stall)
-	c.shapeP = append(c.shapeP, q.PromptTokens)
-	c.shapeO = append(c.shapeO, q.OutputTokens)
-	c.doneV = c.tally.Done()
+	c.completed(r, d)
 	c.mu.Unlock()
 }
 
@@ -289,8 +282,8 @@ func (s *Server) Serve(reqs []trace.Request) (*ServerReport, error) {
 		return nil, fmt.Errorf("serve: Server is single-use; build a new one per trace")
 	}
 	first := s.epochs[0].plan
-	s.coll.tally, s.coll.names = engine.NewTally(first, len(reqs)), first.SlotNames()
 	s.led = engine.NewLedger(first, reqs, s.opts.MaxInFlight)
+	s.coll.start(first, s.led, len(reqs))
 	s.loop = engine.NewLoop(s.led)
 	if s.opts.Bus != nil && s.opts.WindowEvery > 0 {
 		s.streamWindows(1)

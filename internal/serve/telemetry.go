@@ -77,30 +77,24 @@ func (c *collector) snapshot(now, window float64) Window {
 		Rejected:  tot.Rejected,
 		Completed: tot.Completed,
 	}
-	// Arrivals and completions are recorded in order, so the window is a
-	// suffix of each.
-	w.Arrivals = len(c.arrV) - sort.Search(len(c.arrV), func(i int) bool { return c.arrV[i] > lo })
-	var ttft, tpot []float64
-	var shapeP, shapeO []int
-	shaped := false
-	from := sort.Search(len(c.doneV), func(i int) bool { return c.doneV[i] > lo })
-	for i := from; i < len(c.doneV) && c.doneV[i] <= now; i++ {
-		ttft = append(ttft, c.ttft[i])
-		tpot = append(tpot, c.tpot[i])
-		shapeP = append(shapeP, c.shapeP[i])
-		shapeO = append(shapeO, c.shapeO[i])
-		shaped = shaped || c.shapeP[i] != 0 || c.shapeO[i] != 0
+	// Arrivals happen in the ledger's arrival order and completions are
+	// recorded in order, so the window is a suffix of each.
+	arrived := tot.Admitted + tot.Rejected
+	w.Arrivals = arrived - sort.Search(arrived, func(i int) bool { return c.led.ArrivalAt(i) > lo })
+	done := c.tally.Done()
+	from := sort.Search(len(done), func(i int) bool { return done[i] > lo })
+	to := from
+	for to < len(done) && done[to] <= now {
+		to++
 	}
-	w.Completions = len(ttft)
-	if shaped {
-		w.Shapes = shapeStats(ttft, tpot, shapeP, shapeO)
-	}
+	w.Completions = to - from
+	w.Shapes = c.shapeStats(from, to)
 	if w.Span > 0 {
 		w.ArrivalRate = float64(w.Arrivals) / w.Span
 		w.QPS = float64(w.Completions) / w.Span
 	}
-	w.TTFT = quantilesOf(ttft)
-	w.TPOT = quantilesOf(tpot)
+	w.TTFT = c.quantiles(c.ttft[from:to])
+	w.TPOT = c.quantiles(c.tpot[from:to])
 	for i, sl := range c.tally.Slots {
 		if sl.Live > 0 {
 			w.Depths = append(w.Depths, StageDepth{Stage: c.names[i], Depth: sl.Live})

@@ -358,7 +358,7 @@ func TestWallDriverMatchesHeapDriver(t *testing.T) {
 		if rep.Switches != 1 || rep.Completed != len(m.reqs) {
 			t.Fatalf("%d switches, %d of %d completed", rep.Switches, rep.Completed, len(m.reqs))
 		}
-		if !sort.Float64sAreSorted(srv.coll.doneV) {
+		if !sort.Float64sAreSorted(srv.coll.tally.Done()) {
 			t.Error("completions recorded out of virtual-time order across the switch")
 		}
 	})
