@@ -4,12 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rago/internal/engine"
 	"rago/internal/hw"
 	"rago/internal/perf"
 	"rago/internal/ragschema"
+	"rago/internal/trace"
 )
 
 // exhaustiveRef makes o, before its first search, the exhaustive reference
@@ -194,54 +196,126 @@ func TestOptimizeAllocs(t *testing.T) {
 	}
 }
 
-// TestOptimizeCompileBudget pins how few candidates a Case IV search
-// compiles. The incumbent filter runs on each decode-merged candidate's
+// TestOptimizeCompileBudget pins how few candidates a search compiles.
+// One worker keeps each count independent of scheduling and of the host.
+//
+// Case IV: the incumbent filter runs on each decode-merged candidate's
 // exact metrics before it is stamped, so only candidates the incumbent
 // does not already dominate are compiled: one worker compiles 1,137
 // schedules, where filtering after the compile compiled 71,584 and the
-// exhaustive reference compiles 118,336. The budget is 1.3x the measured count. One
-// worker keeps the count independent of scheduling and of the host.
+// exhaustive reference compiles 118,336. The budget is 1.3x the measured count.
+//
+// The shaped rows stamp every candidate with each formation (and, on Case
+// I, each retrieval knob pair), price the stampings from the tiers, filter
+// them against the incumbent and compile only the frontier of what
+// survives. Shaped Case IV 70B on the benchmark's 128-draw lognormal
+// sample, three policies and quanta {0, 256} compiles 821 schedules where
+// compiling every stamping compiled 518,334; the golden's shaped, knobbed
+// Case I search compiles 31 where it compiled 15,912. Their budgets are
+// 1.3x the measured counts.
 func TestOptimizeCompileBudget(t *testing.T) {
-	const budget = 1_480
-	opts := DefaultOptions(hw.DefaultCluster())
-	opts.Workers = 1
-	o, err := NewOptimizer(ragschema.CaseIV(8e9), opts)
+	prompt, err := trace.LognormalLengths(512, 0.8, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(o.Optimize()) == 0 {
-		t.Fatal("empty frontier")
+	output, err := trace.LognormalLengths(256, 0.7, 1024)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := o.SearchStats().Compiled; n == 0 || n > budget {
-		t.Errorf("Case IV Optimize compiled %d schedules, budget %d", n, budget)
+	rng := rand.New(rand.NewSource(3))
+	var sample []engine.Shape
+	for range 128 {
+		sample = append(sample, engine.Shape{PromptTokens: prompt.Sample(rng), OutputTokens: output.Sample(rng)})
+	}
+	policies := []engine.BatchPolicy{engine.PolicyFIFO, engine.PolicyBucketed, engine.PolicySorted}
+	build := func(schema ragschema.Schema, opts Options) *Optimizer {
+		o, err := NewOptimizer(schema, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	for _, tc := range []struct {
+		name   string
+		budget int64
+		opt    func(opts Options) *Optimizer
+	}{
+		{"caseIV", 1_480, func(opts Options) *Optimizer {
+			return build(ragschema.CaseIV(8e9), opts)
+		}},
+		{"caseIV-70B-shaped", 1_067, func(opts Options) *Optimizer {
+			opts.Shapes, opts.Policies, opts.ChunkQuanta = sample, policies, []int{0, 256}
+			return build(ragschema.CaseIV(70e9), opts)
+		}},
+		{"caseI-shaped-knobs", 40, func(opts Options) *Optimizer {
+			opts.NormalizeChips = 64
+			opts.Shapes, opts.Policies, opts.ChunkQuanta = formationShapes(), policies, []int{0, 256}
+			opts.NProbes, opts.ShardFanouts = []int{2, 0, 32}, []int{2, 0}
+			return shardedOptimizer(t, ragschema.CaseI(8e9, 1), opts)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions(hw.DefaultCluster())
+			opts.Workers = 1
+			o := tc.opt(opts)
+			if len(o.Optimize()) == 0 {
+				t.Fatal("empty frontier")
+			}
+			if n := o.SearchStats().Compiled; n == 0 || n > tc.budget {
+				t.Errorf("%s Optimize compiled %d schedules, budget %d", tc.name, n, tc.budget)
+			}
+		})
 	}
 }
 
 // TestMergeMetricsMatchEvaluate pins what the incumbent filter before the
-// compile relies on: every candidate the decode merge returns carries, bit
-// for bit, the metrics compiling it returns — the exact critical-path TTFT,
-// TPOT, throughput, QPS/chip and recall. A filter fed a value that is off
-// by an ulp could drop a candidate whose compiled metrics only tie an
-// incumbent point, which the final frontier may keep. It walks the
-// exhaustive enumeration, with no incumbent cut: every plan of each preset
-// (the multi-source fan-out of Case V included) at every iterative batch.
+// compile relies on: every stamping of every candidate the decode merge
+// returns carries, as priceStamps prices it, bit for bit the metrics
+// compiling it returns — the exact critical-path TTFT, TPOT, throughput,
+// QPS/chip and recall. A filter fed a value that is off by an ulp could
+// drop a candidate whose compiled metrics only tie an incumbent point,
+// which the final frontier may keep. It walks the exhaustive enumeration,
+// with no incumbent cut: every plan of each preset (the multi-source
+// fan-out of Case V included) at every iterative batch, and Cases I and III
+// with the golden's shape sample, formations and retrieval knobs on a
+// sharded tier, where every stamping re-prices the prefix, retrieval and
+// decode tiers.
 func TestMergeMetricsMatchEvaluate(t *testing.T) {
 	cases := []struct {
-		name   string
-		schema ragschema.Schema
-		norm   int
+		name    string
+		schema  ragschema.Schema
+		norm    int
+		knobbed bool
 	}{
-		{"caseI", ragschema.CaseI(8e9, 1), 64},
-		{"caseII", ragschema.CaseII(70e9, 1_000_000), 0},
-		{"caseIII", ragschema.CaseIII(70e9, 4), 64},
-		{"caseIV", ragschema.CaseIV(8e9), 0},
-		{"caseV", ragschema.CaseV(8e9, 2), 64},
+		{"caseI", ragschema.CaseI(8e9, 1), 64, false},
+		{"caseII", ragschema.CaseII(70e9, 1_000_000), 0, false},
+		{"caseIII", ragschema.CaseIII(70e9, 4), 64, false},
+		{"caseIV", ragschema.CaseIV(8e9), 0, false},
+		{"caseV", ragschema.CaseV(8e9, 2), 64, false},
+		{"caseI-shaped-knobs", ragschema.CaseI(8e9, 1), 64, true},
+		{"caseIII-shaped-knobs", ragschema.CaseIII(70e9, 4), 64, true},
+		{"caseIV-baseline-shaped-knobs", ragschema.CaseIV(8e9), 0, true},
 	}
 	bits := math.Float64bits
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := newOpt(t, tc.schema, hw.DefaultCluster(), tc.norm)
+			if tc.knobbed {
+				opts := DefaultOptions(hw.DefaultCluster())
+				opts.NormalizeChips = tc.norm
+				opts.Shapes = formationShapes()
+				opts.Policies = []engine.BatchPolicy{engine.PolicyFIFO, engine.PolicyBucketed, engine.PolicySorted}
+				opts.ChunkQuanta = []int{0, 256}
+				opts.NProbes = []int{2, 0, 32}
+				opts.ShardFanouts = []int{2, 0}
+				o = shardedOptimizer(t, tc.schema, opts)
+			}
 			plans := o.Plans()
+			if strings.Contains(tc.name, "baseline") {
+				// The baseline collocates the rewriter with the prefix across
+				// the retrieval, so its group pauses at every knob pair.
+				plans = []Plan{o.baselinePlan()}
+			}
 			ctx := o.newSearchCtx()
 			prefixes := 0
 			for _, p := range plans {
@@ -253,18 +327,21 @@ func TestMergeMetricsMatchEvaluate(t *testing.T) {
 				norm := o.normChips(plan)
 				for bi, bIter := range ctx.iterBatches {
 					for _, p := range o.planCandidates(ctx, plan, bi, nil, perf.Metrics{}) {
-						want, ok := ctx.evaluate(*ctx.stamp(plan, bIter, p))
-						if !ok {
-							continue
+						o.priceStamps(ctx, plan, bIter, p, norm)
+						for si, got := range ctx.sm {
+							want, ok := ctx.evaluate(*ctx.stamp(plan, bIter, p, si))
+							if !ok || !want.Valid() {
+								continue
+							}
+							g := got.m
+							if !got.ok || bits(g.TTFT) != bits(want.TTFT) || bits(g.TPOT) != bits(want.TPOT) ||
+								bits(g.QPS) != bits(want.QPS) || bits(g.QPSPerChip) != bits(want.QPSPerChip) ||
+								bits(g.Recall) != bits(want.Recall) {
+								t.Fatalf("%s at iterative batch %d:\nmerged   %#v (ok %v)\ncompiled %#v\nschedule %+v",
+									plan.Describe(o.Pipe), bIter, g, got.ok, want, ctx.scratch)
+							}
+							compared++
 						}
-						got := ctx.mergedMetrics(p, norm)
-						if bits(got.TTFT) != bits(want.TTFT) || bits(got.TPOT) != bits(want.TPOT) ||
-							bits(got.QPS) != bits(want.QPS) || bits(got.QPSPerChip) != bits(want.QPSPerChip) ||
-							bits(got.Recall) != bits(want.Recall) {
-							t.Fatalf("%s at iterative batch %d:\nmerged   %#v\ncompiled %#v\nschedule %+v",
-								plan.Describe(o.Pipe), bIter, got, want, ctx.scratch)
-						}
-						compared++
 					}
 				}
 			}

@@ -179,16 +179,14 @@ func (o *Optimizer) boundTerm(terms boundTerms, k termKey) boundTerm {
 		t = boundTerm{lat: env.MinLatency, occ: 1 / env.MaxQPS, ok: env.OK}
 	case st.Kind == pipeline.KindRetrieval:
 		rMinLat := math.Inf(1)
-		for _, np := range sp.nprobes {
-			for _, fo := range sp.fanouts {
-				env := o.Prof.Envelope(st.Tuned(np, fo), k.size, o.opts.MaxRetrievalBatch)
-				if !env.OK {
-					continue
-				}
-				t.ok = true
-				rMinLat = math.Min(rMinLat, env.MinLatency)
-				t.qps = math.Max(t.qps, env.MaxQPS)
+		for _, kn := range sp.knobs {
+			env := o.Prof.Envelope(st.Tuned(kn.nprobe, kn.fanout), k.size, o.opts.MaxRetrievalBatch)
+			if !env.OK {
+				continue
 			}
+			t.ok = true
+			rMinLat = math.Min(rMinLat, env.MinLatency)
+			t.qps = math.Max(t.qps, env.MaxQPS)
 		}
 		t.lat = rMinLat + o.Prof.RetrievalTransferLatency()
 	default:

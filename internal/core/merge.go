@@ -64,8 +64,9 @@ var groupPairs, retrPairs atomic.Int64
 // group choices: row i (the partial's node) is picks[i*ng : (i+1)*ng],
 // pointing into gcache's memo.
 type prefixEntry struct {
-	parts []spart
-	picks []*groupChoice
+	parts       []spart
+	picks       []*groupChoice
+	iterPrefOcc float64 // carried by the prefix group's choices
 }
 
 // prefixSlot is one prefix's entry in an Optimize call's memo. The first
@@ -76,11 +77,16 @@ type prefixSlot struct {
 }
 
 // decPoint is one decode-tier operating point: the TPOT it sets and the
-// throughput it caps, with the batch and replica count that realize it.
+// throughput it caps, with the batch and replica count that realize it,
+// the iterative stall per request, and the two as a stamping prices them
+// (shapedDecode), once priced.
 type decPoint struct {
-	tpot, qps float64
-	batch     int32
-	replicas  int32
+	tpot, qps     float64
+	stall         float64
+	shTPOT, shQPS float64
+	priced        bool
+	batch         int32
+	replicas      int32
 }
 
 // qpsUnbounded stands in for "no throughput constraint yet"; finite so the
@@ -89,14 +95,17 @@ const qpsUnbounded = 1e15
 
 // groupChoice is one evaluated batching/replication option for a whole
 // placement group: the latency added to TTFT, the per-request occupancy of
-// the group, and the per-stage replica counts that realize it with their
-// batch latencies.
+// the group (its retrieval pause, at the cheapest knob pair, included), and
+// the per-stage replica counts that realize it with their batch latencies
+// and occupancy terms.
 type groupChoice struct {
 	ttft     float64
 	occ      float64
+	pause    float64
 	batch    int
 	replicas []int
 	lats     []float64
+	inv      []float64
 }
 
 // searchSpace is what the search derives from the options and the pipeline
@@ -109,20 +118,17 @@ type searchSpace struct {
 	decBatches  []int
 	iterBatches []int
 
-	// Formation search dimensions (batch policy x chunk quantum), and
-	// whether any of them — or a shape sample — departs from the
-	// historical FIFO/unchunked/unshaped search.
-	policies   []engine.BatchPolicy
-	quanta     []int
-	formActive bool
-
-	// Retrieval search dimensions (nprobe x shard fanout), and whether they
-	// depart from the base-configuration search. A retrieval-free pipeline
-	// searches only the base pair: stamping knobs onto its schedules would
-	// fail validation without changing any metric.
-	nprobes    []int
-	fanouts    []int
-	retrActive bool
+	// The dimensions stamped onto every decode-merged candidate, in option
+	// order: formations (batch policy x chunk quantum) and retrieval knob
+	// pairs (nprobe x shard fanout). Stamping si is forms[si/len(knobs)]
+	// with knobs[si%len(knobs)]. A retrieval-free pipeline searches only
+	// the base pair: knobs on its schedules would fail validation.
+	forms []formOpt
+	knobs []knobOpt
+	// proxy says the tiers price a stand-in — FIFO, unchunked, unshaped,
+	// the cheapest knob pair — that a shape sample or a searched formation
+	// or knob pair departs from, so priceStamps re-prices every stamping.
+	proxy bool
 
 	// The plan bounds' formation relaxation terms: whether a shape sample
 	// re-prices batches, the positive chunk quanta, and the sample's
@@ -138,6 +144,15 @@ type searchSpace struct {
 	retrIdxs []int
 }
 
+// A formation and a retrieval knob pair (0: the base configuration).
+type (
+	formOpt struct {
+		policy  engine.BatchPolicy
+		quantum int
+	}
+	knobOpt struct{ nprobe, fanout int }
+)
+
 func newSearchSpace(pipe pipeline.Pipeline, opts Options) searchSpace {
 	orBase := func(xs []int) []int { // unset: the base configuration only
 		if len(xs) == 0 {
@@ -150,8 +165,6 @@ func newSearchSpace(pipe pipeline.Pipeline, opts Options) searchSpace {
 		retrBatches: roofline.Pow2Range(1, opts.MaxRetrievalBatch),
 		decBatches:  roofline.Pow2Range(1, opts.MaxDecodeBatch),
 		iterBatches: []int{0},
-		policies:    opts.Policies,
-		quanta:      orBase(opts.ChunkQuanta),
 		shaped:      len(opts.Shapes) > 0,
 		preds:       pipe.Preds(),
 		retrIdxs:    pipe.Indices(pipeline.KindRetrieval),
@@ -159,17 +172,25 @@ func newSearchSpace(pipe pipeline.Pipeline, opts Options) searchSpace {
 	if pipe.Schema.Iterative() {
 		sp.iterBatches = sp.decBatches
 	}
-	if len(sp.policies) == 0 {
-		sp.policies = []engine.BatchPolicy{engine.PolicyFIFO}
+	policies := opts.Policies
+	if len(policies) == 0 {
+		policies = []engine.BatchPolicy{engine.PolicyFIFO}
 	}
-	sp.formActive = sp.shaped || len(sp.policies) != 1 || sp.policies[0] != engine.PolicyFIFO ||
-		len(sp.quanta) != 1 || sp.quanta[0] != 0
+	for _, pol := range policies {
+		for _, q := range orBase(opts.ChunkQuanta) {
+			sp.forms = append(sp.forms, formOpt{pol, q})
+		}
+	}
+	nprobes, fanouts := []int{0}, []int{0}
 	if len(sp.retrIdxs) > 0 {
-		sp.nprobes, sp.fanouts = opts.NProbes, opts.ShardFanouts
+		nprobes, fanouts = orBase(opts.NProbes), orBase(opts.ShardFanouts)
 	}
-	sp.nprobes, sp.fanouts = orBase(sp.nprobes), orBase(sp.fanouts)
-	sp.retrActive = len(sp.nprobes) != 1 || sp.nprobes[0] != 0 ||
-		len(sp.fanouts) != 1 || sp.fanouts[0] != 0
+	for _, np := range nprobes {
+		for _, fo := range fanouts {
+			sp.knobs = append(sp.knobs, knobOpt{np, fo})
+		}
+	}
+	sp.proxy = sp.shaped || len(sp.forms) != 1 || sp.forms[0] != formOpt{} || len(sp.knobs) != 1 || sp.knobs[0] != knobOpt{}
 
 	for _, q := range opts.ChunkQuanta {
 		if q > 0 {
@@ -205,13 +226,12 @@ type searchCtx struct {
 
 	// The cheapest searched knob pair — the pair whose tuned scan is
 	// optimistic against every stamping, used for the partials' proxy
-	// retrieval pricing — and the recall of the base retrieval operating
-	// point, the one every candidate compiles at when the knob dimensions
-	// are off. Both read the profiler's retrieval configuration, so each
-	// search derives them afresh.
+	// retrieval pricing — and each knob pair's measured recall. Both read
+	// the profiler's retrieval configuration, so each search derives them
+	// afresh.
 	cheapNP int
 	cheapFO int
-	recall  float64
+	recalls []float64
 
 	// memo is the running Optimize call's prefix memo (nil outside one):
 	// slot (plan.prefix-1)*len(iterBatches)+bi holds the prefix's frontier
@@ -236,8 +256,16 @@ type searchCtx struct {
 	pairs   []uint64
 	// dec prices an iterative search's decode points; decMemo holds a
 	// single-retrieval search's, per decode chip count (decodePoints).
+	// decs are the points the current candidates were merged with.
 	dec     []decPoint
 	decMemo map[int][]decPoint
+	decs    []decPoint
+	// sm, priced, refs and the terms are priceStamps' and planFrontier's
+	// buffers.
+	sm                     []stampPrice
+	priced                 []perf.Point[int32]
+	refs                   []stampRef
+	preCosts, pauses, retr []stampTerm
 	// lat is the critical-path walk's per-stage latency buffer.
 	lat []float64
 
@@ -267,10 +295,13 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 		ev:          ev,
 		lat:         make([]float64, len(o.Pipe.Stages)),
 		decMemo:     make(map[int][]decPoint),
+		recalls:     make([]float64, len(o.space.knobs)),
 	}
-	ctx.cheapNP, ctx.cheapFO = o.cheapestKnobs(ctx.nprobes, ctx.fanouts)
+	ctx.cheapNP, ctx.cheapFO = o.cheapestKnobs(ctx.knobs)
 	if ri := o.Pipe.Index(pipeline.KindRetrieval); ri >= 0 {
-		ctx.recall = o.Prof.StageRecall(o.Pipe.Stages[ri].Tuned(0, 0))
+		for k, kn := range ctx.knobs {
+			ctx.recalls[k] = o.Prof.StageRecall(o.Pipe.Stages[ri].Tuned(kn.nprobe, kn.fanout))
+		}
 	}
 	return ctx
 }
@@ -280,7 +311,7 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 // above, so proxy pricing at it stays optimistic. The two axes minimize
 // independently: scan volume scales with effective nprobe and with effective
 // fanout, gather with effective fanout alone.
-func (o *Optimizer) cheapestKnobs(nprobes, fanouts []int) (np, fo int) {
+func (o *Optimizer) cheapestKnobs(knobs []knobOpt) (np, fo int) {
 	effNP := func(n int) int {
 		if n > 0 {
 			return n
@@ -297,15 +328,13 @@ func (o *Optimizer) cheapestKnobs(nprobes, fanouts []int) (np, fo int) {
 		}
 		return 1
 	}
-	np, fo = nprobes[0], fanouts[0]
-	for _, n := range nprobes[1:] {
-		if effNP(n) < effNP(np) {
-			np = n
+	np, fo = knobs[0].nprobe, knobs[0].fanout
+	for _, k := range knobs[1:] {
+		if effNP(k.nprobe) < effNP(np) {
+			np = k.nprobe
 		}
-	}
-	for _, f := range fanouts[1:] {
-		if effFO(f) < effFO(fo) {
-			fo = f
+		if effFO(k.fanout) < effFO(fo) {
+			fo = k.fanout
 		}
 	}
 	return np, fo
@@ -334,21 +363,155 @@ func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
 }
 
 // mergedMetrics is a decode-merged candidate's metrics as the merge knows
-// them before any compile. Where the incumbent filter reads them — FIFO,
-// unchunked, unshaped, base retrieval knobs — they are bit-identical to the
-// metrics compiling the stamped candidate returns
-// (TestMergeMetricsMatchEvaluate).
+// them before any compile. Where the tiers price the schedule itself (no
+// proxy) they are bit-identical to the metrics compiling the candidate
+// returns (TestMergeMetricsMatchEvaluate).
 func (c *searchCtx) mergedMetrics(p spart, normChips float64) perf.Metrics {
-	return perf.Metrics{TTFT: p.exact, TPOT: p.tpot, QPS: p.qps, QPSPerChip: p.qps / normChips, Recall: c.recall}
+	return perf.Metrics{TTFT: p.exact, TPOT: p.tpot, QPS: p.qps, QPSPerChip: p.qps / normChips, Recall: c.recalls[0]}
 }
 
-// stamp expands a surviving partial into the worker's scratch schedule,
-// reading its group choices from the prefix entry's slab. The group
-// storage is reused across calls and the replica slices alias the shared
-// memo (evaluation only reads them), so stamping allocates nothing; the
-// schedule is valid until the next stamp, and own copies out the ones
-// worth keeping.
-func (c *searchCtx) stamp(plan Plan, bIter int, p spart) *Schedule {
+// stampPrice is one stamping as priceStamps prices it; ok is false where
+// its compile fails or its metrics are not Valid.
+type stampPrice struct {
+	m  perf.Metrics
+	ok bool
+}
+
+// priceStamps prices every stamping of a decode-merged candidate into
+// c.sm: without a proxy, the candidate itself (mergedMetrics); otherwise
+// each re-prices what it moves — the prefix step under its formation, the
+// groups' retrieval pauses and the retrieval tier at its knob pair, the
+// decode tier over the shape sample — and assembles the metrics from the
+// candidate's group choices as compiling and ShapeMetrics do, term by
+// term in the same order, so they equal its compile's bit for bit
+// (TestMergeMetricsMatchEvaluate).
+func (o *Optimizer) priceStamps(c *searchCtx, plan Plan, bIter int, p spart, normChips float64) {
+	if !c.proxy {
+		c.sm = append(c.sm[:0], stampPrice{c.mergedMetrics(p, normChips), true})
+		return
+	}
+	sm := c.sm[:0]
+	prefixIdx := o.Pipe.Index(pipeline.KindPrefix)
+	groups := plan.Placement.Groups
+	picks := c.pre.picks[int(p.node)*len(groups) : int(p.node+1)*len(groups)]
+	d := decPoint{shTPOT: math.NaN()}
+	if i := slices.IndexFunc(c.decs, func(d decPoint) bool { return d.batch == p.decB && d.replicas == p.decR }); i >= 0 {
+		d = o.shapedDecode(c, plan, &c.decs[i])
+	}
+
+	// The terms per formation and per knob pair. A group spanning no
+	// retrieval pauses 0; iterative rounds scan at the base configuration.
+	nk := len(c.knobs)
+	pre, pauses, retr := c.preCosts[:0], c.pauses[:0], c.retr[:0]
+	for gi, g := range groups {
+		pk := picks[gi]
+		if i := slices.Index(g.Stages, prefixIdx); i >= 0 {
+			for _, f := range c.forms {
+				pc, ok := c.ev.PrefixCost(o.opts.Shapes, plan.GroupChips[gi], pk.batch, pk.replicas[i], f.policy, f.quantum)
+				pre = append(pre, stampTerm{pc.Occupancy, pc.TTFT, pc.Delta, ok})
+			}
+		}
+		for _, kn := range c.knobs {
+			t := stampTerm{v: pk.pause, ok: true}
+			if pk.pause != 0 {
+				t.v, t.ok = engine.RetrievalPause(&o.Pipe, o.Prof, g.Stages, plan.Servers, pk.batch, kn.nprobe, kn.fanout)
+			}
+			pauses = append(pauses, t)
+		}
+	}
+	if len(c.retrIdxs) > 0 {
+		st := o.Pipe.Stages[c.retrIdxs[0]]
+		var iterOcc float64
+		iterOK := true
+		if bIter > 0 {
+			it := o.Prof.Eval(st, plan.Servers, bIter)
+			iterOcc, iterOK = float64(o.Pipe.Schema.RetrievalFrequency-1)/it.QPS, it.OK
+		}
+		for _, kn := range c.knobs {
+			rt := o.Prof.Eval(st.Tuned(kn.nprobe, kn.fanout), plan.Servers, int(p.retrB))
+			retr = append(retr, stampTerm{1 / (1/rt.QPS + iterOcc), rt.Latency + o.Prof.RetrievalTransferLatency(), 0, rt.OK && iterOK})
+		}
+	}
+	c.preCosts, c.pauses, c.retr = pre, pauses, retr
+
+	for si := range len(c.forms) * nk {
+		f, k := si/nk, si%nk
+		ok := pre[f].ok
+		lat := c.lat
+		clear(lat)
+		qps := d.shQPS
+		for gi, g := range groups {
+			pk := picks[gi]
+			var occ, delta float64
+			for i, st := range g.Stages {
+				lat[st] = pk.lats[i]
+				t := pk.inv[i]
+				if st == prefixIdx {
+					lat[st], t, delta = pre[f].lat, pre[f].v, pre[f].delta
+				}
+				occ += t
+				if st == prefixIdx {
+					occ += c.pre.iterPrefOcc
+				}
+			}
+			ps := pauses[gi*nk+k]
+			ok = ok && ps.ok
+			occ += ps.v
+			occ += delta // 0 off the prefix group and without shapes
+			qps = math.Min(qps, 1/occ)
+		}
+		if len(retr) > 0 {
+			ok = ok && retr[k].ok
+			for _, ri := range c.retrIdxs {
+				lat[ri] = retr[k].lat
+			}
+			qps = math.Min(qps, retr[k].v)
+		}
+		m := perf.Metrics{
+			TTFT:       engine.CriticalPathTTFT(c.preds, lat, prefixIdx),
+			TPOT:       d.shTPOT,
+			QPS:        qps,
+			QPSPerChip: qps / normChips,
+			Recall:     c.recalls[k],
+		}
+		sm = append(sm, stampPrice{m, ok && m.Valid()})
+	}
+	c.sm = sm
+}
+
+// stampTerm is a term a stamping moves: a prefix step (occupancy term v,
+// TTFT latency, shaped occupancy delta), a pause v, or the retrieval tier
+// (throughput v, TTFT latency); ok is false where it is infeasible.
+type stampTerm struct {
+	v, lat, delta float64
+	ok            bool
+}
+
+// shapedDecode returns decode point d with the TPOT and throughput a
+// stamping's compile gives it — over the shape sample, if any — priced
+// once: decodePoints' memo keeps the point, and only points some candidate
+// uses are priced.
+func (o *Optimizer) shapedDecode(c *searchCtx, plan Plan, d *decPoint) decPoint {
+	if d.priced {
+		return *d
+	}
+	d.shTPOT, d.shQPS, d.priced = d.tpot, d.qps, true
+	if shapes := o.opts.Shapes; len(shapes) > 0 {
+		var ok bool
+		if d.shTPOT, d.shQPS, ok = c.ev.DecodeCost(shapes, plan.DecodeChips, int(d.batch), int(d.replicas), d.stall); !ok {
+			d.shTPOT = math.NaN() // no stamping compiles
+		}
+	}
+	return *d
+}
+
+// stamp expands a surviving partial into the worker's scratch schedule
+// with stamping si, reading its group choices from the prefix entry's
+// slab. The group storage is reused across calls and the replica slices
+// alias the shared memo (evaluation only reads them), so stamping
+// allocates nothing; the schedule is valid until the next stamp, and own
+// copies out the ones worth keeping.
+func (c *searchCtx) stamp(plan Plan, bIter int, p spart, si int) *Schedule {
 	ng := len(plan.Placement.Groups)
 	groups := c.scratch.Groups
 	if ng > 0 && cap(groups) < ng {
@@ -373,6 +536,9 @@ func (c *searchCtx) stamp(plan Plan, bIter int, p spart) *Schedule {
 		DecodeReplicas:   int(p.decR),
 		IterativeBatch:   bIter,
 	}
+	f, k := c.forms[si/len(c.knobs)], c.knobs[si%len(c.knobs)]
+	c.scratch.FormPolicy, c.scratch.ChunkQuantum = f.policy, f.quantum
+	c.scratch.NProbe, c.scratch.ShardFanout = k.nprobe, k.fanout
 	return &c.scratch
 }
 
@@ -415,7 +581,8 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.
 	if len(parts) == 0 {
 		return nil
 	}
-	return ctx.mergeDecode(parts, o.decodePoints(ctx, plan, bIter))
+	ctx.decs = o.decodePoints(ctx, plan, bIter)
+	return ctx.mergeDecode(parts, ctx.decs)
 }
 
 // decodePoints prices the plan's decode-tier operating points at iterative
@@ -448,6 +615,7 @@ func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) []decPoin
 			dec = append(dec, decPoint{
 				tpot:     genTime / outTokens,
 				qps:      float64(bd) / genTime,
+				stall:    stall,
 				batch:    int32(bd),
 				replicas: int32(cand.Replicas),
 			})
@@ -481,7 +649,7 @@ func (o *Optimizer) prefixFrontier(ctx *searchCtx, plan Plan, bi int) *prefixEnt
 // enters here; the decode chips and the incumbent never do, which is what
 // lets plans share the result. An infeasible prefix leaves dst empty.
 func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefixEntry) {
-	dst.parts, dst.picks = dst.parts[:0], dst.picks[:0]
+	dst.parts, dst.picks, dst.iterPrefOcc = dst.parts[:0], dst.picks[:0], 0
 	prefixIdx := o.Pipe.Index(pipeline.KindPrefix)
 	retrIdx := o.Pipe.Index(pipeline.KindRetrieval)
 
@@ -511,6 +679,7 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 		}
 		iterRetrOcc = n / rt.QPS
 		iterPrefOcc = n / pt.QPS
+		dst.iterPrefOcc = iterPrefOcc
 	}
 
 	ctx.nodes = ctx.nodes[:0]
@@ -896,15 +1065,18 @@ func (o *Optimizer) groupChoices(g pipeline.Group, chips, batch, prefixIdx int, 
 		perStage[i] = cands
 	}
 	var out []groupChoice
-	var rec func(i int, ttft, occ float64, reps []int, lats []float64)
-	rec = func(i int, ttft, occ float64, reps []int, lats []float64) {
+	var rec func(i int, ttft, occ float64, reps []int, lats, inv []float64)
+	rec = func(i int, ttft, occ float64, reps []int, lats, inv []float64) {
 		if i == len(perStage) {
+			terms := append(append(make([]float64, 0, 2*i), lats...), inv...) // one allocation
 			out = append(out, groupChoice{
 				ttft:     ttft,
 				occ:      occ + pause,
+				pause:    pause,
 				batch:    batch,
 				replicas: append([]int(nil), reps...),
-				lats:     append([]float64(nil), lats...),
+				lats:     terms[:i:i],
+				inv:      terms[i:],
 			})
 			return
 		}
@@ -913,10 +1085,10 @@ func (o *Optimizer) groupChoices(g pipeline.Group, chips, batch, prefixIdx int, 
 			if g.Stages[i] == prefixIdx {
 				extra = iterPrefOcc
 			}
-			rec(i+1, ttft+pt.Latency, occ+1/pt.QPS+extra, append(reps, pt.Replicas), append(lats, pt.Latency))
+			rec(i+1, ttft+pt.Latency, occ+1/pt.QPS+extra, append(reps, pt.Replicas), append(lats, pt.Latency), append(inv, 1/pt.QPS))
 		}
 	}
-	rec(0, 0, 0, nil, nil)
+	rec(0, 0, 0, nil, nil, make([]float64, 0, len(perStage)))
 	return out
 }
 

@@ -131,9 +131,10 @@ type SearchStats struct {
 	// against the incumbent before the decode tier extends them
 	// (pruneAgainstIncumbent drops; one cut per plan and iterative batch).
 	PrunedPartials int64 `json:"pruned_partials"`
-	// Compiled counts the candidate schedules the search compiled.
-	// Wherever the partial cut runs, the incumbent filter runs before the
-	// compile, so only candidates it does not dominate pay for one.
+	// Compiled counts the schedules the search compiled. Every stamping
+	// of every candidate is priced from the tiers and filtered against the
+	// incumbent first, so only the frontier of each plan's survivors pays
+	// for a compile (compileFront).
 	Compiled int64 `json:"compiled"`
 	// TTFTGap, TPOTGap, and QPSGap are per-objective bound-to-achieved
 	// ratios, each >= 1 when defined (0 when not): the frontier's best
@@ -358,8 +359,9 @@ func (o *Optimizer) groupMinChips(pl pipeline.Placement) []int {
 }
 
 // PlanFrontier searches batching policies within one plan and returns its
-// Pareto frontier. With no incumbent to filter against, every candidate is
-// compiled, so the output is exactly Evaluate-consistent. It reuses both
+// Pareto frontier. With no incumbent to filter against, the frontier of
+// every stamping is compiled, so the output is exactly Evaluate-consistent.
+// It reuses both
 // memos across calls — the optimizer's group choices and the profiler's
 // stage prices — so a repeated call prices nothing twice (which is what
 // core.plan_frontier_ns measures).
@@ -371,62 +373,96 @@ func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 // pruning against the shared incumbent (inc nil disables; bound is the
 // plan's admissible bound when inc is set).
 //
-// A candidate is dropped when an incumbent point strictly dominates its
-// exact metrics. That is lossless: the incumbent holds only real compiled
-// points, each of which is on the final frontier or strictly dominated by a
-// point that is, so a dropped candidate could never be returned. Exact ties
-// are not strict dominance, so they survive, and the final pass still keeps
-// the first of them in enumeration order.
+// The tiers leave decode-merged candidates, and each is stamped with every
+// formation and retrieval knob pair the search enumerates (one stamping
+// when it enumerates none). priceStamps prices every stamping from the
+// candidate's tier prices, bit for bit as compiling it would. A stamping is
+// dropped when an incumbent point strictly dominates it. That is lossless:
+// the incumbent holds only real compiled points, each of which is on the
+// final frontier or strictly dominated by a point that is, so a dropped
+// stamping could never be returned. Exact ties are not strict dominance,
+// so they survive, and the final pass still keeps the first of them in
+// enumeration order.
 //
-// Where the partial cut runs (partialInc set: pruning on, no formation or
-// knob dimensions), the filter runs before the candidate is stamped or
-// compiled, on the metrics the decode merge already holds (mergedMetrics),
-// which equal the compiled ones bit for bit; only its survivors are
-// compiled, and their returned metrics come from that compile. Otherwise
-// every stamping is compiled from the worker's scratch schedule and
-// filtered on its compiled metrics before it is copied out.
+// Only the frontier of what survives is compiled (compileFront), and the
+// returned metrics come from that compile.
+//
+// Where the tiers price a proxy (searchSpace.proxy), the partial cut before
+// the decode tier stays off: the tiers' Pareto prunes then choose among
+// partials by proxy prices, and cutting a partial would let candidates it
+// shadowed survive the decode merge, changing which stampings the search
+// considers. The filters above cut only what the incumbent dominates, so
+// with or without a proxy the search returns what the exhaustive
+// reference returns.
 func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incremental, bound perf.Metrics) []SchedulePoint {
 	partialInc := inc
-	if ctx.formActive || ctx.retrActive {
-		// Within-plan partial pruning prices the FIFO/unchunked/unshaped/
-		// base-knob proxy. The batch ladder survives it (TTFT strictly
-		// orders batch sizes, so every batch choice keeps a frontier
-		// representative for the stamped dimensions to re-price), but a
-		// partial's proxy metrics are not a bound on its shaped or
-		// knob-tuned completions — so the mid-plan incumbent cut is
-		// disabled and only the admissible plan-level bound (planBound's
-		// formation relaxation and cheapest-knob retrieval envelope)
-		// prunes. The candidate filter below uses real metrics and stays on.
+	if ctx.proxy {
 		partialInc = nil
 	}
 	normChips := o.normChips(plan)
 	var pts []SchedulePoint
 	for bi, bIter := range ctx.iterBatches {
-		for _, p := range o.planCandidates(ctx, plan, bi, partialInc, bound) {
-			if partialInc != nil && partialInc.DominatedBy(ctx.mergedMetrics(p, normChips)) {
-				continue
-			}
-			sc := ctx.stamp(plan, bIter, p)
-			for _, pol := range ctx.policies {
-				for _, q := range ctx.quanta {
-					for _, np := range ctx.nprobes {
-						for _, fo := range ctx.fanouts {
-							sc.FormPolicy = pol
-							sc.ChunkQuantum = q
-							sc.NProbe = np
-							sc.ShardFanout = fo
-							m, ok := ctx.evaluate(*sc)
-							if !ok || (inc != nil && inc.DominatedBy(m)) {
-								continue
-							}
-							pts = append(pts, SchedulePoint{Metrics: m, Item: own(*sc)})
-						}
-					}
+		cands := o.planCandidates(ctx, plan, bi, partialInc, bound)
+		priced, refs := ctx.priced[:0], ctx.refs[:0]
+		for ci, p := range cands {
+			o.priceStamps(ctx, plan, bIter, p, normChips)
+			for si, sp := range ctx.sm {
+				if !sp.ok || inc != nil && inc.DominatedBy(sp.m) {
+					continue
 				}
+				priced = append(priced, perf.Point[int32]{Metrics: sp.m, Item: int32(len(refs))})
+				refs = append(refs, stampRef{cand: int32(ci), stamp: int32(si)})
 			}
 		}
+		ctx.priced, ctx.refs = priced, refs
+		pts = o.compileFront(ctx, plan, bIter, cands, pts)
 	}
 	return perf.Frontier(pts)
+}
+
+// stampRef names one priced stamping: its candidate, its stamping, and
+// whether compileFront has compiled it.
+type stampRef struct {
+	cand, stamp int32
+	compiled    bool
+}
+
+// compileFront compiles the stampings on the frontier of ctx.priced, in
+// order, and appends them to pts. The compile is the feasibility check: a
+// member that does not compile leaves the set and the frontier is taken
+// again. A member stays a member when others leave, so each is compiled
+// once, and what is appended is the frontier of the stampings that
+// compile, representatives included, as compiling every stamping and
+// taking the frontier would leave it. Without a proxy the decode merge's
+// prune has already left a frontier, so every stamping is compiled.
+func (o *Optimizer) compileFront(ctx *searchCtx, plan Plan, bIter int, cands []spart, pts []SchedulePoint) []SchedulePoint {
+	for {
+		retry := false
+		front := ctx.priced
+		if ctx.proxy {
+			front = perf.Frontier(ctx.priced)
+			// In enumeration order, a candidate's stampings compile
+			// together: they share the decode term the evaluator memoizes.
+			slices.SortFunc(front, func(a, b perf.Point[int32]) int { return cmp.Compare(a.Item, b.Item) })
+		}
+		for _, f := range front {
+			r := &ctx.refs[f.Item]
+			if r.compiled {
+				continue
+			}
+			r.compiled = true
+			sc := ctx.stamp(plan, bIter, cands[r.cand], int(r.stamp))
+			if m, ok := ctx.evaluate(*sc); ok {
+				pts = append(pts, SchedulePoint{Metrics: m, Item: own(*sc)})
+				continue
+			}
+			ctx.priced[f.Item].Metrics = perf.Metrics{TTFT: math.NaN()} // invalid: the frontier drops it
+			retry = ctx.proxy
+		}
+		if !retry {
+			return pts
+		}
+	}
 }
 
 // Optimize runs the full search and returns the global Pareto frontier
@@ -625,6 +661,11 @@ func (s *SearchStats) fillBoundGaps(front []SchedulePoint, bounds []perf.Metrics
 // server count; batching policies are still tuned (the baseline is "an
 // extension of LLM-only systems", not a strawman with silly batches).
 func (o *Optimizer) BaselineFrontier() []SchedulePoint {
+	return o.PlanFrontier(o.baselinePlan())
+}
+
+// baselinePlan is the plan BaselineFrontier searches.
+func (o *Optimizer) baselinePlan() Plan {
 	budget := o.opts.Cluster.XPUs()
 	half := budget / 2
 	if half < 1 {
@@ -634,11 +675,10 @@ func (o *Optimizer) BaselineFrontier() []SchedulePoint {
 	if o.Pipe.Index(pipeline.KindRetrieval) >= 0 {
 		servers = o.Prof.MinRetrievalServers()
 	}
-	plan := Plan{
+	return Plan{
 		Placement:   o.Pipe.BaselinePlacement(),
 		GroupChips:  []int{half},
 		DecodeChips: half,
 		Servers:     servers,
 	}
-	return o.PlanFrontier(plan)
 }

@@ -205,7 +205,15 @@ func NewEvaluator(pipe pipeline.Pipeline, prof *stageperf.Profiler) (*Evaluator,
 	e := &Evaluator{pipe: pipe, pr: pricer{prof: prof, memo: make(map[uint64]stageperf.Point)}}
 	e.plan.buildGraph(pipe)
 	e.plan.cpScratch = make([]float64, len(pipe.Stages))
-	e.plan.memo = new(shapeMemo)
+	e.plan.memo = &shapeMemo{pre: make(map[prefixKey]float64)}
+	// What PrefixCost and DecodeCost read of the scratch plan besides the
+	// steps they price; every compile sets the same.
+	e.plan.Pipe, e.plan.pr = pipe, e.pr
+	e.plan.PrefixIdx, e.plan.DecodeIdx = pipe.Index(pipeline.KindPrefix), pipe.Index(pipeline.KindDecode)
+	e.plan.Steps = make([]Step, len(pipe.Stages))
+	for i := range e.plan.Steps {
+		e.plan.Steps[i].Stage = pipe.Stages[i]
+	}
 	return e, nil
 }
 
@@ -304,10 +312,7 @@ func compileInto(p *Plan, pipe *pipeline.Pipeline, sched Schedule, pr pricer, al
 					return fmt.Errorf("engine: chunk quantum %d infeasible for prefix on %d chips", sched.ChunkQuantum, g.Chips)
 				}
 				p.ChunkLatency = cpt.Latency
-				chunks := (pipe.Schema.PrefixTokens + sched.ChunkQuantum - 1) / sched.ChunkQuantum
-				perReq := float64(chunks) * cpt.Latency
-				pt.Latency = perReq * float64(g.Batch+1) / 2
-				pt.QPS = 1 / perReq
+				pt.Latency, pt.QPS = chunkedPrefix(pipe.Schema.PrefixTokens, sched.ChunkQuantum, g.Batch, cpt.Latency)
 			}
 			p.Steps[idx] = Step{
 				Stage:    pipe.Stages[idx],

@@ -189,24 +189,8 @@ func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
 		m = new(shapeMemo) // a compiled plan stays immutable: price cold
 	}
 	m.load(p, shapes)
-	sumGen, sumOut := m.decodeSums(p)
-	n := float64(len(shapes))
-	meanGen := sumGen / n
-
-	prefix := p.Steps[p.PrefixIdx]
-	var deltaOcc, ttftPrefix float64
-	if q := p.Sched.ChunkQuantum; q > 0 {
-		perReq := m.chunkCount(q) / n * p.ChunkLatency
-		schemaChunks := (p.Pipe.Schema.PrefixTokens + q - 1) / q
-		deltaOcc = perReq - float64(schemaChunks)*p.ChunkLatency
-		ttftPrefix = perReq * float64(prefix.Batch+1) / 2
-	} else {
-		// Expected full-batch prefix latency over the policy's padded-max
-		// distribution.
-		elPrefix := m.prefixLatency(p)
-		deltaOcc = (elPrefix - prefix.Latency) / float64(prefix.Batch)
-		ttftPrefix = elPrefix
-	}
+	tpot, decQPS := m.decode(p)
+	ttftPrefix, deltaOcc := m.prefix(p)
 
 	qps := math.Inf(1)
 	for _, res := range p.Resources {
@@ -216,15 +200,75 @@ func (p *Plan) ShapeMetrics(shapes []Shape) perf.Metrics {
 		}
 		qps = math.Min(qps, 1/occ)
 	}
-	qps = math.Min(qps, float64(p.Sched.DecodeBatch)/meanGen)
+	qps = math.Min(qps, decQPS)
 
 	return perf.Metrics{
 		TTFT:       p.criticalPathTTFTWithPrefix(ttftPrefix),
-		TPOT:       meanGen / (sumOut / n),
+		TPOT:       tpot,
 		QPS:        qps,
 		QPSPerChip: qps / float64(p.Sched.ChipsUsed()),
 		Recall:     p.Metrics.Recall, // shape-independent: the scan's quality axis
 	}
+}
+
+// PrefixCost is what a formation makes of a prefix step: its per-request
+// occupancy term as compiled and, over a shape sample, the latency
+// ShapeMetrics puts on the TTFT path and the occupancy it adds to the
+// prefix group (the compiled latency and 0 without one).
+type PrefixCost struct{ Occupancy, TTFT, Delta float64 }
+
+// PrefixCost prices the prefix stage on chips at batch and replicas under a
+// formation policy and chunk quantum as compiling a schedule with that step
+// and pricing it over shapes would, bit for bit, through the evaluator's
+// memos and without the compile, which is how the schedule search prices
+// its formation stampings. ok is false where the step or its chunk is
+// infeasible. Like DecodeCost it overwrites the scratch plan.
+func (e *Evaluator) PrefixCost(shapes []Shape, chips, batch, replicas int, pol BatchPolicy, quantum int) (PrefixCost, bool) {
+	p := &e.plan
+	pt := e.pr.price(&e.pipe, p.PrefixIdx, 0, 0, chips, batch, replicas)
+	p.Sched.FormPolicy, p.Sched.ChunkQuantum, p.ChunkLatency = pol, quantum, 0
+	if quantum > 0 && pt.OK {
+		cpt := e.pr.shaped(&e.pipe.Stages[p.PrefixIdx], p.PrefixIdx, quantum, chips, 1, 1)
+		p.ChunkLatency, pt.OK = cpt.Latency, cpt.OK
+		pt.Latency, pt.QPS = chunkedPrefix(e.pipe.Schema.PrefixTokens, quantum, batch, cpt.Latency)
+	}
+	if !pt.OK {
+		return PrefixCost{}, false
+	}
+	p.Steps[p.PrefixIdx] = Step{Stage: e.pipe.Stages[p.PrefixIdx], Chips: chips, Batch: batch, Replicas: replicas, Latency: pt.Latency, QPS: pt.QPS}
+	c := PrefixCost{Occupancy: 1 / pt.QPS, TTFT: pt.Latency}
+	if len(shapes) > 0 {
+		p.memo.load(p, shapes)
+		c.TTFT, c.Delta = p.memo.prefix(p)
+	}
+	return c, true
+}
+
+// DecodeCost prices the decode tier on chips at batch and replicas, each
+// request stalled by stall, over shapes: the TPOT and the throughput bound
+// ShapeMetrics gives a schedule with that tier, bit for bit, through the
+// evaluator's memos and without the compile. ok is false where the tier is
+// infeasible.
+func (e *Evaluator) DecodeCost(shapes []Shape, chips, batch, replicas int, stall float64) (tpot, qps float64, ok bool) {
+	p := &e.plan
+	pt := e.pr.price(&e.pipe, p.DecodeIdx, 0, 0, chips, batch, replicas)
+	if !pt.OK {
+		return 0, 0, false
+	}
+	p.Steps[p.DecodeIdx] = Step{Stage: e.pipe.Stages[p.DecodeIdx], Resource: DecodeResource, Chips: chips, Batch: batch, Replicas: replicas, Latency: pt.Latency, QPS: pt.QPS}
+	p.DecodeStep, p.Iter.StallPerRequest = pt.StepLatency, stall
+	p.memo.load(p, shapes)
+	tpot, qps = p.memo.decode(p)
+	return tpot, qps, true
+}
+
+// chunkedPrefix is a chunked prefix step's full-batch latency and
+// throughput: a schema-length prompt occupies the step for its chunk count
+// of quantum-token chunks, and first tokens unblock at chunk boundaries,
+// so the latency is the mean member completion within a full batch.
+func chunkedPrefix(prompt, quantum, batch int, chunkLat float64) (lat, qps float64) {
+	perReq := float64((prompt+quantum-1)/quantum) * chunkLat
+	return perReq * float64(batch+1) / 2, 1 / perReq
 }
 
 // shapeMemo is a shape sample normalized once, plus ShapeMetrics' three
@@ -243,8 +287,8 @@ type shapeMemo struct {
 
 	dec            decodeKey
 	sumGen, sumOut float64
-	pre            [PolicySorted + 1]prefixSlot // one per policy: the search cycles them
-	chunkQ         int                          // the quantum chunks counts at
+	pre            map[prefixKey]float64 // per prefix step and policy; nil when cold
+	chunkQ         int                   // the quantum chunks counts at
 	chunks         float64
 }
 
@@ -253,9 +297,12 @@ type decodeKey struct {
 	pace, stall float64
 }
 
-type prefixSlot struct {
-	step Step
-	el   float64
+// prefixKey is what prefixLatency reads of a prefix step besides its stage,
+// which is the pipeline's own on every plan a memo serves.
+type prefixKey struct {
+	chips, batch, replicas int
+	lat                    float64
+	pol                    BatchPolicy
 }
 
 // load makes shapes the memo's sample, re-normalizing it and dropping
@@ -277,7 +324,8 @@ func (m *shapeMemo) load(p *Plan, shapes []Shape) {
 		m.raw, m.padded, m.ctx = append(m.raw, pr), append(m.padded, PadTokens(pr)), append(m.ctx, ctx)
 	}
 	sort.Ints(m.padded)
-	m.dec, m.pre, m.chunkQ = decodeKey{}, [len(m.pre)]prefixSlot{}, 0
+	m.dec, m.chunkQ = decodeKey{}, 0
+	clear(m.pre)
 }
 
 // chunkCount is the chunked-prefill term: the sample's summed
@@ -312,15 +360,43 @@ func (m *shapeMemo) decodeSums(p *Plan) (sumGen, sumOut float64) {
 	return sumGen, sumOut
 }
 
+// decode is the decode-side terms: the TPOT (the sample's mean per-token
+// pace) and the tier's throughput bound, its batch over the mean slot
+// holding time.
+func (m *shapeMemo) decode(p *Plan) (tpot, qps float64) {
+	sumGen, sumOut := m.decodeSums(p)
+	n := float64(len(m.shapes))
+	meanGen := sumGen / n
+	return meanGen / (sumOut / n), float64(p.Steps[p.DecodeIdx].Batch) / meanGen
+}
+
+// prefix is the prefix-side terms: the prefix latency on the TTFT path and
+// the occupancy delta on the prefix group, in chunk terms for a chunked
+// plan, else from the expected full-batch latency under the plan's policy.
+func (m *shapeMemo) prefix(p *Plan) (ttft, delta float64) {
+	st := &p.Steps[p.PrefixIdx]
+	if q := p.Sched.ChunkQuantum; q > 0 {
+		perReq := m.chunkCount(q) / float64(len(m.shapes)) * p.ChunkLatency
+		schemaChunks := (p.Pipe.Schema.PrefixTokens + q - 1) / q
+		return perReq * float64(st.Batch+1) / 2, perReq - float64(schemaChunks)*p.ChunkLatency
+	}
+	el := m.prefixLatency(p)
+	return el, (el - st.Latency) / float64(st.Batch)
+}
+
 // prefixLatency is the non-chunked prefix term: the expected full-batch
 // prefix latency under the plan's formation policy.
 func (m *shapeMemo) prefixLatency(p *Plan) float64 {
-	pol := p.Sched.FormPolicy // out of range only on a cold memo: Validate rejects it
-	slot := &m.pre[min(uint(pol), uint(len(m.pre)-1))]
-	if step := p.Steps[p.PrefixIdx]; slot.step != step {
-		slot.step, slot.el = step, p.expectedPrefixLatency(m.padded, m.shaped, step.Batch, pol)
+	st, pol := &p.Steps[p.PrefixIdx], p.Sched.FormPolicy
+	key := prefixKey{st.Chips, st.Batch, st.Replicas, st.Latency, pol}
+	if el, ok := m.pre[key]; ok {
+		return el
 	}
-	return slot.el
+	el := p.expectedPrefixLatency(m.padded, m.shaped, st.Batch, pol)
+	if m.pre != nil { // a cold memo prices its one step once
+		m.pre[key] = el
+	}
+	return el
 }
 
 // expectedPrefixLatency prices a sorted padded sample's expected
