@@ -36,11 +36,11 @@ func BenchmarkOptimizeCaseIV(b *testing.B) {
 	b.Run("no-memo", func(b *testing.B) { run(b, true) })
 }
 
-// BenchmarkOptimizeCaseV measures the search on the iterative-retrieval
-// workload, whose per-candidate IterativePlan probe makes the inner loop
-// shape different from Case IV, with branch-and-bound pruning on (the
-// production path) and off (the exhaustive reference the differential test
-// compares against).
+// BenchmarkOptimizeCaseV measures the search on the two-source Case V
+// workload, whose parallel retrieval tiers make the inner loop shape
+// different from Case IV, with branch-and-bound pruning on (the production
+// path) and off (the exhaustive reference the differential test compares
+// against).
 func BenchmarkOptimizeCaseV(b *testing.B) {
 	run := func(b *testing.B, noPrune bool) {
 		b.ReportAllocs()

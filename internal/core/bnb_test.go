@@ -694,3 +694,32 @@ func TestPrefixFillBudget(t *testing.T) {
 		t.Errorf("group tier pruned %d pairs, retrieval tier %d; want %d, %d", g, r, groupWant, retrWant)
 	}
 }
+
+// TestIterativeDecodeBudget pins the decode tier's work in a one-worker
+// Case III search (8B, four retrievals per sequence, the c3-iterative
+// workload's shape): the §5.3 round terms are priced once per decode tier
+// the search builds, 388 of them, where pricing each decode batch and
+// replica candidate through the whole stall model took 6,578 calls; and
+// each decode chip count's candidates are fetched once, every plan of a
+// chip count after the first reading them from the worker's memo.
+func TestIterativeDecodeBudget(t *testing.T) {
+	const roundsWant = 388
+	opts := DefaultOptions(hw.DefaultCluster())
+	opts.Workers = 1
+	o, err := NewOptimizer(ragschema.CaseIII(8e9, 4), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chips := map[int]bool{}
+	for _, p := range o.Plans() {
+		chips[p.DecodeChips] = true
+	}
+	iterRounds.Store(0)
+	decFetches.Store(0)
+	if len(o.Optimize()) == 0 {
+		t.Fatal("empty frontier")
+	}
+	if r, f := iterRounds.Load(), decFetches.Load(); r != roundsWant || f != int64(len(chips)) {
+		t.Errorf("priced the round %d times and fetched decode candidates %d times; want %d and %d (one per decode chip count)", r, f, roundsWant, len(chips))
+	}
+}

@@ -54,7 +54,10 @@ type gnode struct {
 
 // groupPairs and retrPairs count the pairs the group and retrieval tiers
 // hand to prunePartialsInto: the search's work counters for the prefix fill.
-var groupPairs, retrPairs atomic.Int64
+// iterRounds counts the §5.3 round pricings of iterative decode tiers and
+// decFetches the decode chip counts whose candidates a worker fetched
+// (decodePoints).
+var groupPairs, retrPairs, iterRounds, decFetches atomic.Int64
 
 // prefixEntry is one pre-decode frontier: the partials a (placement,
 // group chips, servers, iterative batch) prefix leaves after the group and
@@ -79,10 +82,11 @@ type prefixSlot struct {
 // decPoint is one decode-tier operating point: the TPOT it sets and the
 // throughput it caps, with the batch and replica count that realize it,
 // the iterative stall per request, and the two as a stamping prices them
-// (shapedDecode), once priced.
+// (shapedDecode), once priced. A memoized stall-free point also keeps its
+// generation latency, which an iterative search stalls (decodePoints).
 type decPoint struct {
 	tpot, qps     float64
-	stall         float64
+	lat, stall    float64
 	shTPOT, shQPS float64
 	priced        bool
 	batch         int32
@@ -254,11 +258,14 @@ type searchCtx struct {
 	byCost  []int32
 	claim   []int32
 	pairs   []uint64
-	// dec prices an iterative search's decode points; decMemo holds a
-	// single-retrieval search's, per decode chip count (decodePoints).
-	// decs are the points the current candidates were merged with.
-	dec     []decPoint
+	// decMemo holds each decode chip count's stall-free points, which a
+	// single-retrieval search merges as they are; dec is the buffer an
+	// iterative search stalls them into, at the round terms iter
+	// (decodePoints). decs are the points the current candidates were
+	// merged with.
 	decMemo map[int][]decPoint
+	dec     []decPoint
+	iter    engine.IterTerms
 	decs    []decPoint
 	// sm, priced, refs and the terms are priceStamps' and planFrontier's
 	// buffers.
@@ -269,7 +276,6 @@ type searchCtx struct {
 	// lat is the critical-path walk's per-stage latency buffer.
 	lat []float64
 
-	probeGroups []GroupSchedule
 	// scratch is the schedule every compiled candidate is stamped into
 	// (stamp); only candidates that survive the incumbent filter are
 	// copied out of it (own).
@@ -422,14 +428,13 @@ func (o *Optimizer) priceStamps(c *searchCtx, plan Plan, bIter int, p spart, nor
 	if len(c.retrIdxs) > 0 {
 		st := o.Pipe.Stages[c.retrIdxs[0]]
 		var iterOcc float64
-		iterOK := true
 		if bIter > 0 {
-			it := o.Prof.Eval(st, plan.Servers, bIter)
-			iterOcc, iterOK = float64(o.Pipe.Schema.RetrievalFrequency-1)/it.QPS, it.OK
+			// The round terms the candidate's decode point was stalled at.
+			iterOcc = float64(c.iter.Rounds) / c.iter.Retrieval.QPS
 		}
 		for _, kn := range c.knobs {
 			rt := o.Prof.Eval(st.Tuned(kn.nprobe, kn.fanout), plan.Servers, int(p.retrB))
-			retr = append(retr, stampTerm{1 / (1/rt.QPS + iterOcc), rt.Latency + o.Prof.RetrievalTransferLatency(), 0, rt.OK && iterOK})
+			retr = append(retr, stampTerm{1 / (1/rt.QPS + iterOcc), rt.Latency + o.Prof.RetrievalTransferLatency(), 0, rt.OK})
 		}
 	}
 	c.preCosts, c.pauses, c.retr = pre, pauses, retr
@@ -586,47 +591,63 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.
 }
 
 // decodePoints prices the plan's decode-tier operating points at iterative
-// batch bIter. Without iteration they depend on the plan only through its
-// decode chips, so a worker prices each chip count once; with it, the
-// stall term depends on the whole plan.
+// batch bIter. The stall-free points — latency, batch and replicas of each
+// candidate — depend on the plan only through its decode chips, so a worker
+// fetches them once per chip count (decMemo) and a single-retrieval search
+// returns them as they are. With iteration the §5.3 round terms depend on
+// the plan's servers, prefix-group chips and bIter alone: they are priced
+// once per call (ctx.iter), and each point's stall is arithmetic on them
+// (engine.IterTerms.Cost), the same float operations compiling it runs.
 func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) []decPoint {
-	var dec []decPoint
-	if bIter > 0 {
-		dec = ctx.dec[:0]
-	} else if memo, ok := ctx.decMemo[plan.DecodeChips]; ok {
-		return memo
-	}
 	decIdx := o.Pipe.Index(pipeline.KindDecode)
 	outTokens := float64(o.Pipe.Stages[decIdx].OutTokens)
-	for _, bd := range ctx.decBatches {
-		for _, cand := range o.Prof.Candidates(o.Pipe.Stages[decIdx], plan.DecodeChips, bd) {
-			var stall float64
-			if bIter > 0 {
-				probe := ctx.probeSchedule(plan, bIter)
-				probe.DecodeBatch = bd
-				probe.DecodeReplicas = cand.Replicas
-				ic, ok := engine.IterativeCost(o.Pipe, o.Prof, probe)
-				if !ok {
-					continue
-				}
-				stall = ic.StallPerRequest
+	base, ok := ctx.decMemo[plan.DecodeChips]
+	if !ok {
+		decFetches.Add(1)
+		for _, bd := range ctx.decBatches {
+			for _, cand := range o.Prof.Candidates(o.Pipe.Stages[decIdx], plan.DecodeChips, bd) {
+				base = append(base, decPoint{
+					tpot:     cand.Latency / outTokens,
+					qps:      float64(bd) / cand.Latency,
+					lat:      cand.Latency,
+					batch:    int32(bd),
+					replicas: int32(cand.Replicas),
+				})
 			}
-			genTime := cand.Latency + stall
+		}
+		ctx.decMemo[plan.DecodeChips] = base
+	}
+	if bIter == 0 {
+		return base
+	}
+	iterRounds.Add(1)
+	dec := ctx.dec[:0]
+	if ctx.iter, ok = o.iterTerms(plan, bIter); ok {
+		for _, b := range base {
+			stall := ctx.iter.Cost(int(b.batch), b.lat).StallPerRequest
+			genTime := b.lat + stall
 			dec = append(dec, decPoint{
 				tpot:     genTime / outTokens,
-				qps:      float64(bd) / genTime,
+				qps:      float64(b.batch) / genTime,
 				stall:    stall,
-				batch:    int32(bd),
-				replicas: int32(cand.Replicas),
+				batch:    b.batch,
+				replicas: b.replicas,
 			})
 		}
 	}
-	if bIter > 0 {
-		ctx.dec = dec
-	} else {
-		ctx.decMemo[plan.DecodeChips] = dec
-	}
+	ctx.dec = dec
 	return dec
+}
+
+// iterTerms prices the plan's §5.3 round terms at iterative batch bIter:
+// the round's retrieval on the plan's servers, its prefix pass on the chips
+// of the group holding the prefix stage.
+func (o *Optimizer) iterTerms(plan Plan, bIter int) (engine.IterTerms, bool) {
+	prefChips, ok := o.planPrefixChips(plan, o.Pipe.Index(pipeline.KindPrefix))
+	if !ok {
+		return engine.IterTerms{}, false
+	}
+	return engine.IterativeTerms(o.Pipe, o.Prof, plan.Servers, prefChips, bIter)
 }
 
 // prefixFrontier returns the plan's pre-decode frontier at iterBatches[bi]:
@@ -654,31 +675,22 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 	retrIdx := o.Pipe.Index(pipeline.KindRetrieval)
 
 	// Iterative occupancy terms for this bIter (coupled to the prefix
-	// group's chips and the retrieval servers, both fixed by the plan).
+	// group's chips and the retrieval servers, both fixed by the plan):
+	// the round's prefix pass as compiling prices it, its retrieval at the
+	// cheapest knob pair like the initial one's.
 	var iterPrefOcc, iterRetrOcc float64
 	if bIter > 0 {
-		n := float64(o.Pipe.Schema.RetrievalFrequency - 1)
-		prefChips, ok := o.planPrefixChips(plan, prefixIdx)
-		if !ok || retrIdx < 0 {
+		it, ok := o.iterTerms(plan, bIter)
+		if !ok {
 			return
 		}
 		rt := o.Prof.Eval(o.Pipe.Stages[retrIdx].Tuned(ctx.cheapNP, ctx.cheapFO), plan.Servers, bIter)
 		if !rt.OK {
 			return
 		}
-		iterStage := o.Pipe.Stages[prefixIdx]
-		iterStage.SeqLen = o.Pipe.Schema.RetrievedTokens()
-		var pt stageperf.Point
-		for _, cand := range o.Prof.Candidates(iterStage, prefChips, bIter) {
-			if !pt.OK || cand.QPS > pt.QPS {
-				pt = cand
-			}
-		}
-		if !pt.OK {
-			return
-		}
+		n := float64(it.Rounds)
 		iterRetrOcc = n / rt.QPS
-		iterPrefOcc = n / pt.QPS
+		iterPrefOcc = n / it.Prefix.QPS
 		dst.iterPrefOcc = iterPrefOcc
 	}
 
@@ -943,27 +955,6 @@ func (c *searchCtx) stairPairs(parts []spart, opts []stairOpt, setTPOT bool) []u
 	pairs = slices.Compact(pairs)
 	c.pairs = pairs
 	return pairs
-}
-
-// probeSchedule builds the minimal schedule IterativeCost needs from the
-// plan: the stall model reads only the prefix group's chip count, the
-// retrieval servers, and the decode/iterative configuration, never the
-// groups' batch policies.
-func (c *searchCtx) probeSchedule(plan Plan, bIter int) Schedule {
-	c.probeGroups = c.probeGroups[:0]
-	for gi, g := range plan.Placement.Groups {
-		c.probeGroups = append(c.probeGroups, GroupSchedule{
-			Stages: g.Stages,
-			Chips:  plan.GroupChips[gi],
-			Batch:  1,
-		})
-	}
-	return Schedule{
-		Groups:           c.probeGroups,
-		RetrievalServers: plan.Servers,
-		DecodeChips:      plan.DecodeChips,
-		IterativeBatch:   bIter,
-	}
 }
 
 // pruneAgainstIncumbent drops partials whose optimistic completion bound —
