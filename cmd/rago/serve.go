@@ -320,7 +320,6 @@ func runServe(args []string) {
 		windowEvery  = fs.Float64("window-every", 2, "stream a telemetry window snapshot onto the bus every this many virtual seconds (with -metrics-addr)")
 		cacheTokens  = fs.Int("cache-tokens", 0, "prefix/KV cache token budget over retrieved chunks (0 = no prefix cache; pair with -doc-zipf so requests carry chunk tags)")
 		cacheAnswers = fs.Int("cache-answers", 0, "exact-match answer cache entries short-circuiting repeated requests (0 = no answer tier)")
-		cacheGain    = fs.Float64("cache-gain", 0, "controller: discount the capacity target by 1/(1+gain*hit-rate) (0 = cache-blind)")
 		batchPolicy  = fs.String("batch-policy", "fifo", "prefix batch-formation policy: fifo|bucketed|sorted")
 		chunkPrefill = fs.Int("chunk-prefill", 0, "chunked-prefill quantum in tokens (0 = off): prefix batches pad to the quantum instead of the batch max")
 
@@ -501,8 +500,7 @@ func runServe(args []string) {
 
 	if *controller {
 		runControlled(o, front, tf, opts, info, *jsonOut, control.SLO{TTFT: *sloTTFT, TPOT: *sloTPOT},
-			control.Config{Window: *ctrlWindow, Interval: *ctrlTick, Headroom: *headroom, HoldDown: *holddown,
-				CacheGain: *cacheGain, MinRecall: *minRecall},
+			control.Config{Window: *ctrlWindow, Interval: *ctrlTick, Headroom: *headroom, HoldDown: *holddown, MinRecall: *minRecall},
 			flushTrace, perRequest)
 		return
 	}

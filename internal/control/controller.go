@@ -30,16 +30,6 @@ type Config struct {
 	// MinSamples is the fewest windowed completions a latency quantile
 	// needs before it may trigger an SLO reaction. Default 20.
 	MinSamples int `json:"min_samples"`
-	// CacheGain weights the capacity staircase by the observed reuse-cache
-	// hit rate: a hit rate h discounts the load-tracking target rate by
-	// 1/(1 + CacheGain*h) — a prefix-cached plan sustains more QPS than
-	// its (cache-blind) analytic capacity, so the controller may sit one
-	// step lower on the staircase under hot traffic. 0 (the default)
-	// ignores the cache entirely, keeping cache-less deployments
-	// bit-identical. Calibrate against the measured cached-vs-uncached QPS
-	// ratio (e.g. BENCH_cache.json); SLO upshifts still override, so an
-	// optimistic gain degrades to a reactive correction, not a violation.
-	CacheGain float64 `json:"cache_gain,omitempty"`
 	// MinRecall is the retrieval-quality floor (recall@k, in [0, 1]): the
 	// controller degrades recall gracefully under overload — stepping to
 	// cheaper low-nprobe/low-fanout entries when the load demands it —
@@ -69,7 +59,7 @@ func (c Config) withDefaults() Config {
 }
 
 func (c Config) validate() error {
-	if c.Window < 0 || c.Interval < 0 || c.Headroom < 0 || c.HoldDown < 0 || c.MinSamples < 0 || c.CacheGain < 0 {
+	if c.Window < 0 || c.Interval < 0 || c.Headroom < 0 || c.HoldDown < 0 || c.MinSamples < 0 {
 		return fmt.Errorf("control: negative Config fields")
 	}
 	if c.MinRecall < 0 || c.MinRecall > 1 {
@@ -146,14 +136,7 @@ func NewController(lib *Library, cfg Config) (*Controller, error) {
 // decide picks the target library entry given the current one and a
 // telemetry window.
 func (c *Controller) decide(cur int, w serve.Window) (want int, reason string) {
-	target := w.ArrivalRate * c.Cfg.Headroom
-	if c.Cfg.CacheGain > 0 && w.CacheHitRate > 0 {
-		// Cache-aware capacity weighting: hot reuse traffic needs less
-		// staircase capacity per arrival than the cache-blind analytic
-		// assumes (hits prefill only their uncached suffix).
-		target /= 1 + c.Cfg.CacheGain*w.CacheHitRate
-	}
-	want, reason = c.Lib.IndexForFloor(target, c.Cfg.MinRecall), "load"
+	want, reason = c.Lib.IndexForFloor(w.ArrivalRate*c.Cfg.Headroom, c.Cfg.MinRecall), "load"
 	// above reports whether a trusted windowed p99 TTFT or TPOT exceeds
 	// frac of its objective.
 	slo := c.Cfg.SLO

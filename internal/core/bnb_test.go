@@ -196,23 +196,24 @@ func TestOptimizeAllocs(t *testing.T) {
 	}
 }
 
-// TestOptimizeCompileBudget pins how few candidates a search compiles.
-// One worker keeps each count independent of scheduling and of the host.
+// TestOptimizeCompileBudget pins how few candidates a search stamps into
+// schedules. One worker keeps each count independent of scheduling and of
+// the host.
 //
 // Case IV: the incumbent filter runs on each decode-merged candidate's
 // exact metrics before it is stamped, so only candidates the incumbent
-// does not already dominate are compiled: one worker compiles 1,137
-// schedules, where filtering after the compile compiled 71,584 and the
-// exhaustive reference compiles 118,336. The budget is 1.3x the measured count.
+// does not already dominate are stamped: one worker stamps 1,137
+// schedules, where filtering after a compile compiled 71,584 and the
+// exhaustive reference stamps 118,336. The budget is 1.3x the measured count.
 //
-// The shaped rows stamp every candidate with each formation (and, on Case
-// I, each retrieval knob pair), price the stampings from the tiers, filter
-// them against the incumbent and compile only the frontier of what
-// survives. Shaped Case IV 70B on the benchmark's 128-draw lognormal
-// sample, three policies and quanta {0, 256} compiles 821 schedules where
-// compiling every stamping compiled 518,334; the golden's shaped, knobbed
-// Case I search compiles 31 where it compiled 15,912. Their budgets are
-// 1.3x the measured counts.
+// The shaped rows price every formation (and, on Case I, every retrieval
+// knob pair) of every candidate from the tiers, filter the stampings
+// against the incumbent and stamp only the frontier of what survives.
+// Shaped Case IV 70B on the benchmark's 128-draw lognormal sample, three
+// policies and quanta {0, 256} stamps 821 schedules where compiling every
+// stamping compiled 518,334; the golden's shaped, knobbed Case I search
+// stamps 31 where it compiled 15,912. Their budgets are 1.3x the measured
+// counts.
 func TestOptimizeCompileBudget(t *testing.T) {
 	prompt, err := trace.LognormalLengths(512, 0.8, 4096)
 	if err != nil {
@@ -261,25 +262,27 @@ func TestOptimizeCompileBudget(t *testing.T) {
 			if len(o.Optimize()) == 0 {
 				t.Fatal("empty frontier")
 			}
-			if n := o.SearchStats().Compiled; n == 0 || n > tc.budget {
-				t.Errorf("%s Optimize compiled %d schedules, budget %d", tc.name, n, tc.budget)
+			if n := o.SearchStats().Stamped; n == 0 || n > tc.budget {
+				t.Errorf("%s Optimize stamped %d schedules, budget %d", tc.name, n, tc.budget)
 			}
 		})
 	}
 }
 
-// TestMergeMetricsMatchEvaluate pins what the incumbent filter before the
-// compile relies on: every stamping of every candidate the decode merge
-// returns carries, as priceStamps prices it, bit for bit the metrics
-// compiling it returns — the exact critical-path TTFT, TPOT, throughput,
-// QPS/chip and recall. A filter fed a value that is off by an ulp could
-// drop a candidate whose compiled metrics only tie an incumbent point,
-// which the final frontier may keep. It walks the exhaustive enumeration,
-// with no incumbent cut: every plan of each preset (the multi-source
-// fan-out of Case V included) at every iterative batch, and Cases I and III
-// with the golden's shape sample, formations and retrieval knobs on a
-// sharded tier, where every stamping re-prices the prefix, retrieval and
-// decode tiers.
+// TestMergeMetricsMatchEvaluate pins what the search returns in place of a
+// compile: every stamping of every candidate the decode merge returns
+// carries, as priceStamps prices it, bit for bit the metrics compiling it
+// returns — the exact critical-path TTFT, TPOT, throughput, QPS/chip and
+// recall — and priceStamps accepts exactly the stampings that compile. A
+// filter fed a value that is off by an ulp could drop a candidate whose
+// compiled metrics only tie an incumbent point, which the final frontier
+// may keep; an accepted stamping that does not compile would reach the
+// frontier as a schedule no executor can run. It walks the exhaustive
+// enumeration, with no incumbent cut: every plan of each preset (the
+// multi-source fan-out of Case V included) at every iterative batch, and
+// Cases I and III with the golden's shape sample, formations and retrieval
+// knobs on a sharded tier, where every stamping re-prices the prefix,
+// retrieval and decode tiers.
 func TestMergeMetricsMatchEvaluate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -296,7 +299,6 @@ func TestMergeMetricsMatchEvaluate(t *testing.T) {
 		{"caseIII-shaped-knobs", ragschema.CaseIII(70e9, 4), 64, true},
 		{"caseIV-baseline-shaped-knobs", ragschema.CaseIV(8e9), 0, true},
 	}
-	bits := math.Float64bits
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			o := newOpt(t, tc.schema, hw.DefaultCluster(), tc.norm)
@@ -329,16 +331,14 @@ func TestMergeMetricsMatchEvaluate(t *testing.T) {
 					for _, p := range o.planCandidates(ctx, plan, bi, nil, perf.Metrics{}) {
 						o.priceStamps(ctx, plan, bIter, p, norm)
 						for si, got := range ctx.sm {
-							want, ok := ctx.evaluate(*ctx.stamp(plan, bIter, p, si))
-							if !ok || !want.Valid() {
+							s := ctx.stamp(plan, bIter, p, si)
+							want, ok := compiledMetrics(o, s)
+							if !ok && !got.ok {
 								continue
 							}
-							g := got.m
-							if !got.ok || bits(g.TTFT) != bits(want.TTFT) || bits(g.TPOT) != bits(want.TPOT) ||
-								bits(g.QPS) != bits(want.QPS) || bits(g.QPSPerChip) != bits(want.QPSPerChip) ||
-								bits(g.Recall) != bits(want.Recall) {
-								t.Fatalf("%s at iterative batch %d:\nmerged   %#v (ok %v)\ncompiled %#v\nschedule %+v",
-									plan.Describe(o.Pipe), bIter, g, got.ok, want, ctx.scratch)
+							if got.ok != ok || !sameBits(got.m, want) {
+								t.Fatalf("%s at iterative batch %d:\nmerged   %#v (ok %v)\ncompiled %#v (ok %v)\nschedule %+v",
+									plan.Describe(o.Pipe), bIter, got.m, got.ok, want, ok, s)
 							}
 							compared++
 						}

@@ -10,6 +10,7 @@ import (
 	"rago/internal/engine"
 	"rago/internal/hw"
 	"rago/internal/perf"
+	"rago/internal/pipeline"
 	"rago/internal/ragschema"
 )
 
@@ -166,17 +167,8 @@ func TestOptimizeFrontierProperties(t *testing.T) {
 	if len(front) < 3 {
 		t.Fatalf("frontier too small: %d", len(front))
 	}
+	// TestFrontierCompiles compiles every point of this search.
 	for i, p := range front {
-		// Every schedule must re-evaluate to exactly the reported
-		// metrics (the search's incremental merge and the compile
-		// must agree).
-		m, ok := compiledMetrics(o, p.Item)
-		if !ok {
-			t.Fatalf("frontier schedule %d infeasible on re-evaluation", i)
-		}
-		if math.Abs(m.TTFT-p.Metrics.TTFT) > 1e-12 || math.Abs(m.QPSPerChip-p.Metrics.QPSPerChip) > 1e-9 {
-			t.Fatalf("frontier point %d: merge metrics %v != evaluate %v", i, p.Metrics, m)
-		}
 		for j, q := range front {
 			if i != j && p.Metrics.Dominates(q.Metrics) {
 				t.Fatalf("frontier point %d dominates %d", i, j)
@@ -473,5 +465,33 @@ func TestOptionsValidation(t *testing.T) {
 	other.Cluster.Chip.HBMBytes *= 2
 	if _, err := o.With(other); err == nil {
 		t.Errorf("With should refuse a chip its profiler does not price")
+	}
+
+	// The search compiles none of the schedules it stamps, so every option
+	// it stamps onto them is checked up front.
+	caseIV := newOpt(t, ragschema.CaseIV(8e9), hw.DefaultCluster(), 0)
+	full := caseIV.Pipe.FullyDisaggregated()
+	for _, tc := range []struct {
+		name string
+		set  func(*Options)
+	}{
+		{"placement missing stages", func(o *Options) {
+			o.Placements = []pipeline.Placement{{Groups: full.Groups[1:]}}
+		}},
+		{"placement with an empty group", func(o *Options) {
+			o.Placements = []pipeline.Placement{{Groups: append([]pipeline.Group{{}}, full.Groups...)}}
+		}},
+		{"unknown policy", func(o *Options) { o.Policies = []engine.BatchPolicy{engine.PolicySorted + 1} }},
+		{"negative chunk quantum", func(o *Options) { o.ChunkQuanta = []int{0, -256} }},
+		{"negative nprobe", func(o *Options) { o.NProbes = []int{-1} }},
+		{"negative shard fanout", func(o *Options) { o.ShardFanouts = []int{2, -2} }},
+	} {
+		opts := DefaultOptions(hw.DefaultCluster())
+		tc.set(&opts)
+		if _, err := NewOptimizer(ragschema.CaseIV(8e9), opts); err == nil {
+			t.Errorf("%s: NewOptimizer accepted it", tc.name)
+		} else if _, err := caseIV.With(opts); err == nil {
+			t.Errorf("%s: With accepted it", tc.name)
+		}
 	}
 }

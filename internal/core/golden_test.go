@@ -12,6 +12,7 @@ import (
 
 	"rago/internal/engine"
 	"rago/internal/hw"
+	"rago/internal/perf"
 	"rago/internal/ragschema"
 )
 
@@ -107,4 +108,61 @@ func TestOptimizeFrontierGolden(t *testing.T) {
 	if len(want) != len(cases) {
 		t.Errorf("golden holds %d digests, test computes %d", len(want), len(cases))
 	}
+}
+
+// TestFrontierCompiles pins that the search returns only schedules that
+// compile, each at the metrics compiling it returns. The search prices and
+// stamps its points and compiles none of them, so this compiles every
+// point it returns with o.Compile — of the golden's option sets, of a
+// shaped, knob-searched Case III, and of each one's BaselineFrontier — and
+// compares the metrics bit for bit.
+func TestFrontierCompiles(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs seven full searches")
+	}
+	for _, tc := range []struct {
+		name    string
+		schema  ragschema.Schema
+		norm    int
+		knobbed bool
+	}{
+		{"caseI", ragschema.CaseI(8e9, 1), 64, false},
+		{"caseII", ragschema.CaseII(70e9, 1_000_000), 0, false},
+		{"caseIII", ragschema.CaseIII(70e9, 4), 64, false},
+		{"caseIV", ragschema.CaseIV(8e9), 0, false},
+		{"caseV", ragschema.CaseV(8e9, 2), 64, false},
+		{"caseI-shaped-knobs", ragschema.CaseI(8e9, 1), 64, true},
+		{"caseIII-shaped-knobs", ragschema.CaseIII(70e9, 4), 64, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions(hw.DefaultCluster())
+			opts.NormalizeChips = tc.norm
+			o := newOpt(t, tc.schema, opts.Cluster, tc.norm)
+			if tc.knobbed {
+				opts.Shapes = formationShapes()
+				opts.Policies = []engine.BatchPolicy{engine.PolicyFIFO, engine.PolicyBucketed, engine.PolicySorted}
+				opts.ChunkQuanta = []int{0, 256}
+				opts.NProbes = []int{2, 0, 32}
+				opts.ShardFanouts = []int{2, 0}
+				o = shardedOptimizer(t, tc.schema, opts)
+			}
+			for _, front := range [][]SchedulePoint{o.Optimize(), o.BaselineFrontier()} {
+				if len(front) == 0 {
+					t.Fatal("empty frontier")
+				}
+				for _, p := range front {
+					if m, ok := compiledMetrics(o, p.Item); !ok || !sameBits(m, p.Metrics) {
+						t.Fatalf("searched %#v, compiled %#v (ok %v)\nschedule %+v", p.Metrics, m, ok, p.Item)
+					}
+				}
+			}
+		})
+	}
+}
+
+// sameBits reports whether two metrics are equal bit for bit.
+func sameBits(a, b perf.Metrics) bool {
+	bits := math.Float64bits
+	return bits(a.TTFT) == bits(b.TTFT) && bits(a.TPOT) == bits(b.TPOT) && bits(a.QPS) == bits(b.QPS) &&
+		bits(a.QPSPerChip) == bits(b.QPSPerChip) && bits(a.Recall) == bits(b.Recall)
 }

@@ -221,11 +221,11 @@ func newSearchSpace(pipe pipeline.Pipeline, opts Options) searchSpace {
 }
 
 // searchCtx is one worker's reusable state for the per-plan search: the
-// shared search space, the scratch metrics evaluator, the partial/arena
-// buffers and the worker's search counters. Not safe for concurrent use.
+// shared search space, the evaluator that prices stampings' prefix steps
+// and decode paces, the partial/arena buffers and the worker's search
+// counters. Not safe for concurrent use.
 type searchCtx struct {
 	*searchSpace
-	o  *Optimizer
 	ev *engine.Evaluator
 
 	// The cheapest searched knob pair — the pair whose tuned scan is
@@ -276,19 +276,15 @@ type searchCtx struct {
 	// lat is the critical-path walk's per-stage latency buffer.
 	lat []float64
 
-	// scratch is the schedule every compiled candidate is stamped into
-	// (stamp); only candidates that survive the incumbent filter are
-	// copied out of it (own).
-	scratch Schedule
-	// stats counts this worker's plans, pruned partials and compiles.
+	// stats counts this worker's plans, pruned partials and stampings.
 	stats SearchStats
 }
 
 type partialCorner struct{ tpot, qps float64 }
 
-// newSearchCtx builds a worker context. The scratch evaluator runs the
-// exact compile arithmetic engine.Compile runs, without per-schedule plan
-// allocation.
+// newSearchCtx builds a worker context. Its evaluator prices prefix steps
+// and decode paces (PrefixCost, DecodeCost) with the arithmetic
+// engine.Compile runs, from a stage-price memo of its own.
 func (o *Optimizer) newSearchCtx() *searchCtx {
 	ev, err := engine.NewEvaluator(o.Pipe, o.Prof)
 	if err != nil {
@@ -297,7 +293,6 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 	}
 	ctx := &searchCtx{
 		searchSpace: &o.space,
-		o:           o,
 		ev:          ev,
 		lat:         make([]float64, len(o.Pipe.Stages)),
 		decMemo:     make(map[int][]decPoint),
@@ -346,38 +341,17 @@ func (o *Optimizer) cheapestKnobs(knobs []knobOpt) (np, fo int) {
 	return np, fo
 }
 
-// evaluate assembles end-to-end metrics for one schedule through the
-// scratch evaluator, shaped when the options carry a sample, normalized by
-// the options' QPS/chip denominator. Unshaped and unnormalized, results are
-// bit-identical to the metrics of Optimizer.Compile's plan.
-func (c *searchCtx) evaluate(s Schedule) (perf.Metrics, bool) {
-	c.stats.Compiled++
-	var m perf.Metrics
-	var ok bool
-	if shapes := c.o.opts.Shapes; len(shapes) > 0 {
-		m, ok = c.ev.EvaluateShaped(s, shapes)
-	} else {
-		m, ok = c.ev.Evaluate(s)
-	}
-	if !ok {
-		return perf.Metrics{}, false
-	}
-	if n := c.o.opts.NormalizeChips; n > 0 {
-		m.QPSPerChip = m.QPS / float64(n)
-	}
-	return m, true
-}
-
 // mergedMetrics is a decode-merged candidate's metrics as the merge knows
-// them before any compile. Where the tiers price the schedule itself (no
-// proxy) they are bit-identical to the metrics compiling the candidate
-// returns (TestMergeMetricsMatchEvaluate).
+// them. Where the tiers price the schedule itself (no proxy) they are
+// bit-identical to the metrics compiling the candidate returns
+// (TestMergeMetricsMatchEvaluate).
 func (c *searchCtx) mergedMetrics(p spart, normChips float64) perf.Metrics {
 	return perf.Metrics{TTFT: p.exact, TPOT: p.tpot, QPS: p.qps, QPSPerChip: p.qps / normChips, Recall: c.recalls[0]}
 }
 
 // stampPrice is one stamping as priceStamps prices it; ok is false where
-// its compile fails or its metrics are not Valid.
+// compiling it fails, which for a priced stamping is where a term is
+// infeasible or its metrics are not Valid.
 type stampPrice struct {
 	m  perf.Metrics
 	ok bool
@@ -393,7 +367,8 @@ type stampPrice struct {
 // (TestMergeMetricsMatchEvaluate).
 func (o *Optimizer) priceStamps(c *searchCtx, plan Plan, bIter int, p spart, normChips float64) {
 	if !c.proxy {
-		c.sm = append(c.sm[:0], stampPrice{c.mergedMetrics(p, normChips), true})
+		m := c.mergedMetrics(p, normChips)
+		c.sm = append(c.sm[:0], stampPrice{m, m.Valid()})
 		return
 	}
 	sm := c.sm[:0]
@@ -510,56 +485,34 @@ func (o *Optimizer) shapedDecode(c *searchCtx, plan Plan, d *decPoint) decPoint 
 	return *d
 }
 
-// stamp expands a surviving partial into the worker's scratch schedule
-// with stamping si, reading its group choices from the prefix entry's
-// slab. The group storage is reused across calls and the replica slices
-// alias the shared memo (evaluation only reads them), so stamping
-// allocates nothing; the schedule is valid until the next stamp, and own
-// copies out the ones worth keeping.
-func (c *searchCtx) stamp(plan Plan, bIter int, p spart, si int) *Schedule {
-	ng := len(plan.Placement.Groups)
-	groups := c.scratch.Groups
-	if ng > 0 && cap(groups) < ng {
-		groups = make([]GroupSchedule, ng)
-	}
-	groups = groups[:ng]
-	picks := c.pre.picks[int(p.node)*ng : int(p.node+1)*ng]
-	for gi, pk := range picks {
-		groups[gi] = GroupSchedule{
-			Stages:   plan.Placement.Groups[gi].Stages,
-			Chips:    plan.GroupChips[gi],
-			Batch:    pk.batch,
-			Replicas: pk.replicas,
-		}
-	}
-	c.scratch = Schedule{
-		Groups:           groups,
+// stamp expands a surviving partial with stamping si into a schedule of
+// its own, reading its group choices from the prefix entry's slab: the
+// schedule aliases neither the slab nor the memo.
+func (c *searchCtx) stamp(plan Plan, bIter int, p spart, si int) Schedule {
+	f, k := c.forms[si/len(c.knobs)], c.knobs[si%len(c.knobs)]
+	s := Schedule{
 		RetrievalServers: plan.Servers,
 		RetrievalBatch:   int(p.retrB),
 		DecodeChips:      plan.DecodeChips,
 		DecodeBatch:      int(p.decB),
 		DecodeReplicas:   int(p.decR),
 		IterativeBatch:   bIter,
+		FormPolicy:       f.policy,
+		ChunkQuantum:     f.quantum,
+		NProbe:           k.nprobe,
+		ShardFanout:      k.fanout,
 	}
-	f, k := c.forms[si/len(c.knobs)], c.knobs[si%len(c.knobs)]
-	c.scratch.FormPolicy, c.scratch.ChunkQuantum = f.policy, f.quantum
-	c.scratch.NProbe, c.scratch.ShardFanout = k.nprobe, k.fanout
-	return &c.scratch
-}
-
-// own copies a stamped schedule out for retention, so the result aliases
-// neither the scratch nor the memo.
-func own(s Schedule) Schedule {
-	if len(s.Groups) == 0 {
-		s.Groups = nil
-		return s
+	if ng := len(plan.Placement.Groups); ng > 0 {
+		s.Groups = make([]GroupSchedule, ng)
+		for gi, pk := range c.pre.picks[int(p.node)*ng : int(p.node+1)*ng] {
+			s.Groups[gi] = GroupSchedule{
+				Stages:   plan.Placement.Groups[gi].Stages,
+				Chips:    plan.GroupChips[gi],
+				Batch:    pk.batch,
+				Replicas: append([]int(nil), pk.replicas...),
+			}
+		}
 	}
-	groups := make([]GroupSchedule, len(s.Groups))
-	for i, g := range s.Groups {
-		g.Replicas = append([]int(nil), g.Replicas...)
-		groups[i] = g
-	}
-	s.Groups = groups
 	return s
 }
 
@@ -1023,9 +976,10 @@ func (o *Optimizer) groupChoicesFor(ctx *searchCtx, g pipeline.Group, chips, ser
 }
 
 // groupChoices evaluates every per-stage replication combination of a
-// group at one batch size, returning (ttft, occupancy) aggregates. pause
-// is the per-request retrieval wait for groups spanning the retrieval
-// stage (zero otherwise).
+// group at one batch size whose collocated models fit the group's HBM
+// (engine.GroupMemFits, which compiling checks), returning (ttft,
+// occupancy) aggregates. pause is the per-request retrieval wait for
+// groups spanning the retrieval stage (zero otherwise).
 func (o *Optimizer) groupChoices(g pipeline.Group, chips, batch, prefixIdx int, iterPrefOcc, pause float64) []groupChoice {
 	perStage := make([][]stageperf.Point, len(g.Stages))
 	for i, idx := range g.Stages {
@@ -1059,6 +1013,9 @@ func (o *Optimizer) groupChoices(g pipeline.Group, chips, batch, prefixIdx int, 
 	var rec func(i int, ttft, occ float64, reps []int, lats, inv []float64)
 	rec = func(i int, ttft, occ float64, reps []int, lats, inv []float64) {
 		if i == len(perStage) {
+			if !engine.GroupMemFits(o.Pipe, o.Prof, GroupSchedule{Stages: g.Stages, Chips: chips, Replicas: reps}) {
+				return
+			}
 			terms := append(append(make([]float64, 0, 2*i), lats...), inv...) // one allocation
 			out = append(out, groupChoice{
 				ttft:     ttft,

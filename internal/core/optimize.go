@@ -110,13 +110,13 @@ type Optimizer struct {
 // SearchStats summarizes one Optimize call's branch-and-bound behaviour:
 // how much of the enumeration the admissible bounds eliminated, and how
 // tight those bounds were against what the search actually achieved. An
-// exhaustive reference run reports only Plans, Searched and Compiled — it
+// exhaustive reference run reports only Plans, Searched and Stamped — it
 // computes no bounds, so the pruning counters and gaps stay zero.
 //
-// With more than one worker the pruning counters and Compiled depend on
+// With more than one worker the pruning counters and Stamped depend on
 // worker timing: which plans finish first decides how tight the incumbent
-// is when each later plan is probed. Six 2-worker Case IV searches compiled
-// 1,139–1,222 schedules where six 1-worker searches compiled 1,137 each.
+// is when each later plan is probed. Six 2-worker Case IV searches stamped
+// 1,139–1,222 schedules where six 1-worker searches stamped 1,137 each.
 // The frontier does not move; exact counters come from a Workers: 1 search.
 type SearchStats struct {
 	// Plans is the full enumeration size; Infeasible the plans skipped
@@ -131,11 +131,11 @@ type SearchStats struct {
 	// against the incumbent before the decode tier extends them
 	// (pruneAgainstIncumbent drops; one cut per plan and iterative batch).
 	PrunedPartials int64 `json:"pruned_partials"`
-	// Compiled counts the schedules the search compiled. Every stamping
-	// of every candidate is priced from the tiers and filtered against the
-	// incumbent first, so only the frontier of each plan's survivors pays
-	// for a compile (compileFront).
-	Compiled int64 `json:"compiled"`
+	// Stamped counts the schedules the search stamped out of its
+	// candidates. Every stamping of every candidate is priced from the
+	// tiers and filtered against the incumbent first, so only the frontier
+	// of each plan's survivors becomes a Schedule (stampFront).
+	Stamped int64 `json:"stamped"`
 	// TTFTGap, TPOTGap, and QPSGap are per-objective bound-to-achieved
 	// ratios, each >= 1 when defined (0 when not): the frontier's best
 	// achieved value over the best optimistic bound for the latency
@@ -149,8 +149,8 @@ type SearchStats struct {
 
 // String renders the stats as the two CLI lines `rago optimize` prints.
 func (s SearchStats) String() string {
-	out := fmt.Sprintf("search: %d plans (%d infeasible, %d pruned by bound, %d searched), %d partials pruned, %d schedules compiled",
-		s.Plans, s.Infeasible, s.PrunedPlans, s.Searched, s.PrunedPartials, s.Compiled)
+	out := fmt.Sprintf("search: %d plans (%d infeasible, %d pruned by bound, %d searched), %d partials pruned, %d schedules stamped",
+		s.Plans, s.Infeasible, s.PrunedPlans, s.Searched, s.PrunedPartials, s.Stamped)
 	if s.TTFTGap > 0 || s.TPOTGap > 0 || s.QPSGap > 0 {
 		out += fmt.Sprintf("\nbound gap (achieved/bound): TTFT %.2fx, TPOT %.2fx, QPS %.2fx",
 			s.TTFTGap, s.TPOTGap, s.QPSGap)
@@ -196,25 +196,48 @@ func (o *Optimizer) With(opts Options) (*Optimizer, error) {
 // plan's metrics are the ones the search priced s at: ShapeMetrics over
 // Options.Shapes when the search is shaped, so every reference read off
 // the plan (a report's analytic, a library's capacities) is for the
-// traffic the schedule was chosen for. They are per allocated chip
+// traffic the schedule was chosen for, and like engine.Compile it refuses
+// a schedule whose metrics are not Valid. They are per allocated chip
 // whatever Options.NormalizeChips says.
 func (o *Optimizer) Compile(s Schedule) (*engine.Plan, error) {
 	p, err := engine.Compile(o.Pipe, s, o.Prof)
 	if err != nil || len(o.opts.Shapes) == 0 {
 		return p, err
 	}
-	p.Metrics = p.ShapeMetrics(o.opts.Shapes)
+	if p.Metrics = p.ShapeMetrics(o.opts.Shapes); !p.Metrics.Valid() {
+		return nil, fmt.Errorf("core: schedule assembles to unphysical shaped metrics %v", p.Metrics)
+	}
 	return p, nil
 }
 
 // newOptimizer validates opts and owns a copy of them, slices included, so
-// no caller can change the search after its memos are built.
+// no caller can change the search after its memos are built. The search
+// compiles nothing, so every option it stamps onto a schedule is checked
+// here, as compiling the schedule would check it.
 func newOptimizer(pipe pipeline.Pipeline, prof *stageperf.Profiler, opts Options) (*Optimizer, error) {
 	if err := opts.Cluster.Validate(); err != nil {
 		return nil, err
 	}
 	if opts.MaxPreBatch < 1 || opts.MaxRetrievalBatch < 1 || opts.MaxDecodeBatch < 1 {
 		return nil, fmt.Errorf("core: batch bounds must be positive")
+	}
+	for i, pl := range opts.Placements {
+		if err := pl.Validate(pipe); err != nil {
+			return nil, fmt.Errorf("core: placement %d: %w", i, err)
+		}
+	}
+	for _, pol := range opts.Policies {
+		if pol < engine.PolicyFIFO || pol > engine.PolicySorted {
+			return nil, fmt.Errorf("core: unknown batch-formation policy %d", int(pol))
+		}
+	}
+	for _, dim := range []struct {
+		name string
+		xs   []int
+	}{{"chunk quantum", opts.ChunkQuanta}, {"nprobe", opts.NProbes}, {"shard fanout", opts.ShardFanouts}} {
+		if i := slices.IndexFunc(dim.xs, func(x int) bool { return x < 0 }); i >= 0 {
+			return nil, fmt.Errorf("core: negative %s %d", dim.name, dim.xs[i])
+		}
 	}
 	opts.Placements = slices.Clone(opts.Placements)
 	opts.Shapes = slices.Clone(opts.Shapes)
@@ -359,12 +382,10 @@ func (o *Optimizer) groupMinChips(pl pipeline.Placement) []int {
 }
 
 // PlanFrontier searches batching policies within one plan and returns its
-// Pareto frontier. With no incumbent to filter against, the frontier of
-// every stamping is compiled, so the output is exactly Evaluate-consistent.
-// It reuses both
-// memos across calls — the optimizer's group choices and the profiler's
-// stage prices — so a repeated call prices nothing twice (which is what
-// core.plan_frontier_ns measures).
+// Pareto frontier, at the metrics compiling each point returns. It reuses
+// both memos across calls — the optimizer's group choices and the
+// profiler's stage prices — so a repeated call prices nothing twice (which
+// is what core.plan_frontier_ns measures).
 func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 	return o.planFrontier(o.newSearchCtx(), plan, nil, perf.Metrics{})
 }
@@ -376,16 +397,15 @@ func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 // The tiers leave decode-merged candidates, and each is stamped with every
 // formation and retrieval knob pair the search enumerates (one stamping
 // when it enumerates none). priceStamps prices every stamping from the
-// candidate's tier prices, bit for bit as compiling it would. A stamping is
-// dropped when an incumbent point strictly dominates it. That is lossless:
-// the incumbent holds only real compiled points, each of which is on the
-// final frontier or strictly dominated by a point that is, so a dropped
-// stamping could never be returned. Exact ties are not strict dominance,
-// so they survive, and the final pass still keeps the first of them in
-// enumeration order.
-//
-// Only the frontier of what survives is compiled (compileFront), and the
-// returned metrics come from that compile.
+// candidate's tier prices, bit for bit as compiling it would, and marks
+// the ones compiling would refuse. A stamping is dropped when an incumbent
+// point strictly dominates it. That is lossless: the incumbent holds only
+// priced points that stay in the results, each of which is on the final
+// frontier or strictly dominated by a point that is, so a dropped stamping
+// could never be returned. Exact ties are not strict dominance, so they
+// survive, and the final pass still keeps the first of them in enumeration
+// order. Only the frontier of what survives becomes a Schedule
+// (stampFront); nothing is compiled.
 //
 // Where the tiers price a proxy (searchSpace.proxy), the partial cut before
 // the decode tier stays off: the tiers' Pareto prunes then choose among
@@ -415,54 +435,30 @@ func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incrementa
 			}
 		}
 		ctx.priced, ctx.refs = priced, refs
-		pts = o.compileFront(ctx, plan, bIter, cands, pts)
+		pts = o.stampFront(ctx, plan, bIter, cands, pts)
 	}
 	return perf.Frontier(pts)
 }
 
-// stampRef names one priced stamping: its candidate, its stamping, and
-// whether compileFront has compiled it.
-type stampRef struct {
-	cand, stamp int32
-	compiled    bool
-}
+// stampRef names one priced stamping: its candidate and its stamping.
+type stampRef struct{ cand, stamp int32 }
 
-// compileFront compiles the stampings on the frontier of ctx.priced, in
-// order, and appends them to pts. The compile is the feasibility check: a
-// member that does not compile leaves the set and the frontier is taken
-// again. A member stays a member when others leave, so each is compiled
-// once, and what is appended is the frontier of the stampings that
-// compile, representatives included, as compiling every stamping and
-// taking the frontier would leave it. Without a proxy the decode merge's
-// prune has already left a frontier, so every stamping is compiled.
-func (o *Optimizer) compileFront(ctx *searchCtx, plan Plan, bIter int, cands []spart, pts []SchedulePoint) []SchedulePoint {
-	for {
-		retry := false
-		front := ctx.priced
-		if ctx.proxy {
-			front = perf.Frontier(ctx.priced)
-			// In enumeration order, a candidate's stampings compile
-			// together: they share the decode term the evaluator memoizes.
-			slices.SortFunc(front, func(a, b perf.Point[int32]) int { return cmp.Compare(a.Item, b.Item) })
-		}
-		for _, f := range front {
-			r := &ctx.refs[f.Item]
-			if r.compiled {
-				continue
-			}
-			r.compiled = true
-			sc := ctx.stamp(plan, bIter, cands[r.cand], int(r.stamp))
-			if m, ok := ctx.evaluate(*sc); ok {
-				pts = append(pts, SchedulePoint{Metrics: m, Item: own(*sc)})
-				continue
-			}
-			ctx.priced[f.Item].Metrics = perf.Metrics{TTFT: math.NaN()} // invalid: the frontier drops it
-			retry = ctx.proxy
-		}
-		if !retry {
-			return pts
-		}
+// stampFront stamps the stampings on the frontier of ctx.priced into
+// schedules, in enumeration order, and appends them to pts at the
+// metrics priceStamps gave them. Without a proxy the decode merge's prune
+// has already left a frontier, so every stamping is stamped.
+func (o *Optimizer) stampFront(ctx *searchCtx, plan Plan, bIter int, cands []spart, pts []SchedulePoint) []SchedulePoint {
+	front := ctx.priced
+	if ctx.proxy {
+		front = perf.Frontier(front)
+		slices.SortFunc(front, func(a, b perf.Point[int32]) int { return cmp.Compare(a.Item, b.Item) })
 	}
+	for _, f := range front {
+		r := ctx.refs[f.Item]
+		pts = append(pts, SchedulePoint{Metrics: f.Metrics, Item: ctx.stamp(plan, bIter, cands[r.cand], int(r.stamp))})
+	}
+	ctx.stats.Stamped += int64(len(front))
+	return pts
 }
 
 // Optimize runs the full search and returns the global Pareto frontier
@@ -593,7 +589,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 		st.PrunedPlans += c.stats.PrunedPlans
 		st.Searched += c.stats.Searched
 		st.PrunedPartials += c.stats.PrunedPartials
-		st.Compiled += c.stats.Compiled
+		st.Stamped += c.stats.Stamped
 	}
 	if inc != nil {
 		for i := range plans {

@@ -134,23 +134,6 @@ func (c Config) PrefixOps(seqLen, batch int) []Op {
 		return nil
 	}
 	rows := batch * seqLen
-	d := c.DModel
-	qkvN := (c.Heads + 2*c.KVHeads) * c.HeadDim
-	act := c.BytesPerParam // activations stored at weight precision
-
-	ops := make([]Op, 0, 6)
-
-	// Fused QKV projection.
-	wQKV := float64(d) * float64(qkvN) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "qkv_proj",
-		FLOPs: 2 * float64(rows) * float64(d) * float64(qkvN),
-		Bytes: wQKV + float64(rows)*float64(d+qkvN)*act,
-		M:     rows, K: d, N: qkvN,
-		Repeat:      c.Layers,
-		WeightBytes: wQKV,
-	})
-
 	// Attention: scores QK^T and weighted sum over V. Causal masking for
 	// generative models halves the score/value work; encoders attend to
 	// all positions. KV cache is written once per token for generative
@@ -160,62 +143,18 @@ func (c Config) PrefixOps(seqLen, batch int) []Op {
 		attnFLOPs /= 2
 	}
 	kvWrite := float64(batch) * float64(seqLen) * 2 * float64(c.KVHeads) * float64(c.HeadDim) * c.KVBytesPerElem
-	ops = append(ops, Op{
+	attn := Op{
 		Name:  "attention",
 		FLOPs: attnFLOPs,
-		Bytes: kvWrite + 2*float64(rows)*float64(c.Heads*c.HeadDim)*act,
+		Bytes: kvWrite + 2*float64(rows)*float64(c.Heads*c.HeadDim)*c.BytesPerParam,
 		M:     seqLen, K: c.HeadDim, N: seqLen,
 		Repeat: c.Layers,
-	})
-
-	// Output projection.
-	wO := float64(c.Heads*c.HeadDim) * float64(d) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "o_proj",
-		FLOPs: 2 * float64(rows) * float64(c.Heads*c.HeadDim) * float64(d),
-		Bytes: wO + float64(rows)*float64(c.Heads*c.HeadDim+d)*act,
-		M:     rows, K: c.Heads * c.HeadDim, N: d,
-		Repeat:      c.Layers,
-		WeightBytes: wO,
-	})
-
-	// MLP up (and gate, if SwiGLU) then down.
-	upN := c.FFN
-	if c.GatedMLP {
-		upN = 2 * c.FFN
 	}
-	wUp := float64(d) * float64(upN) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "mlp_up",
-		FLOPs: 2 * float64(rows) * float64(d) * float64(upN),
-		Bytes: wUp + float64(rows)*float64(d+upN)*act,
-		M:     rows, K: d, N: upN,
-		Repeat:      c.Layers,
-		WeightBytes: wUp,
-	})
-	wDown := float64(c.FFN) * float64(d) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "mlp_down",
-		FLOPs: 2 * float64(rows) * float64(c.FFN) * float64(d),
-		Bytes: wDown + float64(rows)*float64(c.FFN+d)*act,
-		M:     rows, K: c.FFN, N: d,
-		Repeat:      c.Layers,
-		WeightBytes: wDown,
-	})
-
-	if !c.EncoderOnly {
-		// LM head for the final position of each sequence only.
-		wHead := float64(d) * float64(c.Vocab) * c.BytesPerParam
-		ops = append(ops, Op{
-			Name:  "lm_head",
-			FLOPs: 2 * float64(batch) * float64(d) * float64(c.Vocab),
-			Bytes: wHead + float64(batch)*float64(d+c.Vocab)*act,
-			M:     batch, K: d, N: c.Vocab,
-			Repeat:      1,
-			WeightBytes: wHead,
-		})
+	headRows := batch // the LM head runs for the final position of each sequence only
+	if c.EncoderOnly {
+		headRows = 0
 	}
-	return ops
+	return c.forward(rows, attn, headRows)
 }
 
 // DecodeOps returns the operator sequence for one auto-regressive decode
@@ -226,78 +165,56 @@ func (c Config) DecodeOps(batch, ctxLen int) []Op {
 	if c.EncoderOnly || batch <= 0 || ctxLen < 0 {
 		return nil
 	}
-	rows := batch
-	d := c.DModel
-	qkvN := (c.Heads + 2*c.KVHeads) * c.HeadDim
-	act := c.BytesPerParam
-
-	ops := make([]Op, 0, 6)
-
-	wQKV := float64(d) * float64(qkvN) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "qkv_proj",
-		FLOPs: 2 * float64(rows) * float64(d) * float64(qkvN),
-		Bytes: wQKV + float64(rows)*float64(d+qkvN)*act,
-		M:     rows, K: d, N: qkvN,
-		Repeat:      c.Layers,
-		WeightBytes: wQKV,
-	})
-
 	// Attention over the KV cache: per sequence, read ctxLen tokens of K
 	// and V and do a rank-1 score + weighted-sum per head.
 	kvRead := float64(batch) * float64(ctxLen) * 2 * float64(c.KVHeads) * float64(c.HeadDim) * c.KVBytesPerElem
 	// Attention kernels batch the rank-1 per-head products across the
 	// batch and head dimensions, so the row count feeding the array is
 	// the batch size, not 1.
-	ops = append(ops, Op{
+	attn := Op{
 		Name:  "attention",
 		FLOPs: 4 * float64(batch) * float64(c.Heads) * float64(ctxLen) * float64(c.HeadDim),
-		Bytes: kvRead + 2*float64(rows)*float64(c.Heads*c.HeadDim)*act,
+		Bytes: kvRead + 2*float64(batch)*float64(c.Heads*c.HeadDim)*c.BytesPerParam,
 		M:     batch, K: c.HeadDim, N: ctxLen,
 		Repeat: c.Layers,
-	})
+	}
+	return c.forward(batch, attn, batch)
+}
 
-	wO := float64(c.Heads*c.HeadDim) * float64(d) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "o_proj",
-		FLOPs: 2 * float64(rows) * float64(c.Heads*c.HeadDim) * float64(d),
-		Bytes: wO + float64(rows)*float64(c.Heads*c.HeadDim+d)*act,
-		M:     rows, K: c.Heads * c.HeadDim, N: d,
-		Repeat:      c.Layers,
-		WeightBytes: wO,
-	})
-
+// forward is one forward pass over rows token positions: per layer the
+// fused QKV projection, attn, the output projection and the MLP (up, with
+// the gate if SwiGLU, then down), then an LM head over headRows positions
+// when headRows is positive.
+func (c Config) forward(rows int, attn Op, headRows int) []Op {
+	d := c.DModel
 	upN := c.FFN
 	if c.GatedMLP {
 		upN = 2 * c.FFN
 	}
-	wUp := float64(d) * float64(upN) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "mlp_up",
-		FLOPs: 2 * float64(rows) * float64(d) * float64(upN),
-		Bytes: wUp + float64(rows)*float64(d+upN)*act,
-		M:     rows, K: d, N: upN,
-		Repeat:      c.Layers,
-		WeightBytes: wUp,
-	})
-	wDown := float64(c.FFN) * float64(d) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "mlp_down",
-		FLOPs: 2 * float64(rows) * float64(c.FFN) * float64(d),
-		Bytes: wDown + float64(rows)*float64(c.FFN+d)*act,
-		M:     rows, K: c.FFN, N: d,
-		Repeat:      c.Layers,
-		WeightBytes: wDown,
-	})
-
-	wHead := float64(d) * float64(c.Vocab) * c.BytesPerParam
-	ops = append(ops, Op{
-		Name:  "lm_head",
-		FLOPs: 2 * float64(rows) * float64(d) * float64(c.Vocab),
-		Bytes: wHead + float64(rows)*float64(d+c.Vocab)*act,
-		M:     rows, K: d, N: c.Vocab,
-		Repeat:      1,
-		WeightBytes: wHead,
-	})
+	ops := append(make([]Op, 0, 6),
+		c.linear("qkv_proj", rows, d, (c.Heads+2*c.KVHeads)*c.HeadDim, c.Layers),
+		attn,
+		c.linear("o_proj", rows, c.Heads*c.HeadDim, d, c.Layers),
+		c.linear("mlp_up", rows, d, upN, c.Layers),
+		c.linear("mlp_down", rows, c.FFN, d, c.Layers),
+	)
+	if headRows > 0 {
+		ops = append(ops, c.linear("lm_head", headRows, d, c.Vocab, 1))
+	}
 	return ops
+}
+
+// linear is a dense projection of rows positions from k to n features: its
+// k x n weights are read once and its activations, stored at weight
+// precision, stream in and out.
+func (c Config) linear(name string, rows, k, n, repeat int) Op {
+	w := float64(k) * float64(n) * c.BytesPerParam
+	return Op{
+		Name:  name,
+		FLOPs: 2 * float64(rows) * float64(k) * float64(n),
+		Bytes: w + float64(rows)*float64(k+n)*c.BytesPerParam,
+		M:     rows, K: k, N: n,
+		Repeat:      repeat,
+		WeightBytes: w,
+	}
 }
