@@ -35,7 +35,7 @@ package serve
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -111,7 +111,10 @@ type Options struct {
 	SearchK int
 	// QueryDim is the dimensionality of synthesized queries for Searcher.
 	QueryDim int
-	// QuerySeed makes synthesized query batches deterministic.
+	// QuerySeed makes synthesized query batches deterministic: a batch
+	// headed by request ID h searches the queries of one math/rand/v2 PCG
+	// seeded (QuerySeed+h, QuerySeed+h), Float32()*10 per coordinate, so
+	// every coordinate lies in [0, 10).
 	QuerySeed int64
 }
 
@@ -163,10 +166,12 @@ func (o Options) withDefaults() Options {
 }
 
 // searchBuf is one retrieval batch's query storage, reused across batches:
-// the generator, the flat backing array the query vectors are drawn into,
-// their row views, the per-query scatter plans (whose Consulted slices the
-// sharded index refills in place), and each unit's error and duration.
+// the generator (a PCG reseeded in O(1) per batch, and its Rand), the flat
+// array the queries are drawn into, their row views, the per-query scatter
+// plans (whose Consulted slices the sharded index refills in place), and
+// each unit's error and duration.
 type searchBuf struct {
+	pcg     rand.PCG
 	rng     *rand.Rand
 	flat    []float32
 	queries [][]float32
@@ -313,17 +318,17 @@ func (s *Server) work(sr *search) {
 }
 
 // prepare draws the queries of a full batch headed by sr.head (the batch
-// uses its members' prefix): one math/rand stream seeded QuerySeed + the
-// head's request ID, Float32()*10 per coordinate.
+// uses its members' prefix): the buffer's PCG, reseeded (s, s) with s =
+// QuerySeed + the head's request ID, gives Float32()*10 per coordinate.
 func (s *Server) prepare(sr *search) {
 	n := sr.plan.StepAt(sr.slot).Batch * queriesPer(sr.plan)
-	dim, seed := s.opts.QueryDim, s.opts.QuerySeed+int64(sr.head)
+	dim, seed := s.opts.QueryDim, uint64(s.opts.QuerySeed+int64(sr.head))
 	buf, _ := s.searchBufs.Get().(*searchBuf)
 	if buf == nil {
-		buf = &searchBuf{rng: rand.New(rand.NewSource(seed))}
-	} else {
-		buf.rng.Seed(seed)
+		buf = new(searchBuf)
+		buf.rng = rand.New(&buf.pcg)
 	}
+	buf.pcg.Seed(seed, seed)
 	buf.flat = slices.Grow(buf.flat[:0], n*dim)[:n*dim]
 	buf.queries = slices.Grow(buf.queries[:0], n)[:n]
 	for i := range buf.flat {

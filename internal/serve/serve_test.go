@@ -2,7 +2,7 @@ package serve
 
 import (
 	"math"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"testing"
 
@@ -195,8 +195,8 @@ func TestRuntimeRealRetrieval(t *testing.T) {
 	const n, querySeed = 300, 41
 	// The query storage is reused between batches, yet every batch must
 	// carry exactly the vectors of its own generator stream: one
-	// math/rand source seeded QuerySeed + the batch's first request ID,
-	// Float32()*10 per coordinate.
+	// math/rand/v2 PCG seeded (s, s) with s = QuerySeed + the batch's first
+	// request ID, Float32()*10 per coordinate.
 	var mu sync.Mutex
 	offStream := 0
 	rt, err := serverFor(pipe, prof, sched, Options{
@@ -204,7 +204,8 @@ func TestRuntimeRealRetrieval(t *testing.T) {
 		Searcher: func(queries [][]float32) ([][]vectordb.Result, error) {
 			matched := false
 			for id := 0; id < n && !matched; id++ {
-				rng := rand.New(rand.NewSource(querySeed + int64(id)))
+				seed := uint64(querySeed + id)
+				rng := rand.New(rand.NewPCG(seed, seed))
 				matched = true
 				for _, q := range queries {
 					for _, x := range q {

@@ -116,8 +116,8 @@ func (ix *IVFPQ) searchInto(s *scratch, q []float32, k, nprobe int, dst []Result
 }
 
 func (ix *IVFPQ) checkQuery(q []float32, k, nprobe int) error {
-	if len(q) != ix.dim {
-		return fmt.Errorf("vectordb: query dim %d != %d", len(q), ix.dim)
+	if err := checkVector(q, ix.dim); err != nil {
+		return fmt.Errorf("vectordb: query %w", err)
 	}
 	if k < 1 {
 		return fmt.Errorf("vectordb: k = %d < 1", k)

@@ -480,45 +480,32 @@ func transpose(dst, src []float32, k, dim int) {
 	}
 }
 
+// sqDists8, when set, is sqDists' vector body for the first len(dst)
+// centroids, a multiple of 8, of a table with row stride k. It is set at
+// package init from CPUID: sqDists8AVX2 where the host has AVX2.
+var sqDists8 func(dst, v, centsT []float32, k int)
+
 // sqDists sets dst[c] to the squared distance from v to centroid c, for the
-// len(dst) centroids stored dimension-major in centsT. Each dst[c]
-// accumulates its terms in dimension order — the same float32 sum
-// SquaredL2 computes — and the sums of different centroids interleave: on
-// short vectors one streaming pass per dimension keeps the inner loop free
-// of per-centroid overhead; on long ones four centroids walk the dimensions
-// in lockstep, each summing in a register of its own.
+// len(dst) centroids stored dimension-major in centsT. Each dst[c] starts at
+// 0 and accumulates its terms in dimension order — the same float32 sum
+// SquaredL2 computes. The vector body, if any, takes blocks of 8 centroids,
+// a lane each, and rounds every term as the portable loop does; the loop
+// (one streaming pass per dimension) takes the k mod 8 tail, or all of dst.
 func sqDists(dst, v, centsT []float32) {
-	k, c := len(dst), 0
-	if len(v) < 8 {
-		clear(dst)
-		for d, x := range v {
-			col := centsT[d*k:][:k]
-			for c := range dst {
-				e := x - col[c]
-				dst[c] += e * e
-			}
-		}
-		return
+	k, n := len(dst), 0
+	centsT = centsT[:len(v)*k] // the vector body reads all of it unchecked
+	if sqDists8 != nil && len(v) > 0 {
+		n = k &^ 7
+		sqDists8(dst[:n], v, centsT, k)
 	}
-	for ; c+4 <= k; c += 4 {
-		var s0, s1, s2, s3 float32
-		for d, x := range v {
-			col := centsT[d*k+c:][:4]
-			e0, e1, e2, e3 := x-col[0], x-col[1], x-col[2], x-col[3]
-			s0 += e0 * e0
-			s1 += e1 * e1
-			s2 += e2 * e2
-			s3 += e3 * e3
+	tail := dst[n:]
+	clear(tail)
+	for d, x := range v {
+		col := centsT[d*k+n:][:len(tail)]
+		for c := range tail {
+			e := x - col[c]
+			tail[c] += e * e
 		}
-		dst[c], dst[c+1], dst[c+2], dst[c+3] = s0, s1, s2, s3
-	}
-	for ; c < k; c++ {
-		var s float32
-		for d, x := range v {
-			e := x - centsT[d*k+c]
-			s += e * e
-		}
-		dst[c] = s
 	}
 }
 

@@ -145,23 +145,10 @@ func (p *PQ) DistTable(q []float32) ([][]float32, error) {
 
 // fillLUT writes q's ADC table into lut (len m): lut[s][c] is the squared
 // distance from q's s-th subvector to codebook entry c, summed sequentially
-// over the subspace's dimensions exactly as SquaredL2 does. Two-dimensional
-// subspaces compute each entry in one pass, both differences in registers.
+// over the subspace's dimensions exactly as SquaredL2 does (sqDists).
 func (p *PQ) fillLUT(lut [][pqCentroids]float32, q []float32) {
-	if p.subDim != 2 {
-		for s := range lut {
-			sqDists(lut[s][:], q[s*p.subDim:(s+1)*p.subDim], p.book(s))
-		}
-		return
-	}
 	for s := range lut {
-		book, row := p.book(s), &lut[s]
-		x0, x1 := q[2*s], q[2*s+1]
-		d0, d1 := (*[pqCentroids]float32)(book), (*[pqCentroids]float32)(book[pqCentroids:])
-		for c := range row {
-			e0, e1 := x0-d0[c], x1-d1[c]
-			row[c] = e0*e0 + e1*e1
-		}
+		sqDists(lut[s][:], q[s*p.subDim:(s+1)*p.subDim], p.book(s))
 	}
 }
 

@@ -14,7 +14,8 @@
 // ID block, so a scan is the table-walk the analytical model prices. Every
 // float summation keeps one fixed order (documented at each kernel), which
 // makes results bit-reproducible across layouts, worker counts and
-// GOMAXPROCS.
+// GOMAXPROCS, and across both bodies of the distance kernel sqDists: the
+// AVX2 one (chosen from CPUID) rounds every term as the portable loop does.
 package vectordb
 
 import (
@@ -201,8 +202,8 @@ func (f *FlatIndex) Len() int { return f.n }
 // component fails the whole call and adds nothing.
 func (f *FlatIndex) Add(vecs ...[]float32) error {
 	for i, v := range vecs {
-		if err := checkVector(i, v, f.dim); err != nil {
-			return err
+		if err := checkVector(v, f.dim); err != nil {
+			return fmt.Errorf("vectordb: vector %d %w", i, err)
 		}
 	}
 	for _, v := range vecs {
@@ -224,8 +225,8 @@ func (f *FlatIndex) Search(q []float32, k int) ([]Result, error) {
 // vectors are scanned at a time (sqDist4), each distance summed in
 // SquaredL2's order, so the Dist bits are those of a one-by-one scan.
 func (f *FlatIndex) searchInto(s *scratch, q []float32, k int, dst []Result) ([]Result, error) {
-	if len(q) != f.dim {
-		return nil, fmt.Errorf("vectordb: query dim %d != index dim %d", len(q), f.dim)
+	if err := checkVector(q, f.dim); err != nil {
+		return nil, fmt.Errorf("vectordb: query %w", err)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("vectordb: k = %d < 1", k)
@@ -284,23 +285,24 @@ func checkDataset(data [][]float32, dim int) error {
 		return fmt.Errorf("vectordb: empty dataset")
 	}
 	for i, v := range data {
-		if err := checkVector(i, v, dim); err != nil {
-			return err
+		if err := checkVector(v, dim); err != nil {
+			return fmt.Errorf("vectordb: vector %d %w", i, err)
 		}
 	}
 	return nil
 }
 
-// checkVector validates vector i of a build or insert: dim finite
-// components. One NaN would otherwise make every distance to it NaN, which
-// no nearest-centroid comparison orders.
-func checkVector(i int, v []float32, dim int) error {
+// checkVector validates a stored vector or a query: dim finite components.
+// One NaN would otherwise make every distance to it NaN, which no
+// nearest-centroid or top-k comparison orders. The error reads after the
+// vector's name ("vector 12 has ...", "query has ...").
+func checkVector(v []float32, dim int) error {
 	if len(v) != dim {
-		return fmt.Errorf("vectordb: vector %d has dim %d, want %d", i, len(v), dim)
+		return fmt.Errorf("has dim %d, want %d", len(v), dim)
 	}
 	for d, x := range v {
 		if math.IsNaN(float64(x)) || math.IsInf(float64(x), 0) {
-			return fmt.Errorf("vectordb: vector %d has non-finite %v at dimension %d", i, x, d)
+			return fmt.Errorf("has non-finite %v at dimension %d", x, d)
 		}
 	}
 	return nil

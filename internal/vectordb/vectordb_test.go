@@ -67,7 +67,9 @@ func TestFlatErrors(t *testing.T) {
 // TestNonFiniteInputRejected: one NaN or infinite component anywhere in a
 // build or insert is an error naming the vector and the dimension. Were it
 // accepted, a single NaN would put every vector into cell 0 and make every
-// search distance NaN without an error.
+// search distance NaN without an error. A query with one is an error naming
+// the dimension (and, in a batch, the query); were it accepted, the search
+// would return arbitrary IDs at NaN distance.
 func TestNonFiniteInputRejected(t *testing.T) {
 	entries := []struct {
 		name string
@@ -92,6 +94,44 @@ func TestNonFiniteInputRejected(t *testing.T) {
 			err := e.call(data)
 			if err == nil || !strings.Contains(err.Error(), "vector 1234") || !strings.Contains(err.Error(), "dimension 7") {
 				t.Errorf("%s with %v at vector 1234, dimension 7: err %v", e.name, bad, err)
+			}
+		}
+	}
+
+	data := GenClustered(2000, 16, 8, 1.0, 5)
+	ix, err := BuildIVFPQ(data, 32, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := NewSharded(ix, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := NewFlat(16)
+	if err := flat.Add(data...); err != nil {
+		t.Fatal(err)
+	}
+	queries := []struct {
+		name string
+		call func(qs [][]float32) error
+	}{
+		{"IVFPQ.Search", func(qs [][]float32) error { _, err := ix.Search(qs[2], 3, 4); return err }},
+		{"IVFPQ.SearchBatch", func(qs [][]float32) error { _, err := ix.SearchBatch(qs, 3, 4); return err }},
+		{"Sharded.Search", func(qs [][]float32) error { _, err := sh.Search(qs[2], 3, 4, 4, nil); return err }},
+		{"Sharded.SearchBatch", func(qs [][]float32) error { _, err := sh.SearchBatch(qs, 3, 4, 4, nil); return err }},
+		{"FlatIndex.Search", func(qs [][]float32) error { _, err := flat.Search(qs[2], 3); return err }},
+		{"FlatIndex.SearchBatch", func(qs [][]float32) error { _, err := flat.SearchBatch(qs, 3); return err }},
+	}
+	for _, e := range queries {
+		for _, bad := range []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1))} {
+			qs := GenClustered(4, 16, 2, 1.0, 6)
+			qs[2][3] = bad
+			err := e.call(qs)
+			if err == nil || !strings.Contains(err.Error(), "dimension 3") {
+				t.Errorf("%s with %v at query dimension 3: err %v", e.name, bad, err)
+			}
+			if strings.HasSuffix(e.name, "Batch") && (err == nil || !strings.Contains(err.Error(), "batch query 2")) {
+				t.Errorf("%s with %v in query 2: err %v, want it named", e.name, bad, err)
 			}
 		}
 	}
