@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -352,6 +353,49 @@ func TestMergeMetricsMatchEvaluate(t *testing.T) {
 	}
 }
 
+// pruneRef is the reference Pareto prune of a tier's cross product: the
+// contract prunePartialsInto and the decode walk meet, by brute force. It
+// drops invalid partials, strictly dominated ones (lower TTFT and TPOT,
+// higher throughput) and exact duplicates after the first, and
+// stable-sorts the survivors by (TTFT asc, throughput desc, TPOT asc). A
+// lone partial passes unvalidated.
+func pruneRef(src []spart) []spart {
+	if len(src) <= 1 {
+		return src
+	}
+	var out []spart
+	for i, p := range src {
+		if !partialValid(p) {
+			continue
+		}
+		keep := true
+		for j, q := range src {
+			if !partialValid(q) {
+				continue
+			}
+			same := q.ttft == p.ttft && q.tpot == p.tpot && q.qps == p.qps
+			if same && j < i || !same && q.ttft <= p.ttft && q.tpot <= p.tpot && q.qps >= p.qps {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			out = append(out, p)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		if a.ttft != b.ttft {
+			return a.ttft < b.ttft
+		}
+		if a.qps != b.qps {
+			return a.qps > b.qps
+		}
+		return a.tpot < b.tpot
+	})
+	return out
+}
+
 // decodeCrossRef is the retired decode tier: every (decode point, partial)
 // combination, in that order, pruned as a whole. mergeDecode is
 // differential-tested against it.
@@ -367,24 +411,28 @@ func decodeCrossRef(parts []spart, dec []decPoint) []spart {
 			next = append(next, np)
 		}
 	}
-	return prunePartialsInto(&searchCtx{}, next, nil)
+	return pruneRef(next)
 }
 
-// TestMergeDecodeDifferential drives the two-staircase decode merge against
-// the full cross product on random pre-decode staircases and decode tiers
-// drawn from coarse grids, so TTFT, QPS and TPOT ties, decode throughputs
-// equal to a partial's, and duplicate decode points are common. Each
-// partial and decode point carries a distinct id (node, batch), so the
+// TestMergeDecodeDifferential drives the decode tier's staircase walk
+// against the full cross product on random pre-decode staircases and decode
+// tiers drawn from coarse grids, so TTFT, QPS and TPOT ties, decode
+// throughputs equal to a partial's, and duplicate decode points are common.
+// Each partial and decode point carries a distinct id (node, batch), so the
 // survivors must match the reference's representatives and order exactly,
 // not just its metrics. Some trials use a single partial, an unbounded one
 // (the no-group, no-retrieval start), or decode points the validity filter
-// rejects.
+// rejects. Two trial classes target the walk's own state: several partial
+// sets merged against one ordered tier, as a worker reuses a decode chip
+// count's memoized tier across plans, and runs of equal-TPOT decode points
+// whose throughputs straddle a partial's, where the capped pair's
+// representative is the lowest index at or above the partial's throughput.
 func TestMergeDecodeDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	ctx := &searchCtx{} // reused across trials, as a worker's is
-	for trial := 0; trial < 3000; trial++ {
-		// Pre-decode partials: prune random grid points into a staircase,
-		// as the group and retrieval tiers leave them.
+	randParts := func(trial int) []spart {
+		// Prune random grid points into a staircase, as the group and
+		// retrieval tiers leave them.
 		var raw []spart
 		switch trial % 10 {
 		case 0:
@@ -404,8 +452,9 @@ func TestMergeDecodeDifferential(t *testing.T) {
 				raw = append(raw, p)
 			}
 		}
-		parts := prunePartialsInto(&searchCtx{}, raw, nil)
-
+		return prunePartialsInto(&searchCtx{}, raw, nil)
+	}
+	randDec := func() []decPoint {
 		dec := make([]decPoint, rng.Intn(14))
 		for i := range dec {
 			d := decPoint{
@@ -429,13 +478,57 @@ func TestMergeDecodeDifferential(t *testing.T) {
 			}
 			dec[i] = d
 		}
-
+		return dec
+	}
+	// straddle draws runs of decode points sharing a TPOT whose throughputs
+	// sit a step below, at and above partial throughputs on the grid, in a
+	// random index order.
+	straddle := func() []decPoint {
+		var dec []decPoint
+		for range 1 + rng.Intn(4) {
+			tpot := float64(1+rng.Intn(5)) * 0.001
+			q := float64(1+rng.Intn(8)) * 10
+			for _, dq := range []float64{-5, 0, 5, 10} {
+				if rng.Intn(4) > 0 {
+					dec = append(dec, decPoint{tpot: tpot, qps: q + dq, replicas: int32(rng.Intn(3))})
+				}
+			}
+		}
+		rng.Shuffle(len(dec), func(i, j int) { dec[i], dec[j] = dec[j], dec[i] })
+		for i := range dec {
+			dec[i].batch = int32(i)
+		}
+		return dec
+	}
+	check := func(trial int, parts []spart, dec []decPoint, tier *decTier) {
+		t.Helper()
 		want := decodeCrossRef(parts, dec)
-		got := ctx.mergeDecode(append(ctx.parts[:0], parts...), dec)
+		got := ctx.mergeDecode(append(ctx.parts[:0], parts...), tier)
 		if !samePartials(got, want) {
 			t.Fatalf("trial %d: merge kept %d partials, cross product %d\nparts %+v\ndec %+v\ngot  %+v\nwant %+v",
 				trial, len(got), len(want), parts, dec, got, want)
 		}
+	}
+	var tier decTier // reused across trials, as a worker's iterative tier is
+	for trial := 0; trial < 4000; trial++ {
+		var dec []decPoint
+		switch trial % 20 {
+		case 17, 18: // the capped tie
+			dec = straddle()
+		case 19: // one memoized tier, merged with several partial sets
+			dec = randDec()
+			memo := &decTier{pts: dec}
+			memo.sortStair()
+			for k := range 10 {
+				check(trial, randParts(k), dec, memo)
+			}
+			continue
+		default:
+			dec = randDec()
+		}
+		tier.pts = dec
+		tier.sortStair()
+		check(trial, randParts(trial), dec, &tier)
 	}
 }
 
@@ -454,7 +547,7 @@ func prefixCrossRef(parts []spart, opts []stairOpt) []spart {
 			next = append(next, np)
 		}
 	}
-	return prunePartialsInto(&searchCtx{}, next, nil)
+	return pruneRef(next)
 }
 
 // TestPrefixTierDifferential drives the group and retrieval tiers'
@@ -546,8 +639,8 @@ func TestPrefixTierDifferential(t *testing.T) {
 
 			want := prefixCrossRef(parts, opts)
 			var next []spart
-			for _, k := range ctx.stairPairs(parts, opts, false) {
-				np := opts[k>>32].extend(parts[uint32(k)], false)
+			for _, k := range ctx.stairPairs(parts, opts) {
+				np := opts[k>>32].extend(parts[uint32(k)])
 				if len(parts)*len(opts) > 1 && !partialValid(np) {
 					t.Fatalf("%s trial %d: selected the invalid pair %+v", tier, trial, np)
 				}

@@ -63,8 +63,9 @@ func (o *Optimizer) BurstTTFT(plan Plan, burst, micro int) (float64, error) {
 		bottleneck = math.Max(bottleneck, t)
 	}
 	// Micro-batch m (0-based) finishes ~ m*bottleneck + traversal; the
-	// mean over the burst averages the queueing term.
-	mean := traversal + float64(nBatches-1)/2*bottleneck
+	// mean over the burst averages the queueing term. The conversion rounds
+	// the product, so no architecture fuses it into the sum.
+	mean := traversal + float64(float64(nBatches-1)/2*bottleneck)
 	return mean, nil
 }
 

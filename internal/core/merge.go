@@ -93,6 +93,46 @@ type decPoint struct {
 	replicas      int32
 }
 
+// extend returns p extended by the decode point, as the tier's cross
+// product holds the pair.
+func (d *decPoint) extend(p spart) spart {
+	p.tpot = d.tpot
+	p.qps = math.Min(p.qps, d.qps)
+	p.decB, p.decR = d.batch, d.replicas
+	return p
+}
+
+// decTier is a decode tier's points and the order mergeDecode walks: order
+// holds the viable points (TPOT finite and not negative, throughput not
+// negative) by TPOT ascending, then throughput descending, then index, and
+// stair the positions in order whose throughput exceeds every earlier one's.
+type decTier struct {
+	pts          []decPoint
+	order, stair []int32
+}
+
+// sortStair orders the tier's points and finds its staircase.
+func (t *decTier) sortStair() {
+	t.order, t.stair = t.order[:0], t.stair[:0]
+	for i, d := range t.pts {
+		if d.tpot >= 0 && d.tpot <= math.MaxFloat64 && d.qps >= 0 {
+			t.order = append(t.order, int32(i))
+		}
+	}
+	slices.SortStableFunc(t.order, func(a, b int32) int {
+		if c := cmpFloat(t.pts[a].tpot, t.pts[b].tpot); c != 0 {
+			return c
+		}
+		return cmpFloat(t.pts[b].qps, t.pts[a].qps)
+	})
+	top := math.Inf(-1)
+	for pos, i := range t.order {
+		if t.pts[i].qps > top {
+			t.stair, top = append(t.stair, int32(pos)), t.pts[i].qps
+		}
+	}
+}
+
 // qpsUnbounded stands in for "no throughput constraint yet"; finite so the
 // shared Pareto machinery (which rejects infinities) can prune partials.
 const qpsUnbounded = 1e15
@@ -245,11 +285,10 @@ type searchCtx struct {
 	pre  *prefixEntry
 	own  prefixEntry
 
-	nodes  []gnode
-	parts  []spart
-	next   []spart
-	stairs []partialCorner
-	idx    []int32
+	nodes []gnode
+	parts []spart
+	next  []spart
+	idx   []int32
 	// opts, batches, byCost, claim and pairs are stairPairs' buffers and
 	// its callers': a tier's options, the retrieval batch of each, the
 	// options by cost, each partial's claiming option, and the selection.
@@ -258,15 +297,15 @@ type searchCtx struct {
 	byCost  []int32
 	claim   []int32
 	pairs   []uint64
-	// decMemo holds each decode chip count's stall-free points, which a
-	// single-retrieval search merges as they are; dec is the buffer an
-	// iterative search stalls them into, at the round terms iter
-	// (decodePoints). decs are the points the current candidates were
-	// merged with.
-	decMemo map[int][]decPoint
-	dec     []decPoint
+	// decMemo holds each decode chip count's stall-free tier, which a
+	// single-retrieval search merges as it is; dec is the tier an
+	// iterative search stalls its points into, at the round terms iter
+	// (decodePoints). decs is the tier the current candidates were merged
+	// with.
+	decMemo map[int]*decTier
+	dec     decTier
 	iter    engine.IterTerms
-	decs    []decPoint
+	decs    *decTier
 	// sm, priced, refs and the terms are priceStamps' and planFrontier's
 	// buffers.
 	sm                     []stampPrice
@@ -279,8 +318,6 @@ type searchCtx struct {
 	// stats counts this worker's plans, pruned partials and stampings.
 	stats SearchStats
 }
-
-type partialCorner struct{ tpot, qps float64 }
 
 // newSearchCtx builds a worker context. Its evaluator prices prefix steps
 // and decode paces (PrefixCost, DecodeCost) with the arithmetic
@@ -295,7 +332,7 @@ func (o *Optimizer) newSearchCtx() *searchCtx {
 		searchSpace: &o.space,
 		ev:          ev,
 		lat:         make([]float64, len(o.Pipe.Stages)),
-		decMemo:     make(map[int][]decPoint),
+		decMemo:     make(map[int]*decTier),
 		recalls:     make([]float64, len(o.space.knobs)),
 	}
 	ctx.cheapNP, ctx.cheapFO = o.cheapestKnobs(ctx.knobs)
@@ -376,8 +413,8 @@ func (o *Optimizer) priceStamps(c *searchCtx, plan Plan, bIter int, p spart, nor
 	groups := plan.Placement.Groups
 	picks := c.pre.picks[int(p.node)*len(groups) : int(p.node+1)*len(groups)]
 	d := decPoint{shTPOT: math.NaN()}
-	if i := slices.IndexFunc(c.decs, func(d decPoint) bool { return d.batch == p.decB && d.replicas == p.decR }); i >= 0 {
-		d = o.shapedDecode(c, plan, &c.decs[i])
+	if i := slices.IndexFunc(c.decs.pts, func(d decPoint) bool { return d.batch == p.decB && d.replicas == p.decR }); i >= 0 {
+		d = o.shapedDecode(c, plan, &c.decs.pts[i])
 	}
 
 	// The terms per formation and per knob pair. A group spanning no
@@ -543,23 +580,25 @@ func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.
 	return ctx.mergeDecode(parts, ctx.decs)
 }
 
-// decodePoints prices the plan's decode-tier operating points at iterative
-// batch bIter. The stall-free points — latency, batch and replicas of each
-// candidate — depend on the plan only through its decode chips, so a worker
-// fetches them once per chip count (decMemo) and a single-retrieval search
-// returns them as they are. With iteration the §5.3 round terms depend on
-// the plan's servers, prefix-group chips and bIter alone: they are priced
-// once per call (ctx.iter), and each point's stall is arithmetic on them
-// (engine.IterTerms.Cost), the same float operations compiling it runs.
-func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) []decPoint {
+// decodePoints prices the plan's decode tier at iterative batch bIter. The
+// stall-free points — latency, batch and replicas of each candidate —
+// depend on the plan only through its decode chips, so a worker fetches
+// and orders them once per chip count (decMemo) and a single-retrieval
+// search returns them as they are. With iteration the §5.3 round terms
+// depend on the plan's servers, prefix-group chips and bIter alone: they
+// are priced once per call (ctx.iter), each point's stall is arithmetic on
+// them (engine.IterTerms.Cost), the same float operations compiling it
+// runs, and the stalled points are ordered afresh.
+func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) *decTier {
 	decIdx := o.Pipe.Index(pipeline.KindDecode)
 	outTokens := float64(o.Pipe.Stages[decIdx].OutTokens)
 	base, ok := ctx.decMemo[plan.DecodeChips]
 	if !ok {
 		decFetches.Add(1)
+		base = new(decTier)
 		for _, bd := range ctx.decBatches {
 			for _, cand := range o.Prof.Candidates(o.Pipe.Stages[decIdx], plan.DecodeChips, bd) {
-				base = append(base, decPoint{
+				base.pts = append(base.pts, decPoint{
 					tpot:     cand.Latency / outTokens,
 					qps:      float64(bd) / cand.Latency,
 					lat:      cand.Latency,
@@ -568,18 +607,20 @@ func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) []decPoin
 				})
 			}
 		}
+		base.sortStair()
 		ctx.decMemo[plan.DecodeChips] = base
 	}
 	if bIter == 0 {
 		return base
 	}
 	iterRounds.Add(1)
-	dec := ctx.dec[:0]
+	dec := &ctx.dec
+	dec.pts = dec.pts[:0]
 	if ctx.iter, ok = o.iterTerms(plan, bIter); ok {
-		for _, b := range base {
+		for _, b := range base.pts {
 			stall := ctx.iter.Cost(int(b.batch), b.lat).StallPerRequest
 			genTime := b.lat + stall
-			dec = append(dec, decPoint{
+			dec.pts = append(dec.pts, decPoint{
 				tpot:     genTime / outTokens,
 				qps:      float64(b.batch) / genTime,
 				stall:    stall,
@@ -588,7 +629,7 @@ func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) []decPoin
 			})
 		}
 	}
-	ctx.dec = dec
+	dec.sortStair()
 	return dec
 }
 
@@ -669,8 +710,8 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 		}
 		ctx.opts = opts
 		next = next[:0]
-		for _, k := range ctx.stairPairs(parts, opts, false) {
-			np := opts[k>>32].extend(parts[uint32(k)], false)
+		for _, k := range ctx.stairPairs(parts, opts) {
+			np := opts[k>>32].extend(parts[uint32(k)])
 			ctx.nodes = append(ctx.nodes, gnode{parent: np.node, pick: &choices[k>>32]})
 			np.node = int32(len(ctx.nodes) - 1)
 			next = append(next, np)
@@ -699,8 +740,8 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 		}
 		ctx.opts, ctx.batches = opts, batches
 		next = next[:0]
-		for _, k := range ctx.stairPairs(parts, opts, false) {
-			np := opts[k>>32].extend(parts[uint32(k)], false)
+		for _, k := range ctx.stairPairs(parts, opts) {
+			np := opts[k>>32].extend(parts[uint32(k)])
 			np.exact = opts[k>>32].cost
 			np.retrB = batches[k>>32]
 			next = append(next, np)
@@ -744,55 +785,67 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 	}
 }
 
-// mergeDecode extends the pre-decode partials with every decode point —
-// the tier sets TPOT and caps throughput — and returns what Pareto-pruning
-// the full cross product returns, building only the pairs stairPairs
-// selects. parts aliases the worker's partial buffer, which the result
-// reuses.
-func (c *searchCtx) mergeDecode(parts []spart, dec []decPoint) []spart {
-	opts := c.opts[:0]
-	for _, d := range dec {
-		opts = append(opts, stairOpt{cost: d.tpot, qps: d.qps})
+// mergeDecode extends the pre-decode partials with every point of the
+// decode tier and returns, in the worker's reusable buffer, what
+// Pareto-pruning the full cross product returns: the same survivors,
+// representatives and order. Unless it is a lone one, parts is a valid
+// strict staircase, TTFT and throughput q ascending. A pair (p_i, d) keeps
+// p_i's TTFT at throughput min(q_i, qps_d), so it survives only if d is on
+// the tier's staircase and either q_{i-1} < qps_d < q_i, or d is the first
+// staircase point with qps_d >= q_i: the least TPOT at which p_i keeps its
+// own throughput. Every viable point with that TPOT and a throughput of at
+// least q_i makes that same pair, and the product keeps the first, the
+// lowest index (the capped tie). Each partial emits its capped pair, then
+// its range downward: (TTFT asc, throughput desc), the order the prune
+// leaves. A lone partial keeps the prune's lone cases: a 1 x 1 product
+// passes unvalidated, and a lone invalid partial makes only invalid pairs.
+func (c *searchCtx) mergeDecode(parts []spart, t *decTier) []spart {
+	out := c.next[:0]
+	if len(parts) == 1 && len(t.pts) == 1 {
+		out, parts = append(out, t.pts[0].extend(parts[0])), nil
+	} else if len(parts) == 1 && !partialValid(parts[0]) {
+		parts = nil
 	}
-	c.opts = opts
-	next := c.next[:0]
-	for _, k := range c.stairPairs(parts, opts, true) {
-		np := opts[k>>32].extend(parts[uint32(k)], true)
-		np.decB, np.decR = dec[k>>32].batch, dec[k>>32].replicas
-		next = append(next, np)
+	at := func(k int) *decPoint { return &t.pts[t.order[t.stair[k]]] }
+	lo := 0 // the first staircase point above the previous partial's throughput
+	for _, p := range parts {
+		hi := lo
+		for hi < len(t.stair) && at(hi).qps < p.qps {
+			hi++
+		}
+		if hi < len(t.stair) {
+			run := t.order[t.stair[hi]:] // the capped point's TPOT run
+			rep := run[0]
+			for _, i := range run[1:] {
+				if t.pts[i].tpot != t.pts[run[0]].tpot || t.pts[i].qps < p.qps {
+					break
+				}
+				rep = min(rep, i)
+			}
+			out = append(out, t.pts[rep].extend(p))
+		}
+		for k := hi - 1; k >= lo; k-- {
+			out = append(out, at(k).extend(p))
+		}
+		lo = hi
+		if hi < len(t.stair) && at(hi).qps == p.qps {
+			lo++
+		}
 	}
-	out := prunePartialsInto(c, next, parts[:0])
-	c.parts, c.next = out, next
+	c.next = out
 	return out
 }
 
-// stairOpt is one option a tier extends every partial with: the cost it
-// adds to TTFT (group and retrieval tiers) or sets as TPOT (decode tier),
-// and the throughput it caps.
+// stairOpt is one option the group or retrieval tier extends every
+// partial with: the cost it adds to TTFT and the throughput it caps.
 type stairOpt struct{ cost, qps float64 }
 
 // extend returns p extended by the option, as the tier's cross product
 // holds the pair.
-func (o stairOpt) extend(p spart, setTPOT bool) spart {
-	if setTPOT {
-		p.tpot = o.cost
-	} else {
-		p.ttft += o.cost
-	}
+func (o stairOpt) extend(p spart) spart {
+	p.ttft += o.cost
 	p.qps = math.Min(p.qps, o.qps)
 	return p
-}
-
-// viable reports whether the option can make a valid pair with a valid
-// partial: its throughput is neither NaN nor negative, and its cost is
-// finite and, as a TPOT, not negative. An added TTFT may be negative: the
-// pair's sum can still be valid.
-func (o stairOpt) viable(setTPOT bool) bool {
-	lo := -math.MaxFloat64
-	if setTPOT {
-		lo = 0
-	}
-	return o.qps >= 0 && o.cost >= lo && o.cost <= math.MaxFloat64
 }
 
 // stairPairs selects, from the cross product of the partials and a tier's
@@ -805,15 +858,14 @@ func (o stairOpt) viable(setTPOT bool) bool {
 // Unless it is a lone one (which prunePartialsInto passes through, valid or
 // not), the partials form a valid strict staircase, the order
 // prunePartialsInto leaves them in: TTFT and throughput both ascending, no
-// TPOT yet. A pair (p, o) has throughput min(qps_p, qps_o) and a latency o
-// moves monotonically — TTFT fl(ttft_p + cost_o) when o adds TTFT, TPOT
-// cost_o when it sets TPOT — so it can survive only if
+// TPOT yet. A pair (p, o) has throughput min(qps_p, qps_o) and TTFT
+// fl(ttft_p + cost_o), monotone in cost_o, so it can survive only if
 //
 //   - qps_o > qps_p, and of the options with qps_o > qps_p — whose pairs
 //     with p share p's throughput and every other metric — o gives p the
-//     least such latency a valid pair has, and is the first of those that
-//     tie on it after rounding: their pairs with p are exact duplicates,
-//     of which the prune keeps only the first; or
+//     least TTFT a valid pair has, and is the first of those that tie on
+//     it after rounding: their pairs with p are exact duplicates, of which
+//     the prune keeps only the first; or
 //   - qps_p >= qps_o, and p is the first partial with qps_p >= qps_o that
 //     makes a valid pair with o: every later one gives the same
 //     throughput, qps_o, at a TTFT no lower.
@@ -827,30 +879,25 @@ func (o stairOpt) viable(setTPOT bool) bool {
 // claimed partials are a prefix that only grows, so the walk visits each
 // partial about once; only a negative added TTFT, which no tier prices,
 // admits a range further up.
-func (c *searchCtx) stairPairs(parts []spart, opts []stairOpt, setTPOT bool) []uint64 {
+func (c *searchCtx) stairPairs(parts []spart, opts []stairOpt) []uint64 {
 	pairs := c.pairs[:0]
 	if len(parts) == 1 {
 		// Every valid pair, or the product's single pair.
 		for oi, o := range opts {
-			if len(opts) == 1 || partialValid(o.extend(parts[0], setTPOT)) {
+			if len(opts) == 1 || partialValid(o.extend(parts[0])) {
 				pairs = append(pairs, uint64(oi)<<32)
 			}
 		}
 		c.pairs = pairs
 		return pairs
 	}
-	// negative reports a pair an added TTFT below zero leaves invalid;
-	// moved is the latency a pair's option moves.
-	negative := func(p spart, o stairOpt) bool { return !setTPOT && p.ttft+o.cost < 0 }
-	moved := func(p spart, o stairOpt) float64 {
-		if setTPOT {
-			return o.cost
-		}
-		return p.ttft + o.cost
-	}
+	// negative reports a pair an added TTFT below zero leaves invalid.
+	negative := func(p spart, o stairOpt) bool { return p.ttft+o.cost < 0 }
 	byCost := c.byCost[:0]
 	for oi, o := range opts {
-		if o.viable(setTPOT) {
+		// Viable: a throughput neither NaN nor negative and a finite cost,
+		// which may be negative: the pair's sum can still be valid.
+		if o.qps >= 0 && o.cost >= -math.MaxFloat64 && o.cost <= math.MaxFloat64 {
 			byCost = append(byCost, int32(oi))
 		}
 	}
@@ -867,7 +914,7 @@ func (c *searchCtx) stairPairs(parts []spart, opts []stairOpt, setTPOT bool) []u
 		for pi < n && negative(parts[pi], o) {
 			pi++
 		}
-		if pi < n && partialValid(o.extend(parts[pi], setTPOT)) {
+		if pi < n && partialValid(o.extend(parts[pi])) {
 			pairs = append(pairs, uint64(oi)<<32|uint64(pi))
 		}
 		// o admits parts[z:lo]: qps_p < qps_o and a TTFT not negative.
@@ -889,12 +936,12 @@ func (c *searchCtx) stairPairs(parts []spart, opts []stairOpt, setTPOT bool) []u
 			continue
 		}
 		p, best := parts[pi], byCost[s]
-		if !partialValid(opts[best].extend(p, setTPOT)) {
+		if !partialValid(opts[best].extend(p)) {
 			continue // an added TTFT overflowed
 		}
-		least := moved(p, opts[best])
+		least := p.ttft + opts[best].cost
 		for _, oi := range byCost[s+1:] {
-			if moved(p, opts[oi]) != least {
+			if p.ttft+opts[oi].cost != least {
 				break
 			}
 			if opts[oi].qps > p.qps {
@@ -1092,14 +1139,13 @@ func (o *Optimizer) planPrefixChips(plan Plan, prefixIdx int) (int, bool) {
 	return 0, false
 }
 
-// prunePartialsInto keeps the Pareto-optimal partials (lower TTFT and
-// TPOT, higher throughput), appending survivors to dst and returning it.
-// It is perf.Frontier specialized to the compact spart representation —
-// identical validity filtering, identical stable (TTFT, TPOT, qps)
-// ordering, identical staircase including exact-duplicate collapse — so
-// the surviving set and its order match what the generic path produced,
-// without boxing each partial into a Point and re-sorting large structs.
-// src is reordered in place.
+// prunePartialsInto keeps the Pareto-optimal pre-decode partials (lower
+// TTFT, higher throughput; no tier before decode sets TPOT), appending
+// survivors to dst and returning it. It is perf.Frontier specialized to the
+// compact spart representation — identical validity filtering, identical
+// (TTFT asc, throughput desc) order, exact duplicates collapsed to the
+// first — without boxing each partial into a Point. Like the cross products
+// it prunes, a lone partial passes unvalidated. src is reordered in place.
 func prunePartialsInto(ctx *searchCtx, src []spart, dst []spart) []spart {
 	if len(src) <= 1 {
 		return append(dst, src...)
@@ -1124,49 +1170,18 @@ func prunePartialsInto(ctx *searchCtx, src []spart, dst []spart) []spart {
 		if c := cmpFloat(x.ttft, y.ttft); c != 0 {
 			return c
 		}
-		if c := cmpFloat(x.tpot, y.tpot); c != 0 {
-			return c
-		}
 		if c := cmpFloat(y.qps, x.qps); c != 0 {
 			return c
 		}
 		return cmp.Compare(a, b)
 	})
-	kept := idx[:0] // kept indices overwrite the consumed prefix
-	stairs := ctx.stairs[:0]
-	for _, pi := range idx {
-		p := &valid[pi]
-		ins := sort.Search(len(stairs), func(k int) bool { return stairs[k].tpot > p.tpot })
-		if ins > 0 && stairs[ins-1].qps >= p.qps {
-			continue // dominated (or an exact duplicate)
+	// In this order a partial survives iff its throughput exceeds every
+	// earlier one's: otherwise an earlier one dominates or duplicates it.
+	top := math.Inf(-1)
+	for _, i := range idx {
+		if valid[i].qps > top {
+			dst, top = append(dst, valid[i]), valid[i].qps
 		}
-		kept = append(kept, pi)
-		// Replace the corners in [ins, end) — now dominated — with the
-		// new corner, in place.
-		end := ins
-		for end < len(stairs) && stairs[end].qps <= p.qps {
-			end++
-		}
-		stairs = slices.Replace(stairs, ins, end, partialCorner{p.tpot, p.qps})
-	}
-	ctx.stairs = stairs
-	// Output order is (ttft asc, qps desc), stable over the sweep order —
-	// which, for survivors tied on both keys, is (tpot asc, index asc).
-	slices.SortFunc(kept, func(a, b int32) int {
-		x, y := &valid[a], &valid[b]
-		if c := cmpFloat(x.ttft, y.ttft); c != 0 {
-			return c
-		}
-		if c := cmpFloat(y.qps, x.qps); c != 0 {
-			return c
-		}
-		if c := cmpFloat(x.tpot, y.tpot); c != 0 {
-			return c
-		}
-		return cmp.Compare(a, b)
-	})
-	for _, k := range kept {
-		dst = append(dst, valid[k])
 	}
 	return dst
 }

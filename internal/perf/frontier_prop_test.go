@@ -118,7 +118,9 @@ func TestFrontierMatchesBruteForce(t *testing.T) {
 // incumbent against the batch staircase: inserting every point one by one
 // must converge to the same non-dominated metric set Frontier computes,
 // and DominatedBy must agree with the brute-force strict-dominance test
-// for every input point.
+// for every input point and for points never inserted — at a member's
+// TTFT, one ulp either side of it, and with invalid metrics — which pin
+// the boundary of the candidates the probe scans at ties.
 func TestIncrementalMatchesFrontier(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 300; trial++ {
@@ -145,20 +147,40 @@ func TestIncrementalMatchesFrontier(t *testing.T) {
 				t.Fatalf("trial %d: incumbent points not TTFT-sorted", trial)
 			}
 		}
-		for _, p := range pts {
-			if !p.Metrics.Valid() {
-				continue
-			}
+		probe := func(q Metrics) {
+			t.Helper()
 			dominated := false
 			for m := range want {
-				if m.Dominates(p.Metrics) {
+				if m.Dominates(q) {
 					dominated = true
 					break
 				}
 			}
-			if inc.DominatedBy(p.Metrics) != dominated {
-				t.Fatalf("trial %d: DominatedBy(%v) = %v, brute force says %v", trial, p.Metrics, !dominated, dominated)
+			if inc.DominatedBy(q) != dominated {
+				t.Fatalf("trial %d: DominatedBy(%v) = %v, brute force says %v", trial, q, !dominated, dominated)
 			}
+		}
+		for _, p := range pts {
+			if p.Metrics.Valid() {
+				probe(p.Metrics)
+			}
+		}
+		for _, m := range got {
+			for _, ttft := range []float64{math.Nextafter(m.TTFT, math.Inf(-1)), m.TTFT, math.Nextafter(m.TTFT, math.Inf(1))} {
+				for range 3 {
+					q := gridMetrics(rng) // invalid one time in ten
+					q.TTFT = ttft
+					probe(q)
+				}
+				q := m
+				q.TTFT = ttft
+				probe(q)
+			}
+		}
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			q := gridMetrics(rng)
+			q.TTFT = bad
+			probe(q)
 		}
 	}
 }

@@ -226,17 +226,24 @@ func (inc *Incremental) members() []Metrics {
 	return nil
 }
 
+// upTo returns the members with TTFT <= ttft, the only ones that can
+// dominate a point at ttft: a prefix of the snapshot, which is sorted by
+// TTFT. A NaN ttft keeps every member.
+func (inc *Incremental) upTo(ttft float64) []Metrics {
+	pts := inc.members()
+	return pts[:sort.Search(len(pts), func(k int) bool { return pts[k].TTFT > ttft })]
+}
+
 // DominatedBy reports whether some current member strictly dominates m.
 // Equal points do not dominate, so a bound exactly on the frontier is not
-// prunable (its completions may tie rather than lose).
+// prunable (its completions may tie rather than lose). The candidates are
+// scanned from the highest TTFT down: along the frontier QPS/chip rises
+// with TTFT, so the members that dominate a probe sit at the end of the
+// prefix.
 func (inc *Incremental) DominatedBy(m Metrics) bool {
-	pts := inc.members()
-	// Only points with TTFT <= m.TTFT can dominate; they are a prefix.
-	for _, p := range pts {
-		if p.TTFT > m.TTFT {
-			break
-		}
-		if p.Dominates(m) {
+	pts := inc.upTo(m.TTFT)
+	for i := len(pts) - 1; i >= 0; i-- {
+		if pts[i].Dominates(m) {
 			return true
 		}
 	}
@@ -253,10 +260,7 @@ func (inc *Incremental) DominatedBy(m Metrics) bool {
 // and including it. Both are -Inf when no member qualifies.
 func (inc *Incremental) QPSThresholds(ttft, tpot, recall float64) (gt, ge float64) {
 	gt, ge = math.Inf(-1), math.Inf(-1)
-	for _, p := range inc.members() {
-		if p.TTFT > ttft {
-			break // sorted by TTFT: the candidates are a prefix
-		}
+	for _, p := range inc.upTo(ttft) {
 		if p.TPOT > tpot || p.Recall < recall {
 			continue
 		}
