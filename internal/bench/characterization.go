@@ -269,7 +269,7 @@ func Figure9a(generativeParams float64) ([]Series, error) {
 			XLabel: "decode batch", YLabel: "TPOT (s)",
 		}
 		for _, bd := range []int{1, 4, 16, 64, 256, 1024} {
-			tpot, err := iterativeTPOT(generativeParams, freq, bd, minInt(bd, 16))
+			tpot, err := iterativeTPOT(generativeParams, freq, bd, min(bd, 16))
 			if err != nil {
 				return nil, err
 			}
@@ -308,7 +308,7 @@ func Figure9b(generativeParams float64) ([]Series, error) {
 // servers, and each iterative round pays retrieval plus a prefix pass over
 // the retrieved content.
 func iterativeTPOT(generativeParams float64, freq, decodeBatch, iterBatch int) (float64, error) {
-	schema := ragschema.CaseIII(generativeParams, maxInt(freq, 2))
+	schema := ragschema.CaseIII(generativeParams, max(freq, 2))
 	schema.RetrievalFrequency = freq // allow freq==1 (no iteration)
 	pipe, err := pipeline.Build(schema)
 	if err != nil {
@@ -445,18 +445,4 @@ func ctxName(tokens int) string {
 		return fmt.Sprintf("%dM", tokens/1_000_000)
 	}
 	return fmt.Sprintf("%dK", tokens/1_000)
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

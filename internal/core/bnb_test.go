@@ -10,7 +10,6 @@ import (
 
 	"rago/internal/engine"
 	"rago/internal/hw"
-	"rago/internal/perf"
 	"rago/internal/ragschema"
 	"rago/internal/trace"
 )
@@ -39,6 +38,7 @@ func TestBranchAndBoundMatchesExhaustive(t *testing.T) {
 		{"caseI", ragschema.CaseI(8e9, 1), hw.DefaultCluster(), 64},
 		{"caseII", ragschema.CaseII(70e9, 1_000_000), hw.DefaultCluster(), 0},
 		{"caseIII", ragschema.CaseIII(70e9, 4), hw.DefaultCluster(), 64},
+		{"caseIII-8B", ragschema.CaseIII(8e9, 4), hw.DefaultCluster(), 0},
 		{"caseIV", ragschema.CaseIV(8e9), hw.DefaultCluster(), 0},
 		{"caseV", ragschema.CaseV(8e9, 2), hw.DefaultCluster(), 64},
 	}
@@ -112,12 +112,11 @@ func TestPlanBoundAdmissible(t *testing.T) {
 
 // TestWorkersOption pins that search concurrency changes neither the
 // frontier nor determinism. What the incumbent holds when a plan runs — and
-// so which partials and candidates that plan drops — depends on worker
-// timing; the frontier must not. Every configuration must return exactly
-// the exhaustive noPrune frontier, at 1, 2 and 8 workers, on Case IV
+// so which stampings that plan drops — depends on worker timing; the
+// frontier must not. Every configuration must return exactly the
+// exhaustive noPrune frontier, at 1, 2 and 8 workers, on Case IV
 // (placement-heavy) and on Case I with the formation and retrieval-knob
-// dimensions on (where the partial cut is off and only the candidate
-// filter prunes within a plan).
+// dimensions on (where the tiers price a proxy).
 func TestWorkersOption(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -197,15 +196,15 @@ func TestOptimizeAllocs(t *testing.T) {
 	}
 }
 
-// TestOptimizeCompileBudget pins how few candidates a search stamps into
-// schedules. One worker keeps each count independent of scheduling and of
-// the host.
+// TestOptimizeCompileBudget pins how many candidates a search stamps into
+// schedules, exactly. One worker keeps each count independent of
+// scheduling and of the host.
 //
 // Case IV: the incumbent filter runs on each decode-merged candidate's
 // exact metrics before it is stamped, so only candidates the incumbent
 // does not already dominate are stamped: one worker stamps 1,137
 // schedules, where filtering after a compile compiled 71,584 and the
-// exhaustive reference stamps 118,336. The budget is 1.3x the measured count.
+// exhaustive reference stamps 118,336.
 //
 // The shaped rows price every formation (and, on Case I, every retrieval
 // knob pair) of every candidate from the tiers, filter the stampings
@@ -213,8 +212,7 @@ func TestOptimizeAllocs(t *testing.T) {
 // Shaped Case IV 70B on the benchmark's 128-draw lognormal sample, three
 // policies and quanta {0, 256} stamps 821 schedules where compiling every
 // stamping compiled 518,334; the golden's shaped, knobbed Case I search
-// stamps 31 where it compiled 15,912. Their budgets are 1.3x the measured
-// counts.
+// stamps 31 where it compiled 15,912.
 func TestOptimizeCompileBudget(t *testing.T) {
 	prompt, err := trace.LognormalLengths(512, 0.8, 4096)
 	if err != nil {
@@ -238,18 +236,18 @@ func TestOptimizeCompileBudget(t *testing.T) {
 		return o
 	}
 	for _, tc := range []struct {
-		name   string
-		budget int64
-		opt    func(opts Options) *Optimizer
+		name string
+		want int64
+		opt  func(opts Options) *Optimizer
 	}{
-		{"caseIV", 1_480, func(opts Options) *Optimizer {
+		{"caseIV", 1_137, func(opts Options) *Optimizer {
 			return build(ragschema.CaseIV(8e9), opts)
 		}},
-		{"caseIV-70B-shaped", 1_067, func(opts Options) *Optimizer {
+		{"caseIV-70B-shaped", 821, func(opts Options) *Optimizer {
 			opts.Shapes, opts.Policies, opts.ChunkQuanta = sample, policies, []int{0, 256}
 			return build(ragschema.CaseIV(70e9), opts)
 		}},
-		{"caseI-shaped-knobs", 40, func(opts Options) *Optimizer {
+		{"caseI-shaped-knobs", 31, func(opts Options) *Optimizer {
 			opts.NormalizeChips = 64
 			opts.Shapes, opts.Policies, opts.ChunkQuanta = formationShapes(), policies, []int{0, 256}
 			opts.NProbes, opts.ShardFanouts = []int{2, 0, 32}, []int{2, 0}
@@ -263,8 +261,8 @@ func TestOptimizeCompileBudget(t *testing.T) {
 			if len(o.Optimize()) == 0 {
 				t.Fatal("empty frontier")
 			}
-			if n := o.SearchStats().Stamped; n == 0 || n > tc.budget {
-				t.Errorf("%s Optimize stamped %d schedules, budget %d", tc.name, n, tc.budget)
+			if n := o.SearchStats().Stamped; n != tc.want {
+				t.Errorf("%s Optimize stamped %d schedules, want %d", tc.name, n, tc.want)
 			}
 		})
 	}
@@ -329,7 +327,7 @@ func TestMergeMetricsMatchEvaluate(t *testing.T) {
 			for _, plan := range plans {
 				norm := o.normChips(plan)
 				for bi, bIter := range ctx.iterBatches {
-					for _, p := range o.planCandidates(ctx, plan, bi, nil, perf.Metrics{}) {
+					for _, p := range o.planCandidates(ctx, plan, bi) {
 						o.priceStamps(ctx, plan, bIter, p, norm)
 						for si, got := range ctx.sm {
 							s := ctx.stamp(plan, bIter, p, si)
@@ -752,19 +750,6 @@ func TestPlanCountGolden(t *testing.T) {
 	}
 }
 
-// TestRelaxWidens sanity-checks the float-drift margin helper: the relaxed
-// bound must be weakly better on every objective.
-func TestRelaxWidens(t *testing.T) {
-	m := perf.Metrics{TTFT: 0.1, TPOT: 0.01, QPS: 100, QPSPerChip: 1.5}
-	r := relax(m, 1e-9)
-	if r.TTFT > m.TTFT || r.TPOT > m.TPOT || r.QPS < m.QPS || r.QPSPerChip < m.QPSPerChip {
-		t.Fatalf("relax did not widen: %v -> %v", m, r)
-	}
-	if math.IsNaN(r.TTFT) {
-		t.Fatal("NaN")
-	}
-}
-
 // TestPrefixFillBudget pins the pairs the group and retrieval tiers hand to
 // prunePartialsInto in a one-worker Case IV search: stairPairs' selections.
 // The full cross products were 205,261 and 118,503 pairs, of which the
@@ -778,25 +763,23 @@ func TestPrefixFillBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	groupPairs.Store(0)
-	retrPairs.Store(0)
 	if len(o.Optimize()) == 0 {
 		t.Fatal("empty frontier")
 	}
-	if g, r := groupPairs.Load(), retrPairs.Load(); g != groupWant || r != retrWant {
-		t.Errorf("group tier pruned %d pairs, retrieval tier %d; want %d, %d", g, r, groupWant, retrWant)
+	if st := o.SearchStats(); st.groupPairs != groupWant || st.retrPairs != retrWant {
+		t.Errorf("group tier pruned %d pairs, retrieval tier %d; want %d, %d", st.groupPairs, st.retrPairs, groupWant, retrWant)
 	}
 }
 
 // TestIterativeDecodeBudget pins the decode tier's work in a one-worker
 // Case III search (8B, four retrievals per sequence, the c3-iterative
 // workload's shape): the §5.3 round terms are priced once per decode tier
-// the search builds, 388 of them, where pricing each decode batch and
+// the search builds, 390 of them, where pricing each decode batch and
 // replica candidate through the whole stall model took 6,578 calls; and
 // each decode chip count's candidates are fetched once, every plan of a
 // chip count after the first reading them from the worker's memo.
 func TestIterativeDecodeBudget(t *testing.T) {
-	const roundsWant = 388
+	const roundsWant = 390
 	opts := DefaultOptions(hw.DefaultCluster())
 	opts.Workers = 1
 	o, err := NewOptimizer(ragschema.CaseIII(8e9, 4), opts)
@@ -807,12 +790,10 @@ func TestIterativeDecodeBudget(t *testing.T) {
 	for _, p := range o.Plans() {
 		chips[p.DecodeChips] = true
 	}
-	iterRounds.Store(0)
-	decFetches.Store(0)
 	if len(o.Optimize()) == 0 {
 		t.Fatal("empty frontier")
 	}
-	if r, f := iterRounds.Load(), decFetches.Load(); r != roundsWant || f != int64(len(chips)) {
-		t.Errorf("priced the round %d times and fetched decode candidates %d times; want %d and %d (one per decode chip count)", r, f, roundsWant, len(chips))
+	if st := o.SearchStats(); st.iterRounds != roundsWant || st.decFetches != int64(len(chips)) {
+		t.Errorf("priced the round %d times and fetched decode candidates %d times; want %d and %d (one per decode chip count)", st.iterRounds, st.decFetches, roundsWant, len(chips))
 	}
 }

@@ -220,30 +220,3 @@ func (o *Optimizer) normChips(plan Plan) float64 {
 	}
 	return float64(plan.chips())
 }
-
-// boundEps is the relative optimism margin the partial cut
-// (pruneAgainstIncumbent) adds on top of the plan bound: the incumbent must
-// beat a partial's bound by at least this factor before the partial is
-// discarded, so a proxy term that prices a hair below its compiled
-// counterpart cannot make the cut lossy. The candidate filter needs no
-// margin — it reads the decode merge's exact metrics, which equal the
-// compiled ones bit for bit (mergedMetrics) — and neither do plan-level
-// bounds, which are composed purely of envelope minima that every compiled
-// metric includes termwise.
-const boundEps = 1e-9
-
-// relax widens m optimistically by eps on every objective (lower TTFT and
-// TPOT, higher throughput), turning an accumulated estimate into a bound
-// that tolerates rounding drift against engine-compiled metrics.
-func relax(m perf.Metrics, eps float64) perf.Metrics {
-	return perf.Metrics{
-		TTFT:       m.TTFT * (1 - eps),
-		TPOT:       m.TPOT * (1 - eps),
-		QPS:        m.QPS * (1 + eps),
-		QPSPerChip: m.QPSPerChip * (1 + eps),
-		// Recall carries exactly: the plan bound's recall ceiling is not an
-		// accumulated estimate, so it needs no drift margin (and inflating
-		// it could push past Valid's [0, 1] range).
-		Recall: m.Recall,
-	}
-}

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"rago/internal/engine"
 	"rago/internal/perf"
@@ -52,20 +51,12 @@ type gnode struct {
 	pick   *groupChoice // into gcache's memo; copied out by own
 }
 
-// groupPairs and retrPairs count the pairs the group and retrieval tiers
-// hand to prunePartialsInto: the search's work counters for the prefix fill.
-// iterRounds counts the §5.3 round pricings of iterative decode tiers and
-// decFetches the decode chip counts whose candidates a worker fetched
-// (decodePoints).
-var groupPairs, retrPairs, iterRounds, decFetches atomic.Int64
-
 // prefixEntry is one pre-decode frontier: the partials a (placement,
 // group chips, servers, iterative batch) prefix leaves after the group and
-// retrieval tiers' Pareto prune, before any incumbent cut. The prefix
-// fixes everything those tiers price, so every decode-chip variant of it
-// extends the same entry. picks is one flat slab holding each partial's
-// group choices: row i (the partial's node) is picks[i*ng : (i+1)*ng],
-// pointing into gcache's memo.
+// retrieval tiers' Pareto prune. The prefix fixes everything those tiers
+// price, so every decode-chip variant of it extends the same entry. picks
+// is one flat slab holding each partial's group choices: row i (the
+// partial's node) is picks[i*ng : (i+1)*ng], pointing into gcache's memo.
 type prefixEntry struct {
 	parts       []spart
 	picks       []*groupChoice
@@ -315,7 +306,7 @@ type searchCtx struct {
 	// lat is the critical-path walk's per-stage latency buffer.
 	lat []float64
 
-	// stats counts this worker's plans, pruned partials and stampings.
+	// stats counts this worker's plans, tier work and stampings.
 	stats SearchStats
 }
 
@@ -557,27 +548,17 @@ func (c *searchCtx) stamp(plan Plan, bIter int, p spart, si int) Schedule {
 // batch iterBatches[bi] (0 for non-iterative workloads), pruning dominated
 // combinations after each component. The pre-decode tiers come from the
 // plan's prefix frontier (prefixFrontier), built once per Optimize call
-// for all the plans that share the prefix. When inc is non-nil, the
-// branch-and-bound pass then discards the prefix partials whose optimistic
-// completion (the plan bound with the partial's own throughput ceiling,
-// relaxed by boundEps for float drift) is strictly dominated by the
-// incumbent frontier — lossless for the final frontier, and the same cut
-// as applying it after every tier: the threshold filter is monotone in
-// throughput, so it commutes with the Pareto prunes and with the running
-// throughput minimum. The decode tier follows (mergeDecode). The
-// surviving partials are returned in the worker's reusable buffer (valid
-// until the next call); callers filter, stamp and compile them.
-func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int, inc *perf.Incremental, bound perf.Metrics) []spart {
-	bIter := ctx.iterBatches[bi]
+// for all the plans that share the prefix; the decode tier follows
+// (mergeDecode). The surviving partials are returned in the worker's
+// reusable buffer (valid until the next call); callers price, filter and
+// stamp them.
+func (o *Optimizer) planCandidates(ctx *searchCtx, plan Plan, bi int) []spart {
 	ctx.pre = o.prefixFrontier(ctx, plan, bi)
-	parts := append(ctx.parts[:0], ctx.pre.parts...)
-	parts = ctx.pruneAgainstIncumbent(parts, inc, bound, o.normChips(plan))
-	ctx.parts = parts
-	if len(parts) == 0 {
+	if len(ctx.pre.parts) == 0 {
 		return nil
 	}
-	ctx.decs = o.decodePoints(ctx, plan, bIter)
-	return ctx.mergeDecode(parts, ctx.decs)
+	ctx.decs = o.decodePoints(ctx, plan, ctx.iterBatches[bi])
+	return ctx.mergeDecode(ctx.pre.parts, ctx.decs)
 }
 
 // decodePoints prices the plan's decode tier at iterative batch bIter. The
@@ -594,7 +575,7 @@ func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) *decTier 
 	outTokens := float64(o.Pipe.Stages[decIdx].OutTokens)
 	base, ok := ctx.decMemo[plan.DecodeChips]
 	if !ok {
-		decFetches.Add(1)
+		ctx.stats.decFetches++
 		base = new(decTier)
 		for _, bd := range ctx.decBatches {
 			for _, cand := range o.Prof.Candidates(o.Pipe.Stages[decIdx], plan.DecodeChips, bd) {
@@ -613,7 +594,7 @@ func (o *Optimizer) decodePoints(ctx *searchCtx, plan Plan, bIter int) *decTier 
 	if bIter == 0 {
 		return base
 	}
-	iterRounds.Add(1)
+	ctx.stats.iterRounds++
 	dec := &ctx.dec
 	dec.pts = dec.pts[:0]
 	if ctx.iter, ok = o.iterTerms(plan, bIter); ok {
@@ -661,8 +642,8 @@ func (o *Optimizer) prefixFrontier(ctx *searchCtx, plan Plan, bi int) *prefixEnt
 // fillPrefix builds the plan's pre-decode frontier at iterative batch
 // bIter into dst: the XPU groups, then the retrieval tier, each extension
 // Pareto-pruned. Only the prefix — placement, group chips, servers, bIter —
-// enters here; the decode chips and the incumbent never do, which is what
-// lets plans share the result. An infeasible prefix leaves dst empty.
+// enters here; the decode chips never do, which is what lets plans share
+// the result. An infeasible prefix leaves dst empty.
 func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefixEntry) {
 	dst.parts, dst.picks, dst.iterPrefOcc = dst.parts[:0], dst.picks[:0], 0
 	prefixIdx := o.Pipe.Index(pipeline.KindPrefix)
@@ -716,7 +697,7 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 			np.node = int32(len(ctx.nodes) - 1)
 			next = append(next, np)
 		}
-		groupPairs.Add(int64(len(next)))
+		ctx.stats.groupPairs += int64(len(next))
 		parts = prunePartialsInto(ctx, next, parts[:0])
 		if len(parts) == 0 {
 			return
@@ -746,7 +727,7 @@ func (o *Optimizer) fillPrefix(ctx *searchCtx, plan Plan, bIter int, dst *prefix
 			np.retrB = batches[k>>32]
 			next = append(next, np)
 		}
-		retrPairs.Add(int64(len(next)))
+		ctx.stats.retrPairs += int64(len(next))
 		parts = prunePartialsInto(ctx, next, parts[:0])
 		if len(parts) == 0 {
 			return
@@ -955,30 +936,6 @@ func (c *searchCtx) stairPairs(parts []spart, opts []stairOpt) []uint64 {
 	pairs = slices.Compact(pairs)
 	c.pairs = pairs
 	return pairs
-}
-
-// pruneAgainstIncumbent drops partials whose optimistic completion bound —
-// the plan's admissible bound capped by the partial's own throughput, with
-// a boundEps relaxation absorbing accumulation-order float drift — is
-// strictly dominated by the shared incumbent frontier. inc == nil (the
-// exhaustive reference) disables the pass. Every partial's bound shares
-// the plan's TTFT, TPOT and recall, so one incumbent scan yields the two
-// QPS/chip thresholds strict dominance reduces to (QPSThresholds).
-func (c *searchCtx) pruneAgainstIncumbent(parts []spart, inc *perf.Incremental, bound perf.Metrics, normChips float64) []spart {
-	if inc == nil || len(parts) == 0 {
-		return parts
-	}
-	shared := relax(bound, boundEps)
-	gt, ge := inc.QPSThresholds(shared.TTFT, shared.TPOT, shared.Recall)
-	kept := parts[:0]
-	for _, p := range parts {
-		x := relax(perf.Metrics{QPSPerChip: math.Min(p.qps, bound.QPS) / normChips}, boundEps).QPSPerChip
-		if !(x < gt || x <= ge) {
-			kept = append(kept, p)
-		}
-	}
-	c.stats.PrunedPartials += int64(len(parts) - len(kept))
-	return kept
 }
 
 // groupKey memoizes pruned group choices across plans: the choice set

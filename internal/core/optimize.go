@@ -111,9 +111,9 @@ type Optimizer struct {
 // how much of the enumeration the admissible bounds eliminated, and how
 // tight those bounds were against what the search actually achieved. An
 // exhaustive reference run reports only Plans, Searched and Stamped — it
-// computes no bounds, so the pruning counters and gaps stay zero.
+// computes no bounds, so the pruning counter and gaps stay zero.
 //
-// With more than one worker the pruning counters and Stamped depend on
+// With more than one worker the pruning counter and Stamped depend on
 // worker timing: which plans finish first decides how tight the incumbent
 // is when each later plan is probed. Six 2-worker Case IV searches stamped
 // 1,139–1,222 schedules where six 1-worker searches stamped 1,137 each.
@@ -127,9 +127,10 @@ type SearchStats struct {
 	Infeasible  int `json:"infeasible"`
 	PrunedPlans int `json:"pruned_plans"`
 	Searched    int `json:"searched"`
-	// PrunedPartials counts pre-decode partial schedules discarded
-	// against the incumbent before the decode tier extends them
-	// (pruneAgainstIncumbent drops; one cut per plan and iterative batch).
+	// PrunedPartials is always 0: the search no longer cuts pre-decode
+	// partials against the incumbent, since the plan bound and the
+	// stamping filter left that cut nothing to save. The field stays so
+	// existing readers of the stats and their JSON keep working.
 	PrunedPartials int64 `json:"pruned_partials"`
 	// Stamped counts the schedules the search stamped out of its
 	// candidates. Every stamping of every candidate is priced from the
@@ -145,12 +146,19 @@ type SearchStats struct {
 	TTFTGap float64 `json:"ttft_gap"`
 	TPOTGap float64 `json:"tpot_gap"`
 	QPSGap  float64 `json:"qps_gap"`
+
+	// The search's work counters, summed over the workers like Stamped:
+	// the pairs the group and retrieval tiers hand to prunePartialsInto
+	// (each prefix is filled once), the §5.3 round pricings of iterative
+	// decode tiers, and the decode chip counts whose candidates a worker
+	// fetched (decodePoints).
+	groupPairs, retrPairs, iterRounds, decFetches int64
 }
 
 // String renders the stats as the two CLI lines `rago optimize` prints.
 func (s SearchStats) String() string {
-	out := fmt.Sprintf("search: %d plans (%d infeasible, %d pruned by bound, %d searched), %d partials pruned, %d schedules stamped",
-		s.Plans, s.Infeasible, s.PrunedPlans, s.Searched, s.PrunedPartials, s.Stamped)
+	out := fmt.Sprintf("search: %d plans (%d infeasible, %d pruned by bound, %d searched), %d schedules stamped",
+		s.Plans, s.Infeasible, s.PrunedPlans, s.Searched, s.Stamped)
 	if s.TTFTGap > 0 || s.TPOTGap > 0 || s.QPSGap > 0 {
 		out += fmt.Sprintf("\nbound gap (achieved/bound): TTFT %.2fx, TPOT %.2fx, QPS %.2fx",
 			s.TTFTGap, s.TPOTGap, s.QPSGap)
@@ -387,12 +395,11 @@ func (o *Optimizer) groupMinChips(pl pipeline.Placement) []int {
 // profiler's stage prices — so a repeated call prices nothing twice (which
 // is what core.plan_frontier_ns measures).
 func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
-	return o.planFrontier(o.newSearchCtx(), plan, nil, perf.Metrics{})
+	return o.planFrontier(o.newSearchCtx(), plan, nil)
 }
 
 // planFrontier is PlanFrontier on a worker's reusable context, optionally
-// pruning against the shared incumbent (inc nil disables; bound is the
-// plan's admissible bound when inc is set).
+// filtering against the shared incumbent (inc nil disables).
 //
 // The tiers leave decode-merged candidates, and each is stamped with every
 // formation and retrieval knob pair the search enumerates (one stamping
@@ -406,23 +413,11 @@ func (o *Optimizer) PlanFrontier(plan Plan) []SchedulePoint {
 // survive, and the final pass still keeps the first of them in enumeration
 // order. Only the frontier of what survives becomes a Schedule
 // (stampFront); nothing is compiled.
-//
-// Where the tiers price a proxy (searchSpace.proxy), the partial cut before
-// the decode tier stays off: the tiers' Pareto prunes then choose among
-// partials by proxy prices, and cutting a partial would let candidates it
-// shadowed survive the decode merge, changing which stampings the search
-// considers. The filters above cut only what the incumbent dominates, so
-// with or without a proxy the search returns what the exhaustive
-// reference returns.
-func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incremental, bound perf.Metrics) []SchedulePoint {
-	partialInc := inc
-	if ctx.proxy {
-		partialInc = nil
-	}
+func (o *Optimizer) planFrontier(ctx *searchCtx, plan Plan, inc *perf.Incremental) []SchedulePoint {
 	normChips := o.normChips(plan)
 	var pts []SchedulePoint
 	for bi, bIter := range ctx.iterBatches {
-		cands := o.planCandidates(ctx, plan, bi, partialInc, bound)
+		cands := o.planCandidates(ctx, plan, bi)
 		priced, refs := ctx.priced[:0], ctx.refs[:0]
 		for ci, p := range cands {
 			o.priceStamps(ctx, plan, bIter, p, normChips)
@@ -465,12 +460,13 @@ func (o *Optimizer) stampFront(ctx *searchCtx, plan Plan, bIter int, cands []spa
 // with its schedules (Algorithm 1's P_RAG). The search is branch-and-
 // bound: every plan gets an admissible optimistic bound (planBound), plans
 // are dispatched best-bound-first so the shared incumbent frontier
-// tightens early, and a plan — or a partial extension inside one — is
-// skipped when an incumbent point strictly dominates its bound, which is
-// provably lossless for the returned frontier. Results are concatenated
-// in original enumeration order before the final frontier pass, so the
-// output is bit-identical to the exhaustive reference search, including
-// which schedule represents each set of exactly-equal metric points.
+// tightens early, and a plan is skipped when an incumbent point strictly
+// dominates its bound, as is a priced stamping the incumbent strictly
+// dominates (planFrontier); both are provably lossless for the returned
+// frontier. Results are concatenated in original enumeration order before
+// the final frontier pass, so the output is bit-identical to the
+// exhaustive reference search, including which schedule represents each
+// set of exactly-equal metric points.
 //
 // Plans that differ only in decode chips share their pre-decode prefix,
 // and the prefix alone decides the group and retrieval tiers' Pareto-pruned
@@ -555,7 +551,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 				i := order[k]
 				if inc == nil {
 					ctx.stats.Searched++
-					results[i] = o.planFrontier(ctx, plans[i], nil, perf.Metrics{})
+					results[i] = o.planFrontier(ctx, plans[i], nil)
 					continue
 				}
 				if !feasible[i] {
@@ -566,7 +562,7 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 					continue // every completion strictly dominated
 				}
 				ctx.stats.Searched++
-				pts := o.planFrontier(ctx, plans[i], inc, bounds[i])
+				pts := o.planFrontier(ctx, plans[i], inc)
 				results[i] = pts
 				front = front[:0]
 				for _, p := range pts {
@@ -588,8 +584,11 @@ func (o *Optimizer) Optimize() []SchedulePoint {
 	for _, c := range ctxs {
 		st.PrunedPlans += c.stats.PrunedPlans
 		st.Searched += c.stats.Searched
-		st.PrunedPartials += c.stats.PrunedPartials
 		st.Stamped += c.stats.Stamped
+		st.groupPairs += c.stats.groupPairs
+		st.retrPairs += c.stats.retrPairs
+		st.iterRounds += c.stats.iterRounds
+		st.decFetches += c.stats.decFetches
 	}
 	if inc != nil {
 		for i := range plans {

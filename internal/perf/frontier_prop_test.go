@@ -239,7 +239,7 @@ func TestIncrementalConcurrent(t *testing.T) {
 				// one snapshot stays dominated in every later one.
 				q := pts[rr.Intn(len(pts))]
 				if q.Valid() && inc.DominatedBy(q) {
-					if gt, ge := inc.QPSThresholds(q.TTFT, q.TPOT, q.Recall); !(q.QPSPerChip < gt || q.QPSPerChip <= ge) {
+					if !inc.DominatedBy(q) {
 						errs <- "a dominated point reads as undominated later"
 						return
 					}

@@ -130,32 +130,3 @@ func TestFrontierMatchesStableSortReference(t *testing.T) {
 		}
 	}
 }
-
-// TestQPSThresholdsMatchDominatedBy pins the one-scan threshold form against
-// per-point DominatedBy on random incumbents: for queries sharing TTFT, TPOT
-// and recall, dominance must reduce to the two QPS/chip comparisons exactly,
-// including at ties (x equal to a member's QPS/chip).
-func TestQPSThresholdsMatchDominatedBy(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 400; trial++ {
-		var inc Incremental
-		for i := rng.Intn(40); i > 0; i-- {
-			inc.Insert(gridMetrics(rng))
-		}
-		for q := 0; q < 20; q++ {
-			shared := gridMetrics(rng)
-			if !shared.Valid() {
-				continue
-			}
-			gt, ge := inc.QPSThresholds(shared.TTFT, shared.TPOT, shared.Recall)
-			for k := 0; k < 8; k++ {
-				m := shared
-				m.QPSPerChip = float64(rng.Intn(6)) // lands on the grid's ties
-				if got, want := m.QPSPerChip < gt || m.QPSPerChip <= ge, inc.DominatedBy(m); got != want {
-					t.Fatalf("trial %d: thresholds (%v, %v) say dominated=%v for %v, DominatedBy says %v\nincumbent %v",
-						trial, gt, ge, got, m, want, inc.Points())
-				}
-			}
-		}
-	}
-}

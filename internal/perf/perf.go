@@ -250,28 +250,6 @@ func (inc *Incremental) DominatedBy(m Metrics) bool {
 	return false
 }
 
-// QPSThresholds answers DominatedBy for a whole family of queries that share
-// TTFT, TPOT and Recall and differ only in QPS/chip, with one scan: for any
-// non-NaN x, DominatedBy(Metrics{TTFT: ttft, TPOT: tpot, QPSPerChip: x,
-// Recall: recall}) == (x < gt || x <= ge). gt is the best QPS/chip among
-// members weakly better on the three shared objectives, which dominate
-// every x below their own QPS/chip; ge is the best among those also
-// strictly better on one shared objective, which dominate every x up to
-// and including it. Both are -Inf when no member qualifies.
-func (inc *Incremental) QPSThresholds(ttft, tpot, recall float64) (gt, ge float64) {
-	gt, ge = math.Inf(-1), math.Inf(-1)
-	for _, p := range inc.upTo(ttft) {
-		if p.TPOT > tpot || p.Recall < recall {
-			continue
-		}
-		gt = math.Max(gt, p.QPSPerChip)
-		if p.TTFT < ttft || p.TPOT < tpot || p.Recall > recall {
-			ge = math.Max(ge, p.QPSPerChip)
-		}
-	}
-	return gt, ge
-}
-
 // Insert adds each of ms to the incumbent set in turn, evicting members it
 // dominates, and publishes one snapshot for the lot. A point is skipped —
 // leaving the set unchanged — when it is invalid, dominated by a member, or

@@ -48,7 +48,9 @@ func GatherLatency(fanout int) float64 {
 	if fanout < 1 {
 		fanout = 1
 	}
-	return float64(fanout) * shardGatherSeconds
+	// The conversion rounds the product, so no architecture fuses it into
+	// the sum of a caller it is inlined into.
+	return float64(float64(fanout) * shardGatherSeconds)
 }
 
 // RecallModel is a measured recall@k surface over (nprobe, fanout),
@@ -119,9 +121,11 @@ func (m *RecallModel) Recall(nprobe, fanout int) float64 {
 	}
 	i0, i1, ti := gridPos(m.NProbes, nprobe)
 	j0, j1, tj := gridPos(m.Fanouts, fanout)
-	r0 := m.Grid[i0][j0]*(1-tj) + m.Grid[i0][j1]*tj
-	r1 := m.Grid[i1][j0]*(1-tj) + m.Grid[i1][j1]*tj
-	return r0*(1-ti) + r1*ti
+	// The conversions round each product, so no architecture fuses it into
+	// the sum.
+	r0 := float64(m.Grid[i0][j0]*(1-tj)) + float64(m.Grid[i0][j1]*tj)
+	r1 := float64(m.Grid[i1][j0]*(1-tj)) + float64(m.Grid[i1][j1]*tj)
+	return float64(r0*(1-ti)) + float64(r1*ti)
 }
 
 // MaxRecall returns the surface's best value (highest nprobe, full fanout)

@@ -403,7 +403,9 @@ func (s *Server) buildReport() *ServerReport {
 	}
 	rep := &ServerReport{Report: *base, DurationV: s.endV, Switches: len(s.epochs) - 1}
 	for _, e := range s.epochs {
-		cs := float64(e.plan.Sched.ChipsUsed()) * (e.drainedV - e.startV)
+		// The conversion rounds the product, so no architecture fuses it
+		// into the ChipSeconds sum.
+		cs := float64(float64(e.plan.Sched.ChipsUsed()) * (e.drainedV - e.startV))
 		rep.Epochs = append(rep.Epochs, EpochStat{
 			Schedule:    e.plan.Sched.Describe(e.plan.Pipe),
 			Chips:       e.plan.Sched.ChipsUsed(),

@@ -9,16 +9,18 @@ import (
 	"rago/internal/trace"
 )
 
-// TestLoopEventBudget pins how few events the core handles per request on
-// Case IV Poisson traffic. A batch in service is one heap entry, and a
-// partial batch's flush is one deadline armed per idle resource. The
-// measured loop events per request are 4.76 at 0.5x load and 3.75 at 1.5x,
-// where a heap entry per member finish, per resource free and per enqueue
-// handled 13.70 and 13.25. The budget is 1.3x the measured count.
+// TestLoopEventBudget pins how many events the core handles on 4,000
+// requests of Case IV Poisson traffic (seed 13), exactly. A batch in
+// service is one heap entry, and a partial batch's flush is one deadline
+// armed per idle resource. The loop handles 19,024 events at 0.5x load and
+// 15,001 at 1.5x (4.76 and 3.75 per request), where a heap entry per
+// member finish, per resource free and per enqueue handled 13.70 and 13.25
+// per request.
 func TestLoopEventBudget(t *testing.T) {
 	for _, tc := range []struct {
-		load, budget float64
-	}{{0.5, 6.2}, {1.5, 4.9}} {
+		load float64
+		want int
+	}{{0.5, 19_024}, {1.5, 15_001}} {
 		s, _ := mechanismCaseIV(tc.load, 0, 0)(t)
 		reqs, err := trace.Poisson(4000, tc.load*s.plan.Metrics.QPS, 13)
 		if err != nil {
@@ -29,8 +31,8 @@ func TestLoopEventBudget(t *testing.T) {
 		loop.Add(engine.NewCore(s.plan, led, 0.05, nil, nil, engine.NewTally(s.plan, len(reqs)).Epoch(0)), 0)
 		n := 0
 		loop.Advance(math.Inf(1), func(float64) { n++ }) // once per event, arrivals included
-		if got := float64(n) / float64(len(reqs)); got > tc.budget {
-			t.Errorf("Case IV at %vx load: %.2f loop events per request, budget %v", tc.load, got, tc.budget)
+		if n != tc.want {
+			t.Errorf("Case IV at %vx load: %d loop events, want %d", tc.load, n, tc.want)
 		}
 	}
 }
