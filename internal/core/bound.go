@@ -124,9 +124,9 @@ func (o *Optimizer) planBound(plan Plan, terms boundTerms) (perf.Metrics, bool) 
 	}, true
 }
 
-// boundTerms memoizes boundTerm for one pass over the plans. Case IV's 7,810 plans ask for a few dozen distinct
-// terms, and the profiler's envelope memo hashes the whole stage value
-// under its mutex on every ask.
+// boundTerms memoizes boundTerm for one pass over the plans. Case IV's
+// 7,810 plans ask for a few dozen distinct terms, and the profiler's
+// envelope memo takes its shared mutex on every ask.
 type boundTerms map[termKey]boundTerm
 
 // termKey names one stage on one resource size: chips for an XPU stage,

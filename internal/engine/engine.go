@@ -701,12 +701,12 @@ func (pr pricer) pause(pipe *pipeline.Pipeline, stages []int, servers, batch, np
 
 // pricer prices the pipeline stages compileInto and RetrievalPause
 // evaluate and the shaped stages a plan's ShapeMetrics evaluates. Without a
-// memo every call goes to the profiler, whose shared cache hashes the whole
-// stage value under a mutex; an Evaluator's pricer carries the worker's own
-// memo, keyed by the stage's index and a few small integers packed into one
-// word and read without a lock, so a search worker prices shaped and
-// unshaped candidates alike without touching the profiler once its memo is
-// warm. The profiler's NoMemo bypasses it, so a cold benchmark still re-runs
+// memo every call goes to the profiler, whose shared memo is read under a
+// mutex every search worker contends for; an Evaluator's pricer carries the
+// worker's own memo, keyed by the stage's index and a few small integers
+// packed into one word and read without a lock, so a search worker prices
+// shaped and unshaped candidates alike without touching the profiler once
+// its memo is warm. The profiler's NoMemo bypasses it, so a cold benchmark still re-runs
 // the models.
 type pricer struct {
 	prof *stageperf.Profiler

@@ -226,11 +226,10 @@ func (inc *Incremental) members() []Metrics {
 	return nil
 }
 
-// upTo returns the members with TTFT <= ttft, the only ones that can
-// dominate a point at ttft: a prefix of the snapshot, which is sorted by
-// TTFT. A NaN ttft keeps every member.
-func (inc *Incremental) upTo(ttft float64) []Metrics {
-	pts := inc.members()
+// upTo returns the members of pts with TTFT <= ttft, the only ones that
+// can dominate or equal a point at ttft: a prefix of pts, which is sorted
+// by TTFT. A NaN ttft keeps every member.
+func upTo(pts []Metrics, ttft float64) []Metrics {
 	return pts[:sort.Search(len(pts), func(k int) bool { return pts[k].TTFT > ttft })]
 }
 
@@ -241,7 +240,7 @@ func (inc *Incremental) upTo(ttft float64) []Metrics {
 // with TTFT, so the members that dominate a probe sit at the end of the
 // prefix.
 func (inc *Incremental) DominatedBy(m Metrics) bool {
-	pts := inc.upTo(m.TTFT)
+	pts := upTo(inc.members(), m.TTFT)
 	for i := len(pts) - 1; i >= 0; i-- {
 		if pts[i].Dominates(m) {
 			return true
@@ -257,26 +256,30 @@ func (inc *Incremental) DominatedBy(m Metrics) bool {
 // Frontier's duplicate collapse). Insert reports whether it kept any point.
 //
 // A published snapshot is never written again: the first point kept goes
-// into a fresh copy, which the call edits and then publishes.
+// into a fresh copy, which the call edits and then publishes. Both scans
+// are scoped by TTFT: only members at or below m's TTFT can reject m, and
+// only members at or above it can be evicted by m, so the prefix before
+// the first of those stays as it is and m lands after it.
 func (inc *Incremental) Insert(ms ...Metrics) bool {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
 	pts := inc.members()
 	changed := false
 	for _, m := range ms {
-		if !m.Valid() || rejects(pts, m) {
+		if !m.Valid() || rejects(upTo(pts, m.TTFT), m) {
 			continue
 		}
 		if !changed {
 			pts, changed = append(make([]Metrics, 0, len(pts)+len(ms)), pts...), true
 		}
-		kept := pts[:0]
-		for _, p := range pts {
+		lo := sort.Search(len(pts), func(k int) bool { return pts[k].TTFT >= m.TTFT })
+		kept := pts[:lo]
+		for _, p := range pts[lo:] {
 			if !m.Dominates(p) {
 				kept = append(kept, p)
 			}
 		}
-		i := sort.Search(len(kept), func(k int) bool { return memberBefore(m, kept[k]) })
+		i := lo + sort.Search(len(kept)-lo, func(k int) bool { return memberBefore(m, kept[lo+k]) })
 		pts = slices.Insert(kept, i, m)
 	}
 	if changed {

@@ -12,9 +12,11 @@ package stageperf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"rago/internal/hw"
+	"rago/internal/model"
 	"rago/internal/pipeline"
 	"rago/internal/ragschema"
 	"rago/internal/retrieval"
@@ -65,37 +67,44 @@ type Profiler struct {
 	// the scatter-gather merge cost. RecallMod, when set, is the
 	// calibrated recall@k surface over (nprobe, fanout) — nil keeps
 	// Recall at 0 everywhere (the pre-quality-axis behavior). Both are
-	// configuration, set before the first evaluation: the memo caches key
-	// on stage values only.
+	// configuration, set before the first evaluation: the memos key on
+	// stage values only.
 	Shards    int
 	RecallMod *retrieval.RecallModel
 
 	retrDB retrieval.DB
 	mu     sync.Mutex
-	cache  map[cacheKey]Point
-	rcache map[rcacheKey]Point
-	ccache map[cacheKey][]Point
-	ecache map[cacheKey]Envelope
+	models []model.Config // interned stage models; memoKey.model indexes it
+	cache  map[memoKey]Point
+	ccache map[memoKey][]Point
+	ecache map[memoKey]Envelope
 }
 
-// cacheKey memoizes on the full stage shape (pipeline.Stage is comparable):
-// the optimizer evaluates synthesized stages — e.g. iterative-retrieval
-// prefix passes — that share a Kind with a main stage but differ in shape.
-type cacheKey struct {
-	stage pipeline.Stage
-	chips int
-	batch int
+// memoKey names one stage operating point for the memos: every field of
+// the stage's shape, its model as an index into the profiler's interned
+// models, and chips and batch (the batch bound, for Envelope). The
+// optimizer evaluates synthesized stages — e.g. iterative-retrieval prefix
+// passes, shaped and tuned stages — that share a Kind with a main stage
+// but differ in shape, so the whole shape is in the key; being all
+// integers, it hashes in one pass.
+type memoKey struct {
+	kind                             pipeline.Kind
+	model                            int
+	seqLen, items, outTokens, ctxLen int
+	nprobe, fanout, chips, batch     int
 }
 
-// rcacheKey memoizes resolved replication points: the frontier search and
-// the engine's plan compiler revisit identical (stage, chips, batch,
-// replicas) tuples across thousands of candidate schedules, and the
-// replica arithmetic plus the base-cache round-trip are worth skipping.
-type rcacheKey struct {
-	stage    pipeline.Stage
-	chips    int
-	batch    int
-	replicas int
+// keyLocked returns the memo key of st at (chips, batch), interning st's
+// model; p.mu must be held. Interning matches the whole config, so two
+// configs that share a Name never share an entry.
+func (p *Profiler) keyLocked(st pipeline.Stage, chips, batch int) memoKey {
+	m := slices.Index(p.models, st.Model)
+	if m < 0 {
+		m = len(p.models)
+		p.models = append(p.models, st.Model)
+	}
+	return memoKey{st.Kind, m, st.SeqLen, st.Items, st.OutTokens, st.CtxLen,
+		st.NProbe, st.ShardFanout, chips, batch}
 }
 
 // New builds a profiler for one workload on one hardware generation.
@@ -105,10 +114,9 @@ func New(chip hw.XPU, host hw.CPUHost, schema ragschema.Schema) *Profiler {
 		Host:   host,
 		Schema: schema,
 		retrDB: DBFor(schema),
-		cache:  make(map[cacheKey]Point),
-		rcache: make(map[rcacheKey]Point),
-		ccache: make(map[cacheKey][]Point),
-		ecache: make(map[cacheKey]Envelope),
+		cache:  make(map[memoKey]Point),
+		ccache: make(map[memoKey][]Point),
+		ecache: make(map[memoKey]Envelope),
 	}
 }
 
@@ -174,9 +182,9 @@ func (p *Profiler) Eval(st pipeline.Stage, chips, batch int) Point {
 // (and every other stage kind) is the identity. Decode stages reshape
 // through ShapedDecodeStage instead — their shape axis is the live KV
 // context, not the prompt. Evaluating the returned stage through the
-// profiler memoizes per shape for free — the caches key on the full
-// comparable Stage value — which is what makes per-batch shape-aware
-// costing affordable inside the executors' hot loops.
+// profiler memoizes per shape for free — the memos key on every field of
+// the stage's shape — which is what makes per-batch shape-aware costing
+// affordable inside the executors' hot loops.
 func ShapedStage(st pipeline.Stage, promptTokens int) pipeline.Stage {
 	switch st.Kind {
 	case pipeline.KindRewritePrefix, pipeline.KindPrefix:
@@ -207,30 +215,12 @@ func ShapedDecodeStage(st pipeline.Stage, ctxLen int) pipeline.Stage {
 // groups of chips/replicas each; an incoming batch is split evenly across
 // replicas (latency follows the per-replica sub-batch, throughput sums
 // across replicas). Retrieval does not replicate — its servers already
-// shard the database — so replicas must be 1 there.
+// shard the database — so replicas must be 1 there. Only the per-group
+// evaluation is memoized: the replica step is one divide and one multiply.
 func (p *Profiler) EvalR(st pipeline.Stage, chips, batch, replicas int) Point {
 	if chips < 1 || batch < 1 || replicas < 1 || chips%replicas != 0 {
 		return Point{}
 	}
-	key := rcacheKey{st, chips, batch, replicas}
-	if !p.NoMemo {
-		p.mu.Lock()
-		pt, ok := p.rcache[key]
-		p.mu.Unlock()
-		if ok {
-			return pt
-		}
-	}
-	pt := p.evalReplicated(st, chips, batch, replicas)
-	if !p.NoMemo {
-		p.mu.Lock()
-		p.rcache[key] = pt
-		p.mu.Unlock()
-	}
-	return pt
-}
-
-func (p *Profiler) evalReplicated(st pipeline.Stage, chips, batch, replicas int) Point {
 	if st.Kind == pipeline.KindRetrieval {
 		if replicas != 1 {
 			return Point{}
@@ -260,22 +250,7 @@ func (p *Profiler) evalReplicated(st pipeline.Stage, chips, batch, replicas int)
 // this in its innermost loops, where a defensive copy per call was a
 // measurable share of all allocation).
 func (p *Profiler) Candidates(st pipeline.Stage, chips, batch int) []Point {
-	key := cacheKey{st, chips, batch}
-	if !p.NoMemo {
-		p.mu.Lock()
-		cached, ok := p.ccache[key]
-		p.mu.Unlock()
-		if ok {
-			return cached
-		}
-	}
-	out := p.candidates(st, chips, batch)
-	if !p.NoMemo {
-		p.mu.Lock()
-		p.ccache[key] = out
-		p.mu.Unlock()
-	}
-	return out
+	return memo(p, p.ccache, st, chips, batch, func() []Point { return p.candidates(st, chips, batch) })
 }
 
 // Envelope is the roofline optimum of one stage over every batching and
@@ -301,33 +276,21 @@ type Envelope struct {
 // [1, maxBatch] and every replica candidate, memoized per
 // (stage, chips, maxBatch).
 func (p *Profiler) Envelope(st pipeline.Stage, chips, maxBatch int) Envelope {
-	key := cacheKey{st, chips, maxBatch}
-	if !p.NoMemo {
-		p.mu.Lock()
-		env, ok := p.ecache[key]
-		p.mu.Unlock()
-		if ok {
-			return env
-		}
-	}
-	env := Envelope{MinLatency: math.Inf(1)}
-	for b := 1; b <= maxBatch; b <<= 1 {
-		for _, pt := range p.Candidates(st, chips, b) {
-			env.OK = true
-			if pt.Latency < env.MinLatency {
-				env.MinLatency = pt.Latency
-			}
-			if pt.QPS > env.MaxQPS {
-				env.MaxQPS = pt.QPS
+	return memo(p, p.ecache, st, chips, maxBatch, func() Envelope {
+		env := Envelope{MinLatency: math.Inf(1)}
+		for b := 1; b <= maxBatch; b <<= 1 {
+			for _, pt := range p.Candidates(st, chips, b) {
+				env.OK = true
+				if pt.Latency < env.MinLatency {
+					env.MinLatency = pt.Latency
+				}
+				if pt.QPS > env.MaxQPS {
+					env.MaxQPS = pt.QPS
+				}
 			}
 		}
-	}
-	if !p.NoMemo {
-		p.mu.Lock()
-		p.ecache[key] = env
-		p.mu.Unlock()
-	}
-	return env
+		return env
+	})
 }
 
 func (p *Profiler) candidates(st pipeline.Stage, chips, batch int) []Point {
@@ -362,24 +325,31 @@ func (p *Profiler) candidates(st pipeline.Stage, chips, batch int) []Point {
 }
 
 func (p *Profiler) evalCached(st pipeline.Stage, chips, batch int) Point {
-	if p.NoMemo {
+	return memo(p, p.cache, st, chips, batch, func() Point {
 		pt := p.eval(st, chips, batch)
 		pt.Replicas = 1
 		return pt
+	})
+}
+
+// memo returns m's entry for st at (chips, batch), filling it on a miss;
+// with NoMemo it calls fill every time. Concurrent misses on one key may
+// both fill it: fill is pure, so either value is the same.
+func memo[V any](p *Profiler, m map[memoKey]V, st pipeline.Stage, chips, batch int, fill func() V) V {
+	if p.NoMemo {
+		return fill()
 	}
-	key := cacheKey{st, chips, batch}
 	p.mu.Lock()
-	pt, ok := p.cache[key]
+	key := p.keyLocked(st, chips, batch)
+	v, ok := m[key]
 	p.mu.Unlock()
-	if ok {
-		return pt
+	if !ok {
+		v = fill()
+		p.mu.Lock()
+		m[key] = v
+		p.mu.Unlock()
 	}
-	pt = p.eval(st, chips, batch)
-	pt.Replicas = 1
-	p.mu.Lock()
-	p.cache[key] = pt
-	p.mu.Unlock()
-	return pt
+	return v
 }
 
 func (p *Profiler) eval(st pipeline.Stage, chips, batch int) Point {

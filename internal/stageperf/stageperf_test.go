@@ -2,6 +2,8 @@ package stageperf
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 
 	"rago/internal/hw"
@@ -198,52 +200,107 @@ func TestRetrievalQPSIndependentOfGenModel(t *testing.T) {
 	}
 }
 
-// TestMemoConsistency: the replica-level and candidate caches must be
-// pure memoization — identical results with and without them, across
-// repeat queries and the in-place filtering merge.go performs on
-// Candidates results.
+// TestMemoConsistency: the memos must be pure memoization. EvalR,
+// Candidates and Envelope must answer bit for bit as a NoMemo profiler
+// does, on repeat queries and from 8 goroutines sharing one profiler,
+// for every stage kind of the Case I-V pipelines, shaped prompts and
+// contexts, knobbed retrieval on a sharded tier, and invalid operating
+// points. Two models that share a Name must never share an entry.
 func TestMemoConsistency(t *testing.T) {
-	schema := ragschema.CaseIV(8e9)
-	pipe, err := pipeline.Build(schema)
-	if err != nil {
-		t.Fatal(err)
+	type ask struct {
+		st           pipeline.Stage
+		chips, batch int
 	}
-	cached := New(hw.XPUC, hw.EPYCHost, schema)
-	cold := New(hw.XPUC, hw.EPYCHost, schema)
-	cold.NoMemo = true
-	for _, st := range pipe.Stages {
-		for _, chips := range []int{4, 16} {
-			for _, batch := range []int{1, 8} {
-				for _, reps := range []int{1, 2, 4} {
-					a := cached.EvalR(st, chips, batch, reps)
-					b := cached.EvalR(st, chips, batch, reps) // memo hit
-					c := cold.EvalR(st, chips, batch, reps)
-					if a != b || a != c {
-						t.Fatalf("EvalR(%v,%d,%d,%d) inconsistent: %+v / %+v / %+v",
-							st.Kind, chips, batch, reps, a, b, c)
-					}
-				}
-				// Candidates returns the cache's own slice (read-only by
-				// contract): repeated calls must alias the same backing
-				// store and match a cold profiler's values.
-				a := cached.Candidates(st, chips, batch)
-				b := cached.Candidates(st, chips, batch)
-				if len(a) > 0 && &a[0] != &b[0] {
-					t.Fatalf("Candidates(%v,%d,%d) re-allocated on a cache hit", st.Kind, chips, batch)
-				}
-				c := cold.Candidates(st, chips, batch)
-				if len(b) != len(c) {
-					t.Fatalf("Candidates(%v,%d,%d) length drifted after caller mutation: %d vs %d",
-						st.Kind, chips, batch, len(b), len(c))
-				}
-				for i := range b {
-					if b[i] != c[i] {
-						t.Fatalf("Candidates(%v,%d,%d)[%d] inconsistent: %+v vs %+v",
-							st.Kind, chips, batch, i, b[i], c[i])
-					}
+	type answer struct {
+		pts   [5]Point // EvalR at replicas 0..4 (0 and 3 are invalid at these chips)
+		cands []Point
+		env   Envelope // Envelope with batch as the bound
+	}
+	answerOf := func(p *Profiler, a ask) answer {
+		var ans answer
+		for r := range ans.pts {
+			ans.pts[r] = p.EvalR(a.st, a.chips, a.batch, r)
+		}
+		ans.cands = p.Candidates(a.st, a.chips, a.batch)
+		ans.env = p.Envelope(a.st, a.chips, a.batch)
+		return ans
+	}
+	same := func(a, b answer) bool {
+		return a.pts == b.pts && slices.Equal(a.cands, b.cands) && a.env == b.env
+	}
+
+	for _, schema := range []ragschema.Schema{
+		ragschema.CaseI(8e9, 1), ragschema.CaseII(70e9, 100_000), ragschema.CaseIII(8e9, 4),
+		ragschema.CaseIV(8e9), ragschema.CaseV(8e9, 2),
+	} {
+		pipe, err := pipeline.Build(schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stages []pipeline.Stage
+		for _, st := range pipe.Stages {
+			twin := st // same Name, another model
+			twin.Model.Layers++
+			stages = append(stages, st, twin, ShapedStage(st, 2*st.SeqLen+1),
+				ShapedDecodeStage(st, 3*st.CtxLen+7), st.Tuned(64, 2), st.Tuned(8, 2), st.Tuned(8, 0))
+		}
+		var asks []ask
+		for _, st := range stages {
+			for _, chips := range []int{0, 4, 16} {
+				for _, batch := range []int{0, 1, 8} {
+					asks = append(asks, ask{st, chips, batch})
 				}
 			}
 		}
+		cached := New(hw.XPUC, hw.EPYCHost, schema)
+		cold := New(hw.XPUC, hw.EPYCHost, schema)
+		cached.Shards, cold.Shards, cold.NoMemo = 4, 4, true
+		want := make([]answer, len(asks))
+		for i, a := range asks {
+			want[i] = answerOf(cold, a)
+		}
+
+		// Each goroutine walks every ask from its own offset, so fills and
+		// hits interleave on the shared memos and the interned models.
+		var wg sync.WaitGroup
+		for g := range 8 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for k := range asks {
+					i := (k + g*len(asks)/8) % len(asks)
+					if got := answerOf(cached, asks[i]); !same(got, want[i]) {
+						t.Errorf("%s %v at (%d chips, batch %d): memoized %+v, NoMemo %+v",
+							schema.Name, asks[i].st.Kind, asks[i].chips, asks[i].batch, got, want[i])
+					}
+				}
+			}()
+		}
+		wg.Wait()
+
+		for i, a := range asks {
+			// Candidates returns the memo's own slice (read-only by
+			// contract): a hit aliases it.
+			x, y := cached.Candidates(a.st, a.chips, a.batch), cached.Candidates(a.st, a.chips, a.batch)
+			if len(x) > 0 && &x[0] != &y[0] {
+				t.Fatalf("%s Candidates(%v,%d,%d) re-allocated on a memo hit", schema.Name, a.st.Kind, a.chips, a.batch)
+			}
+			if got := answerOf(cached, a); !same(got, want[i]) {
+				t.Fatalf("%s %v at (%d chips, batch %d): memo hit %+v, NoMemo %+v",
+					schema.Name, a.st.Kind, a.chips, a.batch, got, want[i])
+			}
+		}
+	}
+
+	// Same-name row: the generator with one layer more shares its Name and
+	// must price differently through one profiler.
+	prof, pl := profilerFor(t, ragschema.CaseI(8e9, 1))
+	gen := stage(t, pl, pipeline.KindPrefix)
+	twin := gen
+	twin.Model.Layers++
+	if a, b := prof.Eval(gen, 8, 4), prof.Eval(twin, 8, 4); !a.OK || !b.OK || a == b {
+		t.Errorf("%s with %d and %d layers priced %+v and %+v: the memo confused them",
+			gen.Model.Name, gen.Model.Layers, twin.Model.Layers, a, b)
 	}
 }
 

@@ -133,7 +133,7 @@ func (s Simulator) phaseTime(ops []model.Op, layers, tp, pp, rows int, width flo
 		if op.Repeat == layers {
 			perLayer += t
 		} else {
-			once += t * float64(op.Repeat)
+			once += float64(t * float64(op.Repeat))
 		}
 	}
 	// Tensor-parallel all-reduces: two per layer (post-attention,
@@ -142,12 +142,12 @@ func (s Simulator) phaseTime(ops []model.Op, layers, tp, pp, rows int, width flo
 	if tp > 1 {
 		payload := float64(rows) * width
 		perChip := roofline.AllReduceBytes(payload, tp)
-		hop := s.P.CollectiveLatency * math.Log2(float64(tp))
-		perLayer += 2 * (roofline.CommTime(perChip, s.Chip.InterChipBW*s.P.NetUtil) + hop)
+		hop := float64(s.P.CollectiveLatency * math.Log2(float64(tp)))
+		perLayer += float64(2 * (roofline.CommTime(perChip, s.Chip.InterChipBW*s.P.NetUtil) + hop))
 	}
 
 	layersPerStage := float64(layers) / float64(pp)
-	stage := perLayer * layersPerStage
+	stage := float64(perLayer * layersPerStage)
 	lastStage := stage + once
 
 	// Pipeline boundary transfers.
@@ -156,7 +156,7 @@ func (s Simulator) phaseTime(ops []model.Op, layers, tp, pp, rows int, width flo
 		boundary := roofline.CommTime(float64(rows)*width, s.Chip.InterChipBW*s.P.NetUtil)
 		comm = float64(pp-1) * boundary
 	}
-	latency = stage*float64(pp-1) + lastStage + comm
+	latency = float64(stage*float64(pp-1)) + lastStage + comm
 	bottleneck = math.Max(stage, lastStage)
 	return latency, bottleneck
 }
@@ -164,7 +164,7 @@ func (s Simulator) phaseTime(ops []model.Op, layers, tp, pp, rows int, width flo
 // memFeasible reports whether weights plus KV cache fit across the chips.
 func (s Simulator) memFeasible(cfg model.Config, kvTokens float64, chips int) bool {
 	usable := s.Chip.HBMBytes * (1 - s.P.HBMReserve) * float64(chips)
-	need := cfg.ParamBytes() + kvTokens*cfg.KVBytesPerToken()
+	need := float64(cfg.ParamBytes()) + float64(kvTokens*cfg.KVBytesPerToken())
 	return need <= usable
 }
 
